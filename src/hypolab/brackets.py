@@ -49,6 +49,7 @@ __all__ = [
     "HormanderReport",
     "check_hormander",
     "ball_sample",
+    "derivative_stack",
     "local_field_bound",
     "coefficient_local_bound",
     "bracket_local_bound",
@@ -116,11 +117,12 @@ class MultiIndex:
 EMPTY_INDEX = MultiIndex(())
 
 
-def enumerate_indices(max_weight: int, m: int) -> list[MultiIndex]:
+def enumerate_indices(max_weight: int, m: int, by_length: bool = False) -> list[MultiIndex]:
     """All multi-indices with weight <= max_weight, sorted by (length, lex).
 
     Includes the empty index.  Since every entry contributes at least one to
-    the weight, lengths above max_weight cannot occur.
+    the weight, lengths above max_weight cannot occur.  With ``by_length``
+    the cap applies to the length instead: every index of length <= max_weight.
     """
     if max_weight < 0:
         raise ConfigError("max_weight must be >= 0")
@@ -130,7 +132,7 @@ def enumerate_indices(max_weight: int, m: int) -> list[MultiIndex]:
     for length in range(1, max_weight + 1):
         for entries in itertools.product(range(m + 1), repeat=length):
             mi = MultiIndex(entries)
-            if mi.weight <= max_weight:
+            if by_length or mi.weight <= max_weight:
                 out.append(mi)
     return out
 
@@ -238,6 +240,74 @@ class BracketTable:
         return self.bracket(self.coeffs.diffusion[k - 1], alpha)
 
 
+def _tree_walk(fld: VectorField, pts: np.ndarray, bad: int) -> tuple[np.ndarray, int]:
+    """Tree-walk values of ``fld`` at ``pts[:bad]``; ``bad`` drops to the
+    first point where evaluation raises."""
+    w = np.full(pts.shape, np.nan)
+    for i in range(bad):
+        try:
+            w[i] = fld.evaluate(pts[i])
+        except EvaluationError:
+            return w, i
+    return w, bad
+
+
+def _gram_stack(pts: np.ndarray, L: int, table: BracketTable) -> np.ndarray:
+    """Gram matrices (N, d, d) of the diffusion brackets of weight < L at the
+    N points ``pts`` (N, d).
+
+    Each bracket is compiled once and evaluated on all points with floating
+    point errors trapped, so an intermediate overflow is caught even when the
+    bracket's value is finite.  A bracket that traps or is non-finite is
+    redone by tree walk; the first point where any bracket fails then raises
+    the tree walk's EvaluationError, naming the offending subexpression.
+    """
+    if L < 1:
+        raise ConfigError("L must be >= 1")
+    indices = enumerate_indices(L - 1, table.m)
+    fields = [table.diffusion_bracket(k, a) for k in range(1, table.m + 1) for a in indices]
+    if pts.ndim != 2 or pts.shape[1] != table.d:
+        raise ConfigError(f"points have dimension {pts.shape[-1]}, expected {table.d}")
+    finite = np.isfinite(pts).all(axis=1)
+    bad = len(pts) if finite.all() else int(np.argmin(finite))
+    grams = np.zeros((len(pts), table.d, table.d))
+    for fld in fields:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                w = compile_expression_stack(fld.components, (fld.dim,))(pts)
+            trapped = not np.isfinite(w).all()
+        except FloatingPointError:
+            trapped = True
+        if trapped:
+            w, bad = _tree_walk(fld, pts, bad)
+        grams += w[:, :, None] * w[:, None, :]
+    if bad < len(pts):  # the first bracket that fails at this point raises
+        for fld in fields:
+            fld.evaluate(pts[bad])
+    return grams
+
+
+def _spanning_values(grams: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Gram matrix, clamped to [0, 1].
+
+    The infimum of the quadratic form over unit directions is the smallest
+    eigenvalue.  One below the PSD slack means a broken construction and
+    raises; small negative rounding clamps to zero.
+    """
+    try:
+        lam = np.linalg.eigvalsh(grams)[:, 0]
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"symmetric eigensolver failed: {exc}") from exc
+    below = np.flatnonzero(lam < _PSD_TOL)
+    if below.size:
+        i = below[0]
+        raise InternalInvariantError(
+            f"bracket Gram matrix at {pts[i]} has eigenvalue {float(lam[i])} "
+            "below PSD tolerance"
+        )
+    return np.minimum(np.maximum(lam, 0.0), 1.0)
+
+
 def gram_matrix(x: Sequence[float], L: int, table: BracketTable) -> np.ndarray:
     """Sum of outer products w w^T over all diffusion brackets of weight < L.
 
@@ -245,39 +315,13 @@ def gram_matrix(x: Sequence[float], L: int, table: BracketTable) -> np.ndarray:
     multi-index with weight <= L-1, evaluated at x.  The quadratic form
     eta^T M eta is exactly the spanning form of the bracket family at x.
     """
-    if L < 1:
-        raise ConfigError("L must be >= 1")
-    x = np.asarray(x, dtype=float)
-    M = np.zeros((table.d, table.d))
-    for k in range(1, table.m + 1):
-        for alpha in enumerate_indices(L - 1, table.m):
-            w = table.diffusion_bracket(k, alpha).evaluate(x)
-            M += np.outer(w, w)
-    return M
-
-
-def _min_eigenvalue(M: np.ndarray) -> float:
-    try:
-        eigs = np.linalg.eigvalsh(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"symmetric eigensolver failed: {exc}") from exc
-    return float(eigs[0])
+    return _gram_stack(np.asarray(x, dtype=float)[None], L, table)[0]
 
 
 def spanning_value(x: Sequence[float], L: int, table: BracketTable) -> float:
-    """Capped smallest eigenvalue of the bracket Gram matrix, in [0, 1].
-
-    Computed exactly as an eigenvalue problem (the infimum of the quadratic
-    form over unit directions equals the smallest eigenvalue).  A smallest
-    eigenvalue below the PSD slack indicates a broken construction and
-    raises; small negative rounding clamps to zero.
-    """
-    lam = _min_eigenvalue(gram_matrix(x, L, table))
-    if lam < _PSD_TOL:
-        raise InternalInvariantError(
-            f"bracket Gram matrix has eigenvalue {lam} below PSD tolerance"
-        )
-    return min(max(lam, 0.0), 1.0)
+    """Capped smallest eigenvalue of the bracket Gram matrix at x, in [0, 1]."""
+    pts = np.asarray(x, dtype=float)[None]
+    return float(_spanning_values(_gram_stack(pts, L, table), pts)[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -378,18 +422,8 @@ def check_hormander(
     )
     if pts.size == 0:
         raise ConfigError("empty point set for spanning check")
-    if pts.shape[1] != table.d:
-        raise ConfigError(f"points have dimension {pts.shape[1]}, expected {table.d}")
-    values = np.empty(len(pts))
-    grams = np.empty((len(pts), table.d, table.d))
-    for i, x in enumerate(pts):
-        grams[i] = gram_matrix(x, L, table)
-        lam = _min_eigenvalue(grams[i])
-        if lam < _PSD_TOL:
-            raise InternalInvariantError(
-                f"bracket Gram matrix at {x} has eigenvalue {lam} below PSD tolerance"
-            )
-        values[i] = min(max(lam, 0.0), 1.0)
+    grams = _gram_stack(pts, L, table)
+    values = _spanning_values(grams, pts)
     members = values > membership_tol
     return HormanderReport(L, pts, values, members, grams, membership_tol)
 
@@ -426,7 +460,7 @@ def ball_sample(center: Sequence[float], radius: float, n: int) -> np.ndarray:
     return np.vstack([np.asarray(fixed), pts])
 
 
-def _derivative_stack(fld: VectorField, order: int) -> list[list[Expression]]:
+def derivative_stack(fld: VectorField, order: int) -> list[list[Expression]]:
     """Expression groups for |f|, Jacobian, and second derivatives up to order."""
     groups = [list(fld.components)]
     if order >= 1:
@@ -460,7 +494,7 @@ def local_field_bound(
     pts = ball_sample(x, radius, n_ball)
     best = 0.0
     for fld in fields:
-        for group in _derivative_stack(fld, order):
+        for group in derivative_stack(fld, order):
             fn = compile_expression_stack(tuple(group), (len(group),))
             vals = fn(pts)
             if not np.isfinite(vals).all():
@@ -517,7 +551,7 @@ def bracket_local_bound(
     cap = (L + 1) if max_len is None else max_len
     fields = []
     for k in range(1, table.m + 1):
-        for alpha in _indices_by_length(cap, table.m):
+        for alpha in enumerate_indices(cap, table.m, by_length=True):
             fields.append(table.diffusion_bracket(k, alpha))
     bound, _ = local_field_bound(fields, x, radius=radius, order=2, n_ball=n_ball)
     return bound
@@ -538,15 +572,8 @@ def expansion_local_bound(
     """
     directions = [table.direction(j) for j in range(table.m + 1)]
     dir_bound, _ = local_field_bound(directions, x, radius=radius, order=2, n_ball=n_ball)
-    targets = [table.bracket(target, alpha) for alpha in _indices_by_length(L + 1, table.m)]
+    indices = enumerate_indices(L + 1, table.m, by_length=True)
+    targets = [table.bracket(target, alpha) for alpha in indices]
     tgt_bound, _ = local_field_bound(targets, x, radius=radius, order=0, n_ball=n_ball)
     return max(dir_bound, tgt_bound)
 
-
-def _indices_by_length(max_len: int, m: int) -> list[MultiIndex]:
-    out = [EMPTY_INDEX]
-    for length in range(1, max_len + 1):
-        out.extend(
-            MultiIndex(entries) for entries in itertools.product(range(m + 1), repeat=length)
-        )
-    return out

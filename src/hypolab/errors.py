@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: configuration problems exit with 2,
-numerical divergence beyond the configured budget with 3, violated internal
-invariants with 4.
+Exit-code mapping used by the CLI: numerical evaluation errors exit with 1,
+configuration problems with 2, numerical divergence beyond the configured
+budget with 3, violated internal invariants with 4.
 """
 
 
@@ -43,10 +43,6 @@ class SimulationDiverged(HypolabError):
         self.scheme = scheme
         self.step = step
         self.magnitude = magnitude
-
-
-class NewtonError(HypolabError):
-    """The implicit split-step solve failed to converge."""
 
 
 class DivergenceError(HypolabError):

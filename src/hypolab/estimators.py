@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -25,7 +25,6 @@ from .flows import (
     chaos_remainder_ensemble,
     malliavin_checkpoint_ensemble,
     nearest_index,
-    replace_config,
     run_ensemble,
 )
 
@@ -110,7 +109,9 @@ class TailCurve:
         for k, e, p, lo, hi in zip(
             self.k_values, self.events, self.p_hat, self.ci_lo, self.ci_hi
         ):
-            lines.append(f"{k!r},{int(e)},{self.trials},{p!r},{lo!r},{hi!r}")
+            lines.append(
+                f"{float(k)!r},{int(e)},{self.trials},{float(p)!r},{float(lo)!r},{float(hi)!r}"
+            )
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -199,7 +200,7 @@ def eigenvalue_tails(
     k_values = np.asarray(sorted(float(k) for k in k_grid))
     if k_values.size == 0 or k_values[0] < 1.0:
         raise ConfigError("K grid must be non-empty with K >= 1")
-    config = replace_config(ensemble.config, horizon=t)
+    config = replace(ensemble.config, horizon=t)
     horizons = t / k_values ** (1.0 / (L + 1))
     indices = [nearest_index(config, s) for s in horizons]
     if min(indices) < 1:
@@ -273,7 +274,7 @@ def remainder_tails(
     if not t_values or t_values[0] <= 0 or t_values[-1] > 1:
         raise ConfigError("t grid must lie in (0, 1]")
     horizon = t_values[-1]
-    config = replace_config(ensemble.config, horizon=horizon)
+    config = replace(ensemble.config, horizon=horizon)
     res = run_ensemble(
         ensemble.coeffs,
         config,
@@ -369,7 +370,7 @@ class MomentEstimate:
 
 
 def _inverse_det_samples(p: float, t: float, ensemble: EnsembleSpec) -> np.ndarray:
-    config = replace_config(ensemble.config, horizon=t)
+    config = replace(ensemble.config, horizon=t)
     idx = config.n_steps
     res, mats = malliavin_checkpoint_ensemble(
         ensemble.coeffs, config, ensemble.n_paths, [idx], workers=ensemble.workers
@@ -452,7 +453,7 @@ def inverse_det_scaling(
     if t_values.size < 2:
         raise ConfigError("need at least two t values for a scaling study")
     # one simulation to the largest horizon, checkpoints at every t
-    config = replace_config(ensemble.config, horizon=float(t_values[-1]))
+    config = replace(ensemble.config, horizon=float(t_values[-1]))
     indices = [nearest_index(config, t) for t in t_values]
     if min(indices) < 1:
         raise ConfigError("grid too coarse for the smallest t in the study")
@@ -495,7 +496,7 @@ class DensityEstimate:
         header = ",".join(f"y_{i+1}" for i in range(d)) + ",p_hat"
         lines = [header]
         for pt, v in zip(self.points, self.values):
-            lines.append(",".join(repr(float(c)) for c in pt) + f",{v!r}")
+            lines.append(",".join(repr(float(c)) for c in (*pt, v)))
         return "\n".join(lines) + "\n"
 
 
@@ -544,7 +545,7 @@ def kde_density(
 
 def terminal_samples(ensemble: EnsembleSpec, t: float | None = None) -> np.ndarray:
     """Terminal states of an ensemble run to horizon t (default: config horizon)."""
-    config = ensemble.config if t is None else replace_config(ensemble.config, horizon=t)
+    config = ensemble.config if t is None else replace(ensemble.config, horizon=t)
     res = run_ensemble(
         ensemble.coeffs,
         config,

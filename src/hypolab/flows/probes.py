@@ -8,20 +8,14 @@ whole space.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..brackets import derivative_stack
 from ..errors import ConfigError
-from ..fieldlang import (
-    CoefficientSet,
-    compile_expression_stack,
-    compile_jacobian,
-    differentiate,
-    jacobian,
-    simplify,
-)
-from .simulate import RecordSpec, SimConfig, replace_config, run_ensemble
+from ..fieldlang import CoefficientSet, compile_expression_stack, compile_jacobian
+from .simulate import RecordSpec, SimConfig, run_ensemble
 
 __all__ = ["AssumptionProbe", "assumption_probe", "MomentProbe", "moment_probe"]
 
@@ -69,16 +63,6 @@ class AssumptionProbe:
             out["declared"] = self.declared
             out["passes"] = self.passes
         return out
-
-
-def _second_derivative_exprs(fld):
-    rows = jacobian(fld)
-    out = []
-    for row in rows:
-        for entry in row:
-            for i in range(1, fld.dim + 1):
-                out.append(simplify(differentiate(entry, i)))
-    return out
 
 
 def _tensor_norms(exprs, points):
@@ -159,12 +143,13 @@ def assumption_probe(
     sym = 0.5 * (gb + np.swapaxes(gb, 1, 2))
     jac_min = float(np.linalg.eigvalsh(sym)[:, 0].min())
 
-    drift_second = float(np.max(_tensor_norms(_second_derivative_exprs(coeffs.drift), xs)))
+    drift_second = float(np.max(_tensor_norms(derivative_stack(coeffs.drift, 2)[2], xs)))
     first = []
     second = []
     for col in coeffs.diffusion:
-        first.extend(e for row in jacobian(col) for e in row)
-        second.extend(_second_derivative_exprs(col))
+        _, jac, hess = derivative_stack(col, 2)
+        first.extend(jac)
+        second.extend(hess)
     diffusion_first = float(np.max(_tensor_norms(first, xs)))
     diffusion_second = float(np.max(_tensor_norms(second, xs)))
 
@@ -255,7 +240,7 @@ def moment_probe(
     for x0 in x0_values:
         res = run_ensemble(
             coeffs,
-            replace_config(config, x0=x0),
+            replace(config, x0=x0),
             n_paths,
             RecordSpec(flows=False, track_sup=True),
             workers=workers,

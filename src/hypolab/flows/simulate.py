@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -237,9 +237,8 @@ class EnsembleResult:
 def _compiled_bundle(coeffs: CoefficientSet, needs_flows: bool):
     cb = compile_field(coeffs.drift)
     csig = compile_diffusion(coeffs)
-    if needs_flows or True:
-        # drift jacobian is also needed by the implicit scheme's Newton solve
-        cgb = compile_jacobian(coeffs.drift)
+    # drift jacobian is also needed by the implicit scheme's Newton solve
+    cgb = compile_jacobian(coeffs.drift)
     cgs = compile_diffusion_jacobians(coeffs) if needs_flows else None
     return cb, csig, cgb, cgs
 
@@ -648,7 +647,3 @@ def malliavin_checkpoint_ensemble(
         q = 0.5 * (q + np.swapaxes(q, 1, 2))
         out[i] = (c, q)
     return res, out
-
-
-def replace_config(config: SimConfig, **kwargs) -> SimConfig:
-    return replace(config, **kwargs)

@@ -5,8 +5,9 @@ det-moments, density, probe-assumptions.  Every run writes its resolved
 configuration and a manifest with content digests next to the outputs; with
 a fixed (config, seed) the output digests do not depend on the worker count.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence beyond
-the configured budget, 4 violated internal invariant.
+Exit codes: 0 success, 1 numerical evaluation error, 2 configuration error,
+3 numerical divergence beyond the configured budget, 4 violated internal
+invariant.
 """
 from __future__ import annotations
 
@@ -87,6 +88,13 @@ def _resolve_field(cfg: ExperimentConfig, text: str) -> VectorField:
     return VectorField.from_text(name, coeffs.d)
 
 
+def _grid_spec(a: dict, d: int) -> GridSpec:
+    for key in ("grid_min", "grid_max", "grid_points"):
+        if len(a[key]) != d:
+            raise ConfigError(f"'{key}' must have d = {d} entries")
+    return GridSpec(tuple(a["grid_min"]), tuple(a["grid_max"]), tuple(a["grid_points"]))
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns a list of (filename, claim) it wrote
 
@@ -95,10 +103,7 @@ def _cmd_check_hormander(cfg: ExperimentConfig, out_dir: str, workers: int):
     a = cfg.analysis
     coeffs = cfg.coefficient_set()
     d = coeffs.d
-    for key in ("grid_min", "grid_max", "grid_points"):
-        if len(a[key]) != d:
-            raise ConfigError(f"'{key}' must have d = {d} entries")
-    spec = GridSpec(tuple(a["grid_min"]), tuple(a["grid_max"]), tuple(a["grid_points"]))
+    spec = _grid_spec(a, d)
     table = BracketTable(coeffs)
     report = check_hormander(spec, a["L"], table, membership_tol=a["membership_tol"])
     claim = (
@@ -215,8 +220,8 @@ def _cmd_malliavin(cfg: ExperimentConfig, out_dir: str, workers: int):
     claim = "Malliavin covariance matrices from the inverse-flow quadrature"
 
     lines = ["lambda_min_C,lambda_min_Q,det_Q"]
-    for a, b, c in zip(lam_c, lam_q, det_q):
-        lines.append(f"{a!r},{b!r},{c!r}")
+    for row in zip(lam_c, lam_q, det_q):
+        lines.append(",".join(repr(float(v)) for v in row))
     _write_text(os.path.join(out_dir, "malliavin.csv"), "\n".join(lines) + "\n")
 
     summary = {
@@ -326,30 +331,18 @@ def _cmd_det_moments(cfg: ExperimentConfig, out_dir: str, workers: int):
     return [("det_moments.json", claim), ("det_moments.csv", claim)] + files
 
 
-def _product_grid(lows, highs, counts) -> np.ndarray:
-    axes = [
-        np.linspace(lo, hi, n) if n > 1 else np.array([(lo + hi) / 2.0])
-        for lo, hi, n in zip(lows, highs, counts)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.reshape(-1) for m in mesh])
-
-
 def _cmd_density(cfg: ExperimentConfig, out_dir: str, workers: int):
     a = cfg.analysis
     coeffs = cfg.coefficient_set()
     sim = cfg.simulation
     d = coeffs.d
-    for key in ("grid_min", "grid_max", "grid_points"):
-        if len(a[key]) != d:
-            raise ConfigError(f"'{key}' must have d = {d} entries")
+    spec = _grid_spec(a, d)
     t = a.get("t", sim["T"])
     config = cfg.sim_config(horizon=t)
     res = run_ensemble(coeffs, config, sim["paths"], RecordSpec(flows=False), workers=workers)
     fraction = _check_divergence(res.diverged_count, res.n_paths, sim["max_divergence"])
     samples = res.final_states[res.alive]
-    grid = _product_grid(a["grid_min"], a["grid_max"], a["grid_points"])
-    dens = kde_density(samples, grid, bandwidth=a.get("bandwidth"))
+    dens = kde_density(samples, spec.points(), bandwidth=a.get("bandwidth"))
     claim = "kernel density estimate of the state law"
     files = []
     _write_text(os.path.join(out_dir, "density.csv"), dens.to_csv_text())
@@ -460,12 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_workers(value) -> int:
-    if value is not None:
-        workers = value
-    else:
-        env = os.environ.get(_ENV_WORKERS, "").strip()
-        workers = int(env) if env.isdigit() else 1
-    return max(workers, 1)
+    if value is None:
+        env = os.environ.get(_ENV_WORKERS, "").strip() or "1"
+        if not env.isdecimal():
+            raise ConfigError(f"{_ENV_WORKERS} must be a non-negative integer, got {env!r}")
+        value = int(env)
+    return max(value, 1)
 
 
 def main(argv=None) -> int:

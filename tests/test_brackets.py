@@ -19,7 +19,7 @@ from hypolab.brackets import (
     spanning_value,
     stratonovich_drift,
 )
-from hypolab.errors import BracketSizeError, ConfigError
+from hypolab.errors import BracketSizeError, ConfigError, EvaluationError
 from hypolab.fieldlang import CoefficientSet, VectorField
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,94 @@ def test_check_hormander_flags_origin():
 def test_check_hormander_empty_points(ou):
     with pytest.raises(ConfigError):
         check_hormander([], 1, BracketTable(ou))
+
+
+# ---------------------------------------------------------------------------
+# batched Gram matrices against a per-point tree walk
+
+
+def _reference_report(pts, L, table):
+    """Gram matrices and spanning values built one point and one bracket at a
+    time with the tree-walking evaluator."""
+    indices = enumerate_indices(L - 1, table.m)
+    grams = np.zeros((len(pts), table.d, table.d))
+    for i, x in enumerate(pts):
+        for k in range(1, table.m + 1):
+            for alpha in indices:
+                w = table.diffusion_bracket(k, alpha).evaluate(x)
+                grams[i] += np.outer(w, w)
+    values = np.array([min(max(np.linalg.eigvalsh(g)[0], 0.0), 1.0) for g in grams])
+    return grams, values
+
+
+def _heis3():
+    """d=3, m=2 model with a cubic drift, spanning through [sigma1, sigma2]."""
+    return CoefficientSet.from_text(
+        3, 2, "-x1 - x1^3, -x2 - x2^3, -x3", ["1, 0, -0.5*x2", "0, 1, 0.5*x1"]
+    )
+
+
+def test_batched_gram_bit_identical_on_heis3():
+    table = BracketTable(_heis3())
+    spec = GridSpec((-2.0,) * 3, (2.0,) * 3, (7,) * 3)
+    report = check_hormander(spec, 3, table)
+    grams, values = _reference_report(spec.points(), 3, table)
+    assert np.array_equal(report.gram, grams)
+    assert np.array_equal(report.values, values)
+    x = spec.points()[100]
+    assert np.array_equal(gram_matrix(x, 3, table), grams[100])
+    assert spanning_value(x, 3, table) == values[100]
+
+
+def test_batched_gram_close_with_transcendental_brackets():
+    c = CoefficientSet.from_text(
+        2, 2, "-x1^3 + sin(x2), -x2 - tanh(x1)", ["1 + 0.1*exp(x2), 0", "cos(x1), x1^3"]
+    )
+    table = BracketTable(c)
+    spec = GridSpec((-1.0, -1.0), (1.0, 1.0), (9, 9))
+    report = check_hormander(spec, 3, table)
+    grams, values = _reference_report(spec.points(), 3, table)
+    np.testing.assert_allclose(report.gram, grams, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(report.values, values, rtol=1e-12, atol=1e-12)
+
+
+def test_batched_gram_skips_tree_walk_when_finite(monkeypatch):
+    def walk(self, point):
+        raise AssertionError("tree walk on the success path")
+
+    table = BracketTable(_heis3())
+    monkeypatch.setattr(VectorField, "evaluate", walk)
+    report = check_hormander(GridSpec((-1.0,) * 3, (1.0,) * 3, (3,) * 3), 3, table)
+    assert report.inf_value == 1.0
+
+
+def test_batched_gram_division_by_zero_names_subexpression():
+    table = BracketTable(CoefficientSet.from_text(1, 1, "-x1", ["1/x1"]))
+    with pytest.raises(EvaluationError, match="division by zero in '1/x1'"):
+        check_hormander(GridSpec((-1.0,), (1.0,), (5,)), 2, table)
+
+
+def test_batched_gram_traps_intermediate_overflow():
+    # tanh(exp(800)) is 1.0 in floating point, but exp overflows on the way
+    table = BracketTable(CoefficientSet.from_text(1, 1, "0", ["tanh(exp(x1))"]))
+    with pytest.raises(EvaluationError, match="exp"):
+        check_hormander([(0.0,), (800.0,)], 1, table)
+    with pytest.raises(EvaluationError, match="exp"):
+        spanning_value((800.0,), 1, table)
+
+
+def test_batched_gram_reports_first_failing_point():
+    # sigma1 fails at x1 = 1 and sigma2 at x1 = 0; the point x1 = 0 comes
+    # first, so its failing bracket is the one named
+    c = CoefficientSet.from_text(2, 2, "0, 0", ["1/(x1 - 1), 0", "0, 1/x1"])
+    table = BracketTable(c)
+    with pytest.raises(EvaluationError, match="'1/x1'"):
+        check_hormander([(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)], 1, table)
+
+
+def test_batched_gram_rejects_non_finite_point(ou):
+    with pytest.raises(EvaluationError, match="finite"):
+        check_hormander([(0.0,), (float("nan"),)], 1, BracketTable(ou))
 
 
 # ---------------------------------------------------------------------------

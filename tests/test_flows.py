@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from hypolab.flows import (
     malliavin_derivative,
     malliavin_matrices,
     nearest_index,
-    replace_config,
     run_ensemble,
     sample_brownian,
     simulate_flow,
@@ -122,7 +123,7 @@ def test_schemes_agree_for_smooth_drift(ou):
     g = sample_brownian(cfg, 1, stream_id=0)
     paths = {}
     for scheme in ("tamed-euler", "split-step-backward-euler", "euler"):
-        traj = simulate_x(ou, replace_config(cfg, scheme=scheme), g)
+        traj = simulate_x(ou, replace(cfg, scheme=scheme), g)
         paths[scheme] = traj.states[:, 0]
     assert np.max(np.abs(paths["tamed-euler"] - paths["euler"])) <= 5 * cfg.h
     assert np.max(np.abs(paths["split-step-backward-euler"] - paths["euler"])) <= 5 * cfg.h

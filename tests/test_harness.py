@@ -33,6 +33,15 @@ def _write(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
+def _assert_numeric_cells(path):
+    """Every data cell of a CSV output parses as a float."""
+    rows = path.read_text().splitlines()[1:]
+    assert rows
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -197,6 +206,7 @@ def test_cli_tails_outputs(tmp_path):
     assert code == 0
     lines = (tmp_path / "t" / "tails.csv").read_text().splitlines()
     assert lines[0] == "K,events,trials,p_hat,ci_lo,ci_hi"
+    _assert_numeric_cells(tmp_path / "t" / "tails.csv")
     payload = json.loads((tmp_path / "t" / "tails.json").read_text())
     p = payload["p_hat"]
     assert all(b <= a + 1e-12 for a, b in zip(p, p[1:]))
@@ -216,6 +226,7 @@ seed = 9
     payload = json.loads((tmp_path / "m" / "malliavin.json").read_text())
     target = (1 - np.exp(-2)) / 2
     assert abs(payload["mean_Q"][0][0] - target) / target < 0.02
+    _assert_numeric_cells(tmp_path / "m" / "malliavin.csv")
 
     text2 = OU_MODEL + """
 [simulation]
@@ -255,6 +266,7 @@ envelope_N = 1
     assert "envelope" in payload
     lines = (tmp_path / "dens" / "density.csv").read_text().splitlines()
     assert lines[0] == "y_1,p_hat"
+    _assert_numeric_cells(tmp_path / "dens" / "density.csv")
 
     assert (
         main(
@@ -286,6 +298,7 @@ seed = 31
     assert main(["remainder-tails", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
     lines = (tmp_path / "r" / "remainder_tails.csv").read_text().splitlines()
     assert lines[0] == "K,events,trials,p_hat,ci_lo,ci_hi"
+    _assert_numeric_cells(tmp_path / "r" / "remainder_tails.csv")
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch):
@@ -295,6 +308,39 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["workers"] == 4
+
+
+@pytest.mark.parametrize("value", ["four", "-2", "1.5"])
+def test_workers_env_rejects_non_integers(tmp_path, monkeypatch, capsys, value):
+    cfg = _write(tmp_path, OU_MODEL + SIM)
+    monkeypatch.setenv("HYPO_LAB_WORKERS", value)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "env")])
+    assert code == 2
+    assert "HYPO_LAB_WORKERS" in capsys.readouterr().err
+
+
+def test_cli_evaluation_error_exits_1(tmp_path, capsys):
+    text = """
+[model]
+d = 1
+m = 1
+x0 = 1.0
+drift = -x1
+sigma1 = 1/x1
+
+[analysis]
+L = 2
+grid_min = -1.0
+grid_max = 1.0
+grid_points = 5
+"""
+    cfg = _write(tmp_path, text)
+    code = main(["check-hormander", "--config", cfg, "--out", str(tmp_path / "h")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: division by zero in ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_missing_out_dir_is_config_error(tmp_path, capsys):
