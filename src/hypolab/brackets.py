@@ -260,7 +260,9 @@ def _gram_stack(pts: np.ndarray, L: int, table: BracketTable) -> np.ndarray:
     point errors trapped, so an intermediate overflow is caught even when the
     bracket's value is finite.  A bracket that traps or is non-finite is
     redone by tree walk; the first point where any bracket fails then raises
-    the tree walk's EvaluationError, naming the offending subexpression.
+    the tree walk's EvaluationError, naming the offending subexpression.  A
+    point whose finite bracket values overflow the sum of outer products
+    raises EvaluationError too, unless a failing bracket comes first.
     """
     if L < 1:
         raise ConfigError("L must be >= 1")
@@ -280,10 +282,18 @@ def _gram_stack(pts: np.ndarray, L: int, table: BracketTable) -> np.ndarray:
             trapped = True
         if trapped:
             w, bad = _tree_walk(fld, pts, bad)
-        grams += w[:, :, None] * w[:, None, :]
-    if bad < len(pts):  # the first bracket that fails at this point raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams += w[:, :, None] * w[:, None, :]
+    finite = np.isfinite(grams).all(axis=(1, 2))
+    first = len(pts) if finite.all() else int(np.argmin(finite))
+    if bad < len(pts) and bad <= first:  # the first failing bracket there raises
         for fld in fields:
             fld.evaluate(pts[bad])
+    if first < len(pts):
+        raise EvaluationError(
+            f"bracket Gram matrix at {pts[first]} is not finite: the sum of "
+            "outer products overflows"
+        )
     return grams
 
 

@@ -21,28 +21,11 @@ from .simulate import FlowTrajectory, Trajectory
 __all__ = [
     "iterated_integral",
     "pullback_process",
-    "bracket_pullback",
     "chaos_remainder_path",
     "chaos_remainder",
     "chaos_remainder_ensemble",
     "expansion_coefficients",
 ]
-
-
-def _cumulative_midpoint(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """out[j] = sum_{k<j} (f_k + f_{k+1})/2 * w_k along ``axis``."""
-    n1 = values.shape[axis]
-    head = [slice(None)] * values.ndim
-    tail = [slice(None)] * values.ndim
-    head[axis] = slice(0, n1 - 1)
-    tail[axis] = slice(1, n1)
-    avg = 0.5 * (values[tuple(head)] + values[tuple(tail)])
-    w = weights
-    while w.ndim < avg.ndim:
-        w = w[..., None]
-    out = np.zeros_like(values)
-    out[tuple(tail)] = np.cumsum(avg * w, axis=axis)
-    return out
 
 
 def _direction_weights(increments: np.ndarray, h: float, direction: int, m: int) -> np.ndarray:
@@ -53,6 +36,24 @@ def _direction_weights(increments: np.ndarray, h: float, direction: int, m: int)
     if not 1 <= direction <= m:
         raise ConfigError(f"direction {direction} outside 0..{m}")
     return increments[..., direction - 1]
+
+
+def _iterate(
+    alpha: MultiIndex, f: np.ndarray, increments: np.ndarray, h: float, m: int
+) -> np.ndarray:
+    """Iterated integrals of the paths ``f`` (paths, n+1, ...) along ``alpha``.
+
+    Each entry of ``alpha``, left to right, replaces f by its cumulative
+    midpoint integral out[:, j] = sum_{k<j} (f_k + f_{k+1})/2 * w_k, the
+    weights w coming from ``increments`` (paths, n, m).
+    """
+    for direction in alpha.entries:
+        w = _direction_weights(increments, h, direction, m)
+        w = w.reshape(w.shape + (1,) * (f.ndim - 2))
+        out = np.zeros_like(f)
+        out[:, 1:] = np.cumsum(0.5 * (f[:, :-1] + f[:, 1:]) * w, axis=1)
+        f = out
+    return f
 
 
 def iterated_integral(
@@ -73,10 +74,7 @@ def iterated_integral(
         f = np.asarray(z, dtype=float)
         if f.shape[0] != n + 1:
             raise ConfigError(f"process has {f.shape[0]} samples, grid wants {n + 1}")
-    for direction in alpha.entries:
-        w = _direction_weights(grid.increments, grid.h, direction, grid.m)
-        f = _cumulative_midpoint(f, w, axis=0)
-    return f
+    return _iterate(alpha, f[None], grid.increments[None], grid.h, grid.m)[0]
 
 
 def pullback_process(
@@ -85,17 +83,6 @@ def pullback_process(
     """Path of K(t) target(X(t)), the field pulled back through the flow."""
     vals = compile_field(target)(trajectory.states)
     return np.einsum("tij,tj->ti", flow.inverses, vals)
-
-
-def bracket_pullback(
-    alpha: MultiIndex,
-    target: VectorField,
-    flow: FlowTrajectory,
-    trajectory: Trajectory,
-    table: BracketTable,
-) -> np.ndarray:
-    """Pullback path of the iterated bracket of ``target`` along ``alpha``."""
-    return pullback_process(table.bracket(target, alpha), flow, trajectory)
 
 
 def expansion_coefficients(
@@ -124,14 +111,15 @@ def chaos_remainder_path(
     The truncation keeps the frozen bracket values at x0 times the iterated
     integrals of every multi-index with weight <= L - 1.
     """
-    pullback = pullback_process(target, flow, trajectory)
-    truncation = np.zeros_like(pullback)
-    for alpha, coeff in expansion_coefficients(L, target, table, trajectory.states[0]):
-        if not np.any(coeff):
-            continue
-        path = iterated_integral(alpha, grid)
-        truncation += path[:, None] * coeff[None, :]
-    return pullback - truncation
+    return chaos_remainder_ensemble(
+        L,
+        target,
+        table,
+        grid.h,
+        trajectory.states[None],
+        flow.inverses[None],
+        grid.increments[None],
+    )[0]
 
 
 def chaos_remainder(
@@ -172,9 +160,6 @@ def chaos_remainder_ensemble(
     for alpha, coeff in expansion_coefficients(L, target, table, x0):
         if not np.any(coeff):
             continue
-        f = np.ones(states.shape[:2])
-        for direction in alpha.entries:
-            w = _direction_weights(increments, h, direction, m)
-            f = _cumulative_midpoint(f, w, axis=1)
+        f = _iterate(alpha, np.ones(states.shape[:2]), increments, h, m)
         truncation += f[:, :, None] * coeff[None, None, :]
     return pullback - truncation

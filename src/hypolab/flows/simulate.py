@@ -21,7 +21,8 @@ counted, never silently dropped, so scheme blow-up is observable data.
 
 Ensembles assign one Philox stream per path keyed by (seed, stream_id) and
 aggregate per-path records in ascending stream order, making every output
-bit independent of block sizes, worker counts, and scheduling.
+bit independent of block sizes, worker counts, and scheduling.  The
+single-path helpers run the same engine on a batch of one given grid.
 """
 from __future__ import annotations
 
@@ -161,7 +162,6 @@ class MalliavinPair:
     t: float
     c_matrix: np.ndarray
     q_matrix: np.ndarray
-    quadrature: str = "left-endpoint"
 
     def validate(self) -> None:
         for name, mat in (("C", self.c_matrix), ("Q", self.q_matrix)):
@@ -207,7 +207,6 @@ class EnsembleResult:
     final_states: np.ndarray
     diverged_step: np.ndarray  # -1 where the path stayed finite
     final_jacobians: np.ndarray | None = None
-    final_inverses: np.ndarray | None = None
     sup_abs: np.ndarray | None = None
     flow_identity_sup: np.ndarray | None = None
     c_at: dict[int, np.ndarray] = field(default_factory=dict)
@@ -422,7 +421,6 @@ def _simulate_block(
         "final_states": x,
         "diverged_step": diverged,
         "final_jacobians": j,
-        "final_inverses": k_inv,
         "sup_abs": sup_abs,
         "flow_identity_sup": kj_sup,
         "c_at": c_snapshots,
@@ -500,7 +498,6 @@ def run_ensemble(
         final_states=cat("final_states"),
         diverged_step=cat("diverged_step"),
         final_jacobians=cat("final_jacobians"),
-        final_inverses=cat("final_inverses"),
         sup_abs=cat("sup_abs"),
         flow_identity_sup=cat("flow_identity_sup"),
         states=cat("states"),
@@ -523,20 +520,23 @@ def _check_grid(coeffs: CoefficientSet, config: SimConfig, grid: BrownianGrid) -
         raise ConfigError("grid horizon does not match the configuration")
 
 
-def simulate_x(coeffs: CoefficientSet, config: SimConfig, grid: BrownianGrid) -> Trajectory:
-    """Simulate one state path on the given grid; raises on divergence."""
+def _single_path(
+    coeffs: CoefficientSet, config: SimConfig, grid: BrownianGrid, record: RecordSpec
+) -> dict:
+    """Run the ensemble engine on the one given grid; raises on divergence."""
     _check_grid(coeffs, config, grid)
-    out = _simulate_block(
-        coeffs,
-        config,
-        grid.increments[None],
-        RecordSpec(flows=False, store_states=True),
-    )
+    out = _simulate_block(coeffs, config, grid.increments[None], record)
     step = int(out["diverged_step"][0])
     if step >= 0:
         # max-abs: a Euclidean norm of a barely-finite state can overflow
         magnitude = float(np.max(np.abs(out["final_states"][0])))
         raise SimulationDiverged(config.scheme, step, magnitude)
+    return out
+
+
+def simulate_x(coeffs: CoefficientSet, config: SimConfig, grid: BrownianGrid) -> Trajectory:
+    """Simulate one state path on the given grid; raises on divergence."""
+    out = _single_path(coeffs, config, grid, RecordSpec(flows=False, store_states=True))
     return Trajectory(config.times(), out["states"][0])
 
 
@@ -546,30 +546,17 @@ def simulate_flow(
     grid: BrownianGrid,
     trajectory: Trajectory,
 ) -> FlowTrajectory:
-    """Integrate the J and K flows along a frozen state path."""
-    _check_grid(coeffs, config, grid)
-    n, d = config.n_steps, coeffs.d
-    if trajectory.states.shape != (n + 1, d):
-        raise ConfigError("trajectory does not match the configuration")
-    gb_path = compile_jacobian(coeffs.drift)(trajectory.states)
-    gs_path = compile_diffusion_jacobians(coeffs)(trajectory.states)
-    h = config.h
-    jacobians = np.empty((n + 1, d, d))
-    inverses = np.empty((n + 1, d, d))
-    jacobians[0] = np.eye(d)
-    inverses[0] = np.eye(d)
-    j = jacobians[0][None].copy()
-    k_inv = inverses[0][None].copy()
-    with np.errstate(all="ignore"):
-        for k in range(n):
-            j, k_inv = _flow_step(
-                j, k_inv, gb_path[k][None], gs_path[k][None], grid.increments[k][None], h
-            )
-            if not (np.isfinite(j).all() and np.isfinite(k_inv).all()):
-                raise SimulationDiverged(config.scheme, k, float(np.linalg.norm(j)))
-            jacobians[k + 1] = j[0]
-            inverses[k + 1] = k_inv[0]
-    return FlowTrajectory(config.times(), jacobians, inverses)
+    """The J and K flows along ``trajectory``, which must be the output of
+    ``simulate_x`` on the same grid; raises ConfigError for any other path."""
+    out = _single_path(
+        coeffs,
+        config,
+        grid,
+        RecordSpec(store_states=True, store_jacobians=True, store_inverses=True),
+    )
+    if not np.array_equal(trajectory.states, out["states"][0]):
+        raise ConfigError("trajectory is not simulate_x's state path on this grid")
+    return FlowTrajectory(config.times(), out["jacobians"][0], out["inverses"][0])
 
 
 def malliavin_derivative(
@@ -589,6 +576,13 @@ def malliavin_derivative(
     return flow.jacobians[t_index] @ flow.inverses[s_index] @ sig
 
 
+def _covariance_pair(c: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrised C and Q = J C J^T for (B, d, d) stacks of C and J."""
+    c = 0.5 * (c + np.swapaxes(c, 1, 2))
+    q = np.einsum("bij,bjk,blk->bil", j, c, j)
+    return c, 0.5 * (q + np.swapaxes(q, 1, 2))
+
+
 def malliavin_matrices(
     flow: FlowTrajectory,
     trajectory: Trajectory,
@@ -606,11 +600,8 @@ def malliavin_matrices(
         sig_path = compile_diffusion(coeffs)(trajectory.states[:t_index])
         ks = np.einsum("tij,tjm->tim", flow.inverses[:t_index], sig_path)
         c = h * np.einsum("tim,tjm->ij", ks, ks)
-    c = 0.5 * (c + c.T)
-    jt = flow.jacobians[t_index]
-    q = jt @ c @ jt.T
-    q = 0.5 * (q + q.T)
-    return MalliavinPair(float(trajectory.times[t_index]), c, q)
+    c, q = _covariance_pair(c[None], flow.jacobians[t_index][None])
+    return MalliavinPair(float(trajectory.times[t_index]), c[0], q[0])
 
 
 def malliavin_checkpoint_ensemble(
@@ -638,12 +629,4 @@ def malliavin_checkpoint_ensemble(
         workers=workers,
         first_stream=first_stream,
     )
-    out = {}
-    for i in idx:
-        c = res.c_at[i]
-        c = 0.5 * (c + np.swapaxes(c, 1, 2))
-        jmat = res.j_at[i]
-        q = np.einsum("bij,bjk,blk->bil", jmat, c, jmat)
-        q = 0.5 * (q + np.swapaxes(q, 1, 2))
-        out[i] = (c, q)
-    return res, out
+    return res, {i: _covariance_pair(res.c_at[i], res.j_at[i]) for i in idx}

@@ -42,9 +42,6 @@ from ..flows import (
     malliavin_checkpoint_ensemble,
     nearest_index,
     run_ensemble,
-    sample_brownian,
-    simulate_flow,
-    simulate_x,
 )
 from ..flows.probes import assumption_probe, moment_probe
 from .config import ExperimentConfig, load_config, resolved_text
@@ -177,7 +174,9 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str, workers: int):
         "paths": res.n_paths,
         "diverged": res.diverged_count,
         "divergence_fraction": fraction,
-        "mean_X_T": [float(v) for v in res.final_states[alive].mean(axis=0)],
+        "mean_X_T": [float(v) for v in res.final_states[alive].mean(axis=0)]
+        if alive.any()
+        else None,
         "std_X_T": [float(v) for v in res.final_states[alive].std(axis=0, ddof=1)]
         if int(alive.sum()) > 1
         else None,
@@ -185,18 +184,25 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str, workers: int):
     _json_dump(os.path.join(out_dir, "ensemble.json"), summary)
     files.append(("ensemble.json", claim))
 
-    for sid in range(min(sim["dump_paths"], res.n_paths)):
-        grid = sample_brownian(config, coeffs.m, stream_id=sid)
-        try:
-            traj = simulate_x(coeffs, config, grid)
-            flow = simulate_flow(coeffs, config, grid, traj)
-        except HypolabError:
-            continue  # divergent dump paths are already counted above
-        name = f"trajectory_{sid:06d}.csv"
-        _trajectory_csv(
-            os.path.join(out_dir, name), traj.times, traj.states, flow.jacobians, flow.inverses
+    dump = min(sim["dump_paths"], res.n_paths)
+    if dump:
+        paths = run_ensemble(
+            coeffs,
+            config,
+            dump,
+            RecordSpec(store_states=True, store_jacobians=True, store_inverses=True),
         )
-        files.append((name, claim))
+        # divergent dump paths are already counted above
+        for i in np.flatnonzero(paths.alive):
+            name = f"trajectory_{int(paths.stream_ids[i]):06d}.csv"
+            _trajectory_csv(
+                os.path.join(out_dir, name),
+                config.times(),
+                paths.states[i],
+                paths.jacobians[i],
+                paths.inverses[i],
+            )
+            files.append((name, claim))
     return files
 
 
@@ -458,6 +464,8 @@ def _resolve_workers(value) -> int:
         if not env.isdecimal():
             raise ConfigError(f"{_ENV_WORKERS} must be a non-negative integer, got {env!r}")
         value = int(env)
+    elif value < 0:
+        raise ConfigError(f"--workers must be a non-negative integer, got {value}")
     return max(value, 1)
 
 

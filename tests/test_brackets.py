@@ -383,6 +383,18 @@ def test_batched_gram_reports_first_failing_point():
         check_hormander([(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)], 1, table)
 
 
+def test_batched_gram_rejects_overflowing_outer_products():
+    # x1^40 is 1e200 at x1 = 1e5, finite; its square in the Gram sum is not
+    table = BracketTable(CoefficientSet.from_text(1, 1, "0", ["x1^40"]))
+    with pytest.raises(EvaluationError, match=r"at \[100000\.\] is not finite"):
+        gram_matrix((1e5,), 1, table)
+    with pytest.raises(EvaluationError, match="not finite"):
+        spanning_value((1e5,), 1, table)
+    with pytest.raises(EvaluationError, match=r"at \[100000\.\]"):
+        check_hormander([(1.0,), (1e5,), (2e5,)], 1, table)
+    assert gram_matrix((10.0,), 1, table)[0, 0] == 1e80
+
+
 def test_batched_gram_rejects_non_finite_point(ou):
     with pytest.raises(EvaluationError, match="finite"):
         check_hormander([(0.0,), (float("nan"),)], 1, BracketTable(ou))

@@ -6,6 +6,7 @@ import pytest
 from hypolab.errors import ConfigError, SimulationDiverged
 from hypolab.fieldlang import CoefficientSet
 from hypolab.flows import (
+    SCHEMES,
     RecordSpec,
     SimConfig,
     malliavin_checkpoint_ensemble,
@@ -327,13 +328,28 @@ def test_block_size_does_not_change_bits(ou):
     assert np.array_equal(r_small.final_jacobians, r_big.final_jacobians)
 
 
-def test_ensemble_matches_single_path_states(ou):
-    cfg = SimConfig(horizon=1.0, n_steps=128, x0=(1.0,), seed=89)
-    res = run_ensemble(ou, cfg, 4, RecordSpec(flows=False, store_states=True))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_ensemble_matches_single_path_states(ginzburg_landau, scheme):
+    cfg = SimConfig(horizon=1.0, n_steps=128, x0=(1.0,), scheme=scheme, seed=89)
+    record = RecordSpec(store_states=True, store_jacobians=True, store_inverses=True)
+    res = run_ensemble(ginzburg_landau, cfg, 4, record)
+    assert res.divergence_fraction == 0.0
     for i, sid in enumerate(res.stream_ids):
         g = sample_brownian(cfg, 1, stream_id=int(sid))
-        traj = simulate_x(ou, cfg, g)
+        traj = simulate_x(ginzburg_landau, cfg, g)
+        flow = simulate_flow(ginzburg_landau, cfg, g, traj)
         assert np.array_equal(res.states[i], traj.states)
+        assert np.array_equal(res.jacobians[i], flow.jacobians)
+        assert np.array_equal(res.inverses[i], flow.inverses)
+
+
+def test_flow_rejects_a_foreign_trajectory(ou):
+    cfg = SimConfig(horizon=1.0, n_steps=64, x0=(1.0,), seed=89)
+    g0 = sample_brownian(cfg, 1, stream_id=0)
+    g1 = sample_brownian(cfg, 1, stream_id=1)
+    traj = simulate_x(ou, cfg, g1)
+    with pytest.raises(ConfigError, match="simulate_x"):
+        simulate_flow(ou, cfg, g0, traj)
 
 
 def test_nearest_index_clips(ou):

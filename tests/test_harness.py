@@ -155,8 +155,7 @@ def test_cli_empty_k_grid_exits_2_before_simulation(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_divergence_budget_exit_3(tmp_path, capsys):
-    text = """
+DOUBLE_WELL_EULER = """
 [model]
 d = 1
 m = 1
@@ -170,13 +169,25 @@ n_steps = 64
 scheme = euler
 paths = 50
 seed = 3
-max_divergence = 0.0
-dump_paths = 0
 """
+
+
+def test_cli_divergence_budget_exit_3(tmp_path, capsys):
+    text = DOUBLE_WELL_EULER + "max_divergence = 0.0\ndump_paths = 0\n"
     cfg = _write(tmp_path, text)
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_cli_simulate_skips_diverged_dump_paths(tmp_path):
+    cfg = _write(tmp_path, DOUBLE_WELL_EULER + "max_divergence = 1.0\ndump_paths = 2\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "ensemble.json").read_text())["diverged"] == 50
+    assert not list(out.glob("trajectory_*.csv"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not any(e["file"].startswith("trajectory_") for e in manifest["outputs"])
 
 
 def test_cli_check_hormander_heisenberg(tmp_path):
@@ -319,6 +330,14 @@ def test_workers_env_rejects_non_integers(tmp_path, monkeypatch, capsys, value):
     assert "HYPO_LAB_WORKERS" in capsys.readouterr().err
 
 
+def test_negative_workers_flag_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, OU_MODEL + SIM)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "-3"])
+    assert code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_cli_evaluation_error_exits_1(tmp_path, capsys):
     text = """
 [model]
@@ -348,3 +367,48 @@ def test_missing_out_dir_is_config_error(tmp_path, capsys):
     code = main(["simulate", "--config", cfg])
     assert code == 2
     assert "out" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# pinned output digests of the example configs (numpy 2.4.6)
+#
+# A change of any output bit must be a deliberate update of this table.
+# configs/ou_density.cfg is left out to keep the suite fast (about 7 s); it
+# runs the state-only ensemble and the KDE, which no pinned run reaches.
+
+PINNED_DIGESTS = {
+    ("simulate", "ou_simulate"): {
+        "config.resolved.txt": "f8dc4c67f875ee12a6afa4d01d5726a1083529e6424f0166a0a1e62e704d058e",
+        "ensemble.json": "79b998ae49d27ee18dfb5a93b095bf545abc05071b2521ef6c7ee4754cafd6b8",
+        "trajectory_000000.csv": "9c01b3638599b3c7140f9120f6617893a119e2009b22ccc9c35f6a1d757080e5",
+        "trajectory_000001.csv": "5fbe96c6ff09610ed08be9025c088008413649ba5b25ef015de6b097a8f2b573",
+    },
+    ("tails", "ou_tails"): {
+        "config.resolved.txt": "3a8ecac47b336ebe101188e4f61be4ee7c02739af01b2374fc3afe63adcccc22",
+        "tails.csv": "92ffd8210e9c17cb8dea304e71488e5e8410575c794be9ca42ad4958a17bd467",
+        "tails.json": "c5dd91ea105f4c35e8f64cc4a752a810c0bd4e1426fad01ce605149cb0575a1c",
+        "tails.svg": "afc4097f9ac7566fe7970d00f92e7bb38c4a5cfe9e5d6b10ecda8cd198a1e67d",
+    },
+    ("check-hormander", "heisenberg_hormander"): {
+        "config.resolved.txt": "1f67b462bb0620e9b8d3da126771136210dbc79405b48a579d28c9aa9f0d7ccd",
+        "hormander.csv": "f71a027b90819c1f3b57e7a503d84dbef00113697c01d8df52bd80d74467d09e",
+        "hormander.json": "b4b7c3141a908ae5c6014758ba2a9d5181049112e449caf0ba7925e73b45851c",
+        "hormander_axis1.svg": "cac6370a3cda2776842a567a3ee310c4c272c641f00c3f18428c7bf99ec2a9ed",
+        "hormander_axis2.svg": "e6a713bbcbe2991d71a6ad19155dc0248d8968fcbc6ae17a20b4b2f848f8e96b",
+    },
+    ("probe-assumptions", "double_well_probe"): {
+        "config.resolved.txt": "8522d3930ff36ae5c03639e18c0110451ddb6ff30e30a3b04534de60de2e84a6",
+        "probe.json": "b59c606b9c112d07d2a29eee19c8de16b4db78883ef4bfb65aa4791d7b4206f6",
+    },
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(PINNED_DIGESTS))
+def test_example_config_digests_are_pinned(tmp_path, command, name):
+    out = tmp_path / name
+    assert main([command, "--config", f"configs/{name}.cfg", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    digests = {e["file"]: e["sha256"] for e in manifest["outputs"]}
+    assert digests == PINNED_DIGESTS[command, name]
+    for entry in manifest["outputs"]:
+        assert sha256_file(str(out / entry["file"])) == entry["sha256"]

@@ -8,7 +8,6 @@ from hypolab.fieldlang import CoefficientSet
 from hypolab.flows import (
     RecordSpec,
     SimConfig,
-    bracket_pullback,
     chaos_remainder,
     chaos_remainder_ensemble,
     chaos_remainder_path,
@@ -95,7 +94,7 @@ def test_pullback_of_unit_field_is_inverse_flow():
 
 def test_bracket_pullback_time_bracket():
     ou, cfg, g, traj, flow, table = _ou_setup(n_steps=1024)
-    z = bracket_pullback(MultiIndex((0,)), ou.diffusion[0], flow, traj, table)
+    z = pullback_process(table.bracket(ou.diffusion[0], MultiIndex((0,))), flow, traj)
     # T_(0)(sigma) = 1, so the pullback is again K(t)
     assert np.allclose(z[:, 0], flow.inverses[:, 0, 0])
 
@@ -112,7 +111,7 @@ def test_constant_coefficients_pullback_constant():
     for alpha in enumerate_indices(2, 1):
         if alpha.is_empty:
             continue
-        zb = bracket_pullback(alpha, c.diffusion[0], flow, traj, table)
+        zb = pullback_process(table.bracket(c.diffusion[0], alpha), flow, traj)
         assert np.allclose(zb, 0.0)
 
 
@@ -187,7 +186,7 @@ def test_two_route_remainder_identity():
     route_b = np.zeros_like(route_a)
     for entries in itertools.product(range(table.m + 1), repeat=L):
         alpha = MultiIndex(entries)
-        z = bracket_pullback(alpha, target, flow, traj, table)
+        z = pullback_process(table.bracket(target, alpha), flow, traj)
         route_b += iterated_integral(alpha, g, z)
     for alpha in (MultiIndex((0,)),):  # length <= L-1 but weight >= L
         coeff = table.bracket(target, alpha).evaluate(traj.states[0])
