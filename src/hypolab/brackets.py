@@ -28,7 +28,9 @@ from .fieldlang import (
     CoefficientSet,
     Expression,
     VectorField,
+    compile_diffusion,
     compile_expression_stack,
+    compile_field,
     differentiate,
     jacobian,
     node_count,
@@ -530,14 +532,8 @@ def coefficient_local_bound(
     region.
     """
     pts = ball_sample(x, radius, n_ball)
-    drift_exprs = tuple(coeffs.drift.components)
-    bfn = compile_expression_stack(drift_exprs, (coeffs.d,))
-    bvals = bfn(pts)
-    sig_exprs = tuple(
-        col.components[i] for i in range(coeffs.d) for col in coeffs.diffusion
-    )
-    sfn = compile_expression_stack(sig_exprs, (coeffs.d * coeffs.m,))
-    svals = sfn(pts)
+    bvals = compile_field(coeffs.drift)(pts)
+    svals = compile_diffusion(coeffs)(pts).reshape(len(pts), -1)
     if not (np.isfinite(bvals).all() and np.isfinite(svals).all()):
         raise _ball_error(coeffs.drift, x, radius)
     bnorm = np.sqrt(np.sum(bvals * bvals, axis=-1))

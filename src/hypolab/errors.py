@@ -66,11 +66,12 @@ class BracketSizeError(HypolabError):
 
 
 class DegenerateSamplesError(HypolabError):
-    """Samples with non-positive determinant reached a moment estimator."""
+    """An estimator has no usable samples: every path diverged (``diverged``),
+    or some samples had a non-positive determinant."""
 
-    def __init__(self, count: int, trials: int):
-        super().__init__(
-            f"{count} of {trials} samples had det Q <= 0; estimate aborted"
-        )
+    def __init__(self, count: int, trials: int, diverged: bool = False):
+        what = "paths diverged" if diverged else "samples had det Q <= 0"
+        super().__init__(f"{count} of {trials} {what}; estimate aborted")
         self.count = count
         self.trials = trials
+        self.diverged = diverged

@@ -176,6 +176,13 @@ def _fit_tail_envelope(
     }
 
 
+def _survivors(res) -> np.ndarray:
+    """The alive mask of an ensemble; raises when no path survived."""
+    if not res.alive.any():
+        raise DegenerateSamplesError(res.n_paths, res.n_paths, diverged=True)
+    return res.alive
+
+
 def eigenvalue_tails(
     L: int,
     k_grid,
@@ -214,10 +221,8 @@ def eigenvalue_tails(
         indices,
         workers=ensemble.workers,
     )
-    alive = res.alive
+    alive = _survivors(res)
     trials = int(alive.sum())
-    if trials == 0:
-        raise DegenerateSamplesError(res.n_paths, res.n_paths)
     which = 0 if matrix == "C" else 1
     event_cols = []
     for k, idx in zip(k_values, indices):
@@ -284,10 +289,8 @@ def remainder_tails(
         ),
         workers=ensemble.workers,
     )
-    alive = res.alive
+    alive = _survivors(res)
     trials = int(alive.sum())
-    if trials == 0:
-        raise DegenerateSamplesError(res.n_paths, res.n_paths)
     table = BracketTable(ensemble.coeffs)
     paths = chaos_remainder_ensemble(
         L,
@@ -376,7 +379,7 @@ def _inverse_det_samples(p: float, t: float, ensemble: EnsembleSpec) -> np.ndarr
         ensemble.coeffs, config, ensemble.n_paths, [idx], workers=ensemble.workers
     )
     _, q = mats[idx]
-    dets = np.linalg.det(q[res.alive])
+    dets = np.linalg.det(q[_survivors(res)])
     bad = int((dets <= 0).sum())
     if bad:
         raise DegenerateSamplesError(bad, dets.size)
@@ -397,7 +400,8 @@ def inverse_det_moments(p: float, t: float, ensemble: EnsembleSpec) -> MomentEst
     """Sample mean of (det Q(t))^-p with a heavy-tail diagnostic.
 
     Samples with det Q <= 0 abort the estimate (positive semidefiniteness
-    should prevent them beyond round-off) and are reported in the error.
+    should prevent them beyond round-off) and are reported in the error, as
+    is a run in which no path survived.
     """
     if p < 0:
         raise ConfigError("p must be >= 0")
@@ -424,6 +428,7 @@ class DetScaling:
     slope: float
     reference_exponent: float | None
     within_margin: bool | None
+    trials: int  # surviving paths
 
     def to_json_dict(self) -> dict:
         return {
@@ -433,6 +438,7 @@ class DetScaling:
             "log_log_slope": self.slope,
             "reference_exponent": self.reference_exponent,
             "slope_at_least_reference": self.within_margin,
+            "trials": self.trials,
         }
 
 
@@ -460,7 +466,7 @@ def inverse_det_scaling(
     res, mats = malliavin_checkpoint_ensemble(
         ensemble.coeffs, config, ensemble.n_paths, indices, workers=ensemble.workers
     )
-    alive = res.alive
+    alive = _survivors(res)
     estimates = []
     for idx in indices:
         dets = np.linalg.det(mats[idx][1][alive])
@@ -472,7 +478,7 @@ def inverse_det_scaling(
     slope = float(np.polyfit(np.log(t_values), np.log(estimates), 1)[0])
     reference = None if L is None else -p * ensemble.coeffs.d * L
     within = None if reference is None else bool(slope >= reference - margin)
-    return DetScaling(p, t_values, estimates, slope, reference, within)
+    return DetScaling(p, t_values, estimates, slope, reference, within, int(alive.sum()))
 
 
 # ---------------------------------------------------------------------------

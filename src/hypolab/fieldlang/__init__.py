@@ -6,7 +6,6 @@ from .ast import (
     Power,
     Unary,
     Var,
-    compile_expression,
     differentiate,
     evaluate,
     node_count,
@@ -42,7 +41,6 @@ __all__ = [
     "jacobian",
     "VectorField",
     "CoefficientSet",
-    "compile_expression",
     "compile_expression_stack",
     "compile_field",
     "compile_jacobian",

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..errors import EvaluationError
 
@@ -32,7 +29,6 @@ __all__ = [
     "simplify",
     "to_text",
     "node_count",
-    "compile_expression",
 ]
 
 UNARY_OPS = ("neg", "sin", "cos", "exp", "tanh")
@@ -384,9 +380,9 @@ def node_count(expr: Expression) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised compilation.  Expressions compile to numpy closures taking an
-# array of shape (..., d) and returning shape (...,).  Non-finite values are
-# not raised here: simulation code masks and counts them instead.
+# numpy source text.  ``_np_source(expr)`` reads an array ``X`` of shape
+# (..., d); ``fields.compile_expression_stack`` assembles these texts into one
+# generated function per coefficient stack.
 
 _NP_UNARY = {"neg": "(-{a})", "sin": "np.sin({a})", "cos": "np.cos({a})",
              "exp": "np.exp({a})", "tanh": "np.tanh({a})"}
@@ -407,20 +403,3 @@ def _np_source(expr: Expression) -> str:
     if isinstance(expr, Power):
         return f"({_np_source(expr.base)} ** {expr.exponent})"
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-@lru_cache(maxsize=4096)
-def compile_expression(expr: Expression) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile to a vectorised callable: X of shape (..., d) -> values (...)."""
-    src = _np_source(expr)
-    raw = eval(compile(f"lambda X: {src}", "<fieldlang>", "eval"), {"np": np})
-
-    def evaluator(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = raw(X)
-        out = np.asarray(out, dtype=np.float64)
-        if out.shape != X.shape[:-1]:
-            out = np.broadcast_to(out, X.shape[:-1])
-        return out
-
-    return evaluator

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from .ast import Expression, compile_expression, differentiate, evaluate, simplify, to_text
+from .ast import Expression, _np_source, differentiate, evaluate, simplify, to_text
 from .parser import parse_expression
 
 __all__ = [
@@ -48,22 +48,8 @@ class VectorField:
             )
         return cls(dim, tuple(parse_expression(p, dim) for p in parts))
 
-    @classmethod
-    def zero(cls, dim: int) -> "VectorField":
-        from .ast import Const
-
-        return cls(dim, tuple(Const(0.0) for _ in range(dim)))
-
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         return np.array([evaluate(c, point) for c in self.components], dtype=float)
-
-    def simplified(self) -> "VectorField":
-        return VectorField(self.dim, tuple(simplify(c) for c in self.components))
-
-    def is_zero(self) -> bool:
-        from .ast import Const
-
-        return all(isinstance(c, Const) and c.value == 0.0 for c in self.components)
 
     def describe(self) -> str:
         return ", ".join(to_text(c) for c in self.components)
@@ -114,54 +100,53 @@ def jacobian(field: VectorField) -> tuple[tuple[Expression, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised compilation helpers.  All return callables that accept X with
-# shape (..., d) and return float64 arrays with the documented trailing shape.
+# Vectorised compilation.  Every compiler returns a function that accepts X
+# with shape (..., d) and returns float64 values with the documented trailing
+# shape.  Non-finite values are not raised here: simulation code masks and
+# counts them instead.
 
 
+@lru_cache(maxsize=1024)
 def compile_expression_stack(
-    exprs: Sequence[Expression], shape: tuple[int, ...]
+    exprs: tuple[Expression, ...], shape: tuple[int, ...]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a flat list of expressions into one (..., *shape) evaluator."""
-    fns = [compile_expression(e) for e in exprs]
+    """Compile a flat tuple of k expressions into one generated function
+    X (..., d) -> (..., *shape).
 
-    def evaluator(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        cols = [fn(X) for fn in fns]
-        out = np.stack(cols, axis=-1)
-        return out.reshape(X.shape[:-1] + shape)
+    The function reads X once as float64, assigns expression i to
+    ``out[..., i]`` of one (..., k) array (a constant broadcasts), and
+    reshapes to ``shape``.  This is the only cache of compiled field code.
+    """
+    lines = [
+        "def stack(X):",
+        "    X = np.asarray(X, dtype=np.float64)",
+        f"    out = np.empty(X.shape[:-1] + ({len(exprs)},))",
+    ]
+    lines += [f"    out[..., {i}] = {_np_source(e)}" for i, e in enumerate(exprs)]
+    lines.append(f"    return out.reshape(X.shape[:-1] + {shape!r})")
+    namespace = {"np": np}
+    exec(compile("\n".join(lines), "<fieldlang>", "exec"), namespace)
+    return namespace["stack"]
 
-    return evaluator
 
-
-@lru_cache(maxsize=512)
 def compile_field(field: VectorField) -> Callable[[np.ndarray], np.ndarray]:
     """X (..., d) -> field values (..., d)."""
     return compile_expression_stack(field.components, (field.dim,))
 
 
-@lru_cache(maxsize=512)
 def compile_jacobian(field: VectorField) -> Callable[[np.ndarray], np.ndarray]:
     """X (..., d) -> Jacobian values (..., d, d), row j col i = d f_j / d x_i."""
-    rows = jacobian(field)
-    flat = [entry for row in rows for entry in row]
+    flat = tuple(entry for row in jacobian(field) for entry in row)
     return compile_expression_stack(flat, (field.dim, field.dim))
 
 
-@lru_cache(maxsize=256)
 def compile_diffusion(coeffs: CoefficientSet) -> Callable[[np.ndarray], np.ndarray]:
     """X (..., d) -> diffusion matrix (..., d, m)."""
-    exprs = []
-    for i in range(coeffs.d):
-        for col in coeffs.diffusion:
-            exprs.append(col.components[i])
+    exprs = tuple(col.components[i] for i in range(coeffs.d) for col in coeffs.diffusion)
     return compile_expression_stack(exprs, (coeffs.d, coeffs.m))
 
 
-@lru_cache(maxsize=256)
 def compile_diffusion_jacobians(coeffs: CoefficientSet) -> Callable[[np.ndarray], np.ndarray]:
     """X (..., d) -> stacked diffusion-column Jacobians (..., m, d, d)."""
-    exprs = []
-    for col in coeffs.diffusion:
-        for row in jacobian(col):
-            exprs.extend(row)
+    exprs = tuple(e for col in coeffs.diffusion for row in jacobian(col) for e in row)
     return compile_expression_stack(exprs, (coeffs.m, coeffs.d, coeffs.d))

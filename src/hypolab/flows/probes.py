@@ -14,7 +14,12 @@ import numpy as np
 
 from ..brackets import derivative_stack
 from ..errors import ConfigError
-from ..fieldlang import CoefficientSet, compile_expression_stack, compile_jacobian
+from ..fieldlang import (
+    CoefficientSet,
+    compile_expression_stack,
+    compile_field,
+    compile_jacobian,
+)
 from .simulate import RecordSpec, SimConfig, run_ensemble
 
 __all__ = ["AssumptionProbe", "assumption_probe", "MomentProbe", "moment_probe"]
@@ -98,7 +103,7 @@ def assumption_probe(
     center = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows)
 
-    bfn = compile_expression_stack(tuple(coeffs.drift.components), (coeffs.d,))
+    bfn = compile_field(coeffs.drift)
 
     def monotone_fit(scale):
         a = center + rng.uniform(-1, 1, size=(n_pairs, coeffs.d)) * half * scale

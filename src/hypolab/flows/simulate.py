@@ -16,7 +16,8 @@ State schemes: ``tamed-euler`` divides the drift increment by 1 + h|b| so
 superlinear monotone drifts cannot blow the explicit step up;
 ``split-step-backward-euler`` solves z = X_k + h b(z) by damped Newton and
 then applies the noise at z; plain ``euler`` is kept for comparison runs
-only.  Non-finite updates freeze the path at its last finite state and are
+only.  A non-finite update of X, J, K or the accumulated Malliavin
+covariance C freezes the path at its last finite state; such paths are
 counted, never silently dropped, so scheme blow-up is observable data.
 
 Ensembles assign one Philox stream per path keyed by (seed, stream_id) and
@@ -378,14 +379,15 @@ def _simulate_block(
             if newton_ok is not None:
                 ok &= newton_ok
 
-            c_inc = jn = kn = None
+            c_next = jn = kn = None
             if needs_flows:
                 gb = cgb(x)
                 gs = cgs(x)
                 if accumulate_c:
                     sig_left = sig_state if not implicit else csig(x)
                     ks = np.einsum("bij,bjm->bim", k_inv, sig_left)
-                    c_inc = h * np.einsum("bim,bjm->bij", ks, ks)
+                    c_next = c + h * np.einsum("bim,bjm->bij", ks, ks)
+                    ok &= np.isfinite(c_next).all(axis=(1, 2))
                 jn, kn = _flow_step(j, k_inv, gb, gs, dwk, h)
                 ok &= np.isfinite(jn).all(axis=(1, 2))
                 ok &= np.isfinite(kn).all(axis=(1, 2))
@@ -400,7 +402,7 @@ def _simulate_block(
                 j = np.where(keep2, jn, j)
                 k_inv = np.where(keep2, kn, k_inv)
                 if accumulate_c:
-                    c = np.where(keep2, c + c_inc, c)
+                    c = np.where(keep2, c_next, c)
             if sup_abs is not None:
                 sup_abs = np.maximum(sup_abs, np.linalg.norm(x, axis=1))
             if kj_sup is not None:
@@ -457,7 +459,6 @@ def run_ensemble(
     n_paths: int,
     record: RecordSpec = RecordSpec(),
     workers: int = 1,
-    first_stream: int = 0,
     block_size: int | None = None,
 ) -> EnsembleResult:
     """Simulate ``n_paths`` independent streams and merge per-path records.
@@ -472,8 +473,7 @@ def run_ensemble(
     size = block_size or _default_block_size(config, coeffs, record)
     starts = list(range(0, n_paths, size))
     id_blocks = [
-        np.arange(first_stream + s, first_stream + min(s + size, n_paths), dtype=np.int64)
-        for s in starts
+        np.arange(s, min(s + size, n_paths), dtype=np.int64) for s in starts
     ]
 
     def task(ids):
@@ -610,7 +610,6 @@ def malliavin_checkpoint_ensemble(
     n_paths: int,
     indices: Sequence[int],
     workers: int = 1,
-    first_stream: int = 0,
 ) -> tuple[EnsembleResult, dict[int, tuple[np.ndarray, np.ndarray]]]:
     """Per-path C and Q matrices at the requested grid indices.
 
@@ -627,6 +626,5 @@ def malliavin_checkpoint_ensemble(
         n_paths,
         RecordSpec(flows=True, c_checkpoints=idx),
         workers=workers,
-        first_stream=first_stream,
     )
     return res, {i: _covariance_pair(res.c_at[i], res.j_at[i]) for i in idx}

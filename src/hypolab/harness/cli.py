@@ -26,7 +26,7 @@ from ..brackets import (
     check_hormander,
     coefficient_local_bound,
 )
-from ..errors import ConfigError, DivergenceError, HypolabError
+from ..errors import ConfigError, DegenerateSamplesError, DivergenceError, HypolabError
 from ..estimators import (
     EnsembleSpec,
     density_envelope_check,
@@ -70,6 +70,17 @@ def _check_divergence(count: int, total: int, budget: float) -> float:
             f"exceeds the budget {budget:.4g})"
         )
     return fraction
+
+
+def _estimate(budget: float, estimator, *args, **kwargs):
+    """Run an ensemble estimator; when every path diverged, the divergence
+    budget is checked before the estimator's want of samples is reported."""
+    try:
+        return estimator(*args, **kwargs)
+    except DegenerateSamplesError as exc:
+        if exc.diverged:
+            _check_divergence(exc.count, exc.trials, budget)
+        raise
 
 
 def _resolve_field(cfg: ExperimentConfig, text: str) -> VectorField:
@@ -220,6 +231,8 @@ def _cmd_malliavin(cfg: ExperimentConfig, out_dir: str, workers: int):
     fraction = _check_divergence(res.diverged_count, res.n_paths, sim["max_divergence"])
     c_mats, q_mats = mats[idx]
     alive = res.alive
+    if not alive.any():
+        raise DegenerateSamplesError(res.n_paths, res.n_paths, diverged=True)
     lam_c = np.linalg.eigvalsh(c_mats[alive])[:, 0]
     lam_q = np.linalg.eigvalsh(q_mats[alive])[:, 0]
     det_q = np.linalg.det(q_mats[alive])
@@ -274,12 +287,12 @@ def _cmd_tails(cfg: ExperimentConfig, out_dir: str, workers: int):
     spec = EnsembleSpec(
         cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"], workers=workers
     )
-    curve = eigenvalue_tails(
+    budget = cfg.simulation["max_divergence"]
+    curve = _estimate(
+        budget, eigenvalue_tails,
         a["L"], a["K_grid"], a["t"], a["matrix"], spec, fit_envelope=a["fit_envelope"]
     )
-    _check_divergence(
-        curve.meta["diverged"], spec.n_paths, cfg.simulation["max_divergence"]
-    )
+    _check_divergence(curve.meta["diverged"], spec.n_paths, budget)
     claim = (
         "tail probabilities of the smallest Malliavin-covariance eigenvalue "
         "at shrinking horizons"
@@ -296,13 +309,13 @@ def _cmd_remainder_tails(cfg: ExperimentConfig, out_dir: str, workers: int):
     kwargs = {}
     if a.get("t_grid") is not None:
         kwargs["t_grid"] = a["t_grid"]
-    curve = remainder_tails(
+    budget = cfg.simulation["max_divergence"]
+    curve = _estimate(
+        budget, remainder_tails,
         a["L"], a["epsilon"], a["K_grid"], target, spec,
         fit_envelope=a["fit_envelope"], **kwargs
     )
-    _check_divergence(
-        curve.meta["diverged"], spec.n_paths, cfg.simulation["max_divergence"]
-    )
+    _check_divergence(curve.meta["diverged"], spec.n_paths, budget)
     claim = "tail probabilities of the truncated flow-expansion remainder energy"
     return _tail_outputs(curve, out_dir, "remainder_tails", claim)
 
@@ -312,14 +325,18 @@ def _cmd_det_moments(cfg: ExperimentConfig, out_dir: str, workers: int):
     spec = EnsembleSpec(
         cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"], workers=workers
     )
-    estimate = inverse_det_moments(a["p"], a["t"], spec)
+    budget = cfg.simulation["max_divergence"]
+    estimate = _estimate(budget, inverse_det_moments, a["p"], a["t"], spec)
+    _check_divergence(spec.n_paths - estimate.trials, spec.n_paths, budget)
     claim = "moments of the inverse determinant of the Malliavin covariance"
     payload = estimate.to_json_dict()
     files = []
     if a.get("t_grid") is not None:
-        study = inverse_det_scaling(
+        study = _estimate(
+            budget, inverse_det_scaling,
             a["p"], a["t_grid"], spec, L=a.get("L"), margin=a["margin"]
         )
+        _check_divergence(spec.n_paths - study.trials, spec.n_paths, budget)
         payload["scaling"] = study.to_json_dict()
         line_chart(
             os.path.join(out_dir, "det_moments.svg"),

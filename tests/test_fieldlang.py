@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from hypolab.errors import EvaluationError, ParseError
 from hypolab.fieldlang import (
     Binary,
+    CoefficientSet,
     Const,
     Power,
     Unary,
     Var,
     VectorField,
-    compile_expression,
+    compile_diffusion,
+    compile_diffusion_jacobians,
+    compile_expression_stack,
+    compile_field,
+    compile_jacobian,
     differentiate,
     evaluate,
     jacobian,
@@ -245,7 +250,7 @@ def test_differentiate_commutes_with_simplify(e, i):
 @given(_exprs())
 @settings(max_examples=100, deadline=None)
 def test_compiled_matches_scalar_evaluation(e):
-    fn = compile_expression(e)
+    fn = compile_expression_stack((e,), ())
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1.5, 1.5, size=(8, 2))
     batch = fn(pts)
@@ -299,3 +304,60 @@ def test_vector_field_dimension_checks():
 
     with pytest.raises(ConfigError):
         VectorField.from_text("x1, x2", 1)
+
+
+# ---------------------------------------------------------------------------
+# layout of the compiled coefficient stacks
+
+_LAYOUT_MODELS = {
+    "smooth": (
+        "-x1^3 + sin(x2), -x2 - tanh(x3), exp(-x1^2) - x3",
+        ["1, 0.5*x3, cos(x1)", "tanh(x2), 0, x1*x2"],
+    ),
+    "constant": ("1, -2, 0.5", ["3, 0, 1", "0, 2, -1"]),
+}
+
+
+def _layout_references(coeffs, point):
+    """Tree-walk values of b, grad b, sigma and grad sigma_k at one point."""
+    d, m = coeffs.d, coeffs.m
+
+    def grad(field, j, i):
+        return evaluate(differentiate(field.components[j], i + 1), point)
+
+    return {
+        "field": [evaluate(c, point) for c in coeffs.drift.components],
+        "jacobian": [[grad(coeffs.drift, j, i) for i in range(d)] for j in range(d)],
+        "diffusion": [
+            [evaluate(coeffs.diffusion[k].components[i], point) for k in range(m)]
+            for i in range(d)
+        ],
+        "diffusion_jacobians": [
+            [[grad(coeffs.diffusion[k], j, i) for i in range(d)] for j in range(d)]
+            for k in range(m)
+        ],
+    }
+
+
+@pytest.mark.parametrize("model", sorted(_LAYOUT_MODELS))
+def test_compiled_stack_layouts_match_tree_walk(model):
+    drift, sigma = _LAYOUT_MODELS[model]
+    coeffs = CoefficientSet.from_text(3, 2, drift, sigma)
+    d, m = coeffs.d, coeffs.m
+    compiled = {
+        "field": (compile_field(coeffs.drift), (d,)),
+        "jacobian": (compile_jacobian(coeffs.drift), (d, d)),
+        "diffusion": (compile_diffusion(coeffs), (d, m)),
+        "diffusion_jacobians": (compile_diffusion_jacobians(coeffs), (m, d, d)),
+    }
+    pts = np.random.default_rng(17).uniform(-1.5, 1.5, size=(6, d))
+    refs = [_layout_references(coeffs, p) for p in pts]
+    for name, (fn, shape) in compiled.items():
+        batch = fn(pts)
+        assert batch.shape == (len(pts),) + shape, name
+        assert batch.dtype == np.float64
+        expected = np.array([r[name] for r in refs])
+        np.testing.assert_allclose(batch, expected, rtol=1e-12, atol=1e-12)
+        single = fn(pts[0])
+        assert single.shape == shape, name
+        np.testing.assert_allclose(single, expected[0], rtol=1e-12, atol=1e-12)

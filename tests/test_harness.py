@@ -190,6 +190,77 @@ def test_cli_simulate_skips_diverged_dump_paths(tmp_path):
     assert not any(e["file"].startswith("trajectory_") for e in manifest["outputs"])
 
 
+SIGMA_OVERFLOW = """
+[model]
+d = 1
+m = 1
+x0 = 1.0
+drift = -x1
+sigma1 = 1e200
+
+[simulation]
+T = 0.5
+n_steps = 64
+scheme = tamed-euler
+paths = 16
+seed = 1
+
+[analysis]
+"""
+
+
+OVERFLOW_ANALYSIS = {
+    "malliavin": "t = 0.5\n",
+    "tails": "L = 1\nK_grid = 1, 2, 4\nt = 0.5\nmatrix = C\nfit_envelope = false\n",
+    "det-moments": "p = 1\nt = 0.5\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERFLOW_ANALYSIS))
+def test_cli_non_finite_covariance_counts_as_divergence(tmp_path, capsys, command):
+    # sigma^2 overflows, so C is infinite after one step on every path
+    for budget, code in (("0.5", 3), ("1.0", 1)):  # 1: no path left to estimate from
+        text = SIGMA_OVERFLOW.replace("[analysis]", f"max_divergence = {budget}\n[analysis]")
+        cfg = _write(tmp_path, text + OVERFLOW_ANALYSIS[command])
+        out = tmp_path / budget
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert "16 of 16 paths diverged" in capsys.readouterr().err
+        for path in out.glob("*.json"):
+            assert "Infinity" not in path.read_text() and "NaN" not in path.read_text()
+
+
+DOUBLE_WELL_PARTIAL = """
+[model]
+d = 1
+m = 1
+x0 = 11.3
+drift = x1 - x1^3
+sigma1 = 4
+
+[simulation]
+T = 1.0
+n_steps = 64
+scheme = euler
+paths = 50
+seed = 3
+"""
+
+
+def test_cli_det_moments_checks_the_divergence_budget(tmp_path, capsys):
+    analysis = "[analysis]\np = 1\nt = 1.0\nt_grid = 0.5, 1.0\n"
+    # 15 of the 50 paths diverge
+    tight = _write(tmp_path, DOUBLE_WELL_PARTIAL + "max_divergence = 0.2\n" + analysis)
+    assert main(["det-moments", "--config", tight, "--out", str(tmp_path / "a")]) == 3
+    assert "15 of 50 paths diverged" in capsys.readouterr().err
+    loose = _write(
+        tmp_path, DOUBLE_WELL_PARTIAL + "max_divergence = 0.5\n" + analysis, name="b.cfg"
+    )
+    assert main(["det-moments", "--config", loose, "--out", str(tmp_path / "b")]) == 0
+    payload = json.loads((tmp_path / "b" / "det_moments.json").read_text())
+    assert payload["trials"] == payload["scaling"]["trials"] == 35
+    assert np.isfinite(payload["estimate"])
+
+
 def test_cli_check_hormander_heisenberg(tmp_path):
     code = main(
         [
