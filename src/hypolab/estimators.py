@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .brackets import BracketTable, bracket_local_bound, expansion_local_bound, spanning_value
-from .errors import ConfigError, DegenerateSamplesError
+from .errors import ConfigError, DegenerateSamplesError, EvaluationError
 from .fieldlang import CoefficientSet, VectorField
 from .flows import (
     RecordSpec,
@@ -379,11 +379,24 @@ def _inverse_det_samples(p: float, t: float, ensemble: EnsembleSpec) -> np.ndarr
         ensemble.coeffs, config, ensemble.n_paths, [idx], workers=ensemble.workers
     )
     _, q = mats[idx]
-    dets = np.linalg.det(q[_survivors(res)])
+    return _inverse_det_powers(q[_survivors(res)], p)
+
+
+def _inverse_det_powers(q: np.ndarray, p: float) -> np.ndarray:
+    """(det Q)^-p for a (B, d, d) stack; det Q <= 0 or an overflow aborts."""
+    dets = np.linalg.det(q)
     bad = int((dets <= 0).sum())
     if bad:
         raise DegenerateSamplesError(bad, dets.size)
-    return dets ** (-p)
+    with np.errstate(over="ignore"):
+        samples = dets ** (-p)
+        # a finite sum of squares bounds the sample mean and standard error
+        finite = np.isfinite(np.dot(samples, samples))
+    if not finite:
+        raise EvaluationError(
+            f"(det Q)^-p overflows for p = {p!r}; smallest det Q = {dets.min():.6g}"
+        )
+    return samples
 
 
 def _heavy_tail_flag(samples: np.ndarray) -> bool:
@@ -401,7 +414,8 @@ def inverse_det_moments(p: float, t: float, ensemble: EnsembleSpec) -> MomentEst
 
     Samples with det Q <= 0 abort the estimate (positive semidefiniteness
     should prevent them beyond round-off) and are reported in the error, as
-    is a run in which no path survived.
+    is a run in which no path survived.  A power too large for a float raises
+    ``EvaluationError``.
     """
     if p < 0:
         raise ConfigError("p must be >= 0")
@@ -467,14 +481,9 @@ def inverse_det_scaling(
         ensemble.coeffs, config, ensemble.n_paths, indices, workers=ensemble.workers
     )
     alive = _survivors(res)
-    estimates = []
-    for idx in indices:
-        dets = np.linalg.det(mats[idx][1][alive])
-        bad = int((dets <= 0).sum())
-        if bad:
-            raise DegenerateSamplesError(bad, dets.size)
-        estimates.append(float(np.mean(dets ** (-p))))
-    estimates = np.asarray(estimates)
+    estimates = np.array(
+        [np.mean(_inverse_det_powers(mats[idx][1][alive], p)) for idx in indices]
+    )
     slope = float(np.polyfit(np.log(t_values), np.log(estimates), 1)[0])
     reference = None if L is None else -p * ensemble.coeffs.d * L
     within = None if reference is None else bool(slope >= reference - margin)

@@ -4,8 +4,9 @@ An expression is an immutable tree over the variables ``x1..xd`` built from
 real constants, the unary operations ``-``, ``sin``, ``cos``, ``exp``,
 ``tanh``, the binary operations ``+ - * /``, and integer powers ``e^n`` with
 ``n >= 0``.  Trees are frozen dataclasses: they hash and compare
-structurally, and they are safe to share between threads because nothing
-mutates them after construction.
+structurally, constants by value and sign (``0.0`` and ``-0.0`` differ), and
+they are safe to share between threads because nothing mutates them after
+construction.
 """
 from __future__ import annotations
 
@@ -50,6 +51,16 @@ class Const(Expression):
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
+
+    # Sign-aware, so 0.0 and -0.0 are distinct keys of the compile cache.
+    def _key(self) -> tuple[float, float]:
+        return self.value, math.copysign(1.0, self.value)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Const) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,10 +15,12 @@ negates the whole multiplicative term (``-x1*x1*x1 + x1`` reads
 ``-(x1*x1*x1) + x1``).  Power exponents must be literal non-negative
 integers: fractional or negative exponents are rejected so every parsed
 field is smooth.  Identifiers are restricted to ``x1..xd`` and the function
-names ``sin``, ``cos``, ``exp``, ``tanh``.
+names ``sin``, ``cos``, ``exp``, ``tanh``.  A number literal must be finite:
+``1e400`` is rejected rather than read as infinity.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -136,7 +138,10 @@ class _Parser:
     def atom(self) -> Expression:
         tok = self.advance()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number literal {tok.text!r} is not finite", tok.pos)
+            return Const(value)
         if tok.kind == "ident":
             m = _VAR.match(tok.text)
             if m:

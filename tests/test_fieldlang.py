@@ -99,6 +99,13 @@ def test_scientific_notation():
     assert evaluate(e, (2.0,)) == pytest.approx(3e-3)
 
 
+@pytest.mark.parametrize("text", ["1e400", "x1 + 2.5E+999", "sin(-1e309*x1)"])
+def test_overflowing_literal_is_rejected(text):
+    with pytest.raises(ParseError, match="not finite") as err:
+        parse_expression(text, 1)
+    assert text[err.value.position].isdigit()
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -361,3 +368,20 @@ def test_compiled_stack_layouts_match_tree_walk(model):
         single = fn(pts[0])
         assert single.shape == shape, name
         np.testing.assert_allclose(single, expected[0], rtol=1e-12, atol=1e-12)
+
+
+def test_constants_compare_with_their_sign_of_zero():
+    assert Const(0.0) != Const(-0.0)
+    assert Const(-0.0) == Const(-0.0) and Const(2) == Const(2.0)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_compile_cache_keeps_the_sign_of_zero(first):
+    # the Jacobians of these fields differ only in the sign of the zero at (1, 1)
+    texts = ("-x2, x1", "0 - x2, x1")
+    expected = {"-x2, x1": True, "0 - x2, x1": False}  # signbit of d(f1)/d(x1)
+    compile_expression_stack.cache_clear()
+    for text in (texts[first], texts[1 - first]):
+        value = compile_jacobian(VectorField.from_text(text, 2))(np.array([0.3, -0.7]))
+        assert value[0, 0] == 0.0
+        assert np.signbit(value[0, 0]) == expected[text], text

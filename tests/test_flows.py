@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from hypolab.errors import ConfigError, SimulationDiverged
-from hypolab.fieldlang import CoefficientSet
+from hypolab.fieldlang import (
+    CoefficientSet,
+    compile_diffusion,
+    compile_diffusion_jacobians,
+    compile_jacobian,
+)
 from hypolab.flows import (
     SCHEMES,
     RecordSpec,
@@ -220,6 +225,98 @@ def test_flow_identity_multiplicative_noise():
     res = run_ensemble(c, cfg, 50, RecordSpec(flows=True, track_flow_identity=True))
     assert res.divergence_fraction == 0.0
     assert res.flow_identity_sup.max() <= 0.05
+
+
+# The einsum form of the J/K step and the C sums, kept as an independent
+# reference for the engine's generator-matrix products.
+
+
+def _einsum_flow_step(j, k_inv, gb, gs, dwk, h):
+    jn = (
+        j
+        + h * np.einsum("bij,bjk->bik", gb, j)
+        + np.einsum("bmij,bjk,bm->bik", gs, j, dwk)
+    )
+    corr = np.einsum("bmij,bmjk->bik", gs, gs)
+    kn = (
+        k_inv
+        - h * np.einsum("bij,bjk->bik", k_inv, gb - corr)
+        - np.einsum("bij,bmjk,bm->bik", k_inv, gs, dwk)
+    )
+    return jn, kn
+
+
+def _einsum_reference(coeffs, cfg, res):
+    """[(J, K, C)] at every grid index by the einsum recurrence along the
+    engine's stored states and increments."""
+    cgb = compile_jacobian(coeffs.drift)
+    cgs = compile_diffusion_jacobians(coeffs)
+    csig = compile_diffusion(coeffs)
+    h = cfg.h
+    j = np.tile(np.eye(coeffs.d), (res.n_paths, 1, 1))
+    k_inv = j.copy()
+    c = np.zeros_like(j)
+    path = [(j, k_inv, c)]
+    for step in range(cfg.n_steps):
+        x = res.states[:, step]
+        ks = np.einsum("bij,bjm->bim", k_inv, csig(x))
+        c = c + h * np.einsum("bim,bjm->bij", ks, ks)
+        j, k_inv = _einsum_flow_step(j, k_inv, cgb(x), cgs(x), res.increments[:, step], h)
+        path.append((j, k_inv, c))
+    return path
+
+
+def _engine_and_reference(coeffs, cfg, n_paths):
+    """{index: (J, K, C)} from the engine and from the reference at two
+    checkpoints."""
+    checkpoints = (cfg.n_steps // 2, cfg.n_steps)
+    record = RecordSpec(
+        store_states=True,
+        store_inverses=True,
+        store_increments=True,
+        c_checkpoints=checkpoints,
+    )
+    res = run_ensemble(coeffs, cfg, n_paths, record)
+    assert res.divergence_fraction == 0.0
+    ref = _einsum_reference(coeffs, cfg, res)
+    got = {i: (res.j_at[i], res.inverses[:, i], res.c_at[i]) for i in checkpoints}
+    return got, {i: ref[i] for i in checkpoints}
+
+
+_MULTIPLICATIVE_MODELS = {
+    (1, 1): ("x1 - x1^3", ["0.4*x1 + 0.3"]),
+    (2, 1): ("-x1 + 0.5*x2, -x2 - x2^3", ["1 + 0.3*x2, 0.2*x1"]),
+    (3, 2): (
+        "-x1 - x1^3, -x2 - x2^3, -x3",
+        ["1 + 0.2*x3, 0, -0.5*x2", "0.1*x2, 1, 0.5*x1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("dm", sorted(_MULTIPLICATIVE_MODELS))
+def test_flow_step_matches_einsum_reference(dm, scheme):
+    drift, sigma = _MULTIPLICATIVE_MODELS[dm]
+    coeffs = CoefficientSet.from_text(*dm, drift, sigma)
+    x0 = (0.8, -0.4, 0.3)[: dm[0]]
+    cfg = SimConfig(horizon=0.5, n_steps=64, x0=x0, scheme=scheme, seed=97)
+    got, ref = _engine_and_reference(coeffs, cfg, 8)
+    for idx, mats in ref.items():
+        for name, a, b in zip("JKC", got[idx], mats):
+            # entries that cancel to far below the matrix scale get its rtol
+            scale = np.abs(b).max()
+            np.testing.assert_allclose(
+                a, b, rtol=1e-12, atol=1e-12 * scale, err_msg=f"{name} at {idx}"
+            )
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_flow_step_is_bit_identical_on_additive_ou(ou, scheme):
+    cfg = SimConfig(horizon=1.0, n_steps=64, x0=(1.0,), scheme=scheme, seed=101)
+    got, ref = _engine_and_reference(ou, cfg, 16)
+    for idx, mats in ref.items():
+        for a, b in zip(got[idx], mats):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

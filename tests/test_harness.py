@@ -261,6 +261,24 @@ def test_cli_det_moments_checks_the_divergence_budget(tmp_path, capsys):
     assert np.isfinite(payload["estimate"])
 
 
+def test_cli_det_moments_overflowing_power_is_evaluation_error(tmp_path, capsys):
+    # det Q is about 3e-201 on every path, so (det Q)^-2 overflows
+    text = SIGMA_OVERFLOW.replace("sigma1 = 1e200", "sigma1 = 1e-100")
+    cfg = _write(tmp_path, text + "p = 2\nt = 0.5\n")
+    out = tmp_path / "o"
+    assert main(["det-moments", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "p = 2.0" in err and "smallest det Q = 3.1" in err
+    for path in out.glob("*.json"):
+        assert "Infinity" not in path.read_text() and "NaN" not in path.read_text()
+
+
+def test_cli_overflowing_literal_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, SIGMA_OVERFLOW.replace("1e200", "1e400") + "t = 0.5\n")
+    assert main(["malliavin", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'1e400' is not finite" in capsys.readouterr().err
+
+
 def test_cli_check_hormander_heisenberg(tmp_path):
     code = main(
         [
@@ -446,6 +464,8 @@ def test_missing_out_dir_is_config_error(tmp_path, capsys):
 # A change of any output bit must be a deliberate update of this table.
 # configs/ou_density.cfg is left out to keep the suite fast (about 7 s); it
 # runs the state-only ensemble and the KDE, which no pinned run reaches.
+# The tails outputs depend on the simulation only through event counts; the
+# malliavin run of the same d = 3 model writes every eigenvalue in full.
 
 PINNED_DIGESTS = {
     ("simulate", "ou_simulate"): {
@@ -470,6 +490,17 @@ PINNED_DIGESTS = {
     ("probe-assumptions", "double_well_probe"): {
         "config.resolved.txt": "8522d3930ff36ae5c03639e18c0110451ddb6ff30e30a3b04534de60de2e84a6",
         "probe.json": "b59c606b9c112d07d2a29eee19c8de16b4db78883ef4bfb65aa4791d7b4206f6",
+    },
+    ("tails", "heis_tails"): {
+        "config.resolved.txt": "8df0f952b0079112d4c1738aea810b79f48944e95718085686ebc452aa2cfadd",
+        "tails.csv": "173b16d609ebbc03a45679cf626a9699982bc7513109b2464a8bc0ae072ed061",
+        "tails.json": "950ff8f0b08ff4b0d1b9009280f7ac08ff7a0b81bbb68698ce785be0d0d7c865",
+        "tails.svg": "ebb1f8509941a674959d2ef1237183598874fb5f45921f4c9a6287fa60538f4e",
+    },
+    ("malliavin", "heis_malliavin"): {
+        "config.resolved.txt": "c9bec5fcce799986f6e5c1d211dd9e174c9629a4d50c9b0b18bd8dffbc4f44f6",
+        "malliavin.csv": "5becd6f9676406a1dea1ad54080585e0c7f36153a6ce34a87f3d37f74421ca55",
+        "malliavin.json": "1fc3bc5ee1c549e8c0f41721929f3fcd303d5b27a1cd6fd4ae9eac882e2042ab",
     },
 }
 
