@@ -21,8 +21,8 @@ from .errors import ConfigError, DegenerateSamplesError, EvaluationError
 from .fieldlang import CoefficientSet, VectorField
 from .flows import (
     RecordSpec,
+    RemainderEnergy,
     SimConfig,
-    chaos_remainder_ensemble,
     malliavin_checkpoint_ensemble,
     nearest_index,
     run_ensemble,
@@ -267,6 +267,11 @@ def remainder_tails(
     (1/t^L) * integral_0^{t/K} |R_L|^2 ds >= K^-(L+1-eps); the probability is
     estimated per t on a dyadic grid and the supremum over t reported per K,
     with common random numbers across both grids.
+
+    The energy integral is accumulated inside the engine's step loop by a
+    ``RemainderEnergy`` accumulator, which keeps only its value at the
+    (t/K) indices read here; no state, flow or increment path is stored, so
+    memory is bounded by one block's Brownian increments.
     """
     if L < 1:
         raise ConfigError("L must be >= 1")
@@ -280,31 +285,20 @@ def remainder_tails(
         raise ConfigError("t grid must lie in (0, 1]")
     horizon = t_values[-1]
     config = replace(ensemble.config, horizon=horizon)
+    x0 = np.asarray(ensemble.config.x0)
+    read = sorted({nearest_index(config, t / k) for k in k_values for t in t_values})
+    table = BracketTable(ensemble.coeffs)
+    energy = RemainderEnergy(L, target, table, x0, config.h, read)
     res = run_ensemble(
         ensemble.coeffs,
         config,
         ensemble.n_paths,
-        RecordSpec(
-            flows=True, store_states=True, store_inverses=True, store_increments=True
-        ),
+        RecordSpec(flows=True, accumulator=energy),
         workers=ensemble.workers,
     )
     alive = _survivors(res)
     trials = int(alive.sum())
-    table = BracketTable(ensemble.coeffs)
-    paths = chaos_remainder_ensemble(
-        L,
-        target,
-        table,
-        config.h,
-        res.states[alive],
-        res.inverses[alive],
-        res.increments[alive],
-    )
-    energy = np.sum(paths * paths, axis=2)  # (trials, n+1)
-    h = config.h
-    cum = np.zeros_like(energy)
-    cum[:, 1:] = np.cumsum(0.5 * (energy[:, :-1] + energy[:, 1:]) * h, axis=1)
+    cum = res.accumulated[alive]  # (trials, len(read))
     events = np.zeros(k_values.size, dtype=np.int64)
     p_hat = np.zeros(k_values.size)
     argmax_t = np.zeros(k_values.size)
@@ -313,8 +307,8 @@ def remainder_tails(
         best, best_t = -1.0, t_values[0]
         best_events = 0
         for t in t_values:
-            idx = nearest_index(config, t / k)
-            flags = cum[:, idx] / t**L >= threshold
+            at = energy.columns[nearest_index(config, t / k)]
+            flags = cum[:, at] / t**L >= threshold
             frac = flags.mean()
             if frac > best:
                 best, best_t, best_events = frac, t, int(flags.sum())
@@ -335,7 +329,6 @@ def remainder_tails(
     }
     fit = None
     if fit_envelope:
-        x0 = np.asarray(ensemble.config.x0)
         m_x = expansion_local_bound(table, target, x0, L)
         fit = _fit_tail_envelope(k_values, p_hat, 1.0, m_x, L)
     return TailCurve(

@@ -7,6 +7,10 @@ the weight, i.e. the trapezoid rule.  Midpoint telescopes exactly for
 integral of W dW, and nested integrals reuse the same grid: quadrature
 error is absorbed into the convergence tests rather than substep
 refinement.
+
+``RemainderEnergy`` computes the cumulative remainder energy of an ensemble
+inside the engine's step loop with the same rule, step by step, instead of
+over stored paths; its results are bit-identical to the stored-path route.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ __all__ = [
     "chaos_remainder",
     "chaos_remainder_ensemble",
     "expansion_coefficients",
+    "RemainderEnergy",
 ]
 
 
@@ -163,3 +168,70 @@ def chaos_remainder_ensemble(
         f = _iterate(alpha, np.ones(states.shape[:2]), increments, h, m)
         truncation += f[:, :, None] * coeff[None, None, :]
     return pullback - truncation
+
+
+class RemainderEnergy:
+    """Per-step accumulator of the trapezoid remainder energy of an ensemble.
+
+    A factory for ``RecordSpec.accumulator``: calling it with a block size B
+    returns the block's accumulator.  At grid index k that accumulator forms
+    R_k = K_k target(X_k) - sum_alpha T_alpha I_alpha(k), adds
+    (|R_{k-1}|^2 + |R_k|^2) h / 2 to a running integral, keeps that integral
+    at the ``read`` indices, and advances the unit-process iterated integrals
+    by the midpoint update I_{alpha j}(k+1) = I_{alpha j}(k)
+    + (I_alpha(k) + I_alpha(k+1))/2 * dW^j_k (dW^0 = h).  Only multi-indices
+    with a nonzero coefficient are kept, each prefix of them is advanced once
+    in length order, and the float operations are those of
+    ``chaos_remainder_ensemble`` followed by a trapezoid ``cumsum``.
+    """
+
+    def __init__(self, L, target, table, x0, h, read):
+        self.terms = [
+            (alpha.entries, coeff)
+            for alpha, coeff in expansion_coefficients(L, target, table, x0)
+            if np.any(coeff)
+        ]
+        prefixes = {e[:r] for e, _ in self.terms for r in range(1, len(e) + 1)}
+        self.prefixes = sorted(prefixes, key=lambda e: (len(e), e))
+        self.field = compile_field(target)
+        self.h = h
+        self.columns = {idx: col for col, idx in enumerate(read)}
+
+    def __call__(self, B: int) -> "_EnergyBlock":
+        return _EnergyBlock(self, B)
+
+
+class _EnergyBlock:
+    """The running integrals of one block of paths."""
+
+    def __init__(self, spec: RemainderEnergy, B: int):
+        self.spec = spec
+        self.integrals = {e: np.zeros(B) for e in spec.prefixes}
+        self.integrals[()] = np.ones(B)  # the unit process
+        self.cum = np.zeros(B)
+        self.prev = None
+        self.out = np.zeros((B, len(spec.columns)))
+
+    def step(self, k, x, k_inv, dw) -> None:
+        spec, ints = self.spec, self.integrals
+        pullback = np.einsum("bij,bj->bi", k_inv, spec.field(x))
+        truncation = np.zeros_like(pullback)
+        for e, coeff in spec.terms:
+            truncation += ints[e][:, None] * coeff[None, :]
+        rem = pullback - truncation
+        energy = np.sum(rem * rem, axis=1)
+        if self.prev is not None:
+            self.cum = self.cum + 0.5 * (self.prev + energy) * spec.h
+        self.prev = energy
+        if k in spec.columns:
+            self.out[:, spec.columns[k]] = self.cum
+        if dw is not None:
+            new = {(): ints[()]}
+            for e in spec.prefixes:
+                w = spec.h if e[-1] == 0 else dw[:, e[-1] - 1]
+                new[e] = ints[e] + 0.5 * (ints[e[:-1]] + new[e[:-1]]) * w
+            self.integrals = new
+
+    def result(self) -> np.ndarray:
+        """The running integral at each read index, shape (B, len(read))."""
+        return self.out

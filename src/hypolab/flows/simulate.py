@@ -33,13 +33,21 @@ Ensembles assign one Philox stream per path keyed by (seed, stream_id) and
 aggregate per-path records in ascending stream order, making every output
 bit independent of block sizes, worker counts, and scheduling.  The
 single-path helpers run the same engine on a batch of one given grid.
+
+A reduction that needs the whole path but only a few numbers per path rides
+along as a per-step accumulator instead of storing paths.  ``RecordSpec``
+carries a factory ``B -> acc``; each block builds its own accumulator and
+calls ``acc.step(k, x, k_inv, dw_k)`` at k = 0..n with the state and inverse
+flow the engine would store at index k (frozen rows for lost paths) and the
+increment that leaves it (``None`` at n).  ``acc.result()`` is a per-path
+array, merged in stream order into ``EnsembleResult.accumulated``.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -192,7 +200,7 @@ class RecordSpec:
     store_states: bool = False
     store_jacobians: bool = False
     store_inverses: bool = False
-    store_increments: bool = False
+    accumulator: Callable | None = None  # block size B -> per-step accumulator
     c_checkpoints: tuple[int, ...] = ()
     track_sup: bool = False
     track_flow_identity: bool = False
@@ -224,7 +232,7 @@ class EnsembleResult:
     states: np.ndarray | None = None
     jacobians: np.ndarray | None = None
     inverses: np.ndarray | None = None
-    increments: np.ndarray | None = None
+    accumulated: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -351,6 +359,7 @@ def _simulate_block(
     states = np.empty((B, n + 1, d)) if record.store_states else None
     jacobians = np.empty((B, n + 1, d, d)) if record.store_jacobians else None
     inverses = np.empty((B, n + 1, d, d)) if record.store_inverses else None
+    acc = record.accumulator(B) if record.accumulator is not None else None
 
     def snapshot(idx):
         c_snapshots[idx] = c.copy()
@@ -368,6 +377,8 @@ def _simulate_block(
                 inverses[:, k] = k_inv
 
             dwk = dw[:, k, :]
+            if acc is not None:
+                acc.step(k, x, k_inv, dwk)
             bx = cb(x)
             newton_ok = None
             if tamed:
@@ -425,6 +436,8 @@ def _simulate_block(
             jacobians[:, n] = j
         if inverses is not None:
             inverses[:, n] = k_inv
+        if acc is not None:
+            acc.step(n, x, k_inv, None)
 
     return {
         "final_states": x,
@@ -437,7 +450,7 @@ def _simulate_block(
         "states": states,
         "jacobians": jacobians,
         "inverses": inverses,
-        "increments": dw if record.store_increments else None,
+        "accumulated": acc.result() if acc is not None else None,
     }
 
 
@@ -454,7 +467,6 @@ def _default_block_size(config: SimConfig, coeffs: CoefficientSet, record: Recor
     per_path = n * m  # increments
     per_path += (n + 1) * d if record.store_states else 0
     per_path += 2 * (n + 1) * d * d if (record.store_jacobians or record.store_inverses) else 0
-    per_path += n * m if record.store_increments else 0
     per_path = max(per_path, 1)
     budget = 64 * 1024 * 1024 // 8  # floats per block
     return max(32, min(budget // per_path, 16384))
@@ -510,7 +522,7 @@ def run_ensemble(
         states=cat("states"),
         jacobians=cat("jacobians"),
         inverses=cat("inverses"),
-        increments=cat("increments"),
+        accumulated=cat("accumulated"),
     )
     for idx in record.c_checkpoints:
         merged.c_at[idx] = np.concatenate([r["c_at"][idx] for r in results], axis=0)

@@ -88,7 +88,8 @@ def _resolve_field(cfg: ExperimentConfig, text: str) -> VectorField:
     name = text.strip()
     if name.startswith("sigma"):
         idx = name[5:]
-        if idx.isdigit() and 1 <= int(idx) <= coeffs.m:
+        # isdigit() alone accepts digits such as '²' that int() rejects
+        if idx.isascii() and idx.isdigit() and 1 <= int(idx) <= coeffs.m:
             return coeffs.diffusion[int(idx) - 1]
         raise ConfigError(f"field {name!r} is not one of sigma1..sigma{coeffs.m}")
     if name == "drift":

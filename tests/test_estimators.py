@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,29 @@ def test_remainder_tail_double_well_monotone():
     )
     assert curve.non_increasing_within_half_width()
     assert curve.meta["common_random_numbers"] is True
+
+
+def test_remainder_tail_memory_grows_only_by_the_increments():
+    # the energy is streamed through the engine, so each added path costs
+    # its n*m Brownian increments (one block) and nothing of length n per
+    # state, flow or remainder component
+    heis = CoefficientSet.from_text(
+        3, 2, "-x1 - x1^3, -x2 - x2^3, -x3", ["1, 0, -0.5*x2", "0, 1, 0.5*x1"]
+    )
+    n = 1024
+
+    def peak(n_paths):
+        spec = _spec(heis, (1.0, 0.5, 0.0), n_paths, 4, n_steps=n)
+        tracemalloc.start()
+        try:
+            remainder_tails(3, 0.5, [1, 2, 4], heis.diffusion[0], spec, fit_envelope=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # compile and cache the field code outside the measurement
+    small, large = peak(32), peak(128)
+    assert (large - small) / (128 - 32) <= 2 * n * heis.m * 8
 
 
 # ---------------------------------------------------------------------------

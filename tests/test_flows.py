@@ -23,6 +23,7 @@ from hypolab.flows import (
     simulate_flow,
     simulate_x,
 )
+from hypolab.flows.brownian import stream_increments
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -246,9 +247,9 @@ def _einsum_flow_step(j, k_inv, gb, gs, dwk, h):
     return jn, kn
 
 
-def _einsum_reference(coeffs, cfg, res):
+def _einsum_reference(coeffs, cfg, res, increments):
     """[(J, K, C)] at every grid index by the einsum recurrence along the
-    engine's stored states and increments."""
+    engine's stored states and the paths' increments."""
     cgb = compile_jacobian(coeffs.drift)
     cgs = compile_diffusion_jacobians(coeffs)
     csig = compile_diffusion(coeffs)
@@ -261,7 +262,7 @@ def _einsum_reference(coeffs, cfg, res):
         x = res.states[:, step]
         ks = np.einsum("bij,bjm->bim", k_inv, csig(x))
         c = c + h * np.einsum("bim,bjm->bij", ks, ks)
-        j, k_inv = _einsum_flow_step(j, k_inv, cgb(x), cgs(x), res.increments[:, step], h)
+        j, k_inv = _einsum_flow_step(j, k_inv, cgb(x), cgs(x), increments[:, step], h)
         path.append((j, k_inv, c))
     return path
 
@@ -273,12 +274,15 @@ def _engine_and_reference(coeffs, cfg, n_paths):
     record = RecordSpec(
         store_states=True,
         store_inverses=True,
-        store_increments=True,
         c_checkpoints=checkpoints,
     )
     res = run_ensemble(coeffs, cfg, n_paths, record)
     assert res.divergence_fraction == 0.0
-    ref = _einsum_reference(coeffs, cfg, res)
+    increments = np.stack(
+        [stream_increments(cfg.seed, int(sid), cfg.n_steps, coeffs.m, cfg.h)
+         for sid in res.stream_ids]
+    )
+    ref = _einsum_reference(coeffs, cfg, res, increments)
     got = {i: (res.j_at[i], res.inverses[:, i], res.c_at[i]) for i in checkpoints}
     return got, {i: ref[i] for i in checkpoints}
 

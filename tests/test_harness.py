@@ -155,6 +155,15 @@ def test_cli_empty_k_grid_exits_2_before_simulation(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", ["sigma\u00b2", "sigma3", "sigma"])
+def test_cli_unknown_diffusion_field_exits_2(tmp_path, capsys, field):
+    text = OU_MODEL + SIM + f"[analysis]\nL = 2\nepsilon = 0.5\nK_grid = 1, 2\nfield = {field}\n"
+    cfg = _write(tmp_path, text)
+    code = main(["remainder-tails", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert repr(field) in capsys.readouterr().err
+
+
 DOUBLE_WELL_EULER = """
 [model]
 d = 1
@@ -501,6 +510,12 @@ PINNED_DIGESTS = {
         "config.resolved.txt": "c9bec5fcce799986f6e5c1d211dd9e174c9629a4d50c9b0b18bd8dffbc4f44f6",
         "malliavin.csv": "5becd6f9676406a1dea1ad54080585e0c7f36153a6ce34a87f3d37f74421ca55",
         "malliavin.json": "1fc3bc5ee1c549e8c0f41721929f3fcd303d5b27a1cd6fd4ae9eac882e2042ab",
+    },
+    ("remainder-tails", "heis_remainder"): {
+        "config.resolved.txt": "66e090c608e2c123bb56f0b1f6d10382cd1c7cad14f600165fa587ec1fe8e6d2",
+        "remainder_tails.csv": "084a8455ecd08c5b7e44b548682a161bb46f8399607b8c735ecf864b3be5812c",
+        "remainder_tails.json": "6b5d1eb027673b2901249a4a7135efb7c981e414e4c956c12ee7496267fb774d",
+        "remainder_tails.svg": "2bb8d10a773f838fa021d767251e875d59a208f9d902088136ed1fdacc956f60",
     },
 }
 

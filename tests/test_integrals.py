@@ -7,6 +7,7 @@ from hypolab.errors import ConfigError
 from hypolab.fieldlang import CoefficientSet
 from hypolab.flows import (
     RecordSpec,
+    RemainderEnergy,
     SimConfig,
     chaos_remainder,
     chaos_remainder_ensemble,
@@ -19,6 +20,7 @@ from hypolab.flows import (
     simulate_flow,
     simulate_x,
 )
+from hypolab.flows.brownian import stream_increments
 
 
 @pytest.fixture
@@ -194,6 +196,13 @@ def test_two_route_remainder_identity():
     assert np.max(np.abs(route_a - route_b)) <= 10 * cfg.h
 
 
+def _increments(cfg, m, stream_ids):
+    """The engine's increments of the given streams, drawn again."""
+    return np.stack(
+        [stream_increments(cfg.seed, int(sid), cfg.n_steps, m, cfg.h) for sid in stream_ids]
+    )
+
+
 def test_ensemble_remainder_matches_single_path():
     ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
     cfg = SimConfig(horizon=0.5, n_steps=512, x0=(1.0,), seed=13)
@@ -206,11 +215,11 @@ def test_ensemble_remainder_matches_single_path():
             flows=True,
             store_states=True,
             store_inverses=True,
-            store_increments=True,
         ),
     )
+    increments = _increments(cfg, 1, res.stream_ids)
     batch = chaos_remainder_ensemble(
-        3, ou.diffusion[0], table, cfg.h, res.states, res.inverses, res.increments
+        3, ou.diffusion[0], table, cfg.h, res.states, res.inverses, increments
     )
     for i, sid in enumerate(res.stream_ids):
         g = sample_brownian(cfg, 1, stream_id=int(sid))
@@ -239,3 +248,74 @@ def test_remainder_event_indicator_against_quadrature_oracle():
             margin = abs(exact / t**L - threshold)
             assert abs(lhs - exact / t**L) < 0.5 * margin
             assert (lhs >= threshold) == (exact / t**L >= threshold)
+
+
+_HEIS = (
+    "-x1 - x1^3, -x2 - x2^3, -x3",
+    ["1, 0, -0.5*x2", "0, 1, 0.5*x1"],
+    (1.0, 0.5, 0.0),
+)
+_MULTIPLICATIVE_2D = (
+    "-x1 + 0.5*x2, -x2 - x2^3",
+    ["1 + 0.3*x2, 0.2*x1", "0.1*x1, 1"],
+    (0.5, -0.3),
+)
+
+
+_DOUBLE_WELL_LOSSY = ("x1 - x1^3", ["20"], (10.5,))
+
+
+@pytest.mark.parametrize(
+    "model,scheme,horizon,n,seed,n_paths,block,lost",
+    [
+        (_HEIS, "tamed-euler", 0.5, 128, 5, 40, 17, 0),
+        (_HEIS, "split-step-backward-euler", 0.5, 128, 5, 40, 17, 0),
+        (_MULTIPLICATIVE_2D, "euler", 0.5, 128, 5, 40, 17, 0),
+        (_DOUBLE_WELL_LOSSY, "euler", 1.0, 64, 3, 50, 7, 3),
+    ],
+)
+def test_streamed_remainder_energy_is_bit_identical_to_stored_paths(
+    model, scheme, horizon, n, seed, n_paths, block, lost
+):
+    drift, sigma, x0 = model
+    coeffs = CoefficientSet.from_text(len(x0), len(sigma), drift, sigma)
+    L = 3
+    cfg = SimConfig(horizon=horizon, n_steps=n, x0=x0, scheme=scheme, seed=seed)
+    table = BracketTable(coeffs)
+    target = coeffs.diffusion[0]
+    energy = RemainderEnergy(L, target, table, np.asarray(x0), cfg.h, range(n + 1))
+    streamed = run_ensemble(
+        coeffs, cfg, n_paths, RecordSpec(flows=True, accumulator=energy), block_size=block
+    )
+    stored = run_ensemble(
+        coeffs, cfg, n_paths, RecordSpec(flows=True, store_states=True, store_inverses=True)
+    )
+    assert np.array_equal(streamed.alive, stored.alive)
+    alive = stored.alive
+    assert stored.diverged_count == lost
+    paths = chaos_remainder_ensemble(
+        L,
+        target,
+        table,
+        cfg.h,
+        stored.states[alive],
+        stored.inverses[alive],
+        _increments(cfg, coeffs.m, stored.stream_ids)[alive],
+    )
+    sq = np.sum(paths * paths, axis=2)
+    cum = np.zeros_like(sq)
+    cum[:, 1:] = np.cumsum(0.5 * (sq[:, :-1] + sq[:, 1:]) * cfg.h, axis=1)
+    assert streamed.accumulated.shape == (n_paths, n + 1)
+    assert np.array_equal(streamed.accumulated[alive], cum)
+
+
+def test_streamed_remainder_energy_keeps_only_read_indices():
+    ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
+    cfg = SimConfig(horizon=0.5, n_steps=64, x0=(1.0,), seed=2)
+    table = BracketTable(ou)
+    every = RemainderEnergy(3, ou.diffusion[0], table, np.ones(1), cfg.h, range(65))
+    some = RemainderEnergy(3, ou.diffusion[0], table, np.ones(1), cfg.h, (0, 9, 64))
+    full = run_ensemble(ou, cfg, 5, RecordSpec(accumulator=every)).accumulated
+    part = run_ensemble(ou, cfg, 5, RecordSpec(accumulator=some)).accumulated
+    assert np.array_equal(part, full[:, [0, 9, 64]])
+    assert np.all(part[:, 0] == 0.0)
