@@ -9,7 +9,6 @@ the state space.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -417,9 +416,6 @@ class HormanderReport:
                 "caveat": self.caveat,
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def check_hormander(

@@ -2,7 +2,8 @@
 
 Exit-code mapping used by the CLI: numerical evaluation errors exit with 1,
 configuration problems with 2, numerical divergence beyond the configured
-budget with 3, violated internal invariants with 4.
+budget with 3, violated internal invariants with 4; the CLI maps a
+MemoryError (an array too large to allocate) to 5.
 """
 
 

@@ -9,7 +9,6 @@ report; fitted values are exposed but never asserted against the theory.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -74,7 +73,6 @@ class EnsembleSpec:
     coeffs: CoefficientSet
     config: SimConfig
     n_paths: int
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -125,9 +123,6 @@ class TailCurve:
             "meta": self.meta,
             "envelope_fit": self.envelope_fit,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _tail_rows(event_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -215,11 +210,7 @@ def eigenvalue_tails(
             "grid too coarse: the smallest tail horizon rounds to index 0"
         )
     res, mats = malliavin_checkpoint_ensemble(
-        ensemble.coeffs,
-        config,
-        ensemble.n_paths,
-        indices,
-        workers=ensemble.workers,
+        ensemble.coeffs, config, ensemble.n_paths, indices
     )
     alive = _survivors(res)
     trials = int(alive.sum())
@@ -290,11 +281,7 @@ def remainder_tails(
     table = BracketTable(ensemble.coeffs)
     energy = RemainderEnergy(L, target, table, x0, config.h, read)
     res = run_ensemble(
-        ensemble.coeffs,
-        config,
-        ensemble.n_paths,
-        RecordSpec(flows=True, accumulator=energy),
-        workers=ensemble.workers,
+        ensemble.coeffs, config, ensemble.n_paths, RecordSpec(flows=True, accumulator=energy)
     )
     alive = _survivors(res)
     trials = int(alive.sum())
@@ -369,7 +356,7 @@ def _inverse_det_samples(p: float, t: float, ensemble: EnsembleSpec) -> np.ndarr
     config = replace(ensemble.config, horizon=t)
     idx = config.n_steps
     res, mats = malliavin_checkpoint_ensemble(
-        ensemble.coeffs, config, ensemble.n_paths, [idx], workers=ensemble.workers
+        ensemble.coeffs, config, ensemble.n_paths, [idx]
     )
     _, q = mats[idx]
     return _inverse_det_powers(q[_survivors(res)], p)
@@ -471,7 +458,7 @@ def inverse_det_scaling(
     if min(indices) < 1:
         raise ConfigError("grid too coarse for the smallest t in the study")
     res, mats = malliavin_checkpoint_ensemble(
-        ensemble.coeffs, config, ensemble.n_paths, indices, workers=ensemble.workers
+        ensemble.coeffs, config, ensemble.n_paths, indices
     )
     alive = _survivors(res)
     estimates = np.array(
@@ -554,13 +541,7 @@ def kde_density(
 def terminal_samples(ensemble: EnsembleSpec, t: float | None = None) -> np.ndarray:
     """Terminal states of an ensemble run to horizon t (default: config horizon)."""
     config = ensemble.config if t is None else replace(ensemble.config, horizon=t)
-    res = run_ensemble(
-        ensemble.coeffs,
-        config,
-        ensemble.n_paths,
-        RecordSpec(flows=False),
-        workers=ensemble.workers,
-    )
+    res = run_ensemble(ensemble.coeffs, config, ensemble.n_paths, RecordSpec(flows=False))
     return res.final_states[res.alive]
 
 

@@ -5,7 +5,7 @@ Randomness comes from Philox (counter-based) generators keyed by
 holds the base increments, block ``level`` the bridge midpoints used to
 refine a level ``level - 1`` grid.  Every draw is therefore a pure function
 of ``(seed, stream_id, purpose)``: regenerating a grid, refining it, or
-coarsening it back is bit-reproducible regardless of worker scheduling.
+coarsening it back is bit-reproducible, whatever else was drawn before.
 
 The stored object is the path W(t_k); increments are its differences.  A
 bridge refinement copies the coarse path values onto the even fine indices,
@@ -15,7 +15,6 @@ the coarse increments are preserved exactly.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,22 +28,20 @@ __all__ = [
     "stream_increments",
 ]
 
-_LOCAL = threading.local()
+_BITGEN = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+_GEN = np.random.Generator(_BITGEN)
+_STATE = _BITGEN.state
 
 
-def standard_normal_stream(seed: int, stream_id: int, purpose: int, shape) -> np.ndarray:
+def standard_normal_stream(seed: int, stream_id: int, purpose: int, shape=None, out=None):
     """Standard normals from the Philox stream keyed by (seed, stream, purpose).
 
-    One generator per thread is rekeyed in place: constructing a fresh
+    One module-level generator is rekeyed in place: constructing a fresh
     Philox per stream costs an order of magnitude more and produces the
-    same bits.
+    same bits.  With ``out`` (a C-contiguous float64 array) the draws are
+    written into it, the same bits as a fresh array of its shape.
     """
-    gen = getattr(_LOCAL, "gen", None)
-    if gen is None:
-        _LOCAL.bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        _LOCAL.gen = gen = np.random.Generator(_LOCAL.bitgen)
-        _LOCAL.state = _LOCAL.bitgen.state
-    bitgen, state = _LOCAL.bitgen, _LOCAL.state
+    state = _STATE
     inner = state["state"]
     inner["counter"][:] = 0
     inner["counter"][2] = purpose
@@ -53,8 +50,8 @@ def standard_normal_stream(seed: int, stream_id: int, purpose: int, shape) -> np
     state["buffer_pos"] = 4  # mark the output buffer exhausted
     state["has_uint32"] = 0
     state["uinteger"] = 0
-    bitgen.state = state
-    return gen.standard_normal(shape)
+    _BITGEN.state = state
+    return _GEN.standard_normal(shape, out=out)
 
 
 def _stream_path(seed: int, stream_id: int, n: int, m: int, h: float) -> np.ndarray:

@@ -228,7 +228,6 @@ def moment_probe(
     p_values,
     x0_values,
     n_paths: int = 1000,
-    workers: int = 1,
 ) -> MomentProbe:
     """Monte Carlo estimates of E[sup_k |X_k|^p] against 1 + |x0|^p.
 
@@ -244,11 +243,7 @@ def moment_probe(
     diverged = []
     for x0 in x0_values:
         res = run_ensemble(
-            coeffs,
-            replace(config, x0=x0),
-            n_paths,
-            RecordSpec(flows=False, track_sup=True),
-            workers=workers,
+            coeffs, replace(config, x0=x0), n_paths, RecordSpec(flows=False, track_sup=True)
         )
         alive = res.alive
         diverged.append(res.diverged_count)

@@ -31,8 +31,8 @@ counted, never silently dropped, so scheme blow-up is observable data.
 
 Ensembles assign one Philox stream per path keyed by (seed, stream_id) and
 aggregate per-path records in ascending stream order, making every output
-bit independent of block sizes, worker counts, and scheduling.  The
-single-path helpers run the same engine on a batch of one given grid.
+bit independent of the block size.  The single-path helpers run the same
+engine on a batch of one given grid.
 
 A reduction that needs the whole path but only a few numbers per path rides
 along as a per-step accumulator instead of storing paths.  ``RecordSpec``
@@ -45,7 +45,6 @@ array, merged in stream order into ``EnsembleResult.accumulated``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -59,7 +58,7 @@ from ..fieldlang import (
     compile_field,
     compile_jacobian,
 )
-from .brownian import BrownianGrid, stream_increments
+from .brownian import BrownianGrid, standard_normal_stream
 
 __all__ = [
     "SCHEMES",
@@ -270,7 +269,9 @@ def _flow_step(j, k_inv, gb, gs, dwk, h):
     a = h * gb
     for i in range(gs.shape[1]):
         a += gs[:, i] * dwk[:, i, None, None]
-    g = a - h * _mul(gs, gs).sum(axis=1)
+    sq = _mul(gs, gs)
+    # one term: + 0.0 turns -0.0 into 0.0 as the sum over the axis does
+    g = a - h * (sq[:, 0] + 0.0 if sq.shape[1] == 1 else sq.sum(axis=1))
     return j + _mul(a, j), k_inv - _mul(k_inv, g)
 
 
@@ -382,7 +383,8 @@ def _simulate_block(
             bx = cb(x)
             newton_ok = None
             if tamed:
-                taming = 1.0 + h * np.linalg.norm(bx, axis=1, keepdims=True)
+                # np.linalg.norm's own expression, without its Python overhead
+                taming = 1.0 + h * np.sqrt(np.add.reduce(bx * bx, axis=1, keepdims=True))
                 drift_inc = (h * bx) / taming
                 noise_point = x
             elif implicit:
@@ -392,7 +394,12 @@ def _simulate_block(
                 drift_inc = h * bx
                 noise_point = x
             sig_state = csig(noise_point)
-            xn = x + drift_inc + np.einsum("bim,bm->bi", sig_state, dwk)
+            if m == 1:
+                # the einsum's one term, added to zero as the einsum does (-0.0 -> 0.0)
+                noise = sig_state[:, :, 0] * dwk + 0.0
+            else:
+                noise = np.einsum("bim,bm->bi", sig_state, dwk)
+            xn = x + drift_inc + noise
             ok = np.isfinite(xn).all(axis=1)
             if newton_ok is not None:
                 ok &= newton_ok
@@ -410,17 +417,20 @@ def _simulate_block(
                 ok &= np.isfinite(jn).all(axis=(1, 2))
                 ok &= np.isfinite(kn).all(axis=(1, 2))
 
-            newly_dead = alive & ~ok
-            diverged[newly_dead] = k
-            alive &= ok
-            keep1 = alive[:, None]
-            x = np.where(keep1, xn, x)
-            if needs_flows:
-                keep2 = alive[:, None, None]
-                j = np.where(keep2, jn, j)
-                k_inv = np.where(keep2, kn, k_inv)
-                if accumulate_c:
-                    c = np.where(keep2, c_next, c)
+            if ok.all() and alive.all():
+                x, j, k_inv, c = xn, jn, kn, c_next
+            else:
+                newly_dead = alive & ~ok
+                diverged[newly_dead] = k
+                alive &= ok
+                keep1 = alive[:, None]
+                x = np.where(keep1, xn, x)
+                if needs_flows:
+                    keep2 = alive[:, None, None]
+                    j = np.where(keep2, jn, j)
+                    k_inv = np.where(keep2, kn, k_inv)
+                    if accumulate_c:
+                        c = np.where(keep2, c_next, c)
             if sup_abs is not None:
                 sup_abs = np.maximum(sup_abs, np.linalg.norm(x, axis=1))
             if kj_sup is not None:
@@ -454,11 +464,25 @@ def _simulate_block(
     }
 
 
+# Paths per chunk of _block_increments: its (chunk, n + 1, m) buffer is at
+# most about 1 MiB at n = 1024, m = 2, so it adds nothing visible to a block.
+_CHUNK = 64
+
+
 def _block_increments(config: SimConfig, m: int, stream_ids: np.ndarray) -> np.ndarray:
-    n = config.n_steps
+    """The streams' (B, n, m) increments: ``stream_increments``' float
+    operations, with one ``cumsum`` and one subtraction per chunk of paths."""
+    n, scale = config.n_steps, math.sqrt(config.h)
     dw = np.empty((len(stream_ids), n, m))
-    for i, sid in enumerate(stream_ids):
-        dw[i] = stream_increments(config.seed, int(sid), n, m, config.h)
+    buf = np.zeros((min(len(stream_ids), _CHUNK), n + 1, m))  # row 0 stays W(0) = 0
+    for start in range(0, len(stream_ids), _CHUNK):
+        ids = stream_ids[start : start + _CHUNK]
+        path = buf[: len(ids)]
+        for row, sid in zip(path, ids):
+            standard_normal_stream(config.seed, int(sid), 0, out=row[1:])
+        path *= scale  # contiguous, so unbuffered; row 0 stays zero
+        np.cumsum(path[:, 1:], axis=1, out=path[:, 1:])
+        np.subtract(path[:, 1:], path[:, :-1], out=dw[start : start + len(ids)])
     return dw
 
 
@@ -477,13 +501,12 @@ def run_ensemble(
     config: SimConfig,
     n_paths: int,
     record: RecordSpec = RecordSpec(),
-    workers: int = 1,
     block_size: int | None = None,
 ) -> EnsembleResult:
     """Simulate ``n_paths`` independent streams and merge per-path records.
 
-    Blocks are fixed-size slices of the stream range, so the per-path bits
-    never depend on ``workers``; merging happens in ascending stream order.
+    Blocks are fixed-size slices of the stream range, run one after another;
+    merging happens in ascending stream order.
     """
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
@@ -495,15 +518,10 @@ def run_ensemble(
         np.arange(s, min(s + size, n_paths), dtype=np.int64) for s in starts
     ]
 
-    def task(ids):
-        dw = _block_increments(config, coeffs.m, ids)
-        return _simulate_block(coeffs, config, dw, record)
-
-    if workers and workers > 1 and len(id_blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, id_blocks))
-    else:
-        results = [task(ids) for ids in id_blocks]
+    results = [
+        _simulate_block(coeffs, config, _block_increments(config, coeffs.m, ids), record)
+        for ids in id_blocks
+    ]
 
     def cat(key):
         vals = [r[key] for r in results]
@@ -628,7 +646,6 @@ def malliavin_checkpoint_ensemble(
     config: SimConfig,
     n_paths: int,
     indices: Sequence[int],
-    workers: int = 1,
 ) -> tuple[EnsembleResult, dict[int, tuple[np.ndarray, np.ndarray]]]:
     """Per-path C and Q matrices at the requested grid indices.
 
@@ -639,11 +656,5 @@ def malliavin_checkpoint_ensemble(
     for i in idx:
         if not 0 <= i <= config.n_steps:
             raise ConfigError(f"checkpoint index {i} outside the grid")
-    res = run_ensemble(
-        coeffs,
-        config,
-        n_paths,
-        RecordSpec(flows=True, c_checkpoints=idx),
-        workers=workers,
-    )
+    res = run_ensemble(coeffs, config, n_paths, RecordSpec(flows=True, c_checkpoints=idx))
     return res, {i: _covariance_pair(res.c_at[i], res.j_at[i]) for i in idx}

@@ -3,11 +3,13 @@
 Subcommands: check-hormander, simulate, malliavin, tails, remainder-tails,
 det-moments, density, probe-assumptions.  Every run writes its resolved
 configuration and a manifest with content digests next to the outputs; with
-a fixed (config, seed) the output digests do not depend on the worker count.
+a fixed (config, seed) the output digests are fixed too.  ``--workers`` (or
+``HYPO_LAB_WORKERS``) is validated and recorded in the manifest, but runs are
+single-threaded whatever its value.
 
 Exit codes: 0 success, 1 numerical evaluation error, 2 configuration error,
 3 numerical divergence beyond the configured budget, 4 violated internal
-invariant.
+invariant, 5 out of memory (an array too large to allocate).
 """
 from __future__ import annotations
 
@@ -49,12 +51,31 @@ from .manifest import RunManifest, sha256_file, sha256_text
 from .svg import line_chart
 
 _ENV_WORKERS = "HYPO_LAB_WORKERS"
+_EXIT_OUT_OF_MEMORY = 5
 
 
 def _json_dump(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _json_dump_compact(path: str, payload: dict) -> None:
+    """``json.dumps(payload, sort_keys=True)`` and a newline, by the C encoder
+    (``json.dump`` never uses it), top-level lists 64 items at a time so
+    that the whole document is never held in memory."""
+    enc = json.JSONEncoder(sort_keys=True).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{")
+        for i, (key, value) in enumerate(sorted(payload.items())):
+            fh.write((", " if i else "") + enc(key) + ": ")
+            if isinstance(value, list) and value:
+                for start in range(0, len(value), 64):
+                    fh.write(("[" if start == 0 else ", ") + enc(value[start : start + 64])[1:-1])
+                fh.write("]")
+            else:
+                fh.write(enc(value))
+        fh.write("}\n")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -108,7 +129,7 @@ def _grid_spec(a: dict, d: int) -> GridSpec:
 # subcommand handlers: each returns a list of (filename, claim) it wrote
 
 
-def _cmd_check_hormander(cfg: ExperimentConfig, out_dir: str, workers: int):
+def _cmd_check_hormander(cfg: ExperimentConfig, out_dir: str):
     a = cfg.analysis
     coeffs = cfg.coefficient_set()
     d = coeffs.d
@@ -120,7 +141,8 @@ def _cmd_check_hormander(cfg: ExperimentConfig, out_dir: str, workers: int):
         "bracket Gram matrix over a point grid"
     )
     files = []
-    _json_dump(os.path.join(out_dir, "hormander.json"), report.to_json_dict())
+    # one compact line: the report holds a record per grid point
+    _json_dump_compact(os.path.join(out_dir, "hormander.json"), report.to_json_dict())
     files.append(("hormander.json", claim))
 
     header = ",".join(f"x_{i+1}" for i in range(d)) + ",V_L,in_U_L"
@@ -170,11 +192,11 @@ def _trajectory_csv(path, times, states, jacobians, inverses):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out_dir: str, workers: int):
+def _cmd_simulate(cfg: ExperimentConfig, out_dir: str):
     coeffs = cfg.coefficient_set()
     config = cfg.sim_config()
     sim = cfg.simulation
-    res = run_ensemble(coeffs, config, sim["paths"], RecordSpec(flows=True), workers=workers)
+    res = run_ensemble(coeffs, config, sim["paths"], RecordSpec(flows=True))
     fraction = _check_divergence(res.diverged_count, res.n_paths, sim["max_divergence"])
     claim = "pathwise simulation of the state and its first-variation flows"
     files = []
@@ -218,7 +240,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str, workers: int):
     return files
 
 
-def _cmd_malliavin(cfg: ExperimentConfig, out_dir: str, workers: int):
+def _cmd_malliavin(cfg: ExperimentConfig, out_dir: str):
     coeffs = cfg.coefficient_set()
     sim = cfg.simulation
     t = cfg.analysis.get("t", sim["T"])
@@ -226,9 +248,7 @@ def _cmd_malliavin(cfg: ExperimentConfig, out_dir: str, workers: int):
     idx = nearest_index(config, t)
     if idx < 1:
         raise ConfigError("analysis time t rounds to grid index 0")
-    res, mats = malliavin_checkpoint_ensemble(
-        coeffs, config, sim["paths"], [idx], workers=workers
-    )
+    res, mats = malliavin_checkpoint_ensemble(coeffs, config, sim["paths"], [idx])
     fraction = _check_divergence(res.diverged_count, res.n_paths, sim["max_divergence"])
     c_mats, q_mats = mats[idx]
     alive = res.alive
@@ -283,11 +303,9 @@ def _tail_outputs(curve, out_dir: str, stem: str, claim: str):
     return [(f"{stem}.csv", claim), (f"{stem}.json", claim), (f"{stem}.svg", claim)]
 
 
-def _cmd_tails(cfg: ExperimentConfig, out_dir: str, workers: int):
+def _cmd_tails(cfg: ExperimentConfig, out_dir: str):
     a = cfg.analysis
-    spec = EnsembleSpec(
-        cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"], workers=workers
-    )
+    spec = EnsembleSpec(cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"])
     budget = cfg.simulation["max_divergence"]
     curve = _estimate(
         budget, eigenvalue_tails,
@@ -301,11 +319,9 @@ def _cmd_tails(cfg: ExperimentConfig, out_dir: str, workers: int):
     return _tail_outputs(curve, out_dir, "tails", claim)
 
 
-def _cmd_remainder_tails(cfg: ExperimentConfig, out_dir: str, workers: int):
+def _cmd_remainder_tails(cfg: ExperimentConfig, out_dir: str):
     a = cfg.analysis
-    spec = EnsembleSpec(
-        cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"], workers=workers
-    )
+    spec = EnsembleSpec(cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"])
     target = _resolve_field(cfg, a["field"])
     kwargs = {}
     if a.get("t_grid") is not None:
@@ -321,11 +337,9 @@ def _cmd_remainder_tails(cfg: ExperimentConfig, out_dir: str, workers: int):
     return _tail_outputs(curve, out_dir, "remainder_tails", claim)
 
 
-def _cmd_det_moments(cfg: ExperimentConfig, out_dir: str, workers: int):
+def _cmd_det_moments(cfg: ExperimentConfig, out_dir: str):
     a = cfg.analysis
-    spec = EnsembleSpec(
-        cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"], workers=workers
-    )
+    spec = EnsembleSpec(cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"])
     budget = cfg.simulation["max_divergence"]
     estimate = _estimate(budget, inverse_det_moments, a["p"], a["t"], spec)
     _check_divergence(spec.n_paths - estimate.trials, spec.n_paths, budget)
@@ -355,7 +369,7 @@ def _cmd_det_moments(cfg: ExperimentConfig, out_dir: str, workers: int):
     return [("det_moments.json", claim), ("det_moments.csv", claim)] + files
 
 
-def _cmd_density(cfg: ExperimentConfig, out_dir: str, workers: int):
+def _cmd_density(cfg: ExperimentConfig, out_dir: str):
     a = cfg.analysis
     coeffs = cfg.coefficient_set()
     sim = cfg.simulation
@@ -363,7 +377,7 @@ def _cmd_density(cfg: ExperimentConfig, out_dir: str, workers: int):
     spec = _grid_spec(a, d)
     t = a.get("t", sim["T"])
     config = cfg.sim_config(horizon=t)
-    res = run_ensemble(coeffs, config, sim["paths"], RecordSpec(flows=False), workers=workers)
+    res = run_ensemble(coeffs, config, sim["paths"], RecordSpec(flows=False))
     fraction = _check_divergence(res.diverged_count, res.n_paths, sim["max_divergence"])
     samples = res.final_states[res.alive]
     dens = kde_density(samples, spec.points(), bandwidth=a.get("bandwidth"))
@@ -402,7 +416,7 @@ def _cmd_density(cfg: ExperimentConfig, out_dir: str, workers: int):
     return files
 
 
-def _cmd_probe(cfg: ExperimentConfig, out_dir: str, workers: int):
+def _cmd_probe(cfg: ExperimentConfig, out_dir: str):
     a = cfg.analysis
     coeffs = cfg.coefficient_set()
     declared = {}
@@ -432,7 +446,6 @@ def _cmd_probe(cfg: ExperimentConfig, out_dir: str, workers: int):
             a["p_list"],
             x0_list,
             n_paths=a["probe_paths"],
-            workers=workers,
         )
         payload["moments"] = moments.to_json_dict()
     _json_dump(os.path.join(out_dir, "probe.json"), payload)
@@ -471,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help=f"worker threads (default: ${_ENV_WORKERS} or 1)",
+            help=f"recorded in the manifest; no effect on speed (default: ${_ENV_WORKERS} or 1)",
         )
     return parser
 
@@ -506,7 +519,7 @@ def main(argv=None) -> int:
         _write_text(os.path.join(out_dir, "config.resolved.txt"), resolved)
 
         start = time.perf_counter()
-        files = _HANDLERS[args.command](cfg, out_dir, workers)
+        files = _HANDLERS[args.command](cfg, out_dir)
         wall = time.perf_counter() - start
 
         outputs = [
@@ -538,6 +551,9 @@ def main(argv=None) -> int:
     except HypolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return _EXIT_OUT_OF_MEMORY
     return 0
 
 

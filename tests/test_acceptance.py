@@ -148,7 +148,7 @@ def test_criterion_04_malliavin_oracle():
     with _criterion(4, "malliavin-oracle"):
         ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
         cfg = SimConfig(horizon=1.0, n_steps=4096, x0=(1.0,), seed=404)
-        _, mats = malliavin_checkpoint_ensemble(ou, cfg, 10_000, [4096], workers=1)
+        _, mats = malliavin_checkpoint_ensemble(ou, cfg, 10_000, [4096])
         _, q = mats[4096]
         target = (1.0 - np.exp(-2.0)) / 2.0
         assert abs(float(q.mean()) - target) / target <= 0.02
@@ -338,7 +338,7 @@ seed = 1010
         ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
         sim = SimConfig(horizon=1.0, n_steps=1024, x0=(1.0,), seed=1011)
         start = time.perf_counter()
-        res = run_ensemble(ou, sim, 100_000, RecordSpec(flows=True), workers=1)
+        res = run_ensemble(ou, sim, 100_000, RecordSpec(flows=True))
         elapsed = time.perf_counter() - start
         assert res.divergence_fraction == 0.0
         assert elapsed <= 60.0, f"flows ensemble took {elapsed:.1f}s"

@@ -54,9 +54,9 @@ def test_wilson_validates_inputs():
 # eigenvalue tails
 
 
-def _spec(coeffs, x0, n_paths, seed, n_steps=512, horizon=0.5, workers=1):
+def _spec(coeffs, x0, n_paths, seed, n_steps=512, horizon=0.5):
     cfg = SimConfig(horizon=horizon, n_steps=n_steps, x0=x0, seed=seed)
-    return EnsembleSpec(coeffs, cfg, n_paths, workers=workers)
+    return EnsembleSpec(coeffs, cfg, n_paths)
 
 
 def test_elliptic_additive_tail_curve_closed_form():
@@ -243,7 +243,7 @@ def test_inverse_det_bracket_spanned_system_reports():
 
 def test_kde_matches_standard_normal_law():
     c = CoefficientSet.from_text(1, 1, "0", ["1"])
-    spec = _spec(c, (0.0,), 100_000, 14, n_steps=64, horizon=1.0, workers=2)
+    spec = _spec(c, (0.0,), 100_000, 14, n_steps=64, horizon=1.0)
     samples = terminal_samples(spec)
     grid = np.linspace(-4, 4, 81)[:, None]
     dens = kde_density(samples, grid)
@@ -279,7 +279,7 @@ def test_envelope_gaussian_case():
     c = CoefficientSet.from_text(1, 1, "0", ["1"])
     m_x = coefficient_local_bound(c, (1.0,))
     assert m_x == pytest.approx(1.0)
-    spec = _spec(c, (1.0,), 400_000, 16, n_steps=64, horizon=0.04, workers=2)
+    spec = _spec(c, (1.0,), 400_000, 16, n_steps=64, horizon=0.04)
     samples = terminal_samples(spec)
     grid = np.concatenate([np.linspace(0.5, 0.84, 18), np.linspace(1.16, 1.5, 18)])[:, None]
     dens = kde_density(samples, grid)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,8 @@ from hypolab.flows import (
     simulate_flow,
     simulate_x,
 )
-from hypolab.flows.brownian import stream_increments
+from hypolab.flows.brownian import standard_normal_stream, stream_increments
+from hypolab.flows.simulate import _block_increments
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -67,6 +69,39 @@ def test_same_stream_is_bit_identical():
     assert np.array_equal(a.path, b.path)
     c = sample_brownian(cfg, 2, stream_id=6)
     assert not np.array_equal(a.path, c.path)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n_paths", [1, 63, 65, 197])
+def test_block_increments_match_stacked_streams(n_paths, m):
+    # 63 is less than one chunk, 65 and 197 leave a partial last chunk
+    cfg = SimConfig(horizon=0.5, n_steps=32, x0=(0.0,), seed=41)
+    ids = np.arange(3, 3 + n_paths, dtype=np.int64)
+    expected = np.stack([stream_increments(41, int(s), 32, m, cfg.h) for s in ids])
+    assert np.array_equal(_block_increments(cfg, m, ids), expected)
+
+
+def test_block_increments_scratch_is_one_chunk():
+    n, m, n_paths = 1024, 2, 197
+    cfg = SimConfig(horizon=1.0, n_steps=n, x0=(0.0,), seed=43)
+    ids = np.arange(n_paths, dtype=np.int64)
+    _block_increments(cfg, m, ids[:2])  # first-call allocations
+    tracemalloc.start()
+    try:
+        dw = _block_increments(cfg, m, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = 64 * (n + 1) * m * 8
+    # a (B, n + 1, m) path array would add 3.2 MB here, the chunk 1.05 MB;
+    # the slack covers numpy's ufunc buffers for the strided subtraction
+    assert peak - dw.nbytes <= chunk + 256 * 1024
+
+
+def test_normal_stream_into_out_matches_fresh_array():
+    out = np.empty((17, 2))
+    standard_normal_stream(7, 4, 0, out=out)
+    assert np.array_equal(out, standard_normal_stream(7, 4, 0, (17, 2)))
 
 
 def test_bridge_refine_then_coarsen_roundtrip():
@@ -118,7 +153,7 @@ def test_zero_drift_identity_sigma_reproduces_brownian():
 
 def test_ou_terminal_mean_matches_closed_form(ou):
     cfg = SimConfig(horizon=1.0, n_steps=512, x0=(1.0,), seed=11)
-    res = run_ensemble(ou, cfg, 100_000, RecordSpec(flows=False), workers=2)
+    res = run_ensemble(ou, cfg, 100_000, RecordSpec(flows=False))
     mean = res.final_states[:, 0].mean()
     # 3 standard errors plus the O(h) weak bias margin
     se = res.final_states[:, 0].std(ddof=1) / np.sqrt(res.n_paths)
@@ -323,6 +358,20 @@ def test_flow_step_is_bit_identical_on_additive_ou(ou, scheme):
             assert np.array_equal(a, b)
 
 
+def test_scalar_noise_term_keeps_the_einsum_sign_of_zero():
+    # from x0 = -0.0 with sigma(0) = 0 the Euler state is an exact zero whose
+    # sign the noise term decides; with m = 1 it must be the einsum's sign
+    c = CoefficientSet.from_text(1, 1, "x1", ["x1"])
+    cfg = SimConfig(horizon=1.0, n_steps=16, x0=(-0.0,), scheme="euler", seed=1)
+    res = run_ensemble(c, cfg, 8, RecordSpec(flows=False, store_states=True))
+    dw = np.stack([stream_increments(1, i, 16, 1, cfg.h) for i in range(8)])
+    x = np.full((8, 1), -0.0)
+    for k in range(17):
+        assert np.array_equal(np.signbit(res.states[:, k]), np.signbit(x))
+        if k < 16:
+            x = x + cfg.h * x + np.einsum("bim,bm->bi", x[:, :, None], dw[:, k])
+
+
 # ---------------------------------------------------------------------------
 # malliavin quantities
 
@@ -374,7 +423,7 @@ def test_additive_identity_covariance_is_time(elliptic2):
 
 def test_ou_covariance_ensemble_close_to_closed_form(ou):
     cfg = SimConfig(horizon=1.0, n_steps=4096, x0=(1.0,), seed=67)
-    _, mats = malliavin_checkpoint_ensemble(ou, cfg, 64, [4096], workers=2)
+    _, mats = malliavin_checkpoint_ensemble(ou, cfg, 64, [4096])
     _, q = mats[4096]
     target = (1 - np.exp(-2)) / 2
     assert abs(q.mean() - target) / target <= 0.02
@@ -410,15 +459,32 @@ def test_determinant_inequality_after_time_one():
 # ensembles and determinism
 
 
-def test_worker_counts_do_not_change_bits(ou):
-    cfg = SimConfig(horizon=1.0, n_steps=256, x0=(1.0,), seed=79)
-    spec = RecordSpec(flows=True, c_checkpoints=(128, 256), track_sup=True)
-    r1 = run_ensemble(ou, cfg, 3000, spec, workers=1, block_size=512)
-    r8 = run_ensemble(ou, cfg, 3000, spec, workers=8, block_size=512)
-    assert np.array_equal(r1.final_states, r8.final_states)
-    assert np.array_equal(r1.sup_abs, r8.sup_abs)
-    for k in r1.c_at:
-        assert np.array_equal(r1.c_at[k], r8.c_at[k])
+@pytest.mark.parametrize(
+    "drift,sigma,x0,n_steps,seed",
+    [
+        # 8 of 50 paths are lost, at steps 7 to 49, when X overflows
+        ("x1 - x1^3", "20", 10.5, 64, 7),
+        # X stays 0 while J overflows at steps 220 to 227; the frozen J of a
+        # lost path would often stay finite on the next step
+        ("4000*x1", "100*x1", 0.0, 256, 1),
+    ],
+    ids=["state-overflow", "flow-overflow"],
+)
+def test_path_loss_inside_a_block_does_not_change_bits(drift, sigma, x0, n_steps, seed):
+    # one block leaves its all-alive step for the masked one mid-run; a block
+    # of one path does so only when that path is lost
+    c = CoefficientSet.from_text(1, 1, drift, [sigma])
+    cfg = SimConfig(horizon=1.0, n_steps=n_steps, x0=(x0,), scheme="euler", seed=seed)
+    spec = RecordSpec(flows=True, c_checkpoints=(4, n_steps // 2))
+    whole = run_ensemble(c, cfg, 50, spec)
+    single = run_ensemble(c, cfg, 50, spec, block_size=1)
+    lost = whole.diverged_step[~whole.alive]
+    assert len(lost) and lost.min() > 4
+    assert np.array_equal(whole.diverged_step, single.diverged_step)
+    assert np.array_equal(whole.final_states, single.final_states)
+    assert np.array_equal(whole.final_jacobians, single.final_jacobians)
+    for k in spec.c_checkpoints:
+        assert np.array_equal(whole.c_at[k], single.c_at[k])
 
 
 def test_block_size_does_not_change_bits(ou):

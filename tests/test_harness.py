@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypolab.errors import ConfigError
-from hypolab.harness.cli import main
+from hypolab.harness.cli import _json_dump_compact, main
 from hypolab.harness.config import parse_config_text, resolved_text
 from hypolab.harness.manifest import sha256_file
 
@@ -181,6 +181,18 @@ seed = 3
 """
 
 
+def test_cli_unallocatable_grid_exits_5(tmp_path, capsys):
+    # 32 paths x 2^40 steps of increments is 256 TiB, beyond any address
+    # space, so numpy refuses the block at once and nothing is allocated
+    text = OU_MODEL + SIM.replace("n_steps = 256", "n_steps = 1099511627776").replace(
+        "paths = 400", "paths = 32"
+    )
+    code = main(["simulate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
 def test_cli_divergence_budget_exit_3(tmp_path, capsys):
     text = DOUBLE_WELL_EULER + "max_divergence = 0.0\ndump_paths = 0\n"
     cfg = _write(tmp_path, text)
@@ -306,6 +318,22 @@ def test_cli_check_hormander_heisenberg(tmp_path):
     csv_lines = (tmp_path / "h" / "hormander.csv").read_text().splitlines()
     assert csv_lines[0] == "x_1,x_2,V_L,in_U_L"
     assert len(csv_lines) == 1 + 441
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        {"a": [], "b": {"k": [1, 2]}},
+        {"points": [{"x": [0.1, -0.0], "ok": True}] * 64, "s": None},
+        {"z": list(range(129)), "a": [[1.5, float("nan")], "\u00e9"]},
+    ],
+)
+def test_compact_json_writer_matches_json_dumps(tmp_path, payload):
+    # lists of 64 and 129 items cross the writer's 64-item slices
+    _json_dump_compact(str(tmp_path / "p.json"), payload)
+    text = (tmp_path / "p.json").read_text(encoding="utf-8")
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def test_cli_tails_outputs(tmp_path):
@@ -492,7 +520,7 @@ PINNED_DIGESTS = {
     ("check-hormander", "heisenberg_hormander"): {
         "config.resolved.txt": "1f67b462bb0620e9b8d3da126771136210dbc79405b48a579d28c9aa9f0d7ccd",
         "hormander.csv": "f71a027b90819c1f3b57e7a503d84dbef00113697c01d8df52bd80d74467d09e",
-        "hormander.json": "b4b7c3141a908ae5c6014758ba2a9d5181049112e449caf0ba7925e73b45851c",
+        "hormander.json": "4cca26a2caec7a97f08ac28d4e003047d0a96ae43a3da9c6f59c3c07a92bed1c",
         "hormander_axis1.svg": "cac6370a3cda2776842a567a3ee310c4c272c641f00c3f18428c7bf99ec2a9ed",
         "hormander_axis2.svg": "e6a713bbcbe2991d71a6ad19155dc0248d8968fcbc6ae17a20b4b2f848f8e96b",
     },
