@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: numerical evaluation errors exit with 1,
-configuration problems with 2, numerical divergence beyond the configured
-budget with 3, violated internal invariants with 4; the CLI maps a
-MemoryError (an array too large to allocate) to 5.
+Exit-code mapping used by the CLI: numerical evaluation errors and numpy's
+LinAlgError exit with 1, configuration problems with 2, numerical divergence
+beyond the configured budget with 3, violated internal invariants with 4;
+the CLI maps a MemoryError (an array too large to allocate) to 5.
 """
 
 

@@ -392,8 +392,8 @@ def node_count(expr: Expression) -> int:
 
 # ---------------------------------------------------------------------------
 # numpy source text.  ``_np_source(expr)`` reads an array ``X`` of shape
-# (..., d); ``fields.compile_expression_stack`` assembles these texts into one
-# generated function per coefficient stack.
+# (..., d), or (d, ...) with ``var="X[{}]"``; ``fields.compile_expression_stack``
+# assembles these texts into one generated function per coefficient stack.
 
 _NP_UNARY = {"neg": "(-{a})", "sin": "np.sin({a})", "cos": "np.cos({a})",
              "exp": "np.exp({a})", "tanh": "np.tanh({a})"}
@@ -401,16 +401,16 @@ _NP_BINARY = {"add": "({a} + {b})", "sub": "({a} - {b})",
               "mul": "({a} * {b})", "div": "({a} / {b})"}
 
 
-def _np_source(expr: Expression) -> str:
+def _np_source(expr: Expression, var: str = "X[..., {}]") -> str:
     if isinstance(expr, Const):
         # parenthesised so negative literals survive the ** precedence
         return f"({expr.value!r})"
     if isinstance(expr, Var):
-        return f"X[..., {expr.index - 1}]"
+        return var.format(expr.index - 1)
     if isinstance(expr, Unary):
-        return _NP_UNARY[expr.op].format(a=_np_source(expr.arg))
+        return _NP_UNARY[expr.op].format(a=_np_source(expr.arg, var))
     if isinstance(expr, Binary):
-        return _NP_BINARY[expr.op].format(a=_np_source(expr.lhs), b=_np_source(expr.rhs))
+        return _NP_BINARY[expr.op].format(a=_np_source(expr.lhs, var), b=_np_source(expr.rhs, var))
     if isinstance(expr, Power):
-        return f"({_np_source(expr.base)} ** {expr.exponent})"
+        return f"({_np_source(expr.base, var)} ** {expr.exponent})"
     raise TypeError(f"not an expression node: {expr!r}")

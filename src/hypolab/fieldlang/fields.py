@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from .ast import Expression, _np_source, differentiate, evaluate, simplify, to_text
+from .ast import Const, Expression, _np_source, differentiate, evaluate, simplify, to_text
 from .parser import parse_expression
 
 __all__ = [
@@ -82,6 +82,11 @@ class CoefficientSet:
         cols = tuple(VectorField.from_text(s, d) for s in sigma_columns)
         return cls(d, m, VectorField.from_text(drift, d), cols)
 
+    @property
+    def additive(self) -> bool:
+        """True when every diffusion-Jacobian entry is the constant 0."""
+        return all(e == Const(0.0) for col in self.diffusion for row in jacobian(col) for e in row)
+
     def sigma_at(self, point: Sequence[float]) -> np.ndarray:
         """Diffusion matrix (d, m) at a point."""
         return np.column_stack([col.evaluate(point) for col in self.diffusion])
@@ -102,51 +107,54 @@ def jacobian(field: VectorField) -> tuple[tuple[Expression, ...], ...]:
 # ---------------------------------------------------------------------------
 # Vectorised compilation.  Every compiler returns a function that accepts X
 # with shape (..., d) and returns float64 values with the documented trailing
-# shape.  Non-finite values are not raised here: simulation code masks and
-# counts them instead.
+# shape (with ``component_major``: X (d, ...), that shape leading).  Non-finite
+# values are not raised here: simulation code masks and counts them instead.
 
 
 @lru_cache(maxsize=1024)
 def compile_expression_stack(
-    exprs: tuple[Expression, ...], shape: tuple[int, ...]
-) -> Callable[[np.ndarray], np.ndarray]:
+    exprs: tuple[Expression, ...], shape: tuple[int, ...], component_major: bool = False
+) -> Callable:
     """Compile a flat tuple of k expressions into one generated function
-    X (..., d) -> (..., *shape).
+    X (..., d) -> (..., *shape), or X (d, ...) -> (*shape, ...).
 
     The function reads X once as float64, assigns expression i to
-    ``out[..., i]`` of one (..., k) array (a constant broadcasts), and
-    reshapes to ``shape``.  This is the only cache of compiled field code.
+    ``out[..., i]`` of one (..., k) array (``out[i]`` of a (k, ...) one from
+    rows ``X[i]`` when component-major; a constant broadcasts), and reshapes
+    to ``shape``.  This is the only cache of compiled field code.
     """
-    lines = [
-        "def stack(X):",
-        "    X = np.asarray(X, dtype=np.float64)",
-        f"    out = np.empty(X.shape[:-1] + ({len(exprs)},))",
-    ]
-    lines += [f"    out[..., {i}] = {_np_source(e)}" for i, e in enumerate(exprs)]
-    lines.append(f"    return out.reshape(X.shape[:-1] + {shape!r})")
+    k = len(exprs)
+    if component_major:
+        var, alloc, result = "X[{}]", f"({k},) + X.shape[1:]", f"{shape!r} + X.shape[1:]"
+    else:
+        var, alloc, result = "X[..., {}]", f"X.shape[:-1] + ({k},)", f"X.shape[:-1] + {shape!r}"
+    lines = ["def stack(X):", "    X = np.asarray(X, np.float64)", f"    out = np.empty({alloc})"]
+    slot = var.replace("X", "out")
+    lines += [f"    {slot.format(i)} = {_np_source(e, var)}" for i, e in enumerate(exprs)]
+    lines.append(f"    return out.reshape({result})")
     namespace = {"np": np}
     exec(compile("\n".join(lines), "<fieldlang>", "exec"), namespace)
     return namespace["stack"]
 
 
-def compile_field(field: VectorField) -> Callable[[np.ndarray], np.ndarray]:
+def compile_field(field: VectorField, component_major: bool = False) -> Callable:
     """X (..., d) -> field values (..., d)."""
-    return compile_expression_stack(field.components, (field.dim,))
+    return compile_expression_stack(field.components, (field.dim,), component_major)
 
 
-def compile_jacobian(field: VectorField) -> Callable[[np.ndarray], np.ndarray]:
+def compile_jacobian(field: VectorField, component_major: bool = False) -> Callable:
     """X (..., d) -> Jacobian values (..., d, d), row j col i = d f_j / d x_i."""
     flat = tuple(entry for row in jacobian(field) for entry in row)
-    return compile_expression_stack(flat, (field.dim, field.dim))
+    return compile_expression_stack(flat, (field.dim, field.dim), component_major)
 
 
-def compile_diffusion(coeffs: CoefficientSet) -> Callable[[np.ndarray], np.ndarray]:
+def compile_diffusion(coeffs: CoefficientSet, component_major: bool = False) -> Callable:
     """X (..., d) -> diffusion matrix (..., d, m)."""
     exprs = tuple(col.components[i] for i in range(coeffs.d) for col in coeffs.diffusion)
-    return compile_expression_stack(exprs, (coeffs.d, coeffs.m))
+    return compile_expression_stack(exprs, (coeffs.d, coeffs.m), component_major)
 
 
-def compile_diffusion_jacobians(coeffs: CoefficientSet) -> Callable[[np.ndarray], np.ndarray]:
+def compile_diffusion_jacobians(coeffs: CoefficientSet, component_major: bool = False) -> Callable:
     """X (..., d) -> stacked diffusion-column Jacobians (..., m, d, d)."""
     exprs = tuple(e for col in coeffs.diffusion for row in jacobian(col) for e in row)
-    return compile_expression_stack(exprs, (coeffs.m, coeffs.d, coeffs.d))
+    return compile_expression_stack(exprs, (coeffs.m, coeffs.d, coeffs.d), component_major)

@@ -159,7 +159,8 @@ def chaos_remainder_ensemble(
     """
     m = table.m
     vals = compile_field(target)(states)
-    pullback = np.einsum("btij,btj->bti", inverses, vals)
+    # the streamed route's broadcast sum over j, for the same bits
+    pullback = (inverses * vals[..., None, :]).sum(axis=-1)
     truncation = np.zeros_like(pullback)
     x0 = states[0, 0]
     for alpha, coeff in expansion_coefficients(L, target, table, x0):
@@ -193,7 +194,7 @@ class RemainderEnergy:
         ]
         prefixes = {e[:r] for e, _ in self.terms for r in range(1, len(e) + 1)}
         self.prefixes = sorted(prefixes, key=lambda e: (len(e), e))
-        self.field = compile_field(target)
+        self.field = compile_field(target, component_major=True)
         self.h = h
         self.columns = {idx: col for col, idx in enumerate(read)}
 
@@ -213,13 +214,14 @@ class _EnergyBlock:
         self.out = np.zeros((B, len(spec.columns)))
 
     def step(self, k, x, k_inv, dw) -> None:
+        """x (d, B), k_inv (d, d, B) and dw (m, B) or None, component-major."""
         spec, ints = self.spec, self.integrals
-        pullback = np.einsum("bij,bj->bi", k_inv, spec.field(x))
+        pullback = (k_inv * spec.field(x)).sum(axis=1)
         truncation = np.zeros_like(pullback)
         for e, coeff in spec.terms:
-            truncation += ints[e][:, None] * coeff[None, :]
+            truncation += coeff[:, None] * ints[e]
         rem = pullback - truncation
-        energy = np.sum(rem * rem, axis=1)
+        energy = np.sum(rem * rem, axis=0)
         if self.prev is not None:
             self.cum = self.cum + 0.5 * (self.prev + energy) * spec.h
         self.prev = energy
@@ -228,7 +230,7 @@ class _EnergyBlock:
         if dw is not None:
             new = {(): ints[()]}
             for e in spec.prefixes:
-                w = spec.h if e[-1] == 0 else dw[:, e[-1] - 1]
+                w = spec.h if e[-1] == 0 else dw[e[-1] - 1]
                 new[e] = ints[e] + 0.5 * (ints[e[:-1]] + new[e[:-1]]) * w
             self.integrals = new
 

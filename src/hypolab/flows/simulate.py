@@ -14,12 +14,16 @@ with one generator matrix per step and path,
 
 The matrix-squared correction in G is the unique reading under which the
 Ito product rule gives d(KJ) = 0, and the K J = I identity is enforced as a
-test surface rather than a runtime assertion.  The Malliavin covariance is
+test surface rather than a runtime assertion.  With additive noise (every
+grad sigma_i the constant 0) G = A = h grad_b.  The Malliavin covariance is
 accumulated by left-endpoint quadrature, C_{k+1} = C_k + h S_k S_k^T with
-S_k = K_k sigma(X_k).  All of these are batched matrix products.  Where the
-summed axis has length 1 (d = 1, or m = 1 in S S^T) they are elementwise
-products, which numpy runs faster than a stacked ``@`` and which give the
-same bits.
+S_k = K_k sigma(X_k).
+
+A block's state is component-major, paths last: X (d, B); J, K, C (d, d, B).
+Each product above is one broadcast sum over such stacks, elementwise where
+the summed axis has length 1 (d = 1, or m = 1 in S S^T), which keeps the
+scalar bits.  Each step copies its (m, B) increments out of the block's
+(B, n, m) array; outputs are transposed back to (B, ...) as they are stored.
 
 State schemes: ``tamed-euler`` divides the drift increment by 1 + h|b| so
 superlinear monotone drifts cannot blow the explicit step up;
@@ -37,10 +41,11 @@ engine on a batch of one given grid.
 A reduction that needs the whole path but only a few numbers per path rides
 along as a per-step accumulator instead of storing paths.  ``RecordSpec``
 carries a factory ``B -> acc``; each block builds its own accumulator and
-calls ``acc.step(k, x, k_inv, dw_k)`` at k = 0..n with the state and inverse
-flow the engine would store at index k (frozen rows for lost paths) and the
-increment that leaves it (``None`` at n).  ``acc.result()`` is a per-path
-array, merged in stream order into ``EnsembleResult.accumulated``.
+calls ``acc.step(k, x, k_inv, dw_k)`` at k = 0..n with the component-major
+state x (d, B) and inverse flow k_inv (d, d, B) the engine would store at
+index k (frozen columns for lost paths) and the (m, B) increment rows that
+leave it (``None`` at n).  ``acc.result()`` is a per-path array, merged in
+stream order into ``EnsembleResult.accumulated``.
 """
 from __future__ import annotations
 
@@ -251,28 +256,35 @@ class EnsembleResult:
 
 
 def _compiled_bundle(coeffs: CoefficientSet, needs_flows: bool):
-    cb = compile_field(coeffs.drift)
-    csig = compile_diffusion(coeffs)
-    # drift jacobian is also needed by the implicit scheme's Newton solve
-    cgb = compile_jacobian(coeffs.drift)
-    cgs = compile_diffusion_jacobians(coeffs) if needs_flows else None
+    """Component-major b, sigma, grad b and stacked grad sigma_i; the last is
+    None without flows or for additive noise, whose grad sigma_i are all 0."""
+    cb = compile_field(coeffs.drift, component_major=True)
+    csig = compile_diffusion(coeffs, component_major=True)
+    cgb = compile_jacobian(coeffs.drift, component_major=True)
+    needs_gs = needs_flows and not coeffs.additive
+    cgs = compile_diffusion_jacobians(coeffs, component_major=True) if needs_gs else None
     return cb, csig, cgb, cgs
 
 
-def _mul(a, b):
-    """Batched matrix product a @ b; elementwise when the summed axis has length 1."""
-    return a * b if a.shape[-1] == 1 else a @ b
+def _bmm(a, b):
+    """Matrix products of (..., p, q, B) and (..., q, r, B) stacks whose last
+    axis runs over paths: one broadcast sum over q, elementwise when q = 1."""
+    if a.shape[-2] == 1:
+        return a * b
+    return (a[..., None, :] * b[..., None, :, :, :]).sum(axis=-3)
 
 
 def _flow_step(j, k_inv, gb, gs, dwk, h):
-    """One Euler step of the J and K matrix SDEs through the generators A, G."""
-    a = h * gb
-    for i in range(gs.shape[1]):
-        a += gs[:, i] * dwk[:, i, None, None]
-    sq = _mul(gs, gs)
-    # one term: + 0.0 turns -0.0 into 0.0 as the sum over the axis does
-    g = a - h * (sq[:, 0] + 0.0 if sq.shape[1] == 1 else sq.sum(axis=1))
-    return j + _mul(a, j), k_inv - _mul(k_inv, g)
+    """One Euler step of the J and K matrix SDEs through the generators A, G
+    on (d, d, B) stacks; ``gs`` is None for additive noise, where G = A."""
+    a = g = h * gb
+    if gs is not None:
+        for i in range(gs.shape[0]):
+            a += gs[i] * dwk[i]
+        sq = _bmm(gs, gs)
+        # one term: + 0.0 turns -0.0 into 0.0 as the sum over the axis does
+        g = a - h * (sq[0] + 0.0 if sq.shape[0] == 1 else sq.sum(axis=0))
+    return j + _bmm(a, j), k_inv - _bmm(k_inv, g)
 
 
 def _implicit_state(cb, cgb, x, h):
@@ -341,54 +353,54 @@ def _simulate_block(
     cb, csig, cgb, cgs = _compiled_bundle(coeffs, needs_flows)
     tamed = config.scheme == "tamed-euler"
     implicit = config.scheme == "split-step-backward-euler"
+    # Newton runs on (B, d) rows, with the row-major field functions
+    newton = (compile_field(coeffs.drift), compile_jacobian(coeffs.drift)) if implicit else None
 
-    x = np.tile(np.asarray(config.x0), (B, 1))
+    x = np.tile(np.asarray(config.x0)[:, None], (1, B))
     alive = np.ones(B, dtype=bool)
     diverged = np.full(B, -1, dtype=np.int64)
-    eye = np.eye(d)
-    j = k_inv = None
-    if needs_flows:
-        j = np.tile(eye, (B, 1, 1))
-        k_inv = np.tile(eye, (B, 1, 1))
+    eye = np.eye(d)[:, :, None]
+    j = np.tile(eye, (1, 1, B)) if needs_flows else None
+    k_inv = None if j is None else j.copy()
     cpset = set(record.c_checkpoints)
     accumulate_c = bool(cpset)
-    c = np.zeros((B, d, d)) if accumulate_c else None
+    c = np.zeros((d, d, B)) if accumulate_c else None
     c_snapshots: dict[int, np.ndarray] = {}
     j_snapshots: dict[int, np.ndarray] = {}
-    sup_abs = np.linalg.norm(x, axis=1) if record.track_sup else None
+    sup_abs = np.sqrt(np.add.reduce(x * x, axis=0)) if record.track_sup else None
     kj_sup = np.zeros(B) if record.track_flow_identity else None
     states = np.empty((B, n + 1, d)) if record.store_states else None
     jacobians = np.empty((B, n + 1, d, d)) if record.store_jacobians else None
     inverses = np.empty((B, n + 1, d, d)) if record.store_inverses else None
     acc = record.accumulator(B) if record.accumulator is not None else None
 
-    def snapshot(idx):
-        c_snapshots[idx] = c.copy()
-        j_snapshots[idx] = j.copy()
+    def store(k):
+        if accumulate_c and k in cpset:
+            c_snapshots[k] = np.moveaxis(c, -1, 0).copy()
+            j_snapshots[k] = np.moveaxis(j, -1, 0).copy()
+        if states is not None:
+            states[:, k] = x.T
+        if jacobians is not None:
+            jacobians[:, k] = np.moveaxis(j, -1, 0)
+        if inverses is not None:
+            inverses[:, k] = np.moveaxis(k_inv, -1, 0)
 
     with np.errstate(all="ignore"):
         for k in range(n):
-            if accumulate_c and k in cpset:
-                snapshot(k)
-            if states is not None:
-                states[:, k] = x
-            if jacobians is not None:
-                jacobians[:, k] = j
-            if inverses is not None:
-                inverses[:, k] = k_inv
-
-            dwk = dw[:, k, :]
+            store(k)
+            dwk = np.ascontiguousarray(dw[:, k, :].T)  # (m, B)
             if acc is not None:
                 acc.step(k, x, k_inv, dwk)
             bx = cb(x)
             newton_ok = None
             if tamed:
                 # np.linalg.norm's own expression, without its Python overhead
-                taming = 1.0 + h * np.sqrt(np.add.reduce(bx * bx, axis=1, keepdims=True))
+                taming = 1.0 + h * np.sqrt(np.add.reduce(bx * bx, axis=0))
                 drift_inc = (h * bx) / taming
                 noise_point = x
             elif implicit:
-                noise_point, newton_ok = _implicit_state(cb, cgb, x, h)
+                z, newton_ok = _implicit_state(*newton, x.T, h)
+                noise_point = z.T
                 drift_inc = noise_point - x
             else:
                 drift_inc = h * bx
@@ -396,63 +408,50 @@ def _simulate_block(
             sig_state = csig(noise_point)
             if m == 1:
                 # the einsum's one term, added to zero as the einsum does (-0.0 -> 0.0)
-                noise = sig_state[:, :, 0] * dwk + 0.0
+                noise = sig_state[:, 0] * dwk[0] + 0.0
             else:
-                noise = np.einsum("bim,bm->bi", sig_state, dwk)
+                noise = (sig_state * dwk).sum(axis=1)
             xn = x + drift_inc + noise
-            ok = np.isfinite(xn).all(axis=1)
+            ok = np.isfinite(xn).all(axis=0)
             if newton_ok is not None:
                 ok &= newton_ok
 
             c_next = jn = kn = None
             if needs_flows:
-                gb = cgb(x)
-                gs = cgs(x)
                 if accumulate_c:
-                    sig_left = sig_state if not implicit else csig(x)
-                    ks = _mul(k_inv, sig_left)
-                    c_next = c + h * _mul(ks, np.swapaxes(ks, 1, 2))
-                    ok &= np.isfinite(c_next).all(axis=(1, 2))
-                jn, kn = _flow_step(j, k_inv, gb, gs, dwk, h)
-                ok &= np.isfinite(jn).all(axis=(1, 2))
-                ok &= np.isfinite(kn).all(axis=(1, 2))
+                    ks = _bmm(k_inv, sig_state if not implicit else csig(x))
+                    c_next = c + h * _bmm(ks, ks.transpose(1, 0, 2))
+                    ok &= np.isfinite(c_next).all(axis=(0, 1))
+                jn, kn = _flow_step(j, k_inv, cgb(x), None if cgs is None else cgs(x), dwk, h)
+                ok &= np.isfinite(jn).all(axis=(0, 1))
+                ok &= np.isfinite(kn).all(axis=(0, 1))
 
             if ok.all() and alive.all():
                 x, j, k_inv, c = xn, jn, kn, c_next
             else:
-                newly_dead = alive & ~ok
-                diverged[newly_dead] = k
+                diverged[alive & ~ok] = k
                 alive &= ok
-                keep1 = alive[:, None]
-                x = np.where(keep1, xn, x)
+                x = np.where(alive, xn, x)
                 if needs_flows:
-                    keep2 = alive[:, None, None]
-                    j = np.where(keep2, jn, j)
-                    k_inv = np.where(keep2, kn, k_inv)
+                    j = np.where(alive, jn, j)
+                    k_inv = np.where(alive, kn, k_inv)
                     if accumulate_c:
-                        c = np.where(keep2, c_next, c)
+                        c = np.where(alive, c_next, c)
             if sup_abs is not None:
-                sup_abs = np.maximum(sup_abs, np.linalg.norm(x, axis=1))
+                sup_abs = np.maximum(sup_abs, np.sqrt(np.add.reduce(x * x, axis=0)))
             if kj_sup is not None:
-                defect = np.einsum("bij,bjk->bik", k_inv, j) - eye
-                val = np.linalg.norm(defect, axis=(1, 2))
+                defect = _bmm(k_inv, j) - eye
+                val = np.sqrt(np.add.reduce(defect * defect, axis=(0, 1)))
                 kj_sup = np.where(alive, np.maximum(kj_sup, val), kj_sup)
 
-        if accumulate_c and n in cpset:
-            snapshot(n)
-        if states is not None:
-            states[:, n] = x
-        if jacobians is not None:
-            jacobians[:, n] = j
-        if inverses is not None:
-            inverses[:, n] = k_inv
+        store(n)
         if acc is not None:
             acc.step(n, x, k_inv, None)
 
     return {
-        "final_states": x,
+        "final_states": x.T.copy(),
         "diverged_step": diverged,
-        "final_jacobians": j,
+        "final_jacobians": None if j is None else np.moveaxis(j, -1, 0).copy(),
         "sup_abs": sup_abs,
         "flow_identity_sup": kj_sup,
         "c_at": c_snapshots,
@@ -491,7 +490,6 @@ def _default_block_size(config: SimConfig, coeffs: CoefficientSet, record: Recor
     per_path = n * m  # increments
     per_path += (n + 1) * d if record.store_states else 0
     per_path += 2 * (n + 1) * d * d if (record.store_jacobians or record.store_inverses) else 0
-    per_path = max(per_path, 1)
     budget = 64 * 1024 * 1024 // 8  # floats per block
     return max(32, min(budget // per_path, 16384))
 
@@ -523,28 +521,15 @@ def run_ensemble(
         for ids in id_blocks
     ]
 
-    def cat(key):
-        vals = [r[key] for r in results]
-        if vals[0] is None:
-            return None
-        return np.concatenate(vals, axis=0)
+    def cat(arrays):
+        return None if arrays[0] is None else np.concatenate(arrays)
 
-    merged = EnsembleResult(
-        config=config,
-        stream_ids=np.concatenate(id_blocks),
-        final_states=cat("final_states"),
-        diverged_step=cat("diverged_step"),
-        final_jacobians=cat("final_jacobians"),
-        sup_abs=cat("sup_abs"),
-        flow_identity_sup=cat("flow_identity_sup"),
-        states=cat("states"),
-        jacobians=cat("jacobians"),
-        inverses=cat("inverses"),
-        accumulated=cat("accumulated"),
-    )
+    keys = [key for key in results[0] if key not in ("c_at", "j_at")]
+    per_path = {key: cat([r[key] for r in results]) for key in keys}
+    merged = EnsembleResult(config, np.concatenate(id_blocks), **per_path)
     for idx in record.c_checkpoints:
-        merged.c_at[idx] = np.concatenate([r["c_at"][idx] for r in results], axis=0)
-        merged.j_at[idx] = np.concatenate([r["j_at"][idx] for r in results], axis=0)
+        merged.c_at[idx] = cat([r["c_at"][idx] for r in results])
+        merged.j_at[idx] = cat([r["j_at"][idx] for r in results])
     return merged
 
 

@@ -7,9 +7,9 @@ a fixed (config, seed) the output digests are fixed too.  ``--workers`` (or
 ``HYPO_LAB_WORKERS``) is validated and recorded in the manifest, but runs are
 single-threaded whatever its value.
 
-Exit codes: 0 success, 1 numerical evaluation error, 2 configuration error,
-3 numerical divergence beyond the configured budget, 4 violated internal
-invariant, 5 out of memory (an array too large to allocate).
+Exit codes: 0 success, 1 numerical evaluation or linear-algebra error, 2
+configuration error, 3 numerical divergence beyond the configured budget, 4
+violated internal invariant, 5 out of memory (an array too large to allocate).
 """
 from __future__ import annotations
 
@@ -554,6 +554,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return _EXIT_OUT_OF_MEMORY
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failed: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -370,6 +370,36 @@ def test_compiled_stack_layouts_match_tree_walk(model):
         np.testing.assert_allclose(single, expected[0], rtol=1e-12, atol=1e-12)
 
 
+_COMPONENT_MAJOR_MODELS = {
+    "heis": (3, 2, "-x1 - x1^3, -x2 - x2^3, -x3", ["1, 0, -0.5*x2", "0, 1, 0.5*x1"]),
+    "transcendental": (
+        2,
+        2,
+        "sin(x1) - x1^3, exp(-x2) * tanh(x1)",
+        ["1 + 0.5*tanh(x2), exp(x1) / 3", "cos(x1*x2), 2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_COMPONENT_MAJOR_MODELS))
+def test_component_major_stacks_match_row_major(model):
+    d, m, drift, sigma = _COMPONENT_MAJOR_MODELS[model]
+    coeffs = CoefficientSet.from_text(d, m, drift, sigma)
+    pts = np.random.default_rng(23).uniform(-2.0, 2.0, size=(257, d))
+    rows = pts.T.copy()  # (d, B), each component one contiguous row
+    for compile_stack, arg in (
+        (compile_field, coeffs.drift),
+        (compile_jacobian, coeffs.drift),
+        (compile_diffusion, coeffs),
+        (compile_diffusion_jacobians, coeffs),
+    ):
+        row_major = compile_stack(arg)(pts)  # (B, *shape)
+        got = compile_stack(arg, component_major=True)(rows)  # (*shape, B)
+        assert np.array_equal(got, np.moveaxis(row_major, 0, -1)), compile_stack.__name__
+        single = compile_stack(arg, component_major=True)(pts[0])
+        assert np.array_equal(single, row_major[0]), compile_stack.__name__
+
+
 def test_constants_compare_with_their_sign_of_zero():
     assert Const(0.0) != Const(-0.0)
     assert Const(-0.0) == Const(-0.0) and Const(2) == Const(2.0)

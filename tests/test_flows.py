@@ -25,7 +25,7 @@ from hypolab.flows import (
     simulate_x,
 )
 from hypolab.flows.brownian import standard_normal_stream, stream_increments
-from hypolab.flows.simulate import _block_increments
+from hypolab.flows.simulate import _block_increments, _compiled_bundle
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -356,6 +356,36 @@ def test_flow_step_is_bit_identical_on_additive_ou(ou, scheme):
     for idx, mats in ref.items():
         for a, b in zip(got[idx], mats):
             assert np.array_equal(a, b)
+
+
+_HEIS = ("-x1 - x1^3, -x2 - x2^3, -x3", ["1, 0, -0.5*x2", "0, 1, 0.5*x1"])
+
+
+def test_additive_noise_skips_the_diffusion_jacobians(ou):
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    assert ou.additive and not heis.additive
+    assert _compiled_bundle(ou, True)[3] is None
+    assert _compiled_bundle(heis, True)[3] is not None
+
+
+def test_block_memory_is_the_increments_and_the_state():
+    # a heis tails-shaped block: flows and C at the tails' five checkpoints
+    coeffs = CoefficientSet.from_text(3, 2, *_HEIS)
+    n, n_paths, d = 512, 1000, 3
+    cfg = SimConfig(horizon=0.5, n_steps=n, x0=(1.0, 0.5, 0.0), seed=1)
+    record = RecordSpec(flows=True, c_checkpoints=(32, 64, 128, 256, 512))
+    run_ensemble(coeffs, cfg, 8, record)  # first-call allocations
+    tracemalloc.start()
+    try:
+        run_ensemble(coeffs, cfg, n_paths, record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    increments = n_paths * n * 2 * 8  # 8.2 MB, one block
+    state = d * d * n_paths * 8  # one (d, d, B) array, 72 kB
+    # J, K, C, the step's temporaries and the checkpoints measured 28 states;
+    # a copy of the increments in another layout would add 114
+    assert peak <= increments + 40 * state
 
 
 def test_scalar_noise_term_keeps_the_einsum_sign_of_zero():

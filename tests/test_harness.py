@@ -193,6 +193,18 @@ def test_cli_unallocatable_grid_exits_5(tmp_path, capsys):
     assert err.startswith("error: out of memory") and "Traceback" not in err
 
 
+def test_cli_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
+    def eigvalsh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    text = OU_MODEL + SIM + "[analysis]\nt = 0.5\n"
+    code = main(["malliavin", "--config", _write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: linear algebra failed: Eigenvalues did not converge\n"
+
+
 def test_cli_divergence_budget_exit_3(tmp_path, capsys):
     text = DOUBLE_WELL_EULER + "max_divergence = 0.0\ndump_paths = 0\n"
     cfg = _write(tmp_path, text)
@@ -536,8 +548,8 @@ PINNED_DIGESTS = {
     },
     ("malliavin", "heis_malliavin"): {
         "config.resolved.txt": "c9bec5fcce799986f6e5c1d211dd9e174c9629a4d50c9b0b18bd8dffbc4f44f6",
-        "malliavin.csv": "5becd6f9676406a1dea1ad54080585e0c7f36153a6ce34a87f3d37f74421ca55",
-        "malliavin.json": "1fc3bc5ee1c549e8c0f41721929f3fcd303d5b27a1cd6fd4ae9eac882e2042ab",
+        "malliavin.csv": "340b702ca0a3572bb72525e30f8804fd9154d6a2bd3451b6d6f024ee4729698c",
+        "malliavin.json": "e549897e35d0c666dfe84787928a0ae717cc2d3ea9e96f4dffb08a1de0dd167f",
     },
     ("remainder-tails", "heis_remainder"): {
         "config.resolved.txt": "66e090c608e2c123bb56f0b1f6d10382cd1c7cad14f600165fa587ec1fe8e6d2",
