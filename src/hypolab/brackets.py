@@ -182,8 +182,9 @@ class BracketTable:
     [direction(j), . ].  Every bracket is simplified on construction and the
     AST size is capped (bracket expressions can grow combinatorially).
 
-    Construction and population are single-writer; once built, lookups and
-    evaluations are read-only and safe to share across threads.
+    The Jacobians behind each bracket come from the memoised
+    ``fieldlang.jacobian``, and the expression nodes cache their hashes, so
+    a field shared by several brackets or bounds is differentiated once.
     """
 
     def __init__(self, coeffs: CoefficientSet, max_nodes: int = 100_000):
@@ -191,7 +192,6 @@ class BracketTable:
         self.max_nodes = max_nodes
         self.drift_direction = stratonovich_drift(coeffs)
         self._cache: dict[tuple[VectorField, MultiIndex], VectorField] = {}
-        self._max_weight_seen = 0
 
     @property
     def d(self) -> int:
@@ -200,10 +200,6 @@ class BracketTable:
     @property
     def m(self) -> int:
         return self.coeffs.m
-
-    @property
-    def max_weight_covered(self) -> int:
-        return self._max_weight_seen
 
     def direction(self, j: int) -> VectorField:
         if j == 0:
@@ -231,7 +227,6 @@ class BracketTable:
                     f"(cap {self.max_nodes}); raise max_nodes or lower the weight"
                 )
         self._cache[key] = result
-        self._max_weight_seen = max(self._max_weight_seen, alpha.weight)
         return result
 
     def diffusion_bracket(self, k: int, alpha: MultiIndex) -> VectorField:
@@ -496,19 +491,27 @@ def local_field_bound(
 
     Returns (bound, number of sample points).  Monotone non-decreasing in
     ``n_ball``.  Non-finite field values inside the ball raise.
+
+    Repeated fields count once.  The distinct expressions of all their
+    derivative groups, in first-seen order, are compiled into one stack and
+    evaluated once; each group's norm reads its own columns of it.
     """
     if order not in (0, 1, 2):
         raise ConfigError("derivative order must be 0, 1, or 2")
     pts = ball_sample(x, radius, n_ball)
+    groups = [
+        (fld, group) for fld in dict.fromkeys(fields) for group in derivative_stack(fld, order)
+    ]
+    distinct = dict.fromkeys(e for _, group in groups for e in group)
+    column = {e: i for i, e in enumerate(distinct)}
+    stack = compile_expression_stack(tuple(column), (len(column),))(pts)
     best = 0.0
-    for fld in fields:
-        for group in derivative_stack(fld, order):
-            fn = compile_expression_stack(tuple(group), (len(group),))
-            vals = fn(pts)
-            if not np.isfinite(vals).all():
-                raise _ball_error(fld, x, radius)
-            norms = np.sqrt(np.sum(vals * vals, axis=-1))
-            best = max(best, float(norms.max()))
+    for fld, group in groups:
+        vals = stack[:, [column[e] for e in group]]
+        if not np.isfinite(vals).all():
+            raise _ball_error(fld, x, radius)
+        norms = np.sqrt(np.sum(vals * vals, axis=-1))
+        best = max(best, float(norms.max()))
     return best, len(pts)
 
 

@@ -84,19 +84,28 @@ class CoefficientSet:
 
     @property
     def additive(self) -> bool:
-        """True when every diffusion-Jacobian entry is the constant 0."""
-        return all(e == Const(0.0) for col in self.diffusion for row in jacobian(col) for e in row)
+        """True when every diffusion-Jacobian entry is the constant 0 of
+        either sign (the derivative of a negated constant is ``-0.0``)."""
+        return all(
+            isinstance(e, Const) and e.value == 0.0
+            for col in self.diffusion
+            for row in jacobian(col)
+            for e in row
+        )
 
     def sigma_at(self, point: Sequence[float]) -> np.ndarray:
         """Diffusion matrix (d, m) at a point."""
         return np.column_stack([col.evaluate(point) for col in self.diffusion])
 
 
+@lru_cache(maxsize=1024)
 def jacobian(field: VectorField) -> tuple[tuple[Expression, ...], ...]:
     """Jacobian matrix of expressions; row j, column i holds d(field_j)/d(x_i).
 
     With this orientation ``jacobian(u) @ v`` is the directional derivative of
     ``u`` along ``v``, so the bracket [v, u] = Ju*v - Jv*u reads off directly.
+    Memoised per field, like the ``differentiate`` and ``simplify`` calls
+    it is made of.
     """
     return tuple(
         tuple(simplify(differentiate(comp, i)) for i in range(1, field.dim + 1))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hypolab import brackets
 from hypolab.brackets import (
     EMPTY_INDEX,
     BracketTable,
@@ -12,7 +13,9 @@ from hypolab.brackets import (
     bracket_local_bound,
     check_hormander,
     coefficient_local_bound,
+    derivative_stack,
     enumerate_indices,
+    expansion_local_bound,
     gram_matrix,
     lie_bracket,
     local_field_bound,
@@ -20,7 +23,14 @@ from hypolab.brackets import (
     stratonovich_drift,
 )
 from hypolab.errors import BracketSizeError, ConfigError, EvaluationError
-from hypolab.fieldlang import CoefficientSet, VectorField
+from hypolab.fieldlang import (
+    CoefficientSet,
+    VectorField,
+    compile_expression_stack,
+    differentiate,
+    jacobian,
+    simplify,
+)
 
 # ---------------------------------------------------------------------------
 # multi-indices
@@ -438,3 +448,64 @@ def test_bracket_local_bound_includes_derivatives(ou):
     bound = bracket_local_bound(table, (0.0,), L=1)
     # sigma = 1 has norm 1 and zero derivatives; the time bracket is 1.
     assert bound == pytest.approx(1.0)
+
+
+def _per_group_bound(fields, x, order):
+    """local_field_bound as one compiled stack per field and derivative group."""
+    pts = ball_sample(x, 1.0, 512)
+    best = 0.0
+    for fld in fields:
+        for group in derivative_stack(fld, order):
+            vals = compile_expression_stack(tuple(group), (len(group),))(pts)
+            best = max(best, float(np.sqrt(np.sum(vals * vals, axis=-1)).max()))
+    return best
+
+
+def _heis3_brackets(table, max_len):
+    indices = enumerate_indices(max_len, table.m, by_length=True)
+    return [table.diffusion_bracket(k, a) for k in range(1, table.m + 1) for a in indices]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_one_stack_bound_is_bit_identical_to_one_stack_per_group(order):
+    table = BracketTable(_heis3())
+    fields = _heis3_brackets(table, 2) + [table.direction(0)]
+    x0 = (1.0, 0.5, 0.0)
+    assert local_field_bound(fields, x0, order=order)[0] == _per_group_bound(fields, x0, order)
+
+
+def test_bracket_bound_does_each_symbolic_step_once(monkeypatch):
+    for cached in (simplify, differentiate, jacobian, compile_expression_stack):
+        cached.cache_clear()
+    stacks = []
+
+    def counting(exprs, shape, *args):
+        stacks.append(exprs)
+        return compile_expression_stack(exprs, shape, *args)
+
+    monkeypatch.setattr(brackets, "compile_expression_stack", counting)
+    table = BracketTable(_heis3())
+    x0 = (1.0, 0.5, 0.0)
+    bound = bracket_local_bound(table, x0, L=2)
+    fields = _heis3_brackets(table, 3)
+    distinct = list(dict.fromkeys(fields + [table.direction(j) for j in range(3)]))
+    assert jacobian.cache_info().misses <= len(distinct)
+    assert len(stacks) == 1
+    # the heis brackets of length <= 3 repeat: 29 distinct among 80
+    assert len(dict.fromkeys(fields)) < len(fields)
+    assert local_field_bound(fields + fields[::-1], x0, order=2)[0] == bound
+    assert local_field_bound(list(dict.fromkeys(fields)), x0, order=2)[0] == bound
+
+
+def test_heis3_local_bounds_keep_their_values():
+    table = BracketTable(_heis3())
+    x0 = (1.0, 0.5, 0.0)
+    assert bracket_local_bound(table, x0, L=2) == 11544.030703815068
+    assert expansion_local_bound(table, table.direction(1), x0, L=3) == 4321.000793193986
+
+
+def test_local_bound_names_the_first_non_finite_field():
+    fields = [VectorField.from_text(t, 1) for t in ("x1", "1/x1", "1/(x1*x1)")]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError, match="field '1/x1' is non-finite"):
+            local_field_bound(fields, (0.0,), order=1)

@@ -1,4 +1,7 @@
 import math
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -415,3 +418,61 @@ def test_compile_cache_keeps_the_sign_of_zero(first):
         value = compile_jacobian(VectorField.from_text(text, 2))(np.array([0.3, -0.7]))
         assert value[0, 0] == 0.0
         assert np.signbit(value[0, 0]) == expected[text], text
+
+
+# ---------------------------------------------------------------------------
+# memoised symbolic layer
+
+
+@given(_exprs(), st.sampled_from([1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_memoised_results_equal_the_uncached_ones(e, i):
+    pairs = [
+        (simplify(e), simplify.__wrapped__(e)),
+        (differentiate(e, i), differentiate.__wrapped__(e, i)),
+        (jacobian(VectorField(1, (e,))), jacobian.__wrapped__(VectorField(1, (e,)))),
+    ]
+    for got, ref in pairs:
+        # repr prints every constant, so it also compares the signs of zero
+        assert got == ref and repr(got) == repr(ref)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_memo_never_serves_a_zero_of_the_other_sign(first):
+    exprs = (Const(1.0), parse_expression("-1", 1))
+    signs = (1.0, -1.0)  # of the simplified derivatives 0.0 and -0.0
+    simplify.cache_clear()
+    differentiate.cache_clear()
+    for k in (first, 1 - first):
+        got = simplify(differentiate(exprs[k], 1))
+        assert got == Const(0.0 * signs[k])
+        assert math.copysign(1.0, got.value) == signs[k]
+
+
+def test_independently_built_trees_hash_equal():
+    text = "sin(x1)*x2^3 - 0.5*exp(-x1)/(1 + x2)"
+    a, b = parse_expression(text, 2), parse_expression(text, 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(Binary("add", Var(1), Const(2.0))) == hash(Binary("add", Var(1), Const(2.0)))
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_unpickled_tree_hashes_like_a_rebuilt_one():
+    # str hashes differ between processes; a cached hash must not travel
+    text = "sin(x1)*x2^3 - 0.5*x1"
+    code = (
+        "import pickle, sys\n"
+        "from hypolab.fieldlang import parse_expression\n"
+        "e = pickle.loads(sys.stdin.buffer.read())\n"
+        f"print(hash(e) == hash(parse_expression({text!r}, 2)))\n"
+    )
+    env = {"PYTHONHASHSEED": "12345", "PYTHONPATH": ":".join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        input=pickle.dumps(parse_expression(text, 2)),
+        capture_output=True,
+        env=env,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == b"True"

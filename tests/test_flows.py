@@ -359,13 +359,34 @@ def test_flow_step_is_bit_identical_on_additive_ou(ou, scheme):
 
 
 _HEIS = ("-x1 - x1^3, -x2 - x2^3, -x3", ["1, 0, -0.5*x2", "0, 1, 0.5*x1"])
+_NEGATIVE_NOISE = ("-x1 - x1^3", ["-0.5"])  # d sigma = -0.0, the derivative of neg(0.5)
 
 
 def test_additive_noise_skips_the_diffusion_jacobians(ou):
     heis = CoefficientSet.from_text(3, 2, *_HEIS)
-    assert ou.additive and not heis.additive
+    negative = CoefficientSet.from_text(1, 1, *_NEGATIVE_NOISE)
+    assert ou.additive and negative.additive and not heis.additive
     assert _compiled_bundle(ou, True)[3] is None
+    assert _compiled_bundle(negative, True)[3] is None
     assert _compiled_bundle(heis, True)[3] is not None
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_additive_fast_path_is_bit_identical_to_the_full_step(scheme, monkeypatch):
+    coeffs = CoefficientSet.from_text(1, 1, *_NEGATIVE_NOISE)
+    cfg = SimConfig(horizon=1.0, n_steps=64, x0=(0.7,), scheme=scheme, seed=5)
+    record = RecordSpec(flows=True, c_checkpoints=(32, 64))
+    assert coeffs.additive
+    fast = run_ensemble(coeffs, cfg, 16, record)
+    monkeypatch.setattr(CoefficientSet, "additive", property(lambda self: False))
+    assert _compiled_bundle(coeffs, True)[3] is not None
+    full = run_ensemble(coeffs, cfg, 16, record)
+    # bytes, so the signs of zeros count too
+    for name in ("final_states", "diverged_step", "final_jacobians"):
+        assert getattr(fast, name).tobytes() == getattr(full, name).tobytes(), name
+    for k in record.c_checkpoints:
+        assert fast.c_at[k].tobytes() == full.c_at[k].tobytes()
+        assert fast.j_at[k].tobytes() == full.j_at[k].tobytes()
 
 
 def test_block_memory_is_the_increments_and_the_state():
