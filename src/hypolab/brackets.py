@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import norm as _normal
-from scipy.stats import qmc
 
 from .errors import (
     BracketSizeError,
@@ -36,6 +34,7 @@ from .fieldlang import (
     simplify,
 )
 from .fieldlang.ast import Binary, Const
+from .qmc import ndtri, sobol
 
 __all__ = [
     "MultiIndex",
@@ -442,10 +441,8 @@ def check_hormander(
 def ball_sample(center: Sequence[float], radius: float, n: int) -> np.ndarray:
     center = np.asarray(center, dtype=float)
     d = center.size
-    sampler = qmc.Sobol(d + 1, scramble=False)
-    u = sampler.random(max(n, 1))
-    u = np.clip(u, 2.0**-20, 1.0 - 2.0**-20)
-    dirs = _normal.ppf(u[:, :d])
+    u = np.clip(sobol(d + 1, max(n, 1)), 2.0**-20, 1.0 - 2.0**-20)
+    dirs = ndtri(u[:, :d])
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     # the midpoint of the cube maps to the zero vector; give it a fixed axis
     degenerate = norms[:, 0] == 0.0

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .brackets import BracketTable, bracket_local_bound, expansion_local_bound, spanning_value
 from .errors import ConfigError, DegenerateSamplesError, EvaluationError
@@ -147,16 +146,10 @@ def _fit_tail_envelope(
         return None
     k = np.asarray(k_values, dtype=float)[usable]
     g = -np.log(p_hat[usable])
+    # the model log g = log a + mu log K is linear, so this is the optimum
     coef = np.polyfit(np.log(k), np.log(g), 1)
     mu = float(coef[0])
     a = float(np.exp(coef[1]))
-    # one refinement pass on the original scale
-    def resid(theta):
-        aa, mm = theta
-        return np.log(g) - (np.log(max(aa, 1e-12)) + mm * np.log(k))
-
-    sol = least_squares(resid, x0=[a, mu], max_nfev=200)
-    a, mu = float(sol.x[0]), float(sol.x[1])
     c_fit = float(np.exp(np.mean(np.log(p_hat[usable]) + a * k**mu)))
     lam = a * (1.0 + m_x) ** 2 / max(v_l, 1e-300) ** ((L + 2) * mu)
     return {

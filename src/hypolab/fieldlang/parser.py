@@ -177,7 +177,10 @@ def parse_expression(text: str, dim: int) -> Expression:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(text), dim)
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek().pos) from None
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..errors import ConfigError
-from ..fieldlang import CoefficientSet
+from ..fieldlang import CoefficientSet, compile_field
 from ..flows import SCHEMES, SimConfig
 
 __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "resolved_text", "SCHEMAS"]
@@ -311,7 +311,15 @@ def parse_config_text(text: str, command: str) -> ExperimentConfig:
         analysis=analysis,
         output=output,
     )
-    cfg.coefficient_set()  # fail fast on unparsable fields
+    # fail fast on unparsable fields, and on fields too deep to compile (the
+    # engine's drift compile is then a cache hit)
+    coeffs = cfg.coefficient_set()
+    names = ["drift"] + [f"sigma{j}" for j in range(1, coeffs.m + 1)]
+    for name, fld in zip(names, (coeffs.drift, *coeffs.diffusion)):
+        try:
+            compile_field(fld, component_major=True)
+        except ConfigError as exc:
+            raise ConfigError(f"bad value for '{name}' in [model]: {exc}") from None
     return cfg
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,31 @@ def test_ball_sample_prefix_monotone():
     large = ball_sample((0.0, 0.0), 1.0, 256)
     assert np.array_equal(large[: len(small)], small)
     assert np.all(np.linalg.norm(large, axis=1) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("d", [3, 40])
+def test_ball_sample_keeps_the_scipy_bits(d):
+    # the formula ball_sample used with scipy's Sobol' points and quantile;
+    # d = 40 takes the scipy fallback for wide Sobol' samples
+    from scipy.stats import norm, qmc
+
+    center = np.linspace(-1.0, 2.0, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        u = qmc.Sobol(d + 1, scramble=False).random(300)
+    u = np.clip(u, 2.0**-20, 1.0 - 2.0**-20)
+    dirs = norm.ppf(u[:, :d])
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs[norms[:, 0] == 0.0, 0] = 1.0
+    norms[norms[:, 0] == 0.0, 0] = 1.0
+    pts = center + dirs / norms * (0.75 * u[:, d:] ** (1.0 / d))
+    fixed = [center]
+    for axis in range(d):
+        offset = np.zeros(d)
+        offset[axis] = 0.75
+        fixed += [center + offset, center - offset]
+    ref = np.vstack([np.asarray(fixed), pts])
+    assert ball_sample(center, 0.75, 300).tobytes() == ref.tobytes()
 
 
 def test_local_bound_constant_fields():

@@ -7,6 +7,7 @@ from hypolab.brackets import coefficient_local_bound
 from hypolab.errors import ConfigError, DegenerateSamplesError
 from hypolab.estimators import (
     EnsembleSpec,
+    _fit_tail_envelope,
     density_envelope_check,
     eigenvalue_tails,
     inverse_det_moments,
@@ -127,6 +128,18 @@ def test_tail_envelope_fit_reports_constants():
     if curve.envelope_fit is not None:
         for key in ("C", "lambda", "mu", "V_L_x0", "M_x0"):
             assert np.isfinite(curve.envelope_fit[key])
+
+
+def test_envelope_fit_is_the_log_log_line_and_its_rate_stays_positive():
+    # the rate exp(intercept) is about 9e-13, below the 1e-12 floor that a
+    # nonlinear refit of (a, mu) would put on it
+    k, p_hat = np.array([4.0, 8.0, 16.0]), np.array([0.999999, 0.5, 0.001])
+    fit = _fit_tail_envelope(k, p_hat, 2.0, 0.5, 2)
+    slope, intercept = np.polyfit(np.log(k), np.log(-np.log(p_hat)), 1)
+    assert fit["raw_rate"] > 0.0
+    assert fit["raw_rate"] == float(np.exp(intercept)) and fit["mu"] == float(slope)
+    for key in ("lambda", "C"):
+        assert np.isfinite(fit[key]) and fit[key] > 0.0
 
 
 def test_tail_rejects_bad_inputs():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypolab
 from hypolab.errors import ConfigError
 from hypolab.harness.cli import _json_dump_compact, main
 from hypolab.harness.config import parse_config_text, resolved_text
@@ -498,6 +503,51 @@ grid_points = 5
     assert err.startswith("error: division by zero in ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "drift,message",
+    [
+        # 250 terms nest 250 parentheses deep in the generated numpy source
+        (" + ".join(["-x1"] + ["0.001*x1"] * 249), "'drift' in [model]: expression nested too deeply"),
+        ("sin(" * 400 + "x1" + ")" * 400, "expression nested too deeply"),
+    ],
+    ids=["long-sum", "deep-parentheses"],
+)
+def test_cli_too_deep_expression_exits_2(tmp_path, capsys, drift, message):
+    text = OU_MODEL.replace("drift = -x1", f"drift = {drift}") + SIM.replace(
+        "n_steps = 256", "n_steps = 8"
+    ).replace("paths = 400", "paths = 4")
+    code = main(["simulate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    """scipy costs about a second of start-up; only the tests import it."""
+    root = Path(__file__).resolve().parents[1]
+    runs = [
+        ("tails", "heis_tails"),
+        ("remainder-tails", "heis_remainder"),
+        ("simulate", "ou_simulate"),
+    ]
+    script = "\n".join(
+        ["import sys", "from hypolab.harness.cli import main"]
+        + [
+            f"assert main([{cmd!r}, '--config', {str(root / 'configs' / f'{name}.cfg')!r}, "
+            f"'--out', {str(tmp_path / name)!r}]) == 0"
+            for cmd, name in runs
+        ]
+        + ["print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
+    )
+    src = str(Path(hypolab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_missing_out_dir_is_config_error(tmp_path, capsys):
