@@ -16,10 +16,10 @@ from .fields import (
     CoefficientSet,
     VectorField,
     compile_diffusion,
-    compile_diffusion_jacobians,
     compile_expression_stack,
     compile_field,
     compile_jacobian,
+    compile_step_kernel,
     jacobian,
 )
 from .parser import FUNCTIONS, parse_expression
@@ -45,5 +45,5 @@ __all__ = [
     "compile_field",
     "compile_jacobian",
     "compile_diffusion",
-    "compile_diffusion_jacobians",
+    "compile_step_kernel",
 ]

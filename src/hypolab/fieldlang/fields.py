@@ -1,6 +1,9 @@
 """Vector fields and coefficient sets built from DSL expressions."""
 from __future__ import annotations
 
+import itertools
+import linecache
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -17,9 +20,9 @@ __all__ = [
     "jacobian",
     "compile_field",
     "compile_expression_stack",
+    "compile_step_kernel",
     "compile_jacobian",
     "compile_diffusion",
-    "compile_diffusion_jacobians",
 ]
 
 
@@ -82,17 +85,6 @@ class CoefficientSet:
         cols = tuple(VectorField.from_text(s, d) for s in sigma_columns)
         return cls(d, m, VectorField.from_text(drift, d), cols)
 
-    @property
-    def additive(self) -> bool:
-        """True when every diffusion-Jacobian entry is the constant 0 of
-        either sign (the derivative of a negated constant is ``-0.0``)."""
-        return all(
-            isinstance(e, Const) and e.value == 0.0
-            for col in self.diffusion
-            for row in jacobian(col)
-            for e in row
-        )
-
     def sigma_at(self, point: Sequence[float]) -> np.ndarray:
         """Diffusion matrix (d, m) at a point."""
         return np.column_stack([col.evaluate(point) for col in self.diffusion])
@@ -114,10 +106,34 @@ def jacobian(field: VectorField) -> tuple[tuple[Expression, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised compilation.  Every compiler returns a function that accepts X
-# with shape (..., d) and returns float64 values with the documented trailing
-# shape (with ``component_major``: X (d, ...), that shape leading).  Non-finite
-# values are not raised here: simulation code masks and counts them instead.
+# Vectorised compilation.  Every field compiler returns a function that accepts
+# X with shape (..., d) and returns float64 values with the documented trailing
+# shape (with ``component_major``: X (d, ...), that shape leading); the step
+# kernel works on the engine's state rows.  Non-finite values are not raised
+# here: simulation code masks and counts them instead.
+
+
+_SERIAL = itertools.count(1)
+
+
+def _define(name: str, label: str, emit: Callable[[], list[str]]) -> Callable:
+    """Compile the function ``name`` defined by the lines ``emit()`` returns.
+
+    Its source is registered with ``linecache`` as ``<label #n>``, for
+    tracebacks and profiles, for as long as the function lives.
+    """
+    try:
+        source = "\n".join(emit()) + "\n"
+        filename = f"<{label} #{next(_SERIAL)}>"
+        code = compile(source, filename, "exec")
+    except (SyntaxError, RecursionError) as exc:
+        reason = exc.msg if isinstance(exc, SyntaxError) else str(exc)
+        raise ConfigError(f"expression nested too deeply to compile ({reason})") from None
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"np": np}
+    exec(code, namespace)
+    weakref.finalize(namespace[name], linecache.cache.pop, filename, None)
+    return namespace[name]
 
 
 @lru_cache(maxsize=1024)
@@ -130,25 +146,121 @@ def compile_expression_stack(
     The function reads X once as float64, assigns expression i to
     ``out[..., i]`` of one (..., k) array (``out[i]`` of a (k, ...) one from
     rows ``X[i]`` when component-major; a constant broadcasts), and reshapes
-    to ``shape``.  This is the only cache of compiled field code.
+    to ``shape``.
     """
     k = len(exprs)
     if component_major:
         var, alloc, result = "X[{}]", f"({k},) + X.shape[1:]", f"{shape!r} + X.shape[1:]"
     else:
         var, alloc, result = "X[..., {}]", f"X.shape[:-1] + ({k},)", f"X.shape[:-1] + {shape!r}"
-    lines = ["def stack(X):", "    X = np.asarray(X, np.float64)", f"    out = np.empty({alloc})"]
     slot = var.replace("X", "out")
-    try:
-        lines += [f"    {slot.format(i)} = {_np_source(e, var)}" for i, e in enumerate(exprs)]
-        lines.append(f"    return out.reshape({result})")
-        code = compile("\n".join(lines), "<fieldlang>", "exec")
-    except (SyntaxError, RecursionError) as exc:
-        reason = exc.msg if isinstance(exc, SyntaxError) else str(exc)
-        raise ConfigError(f"expression nested too deeply to compile ({reason})") from None
-    namespace = {"np": np}
-    exec(code, namespace)
-    return namespace["stack"]
+    layout = "component-major" if component_major else "row-major"
+    return _define("stack", f"fieldlang stack {shape} {layout}", lambda: [
+        "def stack(X):",
+        "    X = np.asarray(X, np.float64)",
+        f"    out = np.empty({alloc})",
+        *(f"    {slot.format(i)} = {_np_source(e, var)}" for i, e in enumerate(exprs)),
+        f"    return out.reshape({result})",
+    ])
+
+
+@lru_cache(maxsize=256)
+def compile_step_kernel(
+    coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool
+) -> Callable:
+    """One generated step ``step(s, out, dw, h, z)`` of the ensemble engine.
+
+    ``s`` holds a block's state as rows of B paths: X (d rows), then with
+    ``flows`` J and K (d*d rows each), then with ``covariance`` too C's upper
+    triangle, all row-major.  The step writes to ``out`` X + drift + noise
+    under ``scheme`` (noise sigma(z) dW at the split-step scheme's solved
+    point ``z``), J + A J, K - K G and C + h S S^T with S = K sigma(X), for
+    the (m, B) increments ``dw``.  Each entry of b, sigma, grad b and
+    grad sigma_i is evaluated once; each product with a constant-0 factor
+    (of either sign) is left out, as is a factor 1.0; sums add the rest in
+    ascending index order.  numpy's axis sums start from 0.0, which can only
+    turn a sum of zeros into +0.0: the noise keeps it as ``+ 0.0``, so X
+    keeps its bits, and entries of J, K and C, which start at 0.0 or 1.0,
+    can never become -0.0.
+    """
+    d, m = coeffs.d, coeffs.m
+    implicit = scheme == "split-step-backward-euler"
+    sigma = [[col.components[q] for col in coeffs.diffusion] for q in range(d)]
+    pairs = [(p, r) for p in range(d) for r in range(d)]
+    upper = [(p, r) for p, r in pairs if p <= r]
+
+    def emit():
+        rows = [f"x{i}" for i in range(d)]
+        rows += [f"{M}{p}_{r}" for M in "JK" for p, r in pairs if flows]
+        rows += [f"C{p}_{r}" for p, r in upper if covariance]
+        body = [f"{name} = s[{n}]" for n, name in enumerate(rows)]
+        body += [f"dw{i} = dw[{i}]" for i in range(m)]
+        body += [f"z{i} = z[{i}]" for i in range(d) if implicit]
+        names: dict = {}
+
+        def entry(e, at="x"):  # a literal, or a local evaluated once
+            if isinstance(e, Const):
+                return f"({e.value!r})"
+            if (e, at) not in names:
+                names[e, at] = f"e{len(names)}"
+                body.append(f"{names[e, at]} = {_np_source(e, at + '{}')}")
+            return names[e, at]
+
+        def factor(e, at="x"):  # None for the constant 0
+            return None if isinstance(e, Const) and e.value == 0.0 else entry(e, at)
+
+        def mul(a, b):
+            return None if a is None or b is None else (
+                a if b == "(1.0)" else b if a == "(1.0)" else f"{a} * {b}")
+
+        def total(terms, local=None):  # None for no terms; bound to a local if named
+            text = " + ".join(t for t in terms if t is not None) or None
+            if local is None or text is None:
+                return text
+            body.append(f"{local} = {text}")
+            return local
+
+        def update(name, op, terms, first=None):  # out's row ``name`` = first op terms
+            first, row = first or name, rows.index(name)
+            body.append(f"np.{op}({first}, {terms}, out=out[{row}])" if terms
+                        else f"out[{row}] = {first}")
+
+        b = [entry(e) for e in coeffs.drift.components if not implicit]
+        inc = [f"(z{i} - x{i})" for i in range(d)] if implicit else [f"h * {v}" for v in b]
+        if scheme == "tamed-euler":
+            squares = total(mul(factor(e), factor(e)) for e in coeffs.drift.components)
+            body.append(f"taming = 1.0 + h * np.sqrt({squares or '0.0'})")
+            inc = [f"(h * {v}) / taming" for v in b]
+        at = "z" if implicit else "x"
+        for i in range(d):
+            noise = total(mul(factor(sigma[i][j], at), f"dw{j}") for j in range(m))
+            update(f"x{i}", "add", f"({noise}) + 0.0" if noise else "0.0", f"x{i} + {inc[i]}")
+        if flows:
+            gb, gs = jacobian(coeffs.drift), [jacobian(col) for col in coeffs.diffusion]
+            A = [[None] * d for _ in range(d)]
+            for p, q in pairs:
+                terms = [mul(factor(gs[i][p][q]), f"dw{i}") for i in range(m)]
+                A[p][q] = total([mul("h", factor(gb[p][q])), *terms], f"A{p}_{q}")
+            G = [row[:] for row in A]
+            for p, q in pairs:
+                sums = (total(mul(factor(g[p][t]), factor(g[t][q])) for t in range(d)) for g in gs)
+                squares = total(f"({t})" for t in sums if t)
+                if squares:
+                    G[p][q] = total([f"{A[p][q] or '0.0'} - h * ({squares})"], f"G{p}_{q}")
+            for p, r in pairs:
+                update(f"J{p}_{r}", "add", total(mul(A[p][q], f"J{q}_{r}") for q in range(d)))
+            for p, r in pairs:
+                update(f"K{p}_{r}", "subtract", total(mul(f"K{p}_{q}", G[q][r]) for q in range(d)))
+        if covariance:
+            S = [[total((mul(f"K{p}_{q}", factor(sigma[q][i])) for q in range(d)), f"S{p}_{i}")
+                  for i in range(m)] for p in range(d)]
+            for p, r in upper:
+                terms = total(mul(S[p][i], S[r][i]) for i in range(m))
+                update(f"C{p}_{r}", "add", terms and f"h * ({terms})")
+        return ["def step(s, out, dw, h, z):", *(f"    {line}" for line in body)]
+
+    label = f"hypolab step d={d} m={m} {scheme}" + " JK" * flows + " C" * covariance
+    return _define("step", label, emit)
 
 
 def compile_field(field: VectorField, component_major: bool = False) -> Callable:
@@ -166,9 +278,3 @@ def compile_diffusion(coeffs: CoefficientSet, component_major: bool = False) -> 
     """X (..., d) -> diffusion matrix (..., d, m)."""
     exprs = tuple(col.components[i] for i in range(coeffs.d) for col in coeffs.diffusion)
     return compile_expression_stack(exprs, (coeffs.d, coeffs.m), component_major)
-
-
-def compile_diffusion_jacobians(coeffs: CoefficientSet, component_major: bool = False) -> Callable:
-    """X (..., d) -> stacked diffusion-column Jacobians (..., m, d, d)."""
-    exprs = tuple(e for col in coeffs.diffusion for row in jacobian(col) for e in row)
-    return compile_expression_stack(exprs, (coeffs.m, coeffs.d, coeffs.d), component_major)

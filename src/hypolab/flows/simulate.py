@@ -1,29 +1,21 @@
 """Schemes for the state, the first-variation flow, and its inverse.
 
 The state X follows the Ito SDE dX = b(X) dt + sigma(X) dW.  Along a frozen
-state path, the first-variation flow J and its inverse K satisfy linear
-matrix SDEs, stepped as
+state path, the first-variation flow J and its inverse K are stepped as
 
-    J_{k+1} = J_k + A_k J_k
-    K_{k+1} = K_k - K_k G_k
+    J_{k+1} = J_k + A_k J_k,   A_k = h grad_b(X_k) + sum_i grad_sigma_i(X_k) dW^i_k
+    K_{k+1} = K_k - K_k G_k,   G_k = A_k - h sum_i grad_sigma_i(X_k)^2,
 
-with one generator matrix per step and path,
+the correction in G being the unique reading under which the Ito product
+rule gives d(KJ) = 0 (K J = I is a test surface, not a runtime assertion).
+The Malliavin covariance is accumulated by left-endpoint quadrature,
+C_{k+1} = C_k + h S_k S_k^T with S_k = K_k sigma(X_k).
 
-    A_k = h grad_b(X_k) + sum_i grad_sigma_i(X_k) dW^i_k
-    G_k = A_k - h sum_i grad_sigma_i(X_k)^2.
-
-The matrix-squared correction in G is the unique reading under which the
-Ito product rule gives d(KJ) = 0, and the K J = I identity is enforced as a
-test surface rather than a runtime assertion.  With additive noise (every
-grad sigma_i the constant 0) G = A = h grad_b.  The Malliavin covariance is
-accumulated by left-endpoint quadrature, C_{k+1} = C_k + h S_k S_k^T with
-S_k = K_k sigma(X_k).
-
-A block's state is component-major, paths last: X (d, B); J, K, C (d, d, B).
-Each product above is one broadcast sum over such stacks, elementwise where
-the summed axis has length 1 (d = 1, or m = 1 in S S^T), which keeps the
-scalar bits.  Each step copies its (m, B) increments out of the block's
-(B, n, m) array; outputs are transposed back to (B, ...) as they are stored.
+Each step runs one kernel generated per model, scheme and record
+(``fieldlang.compile_step_kernel``): unrolled arithmetic on rows of B paths
+that leaves out every product with a constant-0 factor and keeps the sum
+order of the dense matrix products, and so their bits.  A block's state is
+one (rows, B) buffer, read by a step and written to the other buffer.
 
 State schemes: ``tamed-euler`` divides the drift increment by 1 + h|b| so
 superlinear monotone drifts cannot blow the explicit step up;
@@ -41,9 +33,9 @@ engine on a batch of one given grid.
 A reduction that needs the whole path but only a few numbers per path rides
 along as a per-step accumulator instead of storing paths.  ``RecordSpec``
 carries a factory ``B -> acc``; each block builds its own accumulator and
-calls ``acc.step(k, x, k_inv, dw_k)`` at k = 0..n with the component-major
-state x (d, B) and inverse flow k_inv (d, d, B) the engine would store at
-index k (frozen columns for lost paths) and the (m, B) increment rows that
+calls ``acc.step(k, x, k_inv, dw_k)`` at k = 0..n with views of the state
+x (d, B) and inverse flow k_inv (d, d, B) at index k (frozen columns for
+lost paths; valid during the call only) and the (m, B) increment rows that
 leave it (``None`` at n).  ``acc.result()`` is a per-path array, merged in
 stream order into ``EnsembleResult.accumulated``.
 """
@@ -59,9 +51,9 @@ from ..errors import ConfigError, InternalInvariantError, SimulationDiverged
 from ..fieldlang import (
     CoefficientSet,
     compile_diffusion,
-    compile_diffusion_jacobians,
     compile_field,
     compile_jacobian,
+    compile_step_kernel,
 )
 from .brownian import BrownianGrid, standard_normal_stream
 
@@ -255,38 +247,6 @@ class EnsembleResult:
         return self.diverged_count / self.n_paths
 
 
-def _compiled_bundle(coeffs: CoefficientSet, needs_flows: bool):
-    """Component-major b, sigma, grad b and stacked grad sigma_i; the last is
-    None without flows or for additive noise, whose grad sigma_i are all 0."""
-    cb = compile_field(coeffs.drift, component_major=True)
-    csig = compile_diffusion(coeffs, component_major=True)
-    cgb = compile_jacobian(coeffs.drift, component_major=True)
-    needs_gs = needs_flows and not coeffs.additive
-    cgs = compile_diffusion_jacobians(coeffs, component_major=True) if needs_gs else None
-    return cb, csig, cgb, cgs
-
-
-def _bmm(a, b):
-    """Matrix products of (..., p, q, B) and (..., q, r, B) stacks whose last
-    axis runs over paths: one broadcast sum over q, elementwise when q = 1."""
-    if a.shape[-2] == 1:
-        return a * b
-    return (a[..., None, :] * b[..., None, :, :, :]).sum(axis=-3)
-
-
-def _flow_step(j, k_inv, gb, gs, dwk, h):
-    """One Euler step of the J and K matrix SDEs through the generators A, G
-    on (d, d, B) stacks; ``gs`` is None for additive noise, where G = A."""
-    a = g = h * gb
-    if gs is not None:
-        for i in range(gs.shape[0]):
-            a += gs[i] * dwk[i]
-        sq = _bmm(gs, gs)
-        # one term: + 0.0 turns -0.0 into 0.0 as the sum over the axis does
-        g = a - h * (sq[0] + 0.0 if sq.shape[0] == 1 else sq.sum(axis=0))
-    return j + _bmm(a, j), k_inv - _bmm(k_inv, g)
-
-
 def _implicit_state(cb, cgb, x, h):
     """Solve z = x + h b(z) by damped Newton with step halving.
 
@@ -350,21 +310,31 @@ def _simulate_block(
     if dw.shape != (B, n, m):
         raise InternalInvariantError(f"increment block has shape {dw.shape}")
     needs_flows = record.needs_flows
-    cb, csig, cgb, cgs = _compiled_bundle(coeffs, needs_flows)
-    tamed = config.scheme == "tamed-euler"
+    cpset = set(record.c_checkpoints)
+    accumulate_c = bool(cpset)
+    step = compile_step_kernel(coeffs, config.scheme, needs_flows, accumulate_c)
     implicit = config.scheme == "split-step-backward-euler"
     # Newton runs on (B, d) rows, with the row-major field functions
     newton = (compile_field(coeffs.drift), compile_jacobian(coeffs.drift)) if implicit else None
 
-    x = np.tile(np.asarray(config.x0)[:, None], (1, B))
+    # the kernel's state rows, read from one buffer and written to the other
+    flow_rows = 2 * d * d if needs_flows else 0
+    s = np.zeros((d + flow_rows + (d * (d + 1) // 2 if accumulate_c else 0), B))
+    out = np.empty_like(s)
+    tri = np.zeros((d, d), dtype=np.intp)  # C[p, r] is C's triangle row tri[p, r]
+    tri[np.triu_indices(d)] = tri.T[np.triu_indices(d)] = np.arange(d * (d + 1) // 2)
+
+    def views(buf):  # X (d, B), J and K (d, d, B), C's triangle rows
+        flow = buf[d : d + flow_rows].reshape(2, d, d, B) if needs_flows else (None, None)
+        return buf[:d], flow[0], flow[1], buf[d + flow_rows :]
+
+    x, j, k_inv, c = views(s)
+    x[:] = np.asarray(config.x0)[:, None]
+    eye = np.eye(d)[:, :, None]
+    if needs_flows:
+        j[:] = k_inv[:] = eye
     alive = np.ones(B, dtype=bool)
     diverged = np.full(B, -1, dtype=np.int64)
-    eye = np.eye(d)[:, :, None]
-    j = np.tile(eye, (1, 1, B)) if needs_flows else None
-    k_inv = None if j is None else j.copy()
-    cpset = set(record.c_checkpoints)
-    accumulate_c = bool(cpset)
-    c = np.zeros((d, d, B)) if accumulate_c else None
     c_snapshots: dict[int, np.ndarray] = {}
     j_snapshots: dict[int, np.ndarray] = {}
     sup_abs = np.sqrt(np.add.reduce(x * x, axis=0)) if record.track_sup else None
@@ -375,15 +345,12 @@ def _simulate_block(
     acc = record.accumulator(B) if record.accumulator is not None else None
 
     def store(k):
-        if accumulate_c and k in cpset:
-            c_snapshots[k] = np.moveaxis(c, -1, 0).copy()
+        if k in cpset:
+            c_snapshots[k] = np.moveaxis(c[tri], -1, 0).copy()
             j_snapshots[k] = np.moveaxis(j, -1, 0).copy()
-        if states is not None:
-            states[:, k] = x.T
-        if jacobians is not None:
-            jacobians[:, k] = np.moveaxis(j, -1, 0)
-        if inverses is not None:
-            inverses[:, k] = np.moveaxis(k_inv, -1, 0)
+        for kept, now in ((states, x), (jacobians, j), (inverses, k_inv)):
+            if kept is not None:
+                kept[:, k] = np.moveaxis(now, -1, 0)
 
     with np.errstate(all="ignore"):
         for k in range(n):
@@ -391,56 +358,24 @@ def _simulate_block(
             dwk = np.ascontiguousarray(dw[:, k, :].T)  # (m, B)
             if acc is not None:
                 acc.step(k, x, k_inv, dwk)
-            bx = cb(x)
-            newton_ok = None
-            if tamed:
-                # np.linalg.norm's own expression, without its Python overhead
-                taming = 1.0 + h * np.sqrt(np.add.reduce(bx * bx, axis=0))
-                drift_inc = (h * bx) / taming
-                noise_point = x
-            elif implicit:
+            z = newton_ok = None
+            if implicit:
                 z, newton_ok = _implicit_state(*newton, x.T, h)
-                noise_point = z.T
-                drift_inc = noise_point - x
-            else:
-                drift_inc = h * bx
-                noise_point = x
-            sig_state = csig(noise_point)
-            if m == 1:
-                # the einsum's one term, added to zero as the einsum does (-0.0 -> 0.0)
-                noise = sig_state[:, 0] * dwk[0] + 0.0
-            else:
-                noise = (sig_state * dwk).sum(axis=1)
-            xn = x + drift_inc + noise
-            ok = np.isfinite(xn).all(axis=0)
+                z = z.T
+            step(s, out, dwk, h, z)
+            ok = np.isfinite(out).all(axis=0)
             if newton_ok is not None:
                 ok &= newton_ok
-
-            c_next = jn = kn = None
-            if needs_flows:
-                if accumulate_c:
-                    ks = _bmm(k_inv, sig_state if not implicit else csig(x))
-                    c_next = c + h * _bmm(ks, ks.transpose(1, 0, 2))
-                    ok &= np.isfinite(c_next).all(axis=(0, 1))
-                jn, kn = _flow_step(j, k_inv, cgb(x), None if cgs is None else cgs(x), dwk, h)
-                ok &= np.isfinite(jn).all(axis=(0, 1))
-                ok &= np.isfinite(kn).all(axis=(0, 1))
-
-            if ok.all() and alive.all():
-                x, j, k_inv, c = xn, jn, kn, c_next
-            else:
+            if not (ok.all() and alive.all()):
                 diverged[alive & ~ok] = k
                 alive &= ok
-                x = np.where(alive, xn, x)
-                if needs_flows:
-                    j = np.where(alive, jn, j)
-                    k_inv = np.where(alive, kn, k_inv)
-                    if accumulate_c:
-                        c = np.where(alive, c_next, c)
+                np.copyto(out, s, where=~alive)
+            s, out = out, s
+            x, j, k_inv, c = views(s)
             if sup_abs is not None:
                 sup_abs = np.maximum(sup_abs, np.sqrt(np.add.reduce(x * x, axis=0)))
             if kj_sup is not None:
-                defect = _bmm(k_inv, j) - eye
+                defect = (k_inv[:, :, None] * j[None]).sum(axis=1) - eye
                 val = np.sqrt(np.add.reduce(defect * defect, axis=(0, 1)))
                 kj_sup = np.where(alive, np.maximum(kj_sup, val), kj_sup)
 

@@ -311,8 +311,8 @@ def parse_config_text(text: str, command: str) -> ExperimentConfig:
         analysis=analysis,
         output=output,
     )
-    # fail fast on unparsable fields, and on fields too deep to compile (the
-    # engine's drift compile is then a cache hit)
+    # fail fast, naming the field, on unparsable fields and on fields too
+    # deep to compile
     coeffs = cfg.coefficient_set()
     names = ["drift"] + [f"sigma{j}" for j in range(1, coeffs.m + 1)]
     for name, fld in zip(names, (coeffs.drift, *coeffs.diffusion)):

@@ -18,7 +18,6 @@ from hypolab.fieldlang import (
     Var,
     VectorField,
     compile_diffusion,
-    compile_diffusion_jacobians,
     compile_expression_stack,
     compile_field,
     compile_jacobian,
@@ -326,6 +325,13 @@ _LAYOUT_MODELS = {
     ),
     "constant": ("1, -2, 0.5", ["3, 0, 1", "0, 2, -1"]),
 }
+
+
+def compile_diffusion_jacobians(coeffs, component_major=False):
+    """X (..., d) -> stacked diffusion-column Jacobians (..., m, d, d), one
+    stack: the layout checks' three-axis shape."""
+    exprs = tuple(e for col in coeffs.diffusion for row in jacobian(col) for e in row)
+    return compile_expression_stack(exprs, (coeffs.m, coeffs.d, coeffs.d), component_major)
 
 
 def _layout_references(coeffs, point):

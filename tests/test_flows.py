@@ -1,3 +1,6 @@
+import gc
+import linecache
+import traceback
 import tracemalloc
 from dataclasses import replace
 
@@ -7,9 +10,14 @@ import pytest
 from hypolab.errors import ConfigError, SimulationDiverged
 from hypolab.fieldlang import (
     CoefficientSet,
+    Const,
+    VectorField,
     compile_diffusion,
-    compile_diffusion_jacobians,
+    compile_expression_stack,
+    compile_field,
     compile_jacobian,
+    compile_step_kernel,
+    jacobian,
 )
 from hypolab.flows import (
     SCHEMES,
@@ -25,7 +33,7 @@ from hypolab.flows import (
     simulate_x,
 )
 from hypolab.flows.brownian import standard_normal_stream, stream_increments
-from hypolab.flows.simulate import _block_increments, _compiled_bundle
+from hypolab.flows.simulate import _block_increments, _implicit_state
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -263,6 +271,13 @@ def test_flow_identity_multiplicative_noise():
     assert res.flow_identity_sup.max() <= 0.05
 
 
+def compile_diffusion_jacobians(coeffs, component_major=False):
+    """X (..., d) -> stacked diffusion-column Jacobians (..., m, d, d), one
+    stack, for the references below."""
+    exprs = tuple(e for col in coeffs.diffusion for row in jacobian(col) for e in row)
+    return compile_expression_stack(exprs, (coeffs.m, coeffs.d, coeffs.d), component_major)
+
+
 # The einsum form of the J/K step and the C sums, kept as an independent
 # reference for the engine's generator-matrix products.
 
@@ -362,31 +377,207 @@ _HEIS = ("-x1 - x1^3, -x2 - x2^3, -x3", ["1, 0, -0.5*x2", "0, 1, 0.5*x1"])
 _NEGATIVE_NOISE = ("-x1 - x1^3", ["-0.5"])  # d sigma = -0.0, the derivative of neg(0.5)
 
 
-def test_additive_noise_skips_the_diffusion_jacobians(ou):
-    heis = CoefficientSet.from_text(3, 2, *_HEIS)
-    negative = CoefficientSet.from_text(1, 1, *_NEGATIVE_NOISE)
-    assert ou.additive and negative.additive and not heis.additive
-    assert _compiled_bundle(ou, True)[3] is None
-    assert _compiled_bundle(negative, True)[3] is None
-    assert _compiled_bundle(heis, True)[3] is not None
+# The dense recurrence, kept as a byte-level oracle for the generated step
+# kernel: every product a broadcast sum over (d, d, B) stacks, every
+# diffusion Jacobian read, and numpy's own sums.
+
+
+def _bmm(a, b):
+    """Matrix products of (..., p, q, B) and (..., q, r, B) stacks."""
+    if a.shape[-2] == 1:
+        return a * b
+    return (a[..., None, :] * b[..., None, :, :, :]).sum(axis=-3)
+
+
+def _flow_step(j, k_inv, gb, gs, dwk, h):
+    a = h * gb
+    for i in range(gs.shape[0]):
+        a += gs[i] * dwk[i]
+    sq = _bmm(gs, gs)
+    # one term: + 0.0 turns -0.0 into 0.0 as the sum over the axis does
+    g = a - h * (sq[0] + 0.0 if sq.shape[0] == 1 else sq.sum(axis=0))
+    return j + _bmm(a, j), k_inv - _bmm(k_inv, g)
+
+
+def _dense_reference(coeffs, cfg, dw):
+    """Diverged steps and [(X, J, K, C)] at every index, component-major,
+    for the (B, n, m) increments ``dw``, lost paths frozen."""
+    cb, cgb = (f(coeffs.drift, component_major=True) for f in (compile_field, compile_jacobian))
+    csig, cgs = (f(coeffs, component_major=True)
+                 for f in (compile_diffusion, compile_diffusion_jacobians))
+    newton = (compile_field(coeffs.drift), compile_jacobian(coeffs.drift))
+    d, m, h, B = coeffs.d, coeffs.m, cfg.h, dw.shape[0]
+    x = np.tile(np.asarray(cfg.x0)[:, None], (1, B))
+    j = np.tile(np.eye(d)[:, :, None], (1, 1, B))
+    state = (x, j, j.copy(), np.zeros((d, d, B)))
+    alive, diverged = np.ones(B, dtype=bool), np.full(B, -1)
+    path = [state]
+    with np.errstate(all="ignore"):
+        for k in range(cfg.n_steps):
+            x, j, k_inv, c = state
+            dwk = np.ascontiguousarray(dw[:, k, :].T)
+            bx, ok, point = cb(x), np.ones(B, dtype=bool), x
+            if cfg.scheme == "tamed-euler":
+                inc = (h * bx) / (1.0 + h * np.sqrt(np.add.reduce(bx * bx, axis=0)))
+            elif cfg.scheme == "euler":
+                inc = h * bx
+            else:
+                z, ok = _implicit_state(*newton, x.T, h)
+                point = z.T
+                inc = point - x
+            sig = csig(point)
+            noise = sig[:, 0] * dwk[0] + 0.0 if m == 1 else (sig * dwk).sum(axis=1)
+            ks = _bmm(k_inv, csig(x))
+            new = (x + inc + noise, *_flow_step(j, k_inv, cgb(x), cgs(x), dwk, h),
+                   c + h * _bmm(ks, ks.transpose(1, 0, 2)))
+            for arr in new:
+                ok &= np.isfinite(arr.reshape(-1, B)).all(axis=0)
+            diverged[alive & ~ok] = k
+            alive &= ok
+            state = tuple(np.where(alive, a, b) for a, b in zip(new, state))
+            path.append(state)
+    return diverged, path
+
+
+_DENSE = (
+    "-x1 + 0.3*sin(x1 + x2 + x3 + x4), -x2 + 0.2*cos(x1 - x2 + x3 - x4), "
+    "-x3 - x3^3 + 0.1*x1*x2*x4, -x4 + 0.25*tanh(x1 + x2 + x3 + x4)",
+    [
+        "1 + 0.1*sin(x1 + x2 + x3 + x4), 0.2*cos(x1 + x2 + x3 + x4), "
+        "0.1*x1*x2*x3*x4, 0.3*tanh(x1 + x2 + x3 + x4)",
+        "0.2*sin(x1 - x2 + x3 - x4), 1 + 0.1*cos(x1 + x2 - x3 + x4), "
+        "0.1*sin(x1 + x2 + x3 + x4), 1 + 0.2*tanh(x1 + x2 + x3 - x4)",
+    ],
+)
+
+# name: (d, m, drift, sigma columns, x0, n_steps, paths, seed)
+# name: (d, m, drift, sigma columns, x0, horizon, n_steps, paths, seed)
+_ORACLE_MODELS = {
+    "heis": (3, 2, *_HEIS, (1.0, 0.5, 0.0), 0.5, 64, 16, 3),
+    "ou": (1, 1, "-x1", ["1"], (1.0,), 0.5, 64, 16, 3),
+    "negative-noise": (1, 1, *_NEGATIVE_NOISE, (0.7,), 0.5, 64, 16, 5),
+    **{
+        f"multiplicative-{d}x{m}": (d, m, drift, sigma, (0.8, -0.4, 0.3)[:d], 0.5, 64, 8, 97)
+        for (d, m), (drift, sigma) in _MULTIPLICATIVE_MODELS.items()
+    },
+    "dense-4x2": (4, 2, *_DENSE, (0.5, -0.3, 0.2, 0.1), 0.5, 64, 8, 11),
+    # the two models of test_path_loss_inside_a_block_does_not_change_bits
+    "state-overflow": (1, 1, "x1 - x1^3", ["20"], (10.5,), 1.0, 64, 50, 7),
+    "flow-overflow": (1, 1, "4000*x1", ["100*x1"], (0.0,), 1.0, 256, 50, 1),
+}
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_additive_fast_path_is_bit_identical_to_the_full_step(scheme, monkeypatch):
+@pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
+def test_engine_matches_the_dense_recurrence_bytes(name, scheme):
+    d, m, drift, sigma, x0, horizon, n, n_paths, seed = _ORACLE_MODELS[name]
+    coeffs = CoefficientSet.from_text(d, m, drift, sigma)
+    cfg = SimConfig(horizon=horizon, n_steps=n, x0=x0, scheme=scheme, seed=seed)
+    checkpoints = tuple(range(0, n + 1, 4))
+    record = RecordSpec(store_states=True, store_jacobians=True, store_inverses=True,
+                        c_checkpoints=checkpoints)
+    res = run_ensemble(coeffs, cfg, n_paths, record)
+    dw = _block_increments(cfg, m, res.stream_ids)
+    diverged, path = _dense_reference(coeffs, cfg, dw)
+    if scheme == "euler" and name.endswith("overflow"):
+        assert not res.alive.all()  # the masked step is covered
+    # bytes, so the signs of zeros count too; no model or scheme is exempt
+    assert res.diverged_step.tobytes() == diverged.tobytes()
+    for k, (x, j, k_inv, c) in enumerate(path):
+        assert res.states[:, k].tobytes() == x.T.tobytes(), f"X at {k}"
+        assert res.jacobians[:, k].tobytes() == np.moveaxis(j, -1, 0).tobytes(), f"J at {k}"
+        assert res.inverses[:, k].tobytes() == np.moveaxis(k_inv, -1, 0).tobytes(), f"K at {k}"
+        if k in checkpoints:
+            assert res.c_at[k].tobytes() == np.moveaxis(c, -1, 0).tobytes(), f"C at {k}"
+
+
+def _kernel_source(coeffs, scheme="tamed-euler", flows=True, covariance=True):
+    kernel = compile_step_kernel(coeffs, scheme, flows, covariance)
+    return [line.strip() for line in linecache.getlines(kernel.__code__.co_filename)]
+
+
+def test_additive_noise_skips_the_diffusion_jacobians(ou):
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    negative = CoefficientSet.from_text(1, 1, *_NEGATIVE_NOISE)
+    for coeffs in (ou, negative):
+        generators = [ln for ln in _kernel_source(coeffs) if ln.startswith(("A", "G"))]
+        # A = h grad b reads no dW, so no grad sigma_i entry, and G = A
+        assert len(generators) == 1 and generators[0].startswith("A0_0 = h * ")
+        assert "dw" not in generators[0]
+    lines = _kernel_source(heis)
+    assert any(ln.startswith("A2_0 =") and "dw1" in ln for ln in lines)
+    # every product of two heis grad sigma_i entries has a constant-0 factor
+    assert not any(ln.startswith("G") for ln in lines)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_additive_fast_path_is_bit_identical_to_the_full_step(scheme):
+    # grad sigma is the constant -0.0 here; the dense step multiplies it out
     coeffs = CoefficientSet.from_text(1, 1, *_NEGATIVE_NOISE)
     cfg = SimConfig(horizon=1.0, n_steps=64, x0=(0.7,), scheme=scheme, seed=5)
     record = RecordSpec(flows=True, c_checkpoints=(32, 64))
-    assert coeffs.additive
-    fast = run_ensemble(coeffs, cfg, 16, record)
-    monkeypatch.setattr(CoefficientSet, "additive", property(lambda self: False))
-    assert _compiled_bundle(coeffs, True)[3] is not None
-    full = run_ensemble(coeffs, cfg, 16, record)
-    # bytes, so the signs of zeros count too
-    for name in ("final_states", "diverged_step", "final_jacobians"):
-        assert getattr(fast, name).tobytes() == getattr(full, name).tobytes(), name
+    res = run_ensemble(coeffs, cfg, 16, record)
+    diverged, path = _dense_reference(coeffs, cfg, _block_increments(cfg, 1, res.stream_ids))
+    x, j, _, _ = path[-1]
+    assert res.diverged_step.tobytes() == diverged.tobytes()
+    assert res.final_states.tobytes() == x.T.tobytes()
+    assert res.final_jacobians.tobytes() == np.moveaxis(j, -1, 0).tobytes()
     for k in record.c_checkpoints:
-        assert fast.c_at[k].tobytes() == full.c_at[k].tobytes()
-        assert fast.j_at[k].tobytes() == full.j_at[k].tobytes()
+        assert res.c_at[k].tobytes() == np.moveaxis(path[k][3], -1, 0).tobytes()
+        assert res.j_at[k].tobytes() == np.moveaxis(path[k][1], -1, 0).tobytes()
+
+
+def test_step_kernel_cache_key_separates_zero_signs_and_records():
+    def model(zero):
+        drift = VectorField(1, (Const(zero),))
+        return CoefficientSet(1, 1, drift, (VectorField.from_text("1", 1),))
+
+    plus, minus = model(0.0), model(-0.0)
+    for scheme in SCHEMES:
+        assert compile_step_kernel(plus, scheme, True, True) is not compile_step_kernel(
+            minus, scheme, True, True
+        )
+    assert "np.add(x0 + h * (-0.0), (dw0) + 0.0, out=out[0])" in _kernel_source(minus, "euler")
+    assert "np.add(x0 + h * (0.0), (dw0) + 0.0, out=out[0])" in _kernel_source(plus, "euler")
+
+    # rows written: X, J and K without C; and C's one row with it
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    assert compile_step_kernel(heis, "euler", True, False) is not compile_step_kernel(
+        heis, "euler", True, True
+    )
+    written = [
+        sum("out=out[" in ln or ln.startswith("out[") for ln in _kernel_source(heis, "euler", *r))
+        for r in ((False, False), (True, False), (True, True))
+    ]
+    assert written == [3, 21, 27]
+    # either order through the engine: C only where asked, and the same bits
+    cfg = SimConfig(horizon=0.5, n_steps=16, x0=(1.0, 0.5, 0.0), scheme="euler", seed=2)
+    with_c, without_c = RecordSpec(c_checkpoints=(16,)), RecordSpec()
+    for first, second in ((with_c, without_c), (without_c, with_c)):
+        compile_step_kernel.cache_clear()
+        a, b = run_ensemble(heis, cfg, 4, first), run_ensemble(heis, cfg, 4, second)
+        assert bool(a.c_at) == (first is with_c) and bool(b.c_at) == (second is with_c)
+        assert a.final_jacobians.tobytes() == b.final_jacobians.tobytes()
+
+
+def test_generated_code_is_readable_in_tracebacks():
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    kernel = compile_step_kernel(heis, "tamed-euler", True, True)
+    assert kernel.__code__.co_filename.startswith("<hypolab step d=3 m=2 tamed-euler JK C #")
+    assert linecache.getline(kernel.__code__.co_filename, 1) == "def step(s, out, dw, h, z):\n"
+    stack = compile_field(heis.drift, component_major=True)
+    assert stack.__code__.co_filename.startswith("<fieldlang stack (3,) component-major #")
+    with pytest.raises(IndexError) as err:
+        stack(np.zeros((1, 4)))  # one row where the drift reads three
+    text = "".join(traceback.format_exception(err.value))
+    assert "out[1] = ((-X[1]) - (X[1] ** 3))" in text
+    # the source is kept only as long as its function
+    orphan = compile_expression_stack.__wrapped__((Const(1.0),), (1,))
+    filename = orphan.__code__.co_filename
+    assert filename in linecache.cache
+    del orphan
+    gc.collect()
+    assert filename not in linecache.cache
 
 
 def test_block_memory_is_the_increments_and_the_state():
