@@ -25,7 +25,6 @@ __all__ = [
     "BrownianGrid",
     "sample_brownian",
     "standard_normal_stream",
-    "stream_increments",
 ]
 
 _BITGEN = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
@@ -54,16 +53,18 @@ def standard_normal_stream(seed: int, stream_id: int, purpose: int, shape=None, 
     return _GEN.standard_normal(shape, out=out)
 
 
-def _stream_path(seed: int, stream_id: int, n: int, m: int, h: float) -> np.ndarray:
-    draws = standard_normal_stream(seed, stream_id, 0, (n, m)) * math.sqrt(h)
-    path = np.zeros((n + 1, m))
-    np.cumsum(draws, axis=0, out=path[1:])
-    return path
+def _brownian_paths(seed: int, stream_ids, scale: float, path: np.ndarray) -> None:
+    """Write the streams' Brownian paths into ``path`` (len(ids), n + 1, m).
 
-
-def stream_increments(seed: int, stream_id: int, n: int, m: int, h: float) -> np.ndarray:
-    """Increments of the stream's path; bit-identical to sample_brownian's."""
-    return np.diff(_stream_path(seed, stream_id, n, m, h), axis=0)
+    Row 0 of each path must be zero and stays so.  The draws of each stream
+    fill rows 1..n, are scaled by ``scale`` (sqrt h) and summed by one
+    ``cumsum``: the single-path grids and the engine's blocks share these
+    float operations, and so their bits.
+    """
+    for row, sid in zip(path, stream_ids):
+        standard_normal_stream(seed, int(sid), 0, out=row[1:])
+    path *= scale  # contiguous, so unbuffered; row 0 stays zero
+    np.cumsum(path[:, 1:], axis=1, out=path[:, 1:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,5 +147,6 @@ def sample_brownian(config, m: int, stream_id: int = 0) -> BrownianGrid:
     """
     if m < 1:
         raise ConfigError("m must be >= 1")
-    path = _stream_path(config.seed, stream_id, config.n_steps, m, config.h)
-    return BrownianGrid(m, config.horizon, path, config.seed, stream_id)
+    path = np.zeros((1, config.n_steps + 1, m))
+    _brownian_paths(config.seed, (stream_id,), math.sqrt(config.h), path)
+    return BrownianGrid(m, config.horizon, path[0], config.seed, stream_id)

@@ -8,9 +8,12 @@ integral of W dW, and nested integrals reuse the same grid: quadrature
 error is absorbed into the convergence tests rather than substep
 refinement.
 
-``RemainderEnergy`` computes the cumulative remainder energy of an ensemble
-inside the engine's step loop with the same rule, step by step, instead of
-over stored paths; its results are bit-identical to the stored-path route.
+``RemainderEnergy`` computes the remainder and its cumulative energy step
+by step with the same rule, as an accumulator inside the engine's step
+loop; ``chaos_remainder_path`` drives one of its blocks along a single
+given path.  The stored-path route, which forms the iterated integrals of
+whole stored paths at once, is kept only as the test oracle of this
+streamed one (``tests/test_integrals.py``); the two agree bit for bit.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ __all__ = [
     "pullback_process",
     "chaos_remainder_path",
     "chaos_remainder",
-    "chaos_remainder_ensemble",
     "expansion_coefficients",
     "RemainderEnergy",
 ]
@@ -114,17 +116,16 @@ def chaos_remainder_path(
     """Pullback of ``target`` minus its truncated expansion, on the whole grid.
 
     The truncation keeps the frozen bracket values at x0 times the iterated
-    integrals of every multi-index with weight <= L - 1.
+    integrals of every multi-index with weight <= L - 1.  A ``RemainderEnergy``
+    block of one path is stepped along the given path and records each R_k.
     """
-    return chaos_remainder_ensemble(
-        L,
-        target,
-        table,
-        grid.h,
-        trajectory.states[None],
-        flow.inverses[None],
-        grid.increments[None],
-    )[0]
+    states, dw = trajectory.states, grid.increments
+    block = RemainderEnergy(L, target, table, states[0], grid.h, ())(1)
+    path = np.empty_like(states)
+    for k, x in enumerate(states):
+        dwk = dw[k][:, None] if k < len(dw) else None
+        path[k] = block.step(k, x[:, None], None, flow.inverses[k][..., None], None, dwk)[:, 0]
+    return path
 
 
 def chaos_remainder(
@@ -137,38 +138,9 @@ def chaos_remainder(
     grid: BrownianGrid,
 ) -> np.ndarray:
     """Remainder vector at one grid index."""
-    path = chaos_remainder_path(L, target, flow, trajectory, table, grid)
     if not 0 <= t_index <= trajectory.n_steps:
         raise ConfigError("t_index out of range")
-    return path[t_index]
-
-
-def chaos_remainder_ensemble(
-    L: int,
-    target: VectorField,
-    table: BracketTable,
-    h: float,
-    states: np.ndarray,
-    inverses: np.ndarray,
-    increments: np.ndarray,
-) -> np.ndarray:
-    """Remainder paths for a whole ensemble, shape (paths, n+1, d).
-
-    ``states`` is (paths, n+1, d), ``inverses`` (paths, n+1, d, d), and
-    ``increments`` (paths, n, m) as stored by the ensemble engine.
-    """
-    m = table.m
-    vals = compile_field(target)(states)
-    # the streamed route's broadcast sum over j, for the same bits
-    pullback = (inverses * vals[..., None, :]).sum(axis=-1)
-    truncation = np.zeros_like(pullback)
-    x0 = states[0, 0]
-    for alpha, coeff in expansion_coefficients(L, target, table, x0):
-        if not np.any(coeff):
-            continue
-        f = _iterate(alpha, np.ones(states.shape[:2]), increments, h, m)
-        truncation += f[:, :, None] * coeff[None, None, :]
-    return pullback - truncation
+    return chaos_remainder_path(L, target, flow, trajectory, table, grid)[t_index]
 
 
 class RemainderEnergy:
@@ -182,8 +154,8 @@ class RemainderEnergy:
     by the midpoint update I_{alpha j}(k+1) = I_{alpha j}(k)
     + (I_alpha(k) + I_alpha(k+1))/2 * dW^j_k (dW^0 = h).  Only multi-indices
     with a nonzero coefficient are kept, each prefix of them is advanced once
-    in length order, and the float operations are those of
-    ``chaos_remainder_ensemble`` followed by a trapezoid ``cumsum``.
+    in length order, and the float operations are those of the stored-path
+    oracle in the tests followed by a trapezoid ``cumsum``.
     """
 
     def __init__(self, L, target, table, x0, h, read):
@@ -213,8 +185,9 @@ class _EnergyBlock:
         self.prev = None
         self.out = np.zeros((B, len(spec.columns)))
 
-    def step(self, k, x, k_inv, dw) -> None:
-        """x (d, B), k_inv (d, d, B) and dw (m, B) or None, component-major."""
+    def step(self, k, x, j, k_inv, c, dw) -> np.ndarray:
+        """The engine's hook; reads x (d, B), k_inv (d, d, B) and dw (m, B)
+        or None, and returns the remainder R_k, (d, B)."""
         spec, ints = self.spec, self.integrals
         pullback = (k_inv * spec.field(x)).sum(axis=1)
         truncation = np.zeros_like(pullback)
@@ -233,6 +206,7 @@ class _EnergyBlock:
                 w = spec.h if e[-1] == 0 else dw[e[-1] - 1]
                 new[e] = ints[e] + 0.5 * (ints[e[:-1]] + new[e[:-1]]) * w
             self.integrals = new
+        return rem
 
     def result(self) -> np.ndarray:
         """The running integral at each read index, shape (B, len(read))."""

@@ -20,7 +20,7 @@ from ..fieldlang import (
     compile_field,
     compile_jacobian,
 )
-from .simulate import RecordSpec, SimConfig, run_ensemble
+from .simulate import RecordSpec, SimConfig, _RunningMax, run_ensemble
 
 __all__ = ["AssumptionProbe", "assumption_probe", "MomentProbe", "moment_probe"]
 
@@ -222,6 +222,11 @@ class MomentProbe:
         }
 
 
+def _sup_norm(B: int) -> _RunningMax:
+    """Accumulator of the per-path sup over the grid of |X_k|."""
+    return _RunningMax(lambda x, *_: np.sqrt(np.add.reduce(x * x, axis=0)), B)
+
+
 def moment_probe(
     coeffs: CoefficientSet,
     config: SimConfig,
@@ -243,11 +248,11 @@ def moment_probe(
     diverged = []
     for x0 in x0_values:
         res = run_ensemble(
-            coeffs, replace(config, x0=x0), n_paths, RecordSpec(flows=False, track_sup=True)
+            coeffs, replace(config, x0=x0), n_paths, RecordSpec(flows=False, accumulator=_sup_norm)
         )
         alive = res.alive
         diverged.append(res.diverged_count)
-        sups.append(res.sup_abs[alive] if alive.any() else np.array([np.nan]))
+        sups.append(res.accumulated[alive] if alive.any() else np.array([np.nan]))
     estimates = {}
     std_errors = {}
     fitted = {}

@@ -30,14 +30,19 @@ aggregate per-path records in ascending stream order, making every output
 bit independent of the block size.  The single-path helpers run the same
 engine on a batch of one given grid.
 
-A reduction that needs the whole path but only a few numbers per path rides
-along as a per-step accumulator instead of storing paths.  ``RecordSpec``
-carries a factory ``B -> acc``; each block builds its own accumulator and
-calls ``acc.step(k, x, k_inv, dw_k)`` at k = 0..n with views of the state
-x (d, B) and inverse flow k_inv (d, d, B) at index k (frozen columns for
-lost paths; valid during the call only) and the (m, B) increment rows that
-leave it (``None`` at n).  ``acc.result()`` is a per-path array, merged in
-stream order into ``EnsembleResult.accumulated``.
+Everything a block records per path goes through one hook: an accumulator
+``acc`` with ``acc.step(k, x, j, k_inv, c, dw)`` and ``acc.result()``.
+Each block builds its own accumulators and calls ``step`` once per grid
+index k = 0..n, before the step that leaves k, with views of the state at
+k: x (d, B), J and K (d, d, B), or ``None`` without flows, and the rows of
+C's upper triangle, (d(d+1)/2, B), empty unless C is accumulated.  ``dw``
+is the (m, B) increment rows that leave k, ``None`` at k = n.  Lost paths
+show their frozen columns.  The views are valid during the call only: the
+next step overwrites them, so an accumulator copies what it keeps.  Stored
+paths, C/J checkpoints and sup_k |K_k J_k - I| are such accumulators, and
+``RecordSpec.accumulator`` adds one more, a factory ``B -> acc``.  Each
+``result()`` is a per-path array, or a dict of them by grid index, merged
+in stream order into its field of ``EnsembleResult``.
 """
 from __future__ import annotations
 
@@ -48,14 +53,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigError, InternalInvariantError, SimulationDiverged
-from ..fieldlang import (
-    CoefficientSet,
-    compile_diffusion,
-    compile_field,
-    compile_jacobian,
-    compile_step_kernel,
-)
-from .brownian import BrownianGrid, standard_normal_stream
+from ..fieldlang import CoefficientSet, compile_field, compile_jacobian, compile_step_kernel
+from .brownian import BrownianGrid, _brownian_paths
 
 __all__ = [
     "SCHEMES",
@@ -96,8 +95,8 @@ class SimConfig:
     monotone_bound: float | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         n = self.n_steps
         if n < 1 or (n & (n - 1)) != 0:
             raise ConfigError(f"n_steps must be a positive power of two, got {n}")
@@ -151,22 +150,17 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
 
 @dataclass(slots=True)
 class FlowTrajectory:
     times: np.ndarray
     jacobians: np.ndarray  # (n_steps + 1, d, d)
     inverses: np.ndarray  # (n_steps + 1, d, d)
+    covariances: np.ndarray  # (n_steps + 1, d, d), C by the engine's quadrature
 
     def identity_defect(self) -> np.ndarray:
         """Frobenius norm of K_k J_k - I along the path."""
-        d = self.jacobians.shape[-1]
-        prod = np.einsum("tij,tjk->tik", self.inverses, self.jacobians)
-        return np.linalg.norm(prod - np.eye(d), axis=(1, 2))
+        return _identity_defect(*(np.moveaxis(a, 0, -1) for a in (self.jacobians, self.inverses)))
 
 
 @dataclass(slots=True)
@@ -190,26 +184,23 @@ class MalliavinPair:
 
 @dataclass(frozen=True, slots=True)
 class RecordSpec:
-    """What the ensemble engine stores beyond terminal states."""
+    """What the ensemble engine records beyond terminal states.
+
+    ``store_paths`` keeps X at every grid index, and J and K too when the run
+    has flows; ``c_checkpoints`` keeps C and J at the given indices;
+    ``track_flow_identity`` keeps sup_k |K_k J_k - I|; ``accumulator`` is a
+    factory ``B -> acc`` whose results fill ``EnsembleResult.accumulated``.
+    """
 
     flows: bool = True
-    store_states: bool = False
-    store_jacobians: bool = False
-    store_inverses: bool = False
-    accumulator: Callable | None = None  # block size B -> per-step accumulator
+    store_paths: bool = False
+    accumulator: Callable | None = None
     c_checkpoints: tuple[int, ...] = ()
-    track_sup: bool = False
     track_flow_identity: bool = False
 
     @property
     def needs_flows(self) -> bool:
-        return (
-            self.flows
-            or bool(self.c_checkpoints)
-            or self.store_jacobians
-            or self.store_inverses
-            or self.track_flow_identity
-        )
+        return self.flows or bool(self.c_checkpoints) or self.track_flow_identity
 
 
 @dataclass(slots=True)
@@ -221,7 +212,6 @@ class EnsembleResult:
     final_states: np.ndarray
     diverged_step: np.ndarray  # -1 where the path stayed finite
     final_jacobians: np.ndarray | None = None
-    sup_abs: np.ndarray | None = None
     flow_identity_sup: np.ndarray | None = None
     c_at: dict[int, np.ndarray] = field(default_factory=dict)
     j_at: dict[int, np.ndarray] = field(default_factory=dict)
@@ -301,6 +291,74 @@ def _implicit_state(cb, cgb, x, h):
     return z, converged & ~failed
 
 
+def _identity_defect(j: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
+    """Per-path Frobenius norm of K J - I for (d, d, B) stacks of J and K."""
+    defect = (k_inv[:, :, None] * j[None]).sum(axis=1) - np.eye(len(j))[:, :, None]
+    return np.sqrt(np.add.reduce(defect * defect, axis=(0, 1)))
+
+
+class _Path:
+    """One state view at every grid index, kept as a (B, n + 1, ...) array."""
+
+    def __init__(self, read, shape):
+        self.read, self.kept = read, np.empty(shape)
+
+    def step(self, k, *views):
+        self.kept[:, k] = np.moveaxis(self.read(*views), -1, 0)
+
+    def result(self):
+        return self.kept
+
+
+class _Checkpoints:
+    """One state view at the given grid indices, kept as {k: (B, ...)}."""
+
+    def __init__(self, read, indices):
+        self.read, self.indices, self.at = read, set(indices), {}
+
+    def step(self, k, *views):
+        if k in self.indices:
+            self.at[k] = np.moveaxis(self.read(*views), -1, 0).copy()
+
+    def result(self):
+        return self.at
+
+
+class _RunningMax:
+    """Per-path max over the grid of a norm of the state views, from 0."""
+
+    def __init__(self, norm, B):
+        self.norm, self.sup = norm, np.zeros(B)
+
+    def step(self, k, *views):
+        self.sup = np.maximum(self.sup, self.norm(*views))
+
+    def result(self):
+        return self.sup
+
+
+def _recorders(record: RecordSpec, B: int, n: int, d: int) -> dict:
+    """A block's accumulators, keyed by the ``EnsembleResult`` field each fills."""
+    recs = {}
+    if record.store_paths:
+        recs["states"] = _Path(lambda x, *_: x, (B, n + 1, d))
+        if record.needs_flows:
+            recs["jacobians"] = _Path(lambda x, j, *_: j, (B, n + 1, d, d))
+            recs["inverses"] = _Path(lambda x, j, k_inv, *_: k_inv, (B, n + 1, d, d))
+    if record.c_checkpoints:
+        tri = np.zeros((d, d), dtype=np.intp)  # C[p, r] is C's triangle row tri[p, r]
+        tri[np.triu_indices(d)] = tri.T[np.triu_indices(d)] = np.arange(d * (d + 1) // 2)
+        recs["c_at"] = _Checkpoints(lambda x, j, k_inv, c, dw: c[tri], record.c_checkpoints)
+        recs["j_at"] = _Checkpoints(lambda x, j, *_: j, record.c_checkpoints)
+    if record.track_flow_identity:
+        recs["flow_identity_sup"] = _RunningMax(
+            lambda x, j, k_inv, *_: _identity_defect(j, k_inv), B
+        )
+    if record.accumulator is not None:
+        recs["accumulated"] = record.accumulator(B)
+    return recs
+
+
 def _simulate_block(
     coeffs: CoefficientSet, config: SimConfig, dw: np.ndarray, record: RecordSpec
 ) -> dict:
@@ -310,8 +368,7 @@ def _simulate_block(
     if dw.shape != (B, n, m):
         raise InternalInvariantError(f"increment block has shape {dw.shape}")
     needs_flows = record.needs_flows
-    cpset = set(record.c_checkpoints)
-    accumulate_c = bool(cpset)
+    accumulate_c = bool(record.c_checkpoints)
     step = compile_step_kernel(coeffs, config.scheme, needs_flows, accumulate_c)
     implicit = config.scheme == "split-step-backward-euler"
     # Newton runs on (B, d) rows, with the row-major field functions
@@ -321,8 +378,6 @@ def _simulate_block(
     flow_rows = 2 * d * d if needs_flows else 0
     s = np.zeros((d + flow_rows + (d * (d + 1) // 2 if accumulate_c else 0), B))
     out = np.empty_like(s)
-    tri = np.zeros((d, d), dtype=np.intp)  # C[p, r] is C's triangle row tri[p, r]
-    tri[np.triu_indices(d)] = tri.T[np.triu_indices(d)] = np.arange(d * (d + 1) // 2)
 
     def views(buf):  # X (d, B), J and K (d, d, B), C's triangle rows
         flow = buf[d : d + flow_rows].reshape(2, d, d, B) if needs_flows else (None, None)
@@ -330,34 +385,17 @@ def _simulate_block(
 
     x, j, k_inv, c = views(s)
     x[:] = np.asarray(config.x0)[:, None]
-    eye = np.eye(d)[:, :, None]
     if needs_flows:
-        j[:] = k_inv[:] = eye
+        j[:] = k_inv[:] = np.eye(d)[:, :, None]
     alive = np.ones(B, dtype=bool)
     diverged = np.full(B, -1, dtype=np.int64)
-    c_snapshots: dict[int, np.ndarray] = {}
-    j_snapshots: dict[int, np.ndarray] = {}
-    sup_abs = np.sqrt(np.add.reduce(x * x, axis=0)) if record.track_sup else None
-    kj_sup = np.zeros(B) if record.track_flow_identity else None
-    states = np.empty((B, n + 1, d)) if record.store_states else None
-    jacobians = np.empty((B, n + 1, d, d)) if record.store_jacobians else None
-    inverses = np.empty((B, n + 1, d, d)) if record.store_inverses else None
-    acc = record.accumulator(B) if record.accumulator is not None else None
-
-    def store(k):
-        if k in cpset:
-            c_snapshots[k] = np.moveaxis(c[tri], -1, 0).copy()
-            j_snapshots[k] = np.moveaxis(j, -1, 0).copy()
-        for kept, now in ((states, x), (jacobians, j), (inverses, k_inv)):
-            if kept is not None:
-                kept[:, k] = np.moveaxis(now, -1, 0)
+    accs = _recorders(record, B, n, d)
 
     with np.errstate(all="ignore"):
         for k in range(n):
-            store(k)
             dwk = np.ascontiguousarray(dw[:, k, :].T)  # (m, B)
-            if acc is not None:
-                acc.step(k, x, k_inv, dwk)
+            for acc in accs.values():
+                acc.step(k, x, j, k_inv, c, dwk)
             z = newton_ok = None
             if implicit:
                 z, newton_ok = _implicit_state(*newton, x.T, h)
@@ -372,29 +410,14 @@ def _simulate_block(
                 np.copyto(out, s, where=~alive)
             s, out = out, s
             x, j, k_inv, c = views(s)
-            if sup_abs is not None:
-                sup_abs = np.maximum(sup_abs, np.sqrt(np.add.reduce(x * x, axis=0)))
-            if kj_sup is not None:
-                defect = (k_inv[:, :, None] * j[None]).sum(axis=1) - eye
-                val = np.sqrt(np.add.reduce(defect * defect, axis=(0, 1)))
-                kj_sup = np.where(alive, np.maximum(kj_sup, val), kj_sup)
-
-        store(n)
-        if acc is not None:
-            acc.step(n, x, k_inv, None)
+        for acc in accs.values():
+            acc.step(n, x, j, k_inv, c, None)
 
     return {
         "final_states": x.T.copy(),
         "diverged_step": diverged,
         "final_jacobians": None if j is None else np.moveaxis(j, -1, 0).copy(),
-        "sup_abs": sup_abs,
-        "flow_identity_sup": kj_sup,
-        "c_at": c_snapshots,
-        "j_at": j_snapshots,
-        "states": states,
-        "jacobians": jacobians,
-        "inverses": inverses,
-        "accumulated": acc.result() if acc is not None else None,
+        **{name: acc.result() for name, acc in accs.items()},
     }
 
 
@@ -404,18 +427,15 @@ _CHUNK = 64
 
 
 def _block_increments(config: SimConfig, m: int, stream_ids: np.ndarray) -> np.ndarray:
-    """The streams' (B, n, m) increments: ``stream_increments``' float
-    operations, with one ``cumsum`` and one subtraction per chunk of paths."""
+    """The streams' (B, n, m) increments: ``sample_brownian``'s paths, one
+    chunk of paths at a time, each chunk differenced by one subtraction."""
     n, scale = config.n_steps, math.sqrt(config.h)
     dw = np.empty((len(stream_ids), n, m))
     buf = np.zeros((min(len(stream_ids), _CHUNK), n + 1, m))  # row 0 stays W(0) = 0
     for start in range(0, len(stream_ids), _CHUNK):
         ids = stream_ids[start : start + _CHUNK]
         path = buf[: len(ids)]
-        for row, sid in zip(path, ids):
-            standard_normal_stream(config.seed, int(sid), 0, out=row[1:])
-        path *= scale  # contiguous, so unbuffered; row 0 stays zero
-        np.cumsum(path[:, 1:], axis=1, out=path[:, 1:])
+        _brownian_paths(config.seed, ids, scale, path)
         np.subtract(path[:, 1:], path[:, :-1], out=dw[start : start + len(ids)])
     return dw
 
@@ -423,8 +443,8 @@ def _block_increments(config: SimConfig, m: int, stream_ids: np.ndarray) -> np.n
 def _default_block_size(config: SimConfig, coeffs: CoefficientSet, record: RecordSpec) -> int:
     n, d, m = config.n_steps, coeffs.d, coeffs.m
     per_path = n * m  # increments
-    per_path += (n + 1) * d if record.store_states else 0
-    per_path += 2 * (n + 1) * d * d if (record.store_jacobians or record.store_inverses) else 0
+    if record.store_paths:
+        per_path += (n + 1) * (d + (2 * d * d if record.needs_flows else 0))
     budget = 64 * 1024 * 1024 // 8  # floats per block
     return max(32, min(budget // per_path, 16384))
 
@@ -456,16 +476,13 @@ def run_ensemble(
         for ids in id_blocks
     ]
 
-    def cat(arrays):
-        return None if arrays[0] is None else np.concatenate(arrays)
+    def cat(parts):
+        if isinstance(parts[0], dict):  # records by grid index
+            return {k: cat([p[k] for p in parts]) for k in parts[0]}
+        return None if parts[0] is None else np.concatenate(parts)
 
-    keys = [key for key in results[0] if key not in ("c_at", "j_at")]
-    per_path = {key: cat([r[key] for r in results]) for key in keys}
-    merged = EnsembleResult(config, np.concatenate(id_blocks), **per_path)
-    for idx in record.c_checkpoints:
-        merged.c_at[idx] = cat([r["c_at"][idx] for r in results])
-        merged.j_at[idx] = cat([r["j_at"][idx] for r in results])
-    return merged
+    per_path = {key: cat([r[key] for r in results]) for key in results[0]}
+    return EnsembleResult(config, np.concatenate(id_blocks), **per_path)
 
 
 def _check_grid(coeffs: CoefficientSet, config: SimConfig, grid: BrownianGrid) -> None:
@@ -493,7 +510,7 @@ def _single_path(
 
 def simulate_x(coeffs: CoefficientSet, config: SimConfig, grid: BrownianGrid) -> Trajectory:
     """Simulate one state path on the given grid; raises on divergence."""
-    out = _single_path(coeffs, config, grid, RecordSpec(flows=False, store_states=True))
+    out = _single_path(coeffs, config, grid, RecordSpec(flows=False, store_paths=True))
     return Trajectory(config.times(), out["states"][0])
 
 
@@ -503,17 +520,17 @@ def simulate_flow(
     grid: BrownianGrid,
     trajectory: Trajectory,
 ) -> FlowTrajectory:
-    """The J and K flows along ``trajectory``, which must be the output of
-    ``simulate_x`` on the same grid; raises ConfigError for any other path."""
+    """The J and K flows and the covariance C along ``trajectory``, which must
+    be the output of ``simulate_x`` on the same grid; raises ConfigError for
+    any other path."""
+    every = range(config.n_steps + 1)
     out = _single_path(
-        coeffs,
-        config,
-        grid,
-        RecordSpec(store_states=True, store_jacobians=True, store_inverses=True),
+        coeffs, config, grid, RecordSpec(store_paths=True, c_checkpoints=tuple(every))
     )
     if not np.array_equal(trajectory.states, out["states"][0]):
         raise ConfigError("trajectory is not simulate_x's state path on this grid")
-    return FlowTrajectory(config.times(), out["jacobians"][0], out["inverses"][0])
+    c = np.stack([out["c_at"][k][0] for k in every])
+    return FlowTrajectory(config.times(), out["jacobians"][0], out["inverses"][0], c)
 
 
 def malliavin_derivative(
@@ -524,8 +541,9 @@ def malliavin_derivative(
     coeffs: CoefficientSet,
 ) -> np.ndarray:
     """Sensitivity of X(t) to the noise at time s: J(t) K(s) sigma(X(s))."""
-    if s_index > t_index:
-        raise ConfigError("need s_index <= t_index")
+    n = trajectory.n_steps
+    if not 0 <= s_index <= t_index <= n:
+        raise ConfigError(f"need 0 <= s_index <= t_index <= {n}, got {s_index} and {t_index}")
     sig = coeffs.sigma_at(trajectory.states[s_index])
     if s_index == t_index:
         # the relative flow at equal times is the identity exactly
@@ -546,18 +564,12 @@ def malliavin_matrices(
     coeffs: CoefficientSet,
     t_index: int,
 ) -> MalliavinPair:
-    """Left-endpoint quadrature of the covariance flow up to ``t_index``."""
+    """C and Q = J C J^T at ``t_index``, C being the left-endpoint quadrature
+    that ``simulate_flow`` recorded: the engine's C, step by step, with the
+    bits of ``malliavin_checkpoint_ensemble``.  ``coeffs`` is not read."""
     if not 0 <= t_index <= trajectory.n_steps:
         raise ConfigError("t_index out of range")
-    h = trajectory.times[1] - trajectory.times[0] if trajectory.n_steps else 0.0
-    d = trajectory.dim
-    if t_index == 0:
-        c = np.zeros((d, d))
-    else:
-        sig_path = compile_diffusion(coeffs)(trajectory.states[:t_index])
-        ks = np.einsum("tij,tjm->tim", flow.inverses[:t_index], sig_path)
-        c = h * np.einsum("tim,tjm->ij", ks, ks)
-    c, q = _covariance_pair(c[None], flow.jacobians[t_index][None])
+    c, q = _covariance_pair(flow.covariances[t_index][None], flow.jacobians[t_index][None])
     return MalliavinPair(float(trajectory.times[t_index]), c[0], q[0])
 
 

@@ -220,12 +220,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str):
 
     dump = min(sim["dump_paths"], res.n_paths)
     if dump:
-        paths = run_ensemble(
-            coeffs,
-            config,
-            dump,
-            RecordSpec(store_states=True, store_jacobians=True, store_inverses=True),
-        )
+        paths = run_ensemble(coeffs, config, dump, RecordSpec(store_paths=True))
         # divergent dump paths are already counted above
         for i in np.flatnonzero(paths.alive):
             name = f"trajectory_{int(paths.stream_ids[i]):06d}.csv"

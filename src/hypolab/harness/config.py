@@ -32,6 +32,7 @@ command-line overrides) next to its outputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -53,11 +54,19 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _finite(value: float) -> float:
+    # a ValueError, not a ConfigError, so that _apply_schema names the key
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not a finite number")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+    return tuple(map(_finite, values))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -76,7 +85,7 @@ def _parse_vectors(text: str) -> tuple[tuple[float, ...], ...]:
 
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "int": lambda s: int(s.strip()),
-    "float": lambda s: float(s.strip()),
+    "float": lambda s: _finite(float(s.strip())),
     "str": lambda s: s.strip(),
     "bool": _parse_bool,
     "floats": _parse_floats,

@@ -32,7 +32,7 @@ from hypolab.flows import (
     simulate_flow,
     simulate_x,
 )
-from hypolab.flows.brownian import standard_normal_stream, stream_increments
+from hypolab.flows.brownian import standard_normal_stream
 from hypolab.flows.simulate import _block_increments, _implicit_state
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,12 @@ def test_config_rejects_large_implicit_step():
             scheme="split-step-backward-euler",
             monotone_bound=4.0,
         )
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0])
+def test_config_rejects_a_non_finite_horizon(horizon):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        SimConfig(horizon=horizon, n_steps=8, x0=(1.0,))
 
 
 def test_config_unknown_scheme():
@@ -85,7 +91,7 @@ def test_block_increments_match_stacked_streams(n_paths, m):
     # 63 is less than one chunk, 65 and 197 leave a partial last chunk
     cfg = SimConfig(horizon=0.5, n_steps=32, x0=(0.0,), seed=41)
     ids = np.arange(3, 3 + n_paths, dtype=np.int64)
-    expected = np.stack([stream_increments(41, int(s), 32, m, cfg.h) for s in ids])
+    expected = np.stack([sample_brownian(cfg, m, int(s)).increments for s in ids])
     assert np.array_equal(_block_increments(cfg, m, ids), expected)
 
 
@@ -321,16 +327,11 @@ def _engine_and_reference(coeffs, cfg, n_paths):
     """{index: (J, K, C)} from the engine and from the reference at two
     checkpoints."""
     checkpoints = (cfg.n_steps // 2, cfg.n_steps)
-    record = RecordSpec(
-        store_states=True,
-        store_inverses=True,
-        c_checkpoints=checkpoints,
-    )
+    record = RecordSpec(store_paths=True, c_checkpoints=checkpoints)
     res = run_ensemble(coeffs, cfg, n_paths, record)
     assert res.divergence_fraction == 0.0
     increments = np.stack(
-        [stream_increments(cfg.seed, int(sid), cfg.n_steps, coeffs.m, cfg.h)
-         for sid in res.stream_ids]
+        [sample_brownian(cfg, coeffs.m, int(sid)).increments for sid in res.stream_ids]
     )
     ref = _einsum_reference(coeffs, cfg, res, increments)
     got = {i: (res.j_at[i], res.inverses[:, i], res.c_at[i]) for i in checkpoints}
@@ -474,8 +475,7 @@ def test_engine_matches_the_dense_recurrence_bytes(name, scheme):
     coeffs = CoefficientSet.from_text(d, m, drift, sigma)
     cfg = SimConfig(horizon=horizon, n_steps=n, x0=x0, scheme=scheme, seed=seed)
     checkpoints = tuple(range(0, n + 1, 4))
-    record = RecordSpec(store_states=True, store_jacobians=True, store_inverses=True,
-                        c_checkpoints=checkpoints)
+    record = RecordSpec(store_paths=True, c_checkpoints=checkpoints)
     res = run_ensemble(coeffs, cfg, n_paths, record)
     dw = _block_increments(cfg, m, res.stream_ids)
     diverged, path = _dense_reference(coeffs, cfg, dw)
@@ -605,8 +605,8 @@ def test_scalar_noise_term_keeps_the_einsum_sign_of_zero():
     # sign the noise term decides; with m = 1 it must be the einsum's sign
     c = CoefficientSet.from_text(1, 1, "x1", ["x1"])
     cfg = SimConfig(horizon=1.0, n_steps=16, x0=(-0.0,), scheme="euler", seed=1)
-    res = run_ensemble(c, cfg, 8, RecordSpec(flows=False, store_states=True))
-    dw = np.stack([stream_increments(1, i, 16, 1, cfg.h) for i in range(8)])
+    res = run_ensemble(c, cfg, 8, RecordSpec(flows=False, store_paths=True))
+    dw = np.stack([sample_brownian(cfg, 1, i).increments for i in range(8)])
     x = np.full((8, 1), -0.0)
     for k in range(17):
         assert np.array_equal(np.signbit(res.states[:, k]), np.signbit(x))
@@ -646,6 +646,18 @@ def test_malliavin_ou_derivative_closed_form(ou):
         target = np.exp(-(t_idx - s_idx) * cfg.h)
         got = malliavin_derivative(s_idx, t_idx, flow, traj, ou)[0, 0]
         assert abs(got - target) <= 5 * cfg.h
+
+
+def test_malliavin_derivative_rejects_indices_off_the_grid(ou):
+    cfg = SimConfig(horizon=1.0, n_steps=8, x0=(1.0,), seed=47)
+    g = sample_brownian(cfg, 1, stream_id=0)
+    traj = simulate_x(ou, cfg, g)
+    flow = simulate_flow(ou, cfg, g, traj)
+    # (-1, 0) would read the last grid index; 99 is past the end
+    for s_idx, t_idx in ((-1, 0), (0, 99), (9, 9), (5, 4)):
+        with pytest.raises(ConfigError, match="s_index <= t_index <= 8"):
+            malliavin_derivative(s_idx, t_idx, flow, traj, ou)
+    assert malliavin_derivative(0, 8, flow, traj, ou).shape == (1, 1)
 
 
 def test_additive_identity_covariance_is_time(elliptic2):
@@ -740,7 +752,7 @@ def test_block_size_does_not_change_bits(ou):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_ensemble_matches_single_path_states(ginzburg_landau, scheme):
     cfg = SimConfig(horizon=1.0, n_steps=128, x0=(1.0,), scheme=scheme, seed=89)
-    record = RecordSpec(store_states=True, store_jacobians=True, store_inverses=True)
+    record = RecordSpec(store_paths=True)
     res = run_ensemble(ginzburg_landau, cfg, 4, record)
     assert res.divergence_fraction == 0.0
     for i, sid in enumerate(res.stream_ids):
@@ -750,6 +762,30 @@ def test_ensemble_matches_single_path_states(ginzburg_landau, scheme):
         assert np.array_equal(res.states[i], traj.states)
         assert np.array_equal(res.jacobians[i], flow.jacobians)
         assert np.array_equal(res.inverses[i], flow.inverses)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_single_path_helpers_are_rows_of_the_ensemble(scheme):
+    # each helper is a batch of one of the engine; h = 0.3/64 is no power of
+    # two, so a quadrature that only differs by where it multiplies by h
+    # would show here too
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    cfg = SimConfig(horizon=0.3, n_steps=64, x0=(1.0, 0.5, 0.0), scheme=scheme, seed=3)
+    indices = (0, 1, 32, 64)
+    res = run_ensemble(heis, cfg, 4, RecordSpec(store_paths=True))
+    _, mats = malliavin_checkpoint_ensemble(heis, cfg, 4, indices)
+    for sid in range(4):
+        g = sample_brownian(cfg, 2, stream_id=sid)
+        traj = simulate_x(heis, cfg, g)
+        flow = simulate_flow(heis, cfg, g, traj)
+        assert traj.states.tobytes() == res.states[sid].tobytes()
+        assert flow.jacobians.tobytes() == res.jacobians[sid].tobytes()
+        assert flow.inverses.tobytes() == res.inverses[sid].tobytes()
+        for k in indices:
+            pair = malliavin_matrices(flow, traj, heis, k)
+            c, q = mats[k]
+            assert pair.c_matrix.tobytes() == c[sid].tobytes(), f"C at {k}"
+            assert pair.q_matrix.tobytes() == q[sid].tobytes(), f"Q at {k}"
 
 
 def test_flow_rejects_a_foreign_trajectory(ou):

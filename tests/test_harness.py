@@ -160,6 +160,28 @@ def test_cli_empty_k_grid_exits_2_before_simulation(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("t = 0.5", "t = nan", "t"),
+        ("t = 0.5", "t = inf", "t"),
+        ("t = 0.5", "t = -inf", "t"),
+        ("T = 0.5", "T = nan", "T"),
+        ("x0 = 1.0, 0.5, 0.0", "x0 = 1.0, inf, 0.0", "x0"),
+    ],
+    ids=["t-nan", "t-inf", "t-minus-inf", "T-nan", "x0-inf"],
+)
+def test_cli_non_finite_value_exits_2(tmp_path, capsys, old, new, key):
+    text = (Path(__file__).resolve().parents[1] / "configs" / "heis_malliavin.cfg").read_text()
+    assert old in text
+    cfg = _write(tmp_path, text.replace(old, new))
+    code = main(["malliavin", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad value for '{key}'" in err and "not a finite number" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field", ["sigma\u00b2", "sigma3", "sigma"])
 def test_cli_unknown_diffusion_field_exits_2(tmp_path, capsys, field):
     text = OU_MODEL + SIM + f"[analysis]\nL = 2\nepsilon = 0.5\nK_grid = 1, 2\nfield = {field}\n"

@@ -4,13 +4,12 @@ from scipy.integrate import quad
 
 from hypolab.brackets import EMPTY_INDEX, BracketTable, MultiIndex, enumerate_indices
 from hypolab.errors import ConfigError
-from hypolab.fieldlang import CoefficientSet
+from hypolab.fieldlang import CoefficientSet, VectorField, compile_field
 from hypolab.flows import (
     RecordSpec,
     RemainderEnergy,
     SimConfig,
     chaos_remainder,
-    chaos_remainder_ensemble,
     chaos_remainder_path,
     expansion_coefficients,
     iterated_integral,
@@ -20,7 +19,8 @@ from hypolab.flows import (
     simulate_flow,
     simulate_x,
 )
-from hypolab.flows.brownian import stream_increments
+from hypolab.flows import integrals
+from hypolab.flows.integrals import _iterate
 
 
 @pytest.fixture
@@ -150,6 +150,18 @@ def test_trivial_remainder_at_time_zero():
     assert np.allclose(r0, 0.0)
 
 
+def test_chaos_remainder_checks_the_index_before_the_path(monkeypatch):
+    ou, cfg, g, traj, flow, table = _ou_setup(n_steps=8)
+
+    def build(*args):
+        raise AssertionError("the remainder path was built")
+
+    monkeypatch.setattr(integrals, "chaos_remainder_path", build)
+    for idx in (-1, 9):
+        with pytest.raises(ConfigError, match="t_index"):
+            chaos_remainder(1, ou.diffusion[0], idx, flow, traj, table, g)
+
+
 def test_constant_coefficients_remainder_identically_zero():
     c = CoefficientSet.from_text(2, 2, "1, -1", ["2, 0", "0, 0.5"])
     cfg = SimConfig(horizon=1.0, n_steps=128, x0=(0.3, 0.7), seed=5)
@@ -198,25 +210,46 @@ def test_two_route_remainder_identity():
 
 def _increments(cfg, m, stream_ids):
     """The engine's increments of the given streams, drawn again."""
-    return np.stack(
-        [stream_increments(cfg.seed, int(sid), cfg.n_steps, m, cfg.h) for sid in stream_ids]
-    )
+    return np.stack([sample_brownian(cfg, m, int(sid)).increments for sid in stream_ids])
+
+
+# The stored-path route, kept as the oracle of the streamed remainder: the
+# iterated integrals of whole stored paths at once, by cumulative sums.
+
+
+def chaos_remainder_ensemble(
+    L: int,
+    target: VectorField,
+    table: BracketTable,
+    h: float,
+    states: np.ndarray,
+    inverses: np.ndarray,
+    increments: np.ndarray,
+) -> np.ndarray:
+    """Remainder paths for a whole ensemble, shape (paths, n+1, d).
+
+    ``states`` is (paths, n+1, d), ``inverses`` (paths, n+1, d, d), and
+    ``increments`` (paths, n, m) as stored by the ensemble engine.
+    """
+    m = table.m
+    vals = compile_field(target)(states)
+    # the streamed route's broadcast sum over j, for the same bits
+    pullback = (inverses * vals[..., None, :]).sum(axis=-1)
+    truncation = np.zeros_like(pullback)
+    x0 = states[0, 0]
+    for alpha, coeff in expansion_coefficients(L, target, table, x0):
+        if not np.any(coeff):
+            continue
+        f = _iterate(alpha, np.ones(states.shape[:2]), increments, h, m)
+        truncation += f[:, :, None] * coeff[None, None, :]
+    return pullback - truncation
 
 
 def test_ensemble_remainder_matches_single_path():
     ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
     cfg = SimConfig(horizon=0.5, n_steps=512, x0=(1.0,), seed=13)
     table = BracketTable(ou)
-    res = run_ensemble(
-        ou,
-        cfg,
-        3,
-        RecordSpec(
-            flows=True,
-            store_states=True,
-            store_inverses=True,
-        ),
-    )
+    res = run_ensemble(ou, cfg, 3, RecordSpec(flows=True, store_paths=True))
     increments = _increments(cfg, 1, res.stream_ids)
     batch = chaos_remainder_ensemble(
         3, ou.diffusion[0], table, cfg.h, res.states, res.inverses, increments
@@ -288,7 +321,7 @@ def test_streamed_remainder_energy_is_bit_identical_to_stored_paths(
         coeffs, cfg, n_paths, RecordSpec(flows=True, accumulator=energy), block_size=block
     )
     stored = run_ensemble(
-        coeffs, cfg, n_paths, RecordSpec(flows=True, store_states=True, store_inverses=True)
+        coeffs, cfg, n_paths, RecordSpec(flows=True, store_paths=True)
     )
     assert np.array_equal(streamed.alive, stored.alive)
     alive = stored.alive
@@ -319,3 +352,22 @@ def test_streamed_remainder_energy_keeps_only_read_indices():
     part = run_ensemble(ou, cfg, 5, RecordSpec(accumulator=some)).accumulated
     assert np.array_equal(part, full[:, [0, 9, 64]])
     assert np.all(part[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("scheme", ["tamed-euler", "split-step-backward-euler", "euler"])
+def test_single_path_remainder_is_the_stored_path_oracle(scheme):
+    # chaos_remainder_path steps a RemainderEnergy block along one path
+    drift, sigma, x0 = _HEIS
+    heis = CoefficientSet.from_text(3, 2, drift, sigma)
+    cfg = SimConfig(horizon=0.3, n_steps=64, x0=x0, scheme=scheme, seed=3)
+    table = BracketTable(heis)
+    target = heis.diffusion[1]
+    res = run_ensemble(heis, cfg, 4, RecordSpec(store_paths=True))
+    dw = _increments(cfg, 2, res.stream_ids)
+    oracle = chaos_remainder_ensemble(3, target, table, cfg.h, res.states, res.inverses, dw)
+    for sid in range(4):
+        g = sample_brownian(cfg, 2, stream_id=sid)
+        traj = simulate_x(heis, cfg, g)
+        flow = simulate_flow(heis, cfg, g, traj)
+        path = chaos_remainder_path(3, target, flow, traj, table, g)
+        assert path.tobytes() == oracle[sid].tobytes()
