@@ -374,8 +374,6 @@ class HormanderReport:
     points: np.ndarray
     values: np.ndarray
     in_span_set: np.ndarray
-    gram: np.ndarray
-    membership_tol: float
     caveat: str = field(default=_UH_CAVEAT)
 
     @property
@@ -424,10 +422,8 @@ def check_hormander(
     )
     if pts.size == 0:
         raise ConfigError("empty point set for spanning check")
-    grams = _gram_stack(pts, L, table)
-    values = _spanning_values(grams, pts)
-    members = values > membership_tol
-    return HormanderReport(L, pts, values, members, grams, membership_tol)
+    values = _spanning_values(_gram_stack(pts, L, table), pts)
+    return HormanderReport(L, pts, values, values > membership_tol)
 
 
 # ---------------------------------------------------------------------------

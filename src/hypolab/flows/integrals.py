@@ -8,12 +8,14 @@ integral of W dW, and nested integrals reuse the same grid: quadrature
 error is absorbed into the convergence tests rather than substep
 refinement.
 
-``RemainderEnergy`` computes the remainder and its cumulative energy step
-by step with the same rule, as an accumulator inside the engine's step
-loop; ``chaos_remainder_path`` drives one of its blocks along a single
-given path.  The stored-path route, which forms the iterated integrals of
-whole stored paths at once, is kept only as the test oracle of this
-streamed one (``tests/test_integrals.py``); the two agree bit for bit.
+One helper advances a set of prefix integrals by one grid step of this
+rule.  ``iterated_integral`` steps it along one grid, and
+``RemainderEnergy`` steps it inside the engine's step loop, as an
+accumulator that forms the remainder and its cumulative energy;
+``chaos_remainder_path`` drives one of its blocks along a single given
+path.  The stored-path route, which forms the iterated integrals of whole
+stored paths at once by cumulative sums, is kept only as the test oracle of
+both (``tests/test_integrals.py``); they agree bit for bit.
 """
 from __future__ import annotations
 
@@ -35,32 +37,19 @@ __all__ = [
 ]
 
 
-def _direction_weights(increments: np.ndarray, h: float, direction: int, m: int) -> np.ndarray:
-    """Step weights for one noise direction; 0 is the time direction."""
-    if direction == 0:
-        shape = increments.shape[:-1]
-        return np.full(shape, h)
-    if not 1 <= direction <= m:
-        raise ConfigError(f"direction {direction} outside 0..{m}")
-    return increments[..., direction - 1]
+def _midpoint_step(integrals: dict, prefixes, base, dw, h: float) -> dict:
+    """The prefix integrals one grid step on, by the midpoint rule
+    I_{e j}(k+1) = I_{e j}(k) + (I_e(k) + I_e(k+1))/2 * dW^j_k, dW^0 = h.
 
-
-def _iterate(
-    alpha: MultiIndex, f: np.ndarray, increments: np.ndarray, h: float, m: int
-) -> np.ndarray:
-    """Iterated integrals of the paths ``f`` (paths, n+1, ...) along ``alpha``.
-
-    Each entry of ``alpha``, left to right, replaces f by its cumulative
-    midpoint integral out[:, j] = sum_{k<j} (f_k + f_{k+1})/2 * w_k, the
-    weights w coming from ``increments`` (paths, n, m).
+    ``integrals`` maps each prefix e to I_e(k), and the empty prefix to the
+    integrand z_k; ``base`` is z_{k+1} and ``dw[j - 1]`` is dW^j_k.  Every
+    prefix comes after its own prefix in ``prefixes``.
     """
-    for direction in alpha.entries:
-        w = _direction_weights(increments, h, direction, m)
-        w = w.reshape(w.shape + (1,) * (f.ndim - 2))
-        out = np.zeros_like(f)
-        out[:, 1:] = np.cumsum(0.5 * (f[:, :-1] + f[:, 1:]) * w, axis=1)
-        f = out
-    return f
+    new = {(): base}
+    for e in prefixes:
+        w = h if e[-1] == 0 else dw[e[-1] - 1]
+        new[e] = integrals[e] + 0.5 * (integrals[e[:-1]] + new[e[:-1]]) * w
+    return new
 
 
 def iterated_integral(
@@ -81,7 +70,15 @@ def iterated_integral(
         f = np.asarray(z, dtype=float)
         if f.shape[0] != n + 1:
             raise ConfigError(f"process has {f.shape[0]} samples, grid wants {n + 1}")
-    return _iterate(alpha, f[None], grid.increments[None], grid.h, grid.m)[0]
+    prefixes = [alpha.entries[:r] for r in range(1, len(alpha.entries) + 1)]
+    integrals = {e: np.zeros_like(f[0]) for e in prefixes}
+    integrals[()] = f[0]
+    path = np.empty_like(f)
+    path[0] = integrals[alpha.entries]
+    for k in range(n):
+        integrals = _midpoint_step(integrals, prefixes, f[k + 1], grid.increments[k], grid.h)
+        path[k + 1] = integrals[alpha.entries]
+    return path
 
 
 def pullback_process(
@@ -201,11 +198,7 @@ class _EnergyBlock:
         if k in spec.columns:
             self.out[:, spec.columns[k]] = self.cum
         if dw is not None:
-            new = {(): ints[()]}
-            for e in spec.prefixes:
-                w = spec.h if e[-1] == 0 else dw[e[-1] - 1]
-                new[e] = ints[e] + 0.5 * (ints[e[:-1]] + new[e[:-1]]) * w
-            self.integrals = new
+            self.integrals = _midpoint_step(ints, spec.prefixes, ints[()], dw, spec.h)
         return rem
 
     def result(self) -> np.ndarray:

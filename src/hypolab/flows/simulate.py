@@ -39,8 +39,10 @@ C's upper triangle, (d(d+1)/2, B), empty unless C is accumulated.  ``dw``
 is the (m, B) increment rows that leave k, ``None`` at k = n.  Lost paths
 show their frozen columns.  The views are valid during the call only: the
 next step overwrites them, so an accumulator copies what it keeps.  Stored
-paths, C/J checkpoints and sup_k |K_k J_k - I| are such accumulators, and
-``RecordSpec.accumulator`` adds one more, a factory ``B -> acc``.  Each
+paths and C/J checkpoints are one such accumulator, a view kept at some
+indices and moved to the per-path layout once, in ``result()``; sup_k
+|K_k J_k - I| is another, and ``RecordSpec.accumulator`` adds one more, a
+factory ``B -> acc``.  Each
 ``result()`` is a per-path array, or a dict of them by grid index, merged
 in stream order into its field of ``EnsembleResult``.
 """
@@ -186,8 +188,9 @@ class MalliavinPair:
 class RecordSpec:
     """What the ensemble engine records beyond terminal states.
 
-    ``store_paths`` keeps X at every grid index, and J and K too when the run
-    has flows; ``c_checkpoints`` keeps C and J at the given indices;
+    ``store_paths`` keeps every view the run has at every grid index: X,
+    J and K when the run has flows, and C when it accumulates C;
+    ``c_checkpoints`` accumulates C and keeps C and J at the given indices;
     ``track_flow_identity`` keeps sup_k |K_k J_k - I|; ``accumulator`` is a
     factory ``B -> acc`` whose results fill ``EnsembleResult.accumulated``.
     """
@@ -218,6 +221,7 @@ class EnsembleResult:
     states: np.ndarray | None = None
     jacobians: np.ndarray | None = None
     inverses: np.ndarray | None = None
+    covariances: np.ndarray | None = None
     accumulated: np.ndarray | None = None
 
     @property
@@ -297,31 +301,26 @@ def _identity_defect(j: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(defect * defect, axis=(0, 1)))
 
 
-class _Path:
-    """One state view at every grid index, kept as a (B, n + 1, ...) array."""
+class _Kept:
+    """One state view kept at some grid indices.
 
-    def __init__(self, read, shape):
-        self.read, self.kept = read, np.empty(shape)
+    Each view is copied as it comes, paths last, into a (len(indices), ..., B)
+    buffer; ``result`` moves that buffer to the (B, len(indices), ...) layout
+    once, or, ``by_index``, to {k: (B, ...)}.
+    """
 
-    def step(self, k, *views):
-        self.kept[:, k] = np.moveaxis(self.read(*views), -1, 0)
-
-    def result(self):
-        return self.kept
-
-
-class _Checkpoints:
-    """One state view at the given grid indices, kept as {k: (B, ...)}."""
-
-    def __init__(self, read, indices):
-        self.read, self.indices, self.at = read, set(indices), {}
+    def __init__(self, read, shape, indices, by_index=False):
+        self.read, self.by_index = read, by_index
+        self.rows = {k: r for r, k in enumerate(indices)}
+        self.kept = np.empty((len(self.rows),) + shape)
 
     def step(self, k, *views):
-        if k in self.indices:
-            self.at[k] = np.moveaxis(self.read(*views), -1, 0).copy()
+        if k in self.rows:
+            self.kept[self.rows[k]] = self.read(*views)
 
     def result(self):
-        return self.at
+        kept = np.moveaxis(self.kept, -1, 0)
+        return {k: kept[:, r] for k, r in self.rows.items()} if self.by_index else kept
 
 
 class _RunningMax:
@@ -339,17 +338,21 @@ class _RunningMax:
 
 def _recorders(record: RecordSpec, B: int, n: int, d: int) -> dict:
     """A block's accumulators, keyed by the ``EnsembleResult`` field each fills."""
-    recs = {}
-    if record.store_paths:
-        recs["states"] = _Path(lambda x, *_: x, (B, n + 1, d))
-        if record.needs_flows:
-            recs["jacobians"] = _Path(lambda x, j, *_: j, (B, n + 1, d, d))
-            recs["inverses"] = _Path(lambda x, j, k_inv, *_: k_inv, (B, n + 1, d, d))
+    reads = {"states": (lambda x, *_: x, (d, B))}  # each view the run has, (..., B)
+    if record.needs_flows:
+        reads["jacobians"] = (lambda x, j, *_: j, (d, d, B))
+        reads["inverses"] = (lambda x, j, k_inv, *_: k_inv, (d, d, B))
     if record.c_checkpoints:
         tri = np.zeros((d, d), dtype=np.intp)  # C[p, r] is C's triangle row tri[p, r]
         tri[np.triu_indices(d)] = tri.T[np.triu_indices(d)] = np.arange(d * (d + 1) // 2)
-        recs["c_at"] = _Checkpoints(lambda x, j, k_inv, c, dw: c[tri], record.c_checkpoints)
-        recs["j_at"] = _Checkpoints(lambda x, j, *_: j, record.c_checkpoints)
+        reads["covariances"] = (lambda x, j, k_inv, c, dw: c[tri], (d, d, B))
+    recs = {}
+    if record.store_paths:
+        recs = {name: _Kept(*read, range(n + 1)) for name, read in reads.items()}
+    at = sorted(k for k in set(record.c_checkpoints) if 0 <= k <= n)
+    if at:
+        recs["c_at"] = _Kept(*reads["covariances"], at, by_index=True)
+        recs["j_at"] = _Kept(*reads["jacobians"], at, by_index=True)
     if record.track_flow_identity:
         recs["flow_identity_sup"] = _RunningMax(
             lambda x, j, k_inv, *_: _identity_defect(j, k_inv), B
@@ -444,7 +447,8 @@ def _default_block_size(config: SimConfig, coeffs: CoefficientSet, record: Recor
     n, d, m = config.n_steps, coeffs.d, coeffs.m
     per_path = n * m  # increments
     if record.store_paths:
-        per_path += (n + 1) * (d + (2 * d * d if record.needs_flows else 0))
+        flows = 2 * d * d if record.needs_flows else 0
+        per_path += (n + 1) * (d + flows + (d * d if record.c_checkpoints else 0))
     budget = 64 * 1024 * 1024 // 8  # floats per block
     return max(32, min(budget // per_path, 16384))
 
@@ -523,14 +527,12 @@ def simulate_flow(
     """The J and K flows and the covariance C along ``trajectory``, which must
     be the output of ``simulate_x`` on the same grid; raises ConfigError for
     any other path."""
-    every = range(config.n_steps + 1)
-    out = _single_path(
-        coeffs, config, grid, RecordSpec(store_paths=True, c_checkpoints=tuple(every))
-    )
+    record = RecordSpec(store_paths=True, c_checkpoints=(config.n_steps,))
+    out = _single_path(coeffs, config, grid, record)
     if not np.array_equal(trajectory.states, out["states"][0]):
         raise ConfigError("trajectory is not simulate_x's state path on this grid")
-    c = np.stack([out["c_at"][k][0] for k in every])
-    return FlowTrajectory(config.times(), out["jacobians"][0], out["inverses"][0], c)
+    paths = (out[name][0] for name in ("jacobians", "inverses", "covariances"))
+    return FlowTrajectory(config.times(), *paths)
 
 
 def malliavin_derivative(

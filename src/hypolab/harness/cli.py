@@ -239,6 +239,8 @@ def _cmd_malliavin(cfg: ExperimentConfig, out_dir: str):
     coeffs = cfg.coefficient_set()
     sim = cfg.simulation
     t = cfg.analysis.get("t", sim["T"])
+    if t > sim["T"]:
+        raise ConfigError(f"analysis time t = {t} lies beyond the horizon T = {sim['T']}")
     config = cfg.sim_config(horizon=sim["T"])
     idx = nearest_index(config, t)
     if idx < 1:
@@ -442,6 +444,10 @@ def _cmd_probe(cfg: ExperimentConfig, out_dir: str):
             x0_list,
             n_paths=a["probe_paths"],
         )
+        for count in moments.diverged:
+            _check_divergence(int(count), moments.trials, cfg.simulation["max_divergence"])
+        if moments.trials in moments.diverged:
+            raise DegenerateSamplesError(moments.trials, moments.trials, diverged=True)
         payload["moments"] = moments.to_json_dict()
     _json_dump(os.path.join(out_dir, "probe.json"), payload)
     claim = "empirical probes of the monotonicity, growth, and smoothness assumptions"

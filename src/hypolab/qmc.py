@@ -1,14 +1,14 @@
 """Unscrambled Sobol' points and the standard normal quantile, in numpy.
 
-Both reproduce scipy's bits without importing scipy at start-up:
+Both reproduce scipy's bits, and scipy is no runtime dependency:
 ``sobol(dim, n)`` equals ``scipy.stats.qmc.Sobol(dim, scramble=False).random(n)``
 and ``ndtri(y)`` equals ``scipy.special.ndtri(y)``, byte for byte.
 
 The Sobol' sequence uses 30-bit direction numbers built from the Joe-Kuo
 (2008) primitive polynomials and initial numbers (the ``new-joe-kuo-6.21201``
 set that scipy ships), in Antonov-Saleev Gray-code order, so the first point
-is the origin.  Only the first 32 dimensions are embedded; wider samples fall
-back to scipy, imported on that call.
+is the origin.  Only the first 32 dimensions are embedded; a wider sample
+is a ``ConfigError``.
 
 ``ndtri`` is a port of the Cephes routine: a rational approximation in
 y - 1/2 on the centre, |y - 1/2| <= 1/2 - exp(-2), and rational corrections
@@ -19,9 +19,10 @@ vectorised ``np.log`` differs from it in the last bit on rare inputs.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = ["sobol", "ndtri"]
 
@@ -72,11 +73,9 @@ def sobol(dim: int, n: int) -> np.ndarray:
     sequence, (n, dim) float64 in [0, 1); any ``n`` is a prefix of the same
     sequence, so no power of two is needed."""
     if dim > len(_JOE_KUO):
-        from scipy.stats import qmc
-
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "The balance properties", UserWarning)
-            return qmc.Sobol(dim, scramble=False).random(n)
+        raise ConfigError(
+            f"Sobol' points have at most {len(_JOE_KUO)} dimensions, {dim} were asked for"
+        )
     gray = np.arange(n, dtype=np.uint32)
     gray ^= gray >> 1
     quasi = np.zeros((n, dim), dtype=np.uint32)

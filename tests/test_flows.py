@@ -487,8 +487,9 @@ def test_engine_matches_the_dense_recurrence_bytes(name, scheme):
         assert res.states[:, k].tobytes() == x.T.tobytes(), f"X at {k}"
         assert res.jacobians[:, k].tobytes() == np.moveaxis(j, -1, 0).tobytes(), f"J at {k}"
         assert res.inverses[:, k].tobytes() == np.moveaxis(k_inv, -1, 0).tobytes(), f"K at {k}"
+        assert res.covariances[:, k].tobytes() == np.moveaxis(c, -1, 0).tobytes(), f"C at {k}"
         if k in checkpoints:
-            assert res.c_at[k].tobytes() == np.moveaxis(c, -1, 0).tobytes(), f"C at {k}"
+            assert res.c_at[k].tobytes() == res.covariances[:, k].tobytes(), f"C at {k}"
 
 
 def _kernel_source(coeffs, scheme="tamed-euler", flows=True, covariance=True):

@@ -461,6 +461,34 @@ envelope_N = 1
     assert "moments" in payload
 
 
+@pytest.mark.parametrize("budget,code", [("0.0", 3), ("1.0", 1)], ids=["tight", "loose"])
+def test_cli_probe_checks_the_divergence_budget(tmp_path, capsys, budget, code):
+    # under plain Euler on 16 steps every path from x0 = 40 overflows
+    text = (Path(__file__).resolve().parents[1] / "configs" / "double_well_probe.cfg").read_text()
+    for old, new in (
+        ("scheme = tamed-euler", "scheme = euler"),
+        ("n_steps = 256", "n_steps = 16"),
+        ("x0_list = 1.0; 2.0; 4.0", "x0_list = 1.0; 2.0; 40.0"),
+        ("seed = 11", f"seed = 11\nmax_divergence = {budget}"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = _write(tmp_path, text)
+    assert main(["probe-assumptions", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "1000 of 1000 paths diverged" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "probe.json").exists()
+
+
+def test_cli_malliavin_rejects_t_beyond_the_horizon(tmp_path, capsys):
+    text = (Path(__file__).resolve().parents[1] / "configs" / "heis_malliavin.cfg").read_text()
+    assert "t = 0.5" in text and "T = 0.5" in text
+    cfg = _write(tmp_path, text.replace("t = 0.5", "t = 5.0"))
+    assert main(["malliavin", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "t = 5.0" in err and "T = 0.5" in err and "Traceback" not in err
+
+
 def test_cli_remainder_tails(tmp_path):
     text = OU_MODEL + """
 [simulation]

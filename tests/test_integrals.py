@@ -20,7 +20,6 @@ from hypolab.flows import (
     simulate_x,
 )
 from hypolab.flows import integrals
-from hypolab.flows.integrals import _iterate
 
 
 @pytest.fixture
@@ -70,6 +69,19 @@ def test_direction_out_of_range(grid):
 def test_double_time_integral_quadratic(grid):
     path = iterated_integral(MultiIndex((0, 0)), grid)
     assert np.max(np.abs(path - grid.times**2 / 2)) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [None, (), (3,)], ids=["unit", "scalar", "vector"])
+def test_iterated_integral_is_the_stored_path_oracle(grid, shape):
+    # every multi-index of weight <= 4 with m = 2, against the cumsum oracle
+    n = grid.n_steps
+    z = None if shape is None else np.random.default_rng(5).standard_normal((n + 1, *shape))
+    f = np.ones(n + 1) if z is None else z
+    indices = enumerate_indices(4, 2)
+    assert len(indices) == 49
+    for alpha in indices:
+        oracle = _iterate(alpha, f[None], grid.increments[None], grid.h)[0]
+        assert iterated_integral(alpha, grid, z).tobytes() == oracle.tobytes(), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +225,26 @@ def _increments(cfg, m, stream_ids):
     return np.stack([sample_brownian(cfg, m, int(sid)).increments for sid in stream_ids])
 
 
-# The stored-path route, kept as the oracle of the streamed remainder: the
-# iterated integrals of whole stored paths at once, by cumulative sums.
+# The stored-path route, kept as the oracle of the streamed remainder and of
+# iterated_integral: the iterated integrals of whole stored paths at once, by
+# cumulative sums.
+
+
+def _iterate(alpha, f, increments, h):
+    """Iterated integrals of the paths ``f`` (paths, n+1, ...) along ``alpha``.
+
+    Each entry of ``alpha``, left to right, replaces f by its cumulative
+    midpoint integral out[:, j] = sum_{k<j} (f_k + f_{k+1})/2 * w_k, the
+    weights w being h for direction 0 and dW^j from ``increments``
+    (paths, n, m) for direction j.
+    """
+    for direction in alpha.entries:
+        w = np.full(increments.shape[:-1], h) if direction == 0 else increments[..., direction - 1]
+        w = w.reshape(w.shape + (1,) * (f.ndim - 2))
+        out = np.zeros_like(f)
+        out[:, 1:] = np.cumsum(0.5 * (f[:, :-1] + f[:, 1:]) * w, axis=1)
+        f = out
+    return f
 
 
 def chaos_remainder_ensemble(
@@ -231,7 +261,6 @@ def chaos_remainder_ensemble(
     ``states`` is (paths, n+1, d), ``inverses`` (paths, n+1, d, d), and
     ``increments`` (paths, n, m) as stored by the ensemble engine.
     """
-    m = table.m
     vals = compile_field(target)(states)
     # the streamed route's broadcast sum over j, for the same bits
     pullback = (inverses * vals[..., None, :]).sum(axis=-1)
@@ -240,7 +269,7 @@ def chaos_remainder_ensemble(
     for alpha, coeff in expansion_coefficients(L, target, table, x0):
         if not np.any(coeff):
             continue
-        f = _iterate(alpha, np.ones(states.shape[:2]), increments, h, m)
+        f = _iterate(alpha, np.ones(states.shape[:2]), increments, h)
         truncation += f[:, :, None] * coeff[None, None, :]
     return pullback - truncation
 

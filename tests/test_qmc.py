@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import qmc
 
+from hypolab.errors import ConfigError
 from hypolab.qmc import ndtri, sobol
 
 
@@ -30,11 +31,10 @@ def test_sobol_starts_at_the_origin_without_a_balance_warning():
     assert sobol(3, 0).shape == (0, 3)
 
 
-def test_sobol_beyond_the_embedded_table_falls_back_to_scipy():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        pts = sobol(40, 100)
-    assert pts.tobytes() == _scipy_sobol(40, 100).tobytes()
+def test_sobol_beyond_the_embedded_table_is_a_config_error():
+    with pytest.raises(ConfigError, match="at most 32 dimensions, 33"):
+        sobol(33, 100)
+    assert sobol(32, 100).tobytes() == _scipy_sobol(32, 100).tobytes()
 
 
 def _assert_ndtri_bytes(y):
