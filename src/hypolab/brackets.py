@@ -389,15 +389,8 @@ class HormanderReport:
         return self.L if self.empirical_uniform else None
 
     def to_json_dict(self) -> dict:
-        records = [
-            {
-                "x": [float(v) for v in pt],
-                "L": self.L,
-                "V_L": float(val),
-                "in_U_L": bool(member),
-            }
-            for pt, val, member in zip(self.points, self.values, self.in_span_set)
-        ]
+        columns = (self.points.tolist(), self.values.tolist(), self.in_span_set.tolist())
+        records = [{"x": x, "L": self.L, "V_L": v, "in_U_L": u} for x, v, u in zip(*columns)]
         return {
             "points": records,
             "summary": {
@@ -525,9 +518,11 @@ def coefficient_local_bound(
     """
     pts = ball_sample(x, radius, n_ball)
     bvals = compile_field(coeffs.drift)(pts)
-    svals = compile_diffusion(coeffs)(pts).reshape(len(pts), -1)
-    if not (np.isfinite(bvals).all() and np.isfinite(svals).all()):
-        raise _ball_error(coeffs.drift, x, radius)
+    svals = compile_diffusion(coeffs)(pts)  # (n_ball, d, m)
+    for fld, vals in zip((coeffs.drift, *coeffs.diffusion), (bvals, *np.moveaxis(svals, -1, 0))):
+        if not np.isfinite(vals).all():
+            raise _ball_error(fld, x, radius)
+    svals = svals.reshape(len(pts), -1)
     bnorm = np.sqrt(np.sum(bvals * bvals, axis=-1))
     snorm = np.sqrt(np.sum(svals * svals, axis=-1))
     return float(np.maximum(bnorm, snorm).max())

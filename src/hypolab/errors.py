@@ -47,7 +47,8 @@ class SimulationDiverged(HypolabError):
 
 
 class DivergenceError(HypolabError):
-    """Ensemble divergence fraction exceeded the configured budget."""
+    """Ensemble divergence fraction exceeded ``SimConfig.max_divergence``;
+    raised by ``run_ensemble``."""
 
     exit_code = 3
 
@@ -73,6 +74,3 @@ class DegenerateSamplesError(HypolabError):
     def __init__(self, count: int, trials: int, diverged: bool = False):
         what = "paths diverged" if diverged else "samples had det Q <= 0"
         super().__init__(f"{count} of {trials} {what}; estimate aborted")
-        self.count = count
-        self.trials = trials
-        self.diverged = diverged

@@ -101,16 +101,6 @@ class TailCurve:
             np.all(self.p_hat[1:] <= self.p_hat[:-1] + np.maximum(hw[1:], hw[:-1]))
         )
 
-    def to_csv_text(self) -> str:
-        lines = ["K,events,trials,p_hat,ci_lo,ci_hi"]
-        for k, e, p, lo, hi in zip(
-            self.k_values, self.events, self.p_hat, self.ci_lo, self.ci_hi
-        ):
-            lines.append(
-                f"{float(k)!r},{int(e)},{self.trials},{float(p)!r},{float(lo)!r},{float(hi)!r}"
-            )
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "K": [float(v) for v in self.k_values],
@@ -164,13 +154,6 @@ def _fit_tail_envelope(
     }
 
 
-def _survivors(res) -> np.ndarray:
-    """The alive mask of an ensemble; raises when no path survived."""
-    if not res.alive.any():
-        raise DegenerateSamplesError(res.n_paths, res.n_paths, diverged=True)
-    return res.alive
-
-
 def eigenvalue_tails(
     L: int,
     k_grid,
@@ -205,7 +188,7 @@ def eigenvalue_tails(
     res, mats = malliavin_checkpoint_ensemble(
         ensemble.coeffs, config, ensemble.n_paths, indices
     )
-    alive = _survivors(res)
+    alive = res.survivors()
     trials = int(alive.sum())
     which = 0 if matrix == "C" else 1
     event_cols = []
@@ -276,7 +259,7 @@ def remainder_tails(
     res = run_ensemble(
         ensemble.coeffs, config, ensemble.n_paths, RecordSpec(flows=True, accumulator=energy)
     )
-    alive = _survivors(res)
+    alive = res.survivors()
     trials = int(alive.sum())
     cum = res.accumulated[alive]  # (trials, len(read))
     events = np.zeros(k_values.size, dtype=np.int64)
@@ -327,13 +310,6 @@ class MomentEstimate:
     trials: int
     heavy_tail: bool
 
-    def to_csv_text(self) -> str:
-        return (
-            "p,t,estimate,std_error,trials,heavy_tail\n"
-            f"{self.p!r},{self.t!r},{self.value!r},{self.std_error!r},"
-            f"{self.trials},{int(self.heavy_tail)}\n"
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
@@ -352,7 +328,7 @@ def _inverse_det_samples(p: float, t: float, ensemble: EnsembleSpec) -> np.ndarr
         ensemble.coeffs, config, ensemble.n_paths, [idx]
     )
     _, q = mats[idx]
-    return _inverse_det_powers(q[_survivors(res)], p)
+    return _inverse_det_powers(q[res.survivors()], p)
 
 
 def _inverse_det_powers(q: np.ndarray, p: float) -> np.ndarray:
@@ -453,7 +429,7 @@ def inverse_det_scaling(
     res, mats = malliavin_checkpoint_ensemble(
         ensemble.coeffs, config, ensemble.n_paths, indices
     )
-    alive = _survivors(res)
+    alive = res.survivors()
     estimates = np.array(
         [np.mean(_inverse_det_powers(mats[idx][1][alive], p)) for idx in indices]
     )
@@ -478,14 +454,6 @@ class DensityEstimate:
 
     def riemann_mass(self, cell_volume: float) -> float:
         return float(self.values.sum() * cell_volume)
-
-    def to_csv_text(self) -> str:
-        d = self.points.shape[1]
-        header = ",".join(f"y_{i+1}" for i in range(d)) + ",p_hat"
-        lines = [header]
-        for pt, v in zip(self.points, self.values):
-            lines.append(",".join(repr(float(c)) for c in (*pt, v)))
-        return "\n".join(lines) + "\n"
 
 
 def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:

@@ -238,7 +238,8 @@ def moment_probe(
 
     The fitted constant is the least-squares slope through the origin of the
     estimates against 1 + |x0|^p; the ratio band is max/min of the per-x0
-    ratios, a self-consistency measure for the moment bound's shape.
+    ratios, a self-consistency measure for the moment bound's shape.  Each
+    x0's ensemble is held to ``config.max_divergence`` and must keep a path.
     """
     p_values = tuple(float(p) for p in p_values)
     x0_values = tuple(tuple(float(v) for v in x) for x in x0_values)
@@ -250,9 +251,8 @@ def moment_probe(
         res = run_ensemble(
             coeffs, replace(config, x0=x0), n_paths, RecordSpec(flows=False, accumulator=_sup_norm)
         )
-        alive = res.alive
         diverged.append(res.diverged_count)
-        sups.append(res.accumulated[alive] if alive.any() else np.array([np.nan]))
+        sups.append(res.accumulated[res.survivors()])
     estimates = {}
     std_errors = {}
     fitted = {}
@@ -265,14 +265,9 @@ def moment_probe(
         estimates[p] = est
         std_errors[p] = se
         g = np.array([1.0 + np.linalg.norm(x) ** p for x in x0_values])
-        finite = np.isfinite(est)
-        if finite.any():
-            fitted[p] = float(np.sum(est[finite] * g[finite]) / np.sum(g[finite] ** 2))
-            ratios = est[finite] / g[finite]
-            band[p] = float(ratios.max() / ratios.min()) if ratios.min() > 0 else np.inf
-        else:
-            fitted[p] = float("nan")
-            band[p] = float("nan")
+        fitted[p] = float(np.sum(est * g) / np.sum(g**2))
+        ratios = est / g
+        band[p] = float(ratios.max() / ratios.min()) if ratios.min() > 0 else np.inf
     return MomentProbe(
         p_values=p_values,
         x0_values=x0_values,

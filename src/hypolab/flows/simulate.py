@@ -54,7 +54,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, InternalInvariantError, SimulationDiverged
+from ..errors import (
+    ConfigError,
+    DegenerateSamplesError,
+    DivergenceError,
+    InternalInvariantError,
+    SimulationDiverged,
+)
 from ..fieldlang import CoefficientSet, compile_field, compile_jacobian, compile_step_kernel
 from .brownian import BrownianGrid, _brownian_paths
 
@@ -87,7 +93,11 @@ _PSD_TRACE_TOL = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
-    """Grid, scheme, and stream parameters shared by one simulation run."""
+    """Grid, scheme, and stream parameters shared by one simulation run.
+
+    ``max_divergence`` is the largest fraction of lost paths ``run_ensemble``
+    accepts; 1.0 accepts any number.
+    """
 
     horizon: float
     n_steps: int
@@ -95,6 +105,7 @@ class SimConfig:
     scheme: str = "tamed-euler"
     seed: int = 0
     monotone_bound: float | None = None
+    max_divergence: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
@@ -239,6 +250,12 @@ class EnsembleResult:
     @property
     def divergence_fraction(self) -> float:
         return self.diverged_count / self.n_paths
+
+    def survivors(self) -> np.ndarray:
+        """The alive mask; raises when no path survived."""
+        if not self.alive.any():
+            raise DegenerateSamplesError(self.n_paths, self.n_paths, diverged=True)
+        return self.alive
 
 
 def _implicit_state(cb, cgb, x, h):
@@ -463,7 +480,8 @@ def run_ensemble(
     """Simulate ``n_paths`` independent streams and merge per-path records.
 
     Blocks are fixed-size slices of the stream range, run one after another;
-    merging happens in ascending stream order.
+    merging happens in ascending stream order.  Raises ``DivergenceError``
+    when the fraction of lost paths exceeds ``config.max_divergence``.
     """
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
@@ -486,7 +504,14 @@ def run_ensemble(
         return None if parts[0] is None else np.concatenate(parts)
 
     per_path = {key: cat([r[key] for r in results]) for key in results[0]}
-    return EnsembleResult(config, np.concatenate(id_blocks), **per_path)
+    res = EnsembleResult(config, np.concatenate(id_blocks), **per_path)
+    fraction, budget = res.divergence_fraction, config.max_divergence
+    if fraction > budget:
+        raise DivergenceError(
+            f"{res.diverged_count} of {res.n_paths} paths diverged (fraction {fraction:.4g} "
+            f"exceeds the budget {budget:.4g})"
+        )
+    return res
 
 
 def _check_grid(coeffs: CoefficientSet, config: SimConfig, grid: BrownianGrid) -> None:

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from ..brackets import (
     check_hormander,
     coefficient_local_bound,
 )
-from ..errors import ConfigError, DegenerateSamplesError, DivergenceError, HypolabError
+from ..errors import ConfigError, HypolabError
 from ..estimators import (
     EnsembleSpec,
     density_envelope_check,
@@ -83,25 +84,16 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _check_divergence(count: int, total: int, budget: float) -> float:
-    fraction = count / total if total else 0.0
-    if fraction > budget:
-        raise DivergenceError(
-            f"{count} of {total} paths diverged (fraction {fraction:.4g} "
-            f"exceeds the budget {budget:.4g})"
-        )
-    return fraction
+def _write_csv(path: str, header, columns) -> None:
+    """One row per entry of the columns, each cell the ``repr`` of its value;
+    pass bool columns as int64."""
+    rows = (",".join(map(repr, row)) for row in zip(*(np.asarray(c).tolist() for c in columns)))
+    _write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
-def _estimate(budget: float, estimator, *args, **kwargs):
-    """Run an ensemble estimator; when every path diverged, the divergence
-    budget is checked before the estimator's want of samples is reported."""
-    try:
-        return estimator(*args, **kwargs)
-    except DegenerateSamplesError as exc:
-        if exc.diverged:
-            _check_divergence(exc.count, exc.trials, budget)
-        raise
+def _finite_list(values: np.ndarray):
+    """The values as a list, or None (JSON null) unless every one is finite."""
+    return values.tolist() if np.isfinite(values).all() else None
 
 
 def _resolve_field(cfg: ExperimentConfig, text: str) -> VectorField:
@@ -145,13 +137,11 @@ def _cmd_check_hormander(cfg: ExperimentConfig, out_dir: str):
     _json_dump_compact(os.path.join(out_dir, "hormander.json"), report.to_json_dict())
     files.append(("hormander.json", claim))
 
-    header = ",".join(f"x_{i+1}" for i in range(d)) + ",V_L,in_U_L"
-    lines = [header]
-    for pt, val, member in zip(report.points, report.values, report.in_span_set):
-        lines.append(
-            ",".join(repr(float(v)) for v in pt) + f",{float(val)!r},{int(member)}"
-        )
-    _write_text(os.path.join(out_dir, "hormander.csv"), "\n".join(lines) + "\n")
+    _write_csv(
+        os.path.join(out_dir, "hormander.csv"),
+        [f"x_{i+1}" for i in range(d)] + ["V_L", "in_U_L"],
+        [*report.points.T, report.values, report.in_span_set.astype(np.int64)],
+    )
     files.append(("hormander.csv", claim))
 
     # one polyline per axis: the slice through the grid centre
@@ -176,60 +166,46 @@ def _cmd_check_hormander(cfg: ExperimentConfig, out_dir: str):
     return files
 
 
-def _trajectory_csv(path, times, states, jacobians, inverses):
-    d = states.shape[1]
-    cols = ["t"]
-    cols += [f"X_{i+1}" for i in range(d)]
-    cols += [f"J_{i+1}{j+1}" for i in range(d) for j in range(d)]
-    cols += [f"K_{i+1}{j+1}" for i in range(d) for j in range(d)]
-    lines = [",".join(cols)]
-    for k in range(len(times)):
-        row = [repr(float(times[k]))]
-        row += [repr(float(v)) for v in states[k]]
-        row += [repr(float(v)) for v in jacobians[k].reshape(-1)]
-        row += [repr(float(v)) for v in inverses[k].reshape(-1)]
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
-
-
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: str):
     coeffs = cfg.coefficient_set()
     config = cfg.sim_config()
     sim = cfg.simulation
     res = run_ensemble(coeffs, config, sim["paths"], RecordSpec(flows=True))
-    fraction = _check_divergence(res.diverged_count, res.n_paths, sim["max_divergence"])
     claim = "pathwise simulation of the state and its first-variation flows"
     files = []
 
-    alive = res.alive
+    final = res.final_states[res.alive]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is written as null
+        mean = _finite_list(final.mean(axis=0)) if len(final) else None
+        std = _finite_list(final.std(axis=0, ddof=1)) if len(final) > 1 else None
     summary = {
         "scheme": config.scheme,
         "comparison_only": config.comparison_only,
         "paths": res.n_paths,
         "diverged": res.diverged_count,
-        "divergence_fraction": fraction,
-        "mean_X_T": [float(v) for v in res.final_states[alive].mean(axis=0)]
-        if alive.any()
-        else None,
-        "std_X_T": [float(v) for v in res.final_states[alive].std(axis=0, ddof=1)]
-        if int(alive.sum()) > 1
-        else None,
+        "divergence_fraction": res.divergence_fraction,
+        "mean_X_T": mean,
+        "std_X_T": std,
     }
     _json_dump(os.path.join(out_dir, "ensemble.json"), summary)
     files.append(("ensemble.json", claim))
 
     dump = min(sim["dump_paths"], res.n_paths)
     if dump:
-        paths = run_ensemble(coeffs, config, dump, RecordSpec(store_paths=True))
         # divergent dump paths are already counted above
+        paths = run_ensemble(
+            coeffs, replace(config, max_divergence=1.0), dump, RecordSpec(store_paths=True)
+        )
+        d = coeffs.d
+        header = ["t", *(f"X_{i+1}" for i in range(d))]
+        header += [f"{f}_{i+1}{j+1}" for f in "JK" for i in range(d) for j in range(d)]
         for i in np.flatnonzero(paths.alive):
             name = f"trajectory_{int(paths.stream_ids[i]):06d}.csv"
-            _trajectory_csv(
+            j, k_inv = (a[i].reshape(len(a[i]), -1) for a in (paths.jacobians, paths.inverses))
+            _write_csv(
                 os.path.join(out_dir, name),
-                config.times(),
-                paths.states[i],
-                paths.jacobians[i],
-                paths.inverses[i],
+                header,
+                [config.times(), *paths.states[i].T, *j.T, *k_inv.T],
             )
             files.append((name, claim))
     return files
@@ -246,26 +222,24 @@ def _cmd_malliavin(cfg: ExperimentConfig, out_dir: str):
     if idx < 1:
         raise ConfigError("analysis time t rounds to grid index 0")
     res, mats = malliavin_checkpoint_ensemble(coeffs, config, sim["paths"], [idx])
-    fraction = _check_divergence(res.diverged_count, res.n_paths, sim["max_divergence"])
     c_mats, q_mats = mats[idx]
-    alive = res.alive
-    if not alive.any():
-        raise DegenerateSamplesError(res.n_paths, res.n_paths, diverged=True)
+    alive = res.survivors()
     lam_c = np.linalg.eigvalsh(c_mats[alive])[:, 0]
     lam_q = np.linalg.eigvalsh(q_mats[alive])[:, 0]
     det_q = np.linalg.det(q_mats[alive])
     claim = "Malliavin covariance matrices from the inverse-flow quadrature"
 
-    lines = ["lambda_min_C,lambda_min_Q,det_Q"]
-    for row in zip(lam_c, lam_q, det_q):
-        lines.append(",".join(repr(float(v)) for v in row))
-    _write_text(os.path.join(out_dir, "malliavin.csv"), "\n".join(lines) + "\n")
+    _write_csv(
+        os.path.join(out_dir, "malliavin.csv"),
+        ["lambda_min_C", "lambda_min_Q", "det_Q"],
+        [lam_c, lam_q, det_q],
+    )
 
     summary = {
         "t": float(idx * config.h),
         "paths": res.n_paths,
         "diverged": res.diverged_count,
-        "divergence_fraction": fraction,
+        "divergence_fraction": res.divergence_fraction,
         "quadrature": "left-endpoint",
         "mean_C": [[float(v) for v in row] for row in c_mats[alive].mean(axis=0)],
         "mean_Q": [[float(v) for v in row] for row in q_mats[alive].mean(axis=0)],
@@ -286,7 +260,12 @@ def _cmd_malliavin(cfg: ExperimentConfig, out_dir: str):
 
 
 def _tail_outputs(curve, out_dir: str, stem: str, claim: str):
-    _write_text(os.path.join(out_dir, f"{stem}.csv"), curve.to_csv_text())
+    _write_csv(
+        os.path.join(out_dir, f"{stem}.csv"),
+        ["K", "events", "trials", "p_hat", "ci_lo", "ci_hi"],
+        [curve.k_values, curve.events, [curve.trials] * len(curve.events),
+         curve.p_hat, curve.ci_lo, curve.ci_hi],
+    )
     _json_dump(os.path.join(out_dir, f"{stem}.json"), curve.to_json_dict())
     line_chart(
         os.path.join(out_dir, f"{stem}.svg"),
@@ -303,12 +282,9 @@ def _tail_outputs(curve, out_dir: str, stem: str, claim: str):
 def _cmd_tails(cfg: ExperimentConfig, out_dir: str):
     a = cfg.analysis
     spec = EnsembleSpec(cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"])
-    budget = cfg.simulation["max_divergence"]
-    curve = _estimate(
-        budget, eigenvalue_tails,
+    curve = eigenvalue_tails(
         a["L"], a["K_grid"], a["t"], a["matrix"], spec, fit_envelope=a["fit_envelope"]
     )
-    _check_divergence(curve.meta["diverged"], spec.n_paths, budget)
     claim = (
         "tail probabilities of the smallest Malliavin-covariance eigenvalue "
         "at shrinking horizons"
@@ -323,13 +299,9 @@ def _cmd_remainder_tails(cfg: ExperimentConfig, out_dir: str):
     kwargs = {}
     if a.get("t_grid") is not None:
         kwargs["t_grid"] = a["t_grid"]
-    budget = cfg.simulation["max_divergence"]
-    curve = _estimate(
-        budget, remainder_tails,
-        a["L"], a["epsilon"], a["K_grid"], target, spec,
-        fit_envelope=a["fit_envelope"], **kwargs
+    curve = remainder_tails(
+        a["L"], a["epsilon"], a["K_grid"], target, spec, fit_envelope=a["fit_envelope"], **kwargs
     )
-    _check_divergence(curve.meta["diverged"], spec.n_paths, budget)
     claim = "tail probabilities of the truncated flow-expansion remainder energy"
     return _tail_outputs(curve, out_dir, "remainder_tails", claim)
 
@@ -337,18 +309,12 @@ def _cmd_remainder_tails(cfg: ExperimentConfig, out_dir: str):
 def _cmd_det_moments(cfg: ExperimentConfig, out_dir: str):
     a = cfg.analysis
     spec = EnsembleSpec(cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"])
-    budget = cfg.simulation["max_divergence"]
-    estimate = _estimate(budget, inverse_det_moments, a["p"], a["t"], spec)
-    _check_divergence(spec.n_paths - estimate.trials, spec.n_paths, budget)
+    estimate = inverse_det_moments(a["p"], a["t"], spec)
     claim = "moments of the inverse determinant of the Malliavin covariance"
     payload = estimate.to_json_dict()
     files = []
     if a.get("t_grid") is not None:
-        study = _estimate(
-            budget, inverse_det_scaling,
-            a["p"], a["t_grid"], spec, L=a.get("L"), margin=a["margin"]
-        )
-        _check_divergence(spec.n_paths - study.trials, spec.n_paths, budget)
+        study = inverse_det_scaling(a["p"], a["t_grid"], spec, L=a.get("L"), margin=a["margin"])
         payload["scaling"] = study.to_json_dict()
         line_chart(
             os.path.join(out_dir, "det_moments.svg"),
@@ -362,7 +328,12 @@ def _cmd_det_moments(cfg: ExperimentConfig, out_dir: str):
         )
         files.append(("det_moments.svg", claim))
     _json_dump(os.path.join(out_dir, "det_moments.json"), payload)
-    _write_text(os.path.join(out_dir, "det_moments.csv"), estimate.to_csv_text())
+    row = (estimate.p, estimate.t, estimate.value, estimate.std_error, estimate.trials)
+    _write_csv(
+        os.path.join(out_dir, "det_moments.csv"),
+        ["p", "t", "estimate", "std_error", "trials", "heavy_tail"],
+        [[v] for v in (*row, int(estimate.heavy_tail))],
+    )
     return [("det_moments.json", claim), ("det_moments.csv", claim)] + files
 
 
@@ -375,12 +346,15 @@ def _cmd_density(cfg: ExperimentConfig, out_dir: str):
     t = a.get("t", sim["T"])
     config = cfg.sim_config(horizon=t)
     res = run_ensemble(coeffs, config, sim["paths"], RecordSpec(flows=False))
-    fraction = _check_divergence(res.diverged_count, res.n_paths, sim["max_divergence"])
-    samples = res.final_states[res.alive]
+    samples = res.final_states[res.survivors()]
     dens = kde_density(samples, spec.points(), bandwidth=a.get("bandwidth"))
     claim = "kernel density estimate of the state law"
     files = []
-    _write_text(os.path.join(out_dir, "density.csv"), dens.to_csv_text())
+    _write_csv(
+        os.path.join(out_dir, "density.csv"),
+        [f"y_{i+1}" for i in range(d)] + ["p_hat"],
+        [*dens.points.T, dens.values],
+    )
     files.append(("density.csv", claim))
     if d == 1:
         line_chart(
@@ -396,7 +370,7 @@ def _cmd_density(cfg: ExperimentConfig, out_dir: str):
         "t": t,
         "paths": res.n_paths,
         "diverged": res.diverged_count,
-        "divergence_fraction": fraction,
+        "divergence_fraction": res.divergence_fraction,
         "bandwidth": [float(v) for v in dens.bandwidth],
         "n_samples": dens.n_samples,
     }
@@ -444,10 +418,6 @@ def _cmd_probe(cfg: ExperimentConfig, out_dir: str):
             x0_list,
             n_paths=a["probe_paths"],
         )
-        for count in moments.diverged:
-            _check_divergence(int(count), moments.trials, cfg.simulation["max_divergence"])
-        if moments.trials in moments.diverged:
-            raise DegenerateSamplesError(moments.trials, moments.trials, diverged=True)
         payload["moments"] = moments.to_json_dict()
     _json_dump(os.path.join(out_dir, "probe.json"), payload)
     claim = "empirical probes of the monotonicity, growth, and smoothness assumptions"

@@ -218,6 +218,7 @@ class ExperimentConfig:
             scheme=sim["scheme"],
             seed=sim["seed"],
             monotone_bound=sim.get("monotone_bound"),
+            max_divergence=sim["max_divergence"],
         )
 
 
@@ -311,6 +312,8 @@ def parse_config_text(text: str, command: str) -> ExperimentConfig:
             raise ConfigError("max_divergence must lie in [0, 1]")
 
     analysis = _apply_schema(sections.get("analysis", {}), spec["analysis"], "analysis")
+    if analysis.get("probe_paths", 2) < 2:  # one path has no standard error
+        raise ConfigError("probe_paths must be >= 2 in [analysis]")
     output = _apply_schema(sections.get("output", {}), _OUTPUT_SCHEMA, "output")
 
     cfg = ExperimentConfig(

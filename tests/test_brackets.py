@@ -468,6 +468,12 @@ def test_local_bound_cubic_drift_interval_suprema():
     assert coefficient_local_bound(c, (2.0,)) == pytest.approx(27.0)
 
 
+def test_local_bound_names_the_non_finite_field():
+    c = CoefficientSet.from_text(1, 1, "-x1", ["1/x1"])
+    with pytest.raises(EvaluationError, match="field '1/x1' is non-finite"):
+        coefficient_local_bound(c, (0.0,))
+
+
 def test_local_bound_monotone_in_sample_size():
     c = CoefficientSet.from_text(1, 1, "sin(3*x1)*x1^2", ["1"])
     v = VectorField.from_text("sin(3*x1)*x1^2", 1)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypolab.estimators import (
 )
 from hypolab.fieldlang import CoefficientSet
 from hypolab.flows import SimConfig
+from hypolab.harness.cli import main
 
 # ---------------------------------------------------------------------------
 # wilson intervals
@@ -110,14 +112,42 @@ def test_double_well_c_matrix_hump_is_reported_faithfully():
     assert curve.p_hat[-1] < curve.p_hat[2]
 
 
-def test_tail_curve_serialization_headers():
-    ell = CoefficientSet.from_text(1, 1, "0", ["1"])
-    curve = eigenvalue_tails(
-        1, [1, 2], 0.5, "C", _spec(ell, (0.0,), 50, 4), fit_envelope=False
-    )
-    text = curve.to_csv_text()
-    assert text.splitlines()[0] == "K,events,trials,p_hat,ci_lo,ci_hi"
-    payload = curve.to_json_dict()
+_CLI_MODEL = """
+[model]
+d = {d}
+m = 1
+x0 = {x0}
+drift = {drift}
+sigma1 = {sigma}
+
+[simulation]
+T = 0.5
+n_steps = 512
+paths = 50
+seed = 4
+
+[analysis]
+"""
+
+
+def _cli_run(tmp_path, command, model, analysis):
+    """Run ``command`` on ``model`` (the keys of ``_CLI_MODEL``) and return
+    its output directory."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_CLI_MODEL.format(**model) + analysis)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def test_tail_curve_serialization_headers(tmp_path):
+    model = {"d": 1, "x0": "0.0", "drift": "0", "sigma": "1"}
+    analysis = "L = 1\nK_grid = 1, 2\nt = 0.5\nmatrix = C\nfit_envelope = false\n"
+    out = _cli_run(tmp_path, "tails", model, analysis)
+    header, *rows = (out / "tails.csv").read_text().splitlines()
+    assert header == "K,events,trials,p_hat,ci_lo,ci_hi"
+    assert [row.split(",")[2] for row in rows] == ["50", "50"]
+    payload = json.loads((out / "tails.json").read_text())
     assert payload["trials"] == 50
     assert len(payload["K"]) == 2
 
@@ -279,9 +309,13 @@ def test_silverman_matches_classic_1d_constant():
     assert bw == pytest.approx((4 / 3) ** 0.2 * sigma * 4096 ** (-0.2))
 
 
-def test_kde_csv_header_matches_interface():
-    dens = kde_density(np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros((2, 2)))
-    assert dens.to_csv_text().splitlines()[0] == "y_1,y_2,p_hat"
+def test_kde_csv_header_matches_interface(tmp_path):
+    model = {"d": 2, "x0": "0.0, 0.0", "drift": "0, 0", "sigma": "1, 1"}
+    analysis = "grid_min = -1, -1\ngrid_max = 1, 1\ngrid_points = 3, 2\n"
+    out = _cli_run(tmp_path, "density", model, analysis)
+    header, *rows = (out / "density.csv").read_text().splitlines()
+    assert header == "y_1,y_2,p_hat"
+    assert len(rows) == 6 and all(len(row.split(",")) == 3 for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypolab.errors import ConfigError, SimulationDiverged
+from hypolab.errors import (
+    ConfigError,
+    DegenerateSamplesError,
+    DivergenceError,
+    SimulationDiverged,
+)
 from hypolab.fieldlang import (
     CoefficientSet,
     Const,
@@ -199,6 +204,18 @@ def test_euler_divergence_is_counted_not_raised(ginzburg_landau):
     assert res.divergence_fraction == 1.0
     assert np.all(res.diverged_step >= 0)
     assert np.isfinite(res.final_states).all()  # frozen at last finite value
+
+
+def test_ensemble_enforces_the_divergence_budget(ginzburg_landau):
+    cfg = SimConfig(
+        horizon=1.0, n_steps=64, x0=(16.0,), scheme="euler", seed=17, max_divergence=0.5
+    )
+    with pytest.raises(DivergenceError, match=r"^100 of 100 paths diverged \(fraction 1 "):
+        run_ensemble(ginzburg_landau, cfg, 100, RecordSpec(flows=False))
+    loose = replace(cfg, max_divergence=1.0)
+    res = run_ensemble(ginzburg_landau, loose, 100, RecordSpec(flows=False))
+    with pytest.raises(DegenerateSamplesError, match="100 of 100 paths diverged; estimate"):
+        res.survivors()
 
 
 def test_single_path_divergence_raises(ginzburg_landau):

@@ -306,6 +306,36 @@ seed = 3
 """
 
 
+@pytest.mark.parametrize("budget,code", [("0.5", 3), ("1.0", 1)], ids=["tight", "loose"])
+def test_cli_density_without_a_surviving_path(tmp_path, capsys, budget, code):
+    # under plain Euler on 16 steps every path from x0 = 40 overflows
+    text = DOUBLE_WELL_EULER.replace("x0 = 16.0", "x0 = 40.0")
+    text = text.replace("n_steps = 64", "n_steps = 16")
+    analysis = "[analysis]\ngrid_min = -2\ngrid_max = 2\ngrid_points = 9\n"
+    cfg = _write(tmp_path, text + f"max_divergence = {budget}\n" + analysis)
+    assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "50 of 50 paths diverged" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "density.csv").exists()
+
+
+def test_cli_divergence_budget_beyond_one_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, DOUBLE_WELL_EULER + "max_divergence = 1.5\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "max_divergence must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_cli_simulate_writes_null_for_an_overflowing_moment(tmp_path):
+    # no path is lost, but the spread of X_T is beyond a float
+    cfg = _write(tmp_path, SIGMA_OVERFLOW.replace("[analysis]\n", ""))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "ensemble.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    payload = json.loads(text)
+    assert payload["diverged"] == 0 and payload["std_X_T"] is None
+
+
 def test_cli_det_moments_checks_the_divergence_budget(tmp_path, capsys):
     analysis = "[analysis]\np = 1\nt = 1.0\nt_grid = 0.5, 1.0\n"
     # 15 of the 50 paths diverge
@@ -477,6 +507,15 @@ def test_cli_probe_checks_the_divergence_budget(tmp_path, capsys, budget, code):
     assert main(["probe-assumptions", "--config", cfg, "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert "1000 of 1000 paths diverged" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "probe.json").exists()
+
+
+def test_cli_probe_needs_two_paths_per_start(tmp_path, capsys):
+    text = (Path(__file__).resolve().parents[1] / "configs" / "double_well_probe.cfg").read_text()
+    assert "probe_paths = 1000" in text
+    cfg = _write(tmp_path, text.replace("probe_paths = 1000", "probe_paths = 1"))
+    assert main(["probe-assumptions", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "probe_paths must be >= 2" in capsys.readouterr().err
     assert not (tmp_path / "o" / "probe.json").exists()
 
 
@@ -669,3 +708,9 @@ def test_example_config_digests_are_pinned(tmp_path, command, name):
     assert digests == PINNED_DIGESTS[command, name]
     for entry in manifest["outputs"]:
         assert sha256_file(str(out / entry["file"])) == entry["sha256"]
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in a JSON output")
