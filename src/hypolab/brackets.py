@@ -490,7 +490,8 @@ def local_field_bound(
     ]
     distinct = dict.fromkeys(e for _, group in groups for e in group)
     column = {e: i for i, e in enumerate(distinct)}
-    stack = compile_expression_stack(tuple(column), (len(column),))(pts)
+    with np.errstate(all="ignore"):  # a non-finite value raises below, naming its field
+        stack = compile_expression_stack(tuple(column), (len(column),))(pts)
     best = 0.0
     for fld, group in groups:
         vals = stack[:, [column[e] for e in group]]
@@ -508,65 +509,50 @@ def _ball_error(fld: VectorField, x, radius) -> EvaluationError:
     )
 
 
-def coefficient_local_bound(
-    coeffs: CoefficientSet, x: Sequence[float], radius: float = 1.0, n_ball: int = 512
-) -> float:
-    """sup over B(x, radius) of max(Frobenius norm of sigma, |b|).
+def coefficient_local_bound(coeffs: CoefficientSet, x: Sequence[float]) -> float:
+    """sup over the unit ball around x of max(Frobenius norm of sigma, |b|).
 
     This is the zeroth-order variant used by the density-envelope validity
     region.
     """
-    pts = ball_sample(x, radius, n_ball)
-    bvals = compile_field(coeffs.drift)(pts)
-    svals = compile_diffusion(coeffs)(pts)  # (n_ball, d, m)
+    pts = ball_sample(x, 1.0, 512)
+    with np.errstate(all="ignore"):  # a non-finite value raises below, naming its field
+        bvals = compile_field(coeffs.drift)(pts)
+        svals = compile_diffusion(coeffs)(pts)  # (512, d, m)
     for fld, vals in zip((coeffs.drift, *coeffs.diffusion), (bvals, *np.moveaxis(svals, -1, 0))):
         if not np.isfinite(vals).all():
-            raise _ball_error(fld, x, radius)
+            raise _ball_error(fld, x, 1.0)
     svals = svals.reshape(len(pts), -1)
     bnorm = np.sqrt(np.sum(bvals * bvals, axis=-1))
     snorm = np.sqrt(np.sum(svals * svals, axis=-1))
     return float(np.maximum(bnorm, snorm).max())
 
 
-def bracket_local_bound(
-    table: BracketTable,
-    x: Sequence[float],
-    L: int,
-    radius: float = 1.0,
-    n_ball: int = 512,
-    max_len: int | None = None,
-) -> float:
-    """Second-order sup-norm bound over all diffusion brackets of length <= L+1.
+def bracket_local_bound(table: BracketTable, x: Sequence[float], L: int) -> float:
+    """Second-order sup-norm bound over the unit ball around x of all
+    diffusion brackets of length (not weight) <= L+1.
 
-    Variant feeding the eigenvalue-tail envelope fits.  The cap is on bracket
-    length (not weight); pass ``max_len`` to override L+1.
+    Variant feeding the eigenvalue-tail envelope fits.
     """
-    cap = (L + 1) if max_len is None else max_len
     fields = []
     for k in range(1, table.m + 1):
-        for alpha in enumerate_indices(cap, table.m, by_length=True):
+        for alpha in enumerate_indices(L + 1, table.m, by_length=True):
             fields.append(table.diffusion_bracket(k, alpha))
-    bound, _ = local_field_bound(fields, x, radius=radius, order=2, n_ball=n_ball)
-    return bound
+    return local_field_bound(fields, x, order=2)[0]
 
 
 def expansion_local_bound(
-    table: BracketTable,
-    target: VectorField,
-    x: Sequence[float],
-    L: int,
-    radius: float = 1.0,
-    n_ball: int = 512,
+    table: BracketTable, target: VectorField, x: Sequence[float], L: int
 ) -> float:
-    """max of second-order norms of all directions and zeroth-order norms of
-    the iterated brackets of ``target`` up to length L+1.
+    """max over the unit ball around x of second-order norms of all
+    directions and zeroth-order norms of the iterated brackets of ``target``
+    up to length L+1.
 
     Variant feeding remainder-tail envelope fits.
     """
     directions = [table.direction(j) for j in range(table.m + 1)]
-    dir_bound, _ = local_field_bound(directions, x, radius=radius, order=2, n_ball=n_ball)
+    dir_bound, _ = local_field_bound(directions, x, order=2)
     indices = enumerate_indices(L + 1, table.m, by_length=True)
     targets = [table.bracket(target, alpha) for alpha in indices]
-    tgt_bound, _ = local_field_bound(targets, x, radius=radius, order=0, n_ball=n_ball)
+    tgt_bound, _ = local_field_bound(targets, x, order=0)
     return max(dir_bound, tgt_bound)
-

@@ -1,13 +1,10 @@
-"""CLI, config ingestion, run manifests, and SVG artifact emission."""
+"""CLI, config ingestion, and SVG artifact emission; the run manifest is
+written by ``cli.main``."""
 from .config import ExperimentConfig, load_config, parse_config_text, resolved_text
-from .manifest import RunManifest, sha256_file, sha256_text
 
 __all__ = [
     "ExperimentConfig",
     "load_config",
     "parse_config_text",
     "resolved_text",
-    "RunManifest",
-    "sha256_file",
-    "sha256_text",
 ]

@@ -1,11 +1,13 @@
 """Command-line entry point wiring the analysis modules to config files.
 
 Subcommands: check-hormander, simulate, malliavin, tails, remainder-tails,
-det-moments, density, probe-assumptions.  Every run writes its resolved
-configuration and a manifest with content digests next to the outputs; with
-a fixed (config, seed) the output digests are fixed too.  ``--workers`` (or
-``HYPO_LAB_WORKERS``) is validated and recorded in the manifest, but runs are
-single-threaded whatever its value.
+det-moments, density, probe-assumptions.  Each handler writes every output
+through ``out(name, claim)``, which lists the file and returns its path.
+``main`` writes the resolved configuration before the handler runs and a
+manifest after it, with the SHA-256 digest of every listed file read back
+from disk.  With a fixed (config, seed) the output digests are fixed too.
+``--workers`` (or ``HYPO_LAB_WORKERS``) is validated and recorded in the
+manifest, but runs are single-threaded whatever its value.
 
 Exit codes: 0 success, 1 numerical evaluation or linear-algebra error, 2
 configuration error, 3 numerical divergence beyond the configured budget, 4
@@ -14,6 +16,7 @@ violated internal invariant, 5 out of memory (an array too large to allocate).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -48,11 +51,18 @@ from ..flows import (
 )
 from ..flows.probes import assumption_probe, moment_probe
 from .config import ExperimentConfig, load_config, resolved_text
-from .manifest import RunManifest, sha256_file, sha256_text
 from .svg import line_chart
 
 _ENV_WORKERS = "HYPO_LAB_WORKERS"
 _EXIT_OUT_OF_MEMORY = 5
+
+
+def _sha256_file(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _json_dump(path: str, payload: dict) -> None:
@@ -118,10 +128,23 @@ def _grid_spec(a: dict, d: int) -> GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns a list of (filename, claim) it wrote
+# subcommand handlers: each writes through ``out(name, claim)``, which lists
+# the file in the manifest and returns its path in the output directory
 
 
-def _cmd_check_hormander(cfg: ExperimentConfig, out_dir: str):
+def _divergence(res) -> dict:
+    return {
+        "paths": res.n_paths,
+        "diverged": res.diverged_count,
+        "divergence_fraction": res.divergence_fraction,
+    }
+
+
+def _stats(values: np.ndarray) -> dict:
+    return {"mean": float(values.mean()), "min": float(values.min()), "max": float(values.max())}
+
+
+def _cmd_check_hormander(cfg: ExperimentConfig, out) -> None:
     a = cfg.analysis
     coeffs = cfg.coefficient_set()
     d = coeffs.d
@@ -132,17 +155,13 @@ def _cmd_check_hormander(cfg: ExperimentConfig, out_dir: str):
         "bracket-spanning diagnostic: capped smallest eigenvalue of the "
         "bracket Gram matrix over a point grid"
     )
-    files = []
     # one compact line: the report holds a record per grid point
-    _json_dump_compact(os.path.join(out_dir, "hormander.json"), report.to_json_dict())
-    files.append(("hormander.json", claim))
-
+    _json_dump_compact(out("hormander.json", claim), report.to_json_dict())
     _write_csv(
-        os.path.join(out_dir, "hormander.csv"),
+        out("hormander.csv", claim),
         [f"x_{i+1}" for i in range(d)] + ["V_L", "in_U_L"],
         [*report.points.T, report.values, report.in_span_set.astype(np.int64)],
     )
-    files.append(("hormander.csv", claim))
 
     # one polyline per axis: the slice through the grid centre
     axes = spec.axes()
@@ -153,26 +172,22 @@ def _cmd_check_hormander(cfg: ExperimentConfig, out_dir: str):
         slicer = tuple(
             slice(None) if i == axis else index[i] for i in range(d)
         )
-        name = f"hormander_axis{axis + 1}.svg"
         line_chart(
-            os.path.join(out_dir, name),
+            out(f"hormander_axis{axis + 1}.svg", claim),
             axes[axis],
             [(f"V_{a['L']}", values[slicer])],
             title=f"spanning value along x{axis + 1} (centre slice)",
             x_label=f"x{axis + 1}",
             y_label="V_L",
         )
-        files.append((name, claim))
-    return files
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out_dir: str):
+def _cmd_simulate(cfg: ExperimentConfig, out) -> None:
     coeffs = cfg.coefficient_set()
     config = cfg.sim_config()
     sim = cfg.simulation
     res = run_ensemble(coeffs, config, sim["paths"], RecordSpec(flows=True))
     claim = "pathwise simulation of the state and its first-variation flows"
-    files = []
 
     final = res.final_states[res.alive]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is written as null
@@ -181,14 +196,11 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str):
     summary = {
         "scheme": config.scheme,
         "comparison_only": config.comparison_only,
-        "paths": res.n_paths,
-        "diverged": res.diverged_count,
-        "divergence_fraction": res.divergence_fraction,
+        **_divergence(res),
         "mean_X_T": mean,
         "std_X_T": std,
     }
-    _json_dump(os.path.join(out_dir, "ensemble.json"), summary)
-    files.append(("ensemble.json", claim))
+    _json_dump(out("ensemble.json", claim), summary)
 
     dump = min(sim["dump_paths"], res.n_paths)
     if dump:
@@ -200,18 +212,15 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str):
         header = ["t", *(f"X_{i+1}" for i in range(d))]
         header += [f"{f}_{i+1}{j+1}" for f in "JK" for i in range(d) for j in range(d)]
         for i in np.flatnonzero(paths.alive):
-            name = f"trajectory_{int(paths.stream_ids[i]):06d}.csv"
             j, k_inv = (a[i].reshape(len(a[i]), -1) for a in (paths.jacobians, paths.inverses))
             _write_csv(
-                os.path.join(out_dir, name),
+                out(f"trajectory_{int(paths.stream_ids[i]):06d}.csv", claim),
                 header,
                 [config.times(), *paths.states[i].T, *j.T, *k_inv.T],
             )
-            files.append((name, claim))
-    return files
 
 
-def _cmd_malliavin(cfg: ExperimentConfig, out_dir: str):
+def _cmd_malliavin(cfg: ExperimentConfig, out) -> None:
     coeffs = cfg.coefficient_set()
     sim = cfg.simulation
     t = cfg.analysis.get("t", sim["T"])
@@ -229,46 +238,34 @@ def _cmd_malliavin(cfg: ExperimentConfig, out_dir: str):
     det_q = np.linalg.det(q_mats[alive])
     claim = "Malliavin covariance matrices from the inverse-flow quadrature"
 
+    summary = {
+        "t": float(idx * config.h),
+        **_divergence(res),
+        "quadrature": "left-endpoint",
+        "mean_C": [[float(v) for v in row] for row in c_mats[alive].mean(axis=0)],
+        "mean_Q": [[float(v) for v in row] for row in q_mats[alive].mean(axis=0)],
+        "lambda_min_C": _stats(lam_c),
+        "lambda_min_Q": _stats(lam_q),
+        "det_Q": {"mean": float(det_q.mean()), "min": float(det_q.min())},
+    }
+    _json_dump(out("malliavin.json", claim), summary)
     _write_csv(
-        os.path.join(out_dir, "malliavin.csv"),
+        out("malliavin.csv", claim),
         ["lambda_min_C", "lambda_min_Q", "det_Q"],
         [lam_c, lam_q, det_q],
     )
 
-    summary = {
-        "t": float(idx * config.h),
-        "paths": res.n_paths,
-        "diverged": res.diverged_count,
-        "divergence_fraction": res.divergence_fraction,
-        "quadrature": "left-endpoint",
-        "mean_C": [[float(v) for v in row] for row in c_mats[alive].mean(axis=0)],
-        "mean_Q": [[float(v) for v in row] for row in q_mats[alive].mean(axis=0)],
-        "lambda_min_C": {
-            "mean": float(lam_c.mean()),
-            "min": float(lam_c.min()),
-            "max": float(lam_c.max()),
-        },
-        "lambda_min_Q": {
-            "mean": float(lam_q.mean()),
-            "min": float(lam_q.min()),
-            "max": float(lam_q.max()),
-        },
-        "det_Q": {"mean": float(det_q.mean()), "min": float(det_q.min())},
-    }
-    _json_dump(os.path.join(out_dir, "malliavin.json"), summary)
-    return [("malliavin.json", claim), ("malliavin.csv", claim)]
 
-
-def _tail_outputs(curve, out_dir: str, stem: str, claim: str):
+def _tail_outputs(curve, out, stem: str, claim: str) -> None:
     _write_csv(
-        os.path.join(out_dir, f"{stem}.csv"),
+        out(f"{stem}.csv", claim),
         ["K", "events", "trials", "p_hat", "ci_lo", "ci_hi"],
         [curve.k_values, curve.events, [curve.trials] * len(curve.events),
          curve.p_hat, curve.ci_lo, curve.ci_hi],
     )
-    _json_dump(os.path.join(out_dir, f"{stem}.json"), curve.to_json_dict())
+    _json_dump(out(f"{stem}.json", claim), curve.to_json_dict())
     line_chart(
-        os.path.join(out_dir, f"{stem}.svg"),
+        out(f"{stem}.svg", claim),
         curve.k_values,
         [("p_hat", curve.p_hat), ("ci_hi", curve.ci_hi), ("ci_lo", curve.ci_lo)],
         title=stem.replace("_", " "),
@@ -276,10 +273,9 @@ def _tail_outputs(curve, out_dir: str, stem: str, claim: str):
         y_label="probability",
         log_x=True,
     )
-    return [(f"{stem}.csv", claim), (f"{stem}.json", claim), (f"{stem}.svg", claim)]
 
 
-def _cmd_tails(cfg: ExperimentConfig, out_dir: str):
+def _cmd_tails(cfg: ExperimentConfig, out) -> None:
     a = cfg.analysis
     spec = EnsembleSpec(cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"])
     curve = eigenvalue_tails(
@@ -289,10 +285,10 @@ def _cmd_tails(cfg: ExperimentConfig, out_dir: str):
         "tail probabilities of the smallest Malliavin-covariance eigenvalue "
         "at shrinking horizons"
     )
-    return _tail_outputs(curve, out_dir, "tails", claim)
+    _tail_outputs(curve, out, "tails", claim)
 
 
-def _cmd_remainder_tails(cfg: ExperimentConfig, out_dir: str):
+def _cmd_remainder_tails(cfg: ExperimentConfig, out) -> None:
     a = cfg.analysis
     spec = EnsembleSpec(cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"])
     target = _resolve_field(cfg, a["field"])
@@ -303,21 +299,29 @@ def _cmd_remainder_tails(cfg: ExperimentConfig, out_dir: str):
         a["L"], a["epsilon"], a["K_grid"], target, spec, fit_envelope=a["fit_envelope"], **kwargs
     )
     claim = "tail probabilities of the truncated flow-expansion remainder energy"
-    return _tail_outputs(curve, out_dir, "remainder_tails", claim)
+    _tail_outputs(curve, out, "remainder_tails", claim)
 
 
-def _cmd_det_moments(cfg: ExperimentConfig, out_dir: str):
+def _cmd_det_moments(cfg: ExperimentConfig, out) -> None:
     a = cfg.analysis
     spec = EnsembleSpec(cfg.coefficient_set(), cfg.sim_config(), cfg.simulation["paths"])
     estimate = inverse_det_moments(a["p"], a["t"], spec)
     claim = "moments of the inverse determinant of the Malliavin covariance"
     payload = estimate.to_json_dict()
-    files = []
+    study = None
     if a.get("t_grid") is not None:
         study = inverse_det_scaling(a["p"], a["t_grid"], spec, L=a.get("L"), margin=a["margin"])
         payload["scaling"] = study.to_json_dict()
+    _json_dump(out("det_moments.json", claim), payload)
+    row = (estimate.p, estimate.t, estimate.value, estimate.std_error, estimate.trials)
+    _write_csv(
+        out("det_moments.csv", claim),
+        ["p", "t", "estimate", "std_error", "trials", "heavy_tail"],
+        [[v] for v in (*row, int(estimate.heavy_tail))],
+    )
+    if study is not None:
         line_chart(
-            os.path.join(out_dir, "det_moments.svg"),
+            out("det_moments.svg", claim),
             study.t_values,
             [("estimate", study.estimates)],
             title="inverse-determinant moment vs t",
@@ -326,18 +330,9 @@ def _cmd_det_moments(cfg: ExperimentConfig, out_dir: str):
             log_x=True,
             log_y=True,
         )
-        files.append(("det_moments.svg", claim))
-    _json_dump(os.path.join(out_dir, "det_moments.json"), payload)
-    row = (estimate.p, estimate.t, estimate.value, estimate.std_error, estimate.trials)
-    _write_csv(
-        os.path.join(out_dir, "det_moments.csv"),
-        ["p", "t", "estimate", "std_error", "trials", "heavy_tail"],
-        [[v] for v in (*row, int(estimate.heavy_tail))],
-    )
-    return [("det_moments.json", claim), ("det_moments.csv", claim)] + files
 
 
-def _cmd_density(cfg: ExperimentConfig, out_dir: str):
+def _cmd_density(cfg: ExperimentConfig, out) -> None:
     a = cfg.analysis
     coeffs = cfg.coefficient_set()
     sim = cfg.simulation
@@ -349,28 +344,23 @@ def _cmd_density(cfg: ExperimentConfig, out_dir: str):
     samples = res.final_states[res.survivors()]
     dens = kde_density(samples, spec.points(), bandwidth=a.get("bandwidth"))
     claim = "kernel density estimate of the state law"
-    files = []
     _write_csv(
-        os.path.join(out_dir, "density.csv"),
+        out("density.csv", claim),
         [f"y_{i+1}" for i in range(d)] + ["p_hat"],
         [*dens.points.T, dens.values],
     )
-    files.append(("density.csv", claim))
     if d == 1:
         line_chart(
-            os.path.join(out_dir, "density.svg"),
+            out("density.svg", claim),
             dens.points[:, 0],
             [("p_hat", dens.values)],
             title=f"density at t = {t}",
             x_label="y",
             y_label="p_hat",
         )
-        files.append(("density.svg", claim))
     payload = {
         "t": t,
-        "paths": res.n_paths,
-        "diverged": res.diverged_count,
-        "divergence_fraction": res.divergence_fraction,
+        **_divergence(res),
         "bandwidth": [float(v) for v in dens.bandwidth],
         "n_samples": dens.n_samples,
     }
@@ -380,14 +370,10 @@ def _cmd_density(cfg: ExperimentConfig, out_dir: str):
             m_x = coefficient_local_bound(coeffs, config.x0)
         report = density_envelope_check(dens, config.x0, t, a["envelope_N"], m_x)
         payload["envelope"] = report.to_json_dict()
-    _json_dump(os.path.join(out_dir, "density.json"), payload)
-    files.append(
-        ("density.json", claim + " with quadratic-exponential envelope fit")
-    )
-    return files
+    _json_dump(out("density.json", claim + " with quadratic-exponential envelope fit"), payload)
 
 
-def _cmd_probe(cfg: ExperimentConfig, out_dir: str):
+def _cmd_probe(cfg: ExperimentConfig, out) -> None:
     a = cfg.analysis
     coeffs = cfg.coefficient_set()
     declared = {}
@@ -419,9 +405,8 @@ def _cmd_probe(cfg: ExperimentConfig, out_dir: str):
             n_paths=a["probe_paths"],
         )
         payload["moments"] = moments.to_json_dict()
-    _json_dump(os.path.join(out_dir, "probe.json"), payload)
     claim = "empirical probes of the monotonicity, growth, and smoothness assumptions"
-    return [("probe.json", claim)]
+    _json_dump(out("probe.json", claim), payload)
 
 
 _HANDLERS = {
@@ -485,40 +470,33 @@ def main(argv=None) -> int:
         cfg.output["out_dir"] = out_dir
         workers = _resolve_workers(args.workers)
         os.makedirs(out_dir, exist_ok=True)
+        _write_text(os.path.join(out_dir, "config.resolved.txt"), resolved_text(cfg))
+        files = []  # (name, claim, path) in the manifest's order
 
-        resolved = resolved_text(cfg)
-        _write_text(os.path.join(out_dir, "config.resolved.txt"), resolved)
+        def out(name: str, claim: str) -> str:
+            path = os.path.join(out_dir, name)
+            files.append((name, claim, path))
+            return path
 
         start = time.perf_counter()
-        files = _HANDLERS[args.command](cfg, out_dir)
+        _HANDLERS[args.command](cfg, out)
         wall = time.perf_counter() - start
-
+        out("config.resolved.txt", "resolved run configuration")  # last: its digest is config_hash
         outputs = [
-            {
-                "file": name,
-                "sha256": sha256_file(os.path.join(out_dir, name)),
-                "claim": claim,
-            }
-            for name, claim in files
+            {"file": name, "sha256": _sha256_file(path), "claim": claim}
+            for name, claim, path in files
         ]
-        outputs.append(
-            {
-                "file": "config.resolved.txt",
-                "sha256": sha256_text(resolved),
-                "claim": "resolved run configuration",
-            }
-        )
-        manifest = RunManifest(
-            tool="hypolab",
-            version=__version__,
-            command=args.command,
-            config_hash=sha256_text(resolved),
-            seed=cfg.simulation.get("seed", 0),
-            workers=workers,
-            wall_time_s=wall,
-            outputs=outputs,
-        )
-        manifest.write(out_dir)
+        manifest = {
+            "tool": "hypolab",
+            "version": __version__,
+            "command": args.command,
+            "config_hash": outputs[-1]["sha256"],
+            "seed": cfg.simulation.get("seed", 0),
+            "workers": workers,
+            "wall_time_s": wall,
+            "outputs": outputs,
+        }
+        _json_dump(os.path.join(out_dir, "manifest.json"), manifest)
     except HypolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

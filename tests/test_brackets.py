@@ -468,6 +468,7 @@ def test_local_bound_cubic_drift_interval_suprema():
     assert coefficient_local_bound(c, (2.0,)) == pytest.approx(27.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_local_bound_names_the_non_finite_field():
     c = CoefficientSet.from_text(1, 1, "-x1", ["1/x1"])
     with pytest.raises(EvaluationError, match="field '1/x1' is non-finite"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,6 @@ import hypolab
 from hypolab.errors import ConfigError
 from hypolab.harness.cli import _json_dump_compact, main
 from hypolab.harness.config import parse_config_text, resolved_text
-from hypolab.harness.manifest import sha256_file
 
 OU_MODEL = """
 [model]
@@ -36,6 +36,18 @@ def _write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(hypolab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _assert_numeric_cells(path):
@@ -114,7 +126,7 @@ def test_cli_simulate_writes_manifest_and_outputs(tmp_path):
     assert header == "t,X_1,J_11,K_11"
     # every listed digest matches the file on disk
     for entry in manifest["outputs"]:
-        assert sha256_file(str(out / entry["file"])) == entry["sha256"]
+        assert _sha256(out / entry["file"]) == entry["sha256"]
 
 
 def test_cli_seed_and_workers_reproducibility(tmp_path):
@@ -447,6 +459,10 @@ seed = 9
     payload = json.loads((tmp_path / "d" / "det_moments.json").read_text())
     assert payload["estimate"] > 0
     assert "scaling" in payload
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    listed = [e["file"] for e in manifest["outputs"]]
+    assert listed == ["det_moments.json", "det_moments.csv", "det_moments.svg", "config.resolved.txt"]
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == sorted(listed + ["manifest.json"])
 
 
 def test_cli_density_and_probe(tmp_path):
@@ -630,13 +646,26 @@ def test_cli_commands_never_import_scipy(tmp_path):
         ]
         + ["print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
     )
-    src = str(Path(hypolab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_non_finite_local_bound_prints_only_its_error(tmp_path):
+    # the ball of radius 1 around x0 = 1 holds x1 = 0, where 1/x1 is infinite
+    text = OU_MODEL.replace("sigma1 = 1", "sigma1 = 1/x1") + SIM.replace("paths = 400", "paths = 64")
+    analysis = "[analysis]\ngrid_min = -1\ngrid_max = 2\ngrid_points = 11\nenvelope = true\n"
+    cfg = _write(tmp_path, text + analysis)
+    done = subprocess.run(
+        [sys.executable, "-m", "hypolab.harness.cli", "density", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert done.stderr == (
+        "error: field '1/x1' is non-finite inside the ball of radius 1.0 around [1.0]\n"
+    )
 
 
 def test_missing_out_dir_is_config_error(tmp_path, capsys):
@@ -706,8 +735,9 @@ def test_example_config_digests_are_pinned(tmp_path, command, name):
     manifest = json.loads((out / "manifest.json").read_text())
     digests = {e["file"]: e["sha256"] for e in manifest["outputs"]}
     assert digests == PINNED_DIGESTS[command, name]
+    assert {p.name for p in out.iterdir()} == set(digests) | {"manifest.json"}
     for entry in manifest["outputs"]:
-        assert sha256_file(str(out / entry["file"])) == entry["sha256"]
+        assert _sha256(out / entry["file"]) == entry["sha256"]
     for path in out.glob("*.json"):
         json.loads(path.read_text(), parse_constant=_reject_constant)
 
