@@ -1,11 +1,13 @@
 """Brownian paths on uniform grids with counter-based, per-stream keying.
 
-Randomness comes from Philox (counter-based) generators keyed by
-``(seed, stream_id)`` with the counter block selecting the purpose: block 0
-holds the base increments, block ``level`` the bridge midpoints used to
-refine a level ``level - 1`` grid.  Every draw is therefore a pure function
-of ``(seed, stream_id, purpose)``: regenerating a grid, refining it, or
-coarsening it back is bit-reproducible, whatever else was drawn before.
+Randomness comes from one Philox (counter-based) generator, rekeyed per stream
+to ``(seed, stream_id)`` by writing its state struct through numpy views
+(checked at import against assigning its ``state`` dict), with the counter
+block selecting the purpose: block 0 holds the base increments, block
+``level`` the bridge midpoints used to refine a level ``level - 1`` grid.
+Every draw is therefore a pure function of ``(seed, stream_id, purpose)``:
+regenerating a grid, refining it, or coarsening it back is bit-reproducible,
+whatever else was drawn before.
 
 The stored object is the path W(t_k); increments are its differences.  A
 bridge refinement copies the coarse path values onto the even fine indices,
@@ -14,6 +16,7 @@ the coarse increments are preserved exactly.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -32,24 +35,57 @@ _GEN = np.random.Generator(_BITGEN)
 _STATE = _BITGEN.state
 
 
+def _dict_rekey(seed: int, stream_id: int, purpose: int) -> None:
+    _STATE["state"]["counter"][:] = (0, 0, purpose, 0)
+    _STATE["state"]["key"][:] = (seed, stream_id)
+    _STATE.update(buffer_pos=4, has_uint32=0, uinteger=0)  # output buffer exhausted
+    _BITGEN.state = _STATE
+
+
+def _struct_rekey():
+    """``_dict_rekey`` through views of the state struct; ValueError unless its
+    pointers lead inside the Philox and it leaves the same state and draws."""
+    def view(address, count):  # count uint64 words inside the Philox object
+        if not 0 <= address - id(_BITGEN) <= type(_BITGEN).__basicsize__ - 8 * count:
+            raise ValueError("the Philox state struct has another layout")
+        return np.ctypeslib.as_array((ctypes.c_uint64 * count).from_address(address))
+
+    # philox_state, little-endian words: ctr*, key*, buffer_pos, buffer[4], has_uint32,uinteger
+    words = view(_BITGEN.ctypes.state_address, 8)
+    ctr, key, tail = view(int(words[0]), 4), view(int(words[1]), 2), words[2:]
+    reset = np.array([4, 0, 0, 0, 0, 0], dtype=np.uint64)  # buffer exhausted and zero
+
+    def rekey(seed: int, stream_id: int, purpose: int) -> None:
+        ctr[:] = 0
+        ctr[2] = purpose
+        key[0] = seed
+        key[1] = stream_id
+        tail[:] = reset
+
+    def after(route, args):  # the state and draws a rekey leaves in a used generator
+        _GEN.random(3, dtype=np.float32)  # moves the counter, buffer and cached uint32
+        route(*args)
+        return repr(_BITGEN.state), _GEN.standard_normal(5).tobytes()
+
+    for args in ((2**64 - 1, 5, 3), (7, 2**64 - 1, 0)):
+        if after(_dict_rekey, args) != after(rekey, args):
+            raise ValueError("the struct rekey does not match the dict rekey")
+    return rekey
+
+
+try:
+    _rekey = _struct_rekey()
+except (AttributeError, ValueError):  # another numpy: the dict route, the same bits
+    _rekey = _dict_rekey
+
+
 def standard_normal_stream(seed: int, stream_id: int, purpose: int, shape=None, out=None):
     """Standard normals from the Philox stream keyed by (seed, stream, purpose).
 
-    One module-level generator is rekeyed in place: constructing a fresh
-    Philox per stream costs an order of magnitude more and produces the
-    same bits.  With ``out`` (a C-contiguous float64 array) the draws are
-    written into it, the same bits as a fresh array of its shape.
+    With ``out`` (a C-contiguous float64 array) the draws are written into
+    it, the same bits as a fresh array of its shape.
     """
-    state = _STATE
-    inner = state["state"]
-    inner["counter"][:] = 0
-    inner["counter"][2] = purpose
-    inner["key"][0] = seed
-    inner["key"][1] = stream_id
-    state["buffer_pos"] = 4  # mark the output buffer exhausted
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    _BITGEN.state = state
+    _rekey(seed, stream_id, purpose)
     return _GEN.standard_normal(shape, out=out)
 
 
@@ -61,8 +97,10 @@ def _brownian_paths(seed: int, stream_ids, scale: float, path: np.ndarray) -> No
     ``cumsum``: the single-path grids and the engine's blocks share these
     float operations, and so their bits.
     """
-    for row, sid in zip(path, stream_ids):
-        standard_normal_stream(seed, int(sid), 0, out=row[1:])
+    rekey, draw = _rekey, _GEN.standard_normal
+    for row, sid in zip(path[:, 1:], np.asarray(stream_ids).tolist()):
+        rekey(seed, sid, 0)
+        draw(out=row)
     path *= scale  # contiguous, so unbuffered; row 0 stays zero
     np.cumsum(path[:, 1:], axis=1, out=path[:, 1:])
 

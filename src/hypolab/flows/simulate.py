@@ -25,10 +25,10 @@ only.  A non-finite update of X, J, K or the accumulated Malliavin
 covariance C freezes the path at its last finite state; such paths are
 counted, never silently dropped, so scheme blow-up is observable data.
 
-Ensembles assign one Philox stream per path keyed by (seed, stream_id) and
-aggregate per-path records in ascending stream order, making every output
-bit independent of the block size.  The single-path helpers run the same
-engine on a batch of one given grid.
+Ensembles draw one Philox stream per path keyed by (seed, stream_id) into
+step-major (n, m, B) increment blocks and merge per-path records in stream
+order, so no output bit depends on the block size.  The single-path helpers
+run the same engine on a batch of one given grid.
 
 Everything a block records per path goes through one hook: an accumulator
 ``acc`` with ``acc.step(k, x, j, k_inv, c, dw)`` and ``acc.result()``.
@@ -113,6 +113,8 @@ class SimConfig:
         n = self.n_steps
         if n < 1 or (n & (n - 1)) != 0:
             raise ConfigError(f"n_steps must be a positive power of two, got {n}")
+        if not 0 <= self.seed < 2**64:  # a Philox key word
+            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if not self.x0:
@@ -384,8 +386,8 @@ def _simulate_block(
 ) -> dict:
     d, m = coeffs.d, coeffs.m
     n, h = config.n_steps, config.h
-    B = dw.shape[0]
-    if dw.shape != (B, n, m):
+    B = dw.shape[2]
+    if dw.shape != (n, m, B):
         raise InternalInvariantError(f"increment block has shape {dw.shape}")
     needs_flows = record.needs_flows
     accumulate_c = bool(record.c_checkpoints)
@@ -412,8 +414,7 @@ def _simulate_block(
     accs = _recorders(record, B, n, d)
 
     with np.errstate(all="ignore"):
-        for k in range(n):
-            dwk = np.ascontiguousarray(dw[:, k, :].T)  # (m, B)
+        for k, dwk in enumerate(dw):  # (m, B) rows
             for acc in accs.values():
                 acc.step(k, x, j, k_inv, c, dwk)
             z = newton_ok = None
@@ -441,22 +442,28 @@ def _simulate_block(
     }
 
 
-# Paths per chunk of _block_increments: its (chunk, n + 1, m) buffer is at
-# most about 1 MiB at n = 1024, m = 2, so it adds nothing visible to a block.
+# Paths per chunk of _block_increments: its (chunk, n + 1, m) path buffer (about
+# 1 MiB at n = 1024, m = 2) and 64 KiB slab of differences add nothing visible.
 _CHUNK = 64
 
 
 def _block_increments(config: SimConfig, m: int, stream_ids: np.ndarray) -> np.ndarray:
-    """The streams' (B, n, m) increments: ``sample_brownian``'s paths, one
-    chunk of paths at a time, each chunk differenced by one subtraction."""
-    n, scale = config.n_steps, math.sqrt(config.h)
-    dw = np.empty((len(stream_ids), n, m))
-    buf = np.zeros((min(len(stream_ids), _CHUNK), n + 1, m))  # row 0 stays W(0) = 0
-    for start in range(0, len(stream_ids), _CHUNK):
+    """The streams' step-major (n, m, B) increments: ``sample_brownian``'s paths a
+    chunk at a time, differenced a slab of steps at a time, copied transposed."""
+    n, scale, B = config.n_steps, math.sqrt(config.h), len(stream_ids)
+    dw = np.empty((n, m, B))
+    buf = np.zeros((min(B, _CHUNK), n + 1, m))  # row 0 stays W(0) = 0
+    steps = max(1, 8192 // (_CHUNK * m))
+    slab = np.empty((len(buf), min(steps, n), m))
+    for start in range(0, B, _CHUNK):
         ids = stream_ids[start : start + _CHUNK]
         path = buf[: len(ids)]
         _brownian_paths(config.seed, ids, scale, path)
-        np.subtract(path[:, 1:], path[:, :-1], out=dw[start : start + len(ids)])
+        for k in range(0, n, steps):
+            end = min(k + steps, n)
+            diff = slab[: len(ids), : end - k]
+            np.subtract(path[:, k + 1 : end + 1], path[:, k:end], out=diff)
+            dw[k:end, :, start : start + len(ids)] = diff.transpose(1, 2, 0)
     return dw
 
 
@@ -528,7 +535,7 @@ def _single_path(
 ) -> dict:
     """Run the ensemble engine on the one given grid; raises on divergence."""
     _check_grid(coeffs, config, grid)
-    out = _simulate_block(coeffs, config, grid.increments[None], record)
+    out = _simulate_block(coeffs, config, grid.increments[:, :, None], record)
     step = int(out["diverged_step"][0])
     if step >= 0:
         # max-abs: a Euclidean norm of a barely-finite state can overflow

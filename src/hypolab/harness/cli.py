@@ -374,7 +374,7 @@ def _cmd_density(cfg: ExperimentConfig, out) -> None:
 
 
 def _cmd_probe(cfg: ExperimentConfig, out) -> None:
-    a = cfg.analysis
+    a, config = cfg.analysis, cfg.sim_config()  # checks the seed for both probes
     coeffs = cfg.coefficient_set()
     declared = {}
     for key, name in (
@@ -390,7 +390,7 @@ def _cmd_probe(cfg: ExperimentConfig, out) -> None:
         a["box_min"],
         a["box_max"],
         n_pairs=a["pairs"],
-        seed=cfg.simulation["seed"],
+        seed=config.seed,
         scales=a["scales"],
         declared=declared or None,
     )
@@ -399,7 +399,7 @@ def _cmd_probe(cfg: ExperimentConfig, out) -> None:
         x0_list = a.get("x0_list") or (tuple(cfg.model["x0"]),)
         moments = moment_probe(
             coeffs,
-            cfg.sim_config(),
+            config,
             a["p_list"],
             x0_list,
             n_paths=a["probe_paths"],

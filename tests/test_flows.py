@@ -3,6 +3,7 @@ import linecache
 import traceback
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from hypolab.flows import (
     simulate_flow,
     simulate_x,
 )
+from hypolab.flows import brownian, simulate
 from hypolab.flows.brownian import standard_normal_stream
 from hypolab.flows.simulate import _block_increments, _implicit_state
 
@@ -64,6 +66,12 @@ def test_config_rejects_large_implicit_step():
 def test_config_rejects_a_non_finite_horizon(horizon):
     with pytest.raises(ConfigError, match="positive and finite"):
         SimConfig(horizon=horizon, n_steps=8, x0=(1.0,))
+
+
+@pytest.mark.parametrize("seed", [-3, 2**64, 99999999999999999999])
+def test_config_rejects_a_seed_outside_the_key_range(seed):
+    with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\^64\)"):
+        SimConfig(horizon=1.0, n_steps=8, x0=(1.0,), seed=seed)
 
 
 def test_config_unknown_scheme():
@@ -97,7 +105,27 @@ def test_block_increments_match_stacked_streams(n_paths, m):
     cfg = SimConfig(horizon=0.5, n_steps=32, x0=(0.0,), seed=41)
     ids = np.arange(3, 3 + n_paths, dtype=np.int64)
     expected = np.stack([sample_brownian(cfg, m, int(s)).increments for s in ids])
-    assert np.array_equal(_block_increments(cfg, m, ids), expected)
+    assert np.array_equal(_block_increments(cfg, m, ids), np.moveaxis(expected, 0, -1))
+
+
+def test_layer_entry_points_stay_module_globals(monkeypatch):
+    # the benchmark's tracer wraps these names where their callers look them up
+    from hypolab.harness import cli
+
+    assert cli.run_ensemble is simulate.run_ensemble
+    calls = []
+    for name in ("_block_increments", "_simulate_block"):
+        fn = getattr(simulate, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(simulate, name, counted)
+    cfg = SimConfig(horizon=0.5, n_steps=8, x0=(1.0,), seed=1)
+    ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
+    simulate.run_ensemble(ou, cfg, 5, RecordSpec(flows=False), block_size=3)
+    assert calls == ["_block_increments", "_simulate_block"] * 2
 
 
 def test_block_increments_scratch_is_one_chunk():
@@ -113,7 +141,8 @@ def test_block_increments_scratch_is_one_chunk():
         tracemalloc.stop()
     chunk = 64 * (n + 1) * m * 8
     # a (B, n + 1, m) path array would add 3.2 MB here, the chunk 1.05 MB;
-    # the slack covers numpy's ufunc buffers for the strided subtraction
+    # the slack covers the 64 KiB transposing slab and numpy's ufunc buffers
+    # for the subtraction of strided path steps into it
     assert peak - dw.nbytes <= chunk + 256 * 1024
 
 
@@ -121,6 +150,66 @@ def test_normal_stream_into_out_matches_fresh_array():
     out = np.empty((17, 2))
     standard_normal_stream(7, 4, 0, out=out)
     assert np.array_equal(out, standard_normal_stream(7, 4, 0, (17, 2)))
+
+
+# (seed, stream, purpose): extreme key words and bridge purposes
+_REKEYS = [(0, 0, 0), (41, 7, 0), (2**64 - 1, 5, 3), (3, 2**64 - 1, 1), (2**64 - 1, 2**64 - 1, 7)]
+
+
+def test_struct_rekey_is_active_on_this_numpy():
+    # a silent fallback to the dict route would hide a slower or broken struct route
+    assert brownian._rekey is not brownian._dict_rekey
+    assert brownian._rekey.__qualname__ == "_struct_rekey.<locals>.rekey"
+
+
+@pytest.mark.parametrize("seed,stream,purpose", _REKEYS)
+def test_struct_rekey_writes_the_state_of_the_dict_route(seed, stream, purpose):
+    brownian._GEN.random(3, dtype=np.float32)  # a used counter, buffer and cached uint32
+    brownian._dict_rekey(seed, stream, purpose)
+    written = repr(brownian._STATE)
+    expected = (repr(brownian._BITGEN.state), brownian._GEN.standard_normal(9).tobytes())
+    brownian._GEN.random(3, dtype=np.float32)
+    brownian._rekey(seed, stream, purpose)
+    assert repr(brownian._BITGEN.state) == written
+    assert (repr(brownian._BITGEN.state), brownian._GEN.standard_normal(9).tobytes()) == expected
+
+
+def _draws():
+    cfg = SimConfig(horizon=0.5, n_steps=32, x0=(0.0,), seed=2**64 - 1)
+    grid = sample_brownian(cfg, 2, stream_id=2**64 - 1)
+    ids = np.arange(70, dtype=np.int64)
+    return [
+        standard_normal_stream(2**64 - 1, 9, 2, (5, 3)),
+        grid.path,
+        grid.refine().refine().path,
+        _block_increments(cfg, 2, ids),
+        _block_increments(replace(cfg, seed=5), 1, ids[::7]),
+    ]
+
+
+def test_dict_rekey_fallback_gives_the_same_bits(monkeypatch):
+    struct = _draws()
+    monkeypatch.setattr(brownian, "_rekey", brownian._dict_rekey)  # the views forced off
+    for a, b in zip(struct, _draws(), strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_struct_rekey_refuses_what_it_cannot_check(monkeypatch):
+    # each failure sends the import to the dict rekey
+    with monkeypatch.context() as patch:
+        patch.setattr(brownian, "_BITGEN", object())
+        with pytest.raises(AttributeError):
+            brownian._struct_rekey()
+    with monkeypatch.context() as patch:
+        elsewhere = np.zeros(8, dtype=np.uint64)
+        patch.setattr(brownian, "_BITGEN", SimpleNamespace(
+            ctypes=SimpleNamespace(state_address=elsewhere.ctypes.data)))
+        with pytest.raises(ValueError, match="another layout"):
+            brownian._struct_rekey()
+    dict_rekey = brownian._dict_rekey  # one that ignores the purpose
+    monkeypatch.setattr(brownian, "_dict_rekey", lambda seed, sid, _: dict_rekey(seed, sid, 0))
+    with pytest.raises(ValueError, match="does not match"):
+        brownian._struct_rekey()
 
 
 def test_bridge_refine_then_coarsen_roundtrip():
@@ -417,9 +506,10 @@ def _flow_step(j, k_inv, gb, gs, dwk, h):
     return j + _bmm(a, j), k_inv - _bmm(k_inv, g)
 
 
-def _dense_reference(coeffs, cfg, dw):
+def _dense_reference(coeffs, cfg, stream_ids):
     """Diverged steps and [(X, J, K, C)] at every index, component-major,
-    for the (B, n, m) increments ``dw``, lost paths frozen."""
+    on the streams' ``sample_brownian`` grids, lost paths frozen."""
+    dw = np.stack([sample_brownian(cfg, coeffs.m, int(s)).increments for s in stream_ids])
     cb, cgb = (f(coeffs.drift, component_major=True) for f in (compile_field, compile_jacobian))
     csig, cgs = (f(coeffs, component_major=True)
                  for f in (compile_diffusion, compile_diffusion_jacobians))
@@ -494,8 +584,7 @@ def test_engine_matches_the_dense_recurrence_bytes(name, scheme):
     checkpoints = tuple(range(0, n + 1, 4))
     record = RecordSpec(store_paths=True, c_checkpoints=checkpoints)
     res = run_ensemble(coeffs, cfg, n_paths, record)
-    dw = _block_increments(cfg, m, res.stream_ids)
-    diverged, path = _dense_reference(coeffs, cfg, dw)
+    diverged, path = _dense_reference(coeffs, cfg, res.stream_ids)
     if scheme == "euler" and name.endswith("overflow"):
         assert not res.alive.all()  # the masked step is covered
     # bytes, so the signs of zeros count too; no model or scheme is exempt
@@ -535,7 +624,7 @@ def test_additive_fast_path_is_bit_identical_to_the_full_step(scheme):
     cfg = SimConfig(horizon=1.0, n_steps=64, x0=(0.7,), scheme=scheme, seed=5)
     record = RecordSpec(flows=True, c_checkpoints=(32, 64))
     res = run_ensemble(coeffs, cfg, 16, record)
-    diverged, path = _dense_reference(coeffs, cfg, _block_increments(cfg, 1, res.stream_ids))
+    diverged, path = _dense_reference(coeffs, cfg, res.stream_ids)
     x, j, _, _ = path[-1]
     assert res.diverged_step.tobytes() == diverged.tobytes()
     assert res.final_states.tobytes() == x.T.tobytes()

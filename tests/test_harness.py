@@ -158,6 +158,33 @@ def test_cli_seed_override_changes_bits(tmp_path):
     assert e1["mean_X_T"] != e2["mean_X_T"]
 
 
+def test_cli_out_of_range_seed_exits_2(tmp_path, capsys):
+    big = _write(tmp_path, OU_MODEL + SIM.replace("seed = 5", "seed = 99999999999999999999"))
+    assert main(["simulate", "--config", big, "--out", str(tmp_path / "a")]) == 2
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+    cfg = _write(tmp_path, OU_MODEL + SIM, "ok.cfg")
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", str(2**64)])
+    assert code == 2
+    assert "got 18446744073709551616" in capsys.readouterr().err
+
+
+def test_cli_largest_seed_runs_with_the_same_bits_on_both_rekeys(tmp_path, monkeypatch):
+    from hypolab.flows import brownian
+
+    cfg = _write(tmp_path, OU_MODEL + SIM)
+    largest = str(2**64 - 1)
+
+    def digests(out):
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", largest]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 2**64 - 1
+        return {e["file"]: e["sha256"] for e in manifest["outputs"]}
+
+    struct = digests(tmp_path / "struct")
+    monkeypatch.setattr(brownian, "_rekey", brownian._dict_rekey)
+    assert digests(tmp_path / "dict") == struct
+
+
 def test_cli_invalid_key_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, OU_MODEL + SIM + "[analysis]\nbogus_key = 1\n")
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -533,6 +560,15 @@ def test_cli_probe_needs_two_paths_per_start(tmp_path, capsys):
     assert main(["probe-assumptions", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "probe_paths must be >= 2" in capsys.readouterr().err
     assert not (tmp_path / "o" / "probe.json").exists()
+
+
+def test_cli_probe_rejects_a_negative_seed(tmp_path, capsys):
+    # the assumption probe seeds its own generator before any ensemble runs
+    text = (Path(__file__).resolve().parents[1] / "configs" / "double_well_probe.cfg").read_text()
+    assert "seed = 11" in text
+    cfg = _write(tmp_path, text.replace("seed = 11", "seed = -4"))
+    assert main(["probe-assumptions", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "seed must be in [0, 2^64), got -4" in capsys.readouterr().err
 
 
 def test_cli_malliavin_rejects_t_beyond_the_horizon(tmp_path, capsys):
