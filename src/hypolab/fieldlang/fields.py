@@ -164,24 +164,87 @@ def compile_expression_stack(
     ])
 
 
+_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 50
+
+# Damped Newton for z = x + h b(z) on (d, B) stacks, each row on its own: a
+# pending row takes the first of the steps 1, 1/2, ..., 2^-19 that lowers its
+# residual enough, or fails.
+_NEWTON = """\
+def residual({z}):
+    f = np.array([{residual}])
+    return f, np.sqrt(np.add.reduce(f * f))
+z = np.array([{x}])
+f, fnorm = residual(*z)
+converged, failed = {converged}, ~np.isfinite(fnorm)
+for _ in range({max_iter}):
+    if not (active := ~(converged | failed)).any():
+        break
+    {z} = z
+    {solve}
+    step, pending = np.array([{d}]), active
+    for r in range(20):
+        c = z + 0.5 ** r * step
+        g, cnorm = residual(*c)
+        accept = pending & np.isfinite(cnorm) & (cnorm <= (1.0 - 1e-4 * 0.5 ** r) * fnorm)
+        z, f = np.where(accept, c, z), np.where(accept, g, f)
+        fnorm, pending = np.where(accept, cnorm, fnorm), pending & ~accept
+        if not pending.any():
+            break
+    failed |= pending
+    converged |= ~failed & ({converged})
+{z} = z"""
+
+
+def _newton_source(drift: VectorField) -> list[str]:
+    """``_NEWTON`` for ``drift``; its elimination skips the constant 0s."""
+    d, grad = drift.dim, jacobian(drift)
+    a = {(p, q) for p in range(d) for q in range(d)
+         if p == q or not (isinstance(grad[p][q], Const) and grad[p][q].value == 0.0)}
+    solve = [f"a{p}_{q} = {float(p == q)!r} - h * {_np_source(grad[p][q], 'z{}')}"
+             for p, q in sorted(a)]
+    solve.append(", ".join(f"r{i}" for i in range(d)) + ", = -f")
+    for k in range(d):  # forward elimination, the right-hand side alongside
+        for i in (i for i in range(k + 1, d) if (i, k) in a):
+            solve.append(f"l = np.divide(a{i}_{k}, a{k}_{k})")  # a 0.0 float gives inf
+            for j in (j for j in range(k + 1, d) if (k, j) in a):
+                solve.append(f"a{i}_{j} = {f'a{i}_{j}' if (i, j) in a else '0.0'} - l * a{k}_{j}")
+                a.add((i, j))
+            solve.append(f"r{i} = r{i} - l * r{k}")
+    for i in reversed(range(d)):  # back substitution, later columns first
+        terms = "".join(f" - a{i}_{j} * d{j}" for j in reversed(range(i + 1, d)) if (i, j) in a)
+        solve.append(f"d{i} = (r{i}{terms}) / a{i}_{i}")
+    return _NEWTON.format(
+        **{v: ", ".join(f"{v}{i}" for i in range(d)) + "," for v in "xzd"},
+        residual=", ".join(f"z{i} - x{i} - h * {_np_source(e, 'z{}')}"
+                           for i, e in enumerate(drift.components)),
+        converged=f"fnorm <= {_NEWTON_TOL!r} * (1.0 + np.sqrt(np.add.reduce(z * z)))",
+        max_iter=_NEWTON_MAX_ITER, solve="\n    ".join(solve),
+    ).splitlines()
+
+
 @lru_cache(maxsize=256)
 def compile_step_kernel(
     coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool
 ) -> Callable:
-    """One generated step ``step(s, out, dw, h, z)`` of the ensemble engine.
+    """One generated step ``step(s, out, dw, h)`` of the ensemble engine.
 
     ``s`` holds a block's state as rows of B paths: X (d rows), then with
     ``flows`` J and K (d*d rows each), then with ``covariance`` too C's upper
     triangle, all row-major.  The step writes to ``out`` X + drift + noise
     under ``scheme`` (noise sigma(z) dW at the split-step scheme's solved
     point ``z``), J + A J, K - K G and C + h S S^T with S = K sigma(X), for
-    the (m, B) increments ``dw``.  Each entry of b, sigma, grad b and
-    grad sigma_i is evaluated once; each product with a constant-0 factor
-    (of either sign) is left out, as is a factor 1.0; sums add the rest in
-    ascending index order.  numpy's axis sums start from 0.0, which can only
-    turn a sum of zeros into +0.0: the noise keeps it as ``+ 0.0``, so X
-    keeps its bits, and entries of J, K and C, which start at 0.0 or 1.0,
-    can never become -0.0.
+    the (m, B) increments ``dw``.  It returns None, or under the split-step
+    scheme the rows' mask of converged solves (``_NEWTON``).  That solve
+    does not pivot: ``SimConfig`` refuses h L >= 1 for a monotone bound L,
+    so the symmetric part of I - h grad b is at least (1 - h L) I, and the
+    LU factorisation exists without pivoting (Golub and Van Loan); a zero
+    or non-finite pivot fails its own row only.  Each entry of b, sigma,
+    grad b and grad sigma_i is evaluated once; each product with a
+    constant-0 factor (of either sign) is left out, as is a factor 1.0; sums
+    add the rest in ascending index order.  numpy's axis sums start from
+    0.0, which can only turn a sum of zeros into +0.0: the noise keeps it as
+    ``+ 0.0``, so X keeps its bits, and entries of J, K and C, which start
+    at 0.0 or 1.0, can never become -0.0.
     """
     d, m = coeffs.d, coeffs.m
     implicit = scheme == "split-step-backward-euler"
@@ -195,7 +258,7 @@ def compile_step_kernel(
         rows += [f"C{p}_{r}" for p, r in upper if covariance]
         body = [f"{name} = s[{n}]" for n, name in enumerate(rows)]
         body += [f"dw{i} = dw[{i}]" for i in range(m)]
-        body += [f"z{i} = z[{i}]" for i in range(d) if implicit]
+        body += _newton_source(coeffs.drift) if implicit else []
         names: dict = {}
 
         def entry(e, at="x"):  # a literal, or a local evaluated once
@@ -257,7 +320,8 @@ def compile_step_kernel(
             for p, r in upper:
                 terms = total(mul(S[p][i], S[r][i]) for i in range(m))
                 update(f"C{p}_{r}", "add", terms and f"h * ({terms})")
-        return ["def step(s, out, dw, h, z):", *(f"    {line}" for line in body)]
+        body.append("return converged & ~failed" if implicit else "return None")
+        return ["def step(s, out, dw, h):", *(f"    {line}" for line in body)]
 
     label = f"hypolab step d={d} m={m} {scheme}" + " JK" * flows + " C" * covariance
     return _define("step", label, emit)

@@ -11,7 +11,7 @@ rule gives d(KJ) = 0 (K J = I is a test surface, not a runtime assertion).
 The Malliavin covariance is accumulated by left-endpoint quadrature,
 C_{k+1} = C_k + h S_k S_k^T with S_k = K_k sigma(X_k).
 
-Each step runs one kernel generated per model, scheme and record
+Each step is one call of a kernel generated per model, scheme and record
 (``fieldlang.compile_step_kernel``): unrolled arithmetic on rows of B paths
 that leaves out every product with a constant-0 factor and keeps the sum
 order of the dense matrix products, and so their bits.  A block's state is
@@ -19,11 +19,11 @@ one (rows, B) buffer, read by a step and written to the other buffer.
 
 State schemes: ``tamed-euler`` divides the drift increment by 1 + h|b| so
 superlinear monotone drifts cannot blow the explicit step up;
-``split-step-backward-euler`` solves z = X_k + h b(z) by damped Newton and
-then applies the noise at z; plain ``euler`` is kept for comparison runs
-only.  A non-finite update of X, J, K or the accumulated Malliavin
-covariance C freezes the path at its last finite state; such paths are
-counted, never silently dropped, so scheme blow-up is observable data.
+``split-step-backward-euler`` solves z = X_k + h b(z) in the kernel, by
+damped Newton row by row, then applies the noise at z; plain ``euler`` is
+for comparison runs only.  A non-finite update of X, J, K or C, or a failed
+solve, freezes the path at its last finite state; such paths are counted,
+never silently dropped, so scheme blow-up is observable data.
 
 Ensembles draw one Philox stream per path keyed by (seed, stream_id) into
 step-major (n, m, B) increment blocks and merge per-path records in stream
@@ -61,7 +61,7 @@ from ..errors import (
     InternalInvariantError,
     SimulationDiverged,
 )
-from ..fieldlang import CoefficientSet, compile_field, compile_jacobian, compile_step_kernel
+from ..fieldlang import CoefficientSet, compile_step_kernel
 from .brownian import BrownianGrid, _brownian_paths
 
 __all__ = [
@@ -82,9 +82,6 @@ __all__ = [
 ]
 
 SCHEMES = ("tamed-euler", "split-step-backward-euler", "euler")
-
-_NEWTON_TOL = 1e-12
-_NEWTON_MAX_ITER = 50
 
 # Matrices assembled from outer products may pick up this much asymmetric
 # rounding relative to their trace before we call it an internal error.
@@ -123,15 +120,14 @@ class SimConfig:
         for v in self.x0:
             if not math.isfinite(v):
                 raise ConfigError("x0 must be finite")
-        if (
-            self.scheme == "split-step-backward-euler"
-            and self.monotone_bound is not None
-            and self.h * self.monotone_bound >= 1.0
-        ):
-            raise ConfigError(
-                f"h * L = {self.h * self.monotone_bound:.3g} >= 1: the implicit "
-                "step is not guaranteed a unique root; reduce h"
-            )
+        if not 0.0 <= self.max_divergence <= 1.0:  # NaN included
+            raise ConfigError(f"max_divergence must lie in [0, 1], got {self.max_divergence}")
+        bound = self.monotone_bound
+        if bound is not None and not math.isfinite(bound):
+            raise ConfigError(f"monotone_bound must be finite, got {bound}")
+        if self.scheme == "split-step-backward-euler" and self.h * (bound or 0.0) >= 1.0:
+            raise ConfigError(f"h * L = {self.h * bound:.3g} >= 1: the implicit step is not "
+                              "guaranteed a unique root; reduce h")
 
     @property
     def h(self) -> float:
@@ -260,60 +256,6 @@ class EnsembleResult:
         return self.alive
 
 
-def _implicit_state(cb, cgb, x, h):
-    """Solve z = x + h b(z) by damped Newton with step halving.
-
-    Vectorised over rows; every row's iteration depends only on its own
-    values.  Returns (z, converged mask).
-    """
-    B, d = x.shape
-    eye = np.eye(d)
-    z = x.copy()
-
-    def residual(candidate):
-        return candidate - x - h * cb(candidate)
-
-    fz = residual(z)
-    fnorm = np.linalg.norm(fz, axis=1)
-    scale = 1.0 + np.linalg.norm(z, axis=1)
-    converged = fnorm <= _NEWTON_TOL * scale
-    failed = ~np.isfinite(fnorm)
-    for _ in range(_NEWTON_MAX_ITER):
-        active = ~(converged | failed)
-        if not active.any():
-            break
-        gb = cgb(z)
-        A = eye - h * gb
-        try:
-            delta = np.linalg.solve(A, -fz[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            failed |= active
-            break
-        lam = np.ones(B)
-        improved = np.zeros(B, dtype=bool)
-        trial_z = z.copy()
-        trial_f = fz.copy()
-        trial_norm = fnorm.copy()
-        for _ in range(20):
-            pending = active & ~improved
-            if not pending.any():
-                break
-            cand = z + lam[:, None] * delta
-            fcand = residual(cand)
-            cnorm = np.linalg.norm(fcand, axis=1)
-            accept = pending & np.isfinite(cnorm) & (cnorm <= (1.0 - 1e-4 * lam) * fnorm)
-            trial_z = np.where(accept[:, None], cand, trial_z)
-            trial_f = np.where(accept[:, None], fcand, trial_f)
-            trial_norm = np.where(accept, cnorm, trial_norm)
-            improved |= accept
-            lam = np.where(improved, lam, lam * 0.5)
-        failed |= active & ~improved
-        z, fz, fnorm = trial_z, trial_f, trial_norm
-        scale = 1.0 + np.linalg.norm(z, axis=1)
-        converged |= (~failed) & (fnorm <= _NEWTON_TOL * scale)
-    return z, converged & ~failed
-
-
 def _identity_defect(j: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
     """Per-path Frobenius norm of K J - I for (d, d, B) stacks of J and K."""
     defect = (k_inv[:, :, None] * j[None]).sum(axis=1) - np.eye(len(j))[:, :, None]
@@ -392,9 +334,6 @@ def _simulate_block(
     needs_flows = record.needs_flows
     accumulate_c = bool(record.c_checkpoints)
     step = compile_step_kernel(coeffs, config.scheme, needs_flows, accumulate_c)
-    implicit = config.scheme == "split-step-backward-euler"
-    # Newton runs on (B, d) rows, with the row-major field functions
-    newton = (compile_field(coeffs.drift), compile_jacobian(coeffs.drift)) if implicit else None
 
     # the kernel's state rows, read from one buffer and written to the other
     flow_rows = 2 * d * d if needs_flows else 0
@@ -417,14 +356,10 @@ def _simulate_block(
         for k, dwk in enumerate(dw):  # (m, B) rows
             for acc in accs.values():
                 acc.step(k, x, j, k_inv, c, dwk)
-            z = newton_ok = None
-            if implicit:
-                z, newton_ok = _implicit_state(*newton, x.T, h)
-                z = z.T
-            step(s, out, dwk, h, z)
+            converged = step(s, out, dwk, h)  # None but for the split-step scheme
             ok = np.isfinite(out).all(axis=0)
-            if newton_ok is not None:
-                ok &= newton_ok
+            if converged is not None:
+                ok &= converged
             if not (ok.all() and alive.all()):
                 diverged[alive & ~ok] = k
                 alive &= ok

@@ -38,9 +38,10 @@ from hypolab.flows import (
     simulate_flow,
     simulate_x,
 )
+from hypolab.fieldlang.fields import _NEWTON_MAX_ITER, _NEWTON_TOL
 from hypolab.flows import brownian, simulate
 from hypolab.flows.brownian import standard_normal_stream
-from hypolab.flows.simulate import _block_increments, _implicit_state
+from hypolab.flows.simulate import _block_increments, _simulate_block
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -59,6 +60,26 @@ def test_config_rejects_large_implicit_step():
             x0=(1.0,),
             scheme="split-step-backward-euler",
             monotone_bound=4.0,
+        )
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -2.0, 1.5])
+def test_config_rejects_a_budget_outside_the_unit_interval(budget):
+    # NaN would switch the budget off: no fraction compares greater than it
+    with pytest.raises(ConfigError, match=r"max_divergence must lie in \[0, 1\]"):
+        SimConfig(horizon=1.0, n_steps=8, x0=(1.0,), max_divergence=budget)
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_a_non_finite_monotone_bound(bound):
+    # NaN would pass the h * L >= 1 guard that the split-step solve relies on
+    with pytest.raises(ConfigError, match="monotone_bound must be finite"):
+        SimConfig(
+            horizon=1.0,
+            n_steps=8,
+            x0=(1.0,),
+            scheme="split-step-backward-euler",
+            monotone_bound=bound,
         )
 
 
@@ -506,6 +527,64 @@ def _flow_step(j, k_inv, gb, gs, dwk, h):
     return j + _bmm(a, j), k_inv - _bmm(k_inv, g)
 
 
+# A numpy Newton solve on row-major fields with a pivoting LAPACK solve, kept
+# as the dense oracle's reference for the split-step scheme's generated solve.
+
+
+def _implicit_state(cb, cgb, x, h):
+    """Solve z = x + h b(z) by damped Newton with step halving.
+
+    Vectorised over rows; every row's iteration depends only on its own
+    values.  Returns (z, converged mask).
+    """
+    B, d = x.shape
+    eye = np.eye(d)
+    z = x.copy()
+
+    def residual(candidate):
+        return candidate - x - h * cb(candidate)
+
+    fz = residual(z)
+    fnorm = np.linalg.norm(fz, axis=1)
+    scale = 1.0 + np.linalg.norm(z, axis=1)
+    converged = fnorm <= _NEWTON_TOL * scale
+    failed = ~np.isfinite(fnorm)
+    for _ in range(_NEWTON_MAX_ITER):
+        active = ~(converged | failed)
+        if not active.any():
+            break
+        gb = cgb(z)
+        A = eye - h * gb
+        try:
+            delta = np.linalg.solve(A, -fz[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            failed |= active
+            break
+        lam = np.ones(B)
+        improved = np.zeros(B, dtype=bool)
+        trial_z = z.copy()
+        trial_f = fz.copy()
+        trial_norm = fnorm.copy()
+        for _ in range(20):
+            pending = active & ~improved
+            if not pending.any():
+                break
+            cand = z + lam[:, None] * delta
+            fcand = residual(cand)
+            cnorm = np.linalg.norm(fcand, axis=1)
+            accept = pending & np.isfinite(cnorm) & (cnorm <= (1.0 - 1e-4 * lam) * fnorm)
+            trial_z = np.where(accept[:, None], cand, trial_z)
+            trial_f = np.where(accept[:, None], fcand, trial_f)
+            trial_norm = np.where(accept, cnorm, trial_norm)
+            improved |= accept
+            lam = np.where(improved, lam, lam * 0.5)
+        failed |= active & ~improved
+        z, fz, fnorm = trial_z, trial_f, trial_norm
+        scale = 1.0 + np.linalg.norm(z, axis=1)
+        converged |= (~failed) & (fnorm <= _NEWTON_TOL * scale)
+    return z, converged & ~failed
+
+
 def _dense_reference(coeffs, cfg, stream_ids):
     """Diverged steps and [(X, J, K, C)] at every index, component-major,
     on the streams' ``sample_brownian`` grids, lost paths frozen."""
@@ -569,6 +648,11 @@ _ORACLE_MODELS = {
         for (d, m), (drift, sigma) in _MULTIPLICATIVE_MODELS.items()
     },
     "dense-4x2": (4, 2, *_DENSE, (0.5, -0.3, 0.2, 0.1), 0.5, 64, 8, 11),
+    # grad b has zeros at (1, 2) and (2, 0); eliminating (1, 0) fills (1, 2)
+    "fill-in-3x1": (
+        3, 1, "-x1 + 0.3*x3, 0.4*x1 - x2 - x2^3, 0.2*x2 - x3", ["1, 0.5, 0.2*x1"],
+        (0.5, -0.2, 0.3), 0.5, 64, 16, 3,
+    ),
     # the two models of test_path_loss_inside_a_block_does_not_change_bits
     "state-overflow": (1, 1, "x1 - x1^3", ["20"], (10.5,), 1.0, 64, 50, 7),
     "flow-overflow": (1, 1, "4000*x1", ["100*x1"], (0.0,), 1.0, 256, 50, 1),
@@ -671,7 +755,13 @@ def test_generated_code_is_readable_in_tracebacks():
     heis = CoefficientSet.from_text(3, 2, *_HEIS)
     kernel = compile_step_kernel(heis, "tamed-euler", True, True)
     assert kernel.__code__.co_filename.startswith("<hypolab step d=3 m=2 tamed-euler JK C #")
-    assert linecache.getline(kernel.__code__.co_filename, 1) == "def step(s, out, dw, h, z):\n"
+    assert linecache.getline(kernel.__code__.co_filename, 1) == "def step(s, out, dw, h):\n"
+    # only the split-step kernel runs Newton; the explicit ones return None
+    for scheme in SCHEMES:
+        lines = _kernel_source(heis, scheme)
+        implicit = scheme == "split-step-backward-euler"
+        assert any(ln.startswith("def residual(") for ln in lines) == implicit
+        assert lines[-1] == ("return converged & ~failed" if implicit else "return None")
     stack = compile_field(heis.drift, component_major=True)
     assert stack.__code__.co_filename.startswith("<fieldlang stack (3,) component-major #")
     with pytest.raises(IndexError) as err:
@@ -848,12 +938,38 @@ def test_path_loss_inside_a_block_does_not_change_bits(drift, sigma, x0, n_steps
         assert np.array_equal(whole.c_at[k], single.c_at[k])
 
 
-def test_block_size_does_not_change_bits(ou):
-    cfg = SimConfig(horizon=1.0, n_steps=128, x0=(1.0,), seed=83)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_block_size_does_not_change_bits(ou, scheme):
+    cfg = SimConfig(horizon=1.0, n_steps=128, x0=(1.0,), scheme=scheme, seed=83)
     r_small = run_ensemble(ou, cfg, 1000, RecordSpec(flows=True), block_size=100)
     r_big = run_ensemble(ou, cfg, 1000, RecordSpec(flows=True), block_size=1000)
     assert np.array_equal(r_small.final_states, r_big.final_states)
     assert np.array_equal(r_small.final_jacobians, r_big.final_jacobians)
+
+
+def test_singular_newton_matrix_loses_only_its_own_path():
+    # b = 32 x^2 at h = 1/64: 1 - h b'(x) = 1 - x vanishes at x = 1.0, where
+    # row 0 starts its second step; row 1 starts it at x = 0.25
+    c = CoefficientSet.from_text(1, 1, "32*x1^2", ["1"])
+    cfg = SimConfig(
+        horizon=1 / 32, n_steps=2, x0=(0.0,), scheme="split-step-backward-euler"
+    )
+    dw = np.array([[[1.0, 0.25]], [[0.0, 0.0]]])
+    both = _simulate_block(c, cfg, dw, RecordSpec(flows=False))
+    alone = _simulate_block(c, cfg, dw[:, :, 1:], RecordSpec(flows=False))
+    assert both["diverged_step"].tolist() == [1, -1]
+    assert alone["diverged_step"].tolist() == [-1]
+    assert both["final_states"][1].tobytes() == alone["final_states"][0].tobytes()
+
+
+def test_constant_zero_pivot_loses_the_paths_without_raising():
+    # 1 - h * 64 = 0 and the multiplier -h / 0 are constants: Python floats
+    c = CoefficientSet.from_text(2, 1, "64*x1, x1", ["1, 0"])
+    cfg = SimConfig(
+        horizon=1 / 16, n_steps=4, x0=(0.0, 0.0), scheme="split-step-backward-euler"
+    )
+    res = run_ensemble(c, cfg, 5, RecordSpec(flows=False))
+    assert res.diverged_step.tolist() == [1] * 5  # step 0 starts at the root z = 0
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
