@@ -3,16 +3,11 @@
 Randomness comes from one Philox (counter-based) generator, rekeyed per stream
 to ``(seed, stream_id)`` by writing its state struct through numpy views
 (checked at import against assigning its ``state`` dict), with the counter
-block selecting the purpose: block 0 holds the base increments, block
-``level`` the bridge midpoints used to refine a level ``level - 1`` grid.
-Every draw is therefore a pure function of ``(seed, stream_id, purpose)``:
-regenerating a grid, refining it, or coarsening it back is bit-reproducible,
-whatever else was drawn before.
+block selecting the purpose: block 0 holds the base increments.  Every draw
+is therefore a pure function of ``(seed, stream_id, purpose)``: regenerating
+a grid is bit-reproducible, whatever else was drawn before.
 
-The stored object is the path W(t_k); increments are its differences.  A
-bridge refinement copies the coarse path values onto the even fine indices,
-so coarsening (taking every second path value) undoes it bit-exactly and
-the coarse increments are preserved exactly.
+The stored object is the path W(t_k); increments are its differences.
 """
 from __future__ import annotations
 
@@ -110,8 +105,7 @@ class BrownianGrid:
     """An m-dimensional Brownian path sampled on a uniform grid.
 
     ``path[k, j]`` is W^{j+1}(t_k) with W(0) = 0; increments have variance h
-    per component.  ``level`` counts bridge refinements applied on top of
-    the base sampling.
+    per component.
     """
 
     m: int
@@ -119,7 +113,6 @@ class BrownianGrid:
     path: np.ndarray  # (n_steps + 1, m)
     seed: int
     stream_id: int
-    level: int = 0
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -147,34 +140,6 @@ class BrownianGrid:
     @property
     def increments(self) -> np.ndarray:
         return np.diff(self.path, axis=0)
-
-    def refine(self) -> "BrownianGrid":
-        """Halve the step by inserting bridge midpoints.
-
-        Coarse path values are copied onto the even fine indices, so the
-        coarse increments are preserved exactly and :meth:`coarsen` is a
-        bitwise inverse.
-        """
-        n = self.n_steps
-        noise = standard_normal_stream(
-            self.seed, self.stream_id, self.level + 1, (n, self.m)
-        )
-        mid = 0.5 * (self.path[:-1] + self.path[1:]) + (0.5 * math.sqrt(self.h)) * noise
-        fine = np.empty((2 * n + 1, self.m))
-        fine[0::2] = self.path
-        fine[1::2] = mid
-        return BrownianGrid(
-            self.m, self.horizon, fine, self.seed, self.stream_id, self.level + 1
-        )
-
-    def coarsen(self) -> "BrownianGrid":
-        """Drop the odd grid points; inverse of :meth:`refine`."""
-        if self.n_steps % 2 != 0:
-            raise ConfigError("cannot coarsen a grid with an odd number of steps")
-        coarse = self.path[0::2].copy()
-        return BrownianGrid(
-            self.m, self.horizon, coarse, self.seed, self.stream_id, max(self.level - 1, 0)
-        )
 
 
 def sample_brownian(config, m: int, stream_id: int = 0) -> BrownianGrid:

@@ -8,14 +8,14 @@ integral of W dW, and nested integrals reuse the same grid: quadrature
 error is absorbed into the convergence tests rather than substep
 refinement.
 
-One helper advances a set of prefix integrals by one grid step of this
-rule.  ``iterated_integral`` steps it along one grid, and
-``RemainderEnergy`` steps it inside the engine's step loop, as an
-accumulator that forms the remainder and its cumulative energy;
-``chaos_remainder_path`` drives one of its blocks along a single given
-path.  The stored-path route, which forms the iterated integrals of whole
-stored paths at once by cumulative sums, is kept only as the test oracle of
-both (``tests/test_integrals.py``); they agree bit for bit.
+The rule has two forms with the same float operations: ``RemainderEnergy``
+advances its prefix integrals one grid step at a time inside the engine's
+step loop, and ``iterated_integral`` and ``chaos_remainder_path`` form them
+along the whole given path at once, by one ``cumsum`` each.
+``RemainderEnergy.remainder`` forms R = K target(X) - sum T_alpha I_alpha
+on (d, B) rows for both: the engine's B paths at one grid index, or one
+path with time as the B axis.  The stored-path oracle in
+``tests/test_integrals.py`` agrees with both bit for bit.
 """
 from __future__ import annotations
 
@@ -52,6 +52,21 @@ def _midpoint_step(integrals: dict, prefixes, base, dw, h: float) -> dict:
     return new
 
 
+def _midpoint_paths(prefixes, z, dw, h: float) -> dict:
+    """``_midpoint_step`` along a whole grid: the path of each prefix integral
+    of ``z`` (n+1, ...) against the increments ``dw`` (n, m), its midpoint
+    terms summed in sequence by one in-place ``cumsum`` from 0, and so with
+    the float operations of ``_midpoint_step``."""
+    paths = {(): z}
+    for e in prefixes:
+        f = paths[e[:-1]]
+        w = h if e[-1] == 0 else dw[:, e[-1] - 1].reshape((-1,) + (1,) * (f.ndim - 1))
+        out = np.zeros_like(f)
+        out[1:] = 0.5 * (f[:-1] + f[1:]) * w
+        paths[e] = np.cumsum(out, axis=0, out=out)
+    return paths
+
+
 def iterated_integral(
     alpha: MultiIndex, grid: BrownianGrid, z: np.ndarray | None = None
 ) -> np.ndarray:
@@ -60,25 +75,15 @@ def iterated_integral(
     ``z`` is a process on the grid of shape (n+1,) or (n+1, d); ``None``
     means the unit process, recovering the plain iterated integrals.  The
     entries of ``alpha`` are consumed left to right, the last one being the
-    outermost integrator.
+    outermost integrator.  The result is a new array.
     """
     alpha.validate_directions(grid.m)
     n = grid.n_steps
-    if z is None:
-        f = np.ones(n + 1)
-    else:
-        f = np.asarray(z, dtype=float)
-        if f.shape[0] != n + 1:
-            raise ConfigError(f"process has {f.shape[0]} samples, grid wants {n + 1}")
+    f = np.ones(n + 1) if z is None else np.array(z, dtype=float)
+    if f.shape[0] != n + 1:
+        raise ConfigError(f"process has {f.shape[0]} samples, grid wants {n + 1}")
     prefixes = [alpha.entries[:r] for r in range(1, len(alpha.entries) + 1)]
-    integrals = {e: np.zeros_like(f[0]) for e in prefixes}
-    integrals[()] = f[0]
-    path = np.empty_like(f)
-    path[0] = integrals[alpha.entries]
-    for k in range(n):
-        integrals = _midpoint_step(integrals, prefixes, f[k + 1], grid.increments[k], grid.h)
-        path[k + 1] = integrals[alpha.entries]
-    return path
+    return _midpoint_paths(prefixes, f, grid.increments, grid.h)[alpha.entries]
 
 
 def pullback_process(
@@ -113,16 +118,15 @@ def chaos_remainder_path(
     """Pullback of ``target`` minus its truncated expansion, on the whole grid.
 
     The truncation keeps the frozen bracket values at x0 times the iterated
-    integrals of every multi-index with weight <= L - 1.  A ``RemainderEnergy``
-    block of one path is stepped along the given path and records each R_k.
+    integrals of every multi-index with weight <= L - 1.  The unit-process
+    integrals are formed over the whole grid at once, and
+    ``RemainderEnergy.remainder`` forms R on the stored path with time as
+    its B axis.
     """
-    states, dw = trajectory.states, grid.increments
-    block = RemainderEnergy(L, target, table, states[0], grid.h, ())(1)
-    path = np.empty_like(states)
-    for k, x in enumerate(states):
-        dwk = dw[k][:, None] if k < len(dw) else None
-        path[k] = block.step(k, x[:, None], None, flow.inverses[k][..., None], None, dwk)[:, 0]
-    return path
+    states = trajectory.states
+    spec = RemainderEnergy(L, target, table, states[0], grid.h, ())
+    integrals = _midpoint_paths(spec.prefixes, np.ones(len(states)), grid.increments, grid.h)
+    return spec.remainder(states.T, np.moveaxis(flow.inverses, 0, -1), integrals).T
 
 
 def chaos_remainder(
@@ -167,6 +171,15 @@ class RemainderEnergy:
         self.h = h
         self.columns = {idx: col for col, idx in enumerate(read)}
 
+    def remainder(self, x, k_inv, integrals) -> np.ndarray:
+        """R = K target(X) - sum_alpha T_alpha I_alpha on rows x (d, B) and
+        k_inv (d, d, B), from the kept unit-process integrals, each (B,)."""
+        pullback = (k_inv * self.field(x)).sum(axis=1)
+        truncation = np.zeros_like(pullback)
+        for e, coeff in self.terms:
+            truncation += coeff[:, None] * integrals[e]
+        return pullback - truncation
+
     def __call__(self, B: int) -> "_EnergyBlock":
         return _EnergyBlock(self, B)
 
@@ -182,15 +195,11 @@ class _EnergyBlock:
         self.prev = None
         self.out = np.zeros((B, len(spec.columns)))
 
-    def step(self, k, x, j, k_inv, c, dw) -> np.ndarray:
+    def step(self, k, x, j, k_inv, c, dw) -> None:
         """The engine's hook; reads x (d, B), k_inv (d, d, B) and dw (m, B)
-        or None, and returns the remainder R_k, (d, B)."""
+        or None."""
         spec, ints = self.spec, self.integrals
-        pullback = (k_inv * spec.field(x)).sum(axis=1)
-        truncation = np.zeros_like(pullback)
-        for e, coeff in spec.terms:
-            truncation += coeff[:, None] * ints[e]
-        rem = pullback - truncation
+        rem = spec.remainder(x, k_inv, ints)
         energy = np.sum(rem * rem, axis=0)
         if self.prev is not None:
             self.cum = self.cum + 0.5 * (self.prev + energy) * spec.h
@@ -199,7 +208,6 @@ class _EnergyBlock:
             self.out[:, spec.columns[k]] = self.cum
         if dw is not None:
             self.integrals = _midpoint_step(ints, spec.prefixes, ints[()], dw, spec.h)
-        return rem
 
     def result(self) -> np.ndarray:
         """The running integral at each read index, shape (B, len(read))."""

@@ -8,6 +8,7 @@ whole space.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -212,14 +213,20 @@ class MomentProbe:
             "diverged": [int(v) for v in self.diverged],
             "per_p": {
                 str(p): {
-                    "estimates": [float(v) for v in self.estimates[p]],
-                    "std_errors": [float(v) for v in self.std_errors[p]],
-                    "fitted_C": self.fitted_constant[p],
-                    "ratio_band": self.ratio_band[p],
+                    "estimates": [_finite(v) for v in self.estimates[p]],
+                    "std_errors": [_finite(v) for v in self.std_errors[p]],
+                    "fitted_C": _finite(self.fitted_constant[p]),
+                    "ratio_band": _finite(self.ratio_band[p]),
                 }
                 for p in self.p_values
             },
         }
+
+
+def _finite(value) -> float | None:
+    """The value as a float, or None (JSON null) when it is NaN or infinite."""
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def _sup_norm(B: int) -> _RunningMax:

@@ -42,7 +42,9 @@ next step overwrites them, so an accumulator copies what it keeps.  Stored
 paths and C/J checkpoints are one such accumulator, a view kept at some
 indices and moved to the per-path layout once, in ``result()``; sup_k
 |K_k J_k - I| is another, and ``RecordSpec.accumulator`` adds one more, a
-factory ``B -> acc``.  Each
+factory ``B -> acc``, such as ``integrals.RemainderEnergy``, whose
+remainder formula on (d, B) rows the single-path ``chaos_remainder_path``
+applies to a stored path.  ``step`` returns nothing the engine reads.  Each
 ``result()`` is a per-path array, or a dict of them by grid index, merged
 in stream order into its field of ``EnsembleResult``.
 """

@@ -6,8 +6,8 @@ through ``out(name, claim)``, which lists the file and returns its path.
 ``main`` writes the resolved configuration before the handler runs and a
 manifest after it, with the SHA-256 digest of every listed file read back
 from disk.  With a fixed (config, seed) the output digests are fixed too.
-``--workers`` (or ``HYPO_LAB_WORKERS``) is validated and recorded in the
-manifest, but runs are single-threaded whatever its value.
+``--workers`` is accepted and checked to be non-negative, but runs are
+single-threaded whatever its value.
 
 Exit codes: 0 success, 1 numerical evaluation or linear-algebra error, 2
 configuration error, 3 numerical divergence beyond the configured budget, 4
@@ -53,7 +53,6 @@ from ..flows.probes import assumption_probe, moment_probe
 from .config import ExperimentConfig, load_config, resolved_text
 from .svg import line_chart
 
-_ENV_WORKERS = "HYPO_LAB_WORKERS"
 _EXIT_OUT_OF_MEMORY = 5
 
 
@@ -437,23 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help=f"recorded in the manifest; no effect on speed (default: ${_ENV_WORKERS} or 1)",
+            "--workers", type=int, default=1, help="no effect: runs are single-threaded"
         )
     return parser
-
-
-def _resolve_workers(value) -> int:
-    if value is None:
-        env = os.environ.get(_ENV_WORKERS, "").strip() or "1"
-        if not env.isdecimal():
-            raise ConfigError(f"{_ENV_WORKERS} must be a non-negative integer, got {env!r}")
-        value = int(env)
-    elif value < 0:
-        raise ConfigError(f"--workers must be a non-negative integer, got {value}")
-    return max(value, 1)
 
 
 def main(argv=None) -> int:
@@ -464,11 +449,12 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("seed must be non-negative")
             cfg.simulation["seed"] = args.seed
+        if args.workers < 0:
+            raise ConfigError(f"--workers must be a non-negative integer, got {args.workers}")
         out_dir = args.out or cfg.output.get("out_dir")
         if not out_dir:
             raise ConfigError("no output directory: set [output] out_dir or pass --out")
         cfg.output["out_dir"] = out_dir
-        workers = _resolve_workers(args.workers)
         os.makedirs(out_dir, exist_ok=True)
         _write_text(os.path.join(out_dir, "config.resolved.txt"), resolved_text(cfg))
         files = []  # (name, claim, path) in the manifest's order
@@ -492,7 +478,6 @@ def main(argv=None) -> int:
             "command": args.command,
             "config_hash": outputs[-1]["sha256"],
             "seed": cfg.simulation.get("seed", 0),
-            "workers": workers,
             "wall_time_s": wall,
             "outputs": outputs,
         }

@@ -173,7 +173,7 @@ def test_normal_stream_into_out_matches_fresh_array():
     assert np.array_equal(out, standard_normal_stream(7, 4, 0, (17, 2)))
 
 
-# (seed, stream, purpose): extreme key words and bridge purposes
+# (seed, stream, purpose): extreme key words and purposes other than 0
 _REKEYS = [(0, 0, 0), (41, 7, 0), (2**64 - 1, 5, 3), (3, 2**64 - 1, 1), (2**64 - 1, 2**64 - 1, 7)]
 
 
@@ -202,7 +202,6 @@ def _draws():
     return [
         standard_normal_stream(2**64 - 1, 9, 2, (5, 3)),
         grid.path,
-        grid.refine().refine().path,
         _block_increments(cfg, 2, ids),
         _block_increments(replace(cfg, seed=5), 1, ids[::7]),
     ]
@@ -231,29 +230,6 @@ def test_struct_rekey_refuses_what_it_cannot_check(monkeypatch):
     monkeypatch.setattr(brownian, "_dict_rekey", lambda seed, sid, _: dict_rekey(seed, sid, 0))
     with pytest.raises(ValueError, match="does not match"):
         brownian._struct_rekey()
-
-
-def test_bridge_refine_then_coarsen_roundtrip():
-    cfg = SimConfig(horizon=1.0, n_steps=32, x0=(0.0,), seed=1)
-    g = sample_brownian(cfg, 1, stream_id=3)
-    fine = g.refine()
-    assert fine.n_steps == 64
-    assert np.array_equal(fine.path[0::2], g.path)
-    back = fine.coarsen()
-    assert np.array_equal(back.path, g.path)
-    assert np.array_equal(back.increments, g.increments)
-    # refinement is itself deterministic
-    assert np.array_equal(g.refine().path, fine.path)
-
-
-def test_refined_increment_variance():
-    cfg = SimConfig(horizon=1.0, n_steps=16, x0=(0.0,), seed=21)
-    incs = []
-    for sid in range(400):
-        incs.append(sample_brownian(cfg, 1, stream_id=sid).refine().increments[:, 0])
-    incs = np.concatenate(incs)
-    h_fine = cfg.h / 2
-    assert np.var(incs) == pytest.approx(h_fine, rel=0.08)
 
 
 def test_brownian_mean_clt_bound():

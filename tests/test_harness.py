@@ -553,6 +553,58 @@ def test_cli_probe_checks_the_divergence_budget(tmp_path, capsys, budget, code):
     assert not (tmp_path / "o" / "probe.json").exists()
 
 
+def _probe_json(tmp_path, drift, sigma, sim, moments):
+    """Run probe-assumptions and parse probe.json as strict JSON."""
+    text = f"""
+[model]
+d = 1
+m = 1
+x0 = 10.5
+drift = {drift}
+sigma1 = {sigma}
+
+[simulation]
+T = 1.0
+n_steps = 64
+paths = 2
+{sim}
+seed = 3
+
+[analysis]
+box_min = -2.0
+box_max = 2.0
+pairs = 256
+p_list = 2
+{moments}
+"""
+    cfg = _write(tmp_path, text)
+    assert main(["probe-assumptions", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def reject(name):
+        raise ValueError(f"probe.json holds {name}")
+
+    raw = (tmp_path / "o" / "probe.json").read_text()
+    return json.loads(raw, parse_constant=reject)["moments"]["per_p"]["2.0"]
+
+
+def test_cli_probe_writes_null_for_an_undefined_standard_error(tmp_path):
+    # one of the two paths from x0 = 10.5 overflows under plain Euler
+    moments = _probe_json(
+        tmp_path, "x1 - x1^3", "20", "scheme = euler\nmax_divergence = 0.5", "probe_paths = 2"
+    )
+    assert moments["std_errors"] == [None]
+    assert moments["estimates"][0] > 0
+
+
+def test_cli_probe_writes_null_for_a_non_finite_ratio_band(tmp_path):
+    # X stays at 0 from x0 = 0, so its ratio is 0 and the band max/min is infinite
+    moments = _probe_json(
+        tmp_path, "-x1", "x1", "scheme = tamed-euler", "x0_list = 0.0; 1.0\nprobe_paths = 8"
+    )
+    assert moments["estimates"][0] == 0.0
+    assert moments["ratio_band"] is None
+
+
 def test_cli_probe_needs_two_paths_per_start(tmp_path, capsys):
     text = (Path(__file__).resolve().parents[1] / "configs" / "double_well_probe.cfg").read_text()
     assert "probe_paths = 1000" in text
@@ -596,22 +648,14 @@ seed = 31
     _assert_numeric_cells(tmp_path / "r" / "remainder_tails.csv")
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch):
+def test_workers_flag_ignores_the_environment(tmp_path, monkeypatch):
+    # --workers is a no-op: no environment fallback, nothing recorded
     cfg = _write(tmp_path, OU_MODEL + SIM)
-    monkeypatch.setenv("HYPO_LAB_WORKERS", "4")
-    out = tmp_path / "env"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    monkeypatch.setenv("HYPO_LAB_WORKERS", "abc")
+    out = tmp_path / "w"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "2"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["workers"] == 4
-
-
-@pytest.mark.parametrize("value", ["four", "-2", "1.5"])
-def test_workers_env_rejects_non_integers(tmp_path, monkeypatch, capsys, value):
-    cfg = _write(tmp_path, OU_MODEL + SIM)
-    monkeypatch.setenv("HYPO_LAB_WORKERS", value)
-    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "env")])
-    assert code == 2
-    assert "HYPO_LAB_WORKERS" in capsys.readouterr().err
+    assert "workers" not in manifest
 
 
 def test_negative_workers_flag_is_config_error(tmp_path, capsys):

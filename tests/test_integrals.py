@@ -383,20 +383,60 @@ def test_streamed_remainder_energy_keeps_only_read_indices():
     assert np.all(part[:, 0] == 0.0)
 
 
-@pytest.mark.parametrize("scheme", ["tamed-euler", "split-step-backward-euler", "euler"])
-def test_single_path_remainder_is_the_stored_path_oracle(scheme):
-    # chaos_remainder_path steps a RemainderEnergy block along one path
+_OU = ("-x1", ["1"], (1.0,))
+
+
+@pytest.mark.parametrize(
+    "model,scheme",
+    [
+        (_HEIS, "tamed-euler"),
+        (_HEIS, "split-step-backward-euler"),
+        (_HEIS, "euler"),
+        (_OU, "tamed-euler"),
+        (_MULTIPLICATIVE_2D, "split-step-backward-euler"),
+    ],
+    ids=[
+        "tamed-euler",
+        "split-step-backward-euler",
+        "euler",
+        "ou-tamed-euler",
+        "multiplicative-2d-split-step-backward-euler",
+    ],
+)
+def test_single_path_remainder_is_the_stored_path_oracle(model, scheme):
+    # chaos_remainder_path forms R with RemainderEnergy.remainder on the stored path
+    drift, sigma, x0 = model
+    coeffs = CoefficientSet.from_text(len(x0), len(sigma), drift, sigma)
+    cfg = SimConfig(horizon=0.3, n_steps=64, x0=x0, scheme=scheme, seed=3)
+    table = BracketTable(coeffs)
+    res = run_ensemble(coeffs, cfg, 4, RecordSpec(store_paths=True))
+    dw = _increments(cfg, coeffs.m, res.stream_ids)
+    for sid in range(4):
+        g = sample_brownian(cfg, coeffs.m, stream_id=sid)
+        traj = simulate_x(coeffs, cfg, g)
+        flow = simulate_flow(coeffs, cfg, g, traj)
+        for target in coeffs.diffusion:
+            for L in (1, 2, 3):
+                oracle = chaos_remainder_ensemble(
+                    L, target, table, cfg.h, res.states, res.inverses, dw
+                )
+                path = chaos_remainder_path(L, target, flow, traj, table, g)
+                assert path.tobytes() == oracle[sid].tobytes(), (sid, target, L)
+
+
+def test_single_path_helpers_never_step_per_grid_index(monkeypatch):
+    # both helpers work on the whole time axis at once
+    def step(*args):
+        raise AssertionError("stepped one grid index")
+
+    monkeypatch.setattr(integrals, "_midpoint_step", step)
+    monkeypatch.setattr(integrals._EnergyBlock, "step", step)
     drift, sigma, x0 = _HEIS
     heis = CoefficientSet.from_text(3, 2, drift, sigma)
-    cfg = SimConfig(horizon=0.3, n_steps=64, x0=x0, scheme=scheme, seed=3)
-    table = BracketTable(heis)
-    target = heis.diffusion[1]
-    res = run_ensemble(heis, cfg, 4, RecordSpec(store_paths=True))
-    dw = _increments(cfg, 2, res.stream_ids)
-    oracle = chaos_remainder_ensemble(3, target, table, cfg.h, res.states, res.inverses, dw)
-    for sid in range(4):
-        g = sample_brownian(cfg, 2, stream_id=sid)
-        traj = simulate_x(heis, cfg, g)
-        flow = simulate_flow(heis, cfg, g, traj)
-        path = chaos_remainder_path(3, target, flow, traj, table, g)
-        assert path.tobytes() == oracle[sid].tobytes()
+    cfg = SimConfig(horizon=0.3, n_steps=64, x0=x0, seed=3)
+    g = sample_brownian(cfg, 2, stream_id=0)
+    traj = simulate_x(heis, cfg, g)
+    flow = simulate_flow(heis, cfg, g, traj)
+    assert iterated_integral(MultiIndex((1, 2, 0)), g).shape == (65,)
+    path = chaos_remainder_path(3, heis.diffusion[0], flow, traj, BracketTable(heis), g)
+    assert path.shape == (65, 3)
