@@ -176,19 +176,25 @@ def _eval(expr: Expression, pt: list) -> float:
         b = _eval(expr.rhs, pt)
         if expr.op == "div" and b == 0.0:
             raise EvaluationError(f"division by zero in '{to_text(expr)}'")
-        try:
-            out = _BINARY_FN[expr.op](a, b)
-        except OverflowError:
-            raise EvaluationError(f"non-finite value from '{to_text(expr)}'") from None
-        return _check_finite(out, expr)
+        return _check_finite(_BINARY_FN[expr.op](a, b), expr)  # float arithmetic never raises
     if isinstance(expr, Power):
-        v = _eval(expr.base, pt)
-        try:
-            out = v**expr.exponent
-        except OverflowError:
-            raise EvaluationError(f"non-finite value from '{to_text(expr)}'") from None
-        return _check_finite(out, expr)
+        v, n = _eval(expr.base, pt), expr.exponent
+        return _check_finite(_power_chain(v, n, _BINARY_FN["mul"]) if n else 1.0, expr)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _power_chain(base, n: int, mul):
+    """``base^n``, n >= 1, by O(log n) squarings, low bits first: x^3 = x * (x * x).
+    Every route multiplies so, and so agrees on any CPU, as libm's ``pow`` and
+    numpy's SIMD ``**`` do not."""
+    acc, square = None, base
+    while True:
+        if n & 1:
+            acc = square if acc is None else mul(acc, square)
+        n >>= 1
+        if not n:
+            return acc
+        square = mul(square, square)
 
 
 _BINARY_FN = {
@@ -310,10 +316,7 @@ def _is_const(e: Expression, v: float) -> bool:
 def _simp_binary(op: str, a: Expression, b: Expression) -> Expression:
     if isinstance(a, Const) and isinstance(b, Const):
         if not (op == "div" and b.value == 0.0):
-            try:
-                v = _BINARY_FN[op](a.value, b.value)
-            except OverflowError:
-                v = math.inf
+            v = _BINARY_FN[op](a.value, b.value)
             if math.isfinite(v):
                 return Const(v)
     if op == "add":
@@ -347,10 +350,7 @@ def _simp_power(base: Expression, n: int) -> Expression:
     if n == 1:
         return base
     if isinstance(base, Const):
-        try:
-            v = base.value**n
-        except OverflowError:
-            return Power(base, n)
+        v = _power_chain(base.value, n, _BINARY_FN["mul"])
         if math.isfinite(v):
             return Const(v)
     return Power(base, n)
@@ -427,9 +427,9 @@ def node_count(expr: Expression) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numpy source text.  ``_np_source(expr)`` reads an array ``X`` of shape
-# (..., d), or (d, ...) with ``var="X[{}]"``; ``fields.compile_expression_stack``
-# assembles these texts into one generated function per coefficient stack.
+# numpy source text.  ``_np_lines(exprs)`` reads an array ``X`` of shape
+# (..., d), or (d, ...) with ``var="X[{}]"``; ``fields`` assembles its lines
+# and texts into generated functions.
 
 _NP_UNARY = {"neg": "(-{a})", "sin": "np.sin({a})", "cos": "np.cos({a})",
              "exp": "np.exp({a})", "tanh": "np.tanh({a})"}
@@ -437,16 +437,42 @@ _NP_BINARY = {"add": "({a} + {b})", "sub": "({a} - {b})",
               "mul": "({a} * {b})", "div": "({a} / {b})"}
 
 
-def _np_source(expr: Expression, var: str = "X[..., {}]") -> str:
-    if isinstance(expr, Const):
-        # parenthesised so negative literals survive the ** precedence
-        return f"({expr.value!r})"
-    if isinstance(expr, Var):
-        return var.format(expr.index - 1)
-    if isinstance(expr, Unary):
-        return _NP_UNARY[expr.op].format(a=_np_source(expr.arg, var))
-    if isinstance(expr, Binary):
-        return _NP_BINARY[expr.op].format(a=_np_source(expr.lhs, var), b=_np_source(expr.rhs, var))
-    if isinstance(expr, Power):
-        return f"({_np_source(expr.base, var)} ** {expr.exponent})"
-    raise TypeError(f"not an expression node: {expr!r}")
+def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str = "t"):
+    """numpy source of ``exprs``: ``(lines, texts)``, ``texts[i]`` computing ``exprs[i]``
+    after ``lines``.  A power is its ``_power_chain`` (x^0 is 1.0).  Each non-leaf node
+    referenced twice or more over all ``exprs`` (a chain's squares, a non-leaf base)
+    is computed once, as a local ``{local}N``, in post-order: the same bits."""
+    products, refs, lines, texts = {}, {}, [], {}
+
+    def product(a, b):  # one node per product, so equal chains compare by identity
+        return products.setdefault((a, b), Binary("mul", a, b))
+
+    def lower(e):
+        while isinstance(e, Power):  # x^1 is x, itself maybe a power
+            e = _power_chain(e.base, e.exponent, product) if e.exponent else Const(1.0)
+        return e
+
+    def count(e):
+        e = lower(e)
+        refs[e] = refs.get(e, 0) + 1
+        if refs[e] == 1 and not isinstance(e, (Const, Var)):
+            for child in (e.arg,) if isinstance(e, Unary) else (e.lhs, e.rhs):
+                count(child)
+
+    def text(e):
+        e = lower(e)
+        if e in texts:
+            return texts[e]
+        t = (f"({e.value!r})" if isinstance(e, Const)
+             else var.format(e.index - 1) if isinstance(e, Var)
+             else _NP_UNARY[e.op].format(a=text(e.arg)) if isinstance(e, Unary)
+             else _NP_BINARY[e.op].format(a=text(e.lhs), b=text(e.rhs)))
+        if refs[e] > 1 and not isinstance(e, (Const, Var)):
+            lines.append(f"{local}{len(lines)} = {t}")
+            t = f"{local}{len(lines) - 1}"
+        texts[e] = t
+        return t
+
+    for e in exprs:
+        count(e)
+    return lines, [text(e) for e in exprs]

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from .ast import Const, Expression, _np_source, differentiate, evaluate, simplify, to_text
+from .ast import Const, Expression, _np_lines, differentiate, evaluate, simplify, to_text
 from .parser import parse_expression
 
 __all__ = [
@@ -155,13 +155,15 @@ def compile_expression_stack(
         var, alloc, result = "X[..., {}]", f"X.shape[:-1] + ({k},)", f"X.shape[:-1] + {shape!r}"
     slot = var.replace("X", "out")
     layout = "component-major" if component_major else "row-major"
-    return _define("stack", f"fieldlang stack {shape} {layout}", lambda: [
-        "def stack(X):",
-        "    X = np.asarray(X, np.float64)",
-        f"    out = np.empty({alloc})",
-        *(f"    {slot.format(i)} = {_np_source(e, var)}" for i, e in enumerate(exprs)),
-        f"    return out.reshape({result})",
-    ])
+
+    def emit():
+        lines, texts = _np_lines(exprs, var)
+        lines += [f"{slot.format(i)} = {t}" for i, t in enumerate(texts)]
+        body = ["X = np.asarray(X, np.float64)", f"out = np.empty({alloc})", *lines,
+                f"return out.reshape({result})"]
+        return ["def stack(X):", *(f"    {line}" for line in body)]
+
+    return _define("stack", f"fieldlang stack {shape} {layout}", emit)
 
 
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 50
@@ -171,7 +173,7 @@ _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 50
 # residual enough, or fails.
 _NEWTON = """\
 def residual({z}):
-    f = np.array([{residual}])
+    {residual}
     return f, np.sqrt(np.add.reduce(f * f))
 z = np.array([{x}])
 f, fnorm = residual(*z)
@@ -200,8 +202,9 @@ def _newton_source(drift: VectorField) -> list[str]:
     d, grad = drift.dim, jacobian(drift)
     a = {(p, q) for p in range(d) for q in range(d)
          if p == q or not (isinstance(grad[p][q], Const) and grad[p][q].value == 0.0)}
-    solve = [f"a{p}_{q} = {float(p == q)!r} - h * {_np_source(grad[p][q], 'z{}')}"
-             for p, q in sorted(a)]
+    solve, texts = _np_lines([grad[p][q] for p, q in sorted(a)], "z{}", "ta")
+    solve += [f"a{p}_{q} = {float(p == q)!r} - h * {t}" for (p, q), t in zip(sorted(a), texts)]
+    residual, texts = _np_lines(drift.components, "z{}", "tr")
     solve.append(", ".join(f"r{i}" for i in range(d)) + ", = -f")
     for k in range(d):  # forward elimination, the right-hand side alongside
         for i in (i for i in range(k + 1, d) if (i, k) in a):
@@ -215,8 +218,8 @@ def _newton_source(drift: VectorField) -> list[str]:
         solve.append(f"d{i} = (r{i}{terms}) / a{i}_{i}")
     return _NEWTON.format(
         **{v: ", ".join(f"{v}{i}" for i in range(d)) + "," for v in "xzd"},
-        residual=", ".join(f"z{i} - x{i} - h * {_np_source(e, 'z{}')}"
-                           for i, e in enumerate(drift.components)),
+        residual="".join(f"{line}\n    " for line in residual) + "f = np.array(["
+        + ", ".join(f"z{i} - x{i} - h * {t}" for i, t in enumerate(texts)) + "])",
         converged=f"fnorm <= {_NEWTON_TOL!r} * (1.0 + np.sqrt(np.add.reduce(z * z)))",
         max_iter=_NEWTON_MAX_ITER, solve="\n    ".join(solve),
     ).splitlines()
@@ -238,8 +241,8 @@ def compile_step_kernel(
     does not pivot: ``SimConfig`` refuses h L >= 1 for a monotone bound L,
     so the symmetric part of I - h grad b is at least (1 - h L) I, and the
     LU factorisation exists without pivoting (Golub and Van Loan); a zero
-    or non-finite pivot fails its own row only.  Each entry of b, sigma,
-    grad b and grad sigma_i is evaluated once; each product with a
+    or non-finite pivot fails its own row only.  Each subexpression of b,
+    sigma, grad b and grad sigma_i is evaluated once; each product with a
     constant-0 factor (of either sign) is left out, as is a factor 1.0; sums
     add the rest in ascending index order.  numpy's axis sums start from
     0.0, which can only turn a sum of zeros into +0.0: the noise keeps it as
@@ -259,15 +262,12 @@ def compile_step_kernel(
         body = [f"{name} = s[{n}]" for n, name in enumerate(rows)]
         body += [f"dw{i} = dw[{i}]" for i in range(m)]
         body += _newton_source(coeffs.drift) if implicit else []
-        names: dict = {}
+        start, names = len(body), {}
 
-        def entry(e, at="x"):  # a literal, or a local evaluated once
+        def entry(e, at="x"):  # a literal, or a local that the entry lines define
             if isinstance(e, Const):
                 return f"({e.value!r})"
-            if (e, at) not in names:
-                names[e, at] = f"e{len(names)}"
-                body.append(f"{names[e, at]} = {_np_source(e, at + '{}')}")
-            return names[e, at]
+            return names.setdefault((e, at), f"e{len(names)}")
 
         def factor(e, at="x"):  # None for the constant 0
             return None if isinstance(e, Const) and e.value == 0.0 else entry(e, at)
@@ -321,6 +321,10 @@ def compile_step_kernel(
                 terms = total(mul(S[p][i], S[r][i]) for i in range(m))
                 update(f"C{p}_{r}", "add", terms and f"h * ({terms})")
         body.append("return converged & ~failed" if implicit else "return None")
+        for at in "zx":  # the entries at z; then, before them, at X
+            group = {e: n for (e, where), n in names.items() if where == at}
+            lines, texts = _np_lines(tuple(group), at + "{}", "t" + at)
+            body[start:start] = lines + [f"{n} = {t}" for n, t in zip(group.values(), texts)]
         return ["def step(s, out, dw, h):", *(f"    {line}" for line in body)]
 
     label = f"hypolab step d={d} m={m} {scheme}" + " JK" * flows + " C" * covariance

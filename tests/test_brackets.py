@@ -1,5 +1,8 @@
+import ast
 import itertools
+import linecache
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -384,6 +387,10 @@ def test_batched_gram_traps_intermediate_overflow():
         check_hormander([(0.0,), (800.0,)], 1, table)
     with pytest.raises(EvaluationError, match="exp"):
         spanning_value((800.0,), 1, table)
+    # exp(x1^2) is one local of the compiled stack, read by both components
+    shared = BracketTable(CoefficientSet.from_text(2, 1, "-x1, -x2", ["exp(x1^2), 2*exp(x1^2)"]))
+    with pytest.raises(EvaluationError, match=r"^non-finite value from 'exp\(x1\^2\)'$"):
+        gram_matrix((30.0, 0.0), 1, shared)
 
 
 def test_batched_gram_reports_first_failing_point():
@@ -542,6 +549,30 @@ def test_heis3_local_bounds_keep_their_values():
     x0 = (1.0, 0.5, 0.0)
     assert bracket_local_bound(table, x0, L=2) == 11544.030703815068
     assert expansion_local_bound(table, table.direction(1), x0, L=3) == 4321.000793193986
+
+
+def test_heis3_bound_stack_computes_each_subexpression_once(monkeypatch):
+    stacks = []
+
+    def recording(*args):
+        stacks.append(compile_expression_stack(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(brackets, "compile_expression_stack", recording)
+    bracket_local_bound(BracketTable(_heis3()), (1.0, 0.5, 0.0), 2)
+    (stack,) = stacks
+    source = "".join(linecache.getlines(stack.__code__.co_filename))
+    assert len(source) < 8192
+    # every operation on the right of an assignment; -1.0 is a literal, not one
+    assigned = [n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assign)]
+    texts = Counter(
+        ast.unparse(node)
+        for value in assigned
+        for node in ast.walk(value)
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
+        and not (isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant))
+    )
+    assert texts and max(texts.values()) == 1, texts.most_common(3)
 
 
 def test_local_bound_names_the_first_non_finite_field():

@@ -1,3 +1,4 @@
+import linecache
 import math
 import pickle
 import subprocess
@@ -21,6 +22,7 @@ from hypolab.fieldlang import (
     compile_expression_stack,
     compile_field,
     compile_jacobian,
+    compile_step_kernel,
     differentiate,
     evaluate,
     jacobian,
@@ -407,6 +409,56 @@ def test_component_major_stacks_match_row_major(model):
         assert np.array_equal(got, np.moveaxis(row_major, 0, -1)), compile_stack.__name__
         single = compile_stack(arg, component_major=True)(pts[0])
         assert np.array_equal(single, row_major[0]), compile_stack.__name__
+
+
+# Integer powers are products by repeated squaring on every route.  libm's
+# pow and numpy's SIMD ``**`` each round some of these differently.
+_POWER_FIELDS = ("x1^3 - x2^5", "(x1 + x2)^4 / (1 + x1^2)", "x1^7*x2", "x2^6 - x1^9 + (x1 - x2)^8")
+
+
+def test_integer_powers_give_the_same_bits_on_every_route():
+    # rows 3.. start at 0 and have no noise, so one Euler step with h = 1
+    # writes 0 + 1.0 * b + 0.0 there: the kernel's drift entries themselves
+    d = 2 + len(_POWER_FIELDS)
+    drift = "0, 0, " + ", ".join(_POWER_FIELDS)
+    coeffs = CoefficientSet.from_text(d, 1, drift, [", ".join("0" * d)])
+    pts = np.zeros((500, d))
+    pts[:, :2] = np.random.default_rng(29).uniform(-2.0, 1.0, size=(500, 2))
+    walk = np.array([coeffs.drift.evaluate(p) for p in pts])[:, 2:]
+    out = np.empty((d, len(pts)))
+    step = compile_step_kernel(coeffs, "euler", False, False)
+    step(pts.T.copy(), out, np.zeros((1, len(pts))), 1.0)
+    routes = {
+        "row-major": compile_field(coeffs.drift)(pts),
+        "component-major": compile_field(coeffs.drift, component_major=True)(pts.T.copy()).T,
+        "one point": np.array([compile_field(coeffs.drift)(p) for p in pts]),
+        "step kernel": out.T,
+    }
+    for name, got in routes.items():
+        assert got[:, 2:].tobytes() == walk.tobytes(), name
+    # a folded constant power is the tree walk's product too
+    cube = parse_expression("x1^3", 1)
+    assert simplify(parse_expression("0.1^3", 1)) == Const(evaluate(cube, (0.1,)))
+    assert compile_expression_stack((cube,), ())(np.array([0.1])) == evaluate(cube, (0.1,))
+
+
+def test_huge_exponents_compile_to_short_sources():
+    field = VectorField.from_text("x1^100000000000000000000", 1)
+    coeffs = CoefficientSet(1, 1, field, (VectorField.from_text("1", 1),))
+    compiled = [compile_field(field), compile_jacobian(field)] + [
+        compile_step_kernel(coeffs, scheme, True, True)
+        for scheme in ("euler", "tamed-euler", "split-step-backward-euler")
+    ]
+    for fn in compiled:  # the split-step kernel, the largest, has three chains of 66 squares
+        assert len("".join(linecache.getlines(fn.__code__.co_filename))) < 8192
+    pts = np.array([[0.5], [-1.0], [1.0]])
+    assert compile_field(field)(pts).tolist() == [[0.0], [1.0], [1.0]]
+    assert [evaluate(field.components[0], p) for p in pts] == [0.0, 1.0, 1.0]
+    with pytest.raises(EvaluationError, match="x1\\^100000000000000000000"):
+        evaluate(field.components[0], (1.5,))
+    # an odd exponent beyond int64 keeps its parity: numpy's ** took it as a float
+    odd = VectorField.from_text(f"x1^{2**64 + 1}", 1)
+    assert compile_field(odd)(pts).tolist() == [[0.0], [-1.0], [1.0]]
 
 
 def test_constants_compare_with_their_sign_of_zero():

@@ -289,6 +289,38 @@ def test_cli_simulate_skips_diverged_dump_paths(tmp_path):
     assert not any(e["file"].startswith("trajectory_") for e in manifest["outputs"])
 
 
+HUGE_POWER = """
+[model]
+d = 1
+m = 1
+x0 = 0.5
+drift = x1^100000000000000000000
+sigma1 = 1
+
+[simulation]
+T = 0.25
+n_steps = 16
+scheme = tamed-euler
+paths = 4
+seed = 2
+"""
+
+
+def test_cli_huge_exponent_keeps_its_outputs(tmp_path, capsys):
+    # |x1| > 1 makes the drift inf: one of the four paths diverges
+    cfg = _write(tmp_path, HUGE_POWER + "max_divergence = 1.0\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert _sha256(tmp_path / "o" / "ensemble.json") == (
+        "2a5603aa1a0cf4dd02e8156928952133a2e1db8f0e905a436b45642b19268796"
+    )
+    capsys.readouterr()
+    cfg = _write(tmp_path, HUGE_POWER, "strict.cfg")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 3
+    assert capsys.readouterr().err == (
+        "error: 1 of 4 paths diverged (fraction 0.25 exceeds the budget 0)\n"
+    )
+
+
 SIGMA_OVERFLOW = """
 [model]
 d = 1
@@ -796,8 +828,8 @@ PINNED_DIGESTS = {
     },
     ("malliavin", "heis_malliavin"): {
         "config.resolved.txt": "c9bec5fcce799986f6e5c1d211dd9e174c9629a4d50c9b0b18bd8dffbc4f44f6",
-        "malliavin.csv": "340b702ca0a3572bb72525e30f8804fd9154d6a2bd3451b6d6f024ee4729698c",
-        "malliavin.json": "e549897e35d0c666dfe84787928a0ae717cc2d3ea9e96f4dffb08a1de0dd167f",
+        "malliavin.csv": "06ccc8c64e9db91c6d1eef676bf2231c3e49539fd8c1c34226554dbb5f0e3e60",
+        "malliavin.json": "0fe02725f7a40e58149d05970318c92f4f789b0fadde5dea38e19041fd3d4461",
     },
     ("remainder-tails", "heis_remainder"): {
         "config.resolved.txt": "66e090c608e2c123bb56f0b1f6d10382cd1c7cad14f600165fa587ec1fe8e6d2",
