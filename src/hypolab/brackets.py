@@ -368,6 +368,8 @@ class HormanderReport:
     ``in_span_set`` marks points whose capped smallest eigenvalue exceeds a
     small tolerance.  ``inf_value`` over the finite sample is only a
     surrogate for the uniform constant; ``caveat`` says so explicitly.
+    ``summary()`` is the ``"summary"`` object of ``hormander.json``; the CLI
+    writes its per-point records from the three arrays.
     """
 
     L: int
@@ -388,18 +390,13 @@ class HormanderReport:
     def level_candidate(self) -> int | None:
         return self.L if self.empirical_uniform else None
 
-    def to_json_dict(self) -> dict:
-        columns = (self.points.tolist(), self.values.tolist(), self.in_span_set.tolist())
-        records = [{"x": x, "L": self.L, "V_L": v, "in_U_L": u} for x, v, u in zip(*columns)]
+    def summary(self) -> dict:
         return {
-            "points": records,
-            "summary": {
-                "inf_V_L": self.inf_value,
-                "L0_candidate": self.level_candidate,
-                "empirical_UH": self.empirical_uniform,
-                "C_L0_estimate": self.inf_value,
-                "caveat": self.caveat,
-            },
+            "inf_V_L": self.inf_value,
+            "L0_candidate": self.level_candidate,
+            "empirical_UH": self.empirical_uniform,
+            "C_L0_estimate": self.inf_value,
+            "caveat": self.caveat,
         }
 
 

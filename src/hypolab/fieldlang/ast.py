@@ -439,7 +439,8 @@ _NP_BINARY = {"add": "({a} + {b})", "sub": "({a} - {b})",
 
 def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str = "t"):
     """numpy source of ``exprs``: ``(lines, texts)``, ``texts[i]`` computing ``exprs[i]``
-    after ``lines``.  A power is its ``_power_chain`` (x^0 is 1.0).  Each non-leaf node
+    after ``lines``.  A power is its ``_power_chain`` (x^0 is 1.0); a product whose left
+    factor is a product is written flat, left-associative.  Each non-leaf node
     referenced twice or more over all ``exprs`` (a chain's squares, a non-leaf base)
     is computed once, as a local ``{local}N``, in post-order: the same bits."""
     products, refs, lines, texts = {}, {}, [], {}
@@ -466,12 +467,16 @@ def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str =
         t = (f"({e.value!r})" if isinstance(e, Const)
              else var.format(e.index - 1) if isinstance(e, Var)
              else _NP_UNARY[e.op].format(a=text(e.arg)) if isinstance(e, Unary)
-             else _NP_BINARY[e.op].format(a=text(e.lhs), b=text(e.rhs)))
+             else _NP_BINARY[e.op].format(a=flat(e), b=text(e.rhs)))
         if refs[e] > 1 and not isinstance(e, (Const, Var)):
             lines.append(f"{local}{len(lines)} = {t}")
             t = f"{local}{len(lines) - 1}"
         texts[e] = t
         return t
+
+    def flat(e):  # (a * b) * c as a * b * c, the same order: a chain nests no parentheses
+        a = text(e.lhs)
+        return a[1:-1] if e.op == "mul" == getattr(lower(e.lhs), "op", "") and a[0] == "(" else a
 
     for e in exprs:
         count(e)

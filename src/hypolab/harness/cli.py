@@ -70,34 +70,47 @@ def _json_dump(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _json_dump_compact(path: str, payload: dict) -> None:
-    """``json.dumps(payload, sort_keys=True)`` and a newline, by the C encoder
-    (``json.dump`` never uses it), top-level lists 64 items at a time so
-    that the whole document is never held in memory."""
-    enc = json.JSONEncoder(sort_keys=True).encode
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{")
-        for i, (key, value) in enumerate(sorted(payload.items())):
-            fh.write((", " if i else "") + enc(key) + ": ")
-            if isinstance(value, list) and value:
-                for start in range(0, len(value), 64):
-                    fh.write(("[" if start == 0 else ", ") + enc(value[start : start + 64])[1:-1])
-                fh.write("]")
-            else:
-                fh.write(enc(value))
-        fh.write("}\n")
+_ROWS = 4096  # rows formatted at a time, so a writer's memory does not grow with the table
+_json_text = json.dumps
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _cells(column, json=False) -> list[str]:
+    """Each value's text in a 1-D numeric column: ``repr``, or ``json.dumps`` with ``json``.
+    Each distinct value is formatted once, keyed by its bits: 0.0 == -0.0 and NaN !=
+    NaN, so keying by value would change the text."""
+    a = np.asarray(column)
+    keys, inverse = np.unique(a.view(f"u{a.itemsize}"), return_inverse=True)
+    texts = list(map(_json_text if json else repr, keys.view(a.dtype).tolist()))
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _write_csv(path: str, header, columns) -> None:
-    """One row per entry of the columns, each cell the ``repr`` of its value;
-    pass bool columns as int64."""
-    rows = (",".join(map(repr, row)) for row in zip(*(np.asarray(c).tolist() for c in columns)))
-    _write_text(path, "\n".join([",".join(header), *rows]) + "\n")
+    """One row per entry of the columns (``np.asarray`` of each), ``_ROWS`` rows at a
+    time; each cell is the ``repr`` of its value by ``_cells`` (pass bools as ints)."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for s in range(0, min(map(len, columns), default=0), _ROWS):
+            rows = map(",".join, zip(*(_cells(c[s : s + _ROWS]) for c in columns)))
+            fh.write("\n".join(rows) + "\n")
+
+
+def _write_hormander(report, json_path: str, csv_path: str) -> None:
+    """``hormander.json``, the records and ``summary()`` as ``json.dumps(sort_keys=True)``
+    writes them, by a record template ``_ROWS`` points at a time; and ``hormander.csv``."""
+    x = ", ".join(["%s"] * report.points.shape[1])
+    record = '{"L": %s, "V_L": %%s, "in_U_L": %%s, "x": [%s]}' % (_json_text(report.L), x)
+    with open(json_path, "w", encoding="utf-8") as fh:
+        fh.write('{"points": [')
+        for s in range(0, len(report.values), _ROWS):
+            cut = slice(s, s + _ROWS)
+            columns = [report.values[cut], report.in_span_set[cut], *report.points[cut].T]
+            rows = zip(*(_cells(c, json=True) for c in columns))
+            fh.write((", " if s else "") + ", ".join(map(record.__mod__, rows)))
+        fh.write('], "summary": ' + json.dumps(report.summary(), sort_keys=True) + "}\n")
+    header = [f"x_{i + 1}" for i in range(report.points.shape[1])] + ["V_L", "in_U_L"]
+    flags = report.in_span_set.view(np.uint8)  # 0 and 1, without a copy
+    _write_csv(csv_path, header, [*report.points.T, report.values, flags])
 
 
 def _finite_list(values: np.ndarray):
@@ -154,13 +167,7 @@ def _cmd_check_hormander(cfg: ExperimentConfig, out) -> None:
         "bracket-spanning diagnostic: capped smallest eigenvalue of the "
         "bracket Gram matrix over a point grid"
     )
-    # one compact line: the report holds a record per grid point
-    _json_dump_compact(out("hormander.json", claim), report.to_json_dict())
-    _write_csv(
-        out("hormander.csv", claim),
-        [f"x_{i+1}" for i in range(d)] + ["V_L", "in_U_L"],
-        [*report.points.T, report.values, report.in_span_set.astype(np.int64)],
-    )
+    _write_hormander(report, out("hormander.json", claim), out("hormander.csv", claim))
 
     # one polyline per axis: the slice through the grid centre
     axes = spec.axes()
@@ -456,7 +463,8 @@ def main(argv=None) -> int:
             raise ConfigError("no output directory: set [output] out_dir or pass --out")
         cfg.output["out_dir"] = out_dir
         os.makedirs(out_dir, exist_ok=True)
-        _write_text(os.path.join(out_dir, "config.resolved.txt"), resolved_text(cfg))
+        with open(os.path.join(out_dir, "config.resolved.txt"), "w", encoding="utf-8") as fh:
+            fh.write(resolved_text(cfg))
         files = []  # (name, claim, path) in the manifest's order
 
         def out(name: str, claim: str) -> str:

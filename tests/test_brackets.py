@@ -284,11 +284,11 @@ def test_check_hormander_heisenberg_grid(heisenberg):
     assert report.inf_value == 1.0
     assert report.empirical_uniform
     assert report.level_candidate == 3
-    payload = report.to_json_dict()
-    assert payload["summary"]["inf_V_L"] == 1.0
-    assert payload["summary"]["L0_candidate"] == 3
-    assert len(payload["points"]) == 441
-    assert "finite" in payload["summary"]["caveat"]
+    summary = report.summary()
+    assert summary["inf_V_L"] == 1.0
+    assert summary["L0_candidate"] == 3
+    assert len(report.points) == 441
+    assert "finite" in summary["caveat"]
 
 
 def test_check_hormander_degenerate(degenerate):

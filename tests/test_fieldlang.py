@@ -461,6 +461,24 @@ def test_huge_exponents_compile_to_short_sources():
     assert compile_field(odd)(pts).tolist() == [[0.0], [-1.0], [1.0]]
 
 
+def test_power_with_many_one_bits_compiles_on_every_route():
+    # 250 one bits: the chain's running product is written flat, not nested
+    coeffs = CoefficientSet.from_text(2, 1, f"0, x1^{2**250 - 1}", ["0, 0"])
+    pts = np.array([[-1.0, 0.0], [0.5, 0.0]])
+    walk = np.array([coeffs.drift.evaluate(p) for p in pts])
+    assert walk[:, 1].tolist() == [-1.0, 0.0]
+    assert compile_field(coeffs.drift)(pts).tobytes() == walk.tobytes()
+    # row 2 starts at 0 without noise: one step with h = 1 writes the drift,
+    # tamed by 1 / (1 + h|b|) under tamed Euler
+    expected = {"euler": [-1.0, 0.0], "tamed-euler": [-0.5, 0.0],
+                "split-step-backward-euler": [-1.0, 0.0]}
+    for scheme, row in expected.items():
+        compile_step_kernel(coeffs, scheme, True, True)
+        out = np.empty((2, len(pts)))
+        compile_step_kernel(coeffs, scheme, False, False)(pts.T.copy(), out, np.zeros((1, 2)), 1.0)
+        assert out[1].tolist() == row, scheme
+
+
 def test_constants_compare_with_their_sign_of_zero():
     assert Const(0.0) != Const(-0.0)
     assert Const(-0.0) == Const(-0.0) and Const(2) == Const(2.0)

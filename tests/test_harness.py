@@ -1,17 +1,25 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hypolab
+from hypolab.brackets import BracketTable, HormanderReport, check_hormander
 from hypolab.errors import ConfigError
-from hypolab.harness.cli import _json_dump_compact, main
-from hypolab.harness.config import parse_config_text, resolved_text
+from hypolab.harness import cli
+from hypolab.harness.cli import main
+from hypolab.harness.config import load_config, parse_config_text, resolved_text
 
 OU_MODEL = """
 [model]
@@ -460,20 +468,109 @@ def test_cli_check_hormander_heisenberg(tmp_path):
     assert len(csv_lines) == 1 + 441
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {},
-        {"a": [], "b": {"k": [1, 2]}},
-        {"points": [{"x": [0.1, -0.0], "ok": True}] * 64, "s": None},
-        {"z": list(range(129)), "a": [[1.5, float("nan")], "\u00e9"]},
-    ],
+# ---------------------------------------------------------------------------
+# columnar writers: each must write the text of the per-row routes they replace
+
+
+def _reference_csv(header, columns):
+    # one repr per cell of every row
+    rows = (",".join(map(repr, row)) for row in zip(*(np.asarray(c).tolist() for c in columns)))
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+def _reference_hormander(report):
+    # json.dumps of one record dict per point, and the CSV of the same arrays
+    columns = (report.points.tolist(), report.values.tolist(), report.in_span_set.tolist())
+    records = [{"x": x, "L": report.L, "V_L": v, "in_U_L": u} for x, v, u in zip(*columns)]
+    text = json.dumps({"points": records, "summary": report.summary()}, sort_keys=True) + "\n"
+    header = [f"x_{i + 1}" for i in range(report.points.shape[1])] + ["V_L", "in_U_L"]
+    flags = report.in_span_set.astype(np.int64)
+    return text, _reference_csv(header, [*report.points.T, report.values, flags])
+
+
+# signed zeros, NaNs of both signs, infinities, subnormals and values that repeat
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-310, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
-def test_compact_json_writer_matches_json_dumps(tmp_path, payload):
-    # lists of 64 and 129 items cross the writer's 64-item slices
-    _json_dump_compact(str(tmp_path / "p.json"), payload)
-    text = (tmp_path / "p.json").read_text(encoding="utf-8")
-    assert text == json.dumps(payload, sort_keys=True) + "\n"
+_TABLES = st.lists(
+    st.tuples(_FLOATS, _FLOATS, _FLOATS, _FLOATS, st.integers(-(2**63), 2**63 - 1), st.booleans()),
+    max_size=24,
+)
+
+
+def _columns(rows):
+    """(points, values, int64 counts, flags) of the drawn rows, zero rows included."""
+    cols = list(zip(*rows)) or [()] * 6
+    points = np.ascontiguousarray(np.array(cols[:3], dtype=float).reshape(3, -1).T)
+    counts = np.array(cols[4], dtype=np.int64)
+    return points, np.array(cols[3], dtype=float), counts, np.array(cols[5], dtype=bool)
+
+
+@pytest.mark.parametrize("chunk", [3, cli._ROWS])
+@settings(max_examples=60, deadline=None)
+@given(rows=_TABLES)
+@example(rows=[])
+@example(rows=[(-0.0, 0.0, math.nan, -math.inf, -1, True)])
+def test_write_csv_matches_repr_of_every_cell(chunk, rows):
+    points, values, counts, flags = _columns(rows)
+    columns = [*points.T, values, counts, flags.astype(np.int64)]
+    header = ["a", "b", "c", "v", "n", "f"]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_ROWS", chunk):
+        cli._write_csv(os.path.join(tmp, "t.csv"), header, columns)
+        text = Path(tmp, "t.csv").read_text(encoding="utf-8")
+    assert text == _reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("chunk", [3, cli._ROWS])
+@settings(max_examples=60, deadline=None)
+@given(rows=_TABLES.filter(bool), L=st.integers(1, 6))
+@example(rows=[(-0.0, 0.0, math.nan, -math.inf, -1, True)], L=3)
+def test_hormander_writer_matches_json_dumps_of_records(chunk, rows, L):
+    points, values, _, flags = _columns(rows)
+    report = HormanderReport(L, points, values, flags)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_ROWS", chunk):
+        paths = os.path.join(tmp, "h.json"), os.path.join(tmp, "h.csv")
+        cli._write_hormander(report, *paths)
+        texts = tuple(Path(p).read_text(encoding="utf-8") for p in paths)
+    assert texts == _reference_hormander(report)
+
+
+def test_cli_check_hormander_keeps_the_text_of_a_negative_zero_axis(tmp_path):
+    # the benchmark's d = 3 model on a grid whose x2 axis is the one point -0.0
+    model = (Path(__file__).resolve().parents[1] / "configs" / "heis_malliavin.cfg").read_text()
+    cfg = _write(
+        tmp_path,
+        model.split("[simulation]")[0] + "[analysis]\nL = 3\n"
+        "grid_min = -2, -0.0, -2\ngrid_max = 2, -0.0, 2\ngrid_points = 5, 1, 5\n",
+    )
+    assert main(["check-hormander", "--config", cfg, "--out", str(tmp_path / "h")]) == 0
+    c = load_config(cfg, "check-hormander")
+    spec = cli._grid_spec(c.analysis, 3)
+    report = check_hormander(spec, 3, BracketTable(c.coefficient_set()),
+                             membership_tol=c.analysis["membership_tol"])
+    text, csv = _reference_hormander(report)
+    assert (tmp_path / "h" / "hormander.json").read_text(encoding="utf-8") == text
+    assert (tmp_path / "h" / "hormander.csv").read_text(encoding="utf-8") == csv
+    assert "\n-2.0,-0.0,-2.0,1.0,1\n" in csv and '"x": [-2.0, -0.0, -2.0]' in text
+
+
+def test_hormander_writers_memory_does_not_grow_with_the_points(tmp_path):
+    def peak(n):
+        # grid-like values, as a check writes them: every row is still its own text
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, 9, n) / 8.0
+        report = HormanderReport(3, rng.integers(-20, 21, (n, 3)) / 10.0, values, values > 0.5)
+        tracemalloc.start()
+        try:
+            cli._write_hormander(report, str(tmp_path / "h.json"), str(tmp_path / "h.csv"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5000)
+    small, large = peak(50_000), peak(250_000)
+    assert abs(large - small) <= 1 << 20, (small, large)
 
 
 def test_cli_tails_outputs(tmp_path):
