@@ -429,7 +429,9 @@ def node_count(expr: Expression) -> int:
 # ---------------------------------------------------------------------------
 # numpy source text.  ``_np_lines(exprs)`` reads an array ``X`` of shape
 # (..., d), or (d, ...) with ``var="X[{}]"``; ``fields`` assembles its lines
-# and texts into generated functions.
+# and texts into generated functions.  With ``c=True`` the same text is C on
+# doubles: C parses ``+ - * /`` and parentheses as Python does, so each
+# operation, and its order, is the numpy text's.
 
 _NP_UNARY = {"neg": "(-{a})", "sin": "np.sin({a})", "cos": "np.cos({a})",
              "exp": "np.exp({a})", "tanh": "np.tanh({a})"}
@@ -437,12 +439,23 @@ _NP_BINARY = {"add": "({a} + {b})", "sub": "({a} - {b})",
               "mul": "({a} * {b})", "div": "({a} / {b})"}
 
 
-def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str = "t"):
+def _literal(v: float, c: bool = False) -> str:
+    """A float constant in source text: ``(0.5)``, or with ``c`` a C double
+    literal with the exact bits, ``(0x1.0000000000000p-1)``."""
+    return f"({float.hex(v)})" if c else f"({v!r})"
+
+
+def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str = "t",
+              c: bool = False):
     """numpy source of ``exprs``: ``(lines, texts)``, ``texts[i]`` computing ``exprs[i]``
     after ``lines``.  A power is its ``_power_chain`` (x^0 is 1.0); a product whose left
     factor is a product is written flat, left-associative.  Each non-leaf node
     referenced twice or more over all ``exprs`` (a chain's squares, a non-leaf base)
-    is computed once, as a local ``{local}N``, in post-order: the same bits."""
+    is computed once, as a local ``{local}N``, in post-order: the same bits.  With
+    ``c``, C statements and texts: locals are ``double`` and constants are exact
+    hexadecimal literals; ``exprs`` may then hold no ``sin``, ``cos``, ``exp`` or
+    ``tanh``, whose numpy and libm results may differ in the last bit."""
+    declare, end = ("double ", ";") if c else ("", "")
     products, refs, lines, texts = {}, {}, [], {}
 
     def product(a, b):  # one node per product, so equal chains compare by identity
@@ -464,12 +477,12 @@ def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str =
         e = lower(e)
         if e in texts:
             return texts[e]
-        t = (f"({e.value!r})" if isinstance(e, Const)
+        t = (_literal(e.value, c) if isinstance(e, Const)
              else var.format(e.index - 1) if isinstance(e, Var)
              else _NP_UNARY[e.op].format(a=text(e.arg)) if isinstance(e, Unary)
              else _NP_BINARY[e.op].format(a=flat(e), b=text(e.rhs)))
         if refs[e] > 1 and not isinstance(e, (Const, Var)):
-            lines.append(f"{local}{len(lines)} = {t}")
+            lines.append(f"{declare}{local}{len(lines)} = {t}{end}")
             t = f"{local}{len(lines) - 1}"
         texts[e] = t
         return t

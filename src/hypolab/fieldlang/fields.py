@@ -11,7 +11,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from .ast import Const, Expression, _np_lines, differentiate, evaluate, simplify, to_text
+from .ast import (
+    Binary,
+    Const,
+    Expression,
+    Power,
+    Unary,
+    _literal,
+    _np_lines,
+    differentiate,
+    evaluate,
+    simplify,
+    to_text,
+)
 from .parser import parse_expression
 
 __all__ = [
@@ -21,6 +33,7 @@ __all__ = [
     "compile_field",
     "compile_expression_stack",
     "compile_step_kernel",
+    "step_kernel_c",
     "compile_jacobian",
     "compile_diffusion",
 ]
@@ -196,32 +209,242 @@ for _ in range({max_iter}):
     converged |= ~failed & ({converged})
 {z} = z"""
 
+# The same solve on one path in C: ``solve`` returns 1 when it converged.
+_NEWTON_C = """\
+static double residual(double h, {xs}, const double *z, double *f)
+{{
+    {z_rows}
+    {residual}
+    return sqrt({f_squares});
+}}
 
-def _newton_source(drift: VectorField) -> list[str]:
-    """``_NEWTON`` for ``drift``; its elimination skips the constant 0s."""
-    d, grad = drift.dim, jacobian(drift)
+static int solve(double h, {xs}, double *z)
+{{
+    double f[{n}], g[{n}], c[{n}];
+    {start}
+    double fnorm = residual(h, {x}, z, f);
+    int converged = {converged}, failed = !isfinite(fnorm);
+    for (int iter = 0; iter < {max_iter} && !(converged || failed); ++iter) {{
+        {z_rows}
+        {solve}
+        const double step[{n}] = {{{d}}};
+        double scale = 1.0;
+        failed = 1;
+        for (int r = 0; r < 20 && failed; ++r, scale *= 0.5) {{
+            for (int i = 0; i < {n}; ++i)
+                c[i] = z[i] + scale * step[i];
+            double cnorm = residual(h, {x}, c, g);
+            if (isfinite(cnorm) && cnorm <= (1.0 - {damping} * scale) * fnorm) {{
+                for (int i = 0; i < {n}; ++i) {{
+                    z[i] = c[i];
+                    f[i] = g[i];
+                }}
+                fnorm = cnorm;
+                failed = 0;
+            }}
+        }}
+        converged = !failed && {converged};
+    }}
+    return converged && !failed;
+}}
+"""
+
+# C's step loop over grid indices k0..k1 and then over the B paths of a
+# block, in place: a path's new rows go to ``o`` and are stored only when all
+# are finite (and its solve converged); otherwise the path is marked lost at
+# k and keeps its state, as in the engine's masked numpy step.
+_C_RUN = """\
+#include <math.h>
+#include <stdint.h>
+{newton}
+void run(double *s, const double *dw, double h, int64_t B, int64_t k0, int64_t k1,
+         int64_t *diverged)
+{{
+    for (int64_t k = k0; k < k1; ++k) {{
+        const double *dwk = dw + k * {m} * B;
+        for (int64_t b = 0; b < B; ++b) {{
+            if (diverged[b] >= 0)
+                continue;
+            double o[{rows}];
+            int ok = 1;
+            {body}
+            for (int r = 0; r < {rows}; ++r)
+                ok = ok && isfinite(o[r]);
+            if (!ok) {{
+                diverged[b] = k;
+                continue;
+            }}
+            for (int r = 0; r < {rows}; ++r)
+                s[b + r * B] = o[r];
+        }}
+    }}
+}}
+"""
+
+
+class _Let:
+    """Assignments ``name = text`` as numpy statements, or with ``c`` as C
+    statements that declare a name ``double`` where it is first assigned."""
+
+    def __init__(self, c: bool):
+        self.c, self.declared = c, set()
+
+    def __call__(self, name: str, text: str) -> str:
+        if not self.c:
+            return f"{name} = {text}"
+        new = name not in self.declared
+        self.declared.add(name)
+        return f"{'double ' * new}{name} = {text};"
+
+
+def _newton_source(drift: VectorField, c: bool = False):
+    """``_NEWTON`` for ``drift`` as numpy lines, or with ``c`` ``_NEWTON_C`` as
+    text; its elimination skips the constant 0s."""
+    d, grad, let = drift.dim, jacobian(drift), _Let(c)
     a = {(p, q) for p in range(d) for q in range(d)
          if p == q or not (isinstance(grad[p][q], Const) and grad[p][q].value == 0.0)}
-    solve, texts = _np_lines([grad[p][q] for p, q in sorted(a)], "z{}", "ta")
-    solve += [f"a{p}_{q} = {float(p == q)!r} - h * {t}" for (p, q), t in zip(sorted(a), texts)]
-    residual, texts = _np_lines(drift.components, "z{}", "tr")
-    solve.append(", ".join(f"r{i}" for i in range(d)) + ", = -f")
+    solve, texts = _np_lines([grad[p][q] for p, q in sorted(a)], "z{}", "ta", c)
+    solve += [let(f"a{p}_{q}", f"{float(p == q)!r} - h * {t}")
+              for (p, q), t in zip(sorted(a), texts)]
+    residual, texts = _np_lines(drift.components, "z{}", "tr", c)
+    solve += [let(f"r{i}", f"-f[{i}]") for i in range(d)]
     for k in range(d):  # forward elimination, the right-hand side alongside
         for i in (i for i in range(k + 1, d) if (i, k) in a):
-            solve.append(f"l = np.divide(a{i}_{k}, a{k}_{k})")  # a 0.0 float gives inf
+            # np.divide, as a constant pivot is a float: 1.0 / 0.0 gives inf, not an error
+            ratio = f"a{i}_{k} / a{k}_{k}" if c else f"np.divide(a{i}_{k}, a{k}_{k})"
+            solve.append(let("l", ratio))
             for j in (j for j in range(k + 1, d) if (k, j) in a):
-                solve.append(f"a{i}_{j} = {f'a{i}_{j}' if (i, j) in a else '0.0'} - l * a{k}_{j}")
+                entry = f"a{i}_{j}" if (i, j) in a else "0.0"
+                solve.append(let(f"a{i}_{j}", f"{entry} - l * a{k}_{j}"))
                 a.add((i, j))
-            solve.append(f"r{i} = r{i} - l * r{k}")
+            solve.append(let(f"r{i}", f"r{i} - l * r{k}"))
     for i in reversed(range(d)):  # back substitution, later columns first
         terms = "".join(f" - a{i}_{j} * d{j}" for j in reversed(range(i + 1, d)) if (i, j) in a)
-        solve.append(f"d{i} = (r{i}{terms}) / a{i}_{i}")
+        solve.append(let(f"d{i}", f"(r{i}{terms}) / a{i}_{i}"))
+    names = {v: ", ".join(f"{v}{i}" for i in range(d)) for v in "xzd"}
+    f = [f"z{i} - x{i} - h * {t}" for i, t in enumerate(texts)]
+    if c:
+        def squares(v):  # in index order, as numpy's add.reduce over the rows
+            return " + ".join(f"{v}[{i}] * {v}[{i}]" for i in range(d))
+
+        return _NEWTON_C.format(
+            **names, n=d, xs=", ".join(f"double x{i}" for i in range(d)),
+            z_rows=" ".join(f"double z{i} = z[{i}];" for i in range(d)),
+            residual="\n    ".join(residual + [f"f[{i}] = {t};" for i, t in enumerate(f)]),
+            f_squares=squares("f"), start=" ".join(f"z[{i}] = x{i};" for i in range(d)),
+            converged=f"fnorm <= {_literal(_NEWTON_TOL, c)} * (1.0 + sqrt({squares('z')}))",
+            damping=_literal(1e-4, c), max_iter=_NEWTON_MAX_ITER, solve="\n        ".join(solve),
+        )
     return _NEWTON.format(
-        **{v: ", ".join(f"{v}{i}" for i in range(d)) + "," for v in "xzd"},
-        residual="".join(f"{line}\n    " for line in residual) + "f = np.array(["
-        + ", ".join(f"z{i} - x{i} - h * {t}" for i, t in enumerate(texts)) + "])",
+        **{v: text + "," for v, text in names.items()},
+        residual="".join(f"{line}\n    " for line in residual)
+        + "f = np.array([" + ", ".join(f) + "])",
         converged=f"fnorm <= {_NEWTON_TOL!r} * (1.0 + np.sqrt(np.add.reduce(z * z)))",
         max_iter=_NEWTON_MAX_ITER, solve="\n    ".join(solve),
+    ).splitlines()
+
+
+def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
+                 c: bool = False) -> list[str]:
+    """The source lines of ``compile_step_kernel``'s step, or with ``c`` of
+    ``step_kernel_c``'s loop: one emission, in which only the statements'
+    form depends on ``c``.  numpy's statements act on rows of B paths and
+    write the new state to ``out``; C's act on one path's doubles and write
+    it to ``o``, which ``_C_RUN`` stores when every row is finite."""
+    d, m = coeffs.d, coeffs.m
+    implicit = scheme == "split-step-backward-euler"
+    sigma = [[col.components[q] for col in coeffs.diffusion] for q in range(d)]
+    pairs = [(p, r) for p in range(d) for r in range(d)]
+    upper = [(p, r) for p, r in pairs if p <= r]
+    let, one, sqrt = _Let(c), _literal(1.0, c), "sqrt" if c else "np.sqrt"
+    rows = [f"x{i}" for i in range(d)]
+    rows += [f"{M}{p}_{r}" for M in "JK" for p, r in pairs if flows]
+    rows += [f"C{p}_{r}" for p, r in upper if covariance]
+    if c:
+        body = [let(name, f"s[b + {n} * B]") for n, name in enumerate(rows)]
+        body += [let(f"dw{i}", f"dwk[b + {i} * B]") for i in range(m)]
+        if implicit:
+            body += [f"double z[{d}];",
+                     f"ok = solve(h, {', '.join(f'x{i}' for i in range(d))}, z);"]
+            body += [let(f"z{i}", f"z[{i}]") for i in range(d)]
+    else:
+        body = [f"{name} = s[{n}]" for n, name in enumerate(rows)]
+        body += [f"dw{i} = dw[{i}]" for i in range(m)]
+        body += _newton_source(coeffs.drift) if implicit else []
+    start, names = len(body), {}
+
+    def entry(e, at="x"):  # a literal, or a local that the entry lines define
+        if isinstance(e, Const):
+            return _literal(e.value, c)
+        return names.setdefault((e, at), f"e{len(names)}")
+
+    def factor(e, at="x"):  # None for the constant 0
+        return None if isinstance(e, Const) and e.value == 0.0 else entry(e, at)
+
+    def mul(a, b):
+        return None if a is None or b is None else (
+            a if b == one else b if a == one else f"{a} * {b}")
+
+    def total(terms, local=None):  # None for no terms; bound to a local if named
+        text = " + ".join(t for t in terms if t is not None) or None
+        if local is None or text is None:
+            return text
+        body.append(let(local, text))
+        return local
+
+    def update(name, op, terms, first=None):  # out's row ``name`` = first op terms
+        first, row = first or name, rows.index(name)
+        if c:
+            sign = "+" if op == "add" else "-"
+            body.append(f"o[{row}] = ({first}) {sign} ({terms});" if terms
+                        else f"o[{row}] = {first};")
+        else:
+            body.append(f"np.{op}({first}, {terms}, out=out[{row}])" if terms
+                        else f"out[{row}] = {first}")
+
+    b = [entry(e) for e in coeffs.drift.components if not implicit]
+    inc = [f"(z{i} - x{i})" for i in range(d)] if implicit else [f"h * {v}" for v in b]
+    if scheme == "tamed-euler":
+        squares = total(mul(factor(e), factor(e)) for e in coeffs.drift.components)
+        body.append(let("taming", f"1.0 + h * {sqrt}({squares or '0.0'})"))
+        inc = [f"(h * {v}) / taming" for v in b]
+    at = "z" if implicit else "x"
+    for i in range(d):
+        noise = total(mul(factor(sigma[i][j], at), f"dw{j}") for j in range(m))
+        update(f"x{i}", "add", f"({noise}) + 0.0" if noise else "0.0", f"x{i} + {inc[i]}")
+    if flows:
+        gb, gs = jacobian(coeffs.drift), [jacobian(col) for col in coeffs.diffusion]
+        A = [[None] * d for _ in range(d)]
+        for p, q in pairs:
+            terms = [mul(factor(gs[i][p][q]), f"dw{i}") for i in range(m)]
+            A[p][q] = total([mul("h", factor(gb[p][q])), *terms], f"A{p}_{q}")
+        G = [row[:] for row in A]
+        for p, q in pairs:
+            sums = (total(mul(factor(g[p][t]), factor(g[t][q])) for t in range(d)) for g in gs)
+            squares = total(f"({t})" for t in sums if t)
+            if squares:
+                G[p][q] = total([f"{A[p][q] or '0.0'} - h * ({squares})"], f"G{p}_{q}")
+        for p, r in pairs:
+            update(f"J{p}_{r}", "add", total(mul(A[p][q], f"J{q}_{r}") for q in range(d)))
+        for p, r in pairs:
+            update(f"K{p}_{r}", "subtract", total(mul(f"K{p}_{q}", G[q][r]) for q in range(d)))
+    if covariance:
+        S = [[total((mul(f"K{p}_{q}", factor(sigma[q][i])) for q in range(d)), f"S{p}_{i}")
+              for i in range(m)] for p in range(d)]
+        for p, r in upper:
+            terms = total(mul(S[p][i], S[r][i]) for i in range(m))
+            update(f"C{p}_{r}", "add", terms and f"h * ({terms})")
+    if not c:
+        body.append("return converged & ~failed" if implicit else "return None")
+    for at in "zx":  # the entries at z; then, before them, at X
+        group = {e: n for (e, where), n in names.items() if where == at}
+        lines, texts = _np_lines(tuple(group), at + "{}", "t" + at, c)
+        body[start:start] = lines + [let(n, t) for n, t in zip(group.values(), texts)]
+    if not c:
+        return ["def step(s, out, dw, h):", *(f"    {line}" for line in body)]
+    return _C_RUN.format(
+        newton=_newton_source(coeffs.drift, c=True) if implicit else "", m=m,
+        rows=len(rows), body="\n            ".join(body),
     ).splitlines()
 
 
@@ -248,87 +471,57 @@ def compile_step_kernel(
     0.0, which can only turn a sum of zeros into +0.0: the noise keeps it as
     ``+ 0.0``, so X keeps its bits, and entries of J, K and C, which start
     at 0.0 or 1.0, can never become -0.0.
+
+    ``step_kernel_c`` renders the same lines as C, one path at a time, and
+    the engine runs that loop instead wherever it can: its calls stop only
+    at the grid indices a block's accumulators read.  This step runs for
+    models with sin, cos, exp or tanh, where the C loop could not be built
+    or failed its probe, and as the native loop's oracle.
     """
-    d, m = coeffs.d, coeffs.m
-    implicit = scheme == "split-step-backward-euler"
-    sigma = [[col.components[q] for col in coeffs.diffusion] for q in range(d)]
-    pairs = [(p, r) for p in range(d) for r in range(d)]
-    upper = [(p, r) for p, r in pairs if p <= r]
+    label = f"hypolab step d={coeffs.d} m={coeffs.m} {scheme}" + " JK" * flows + " C" * covariance
+    return _define("step", label, lambda: _step_source(coeffs, scheme, flows, covariance))
 
-    def emit():
-        rows = [f"x{i}" for i in range(d)]
-        rows += [f"{M}{p}_{r}" for M in "JK" for p, r in pairs if flows]
-        rows += [f"C{p}_{r}" for p, r in upper if covariance]
-        body = [f"{name} = s[{n}]" for n, name in enumerate(rows)]
-        body += [f"dw{i} = dw[{i}]" for i in range(m)]
-        body += _newton_source(coeffs.drift) if implicit else []
-        start, names = len(body), {}
 
-        def entry(e, at="x"):  # a literal, or a local that the entry lines define
-            if isinstance(e, Const):
-                return f"({e.value!r})"
-            return names.setdefault((e, at), f"e{len(names)}")
+@lru_cache(maxsize=256)
+def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool):
+    """C source of the step loop ``run(s, dw, h, B, k0, k1, diverged)``, or None
+    when a field uses sin, cos, exp or tanh.
 
-        def factor(e, at="x"):  # None for the constant 0
-            return None if isinstance(e, Const) and e.value == 0.0 else entry(e, at)
+    ``run`` takes grid indices k0..k1 of a block in place: ``s`` is the
+    (rows, B) state of ``compile_step_kernel``, ``dw`` the (n, m, B)
+    increments and ``diverged`` the (B,) int64 steps at which paths were
+    lost, -1 for none.  Each step is ``compile_step_kernel``'s, line by line,
+    on one path's doubles: the same operations in the same order, constants
+    as exact hexadecimal literals, and the split-step solve with the same
+    schedule.  A path whose new X, J, K or C has a non-finite entry, or whose
+    solve fails, gets ``diverged = k`` and keeps its state; a lost path is
+    not stepped again.  Compiled without contraction into fused multiply-adds
+    (``-ffp-contract=off``), every operation rounds as numpy's does, so the
+    bits agree; the engine checks that on a probe block before it uses the
+    loop.
+    """
+    fields = (coeffs.drift, *coeffs.diffusion)
+    if not all(_rational(e) for f in fields for e in f.components):
+        return None
+    return "\n".join(_step_source(coeffs, scheme, flows, covariance, c=True)) + "\n"
 
-        def mul(a, b):
-            return None if a is None or b is None else (
-                a if b == "(1.0)" else b if a == "(1.0)" else f"{a} * {b}")
 
-        def total(terms, local=None):  # None for no terms; bound to a local if named
-            text = " + ".join(t for t in terms if t is not None) or None
-            if local is None or text is None:
-                return text
-            body.append(f"{local} = {text}")
-            return local
-
-        def update(name, op, terms, first=None):  # out's row ``name`` = first op terms
-            first, row = first or name, rows.index(name)
-            body.append(f"np.{op}({first}, {terms}, out=out[{row}])" if terms
-                        else f"out[{row}] = {first}")
-
-        b = [entry(e) for e in coeffs.drift.components if not implicit]
-        inc = [f"(z{i} - x{i})" for i in range(d)] if implicit else [f"h * {v}" for v in b]
-        if scheme == "tamed-euler":
-            squares = total(mul(factor(e), factor(e)) for e in coeffs.drift.components)
-            body.append(f"taming = 1.0 + h * np.sqrt({squares or '0.0'})")
-            inc = [f"(h * {v}) / taming" for v in b]
-        at = "z" if implicit else "x"
-        for i in range(d):
-            noise = total(mul(factor(sigma[i][j], at), f"dw{j}") for j in range(m))
-            update(f"x{i}", "add", f"({noise}) + 0.0" if noise else "0.0", f"x{i} + {inc[i]}")
-        if flows:
-            gb, gs = jacobian(coeffs.drift), [jacobian(col) for col in coeffs.diffusion]
-            A = [[None] * d for _ in range(d)]
-            for p, q in pairs:
-                terms = [mul(factor(gs[i][p][q]), f"dw{i}") for i in range(m)]
-                A[p][q] = total([mul("h", factor(gb[p][q])), *terms], f"A{p}_{q}")
-            G = [row[:] for row in A]
-            for p, q in pairs:
-                sums = (total(mul(factor(g[p][t]), factor(g[t][q])) for t in range(d)) for g in gs)
-                squares = total(f"({t})" for t in sums if t)
-                if squares:
-                    G[p][q] = total([f"{A[p][q] or '0.0'} - h * ({squares})"], f"G{p}_{q}")
-            for p, r in pairs:
-                update(f"J{p}_{r}", "add", total(mul(A[p][q], f"J{q}_{r}") for q in range(d)))
-            for p, r in pairs:
-                update(f"K{p}_{r}", "subtract", total(mul(f"K{p}_{q}", G[q][r]) for q in range(d)))
-        if covariance:
-            S = [[total((mul(f"K{p}_{q}", factor(sigma[q][i])) for q in range(d)), f"S{p}_{i}")
-                  for i in range(m)] for p in range(d)]
-            for p, r in upper:
-                terms = total(mul(S[p][i], S[r][i]) for i in range(m))
-                update(f"C{p}_{r}", "add", terms and f"h * ({terms})")
-        body.append("return converged & ~failed" if implicit else "return None")
-        for at in "zx":  # the entries at z; then, before them, at X
-            group = {e: n for (e, where), n in names.items() if where == at}
-            lines, texts = _np_lines(tuple(group), at + "{}", "t" + at)
-            body[start:start] = lines + [f"{n} = {t}" for n, t in zip(group.values(), texts)]
-        return ["def step(s, out, dw, h):", *(f"    {line}" for line in body)]
-
-    label = f"hypolab step d={d} m={m} {scheme}" + " JK" * flows + " C" * covariance
-    return _define("step", label, emit)
+def _rational(expr: Expression) -> bool:
+    """Whether ``expr`` is built from constants, variables, ``+ - * /``, negation
+    and powers only: C then rounds it as numpy does.  (libm's and numpy's sin,
+    cos, exp and tanh may differ in the last bit.)"""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Unary):
+            if e.op != "neg":
+                return False
+            stack.append(e.arg)
+        elif isinstance(e, Binary):
+            stack += (e.lhs, e.rhs)
+        elif isinstance(e, Power):
+            stack.append(e.base)
+    return True
 
 
 def compile_field(field: VectorField, component_major: bool = False) -> Callable:

@@ -11,11 +11,18 @@ rule gives d(KJ) = 0 (K J = I is a test surface, not a runtime assertion).
 The Malliavin covariance is accumulated by left-endpoint quadrature,
 C_{k+1} = C_k + h S_k S_k^T with S_k = K_k sigma(X_k).
 
-Each step is one call of a kernel generated per model, scheme and record
-(``fieldlang.compile_step_kernel``): unrolled arithmetic on rows of B paths
+The step is generated per model, scheme and record: unrolled arithmetic
 that leaves out every product with a constant-0 factor and keeps the sum
 order of the dense matrix products, and so their bits.  A block's state is
-one (rows, B) buffer, read by a step and written to the other buffer.
+one (rows, B) buffer.  For a model built from ``+ - * /``, powers and
+constants, the block runs natively: the same lines rendered as C
+(``fieldlang.step_kernel_c``), whose loop over steps and paths updates the
+buffer in place and is called once per stretch of grid indices that no
+accumulator reads; it is used only if it gives the numpy kernel's bytes on
+a probe block.  Otherwise, and for models with sin, cos, exp or tanh, each
+step is one call of ``fieldlang.compile_step_kernel`` on rows of B paths,
+which writes to a second buffer.  ``NATIVE = False`` forces that route,
+the native loop's oracle, and ``STEP_ROUTES`` collects the routes that ran.
 
 State schemes: ``tamed-euler`` divides the drift increment by 1 + h|b| so
 superlinear monotone drifts cannot blow the explicit step up;
@@ -33,8 +40,10 @@ run the same engine on a batch of one given grid.
 Everything a block records per path goes through one hook: an accumulator
 ``acc`` with ``acc.step(k, x, j, k_inv, c, dw)`` and ``acc.result()``.
 Each block builds its own accumulators and calls ``step`` once per grid
-index k = 0..n, before the step that leaves k, with views of the state at
-k: x (d, B), J and K (d, d, B), or ``None`` without flows, and the rows of
+index k = 0..n, before the step that leaves k; when every accumulator is a
+kept view (below), only at the indices they keep and at n, so the native
+loop runs unbroken in between.  The call gets views of the state at k:
+x (d, B), J and K (d, d, B), or ``None`` without flows, and the rows of
 C's upper triangle, (d(d+1)/2, B), empty unless C is accumulated.  ``dw``
 is the (m, B) increment rows that leave k, ``None`` at k = n.  Lost paths
 show their frozen columns.  The views are valid during the call only: the
@@ -50,8 +59,10 @@ in stream order into its field of ``EnsembleResult``.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,7 +74,7 @@ from ..errors import (
     InternalInvariantError,
     SimulationDiverged,
 )
-from ..fieldlang import CoefficientSet, compile_step_kernel
+from ..fieldlang import CoefficientSet, compile_step_kernel, step_kernel_c
 from .brownian import BrownianGrid, _brownian_paths
 
 __all__ = [
@@ -84,6 +95,11 @@ __all__ = [
 ]
 
 SCHEMES = ("tamed-euler", "split-step-backward-euler", "euler")
+
+# False runs every block on the numpy kernel, the oracle of the native loop.
+NATIVE = True
+# The step routes blocks ran on, "native" or "numpy", since it was cleared.
+STEP_ROUTES: set[str] = set()
 
 # Matrices assembled from outer products may pick up this much asymmetric
 # rounding relative to their trace before we call it an internal error.
@@ -325,6 +341,78 @@ def _recorders(record: RecordSpec, B: int, n: int, d: int) -> dict:
     return recs
 
 
+def _views(buf: np.ndarray, d: int, flows: bool) -> tuple:
+    """X (d, B), J and K (d, d, B) or None, and C's triangle rows of a block's
+    state ``buf``."""
+    f = 2 * d * d if flows else 0
+    flow = buf[d : d + f].reshape(2, d, d, -1) if flows else (None, None)
+    return buf[:d], flow[0], flow[1], buf[d + f :]
+
+
+def _initial_state(x: np.ndarray, flows: bool, covariance: bool) -> np.ndarray:
+    """A block's state rows with X = ``x`` (d, B), J = K = I and C = 0."""
+    d, B = x.shape
+    s = np.zeros((d + (2 * d * d if flows else 0) + (d * (d + 1) // 2 if covariance else 0), B))
+    views = _views(s, d, flows)
+    views[0][:] = x
+    if flows:
+        views[1][:] = views[2][:] = np.eye(d)[:, :, None]
+    return s
+
+
+def _numpy_steps(step, s, out, dw, h, k0, k1, diverged):
+    """Steps k0..k1 of the numpy kernel ``step`` from the state ``s`` through the
+    spare buffer ``out``; returns both, the state first.  A path whose new X,
+    J, K or C is non-finite, or whose solve failed, gets the step in
+    ``diverged`` and keeps its last state."""
+    for k in range(k0, k1):
+        converged = step(s, out, dw[k], h)  # None but for the split-step scheme
+        ok = np.isfinite(out).all(axis=0)
+        if converged is not None:
+            ok &= converged
+        alive = diverged < 0
+        if not (ok.all() and alive.all()):
+            diverged[alive & ~ok] = k
+            np.copyto(out, s, where=diverged >= 0)
+        s, out = out, s
+    return s, out
+
+
+# The probe block of _native_loop: paths, steps and step size.
+_PROBE_B, _PROBE_N, _PROBE_H = 8, 8, 2.0**-4
+
+
+@lru_cache(maxsize=256)
+def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool):
+    """``step_kernel_c``'s loop, built and loaded, when it leaves the numpy
+    kernel's bytes on a fixed probe block; otherwise None.  The probe's last
+    path draws an infinite increment at step 2, so it is lost there on any
+    model whose noise reaches X, and would be finite again if it were
+    stepped on; the loop is called twice, from 0 and from 3."""
+    from .. import native  # on the first block that can use it, never at import
+
+    source = step_kernel_c(coeffs, scheme, flows, covariance)
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    run = source and native.load(source, "run", (ptr, ptr, ctypes.c_double, i64, i64, i64, ptr))
+    if not run:
+        return None
+    rng = np.random.default_rng(2024)
+    d, m, B, n = coeffs.d, coeffs.m, _PROBE_B, _PROBE_N
+    start = _initial_state(rng.uniform(-1.5, 1.5, (d, B)), flows, covariance)
+    dw = rng.standard_normal((n, m, B)) * math.sqrt(_PROBE_H)
+    dw[2, :, -1] = np.inf
+    numpy_lost, native_lost = np.full(B, -1, dtype=np.int64), np.full(B, -1, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        step = compile_step_kernel(coeffs, scheme, flows, covariance)
+        want, _ = _numpy_steps(step, start.copy(), np.empty_like(start), dw, _PROBE_H, 0, n,
+                               numpy_lost)
+    got = start.copy()
+    for k0, k1 in ((0, 3), (3, n)):
+        run(got.ctypes.data, dw.ctypes.data, _PROBE_H, B, k0, k1, native_lost.ctypes.data)
+    same = got.tobytes() == want.tobytes() and native_lost.tobytes() == numpy_lost.tobytes()
+    return run if same else None
+
+
 def _simulate_block(
     coeffs: CoefficientSet, config: SimConfig, dw: np.ndarray, record: RecordSpec
 ) -> dict:
@@ -333,43 +421,38 @@ def _simulate_block(
     B = dw.shape[2]
     if dw.shape != (n, m, B):
         raise InternalInvariantError(f"increment block has shape {dw.shape}")
-    needs_flows = record.needs_flows
-    accumulate_c = bool(record.c_checkpoints)
-    step = compile_step_kernel(coeffs, config.scheme, needs_flows, accumulate_c)
+    flows, covariance = record.needs_flows, bool(record.c_checkpoints)
+    kernel = (coeffs, config.scheme, flows, covariance)
+    run = _native_loop(*kernel) if NATIVE else None
+    STEP_ROUTES.add("native" if run else "numpy")
 
-    # the kernel's state rows, read from one buffer and written to the other
-    flow_rows = 2 * d * d if needs_flows else 0
-    s = np.zeros((d + flow_rows + (d * (d + 1) // 2 if accumulate_c else 0), B))
-    out = np.empty_like(s)
-
-    def views(buf):  # X (d, B), J and K (d, d, B), C's triangle rows
-        flow = buf[d : d + flow_rows].reshape(2, d, d, B) if needs_flows else (None, None)
-        return buf[:d], flow[0], flow[1], buf[d + flow_rows :]
-
-    x, j, k_inv, c = views(s)
-    x[:] = np.asarray(config.x0)[:, None]
-    if needs_flows:
-        j[:] = k_inv[:] = np.eye(d)[:, :, None]
-    alive = np.ones(B, dtype=bool)
+    # the kernel's state rows: the native loop updates them in place, the
+    # numpy kernel writes them to the other buffer
+    s = _initial_state(np.broadcast_to(np.asarray(config.x0)[:, None], (d, B)), flows, covariance)
     diverged = np.full(B, -1, dtype=np.int64)
+    if run:
+        dw = np.ascontiguousarray(dw, dtype=np.float64)
+        s_at, dw_at, diverged_at = s.ctypes.data, dw.ctypes.data, diverged.ctypes.data
+    else:
+        step, out = compile_step_kernel(*kernel), np.empty_like(s)
     accs = _recorders(record, B, n, d)
+    # back in Python only at the indices an accumulator reads: a _Kept reads
+    # its own, any other accumulator every index; and at n, for the results
+    stops = range(n + 1)
+    if all(isinstance(acc, _Kept) for acc in accs.values()):
+        stops = sorted({n}.union(*(acc.rows for acc in accs.values())))
 
+    k = 0
     with np.errstate(all="ignore"):
-        for k, dwk in enumerate(dw):  # (m, B) rows
+        for stop in stops:
+            if run:
+                run(s_at, dw_at, h, B, k, stop, diverged_at)
+            else:
+                s, out = _numpy_steps(step, s, out, dw, h, k, stop, diverged)
+            k = stop
+            x, j, k_inv, c = _views(s, d, flows)
             for acc in accs.values():
-                acc.step(k, x, j, k_inv, c, dwk)
-            converged = step(s, out, dwk, h)  # None but for the split-step scheme
-            ok = np.isfinite(out).all(axis=0)
-            if converged is not None:
-                ok &= converged
-            if not (ok.all() and alive.all()):
-                diverged[alive & ~ok] = k
-                alive &= ok
-                np.copyto(out, s, where=~alive)
-            s, out = out, s
-            x, j, k_inv, c = views(s)
-        for acc in accs.values():
-            acc.step(n, x, j, k_inv, c, None)
+                acc.step(k, x, j, k_inv, c, dw[k] if k < n else None)
 
     return {
         "final_states": x.T.copy(),

@@ -5,7 +5,8 @@ det-moments, density, probe-assumptions.  Each handler writes every output
 through ``out(name, claim)``, which lists the file and returns its path.
 ``main`` writes the resolved configuration before the handler runs and a
 manifest after it, with the SHA-256 digest of every listed file read back
-from disk.  With a fixed (config, seed) the output digests are fixed too.
+from disk and the run's ``environment``.  With a fixed (config, seed) the
+output digests are fixed too.
 ``--workers`` is accepted and checked to be non-negative, but runs are
 single-threaded whatever its value.
 
@@ -19,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import replace
@@ -49,6 +51,7 @@ from ..flows import (
     nearest_index,
     run_ensemble,
 )
+from ..flows import simulate
 from ..flows.probes import assumption_probe, moment_probe
 from .config import ExperimentConfig, load_config, resolved_text
 from .svg import line_chart
@@ -448,6 +451,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _environment() -> dict:
+    """Where the run ran: the interpreter, numpy, the platform, and the step
+    route of its blocks, a list when both ran and null when none did."""
+    routes = sorted(simulate.STEP_ROUTES)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+        "step_route": routes[0] if len(routes) == 1 else routes or None,
+    }
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -473,6 +488,7 @@ def main(argv=None) -> int:
             return path
 
         start = time.perf_counter()
+        simulate.STEP_ROUTES.clear()
         _HANDLERS[args.command](cfg, out)
         wall = time.perf_counter() - start
         out("config.resolved.txt", "resolved run configuration")  # last: its digest is config_hash
@@ -487,6 +503,7 @@ def main(argv=None) -> int:
             "config_hash": outputs[-1]["sha256"],
             "seed": cfg.simulation.get("seed", 0),
             "wall_time_s": wall,
+            "environment": _environment(),
             "outputs": outputs,
         }
         _json_dump(os.path.join(out_dir, "manifest.json"), manifest)

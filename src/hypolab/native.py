@@ -1,0 +1,116 @@
+"""Generated C code built once per user and loaded with ctypes.
+
+``load(source, name, argtypes)`` returns the C function ``name`` of a shared
+library built from ``source``, or None when there is no compiler, the build
+fails or no cache directory can be trusted.  Libraries are cached by content:
+the file name is the sha256 of the source, the flags and the compiler's
+resolved path and modification time, so a warm cache starts no process.
+The cache is ``~/.cache/hypolab/native``, or ``hypolab-native-<uid>`` in the
+temp directory when that cannot be made; a directory is used only if it is
+ours and writable by nobody else.  A library is compiled in a temporary
+directory in the cache and renamed into place, so a reader never sees half
+of one, and its sha256 is kept beside it: a library that no longer has that
+digest is built again.
+
+Nothing here runs at import: the engine calls ``load`` on the first block
+that can use it.  Tests point ``COMPILER`` or ``CACHE`` elsewhere.
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import stat
+import tempfile
+
+COMPILER = "cc"
+CACHE: str | None = None  # None: the per-user default above
+# No fast-math, no -march=native: each operation rounds as written, so the
+# bits are numpy's; -ffp-contract=off keeps a * b + c from fusing.
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_BUILD_TIMEOUT_S = 120
+
+
+def load(source: str, name: str, argtypes: tuple):
+    """The C function ``name`` of ``source`` built as a shared library, or None."""
+    compiler, path = _locate(source)
+    if path is None or not (_intact(path) or _build(compiler, source, path)):
+        return None
+    try:
+        fn = getattr(ctypes.CDLL(path), name)
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = argtypes, None
+    return fn
+
+
+def _intact(path: str) -> bool:
+    """Whether the library at ``path`` has the sha256 recorded when it was built.
+    The loader maps a file as its headers describe it, so a truncated library
+    would crash the process rather than fail to load."""
+    try:
+        with open(path, "rb") as lib, open(path + ".sha256", encoding="ascii") as digest:
+            return hashlib.sha256(lib.read()).hexdigest() == digest.read()
+    except OSError:
+        return False
+
+
+def _locate(source: str) -> tuple[str | None, str | None]:
+    """The compiler's resolved path and the library's path in the cache."""
+    compiler = shutil.which(COMPILER)
+    directory = _cache_dir() if compiler else None
+    if directory is None:
+        return None, None
+    compiler = os.path.realpath(compiler)
+    try:
+        mtime = os.stat(compiler).st_mtime_ns
+    except OSError:
+        return None, None
+    key = hashlib.sha256()
+    for part in (source, *FLAGS, compiler, str(mtime)):
+        key.update(part.encode() + b"\0")
+    return compiler, os.path.join(directory, key.hexdigest() + ".so")
+
+
+def _cache_dir() -> str | None:
+    candidates = [CACHE]
+    if CACHE is None:
+        home = os.path.expanduser("~")  # "~" itself when there is no home
+        candidates = [os.path.join(tempfile.gettempdir(), f"hypolab-native-{os.getuid()}")]
+        if os.path.isabs(home):
+            candidates.insert(0, os.path.join(home, ".cache", "hypolab", "native"))
+    for path in candidates:
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            st = os.lstat(path)
+        except OSError:
+            continue
+        # a directory of ours, not a link, that no one else can write into
+        if stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022:
+            return path
+    return None
+
+
+def _build(compiler: str, source: str, path: str) -> bool:
+    """Compile ``source`` to ``path``, with its sha256 beside it; False when the
+    compiler fails."""
+    import subprocess  # only a build needs it: a warm run does without
+
+    try:
+        with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as work:
+            with open(os.path.join(work, "kernel.c"), "w", encoding="utf-8") as fh:
+                fh.write(source)
+            # run waits for the compiler, and kills it on timeout
+            subprocess.run([compiler, *FLAGS, "-o", "kernel.so", "kernel.c", "-lm"], cwd=work,
+                           check=True, stdin=subprocess.DEVNULL, capture_output=True,
+                           timeout=_BUILD_TIMEOUT_S)
+            with open(os.path.join(work, "kernel.so"), "rb") as lib, \
+                    open(os.path.join(work, "kernel.sha256"), "w", encoding="ascii") as digest:
+                digest.write(hashlib.sha256(lib.read()).hexdigest())
+            # the library first: a digest without its library is never read
+            os.replace(os.path.join(work, "kernel.so"), path)
+            os.replace(os.path.join(work, "kernel.sha256"), path + ".sha256")
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hypolab.fieldlang import CoefficientSet
+from hypolab.flows import simulate
 
 
 @pytest.fixture
@@ -36,3 +37,18 @@ def degenerate():
 
 def assert_close(a, b, rtol=0.0, atol=0.0):
     np.testing.assert_allclose(a, b, rtol=rtol, atol=atol)
+
+
+@pytest.fixture
+def force_route(monkeypatch):
+    """``force_route(route)`` runs the test's blocks natively where the model
+    allows ("native") or on the numpy kernel ("numpy"), and returns the set
+    that collects the routes the blocks then took."""
+
+    def force(route):
+        monkeypatch.setattr(simulate, "NATIVE", route == "native")
+        ran = set()
+        monkeypatch.setattr(simulate, "STEP_ROUTES", ran)
+        return ran
+
+    return force

@@ -1,6 +1,11 @@
 import gc
 import linecache
+import os
+import re
+import stat
+import subprocess
 import traceback
+from pathlib import Path
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -24,6 +29,7 @@ from hypolab.fieldlang import (
     compile_jacobian,
     compile_step_kernel,
     jacobian,
+    step_kernel_c,
 )
 from hypolab.flows import (
     SCHEMES,
@@ -38,6 +44,7 @@ from hypolab.flows import (
     simulate_flow,
     simulate_x,
 )
+from hypolab import native
 from hypolab.fieldlang.fields import _NEWTON_MAX_ITER, _NEWTON_TOL
 from hypolab.flows import brownian, simulate
 from hypolab.flows.brownian import standard_normal_stream
@@ -635,9 +642,17 @@ _ORACLE_MODELS = {
 }
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
-def test_engine_matches_the_dense_recurrence_bytes(name, scheme):
+@pytest.mark.parametrize(
+    "name,scheme,route",
+    [
+        pytest.param(name, scheme, route, id=f"{name}-{scheme}" + "-numpy" * (route == "numpy"))
+        for route in ("native", "numpy")
+        for scheme in SCHEMES
+        for name in sorted(_ORACLE_MODELS)
+    ],
+)
+def test_engine_matches_the_dense_recurrence_bytes(name, scheme, route, force_route):
+    ran = force_route(route)
     d, m, drift, sigma, x0, horizon, n, n_paths, seed = _ORACLE_MODELS[name]
     coeffs = CoefficientSet.from_text(d, m, drift, sigma)
     cfg = SimConfig(horizon=horizon, n_steps=n, x0=x0, scheme=scheme, seed=seed)
@@ -656,6 +671,8 @@ def test_engine_matches_the_dense_recurrence_bytes(name, scheme):
         assert res.covariances[:, k].tobytes() == np.moveaxis(c, -1, 0).tobytes(), f"C at {k}"
         if k in checkpoints:
             assert res.c_at[k].tobytes() == res.covariances[:, k].tobytes(), f"C at {k}"
+    # a silent fallback to numpy would pass the byte checks too
+    assert ran == {"numpy" if route == "numpy" or name == "dense-4x2" else "native"}
 
 
 def _kernel_source(coeffs, scheme="tamed-euler", flows=True, covariance=True):
@@ -1001,3 +1018,130 @@ def test_nearest_index_clips(ou):
     assert nearest_index(cfg, 0.5) == 64
     assert nearest_index(cfg, -1.0) == 0
     assert nearest_index(cfg, 9.0) == 128
+
+
+# ---------------------------------------------------------------------------
+# the native step loop and its fallbacks
+
+
+@pytest.fixture
+def fresh_loops(tmp_path, monkeypatch):
+    """Native loops built into an empty cache and probed anew, then forgotten."""
+    monkeypatch.setattr(native, "CACHE", str(tmp_path / "cache"))
+    simulate._native_loop.cache_clear()
+    yield tmp_path / "cache"
+    simulate._native_loop.cache_clear()
+
+
+def _heis_bytes():
+    """The bytes of a small heis run with flows and two C checkpoints."""
+    coeffs = CoefficientSet.from_text(3, 2, *_HEIS)
+    cfg = SimConfig(horizon=0.5, n_steps=32, x0=(1.0, 0.5, 0.0), seed=4)
+    res = run_ensemble(coeffs, cfg, 20, RecordSpec(c_checkpoints=(16, 32)))
+    arrays = (res.final_states, res.final_jacobians, res.diverged_step, res.c_at[16], res.c_at[32])
+    return [a.tobytes() for a in arrays]
+
+
+def _no_compiler(cache, monkeypatch):
+    monkeypatch.setattr(native, "COMPILER", str(cache.parent / "no-such-cc"))
+
+
+def _perturbed_source(cache, monkeypatch):
+    # a division made a product with the reciprocal, as -freciprocal-math
+    # would: the probe has to notice the moved roundings
+    def perturbed(*kernel):
+        source = step_kernel_c.__wrapped__(*kernel)
+        assert "(h * e0) / taming" in source
+        return source.replace("(h * e0) / taming", "(h * e0) * (1.0 / taming)", 1)
+
+    monkeypatch.setattr(simulate, "step_kernel_c", perturbed)
+
+
+def _truncated_library(cache, monkeypatch):
+    # built in another directory: a library this process has mapped must not
+    # be truncated in place, and the loader would reuse it by its path
+    elsewhere = cache.parent / "elsewhere"
+    monkeypatch.setattr(native, "CACHE", str(elsewhere))
+    monkeypatch.setattr(simulate, "NATIVE", True)
+    _heis_bytes()
+    (library,) = elsewhere.glob("*.so")
+    cache.mkdir(mode=0o700)
+    (cache / library.name).write_bytes(library.read_bytes()[:1000])
+    (cache / f"{library.name}.sha256").write_bytes(Path(f"{library}.sha256").read_bytes())
+    monkeypatch.setattr(native, "CACHE", str(cache))
+    simulate._native_loop.cache_clear()
+
+
+def _foreign_cache(cache, monkeypatch):
+    cache.mkdir(parents=True)
+    cache.chmod(0o777)  # anyone may write into it
+
+
+@pytest.mark.parametrize(
+    "fault,route",
+    [(_no_compiler, "numpy"), (_perturbed_source, "numpy"), (_truncated_library, "native"),
+     (_foreign_cache, "numpy")],
+    ids=["missing-compiler", "perturbed-source", "truncated-library", "foreign-cache"],
+)
+def test_native_faults_give_the_numpy_bytes_quietly(
+    fault, route, fresh_loops, monkeypatch, force_route, capfd
+):
+    force_route("numpy")
+    want = _heis_bytes()
+    fault(fresh_loops, monkeypatch)
+    ran = force_route("native")
+    assert _heis_bytes() == want
+    assert ran == {route}  # a truncated library is built again
+    assert capfd.readouterr() == ("", "")
+    with pytest.raises(ChildProcessError):  # every compiler run was waited for
+        os.waitpid(-1, os.WNOHANG)
+    if fault is _foreign_cache:
+        assert not any(fresh_loops.iterdir())
+    if fault is _truncated_library:
+        (library,) = fresh_loops.glob("*.so")
+        built_before = fresh_loops.parent / "elsewhere" / library.name
+        assert library.read_bytes() == built_before.read_bytes()
+
+
+def test_warm_cache_starts_no_process(fresh_loops, monkeypatch, force_route):
+    ran = force_route("native")
+    cold = _heis_bytes()
+    simulate._native_loop.cache_clear()
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a warm cache started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    assert _heis_bytes() == cold
+    assert ran == {"native"}
+    assert stat.S_IMODE(fresh_loops.stat().st_mode) == 0o700
+
+
+def test_c_loop_is_the_numpy_kernel_line_by_line():
+    # one emitter: each assignment of the C text is the numpy text's, with the
+    # literals in hexadecimal and np.add/np.subtract(a, b) as (a) + (b)
+    def c_text(line):
+        if line.startswith("np."):  # no argument holds a comma
+            op, args = line[3:].split("(", 1)
+            a, b, target = args[:-1].split(", ")
+            line = f"{target[4:]} = ({a}) {'-' if op == 'subtract' else '+'} ({b})"
+        line = line.replace("out[", "o[").replace("np.sqrt", "sqrt")
+        return re.sub(r"\((-?\d+\.\d+)\)", lambda mt: f"({float(mt[1]).hex()})", line)
+
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    for scheme in SCHEMES:
+        c_lines = [ln.strip() for ln in step_kernel_c(heis, scheme, True, True).splitlines()]
+        numpy_lines = [c_text(ln) for ln in _kernel_source(heis, scheme)
+                       if re.match(r"(np\.|out\[|taming|(e|t[xz]|A|G|S)\d)", ln)]
+        assert sum(ln.startswith("o[") for ln in numpy_lines) == 27
+        for ln in numpy_lines:
+            assert (f"{ln};" if ln.startswith("o[") else f"double {ln};") in c_lines, ln
+
+
+def test_transcendental_models_have_no_c_loop():
+    dense = CoefficientSet.from_text(4, 2, *_DENSE)
+    assert step_kernel_c(dense, "tamed-euler", True, True) is None
+    tanh = CoefficientSet.from_text(1, 1, "-x1", ["1 + 0.1*tanh(x1)"])
+    assert step_kernel_c(tanh, "euler", False, False) is None
+    assert step_kernel_c(CoefficientSet.from_text(1, 1, "-x1^3 / (1 + x1^2)", ["-x1"]),
+                         "euler", False, False) is not None

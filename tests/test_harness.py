@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -859,6 +860,49 @@ def test_cli_commands_never_import_scipy(tmp_path):
         [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("drift,route", [("-x1", "native"), ("-x1 + 0.1*sin(x1)", "numpy")],
+                         ids=["rational", "sin"])
+def test_manifest_environment_names_the_step_route(tmp_path, drift, route, force_route):
+    cfg = _write(tmp_path, OU_MODEL.replace("drift = -x1", f"drift = {drift}") + SIM)
+    outputs = {}
+    for forced in ("native", "numpy"):
+        force_route(forced)
+        out = tmp_path / forced
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.pop("environment") == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+            "step_route": route if forced == "native" else "numpy",
+        }
+        outputs[forced] = manifest["outputs"]
+    assert outputs["native"] == outputs["numpy"]  # only the manifest tells the routes apart
+
+
+def test_import_and_check_hormander_build_and_load_nothing_native(tmp_path):
+    # native code is built, probed and loaded on the first block that needs
+    # it: never at import, and never for a command that simulates nothing
+    out = tmp_path / "h"
+    script = "\n".join([
+        "import ctypes, os, subprocess",
+        "def refuse(*args, **kwargs):",
+        "    raise AssertionError('a process started or a library loaded')",
+        "subprocess.Popen = os.fork = os.posix_spawn = refuse",
+        "ctypes.CDLL.__init__ = refuse",
+        "import hypolab",
+        "from hypolab.harness.cli import main",
+        f"assert main(['check-hormander', '--config', 'configs/heisenberg_hormander.cfg', "
+        f"'--out', {str(out)!r}]) == 0",
+        "import sys",
+        "assert 'hypolab.native' not in sys.modules",
+    ])
+    root = Path(__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", script], cwd=root, env=_src_env(), check=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"]["step_route"] is None
 
 
 def test_cli_non_finite_local_bound_prints_only_its_error(tmp_path):

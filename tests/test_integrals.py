@@ -327,18 +327,28 @@ _MULTIPLICATIVE_2D = (
 _DOUBLE_WELL_LOSSY = ("x1 - x1^3", ["20"], (10.5,))
 
 
+_STREAMED = [
+    (_HEIS, "tamed-euler", 0.5, 128, 5, 40, 17, 0),
+    (_HEIS, "split-step-backward-euler", 0.5, 128, 5, 40, 17, 0),
+    (_MULTIPLICATIVE_2D, "euler", 0.5, 128, 5, 40, 17, 0),
+    (_DOUBLE_WELL_LOSSY, "euler", 1.0, 64, 3, 50, 7, 3),
+]
+
+
 @pytest.mark.parametrize(
-    "model,scheme,horizon,n,seed,n_paths,block,lost",
+    "model,scheme,horizon,n,seed,n_paths,block,lost,route",
     [
-        (_HEIS, "tamed-euler", 0.5, 128, 5, 40, 17, 0),
-        (_HEIS, "split-step-backward-euler", 0.5, 128, 5, 40, 17, 0),
-        (_MULTIPLICATIVE_2D, "euler", 0.5, 128, 5, 40, 17, 0),
-        (_DOUBLE_WELL_LOSSY, "euler", 1.0, 64, 3, 50, 7, 3),
+        pytest.param(*case, route, id=f"model{i}-" + "-".join(map(str, case[1:]))
+                     + "-numpy" * (route == "numpy"))
+        for route in ("native", "numpy")
+        for i, case in enumerate(_STREAMED)
     ],
 )
 def test_streamed_remainder_energy_is_bit_identical_to_stored_paths(
-    model, scheme, horizon, n, seed, n_paths, block, lost
+    model, scheme, horizon, n, seed, n_paths, block, lost, route, force_route
 ):
+    # the accumulator reads every index: the native loop runs one step a call
+    ran = force_route(route)
     drift, sigma, x0 = model
     coeffs = CoefficientSet.from_text(len(x0), len(sigma), drift, sigma)
     L = 3
@@ -369,6 +379,7 @@ def test_streamed_remainder_energy_is_bit_identical_to_stored_paths(
     cum[:, 1:] = np.cumsum(0.5 * (sq[:, :-1] + sq[:, 1:]) * cfg.h, axis=1)
     assert streamed.accumulated.shape == (n_paths, n + 1)
     assert np.array_equal(streamed.accumulated[alive], cum)
+    assert ran == {route}
 
 
 def test_streamed_remainder_energy_keeps_only_read_indices():
