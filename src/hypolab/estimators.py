@@ -235,10 +235,10 @@ def remainder_tails(
     estimated per t on a dyadic grid and the supremum over t reported per K,
     with common random numbers across both grids.
 
-    The energy integral is accumulated inside the engine's step loop by a
-    ``RemainderEnergy`` accumulator, which keeps only its value at the
-    (t/K) indices read here; no state, flow or increment path is stored, so
-    memory is bounded by one block's Brownian increments.
+    The energy integral is accumulated inside the engine's generated step, a
+    ``RemainderEnergy`` record whose value is kept only at the (t/K) indices
+    read here; no state, flow or increment path is stored, so memory is
+    bounded by one block's Brownian increments.
     """
     if L < 1:
         raise ConfigError("L must be >= 1")
@@ -255,10 +255,8 @@ def remainder_tails(
     x0 = np.asarray(ensemble.config.x0)
     read = sorted({nearest_index(config, t / k) for k in k_values for t in t_values})
     table = BracketTable(ensemble.coeffs)
-    energy = RemainderEnergy(L, target, table, x0, config.h, read)
-    res = run_ensemble(
-        ensemble.coeffs, config, ensemble.n_paths, RecordSpec(flows=True, accumulator=energy)
-    )
+    energy = RemainderEnergy(L, target, table, x0, read)
+    res = run_ensemble(ensemble.coeffs, config, ensemble.n_paths, RecordSpec(remainder=energy))
     alive = res.survivors()
     trials = int(alive.sum())
     cum = res.accumulated[alive]  # (trials, len(read))

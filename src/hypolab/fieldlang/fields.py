@@ -121,9 +121,8 @@ def jacobian(field: VectorField) -> tuple[tuple[Expression, ...], ...]:
 # ---------------------------------------------------------------------------
 # Vectorised compilation.  Every field compiler returns a function that accepts
 # X with shape (..., d) and returns float64 values with the documented trailing
-# shape (with ``component_major``: X (d, ...), that shape leading); the step
-# kernel works on the engine's state rows.  Non-finite values are not raised
-# here: simulation code masks and counts them instead.
+# shape; the step kernel works on the engine's state rows.  Non-finite values
+# are not raised here: simulation code masks and counts them instead.
 
 
 _SERIAL = itertools.count(1)
@@ -150,33 +149,24 @@ def _define(name: str, label: str, emit: Callable[[], list[str]]) -> Callable:
 
 
 @lru_cache(maxsize=1024)
-def compile_expression_stack(
-    exprs: tuple[Expression, ...], shape: tuple[int, ...], component_major: bool = False
-) -> Callable:
+def compile_expression_stack(exprs: tuple[Expression, ...], shape: tuple[int, ...]) -> Callable:
     """Compile a flat tuple of k expressions into one generated function
-    X (..., d) -> (..., *shape), or X (d, ...) -> (*shape, ...).
+    X (..., d) -> (..., *shape).
 
     The function reads X once as float64, assigns expression i to
-    ``out[..., i]`` of one (..., k) array (``out[i]`` of a (k, ...) one from
-    rows ``X[i]`` when component-major; a constant broadcasts), and reshapes
-    to ``shape``.
+    ``out[..., i]`` of one (..., k) array (a constant broadcasts), and
+    reshapes to ``shape``.
     """
     k = len(exprs)
-    if component_major:
-        var, alloc, result = "X[{}]", f"({k},) + X.shape[1:]", f"{shape!r} + X.shape[1:]"
-    else:
-        var, alloc, result = "X[..., {}]", f"X.shape[:-1] + ({k},)", f"X.shape[:-1] + {shape!r}"
-    slot = var.replace("X", "out")
-    layout = "component-major" if component_major else "row-major"
 
     def emit():
-        lines, texts = _np_lines(exprs, var)
-        lines += [f"{slot.format(i)} = {t}" for i, t in enumerate(texts)]
-        body = ["X = np.asarray(X, np.float64)", f"out = np.empty({alloc})", *lines,
-                f"return out.reshape({result})"]
+        lines, texts = _np_lines(exprs, "X[..., {}]")
+        lines += [f"out[..., {i}] = {t}" for i, t in enumerate(texts)]
+        body = ["X = np.asarray(X, np.float64)", f"out = np.empty(X.shape[:-1] + ({k},))",
+                *lines, f"return out.reshape(X.shape[:-1] + {shape!r})"]
         return ["def stack(X):", *(f"    {line}" for line in body)]
 
-    return _define("stack", f"fieldlang stack {shape} {layout}", emit)
+    return _define("stack", f"fieldlang stack {shape}", emit)
 
 
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 50
@@ -250,15 +240,15 @@ static int solve(double h, {xs}, double *z)
 """
 
 # C's step loop over grid indices k0..k1 and then over the B paths of a
-# block, in place: a path's new rows go to ``o`` and are stored only when all
-# are finite (and its solve converged); otherwise the path is marked lost at
-# k and keeps its state, as in the engine's masked numpy step.
+# block, in place: a path's new rows go to ``o`` and are stored only when its
+# new state rows are finite (and its solve converged); otherwise the path is
+# marked lost at k and keeps all its rows, as in the engine's masked step.
 _C_RUN = """\
 #include <math.h>
 #include <stdint.h>
 {newton}
 void run(double *s, const double *dw, double h, int64_t B, int64_t k0, int64_t k1,
-         int64_t *diverged)
+         int64_t *diverged, const double *T)
 {{
     for (int64_t k = k0; k < k1; ++k) {{
         const double *dwk = dw + k * {m} * B;
@@ -268,7 +258,7 @@ void run(double *s, const double *dw, double h, int64_t B, int64_t k0, int64_t k
             double o[{rows}];
             int ok = 1;
             {body}
-            for (int r = 0; r < {rows}; ++r)
+            for (int r = 0; r < {state}; ++r)
                 ok = ok && isfinite(o[r]);
             if (!ok) {{
                 diverged[b] = k;
@@ -345,12 +335,13 @@ def _newton_source(drift: VectorField, c: bool = False):
 
 
 def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
+                 identity: bool = False, remainder: tuple | None = None,
                  c: bool = False) -> list[str]:
     """The source lines of ``compile_step_kernel``'s step, or with ``c`` of
     ``step_kernel_c``'s loop: one emission, in which only the statements'
     form depends on ``c``.  numpy's statements act on rows of B paths and
-    write the new state to ``out``; C's act on one path's doubles and write
-    it to ``o``, which ``_C_RUN`` stores when every row is finite."""
+    write the new rows to ``out``; C's act on one path's doubles and write
+    them to ``o``, which ``_C_RUN`` stores when the state rows are finite."""
     d, m = coeffs.d, coeffs.m
     implicit = scheme == "split-step-backward-euler"
     sigma = [[col.components[q] for col in coeffs.diffusion] for q in range(d)]
@@ -360,6 +351,12 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     rows = [f"x{i}" for i in range(d)]
     rows += [f"{M}{p}_{r}" for M in "JK" for p, r in pairs if flows]
     rows += [f"C{p}_{r}" for p, r in upper if covariance]
+    state = len(rows)
+    rows += ["sup"] * identity
+    if remainder:
+        target, prefixes, indices = remainder
+        integral = {e: "I" + "_".join(map(str, e)) for e in prefixes}
+        rows += ["cum", "E", *integral.values()]
     if c:
         body = [let(name, f"s[b + {n} * B]") for n, name in enumerate(rows)]
         body += [let(f"dw{i}", f"dwk[b + {i} * B]") for i in range(m)]
@@ -434,37 +431,75 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         for p, r in upper:
             terms = total(mul(S[p][i], S[r][i]) for i in range(m))
             update(f"C{p}_{r}", "add", terms and f"h * ({terms})")
+
+    def new(name):  # the row ``name`` at k + 1
+        return f"{'o' if c else 'out'}[{rows.index(name)}]"
+
+    def store(name, text):
+        body.append(f"{new(name)} = {text}{';' * c}")
+
+    if identity:  # the running max of |K J - I|, summed as _identity_defect sums
+        for p, r in pairs:
+            kj = " + ".join(f"{new(f'K{p}_{q}')} * {new(f'J{q}_{r}')}" for q in range(d))
+            body.append(let(f"D{p}_{r}", f"{kj} - {one}" if p == r else kj))
+        squares = " + ".join(f"D{p}_{r} * D{p}_{r}" for p, r in pairs)
+        body.append(let("defect", f"{sqrt}({squares})"))
+        # numpy's maximum: a NaN on either side wins
+        store("sup", "(isnan(sup) || sup >= defect) ? sup : defect" if c
+              else "np.maximum(sup, defect)")
+    ystart = len(body)
+    if remainder:
+        for e, name in integral.items():  # (1 + 1) / 2 * dW is dW, exactly
+            w = "h" if e[-1] == 0 else f"dw{e[-1] - 1}"
+            prefix = integral.get(e[:-1])
+            update(name, "add", f"{_literal(0.5, c)} * ({prefix} + {new(prefix)}) * {w}"
+                   if prefix else w)
+        body += [let(f"y{i}", new(f"x{i}")) for i in range(d)]
+        ystart = len(body)
+        for p in range(d):
+            pullback = total(mul(new(f"K{p}_{q}"), factor(target.components[q], "y"))
+                             for q in range(d))
+            truncation = total(mul(f"T[{a * d + p}]" if c else f"T[{a}, {p}]",
+                                   new(integral[e]) if e else one)
+                               for a, e in enumerate(indices))
+            pullback = pullback or _literal(0.0, c)
+            body.append(let(f"R{p}", f"{pullback} - ({truncation})" if truncation else pullback))
+        body.append(let("En", " + ".join(f"R{p} * R{p}" for p in range(d))))
+        update("cum", "add", f"{_literal(0.5, c)} * (E + En) * h")
+        store("E", "En")
     if not c:
-        body.append("return converged & ~failed" if implicit else "return None")
-    for at in "zx":  # the entries at z; then, before them, at X
-        group = {e: n for (e, where), n in names.items() if where == at}
+        finite = f"np.isfinite(out[:{state}]).all(axis=0)"
+        body.append(f"return {finite} & converged & ~failed" if implicit else f"return {finite}")
+    for at, where in (("y", ystart), ("z", start), ("x", start)):  # x's entries come first
+        group = {e: n for (e, place), n in names.items() if place == at}
         lines, texts = _np_lines(tuple(group), at + "{}", "t" + at, c)
-        body[start:start] = lines + [let(n, t) for n, t in zip(group.values(), texts)]
+        body[where:where] = lines + [let(n, t) for n, t in zip(group.values(), texts)]
     if not c:
-        return ["def step(s, out, dw, h):", *(f"    {line}" for line in body)]
+        return ["def step(s, out, dw, h, T=None):", *(f"    {line}" for line in body)]
     return _C_RUN.format(
         newton=_newton_source(coeffs.drift, c=True) if implicit else "", m=m,
-        rows=len(rows), body="\n            ".join(body),
+        rows=len(rows), state=state, body="\n            ".join(body),
     ).splitlines()
 
 
 @lru_cache(maxsize=256)
 def compile_step_kernel(
-    coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool
+    coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
+    identity: bool = False, remainder: tuple | None = None,
 ) -> Callable:
-    """One generated step ``step(s, out, dw, h)`` of the ensemble engine.
+    """One generated step ``step(s, out, dw, h, T=None)`` of the ensemble engine.
 
     ``s`` holds a block's state as rows of B paths: X (d rows), then with
     ``flows`` J and K (d*d rows each), then with ``covariance`` too C's upper
     triangle, all row-major.  The step writes to ``out`` X + drift + noise
     under ``scheme`` (noise sigma(z) dW at the split-step scheme's solved
     point ``z``), J + A J, K - K G and C + h S S^T with S = K sigma(X), for
-    the (m, B) increments ``dw``.  It returns None, or under the split-step
-    scheme the rows' mask of converged solves (``_NEWTON``).  That solve
-    does not pivot: ``SimConfig`` refuses h L >= 1 for a monotone bound L,
-    so the symmetric part of I - h grad b is at least (1 - h L) I, and the
-    LU factorisation exists without pivoting (Golub and Van Loan); a zero
-    or non-finite pivot fails its own row only.  Each subexpression of b,
+    the (m, B) increments ``dw``, and returns the mask of paths whose new
+    state is finite and whose split-step solve converged.  That solve does
+    not pivot: ``SimConfig`` refuses h L >= 1 for a monotone bound L, so the
+    symmetric part of I - h grad b is at least (1 - h L) I, and the LU
+    factorisation exists without pivoting (Golub and Van Loan); a zero or
+    non-finite pivot fails its own row only.  Each subexpression of b,
     sigma, grad b and grad sigma_i is evaluated once; each product with a
     constant-0 factor (of either sign) is left out, as is a factor 1.0; sums
     add the rest in ascending index order.  numpy's axis sums start from
@@ -472,38 +507,52 @@ def compile_step_kernel(
     ``+ 0.0``, so X keeps its bits, and entries of J, K and C, which start
     at 0.0 or 1.0, can never become -0.0.
 
+    Record rows follow the state and never decide whether a path is lost.
+    ``identity`` adds the running max of |K J - I|, summed as
+    ``simulate._identity_defect`` sums.  ``remainder = (target, prefixes,
+    indices)`` adds ``integrals.RemainderEnergy``'s rows cum, E and I_e per
+    prefix: I_{e j} += (I_e + I_e')/2 dW^j (dW^0 = h) in ``prefixes`` order,
+    R = K' target(X') - sum_a T[a] I_{indices[a]}', E' = |R|^2 and cum +=
+    (E + E') h / 2, ' marking new rows and ``T`` being the (len(indices), d)
+    coefficients: the stored-path oracle's float operations, but for the
+    sign of a zero R, which E squares away.
+
     ``step_kernel_c`` renders the same lines as C, one path at a time, and
     the engine runs that loop instead wherever it can: its calls stop only
-    at the grid indices a block's accumulators read.  This step runs for
-    models with sin, cos, exp or tanh, where the C loop could not be built
-    or failed its probe, and as the native loop's oracle.
+    at the grid indices a block keeps.  This step runs for models or
+    remainder targets with sin, cos, exp or tanh, where the C loop could not
+    be built or failed its probe, and as the native loop's oracle.
     """
-    label = f"hypolab step d={coeffs.d} m={coeffs.m} {scheme}" + " JK" * flows + " C" * covariance
-    return _define("step", label, lambda: _step_source(coeffs, scheme, flows, covariance))
+    label = (f"hypolab step d={coeffs.d} m={coeffs.m} {scheme}" + " JK" * flows + " C" * covariance
+             + " sup" * identity + " R" * bool(remainder))
+    return _define("step", label, lambda: _step_source(coeffs, scheme, flows, covariance,
+                                                       identity, remainder))
 
 
 @lru_cache(maxsize=256)
-def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool):
-    """C source of the step loop ``run(s, dw, h, B, k0, k1, diverged)``, or None
-    when a field uses sin, cos, exp or tanh.
+def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
+                  identity: bool = False, remainder: tuple | None = None):
+    """C source of the step loop ``run(s, dw, h, B, k0, k1, diverged, T)``, or
+    None when a field or the remainder target uses sin, cos, exp or tanh.
 
     ``run`` takes grid indices k0..k1 of a block in place: ``s`` is the
     (rows, B) state of ``compile_step_kernel``, ``dw`` the (n, m, B)
-    increments and ``diverged`` the (B,) int64 steps at which paths were
-    lost, -1 for none.  Each step is ``compile_step_kernel``'s, line by line,
-    on one path's doubles: the same operations in the same order, constants
+    increments, ``diverged`` the (B,) int64 steps at which paths were lost,
+    -1 for none, and ``T`` the remainder's coefficients.  Each step is
+    ``compile_step_kernel``'s, line by line, on one path's doubles: the same operations in the same order, constants
     as exact hexadecimal literals, and the split-step solve with the same
     schedule.  A path whose new X, J, K or C has a non-finite entry, or whose
-    solve fails, gets ``diverged = k`` and keeps its state; a lost path is
-    not stepped again.  Compiled without contraction into fused multiply-adds
-    (``-ffp-contract=off``), every operation rounds as numpy's does, so the
-    bits agree; the engine checks that on a probe block before it uses the
-    loop.
+    solve fails, gets ``diverged = k`` and keeps all its rows, records too; a
+    lost path is not stepped again.  Compiled without contraction into fused
+    multiply-adds (``-ffp-contract=off``), every operation rounds as numpy's
+    does, so the bits agree; the engine checks that on a probe block before
+    it uses the loop.
     """
-    fields = (coeffs.drift, *coeffs.diffusion)
+    fields = (coeffs.drift, *coeffs.diffusion, *(remainder[:1] if remainder else ()))
     if not all(_rational(e) for f in fields for e in f.components):
         return None
-    return "\n".join(_step_source(coeffs, scheme, flows, covariance, c=True)) + "\n"
+    source = _step_source(coeffs, scheme, flows, covariance, identity, remainder, c=True)
+    return "\n".join(source) + "\n"
 
 
 def _rational(expr: Expression) -> bool:
@@ -524,18 +573,18 @@ def _rational(expr: Expression) -> bool:
     return True
 
 
-def compile_field(field: VectorField, component_major: bool = False) -> Callable:
+def compile_field(field: VectorField) -> Callable:
     """X (..., d) -> field values (..., d)."""
-    return compile_expression_stack(field.components, (field.dim,), component_major)
+    return compile_expression_stack(field.components, (field.dim,))
 
 
-def compile_jacobian(field: VectorField, component_major: bool = False) -> Callable:
+def compile_jacobian(field: VectorField) -> Callable:
     """X (..., d) -> Jacobian values (..., d, d), row j col i = d f_j / d x_i."""
     flat = tuple(entry for row in jacobian(field) for entry in row)
-    return compile_expression_stack(flat, (field.dim, field.dim), component_major)
+    return compile_expression_stack(flat, (field.dim, field.dim))
 
 
-def compile_diffusion(coeffs: CoefficientSet, component_major: bool = False) -> Callable:
+def compile_diffusion(coeffs: CoefficientSet) -> Callable:
     """X (..., d) -> diffusion matrix (..., d, m)."""
     exprs = tuple(col.components[i] for i in range(coeffs.d) for col in coeffs.diffusion)
-    return compile_expression_stack(exprs, (coeffs.d, coeffs.m), component_major)
+    return compile_expression_stack(exprs, (coeffs.d, coeffs.m))

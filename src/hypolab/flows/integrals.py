@@ -8,14 +8,16 @@ integral of W dW, and nested integrals reuse the same grid: quadrature
 error is absorbed into the convergence tests rather than substep
 refinement.
 
-The rule has two forms with the same float operations: ``RemainderEnergy``
-advances its prefix integrals one grid step at a time inside the engine's
-step loop, and ``iterated_integral`` and ``chaos_remainder_path`` form them
-along the whole given path at once, by one ``cumsum`` each.
-``RemainderEnergy.remainder`` forms R = K target(X) - sum T_alpha I_alpha
-on (d, B) rows for both: the engine's B paths at one grid index, or one
-path with time as the B axis.  The stored-path oracle in
-``tests/test_integrals.py`` agrees with both bit for bit.
+The rule has two forms with the same float operations.  In an ensemble,
+``RemainderEnergy`` is a record of the engine: its prefix integrals, the
+remainder R = K target(X) - sum T_alpha I_alpha and the trapezoid energy
+are rows of the generated step (``fieldlang.compile_step_kernel``), one
+grid step at a time.  ``iterated_integral`` and ``chaos_remainder_path``
+form the integrals along the whole given path at once, by one ``cumsum``
+each, and ``RemainderEnergy.remainder`` forms R on that path with time as
+its B axis.  The stored-path oracle in ``tests/test_integrals.py`` agrees
+with both bit for bit: with R itself on a path, and with the energy in an
+ensemble, where only the sign of a zero R may differ.
 """
 from __future__ import annotations
 
@@ -37,26 +39,13 @@ __all__ = [
 ]
 
 
-def _midpoint_step(integrals: dict, prefixes, base, dw, h: float) -> dict:
-    """The prefix integrals one grid step on, by the midpoint rule
-    I_{e j}(k+1) = I_{e j}(k) + (I_e(k) + I_e(k+1))/2 * dW^j_k, dW^0 = h.
-
-    ``integrals`` maps each prefix e to I_e(k), and the empty prefix to the
-    integrand z_k; ``base`` is z_{k+1} and ``dw[j - 1]`` is dW^j_k.  Every
-    prefix comes after its own prefix in ``prefixes``.
-    """
-    new = {(): base}
-    for e in prefixes:
-        w = h if e[-1] == 0 else dw[e[-1] - 1]
-        new[e] = integrals[e] + 0.5 * (integrals[e[:-1]] + new[e[:-1]]) * w
-    return new
-
-
 def _midpoint_paths(prefixes, z, dw, h: float) -> dict:
-    """``_midpoint_step`` along a whole grid: the path of each prefix integral
-    of ``z`` (n+1, ...) against the increments ``dw`` (n, m), its midpoint
-    terms summed in sequence by one in-place ``cumsum`` from 0, and so with
-    the float operations of ``_midpoint_step``."""
+    """The path of each prefix integral of ``z`` (n+1, ...) against the
+    increments ``dw`` (n, m) by the midpoint rule I_{e j}(k+1) = I_{e j}(k)
+    + (I_e(k) + I_e(k+1))/2 * dW^j_k, dW^0 = h, with I_() = z; each prefix
+    comes after its own prefix in ``prefixes``.  The midpoint terms are
+    summed in sequence by one in-place ``cumsum`` from 0, so with the float
+    operations of the engine's step-by-step update."""
     paths = {(): z}
     for e in prefixes:
         f = paths[e[:-1]]
@@ -124,7 +113,7 @@ def chaos_remainder_path(
     its B axis.
     """
     states = trajectory.states
-    spec = RemainderEnergy(L, target, table, states[0], grid.h, ())
+    spec = RemainderEnergy(L, target, table, states[0], ())
     integrals = _midpoint_paths(spec.prefixes, np.ones(len(states)), grid.increments, grid.h)
     return spec.remainder(states.T, np.moveaxis(flow.inverses, 0, -1), integrals).T
 
@@ -145,70 +134,33 @@ def chaos_remainder(
 
 
 class RemainderEnergy:
-    """Per-step accumulator of the trapezoid remainder energy of an ensemble.
+    """The trapezoid remainder energy of an ensemble, as ``RecordSpec.remainder``.
 
-    A factory for ``RecordSpec.accumulator``: calling it with a block size B
-    returns the block's accumulator.  At grid index k that accumulator forms
-    R_k = K_k target(X_k) - sum_alpha T_alpha I_alpha(k), adds
-    (|R_{k-1}|^2 + |R_k|^2) h / 2 to a running integral, keeps that integral
-    at the ``read`` indices, and advances the unit-process iterated integrals
-    by the midpoint update I_{alpha j}(k+1) = I_{alpha j}(k)
-    + (I_alpha(k) + I_alpha(k+1))/2 * dW^j_k (dW^0 = h).  Only multi-indices
-    with a nonzero coefficient are kept, each prefix of them is advanced once
-    in length order, and the float operations are those of the stored-path
-    oracle in the tests followed by a trapezoid ``cumsum``.
+    The engine's step then forms R_k = K_k target(X_k) - sum_alpha T_alpha
+    I_alpha(k) over the multi-indices alpha of weight <= L - 1 with a nonzero
+    T_alpha = T_alpha(target)(x0), adds (|R_{k-1}|^2 + |R_k|^2) h / 2 to a
+    running integral, and keeps it at the grid indices ``read``: column
+    ``columns[k]`` of ``EnsembleResult.accumulated``.  The step takes the
+    coefficients as an argument, so runs at another x0 share it.
     """
 
-    def __init__(self, L, target, table, x0, h, read):
-        self.terms = [
-            (alpha.entries, coeff)
-            for alpha, coeff in expansion_coefficients(L, target, table, x0)
-            if np.any(coeff)
-        ]
-        prefixes = {e[:r] for e, _ in self.terms for r in range(1, len(e) + 1)}
-        self.prefixes = sorted(prefixes, key=lambda e: (len(e), e))
-        self.field = compile_field(target, component_major=True)
-        self.h = h
-        self.columns = {idx: col for col, idx in enumerate(read)}
+    def __init__(self, L, target, table, x0, read):
+        terms = [(alpha.entries, coeff) for alpha, coeff in
+                 expansion_coefficients(L, target, table, x0) if np.any(coeff)]
+        self.target = target
+        self.indices = tuple(e for e, _ in terms)
+        self.coefficients = np.array([c for _, c in terms], dtype=float).reshape(-1, target.dim)
+        prefixes = {e[:r] for e in self.indices for r in range(1, len(e) + 1)}
+        self.prefixes = tuple(sorted(prefixes, key=lambda e: (len(e), e)))
+        self.read = tuple(dict.fromkeys(read))  # each index once, in the given order
+        self.columns = {idx: col for col, idx in enumerate(self.read)}
 
     def remainder(self, x, k_inv, integrals) -> np.ndarray:
         """R = K target(X) - sum_alpha T_alpha I_alpha on rows x (d, B) and
-        k_inv (d, d, B), from the kept unit-process integrals, each (B,)."""
-        pullback = (k_inv * self.field(x)).sum(axis=1)
+        k_inv (d, d, B), from the unit-process integrals by prefix, each (B,)
+        or a scalar, and the unit process itself by ``()``."""
+        pullback = (k_inv * compile_field(self.target)(x.T).T).sum(axis=1)
         truncation = np.zeros_like(pullback)
-        for e, coeff in self.terms:
+        for e, coeff in zip(self.indices, self.coefficients):
             truncation += coeff[:, None] * integrals[e]
         return pullback - truncation
-
-    def __call__(self, B: int) -> "_EnergyBlock":
-        return _EnergyBlock(self, B)
-
-
-class _EnergyBlock:
-    """The running integrals of one block of paths."""
-
-    def __init__(self, spec: RemainderEnergy, B: int):
-        self.spec = spec
-        self.integrals = {e: np.zeros(B) for e in spec.prefixes}
-        self.integrals[()] = np.ones(B)  # the unit process
-        self.cum = np.zeros(B)
-        self.prev = None
-        self.out = np.zeros((B, len(spec.columns)))
-
-    def step(self, k, x, j, k_inv, c, dw) -> None:
-        """The engine's hook; reads x (d, B), k_inv (d, d, B) and dw (m, B)
-        or None."""
-        spec, ints = self.spec, self.integrals
-        rem = spec.remainder(x, k_inv, ints)
-        energy = np.sum(rem * rem, axis=0)
-        if self.prev is not None:
-            self.cum = self.cum + 0.5 * (self.prev + energy) * spec.h
-        self.prev = energy
-        if k in spec.columns:
-            self.out[:, spec.columns[k]] = self.cum
-        if dw is not None:
-            self.integrals = _midpoint_step(ints, spec.prefixes, ints[()], dw, spec.h)
-
-    def result(self) -> np.ndarray:
-        """The running integral at each read index, shape (B, len(read))."""
-        return self.out

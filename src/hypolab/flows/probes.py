@@ -21,7 +21,7 @@ from ..fieldlang import (
     compile_field,
     compile_jacobian,
 )
-from .simulate import RecordSpec, SimConfig, _RunningMax, run_ensemble
+from .simulate import RecordSpec, SimConfig, run_ensemble
 
 __all__ = ["AssumptionProbe", "assumption_probe", "MomentProbe", "moment_probe"]
 
@@ -229,11 +229,6 @@ def _finite(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _sup_norm(B: int) -> _RunningMax:
-    """Accumulator of the per-path sup over the grid of |X_k|."""
-    return _RunningMax(lambda x, *_: np.sqrt(np.add.reduce(x * x, axis=0)), B)
-
-
 def moment_probe(
     coeffs: CoefficientSet,
     config: SimConfig,
@@ -256,10 +251,13 @@ def moment_probe(
     diverged = []
     for x0 in x0_values:
         res = run_ensemble(
-            coeffs, replace(config, x0=x0), n_paths, RecordSpec(flows=False, accumulator=_sup_norm)
+            coeffs, replace(config, x0=x0), n_paths, RecordSpec(flows=False, store_paths=True)
         )
         diverged.append(res.diverged_count)
-        sups.append(res.accumulated[res.survivors()])
+        x = np.moveaxis(res.states, -1, 0)  # (d, paths, n + 1)
+        with np.errstate(over="ignore"):  # sup_k |X_k|^2, inf where a square overflows
+            sq = np.add.reduce(x * x, axis=0).max(axis=1)
+        sups.append(np.sqrt(sq[res.survivors()]))  # sqrt is monotone: the same bits
     estimates = {}
     std_errors = {}
     fitted = {}

@@ -18,11 +18,12 @@ one (rows, B) buffer.  For a model built from ``+ - * /``, powers and
 constants, the block runs natively: the same lines rendered as C
 (``fieldlang.step_kernel_c``), whose loop over steps and paths updates the
 buffer in place and is called once per stretch of grid indices that no
-accumulator reads; it is used only if it gives the numpy kernel's bytes on
-a probe block.  Otherwise, and for models with sin, cos, exp or tanh, each
-step is one call of ``fieldlang.compile_step_kernel`` on rows of B paths,
-which writes to a second buffer.  ``NATIVE = False`` forces that route,
-the native loop's oracle, and ``STEP_ROUTES`` collects the routes that ran.
+record keeps; it is used only if it gives the numpy kernel's bytes on a
+probe block.  Otherwise, and for models or remainder targets with sin,
+cos, exp or tanh, each step is one call of ``fieldlang.compile_step_kernel``
+on rows of B paths, which writes to a second buffer.  ``NATIVE = False``
+forces that route, the native loop's oracle, and ``STEP_ROUTES`` collects
+the routes that ran.
 
 State schemes: ``tamed-euler`` divides the drift increment by 1 + h|b| so
 superlinear monotone drifts cannot blow the explicit step up;
@@ -37,25 +38,20 @@ step-major (n, m, B) increment blocks and merge per-path records in stream
 order, so no output bit depends on the block size.  The single-path helpers
 run the same engine on a batch of one given grid.
 
-Everything a block records per path goes through one hook: an accumulator
-``acc`` with ``acc.step(k, x, j, k_inv, c, dw)`` and ``acc.result()``.
-Each block builds its own accumulators and calls ``step`` once per grid
-index k = 0..n, before the step that leaves k; when every accumulator is a
-kept view (below), only at the indices they keep and at n, so the native
-loop runs unbroken in between.  The call gets views of the state at k:
-x (d, B), J and K (d, d, B), or ``None`` without flows, and the rows of
-C's upper triangle, (d(d+1)/2, B), empty unless C is accumulated.  ``dw``
-is the (m, B) increment rows that leave k, ``None`` at k = n.  Lost paths
-show their frozen columns.  The views are valid during the call only: the
-next step overwrites them, so an accumulator copies what it keeps.  Stored
-paths and C/J checkpoints are one such accumulator, a view kept at some
-indices and moved to the per-path layout once, in ``result()``; sup_k
-|K_k J_k - I| is another, and ``RecordSpec.accumulator`` adds one more, a
-factory ``B -> acc``, such as ``integrals.RemainderEnergy``, whose
-remainder formula on (d, B) rows the single-path ``chaos_remainder_path``
-applies to a stored path.  ``step`` returns nothing the engine reads.  Each
-``result()`` is a per-path array, or a dict of them by grid index, merged
-in stream order into its field of ``EnsembleResult``.
+A block records per path in two ways, both set by ``RecordSpec``.  Running
+records are rows of the generated step, after the state rows: sup_k
+|K_k J_k - I| (``track_flow_identity``), and the remainder energy of an
+``integrals.RemainderEnergy`` with the unit-process integrals it needs
+(``remainder``).  Only the X, J, K and C rows decide whether a path is
+lost; a lost path's record rows freeze with its state, and no caller reads
+them.  Kept views copy parts of the state at some grid indices: stored
+paths, C and J at checkpoints, and the remainder energy at its read
+indices.  The engine leaves the step loop only at the indices some view
+keeps and at n, so the native loop runs unbroken in between.  A view
+copies what it keeps, paths last, and moves it to the per-path layout
+once, at the end of the block; those per-path arrays, or dicts of them by
+grid index, are merged in stream order into the fields of
+``EnsembleResult``.
 """
 from __future__ import annotations
 
@@ -63,7 +59,7 @@ import ctypes
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -76,6 +72,9 @@ from ..errors import (
 )
 from ..fieldlang import CoefficientSet, compile_step_kernel, step_kernel_c
 from .brownian import BrownianGrid, _brownian_paths
+
+if TYPE_CHECKING:
+    from .integrals import RemainderEnergy
 
 __all__ = [
     "SCHEMES",
@@ -218,19 +217,21 @@ class RecordSpec:
     ``store_paths`` keeps every view the run has at every grid index: X,
     J and K when the run has flows, and C when it accumulates C;
     ``c_checkpoints`` accumulates C and keeps C and J at the given indices;
-    ``track_flow_identity`` keeps sup_k |K_k J_k - I|; ``accumulator`` is a
-    factory ``B -> acc`` whose results fill ``EnsembleResult.accumulated``.
+    ``track_flow_identity`` keeps sup_k |K_k J_k - I|; ``remainder``, an
+    ``integrals.RemainderEnergy``, keeps the running remainder energy at its
+    ``read`` indices in ``EnsembleResult.accumulated``.
     """
 
     flows: bool = True
     store_paths: bool = False
-    accumulator: Callable | None = None
+    remainder: RemainderEnergy | None = None
     c_checkpoints: tuple[int, ...] = ()
     track_flow_identity: bool = False
 
     @property
     def needs_flows(self) -> bool:
-        return self.flows or bool(self.c_checkpoints) or self.track_flow_identity
+        return (self.flows or bool(self.c_checkpoints) or self.track_flow_identity
+                or self.remainder is not None)
 
 
 @dataclass(slots=True)
@@ -249,7 +250,7 @@ class EnsembleResult:
     jacobians: np.ndarray | None = None
     inverses: np.ndarray | None = None
     covariances: np.ndarray | None = None
-    accumulated: np.ndarray | None = None
+    accumulated: np.ndarray | None = None  # the remainder energy at its read indices
 
     @property
     def n_paths(self) -> int:
@@ -281,11 +282,12 @@ def _identity_defect(j: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
 
 
 class _Kept:
-    """One state view kept at some grid indices.
+    """One part of a block's state kept at some grid indices.
 
-    Each view is copied as it comes, paths last, into a (len(indices), ..., B)
-    buffer; ``result`` moves that buffer to the (B, len(indices), ...) layout
-    once, or, ``by_index``, to {k: (B, ...)}.
+    ``read`` takes the parts ``_views`` gives; each view is copied as it
+    comes, paths last, into a (len(indices), ..., B) buffer; ``result``
+    moves that buffer to the (B, len(indices), ...) layout once, or,
+    ``by_index``, to {k: (B, ...)}.
     """
 
     def __init__(self, read, shape, indices, by_index=False):
@@ -293,7 +295,7 @@ class _Kept:
         self.rows = {k: r for r, k in enumerate(indices)}
         self.kept = np.empty((len(self.rows),) + shape)
 
-    def step(self, k, *views):
+    def step(self, k, views):
         if k in self.rows:
             self.kept[self.rows[k]] = self.read(*views)
 
@@ -302,21 +304,8 @@ class _Kept:
         return {k: kept[:, r] for k, r in self.rows.items()} if self.by_index else kept
 
 
-class _RunningMax:
-    """Per-path max over the grid of a norm of the state views, from 0."""
-
-    def __init__(self, norm, B):
-        self.norm, self.sup = norm, np.zeros(B)
-
-    def step(self, k, *views):
-        self.sup = np.maximum(self.sup, self.norm(*views))
-
-    def result(self):
-        return self.sup
-
-
 def _recorders(record: RecordSpec, B: int, n: int, d: int) -> dict:
-    """A block's accumulators, keyed by the ``EnsembleResult`` field each fills."""
+    """A block's kept views, keyed by the ``EnsembleResult`` field each fills."""
     reads = {"states": (lambda x, *_: x, (d, B))}  # each view the run has, (..., B)
     if record.needs_flows:
         reads["jacobians"] = (lambda x, j, *_: j, (d, d, B))
@@ -324,7 +313,7 @@ def _recorders(record: RecordSpec, B: int, n: int, d: int) -> dict:
     if record.c_checkpoints:
         tri = np.zeros((d, d), dtype=np.intp)  # C[p, r] is C's triangle row tri[p, r]
         tri[np.triu_indices(d)] = tri.T[np.triu_indices(d)] = np.arange(d * (d + 1) // 2)
-        reads["covariances"] = (lambda x, j, k_inv, c, dw: c[tri], (d, d, B))
+        reads["covariances"] = (lambda x, j, k_inv, c, rec: c[tri], (d, d, B))
     recs = {}
     if record.store_paths:
         recs = {name: _Kept(*read, range(n + 1)) for name, read in reads.items()}
@@ -332,44 +321,46 @@ def _recorders(record: RecordSpec, B: int, n: int, d: int) -> dict:
     if at:
         recs["c_at"] = _Kept(*reads["covariances"], at, by_index=True)
         recs["j_at"] = _Kept(*reads["jacobians"], at, by_index=True)
-    if record.track_flow_identity:
-        recs["flow_identity_sup"] = _RunningMax(
-            lambda x, j, k_inv, *_: _identity_defect(j, k_inv), B
-        )
-    if record.accumulator is not None:
-        recs["accumulated"] = record.accumulator(B)
+    if record.remainder is not None:
+        if not all(0 <= k <= n for k in record.remainder.read):
+            raise ConfigError(f"remainder read indices must lie in [0, {n}]")
+        cum = int(record.track_flow_identity)  # the row after the sup, if any
+        recs["accumulated"] = _Kept(lambda *views: views[-1][cum], (B,), record.remainder.read)
     return recs
 
 
-def _views(buf: np.ndarray, d: int, flows: bool) -> tuple:
-    """X (d, B), J and K (d, d, B) or None, and C's triangle rows of a block's
-    state ``buf``."""
+def _views(buf: np.ndarray, d: int, flows: bool, covariance: bool) -> tuple:
+    """X (d, B), J and K (d, d, B) or None, C's triangle rows and the record
+    rows of a block's state ``buf``."""
     f = 2 * d * d if flows else 0
+    e = d + f + (d * (d + 1) // 2 if covariance else 0)
     flow = buf[d : d + f].reshape(2, d, d, -1) if flows else (None, None)
-    return buf[:d], flow[0], flow[1], buf[d + f :]
+    return buf[:d], flow[0], flow[1], buf[d + f : e], buf[e:]
 
 
-def _initial_state(x: np.ndarray, flows: bool, covariance: bool) -> np.ndarray:
-    """A block's state rows with X = ``x`` (d, B), J = K = I and C = 0."""
+def _initial_state(x: np.ndarray, flows: bool, covariance: bool, identity: bool,
+                   remainder: tuple | None) -> np.ndarray:
+    """A block's rows with X = ``x`` (d, B), J = K = I, C = 0, and 0 in the
+    record rows: the flow-identity sup, then the remainder's cum, E and one
+    integral per prefix."""
     d, B = x.shape
-    s = np.zeros((d + (2 * d * d if flows else 0) + (d * (d + 1) // 2 if covariance else 0), B))
-    views = _views(s, d, flows)
+    records = identity + (len(remainder[1]) + 2 if remainder else 0)
+    s = np.zeros((d + (2 * d * d if flows else 0) + (d * (d + 1) // 2 if covariance else 0)
+                  + records, B))
+    views = _views(s, d, flows, covariance)
     views[0][:] = x
     if flows:
         views[1][:] = views[2][:] = np.eye(d)[:, :, None]
     return s
 
 
-def _numpy_steps(step, s, out, dw, h, k0, k1, diverged):
+def _numpy_steps(step, s, out, dw, h, k0, k1, diverged, coefficients):
     """Steps k0..k1 of the numpy kernel ``step`` from the state ``s`` through the
     spare buffer ``out``; returns both, the state first.  A path whose new X,
     J, K or C is non-finite, or whose solve failed, gets the step in
-    ``diverged`` and keeps its last state."""
+    ``diverged`` and keeps all its rows."""
     for k in range(k0, k1):
-        converged = step(s, out, dw[k], h)  # None but for the split-step scheme
-        ok = np.isfinite(out).all(axis=0)
-        if converged is not None:
-            ok &= converged
+        ok = step(s, out, dw[k], h, coefficients)
         alive = diverged < 0
         if not (ok.all() and alive.all()):
             diverged[alive & ~ok] = k
@@ -383,32 +374,40 @@ _PROBE_B, _PROBE_N, _PROBE_H = 8, 8, 2.0**-4
 
 
 @lru_cache(maxsize=256)
-def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool):
+def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
+                 identity: bool, remainder: tuple | None):
     """``step_kernel_c``'s loop, built and loaded, when it leaves the numpy
-    kernel's bytes on a fixed probe block; otherwise None.  The probe's last
-    path draws an infinite increment at step 2, so it is lost there on any
-    model whose noise reaches X, and would be finite again if it were
+    kernel's bytes on a fixed probe block; otherwise None.  The probe starts
+    from random X and record rows, with random remainder coefficients.  Its
+    last path draws an infinite increment at step 2, so it is lost there on
+    any model whose noise reaches X, and would be finite again if it were
     stepped on; the loop is called twice, from 0 and from 3."""
     from .. import native  # on the first block that can use it, never at import
 
-    source = step_kernel_c(coeffs, scheme, flows, covariance)
+    kernel = (coeffs, scheme, flows, covariance, identity, remainder)
+    source = step_kernel_c(*kernel)
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    run = source and native.load(source, "run", (ptr, ptr, ctypes.c_double, i64, i64, i64, ptr))
+    run = source and native.load(source, "run",
+                                 (ptr, ptr, ctypes.c_double, i64, i64, i64, ptr, ptr))
     if not run:
         return None
     rng = np.random.default_rng(2024)
     d, m, B, n = coeffs.d, coeffs.m, _PROBE_B, _PROBE_N
-    start = _initial_state(rng.uniform(-1.5, 1.5, (d, B)), flows, covariance)
+    start = _initial_state(rng.uniform(-1.5, 1.5, (d, B)), *kernel[2:])
+    records = _views(start, d, flows, covariance)[-1]
+    records[:] = rng.uniform(-1.5, 1.5, records.shape)
+    coefficients = rng.uniform(-1.5, 1.5, (len(remainder[2]) if remainder else 0, d))
     dw = rng.standard_normal((n, m, B)) * math.sqrt(_PROBE_H)
     dw[2, :, -1] = np.inf
     numpy_lost, native_lost = np.full(B, -1, dtype=np.int64), np.full(B, -1, dtype=np.int64)
     with np.errstate(all="ignore"):
-        step = compile_step_kernel(coeffs, scheme, flows, covariance)
+        step = compile_step_kernel(*kernel)
         want, _ = _numpy_steps(step, start.copy(), np.empty_like(start), dw, _PROBE_H, 0, n,
-                               numpy_lost)
+                               numpy_lost, coefficients)
     got = start.copy()
     for k0, k1 in ((0, 3), (3, n)):
-        run(got.ctypes.data, dw.ctypes.data, _PROBE_H, B, k0, k1, native_lost.ctypes.data)
+        run(got.ctypes.data, dw.ctypes.data, _PROBE_H, B, k0, k1, native_lost.ctypes.data,
+            coefficients.ctypes.data)
     same = got.tobytes() == want.tobytes() and native_lost.tobytes() == numpy_lost.tobytes()
     return run if same else None
 
@@ -422,43 +421,48 @@ def _simulate_block(
     if dw.shape != (n, m, B):
         raise InternalInvariantError(f"increment block has shape {dw.shape}")
     flows, covariance = record.needs_flows, bool(record.c_checkpoints)
-    kernel = (coeffs, config.scheme, flows, covariance)
+    identity, spec = record.track_flow_identity, record.remainder
+    remainder = spec and (spec.target, spec.prefixes, spec.indices)
+    kernel = (coeffs, config.scheme, flows, covariance, identity, remainder)
     run = _native_loop(*kernel) if NATIVE else None
     STEP_ROUTES.add("native" if run else "numpy")
 
-    # the kernel's state rows: the native loop updates them in place, the
-    # numpy kernel writes them to the other buffer
-    s = _initial_state(np.broadcast_to(np.asarray(config.x0)[:, None], (d, B)), flows, covariance)
+    # the kernel's rows: the native loop updates them in place, the numpy
+    # kernel writes them to the other buffer
+    s = _initial_state(np.broadcast_to(np.asarray(config.x0)[:, None], (d, B)), *kernel[2:])
+    x, _, k_inv, _, records = _views(s, d, flows, covariance)
+    coefficients = np.zeros((0, d))
+    if spec:  # E_0 = |R_0|^2, at integrals 0 and the unit process 1
+        rem = spec.remainder(x, k_inv, dict.fromkeys(spec.prefixes, 0.0) | {(): 1.0})
+        records[identity + 1] = np.sum(rem * rem, axis=0)
+        coefficients = spec.coefficients
     diverged = np.full(B, -1, dtype=np.int64)
     if run:
         dw = np.ascontiguousarray(dw, dtype=np.float64)
-        s_at, dw_at, diverged_at = s.ctypes.data, dw.ctypes.data, diverged.ctypes.data
+        s_at, dw_at, lost_at, t_at = (a.ctypes.data for a in (s, dw, diverged, coefficients))
     else:
         step, out = compile_step_kernel(*kernel), np.empty_like(s)
-    accs = _recorders(record, B, n, d)
-    # back in Python only at the indices an accumulator reads: a _Kept reads
-    # its own, any other accumulator every index; and at n, for the results
-    stops = range(n + 1)
-    if all(isinstance(acc, _Kept) for acc in accs.values()):
-        stops = sorted({n}.union(*(acc.rows for acc in accs.values())))
-
+    kept = _recorders(record, B, n, d)
+    # back in Python only at the indices kept, and at n, for the results
     k = 0
     with np.errstate(all="ignore"):
-        for stop in stops:
+        for stop in sorted({n}.union(*(acc.rows for acc in kept.values()))):
             if run:
-                run(s_at, dw_at, h, B, k, stop, diverged_at)
+                run(s_at, dw_at, h, B, k, stop, lost_at, t_at)
             else:
-                s, out = _numpy_steps(step, s, out, dw, h, k, stop, diverged)
+                s, out = _numpy_steps(step, s, out, dw, h, k, stop, diverged, coefficients)
             k = stop
-            x, j, k_inv, c = _views(s, d, flows)
-            for acc in accs.values():
-                acc.step(k, x, j, k_inv, c, dw[k] if k < n else None)
+            views = _views(s, d, flows, covariance)
+            for acc in kept.values():
+                acc.step(k, views)
 
+    x, j, _, _, records = views
     return {
         "final_states": x.T.copy(),
         "diverged_step": diverged,
         "final_jacobians": None if j is None else np.moveaxis(j, -1, 0).copy(),
-        **{name: acc.result() for name, acc in accs.items()},
+        "flow_identity_sup": records[0].copy() if identity else None,
+        **{name: acc.result() for name, acc in kept.items()},
     }
 
 
@@ -612,15 +616,10 @@ def _covariance_pair(c: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return c, 0.5 * (q + np.swapaxes(q, 1, 2))
 
 
-def malliavin_matrices(
-    flow: FlowTrajectory,
-    trajectory: Trajectory,
-    coeffs: CoefficientSet,
-    t_index: int,
-) -> MalliavinPair:
+def malliavin_matrices(flow: FlowTrajectory, trajectory: Trajectory, t_index: int) -> MalliavinPair:
     """C and Q = J C J^T at ``t_index``, C being the left-endpoint quadrature
     that ``simulate_flow`` recorded: the engine's C, step by step, with the
-    bits of ``malliavin_checkpoint_ensemble``.  ``coeffs`` is not read."""
+    bits of ``malliavin_checkpoint_ensemble``."""
     if not 0 <= t_index <= trajectory.n_steps:
         raise ConfigError("t_index out of range")
     c, q = _covariance_pair(flow.covariances[t_index][None], flow.jacobians[t_index][None])

@@ -329,7 +329,7 @@ def parse_config_text(text: str, command: str) -> ExperimentConfig:
     names = ["drift"] + [f"sigma{j}" for j in range(1, coeffs.m + 1)]
     for name, fld in zip(names, (coeffs.drift, *coeffs.diffusion)):
         try:
-            compile_field(fld, component_major=True)
+            compile_field(fld)
         except ConfigError as exc:
             raise ConfigError(f"bad value for '{name}' in [model]: {exc}") from None
     return cfg

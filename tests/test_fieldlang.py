@@ -329,11 +329,11 @@ _LAYOUT_MODELS = {
 }
 
 
-def compile_diffusion_jacobians(coeffs, component_major=False):
+def compile_diffusion_jacobians(coeffs):
     """X (..., d) -> stacked diffusion-column Jacobians (..., m, d, d), one
     stack: the layout checks' three-axis shape."""
     exprs = tuple(e for col in coeffs.diffusion for row in jacobian(col) for e in row)
-    return compile_expression_stack(exprs, (coeffs.m, coeffs.d, coeffs.d), component_major)
+    return compile_expression_stack(exprs, (coeffs.m, coeffs.d, coeffs.d))
 
 
 def _layout_references(coeffs, point):
@@ -381,36 +381,6 @@ def test_compiled_stack_layouts_match_tree_walk(model):
         np.testing.assert_allclose(single, expected[0], rtol=1e-12, atol=1e-12)
 
 
-_COMPONENT_MAJOR_MODELS = {
-    "heis": (3, 2, "-x1 - x1^3, -x2 - x2^3, -x3", ["1, 0, -0.5*x2", "0, 1, 0.5*x1"]),
-    "transcendental": (
-        2,
-        2,
-        "sin(x1) - x1^3, exp(-x2) * tanh(x1)",
-        ["1 + 0.5*tanh(x2), exp(x1) / 3", "cos(x1*x2), 2"],
-    ),
-}
-
-
-@pytest.mark.parametrize("model", sorted(_COMPONENT_MAJOR_MODELS))
-def test_component_major_stacks_match_row_major(model):
-    d, m, drift, sigma = _COMPONENT_MAJOR_MODELS[model]
-    coeffs = CoefficientSet.from_text(d, m, drift, sigma)
-    pts = np.random.default_rng(23).uniform(-2.0, 2.0, size=(257, d))
-    rows = pts.T.copy()  # (d, B), each component one contiguous row
-    for compile_stack, arg in (
-        (compile_field, coeffs.drift),
-        (compile_jacobian, coeffs.drift),
-        (compile_diffusion, coeffs),
-        (compile_diffusion_jacobians, coeffs),
-    ):
-        row_major = compile_stack(arg)(pts)  # (B, *shape)
-        got = compile_stack(arg, component_major=True)(rows)  # (*shape, B)
-        assert np.array_equal(got, np.moveaxis(row_major, 0, -1)), compile_stack.__name__
-        single = compile_stack(arg, component_major=True)(pts[0])
-        assert np.array_equal(single, row_major[0]), compile_stack.__name__
-
-
 # Integer powers are products by repeated squaring on every route.  libm's
 # pow and numpy's SIMD ``**`` each round some of these differently.
 _POWER_FIELDS = ("x1^3 - x2^5", "(x1 + x2)^4 / (1 + x1^2)", "x1^7*x2", "x2^6 - x1^9 + (x1 - x2)^8")
@@ -430,7 +400,6 @@ def test_integer_powers_give_the_same_bits_on_every_route():
     step(pts.T.copy(), out, np.zeros((1, len(pts))), 1.0)
     routes = {
         "row-major": compile_field(coeffs.drift)(pts),
-        "component-major": compile_field(coeffs.drift, component_major=True)(pts.T.copy()).T,
         "one point": np.array([compile_field(coeffs.drift)(p) for p in pts]),
         "step kernel": out.T,
     }

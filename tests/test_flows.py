@@ -33,6 +33,7 @@ from hypolab.fieldlang import (
 )
 from hypolab.flows import (
     SCHEMES,
+    FlowTrajectory,
     RecordSpec,
     SimConfig,
     malliavin_checkpoint_ensemble,
@@ -387,11 +388,27 @@ def test_flow_identity_multiplicative_noise():
     assert res.flow_identity_sup.max() <= 0.05
 
 
-def compile_diffusion_jacobians(coeffs, component_major=False):
+@pytest.mark.parametrize("route", ["native", "numpy"])
+def test_flow_identity_row_is_the_stored_path_defect(route, force_route):
+    # the running max row of the step, against FlowTrajectory.identity_defect
+    # on each stored path: the same bits
+    ran = force_route(route)
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    cfg = SimConfig(horizon=0.5, n_steps=64, x0=(1.0, 0.5, -0.3), seed=6)
+    res = run_ensemble(heis, cfg, 12, RecordSpec(store_paths=True, track_flow_identity=True))
+    assert res.divergence_fraction == 0.0
+    sup = [FlowTrajectory(cfg.times(), j, k_inv, None).identity_defect().max()
+           for j, k_inv in zip(res.jacobians, res.inverses)]
+    assert res.flow_identity_sup.tobytes() == np.array(sup).tobytes()
+    assert res.flow_identity_sup.max() > 0.0
+    assert ran == {route}
+
+
+def compile_diffusion_jacobians(coeffs):
     """X (..., d) -> stacked diffusion-column Jacobians (..., m, d, d), one
     stack, for the references below."""
     exprs = tuple(e for col in coeffs.diffusion for row in jacobian(col) for e in row)
-    return compile_expression_stack(exprs, (coeffs.m, coeffs.d, coeffs.d), component_major)
+    return compile_expression_stack(exprs, (coeffs.m, coeffs.d, coeffs.d))
 
 
 # The einsum form of the J/K step and the C sums, kept as an independent
@@ -572,9 +589,11 @@ def _dense_reference(coeffs, cfg, stream_ids):
     """Diverged steps and [(X, J, K, C)] at every index, component-major,
     on the streams' ``sample_brownian`` grids, lost paths frozen."""
     dw = np.stack([sample_brownian(cfg, coeffs.m, int(s)).increments for s in stream_ids])
-    cb, cgb = (f(coeffs.drift, component_major=True) for f in (compile_field, compile_jacobian))
-    csig, cgs = (f(coeffs, component_major=True)
-                 for f in (compile_diffusion, compile_diffusion_jacobians))
+    def rows(fn):  # X (d, B) -> (*shape, B)
+        return lambda x: np.moveaxis(fn(x.T), 0, -1)
+
+    cb, cgb = (rows(f(coeffs.drift)) for f in (compile_field, compile_jacobian))
+    csig, cgs = (rows(f(coeffs)) for f in (compile_diffusion, compile_diffusion_jacobians))
     newton = (compile_field(coeffs.drift), compile_jacobian(coeffs.drift))
     d, m, h, B = coeffs.d, coeffs.m, cfg.h, dw.shape[0]
     x = np.tile(np.asarray(cfg.x0)[:, None], (1, B))
@@ -748,19 +767,21 @@ def test_generated_code_is_readable_in_tracebacks():
     heis = CoefficientSet.from_text(3, 2, *_HEIS)
     kernel = compile_step_kernel(heis, "tamed-euler", True, True)
     assert kernel.__code__.co_filename.startswith("<hypolab step d=3 m=2 tamed-euler JK C #")
-    assert linecache.getline(kernel.__code__.co_filename, 1) == "def step(s, out, dw, h):\n"
-    # only the split-step kernel runs Newton; the explicit ones return None
+    assert linecache.getline(kernel.__code__.co_filename, 1) == "def step(s, out, dw, h, T=None):\n"
+    # only the split-step kernel runs Newton, and its converged rows join the
+    # finite ones in the mask each kernel returns
     for scheme in SCHEMES:
         lines = _kernel_source(heis, scheme)
         implicit = scheme == "split-step-backward-euler"
         assert any(ln.startswith("def residual(") for ln in lines) == implicit
-        assert lines[-1] == ("return converged & ~failed" if implicit else "return None")
-    stack = compile_field(heis.drift, component_major=True)
-    assert stack.__code__.co_filename.startswith("<fieldlang stack (3,) component-major #")
+        finite = "return np.isfinite(out[:27]).all(axis=0)"
+        assert lines[-1] == (f"{finite} & converged & ~failed" if implicit else finite)
+    stack = compile_field(heis.drift)
+    assert stack.__code__.co_filename.startswith("<fieldlang stack (3,) #")
     with pytest.raises(IndexError) as err:
-        stack(np.zeros((1, 4)))  # one row where the drift reads three
+        stack(np.zeros((4, 1)))  # one column where the drift reads three
     text = "".join(traceback.format_exception(err.value))
-    assert "out[1] = ((-X[1]) - (X[1] * (X[1] * X[1])))" in text
+    assert "out[..., 1] = ((-X[..., 1]) - (X[..., 1] * (X[..., 1] * X[..., 1])))" in text
     # the source is kept only as long as its function
     orphan = compile_expression_stack.__wrapped__((Const(1.0),), (1,))
     filename = orphan.__code__.co_filename
@@ -856,7 +877,7 @@ def test_additive_identity_covariance_is_time(elliptic2):
     traj = simulate_x(elliptic2, cfg, g)
     flow = simulate_flow(elliptic2, cfg, g, traj)
     for idx in (32, 128):
-        pair = malliavin_matrices(flow, traj, elliptic2, idx)
+        pair = malliavin_matrices(flow, traj, idx)
         t = cfg.times()[idx]
         assert np.linalg.norm(pair.q_matrix - t * np.eye(2)) <= cfg.h * 2
         pair.validate()
@@ -998,7 +1019,7 @@ def test_single_path_helpers_are_rows_of_the_ensemble(scheme):
         assert flow.jacobians.tobytes() == res.jacobians[sid].tobytes()
         assert flow.inverses.tobytes() == res.inverses[sid].tobytes()
         for k in indices:
-            pair = malliavin_matrices(flow, traj, heis, k)
+            pair = malliavin_matrices(flow, traj, k)
             c, q = mats[k]
             assert pair.c_matrix.tobytes() == c[sid].tobytes(), f"C at {k}"
             assert pair.q_matrix.tobytes() == q[sid].tobytes(), f"Q at {k}"

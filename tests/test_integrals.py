@@ -19,7 +19,8 @@ from hypolab.flows import (
     simulate_flow,
     simulate_x,
 )
-from hypolab.flows import integrals
+from hypolab import native
+from hypolab.flows import integrals, simulate
 
 
 @pytest.fixture
@@ -325,6 +326,8 @@ _MULTIPLICATIVE_2D = (
 
 
 _DOUBLE_WELL_LOSSY = ("x1 - x1^3", ["20"], (10.5,))
+# a rational model with a transcendental remainder target: numpy only
+_HEIS_SIN_TARGET = (*_HEIS, "sin(x1) + x2, 0.5*x3, cos(x2)")
 
 
 _STREAMED = [
@@ -332,6 +335,7 @@ _STREAMED = [
     (_HEIS, "split-step-backward-euler", 0.5, 128, 5, 40, 17, 0),
     (_MULTIPLICATIVE_2D, "euler", 0.5, 128, 5, 40, 17, 0),
     (_DOUBLE_WELL_LOSSY, "euler", 1.0, 64, 3, 50, 7, 3),
+    (_HEIS_SIN_TARGET, "tamed-euler", 0.5, 128, 5, 40, 17, 0),
 ]
 
 
@@ -347,18 +351,21 @@ _STREAMED = [
 def test_streamed_remainder_energy_is_bit_identical_to_stored_paths(
     model, scheme, horizon, n, seed, n_paths, block, lost, route, force_route
 ):
-    # the accumulator reads every index: the native loop runs one step a call
+    # the energy is kept at every index: the native loop runs one step a call
     ran = force_route(route)
-    drift, sigma, x0 = model
+    drift, sigma, x0, *target_text = model
     coeffs = CoefficientSet.from_text(len(x0), len(sigma), drift, sigma)
     L = 3
     cfg = SimConfig(horizon=horizon, n_steps=n, x0=x0, scheme=scheme, seed=seed)
     table = BracketTable(coeffs)
     target = coeffs.diffusion[0]
-    energy = RemainderEnergy(L, target, table, np.asarray(x0), cfg.h, range(n + 1))
+    if target_text:
+        target = VectorField.from_text(target_text[0], len(x0))
+    energy = RemainderEnergy(L, target, table, np.asarray(x0), range(n + 1))
     streamed = run_ensemble(
-        coeffs, cfg, n_paths, RecordSpec(flows=True, accumulator=energy), block_size=block
+        coeffs, cfg, n_paths, RecordSpec(flows=True, remainder=energy), block_size=block
     )
+    assert ran == {"numpy" if target_text else route}
     stored = run_ensemble(
         coeffs, cfg, n_paths, RecordSpec(flows=True, store_paths=True)
     )
@@ -379,19 +386,33 @@ def test_streamed_remainder_energy_is_bit_identical_to_stored_paths(
     cum[:, 1:] = np.cumsum(0.5 * (sq[:, :-1] + sq[:, 1:]) * cfg.h, axis=1)
     assert streamed.accumulated.shape == (n_paths, n + 1)
     assert np.array_equal(streamed.accumulated[alive], cum)
-    assert ran == {route}
+    assert ran == ({route, "numpy"} if target_text else {route})  # the stored run's too
+    # the other route gives the same bytes, lost paths' frozen rows included
+    force_route("numpy" if route == "native" else "native")
+    other = run_ensemble(
+        coeffs, cfg, n_paths, RecordSpec(flows=True, remainder=energy), block_size=block
+    )
+    assert other.accumulated.tobytes() == streamed.accumulated.tobytes()
+    assert other.diverged_step.tobytes() == streamed.diverged_step.tobytes()
 
 
 def test_streamed_remainder_energy_keeps_only_read_indices():
     ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
     cfg = SimConfig(horizon=0.5, n_steps=64, x0=(1.0,), seed=2)
     table = BracketTable(ou)
-    every = RemainderEnergy(3, ou.diffusion[0], table, np.ones(1), cfg.h, range(65))
-    some = RemainderEnergy(3, ou.diffusion[0], table, np.ones(1), cfg.h, (0, 9, 64))
-    full = run_ensemble(ou, cfg, 5, RecordSpec(accumulator=every)).accumulated
-    part = run_ensemble(ou, cfg, 5, RecordSpec(accumulator=some)).accumulated
+    every = RemainderEnergy(3, ou.diffusion[0], table, np.ones(1), range(65))
+    some = RemainderEnergy(3, ou.diffusion[0], table, np.ones(1), (0, 9, 64))
+    full = run_ensemble(ou, cfg, 5, RecordSpec(remainder=every)).accumulated
+    part = run_ensemble(ou, cfg, 5, RecordSpec(remainder=some)).accumulated
     assert np.array_equal(part, full[:, [0, 9, 64]])
     assert np.all(part[:, 0] == 0.0)
+    twice = RemainderEnergy(3, ou.diffusion[0], table, np.ones(1), (64, 9, 64))
+    assert twice.columns == {64: 0, 9: 1}
+    again = run_ensemble(ou, cfg, 5, RecordSpec(remainder=twice)).accumulated
+    assert np.array_equal(again, full[:, [64, 9]])
+    beyond = RemainderEnergy(3, ou.diffusion[0], table, np.ones(1), (9, 65))
+    with pytest.raises(ConfigError, match="read indices"):
+        run_ensemble(ou, cfg, 5, RecordSpec(remainder=beyond))
 
 
 _OU = ("-x1", ["1"], (1.0,))
@@ -435,13 +456,8 @@ def test_single_path_remainder_is_the_stored_path_oracle(model, scheme):
                 assert path.tobytes() == oracle[sid].tobytes(), (sid, target, L)
 
 
-def test_single_path_helpers_never_step_per_grid_index(monkeypatch):
+def test_single_path_helpers_never_step_per_grid_index():
     # both helpers work on the whole time axis at once
-    def step(*args):
-        raise AssertionError("stepped one grid index")
-
-    monkeypatch.setattr(integrals, "_midpoint_step", step)
-    monkeypatch.setattr(integrals._EnergyBlock, "step", step)
     drift, sigma, x0 = _HEIS
     heis = CoefficientSet.from_text(3, 2, drift, sigma)
     cfg = SimConfig(horizon=0.3, n_steps=64, x0=x0, seed=3)
@@ -451,3 +467,47 @@ def test_single_path_helpers_never_step_per_grid_index(monkeypatch):
     assert iterated_integral(MultiIndex((1, 2, 0)), g).shape == (65,)
     path = chaos_remainder_path(3, heis.diffusion[0], flow, traj, BracketTable(heis), g)
     assert path.shape == (65, 3)
+
+
+def test_remainder_loops_are_shared_across_x0_and_stop_only_at_reads(
+    tmp_path, monkeypatch, force_route, request
+):
+    # the coefficients are an argument of one loop, which returns to Python
+    # only at the kept indices and at n
+    monkeypatch.setattr(native, "CACHE", str(tmp_path))
+    simulate._native_loop.cache_clear()
+    request.addfinalizer(simulate._native_loop.cache_clear)
+    loads, calls = [], []
+    load, loop = native.load, simulate._native_loop
+
+    def counted_load(*args):
+        loads.append(args)
+        return load(*args)
+
+    def counted_loop(*kernel):
+        run = loop(*kernel)
+
+        def counted_run(*args):
+            calls.append(args[4:6])
+            return run(*args)
+
+        return run and counted_run
+
+    monkeypatch.setattr(native, "load", counted_load)
+    monkeypatch.setattr(simulate, "_native_loop", counted_loop)
+    ran = force_route("native")
+    drift, sigma, _ = _HEIS
+    heis = CoefficientSet.from_text(3, 2, drift, sigma)
+    table, read = BracketTable(heis), (0, 5, 17, 40)
+    starts = ((1.0, 0.5, 0.0), (0.5, -1.0, 0.3))
+    specs = [RemainderEnergy(3, heis.diffusion[0], table, np.asarray(x0), read) for x0 in starts]
+    assert specs[0].indices == specs[1].indices
+    assert not np.array_equal(specs[0].coefficients, specs[1].coefficients)
+    for x0, spec in zip(starts, specs):
+        calls.clear()
+        cfg = SimConfig(horizon=0.5, n_steps=64, x0=x0, seed=3)
+        res = run_ensemble(heis, cfg, 10, RecordSpec(remainder=spec), block_size=10)
+        assert 0 < len(calls) <= len(read) + 1
+        assert res.accumulated.shape == (10, len(read))
+    assert len(loads) == 1
+    assert ran == {"native"}
