@@ -239,33 +239,89 @@ static int solve(double h, {xs}, double *z)
 }}
 """
 
-# C's step loop over grid indices k0..k1 and then over the B paths of a
-# block, in place: a path's new rows go to ``o`` and are stored only when its
-# new state rows are finite (and its solve converged); otherwise the path is
-# marked lost at k and keeps all its rows, as in the engine's masked step.
+# Paths per tile of C's loop: each tile draws its increments, then takes all
+# its steps, so a block never holds more than a tile of increments.
+C_TILE = 8
+
+# C's loop over a block of B paths, a tile of C_TILE paths at a time.  A tile
+# takes its increments from the caller's (n, m, B) block ``dw`` or, when that
+# is NULL, draws them: each path's Philox stream rekeyed as
+# ``brownian._struct_rekey`` rekeys it, n m standard normals from numpy's own
+# sampler, then ``brownian._brownian_paths``' scale and running sum and
+# ``simulate._block_increments``' differences, in their float operations.
+# The tile's rows are stepped through all n steps: a path's new rows go to
+# ``o`` and are stored only when its new state rows are finite (and its solve
+# converged); otherwise the path is marked lost at k and keeps all its rows,
+# as in the engine's masked step.  At each grid index in ``stops`` every row
+# of the tile is copied into the (S, rows, B) snapshot ``snap``.
 _C_RUN = """\
 #include <math.h>
 #include <stdint.h>
+#include <numpy/random/distributions.h>
 {newton}
-void run(double *s, const double *dw, double h, int64_t B, int64_t k0, int64_t k1,
-         int64_t *diverged, const double *T)
+static void rekey(uint64_t *words, uint64_t seed, uint64_t id)
 {{
-    for (int64_t k = k0; k < k1; ++k) {{
-        const double *dwk = dw + k * {m} * B;
-        for (int64_t b = 0; b < B; ++b) {{
-            if (diverged[b] >= 0)
-                continue;
-            double o[{rows}];
-            int ok = 1;
-            {body}
-            for (int r = 0; r < {state}; ++r)
-                ok = ok && isfinite(o[r]);
-            if (!ok) {{
-                diverged[b] = k;
+    uint64_t *ctr = (uint64_t *)words[0], *key = (uint64_t *)words[1];
+    ctr[0] = ctr[1] = ctr[2] = ctr[3] = 0;  /* purpose 0: the base increments */
+    key[0] = seed;
+    key[1] = id;
+    words[2] = 4;  /* the output buffer exhausted */
+    for (int i = 3; i < 8; ++i)
+        words[i] = 0;
+}}
+
+void run(const double *s, double *snap, const int64_t *stops, int64_t S, const double *dw,
+         bitgen_t *bitgen, uint64_t *philox, uint64_t seed, const uint64_t *ids, double scale,
+         double h, int64_t B, int64_t n, int64_t *diverged, const double *T, double *work)
+{{
+    double *nrm = work, *inc = work + n * {m};  /* n m normals, then (n, m, tile) */
+    for (int64_t b0 = 0; b0 < B; b0 += {tile}) {{
+        const int64_t width = B - b0 < {tile} ? B - b0 : {tile};
+        double st[{rows} * {tile}];
+        for (int64_t g = 0; g < width; ++g) {{
+            for (int r = 0; r < {rows}; ++r)
+                st[r * {tile} + g] = s[b0 + g + r * B];
+            if (dw) {{
+                for (int64_t i = 0; i < n * {m}; ++i)
+                    inc[i * {tile} + g] = dw[i * B + b0 + g];
                 continue;
             }}
-            for (int r = 0; r < {rows}; ++r)
-                s[b + r * B] = o[r];
+            rekey(philox, seed, ids[b0 + g]);
+            random_standard_normal_fill(bitgen, n * {m}, nrm);
+            for (int j = 0; j < {m}; ++j) {{
+                double w = 0.0;  /* W(t_k); the first is W_1 itself, as cumsum's */
+                for (int64_t k = 0; k < n; ++k) {{
+                    const double next = k ? w + scale * nrm[k * {m} + j] : scale * nrm[j];
+                    inc[(k * {m} + j) * {tile} + g] = next - w;
+                    w = next;
+                }}
+            }}
+        }}
+        for (int64_t k = 0, stop = 0;; ++k) {{
+            if (stop < S && stops[stop] == k) {{
+                for (int r = 0; r < {rows}; ++r)
+                    for (int64_t g = 0; g < width; ++g)
+                        snap[(stop * {rows} + r) * B + b0 + g] = st[r * {tile} + g];
+                ++stop;
+            }}
+            if (k == n)
+                break;
+            const double *dwk = inc + k * {m} * {tile};
+            for (int64_t g = 0; g < width; ++g) {{
+                if (diverged[b0 + g] >= 0)
+                    continue;
+                double o[{rows}];
+                int ok = 1;
+                {body}
+                for (int r = 0; r < {state}; ++r)
+                    ok = ok && isfinite(o[r]);
+                if (!ok) {{
+                    diverged[b0 + g] = k;
+                    continue;
+                }}
+                for (int r = 0; r < {rows}; ++r)
+                    st[r * {tile} + g] = o[r];
+            }}
         }}
     }}
 }}
@@ -336,7 +392,7 @@ def _newton_source(drift: VectorField, c: bool = False):
 
 def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
                  identity: bool = False, remainder: tuple | None = None,
-                 c: bool = False) -> list[str]:
+                 square_norm: bool = False, c: bool = False) -> list[str]:
     """The source lines of ``compile_step_kernel``'s step, or with ``c`` of
     ``step_kernel_c``'s loop: one emission, in which only the statements'
     form depends on ``c``.  numpy's statements act on rows of B paths and
@@ -357,9 +413,10 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         target, prefixes, indices = remainder
         integral = {e: "I" + "_".join(map(str, e)) for e in prefixes}
         rows += ["cum", "E", *integral.values()]
+    rows += ["xsup"] * square_norm
     if c:
-        body = [let(name, f"s[b + {n} * B]") for n, name in enumerate(rows)]
-        body += [let(f"dw{i}", f"dwk[b + {i} * B]") for i in range(m)]
+        body = [let(name, f"st[g + {n} * {C_TILE}]") for n, name in enumerate(rows)]
+        body += [let(f"dw{i}", f"dwk[g + {i} * {C_TILE}]") for i in range(m)]
         if implicit:
             body += [f"double z[{d}];",
                      f"ok = solve(h, {', '.join(f'x{i}' for i in range(d))}, z);"]
@@ -438,15 +495,20 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     def store(name, text):
         body.append(f"{new(name)} = {text}{';' * c}")
 
+    def running_max(name, value):  # numpy's maximum: a NaN on either side wins
+        store(name, f"(isnan({name}) || {name} >= {value}) ? {name} : {value}" if c
+              else f"np.maximum({name}, {value})")
+
     if identity:  # the running max of |K J - I|, summed as _identity_defect sums
         for p, r in pairs:
             kj = " + ".join(f"{new(f'K{p}_{q}')} * {new(f'J{q}_{r}')}" for q in range(d))
             body.append(let(f"D{p}_{r}", f"{kj} - {one}" if p == r else kj))
         squares = " + ".join(f"D{p}_{r} * D{p}_{r}" for p, r in pairs)
         body.append(let("defect", f"{sqrt}({squares})"))
-        # numpy's maximum: a NaN on either side wins
-        store("sup", "(isnan(sup) || sup >= defect) ? sup : defect" if c
-              else "np.maximum(sup, defect)")
+        running_max("sup", "defect")
+    if square_norm:  # the running max of |X|^2, summed in index order as np.add.reduce
+        body.append(let("xsq", " + ".join(f"{new(f'x{i}')} * {new(f'x{i}')}" for i in range(d))))
+        running_max("xsup", "xsq")
     ystart = len(body)
     if remainder:
         for e, name in integral.items():  # (1 + 1) / 2 * dW is dW, exactly
@@ -478,14 +540,14 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         return ["def step(s, out, dw, h, T=None):", *(f"    {line}" for line in body)]
     return _C_RUN.format(
         newton=_newton_source(coeffs.drift, c=True) if implicit else "", m=m,
-        rows=len(rows), state=state, body="\n            ".join(body),
+        rows=len(rows), state=state, tile=C_TILE, body="\n                ".join(body),
     ).splitlines()
 
 
 @lru_cache(maxsize=256)
 def compile_step_kernel(
     coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
-    identity: bool = False, remainder: tuple | None = None,
+    identity: bool = False, remainder: tuple | None = None, square_norm: bool = False,
 ) -> Callable:
     """One generated step ``step(s, out, dw, h, T=None)`` of the ensemble engine.
 
@@ -515,35 +577,47 @@ def compile_step_kernel(
     R = K' target(X') - sum_a T[a] I_{indices[a]}', E' = |R|^2 and cum +=
     (E + E') h / 2, ' marking new rows and ``T`` being the (len(indices), d)
     coefficients: the stored-path oracle's float operations, but for the
-    sign of a zero R, which E squares away.
+    sign of a zero R, which E squares away.  ``square_norm`` adds, last, the
+    running max of |X|^2, summed in index order as ``np.add.reduce`` sums.
 
     ``step_kernel_c`` renders the same lines as C, one path at a time, and
-    the engine runs that loop instead wherever it can: its calls stop only
-    at the grid indices a block keeps.  This step runs for models or
-    remainder targets with sin, cos, exp or tanh, where the C loop could not
-    be built or failed its probe, and as the native loop's oracle.
+    the engine runs that loop, which also draws the increments, wherever it
+    can.  This step runs for models or remainder targets with sin, cos, exp
+    or tanh, where the C loop could not be built or failed its probe, and
+    as the native loop's oracle.
     """
     label = (f"hypolab step d={coeffs.d} m={coeffs.m} {scheme}" + " JK" * flows + " C" * covariance
-             + " sup" * identity + " R" * bool(remainder))
+             + " sup" * identity + " R" * bool(remainder) + " |X|^2" * square_norm)
     return _define("step", label, lambda: _step_source(coeffs, scheme, flows, covariance,
-                                                       identity, remainder))
+                                                       identity, remainder, square_norm))
 
 
 @lru_cache(maxsize=256)
 def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
-                  identity: bool = False, remainder: tuple | None = None):
-    """C source of the step loop ``run(s, dw, h, B, k0, k1, diverged, T)``, or
-    None when a field or the remainder target uses sin, cos, exp or tanh.
+                  identity: bool = False, remainder: tuple | None = None,
+                  square_norm: bool = False):
+    """C source of the block loop ``run``, or None when a field or the
+    remainder target uses sin, cos, exp or tanh.
 
-    ``run`` takes grid indices k0..k1 of a block in place: ``s`` is the
-    (rows, B) state of ``compile_step_kernel``, ``dw`` the (n, m, B)
-    increments, ``diverged`` the (B,) int64 steps at which paths were lost,
-    -1 for none, and ``T`` the remainder's coefficients.  Each step is
-    ``compile_step_kernel``'s, line by line, on one path's doubles: the same operations in the same order, constants
-    as exact hexadecimal literals, and the split-step solve with the same
-    schedule.  A path whose new X, J, K or C has a non-finite entry, or whose
-    solve fails, gets ``diverged = k`` and keeps all its rows, records too; a
-    lost path is not stepped again.  Compiled without contraction into fused
+    ``run(s, snap, stops, S, dw, bitgen, philox, seed, ids, scale, h, B, n,
+    diverged, T, work)`` takes all n steps of a block of B paths, a tile of
+    ``C_TILE`` paths at a time.  ``s`` is the (rows, B) initial state of
+    ``compile_step_kernel``; the rows at the S ascending grid indices
+    ``stops`` go to the (S, rows, B) ``snap``.  The increments are the
+    caller's (n, m, B) ``dw``, or, when ``dw`` is NULL, drawn per path from
+    the numpy Philox ``bitgen`` (its ``bitgen_t``) and its state struct
+    ``philox``, keyed by (``seed``, ``ids[b]``) with counter block 0, and
+    scaled by ``scale`` = sqrt h: the bits of
+    ``simulate._block_increments``.  ``diverged`` holds the (B,) int64
+    steps at which paths were lost, -1 for none, ``T`` the remainder's
+    coefficients and ``work`` room for (``C_TILE`` + 1) n m doubles.
+
+    Each step is ``compile_step_kernel``'s, line by line, on one path's
+    doubles: the same operations in the same order, constants as exact
+    hexadecimal literals, and the split-step solve with the same schedule.
+    A path whose new X, J, K or C has a non-finite entry, or whose solve
+    fails, gets ``diverged = k`` and keeps all its rows, records too; a lost
+    path is not stepped again.  Compiled without contraction into fused
     multiply-adds (``-ffp-contract=off``), every operation rounds as numpy's
     does, so the bits agree; the engine checks that on a probe block before
     it uses the loop.
@@ -551,7 +625,8 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
     fields = (coeffs.drift, *coeffs.diffusion, *(remainder[:1] if remainder else ()))
     if not all(_rational(e) for f in fields for e in f.components):
         return None
-    source = _step_source(coeffs, scheme, flows, covariance, identity, remainder, c=True)
+    source = _step_source(coeffs, scheme, flows, covariance, identity, remainder, square_norm,
+                          c=True)
     return "\n".join(source) + "\n"
 
 

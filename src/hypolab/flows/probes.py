@@ -250,14 +250,11 @@ def moment_probe(
     sups = []
     diverged = []
     for x0 in x0_values:
-        res = run_ensemble(
-            coeffs, replace(config, x0=x0), n_paths, RecordSpec(flows=False, store_paths=True)
-        )
+        record = RecordSpec(flows=False, track_square_norm=True)
+        res = run_ensemble(coeffs, replace(config, x0=x0), n_paths, record)
         diverged.append(res.diverged_count)
-        x = np.moveaxis(res.states, -1, 0)  # (d, paths, n + 1)
-        with np.errstate(over="ignore"):  # sup_k |X_k|^2, inf where a square overflows
-            sq = np.add.reduce(x * x, axis=0).max(axis=1)
-        sups.append(np.sqrt(sq[res.survivors()]))  # sqrt is monotone: the same bits
+        # sqrt is monotone: sup_k |X_k| bit for bit, inf where a square overflowed
+        sups.append(np.sqrt(res.square_norm_sup[res.survivors()]))
     estimates = {}
     std_errors = {}
     fitted = {}

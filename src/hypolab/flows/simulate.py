@@ -15,15 +15,17 @@ The step is generated per model, scheme and record: unrolled arithmetic
 that leaves out every product with a constant-0 factor and keeps the sum
 order of the dense matrix products, and so their bits.  A block's state is
 one (rows, B) buffer.  For a model built from ``+ - * /``, powers and
-constants, the block runs natively: the same lines rendered as C
-(``fieldlang.step_kernel_c``), whose loop over steps and paths updates the
-buffer in place and is called once per stretch of grid indices that no
-record keeps; it is used only if it gives the numpy kernel's bytes on a
-probe block.  Otherwise, and for models or remainder targets with sin,
-cos, exp or tanh, each step is one call of ``fieldlang.compile_step_kernel``
-on rows of B paths, which writes to a second buffer.  ``NATIVE = False``
-forces that route, the native loop's oracle, and ``STEP_ROUTES`` collects
-the routes that ran.
+constants, the block runs natively, in one call: the same lines rendered
+as C (``fieldlang.step_kernel_c``), whose loop takes a tile of paths at a
+time, draws the tile's increments from each path's Philox stream with
+numpy's own C sampler, and steps it through the whole grid; it is used
+only if it gives the numpy route's bytes on probe blocks, drawn ones
+included.  Otherwise, and for models or remainder targets with sin, cos,
+exp or tanh, the block's increments are drawn by ``_block_increments``
+and each step is one call of ``fieldlang.compile_step_kernel`` on rows of
+B paths, which writes to a second buffer.  ``NATIVE = False`` forces that
+route, the native loop's oracle; ``STEP_ROUTES`` and ``INCREMENT_ROUTES``
+collect the routes that ran.
 
 State schemes: ``tamed-euler`` divides the drift increment by 1 + h|b| so
 superlinear monotone drifts cannot blow the explicit step up;
@@ -33,23 +35,25 @@ for comparison runs only.  A non-finite update of X, J, K or C, or a failed
 solve, freezes the path at its last finite state; such paths are counted,
 never silently dropped, so scheme blow-up is observable data.
 
-Ensembles draw one Philox stream per path keyed by (seed, stream_id) into
-step-major (n, m, B) increment blocks and merge per-path records in stream
-order, so no output bit depends on the block size.  The single-path helpers
-run the same engine on a batch of one given grid.
+Ensembles draw one Philox stream per path keyed by (seed, stream_id), as
+step-major (n, m, B) increment blocks on the numpy route and a tile at a
+time natively, and merge per-path records in stream order, so no output
+bit depends on the block size or the route.  The single-path helpers run
+the same engine on a batch of one given grid, whose increments the loop
+takes instead of drawing.
 
 A block records per path in two ways, both set by ``RecordSpec``.  Running
 records are rows of the generated step, after the state rows: sup_k
-|K_k J_k - I| (``track_flow_identity``), and the remainder energy of an
+|K_k J_k - I| (``track_flow_identity``), the remainder energy of an
 ``integrals.RemainderEnergy`` with the unit-process integrals it needs
-(``remainder``).  Only the X, J, K and C rows decide whether a path is
-lost; a lost path's record rows freeze with its state, and no caller reads
-them.  Kept views copy parts of the state at some grid indices: stored
-paths, C and J at checkpoints, and the remainder energy at its read
-indices.  The engine leaves the step loop only at the indices some view
-keeps and at n, so the native loop runs unbroken in between.  A view
-copies what it keeps, paths last, and moves it to the per-path layout
-once, at the end of the block; those per-path arrays, or dicts of them by
+(``remainder``), and sup_k |X_k|^2 (``track_square_norm``).  Only the X,
+J, K and C rows decide whether a path is lost; a lost path's record rows
+freeze with its state, and no caller reads them.  Kept views read parts of
+the state at some grid indices: stored paths, C and J at checkpoints, and
+the remainder energy at its read indices.  Both routes copy every row
+into one (S, rows, B) snapshot at the S indices some view keeps and at n;
+each view reads its part, paths last, and moves it to the per-path layout
+once, at the end of the block.  Those per-path arrays, or dicts of them by
 grid index, are merged in stream order into the fields of
 ``EnsembleResult``.
 """
@@ -71,6 +75,8 @@ from ..errors import (
     SimulationDiverged,
 )
 from ..fieldlang import CoefficientSet, compile_step_kernel, step_kernel_c
+from ..fieldlang.fields import C_TILE
+from . import brownian
 from .brownian import BrownianGrid, _brownian_paths
 
 if TYPE_CHECKING:
@@ -95,10 +101,12 @@ __all__ = [
 
 SCHEMES = ("tamed-euler", "split-step-backward-euler", "euler")
 
-# False runs every block on the numpy kernel, the oracle of the native loop.
+# False runs every block on the numpy route, the oracle of the native loop.
 NATIVE = True
-# The step routes blocks ran on, "native" or "numpy", since it was cleared.
+# The routes blocks ran on since they were cleared, "native" or "numpy": the
+# step loop, and where the increments were drawn.
 STEP_ROUTES: set[str] = set()
+INCREMENT_ROUTES: set[str] = set()
 
 # Matrices assembled from outer products may pick up this much asymmetric
 # rounding relative to their trace before we call it an internal error.
@@ -219,7 +227,8 @@ class RecordSpec:
     ``c_checkpoints`` accumulates C and keeps C and J at the given indices;
     ``track_flow_identity`` keeps sup_k |K_k J_k - I|; ``remainder``, an
     ``integrals.RemainderEnergy``, keeps the running remainder energy at its
-    ``read`` indices in ``EnsembleResult.accumulated``.
+    ``read`` indices in ``EnsembleResult.accumulated``;
+    ``track_square_norm`` keeps sup_k |X_k|^2.
     """
 
     flows: bool = True
@@ -227,6 +236,7 @@ class RecordSpec:
     remainder: RemainderEnergy | None = None
     c_checkpoints: tuple[int, ...] = ()
     track_flow_identity: bool = False
+    track_square_norm: bool = False
 
     @property
     def needs_flows(self) -> bool:
@@ -244,6 +254,7 @@ class EnsembleResult:
     diverged_step: np.ndarray  # -1 where the path stayed finite
     final_jacobians: np.ndarray | None = None
     flow_identity_sup: np.ndarray | None = None
+    square_norm_sup: np.ndarray | None = None  # sup_k |X_k|^2
     c_at: dict[int, np.ndarray] = field(default_factory=dict)
     j_at: dict[int, np.ndarray] = field(default_factory=dict)
     states: np.ndarray | None = None
@@ -284,67 +295,68 @@ def _identity_defect(j: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
 class _Kept:
     """One part of a block's state kept at some grid indices.
 
-    ``read`` takes the parts ``_views`` gives; each view is copied as it
-    comes, paths last, into a (len(indices), ..., B) buffer; ``result``
-    moves that buffer to the (B, len(indices), ...) layout once, or,
-    ``by_index``, to {k: (B, ...)}.
+    ``result`` reads the block's snapshot at those indices: ``read`` takes
+    the parts ``_views`` gives of it, each with the (indices, B) axes last,
+    and the part it returns is moved to the (B, len(indices), ...) layout,
+    or, ``by_index``, to {k: (B, ...)}.
     """
 
-    def __init__(self, read, shape, indices, by_index=False):
-        self.read, self.by_index = read, by_index
-        self.rows = {k: r for r, k in enumerate(indices)}
-        self.kept = np.empty((len(self.rows),) + shape)
+    def __init__(self, read, indices, by_index=False):
+        self.read, self.indices, self.by_index = read, list(indices), by_index
 
-    def step(self, k, views):
-        if k in self.rows:
-            self.kept[self.rows[k]] = self.read(*views)
+    def result(self, snap, stops, layout):
+        """The kept part of ``snap``, a block's (len(stops), rows, B) rows at the
+        ascending grid indices ``stops``; ``layout`` is ``_views``' d, flows
+        and covariance."""
+        at = np.searchsorted(stops, self.indices)
+        part = snap if np.array_equal(at, np.arange(len(stops))) else snap[at]
+        kept = np.moveaxis(self.read(*_views(part, *layout)), (-1, -2), (0, 1))
+        return {k: kept[:, r] for r, k in enumerate(self.indices)} if self.by_index else kept
 
-    def result(self):
-        kept = np.moveaxis(self.kept, -1, 0)
-        return {k: kept[:, r] for k, r in self.rows.items()} if self.by_index else kept
 
-
-def _recorders(record: RecordSpec, B: int, n: int, d: int) -> dict:
+def _recorders(record: RecordSpec, n: int, d: int) -> dict:
     """A block's kept views, keyed by the ``EnsembleResult`` field each fills."""
-    reads = {"states": (lambda x, *_: x, (d, B))}  # each view the run has, (..., B)
+    reads = {"states": lambda x, *_: x}  # each view the run has, (..., indices, B)
     if record.needs_flows:
-        reads["jacobians"] = (lambda x, j, *_: j, (d, d, B))
-        reads["inverses"] = (lambda x, j, k_inv, *_: k_inv, (d, d, B))
+        reads["jacobians"] = lambda x, j, *_: j
+        reads["inverses"] = lambda x, j, k_inv, *_: k_inv
     if record.c_checkpoints:
         tri = np.zeros((d, d), dtype=np.intp)  # C[p, r] is C's triangle row tri[p, r]
         tri[np.triu_indices(d)] = tri.T[np.triu_indices(d)] = np.arange(d * (d + 1) // 2)
-        reads["covariances"] = (lambda x, j, k_inv, c, rec: c[tri], (d, d, B))
+        reads["covariances"] = lambda x, j, k_inv, c, rec: c[tri]
     recs = {}
     if record.store_paths:
-        recs = {name: _Kept(*read, range(n + 1)) for name, read in reads.items()}
+        recs = {name: _Kept(read, range(n + 1)) for name, read in reads.items()}
     at = sorted(k for k in set(record.c_checkpoints) if 0 <= k <= n)
     if at:
-        recs["c_at"] = _Kept(*reads["covariances"], at, by_index=True)
-        recs["j_at"] = _Kept(*reads["jacobians"], at, by_index=True)
+        recs["c_at"] = _Kept(reads["covariances"], at, by_index=True)
+        recs["j_at"] = _Kept(reads["jacobians"], at, by_index=True)
     if record.remainder is not None:
         if not all(0 <= k <= n for k in record.remainder.read):
             raise ConfigError(f"remainder read indices must lie in [0, {n}]")
         cum = int(record.track_flow_identity)  # the row after the sup, if any
-        recs["accumulated"] = _Kept(lambda *views: views[-1][cum], (B,), record.remainder.read)
+        recs["accumulated"] = _Kept(lambda *views: views[-1][cum], record.remainder.read)
     return recs
 
 
 def _views(buf: np.ndarray, d: int, flows: bool, covariance: bool) -> tuple:
-    """X (d, B), J and K (d, d, B) or None, C's triangle rows and the record
-    rows of a block's state ``buf``."""
+    """X (d, ..., B), J and K (d, d, ..., B) or None, C's triangle rows and the
+    record rows of a block's (rows, B) state ``buf``, or of its (S, rows, B)
+    snapshot, whose S axis each view keeps before B."""
+    rows = np.moveaxis(buf, -2, 0)
     f = 2 * d * d if flows else 0
     e = d + f + (d * (d + 1) // 2 if covariance else 0)
-    flow = buf[d : d + f].reshape(2, d, d, -1) if flows else (None, None)
-    return buf[:d], flow[0], flow[1], buf[d + f : e], buf[e:]
+    flow = rows[d : d + f].reshape((2, d, d) + rows.shape[1:]) if flows else (None, None)
+    return rows[:d], flow[0], flow[1], rows[d + f : e], rows[e:]
 
 
 def _initial_state(x: np.ndarray, flows: bool, covariance: bool, identity: bool,
-                   remainder: tuple | None) -> np.ndarray:
+                   remainder: tuple | None, square_norm: bool) -> np.ndarray:
     """A block's rows with X = ``x`` (d, B), J = K = I, C = 0, and 0 in the
-    record rows: the flow-identity sup, then the remainder's cum, E and one
-    integral per prefix."""
+    record rows: the flow-identity sup, the remainder's cum, E and one
+    integral per prefix, then the sup of |X|^2."""
     d, B = x.shape
-    records = identity + (len(remainder[1]) + 2 if remainder else 0)
+    records = identity + (len(remainder[1]) + 2 if remainder else 0) + square_norm
     s = np.zeros((d + (2 * d * d if flows else 0) + (d * (d + 1) // 2 if covariance else 0)
                   + records, B))
     views = _views(s, d, flows, covariance)
@@ -369,100 +381,138 @@ def _numpy_steps(step, s, out, dw, h, k0, k1, diverged, coefficients):
     return s, out
 
 
-# The probe block of _native_loop: paths, steps and step size.
-_PROBE_B, _PROBE_N, _PROBE_H = 8, 8, 2.0**-4
+def _numpy_block(step, s, dw, h, stops, diverged, coefficients) -> np.ndarray:
+    """The (len(stops), rows, B) snapshot of the numpy kernel ``step``'s block
+    from the state ``s``, which it steps, at the ascending grid indices
+    ``stops``."""
+    snap, out, k = np.empty((len(stops),) + s.shape), np.empty_like(s), 0
+    for i, stop in enumerate(stops):
+        s, out = _numpy_steps(step, s, out, dw, h, k, stop, diverged, coefficients)
+        snap[i], k = s, stop
+    return snap
+
+
+# The probe blocks of _native_loop: paths (a tile and part of another), steps,
+# step size, kept indices, and stream ids with extreme key words.
+_PROBE_B, _PROBE_N, _PROBE_H = C_TILE + 3, 8, 2.0**-4
+_PROBE_STOPS = (0, 3, _PROBE_N)
+_PROBE_IDS = (0, 2**64 - 1, 1, 2**63, 2**32 + 7, *range(9, 9 + _PROBE_B - 5))
 
 
 @lru_cache(maxsize=256)
 def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
-                 identity: bool, remainder: tuple | None):
-    """``step_kernel_c``'s loop, built and loaded, when it leaves the numpy
-    kernel's bytes on a fixed probe block; otherwise None.  The probe starts
-    from random X and record rows, with random remainder coefficients.  Its
-    last path draws an infinite increment at step 2, so it is lost there on
-    any model whose noise reaches X, and would be finite again if it were
-    stepped on; the loop is called twice, from 0 and from 3."""
+                 identity: bool, remainder: tuple | None, square_norm: bool):
+    """``step_kernel_c``'s loop, built and loaded, as ``loop(s, stops, h,
+    diverged, coefficients, dw, seed, ids)``, which returns a block's
+    snapshot as ``_numpy_block`` does and draws the streams ``ids`` when
+    ``dw`` is None; or None unless the loop leaves the numpy route's
+    bytes on fixed probe blocks.  The probe starts from random X and record
+    rows, with random remainder coefficients, and keeps the rows at 0, 3 and
+    n.  On a block of given increments, its last path draws an infinite
+    increment at step 2, so it is lost there on any model whose noise
+    reaches X, and would be finite again if it were stepped on.  On two
+    drawn blocks, at seeds 0 and 2^64 - 1, the loop must match
+    ``_block_increments``."""
     from .. import native  # on the first block that can use it, never at import
 
-    kernel = (coeffs, scheme, flows, covariance, identity, remainder)
-    source = step_kernel_c(*kernel)
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    run = source and native.load(source, "run",
-                                 (ptr, ptr, ctypes.c_double, i64, i64, i64, ptr, ptr))
-    if not run:
+    kernel = (coeffs, scheme, flows, covariance, identity, remainder, square_norm)
+    # the C rekey writes the state struct that _struct_rekey checked
+    source = brownian._rekey is not brownian._dict_rekey and step_kernel_c(*kernel)
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    fn = source and native.load(source, "run", (ptr, ptr, ptr, i64, ptr, ptr, ptr, ctypes.c_uint64,
+                                                ptr, f64, f64, i64, i64, ptr, ptr, ptr))
+    if not fn:
         return None
+    m, philox = coeffs.m, brownian._BITGEN
+
+    def loop(s, stops, h, diverged, coefficients, dw, seed, ids):
+        n, B = int(stops[-1]), s.shape[1]
+        snap, work = np.empty((len(stops),) + s.shape), np.empty((C_TILE + 1) * n * m)
+        ids = np.ascontiguousarray(ids, dtype=np.uint64)  # Philox key words
+        if dw is not None:
+            dw = np.ascontiguousarray(dw, dtype=np.float64)
+        with philox.lock:  # the generator's own lock: the loop rekeys and draws from it
+            fn(s.ctypes.data, snap.ctypes.data, stops.ctypes.data, len(stops),
+               None if dw is None else dw.ctypes.data, philox.ctypes.bit_generator,
+               philox.ctypes.state_address, seed, ids.ctypes.data, math.sqrt(h), h, B, n,
+               diverged.ctypes.data, coefficients.ctypes.data, work.ctypes.data)
+        return snap
+
     rng = np.random.default_rng(2024)
-    d, m, B, n = coeffs.d, coeffs.m, _PROBE_B, _PROBE_N
+    d, B, n = coeffs.d, _PROBE_B, _PROBE_N
     start = _initial_state(rng.uniform(-1.5, 1.5, (d, B)), *kernel[2:])
     records = _views(start, d, flows, covariance)[-1]
     records[:] = rng.uniform(-1.5, 1.5, records.shape)
     coefficients = rng.uniform(-1.5, 1.5, (len(remainder[2]) if remainder else 0, d))
     dw = rng.standard_normal((n, m, B)) * math.sqrt(_PROBE_H)
     dw[2, :, -1] = np.inf
-    numpy_lost, native_lost = np.full(B, -1, dtype=np.int64), np.full(B, -1, dtype=np.int64)
+    ids = np.array(_PROBE_IDS, dtype=np.uint64)
+    cases = ((dw, 0), (None, 0), (None, 2**64 - 1))
+    blocks = [given if given is not None else
+              _block_increments(SimConfig(_PROBE_H * n, n, (0.0,), seed=seed), m, ids)
+              for given, seed in cases]
+    stops = np.array(_PROBE_STOPS, dtype=np.int64)
+    lost = np.full(len(cases) * B, -1, dtype=np.int64)
     with np.errstate(all="ignore"):
-        step = compile_step_kernel(*kernel)
-        want, _ = _numpy_steps(step, start.copy(), np.empty_like(start), dw, _PROBE_H, 0, n,
-                               numpy_lost, coefficients)
-    got = start.copy()
-    for k0, k1 in ((0, 3), (3, n)):
-        run(got.ctypes.data, dw.ctypes.data, _PROBE_H, B, k0, k1, native_lost.ctypes.data,
-            coefficients.ctypes.data)
-    same = got.tobytes() == want.tobytes() and native_lost.tobytes() == numpy_lost.tobytes()
-    return run if same else None
+        want = _numpy_block(compile_step_kernel(*kernel), np.tile(start, len(cases)),
+                            np.concatenate(blocks, axis=2), _PROBE_H, stops, lost, coefficients)
+        for i, (given, seed) in enumerate(cases):
+            part, got_lost = slice(i * B, (i + 1) * B), np.full(B, -1, dtype=np.int64)
+            got = loop(start, stops, _PROBE_H, got_lost, coefficients, given, seed, ids)
+            if (got.tobytes() != want[..., part].tobytes()
+                    or got_lost.tobytes() != lost[part].tobytes()):
+                return None
+    return loop
 
 
-def _simulate_block(
-    coeffs: CoefficientSet, config: SimConfig, dw: np.ndarray, record: RecordSpec
-) -> dict:
+def _simulate_block(coeffs: CoefficientSet, config: SimConfig, record: RecordSpec,
+                    stream_ids: np.ndarray, dw: np.ndarray | None = None) -> dict:
+    """The records of one block of paths, driven by the given (n, m, B)
+    increments ``dw`` or, without them, by the streams ``stream_ids``."""
     d, m = coeffs.d, coeffs.m
-    n, h = config.n_steps, config.h
-    B = dw.shape[2]
-    if dw.shape != (n, m, B):
+    n, h, B = config.n_steps, config.h, len(stream_ids)
+    if dw is not None and dw.shape != (n, m, B):
         raise InternalInvariantError(f"increment block has shape {dw.shape}")
     flows, covariance = record.needs_flows, bool(record.c_checkpoints)
-    identity, spec = record.track_flow_identity, record.remainder
+    identity, spec, square_norm = (record.track_flow_identity, record.remainder,
+                                   record.track_square_norm)
     remainder = spec and (spec.target, spec.prefixes, spec.indices)
-    kernel = (coeffs, config.scheme, flows, covariance, identity, remainder)
-    run = _native_loop(*kernel) if NATIVE else None
-    STEP_ROUTES.add("native" if run else "numpy")
+    kernel = (coeffs, config.scheme, flows, covariance, identity, remainder, square_norm)
+    loop = _native_loop(*kernel) if NATIVE else None
+    STEP_ROUTES.add("native" if loop else "numpy")
+    INCREMENT_ROUTES.add("native" if loop and dw is None else "numpy")
 
-    # the kernel's rows: the native loop updates them in place, the numpy
-    # kernel writes them to the other buffer
+    # the kernel's rows: the native loop reads them, the numpy kernel steps them
     s = _initial_state(np.broadcast_to(np.asarray(config.x0)[:, None], (d, B)), *kernel[2:])
-    x, _, k_inv, _, records = _views(s, d, flows, covariance)
+    layout = (d, flows, covariance)
+    x, _, k_inv, _, records = _views(s, *layout)
     coefficients = np.zeros((0, d))
-    if spec:  # E_0 = |R_0|^2, at integrals 0 and the unit process 1
-        rem = spec.remainder(x, k_inv, dict.fromkeys(spec.prefixes, 0.0) | {(): 1.0})
-        records[identity + 1] = np.sum(rem * rem, axis=0)
-        coefficients = spec.coefficients
+    kept = _recorders(record, n, d)
+    stops = np.array(sorted({n}.union(*(acc.indices for acc in kept.values()))), dtype=np.int64)
     diverged = np.full(B, -1, dtype=np.int64)
-    if run:
-        dw = np.ascontiguousarray(dw, dtype=np.float64)
-        s_at, dw_at, lost_at, t_at = (a.ctypes.data for a in (s, dw, diverged, coefficients))
-    else:
-        step, out = compile_step_kernel(*kernel), np.empty_like(s)
-    kept = _recorders(record, B, n, d)
-    # back in Python only at the indices kept, and at n, for the results
-    k = 0
     with np.errstate(all="ignore"):
-        for stop in sorted({n}.union(*(acc.rows for acc in kept.values()))):
-            if run:
-                run(s_at, dw_at, h, B, k, stop, lost_at, t_at)
-            else:
-                s, out = _numpy_steps(step, s, out, dw, h, k, stop, diverged, coefficients)
-            k = stop
-            views = _views(s, d, flows, covariance)
-            for acc in kept.values():
-                acc.step(k, views)
+        if spec:  # E_0 = |R_0|^2, at integrals 0 and the unit process 1
+            rem = spec.remainder(x, k_inv, dict.fromkeys(spec.prefixes, 0.0) | {(): 1.0})
+            records[identity + 1] = np.sum(rem * rem, axis=0)
+            coefficients = spec.coefficients
+        if square_norm:  # |X_0|^2, summed as the kernel sums
+            records[-1] = np.add.reduce(x * x, axis=0)
+        if loop:
+            snap = loop(s, stops, h, diverged, coefficients, dw, config.seed, stream_ids)
+        else:
+            if dw is None:
+                dw = _block_increments(config, m, stream_ids)
+            snap = _numpy_block(compile_step_kernel(*kernel), s, dw, h, stops, diverged,
+                                coefficients)
 
-    x, j, _, _, records = views
+    x, j, _, _, records = _views(snap[-1], *layout)
     return {
         "final_states": x.T.copy(),
         "diverged_step": diverged,
         "final_jacobians": None if j is None else np.moveaxis(j, -1, 0).copy(),
         "flow_identity_sup": records[0].copy() if identity else None,
-        **{name: acc.result() for name, acc in kept.items()},
+        "square_norm_sup": records[-1].copy() if square_norm else None,
+        **{name: acc.result(snap, stops, layout) for name, acc in kept.items()},
     }
 
 
@@ -493,7 +543,7 @@ def _block_increments(config: SimConfig, m: int, stream_ids: np.ndarray) -> np.n
 
 def _default_block_size(config: SimConfig, coeffs: CoefficientSet, record: RecordSpec) -> int:
     n, d, m = config.n_steps, coeffs.d, coeffs.m
-    per_path = n * m  # increments
+    per_path = n * m  # increments, on the numpy route
     if record.store_paths:
         flows = 2 * d * d if record.needs_flows else 0
         per_path += (n + 1) * (d + flows + (d * d if record.c_checkpoints else 0))
@@ -524,10 +574,7 @@ def run_ensemble(
         np.arange(s, min(s + size, n_paths), dtype=np.int64) for s in starts
     ]
 
-    results = [
-        _simulate_block(coeffs, config, _block_increments(config, coeffs.m, ids), record)
-        for ids in id_blocks
-    ]
+    results = [_simulate_block(coeffs, config, record, ids) for ids in id_blocks]
 
     def cat(parts):
         if isinstance(parts[0], dict):  # records by grid index
@@ -559,7 +606,8 @@ def _single_path(
 ) -> dict:
     """Run the ensemble engine on the one given grid; raises on divergence."""
     _check_grid(coeffs, config, grid)
-    out = _simulate_block(coeffs, config, grid.increments[:, :, None], record)
+    # one path, driven by the grid's increments
+    out = _simulate_block(coeffs, config, record, np.arange(1), grid.increments[:, :, None])
     step = int(out["diverged_step"][0])
     if step >= 0:
         # max-abs: a Euclidean norm of a barely-finite state can overflow

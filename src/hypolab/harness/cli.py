@@ -452,14 +452,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _environment() -> dict:
-    """Where the run ran: the interpreter, numpy, the platform, and the step
-    route of its blocks, a list when both ran and null when none did."""
-    routes = sorted(simulate.STEP_ROUTES)
+    """Where the run ran: the interpreter, numpy, the platform, and the routes
+    of its blocks' steps and increments, each a list when both ran and null
+    when none did."""
+    def route(ran):
+        ran = sorted(ran)
+        return ran[0] if len(ran) == 1 else ran or None
+
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
-        "step_route": routes[0] if len(routes) == 1 else routes or None,
+        "step_route": route(simulate.STEP_ROUTES),
+        "increments": route(simulate.INCREMENT_ROUTES),
     }
 
 
@@ -489,6 +494,7 @@ def main(argv=None) -> int:
 
         start = time.perf_counter()
         simulate.STEP_ROUTES.clear()
+        simulate.INCREMENT_ROUTES.clear()
         _HANDLERS[args.command](cfg, out)
         wall = time.perf_counter() - start
         out("config.resolved.txt", "resolved run configuration")  # last: its digest is config_hash

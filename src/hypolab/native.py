@@ -1,10 +1,16 @@
 """Generated C code built once per user and loaded with ctypes.
 
 ``load(source, name, argtypes)`` returns the C function ``name`` of a shared
-library built from ``source``, or None when there is no compiler, the build
-fails or no cache directory can be trusted.  Libraries are cached by content:
-the file name is the sha256 of the source, the flags and the compiler's
-resolved path and modification time, so a warm cache starts no process.
+library built from ``source``, or None when there is no compiler, numpy's
+C random API is missing, the build fails or no cache directory can be
+trusted.  Every library links numpy's ``libnpyrandom.a`` (numpy's
+"Extending" page), so generated code can drive numpy's own samplers
+through a ``bitgen_t``: it is compiled against numpy's
+``random/{bitgen,distributions}.h`` and Python's headers, which
+``distributions.h`` includes.  Libraries are cached by content: the file
+name is the sha256 of the source, the flags, numpy's include and link
+flags and version, and the compiler's resolved path and modification time,
+so a warm cache starts no process.
 The cache is ``~/.cache/hypolab/native``, or ``hypolab-native-<uid>`` in the
 temp directory when that cannot be made; a directory is used only if it is
 ours and writable by nobody else.  A library is compiled in a temporary
@@ -22,7 +28,10 @@ import hashlib
 import os
 import shutil
 import stat
+import sysconfig
 import tempfile
+
+import numpy as np
 
 COMPILER = "cc"
 CACHE: str | None = None  # None: the per-user default above
@@ -34,8 +43,8 @@ _BUILD_TIMEOUT_S = 120
 
 def load(source: str, name: str, argtypes: tuple):
     """The C function ``name`` of ``source`` built as a shared library, or None."""
-    compiler, path = _locate(source)
-    if path is None or not (_intact(path) or _build(compiler, source, path)):
+    compiler, path, flags = _locate(source)
+    if path is None or not (_intact(path) or _build(compiler, source, path, flags)):
         return None
     try:
         fn = getattr(ctypes.CDLL(path), name)
@@ -43,6 +52,18 @@ def load(source: str, name: str, argtypes: tuple):
         return None
     fn.argtypes, fn.restype = argtypes, None
     return fn
+
+
+def _numpy_random_flags() -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """The include and the link flags of numpy's C random API, or None when its
+    headers, Python's headers or ``libnpyrandom.a`` are missing."""
+    include, python = np.get_include(), sysconfig.get_paths()["include"]
+    lib = os.path.join(os.path.dirname(np.__file__), "random", "lib")
+    needed = (os.path.join(include, "numpy", "random", "distributions.h"),
+              os.path.join(python, "Python.h"), os.path.join(lib, "libnpyrandom.a"))
+    if not all(os.path.isfile(path) for path in needed):
+        return None
+    return (f"-I{include}", f"-I{python}"), (f"-L{lib}", "-lnpyrandom")
 
 
 def _intact(path: str) -> bool:
@@ -56,21 +77,22 @@ def _intact(path: str) -> bool:
         return False
 
 
-def _locate(source: str) -> tuple[str | None, str | None]:
-    """The compiler's resolved path and the library's path in the cache."""
-    compiler = shutil.which(COMPILER)
-    directory = _cache_dir() if compiler else None
+def _locate(source: str) -> tuple[str | None, str | None, tuple | None]:
+    """The compiler's resolved path, the library's path in the cache and
+    numpy's include and link flags."""
+    compiler, flags = shutil.which(COMPILER), _numpy_random_flags()
+    directory = _cache_dir() if compiler and flags else None
     if directory is None:
-        return None, None
+        return None, None, None
     compiler = os.path.realpath(compiler)
     try:
         mtime = os.stat(compiler).st_mtime_ns
     except OSError:
-        return None, None
+        return None, None, None
     key = hashlib.sha256()
-    for part in (source, *FLAGS, compiler, str(mtime)):
+    for part in (source, *FLAGS, *flags[0], *flags[1], np.__version__, compiler, str(mtime)):
         key.update(part.encode() + b"\0")
-    return compiler, os.path.join(directory, key.hexdigest() + ".so")
+    return compiler, os.path.join(directory, key.hexdigest() + ".so"), flags
 
 
 def _cache_dir() -> str | None:
@@ -92,19 +114,20 @@ def _cache_dir() -> str | None:
     return None
 
 
-def _build(compiler: str, source: str, path: str) -> bool:
-    """Compile ``source`` to ``path``, with its sha256 beside it; False when the
-    compiler fails."""
+def _build(compiler: str, source: str, path: str, flags: tuple) -> bool:
+    """Compile ``source`` with the include and link ``flags`` to ``path``, with
+    its sha256 beside it; False when the compiler fails."""
     import subprocess  # only a build needs it: a warm run does without
 
     try:
         with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as work:
             with open(os.path.join(work, "kernel.c"), "w", encoding="utf-8") as fh:
                 fh.write(source)
+            include, link = flags
+            command = [compiler, *FLAGS, *include, "-o", "kernel.so", "kernel.c", *link, "-lm"]
             # run waits for the compiler, and kills it on timeout
-            subprocess.run([compiler, *FLAGS, "-o", "kernel.so", "kernel.c", "-lm"], cwd=work,
-                           check=True, stdin=subprocess.DEVNULL, capture_output=True,
-                           timeout=_BUILD_TIMEOUT_S)
+            subprocess.run(command, cwd=work, check=True, stdin=subprocess.DEVNULL,
+                           capture_output=True, timeout=_BUILD_TIMEOUT_S)
             with open(os.path.join(work, "kernel.so"), "rb") as lib, \
                     open(os.path.join(work, "kernel.sha256"), "w", encoding="ascii") as digest:
                 digest.write(hashlib.sha256(lib.read()).hexdigest())

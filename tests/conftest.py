@@ -49,6 +49,7 @@ def force_route(monkeypatch):
         monkeypatch.setattr(simulate, "NATIVE", route == "native")
         ran = set()
         monkeypatch.setattr(simulate, "STEP_ROUTES", ran)
+        monkeypatch.setattr(simulate, "INCREMENT_ROUTES", set())
         return ran
 
     return force

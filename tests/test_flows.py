@@ -46,7 +46,7 @@ from hypolab.flows import (
     simulate_x,
 )
 from hypolab import native
-from hypolab.fieldlang.fields import _NEWTON_MAX_ITER, _NEWTON_TOL
+from hypolab.fieldlang.fields import _NEWTON_MAX_ITER, _NEWTON_TOL, C_TILE
 from hypolab.flows import brownian, simulate
 from hypolab.flows.brownian import standard_normal_stream
 from hypolab.flows.simulate import _block_increments, _simulate_block
@@ -137,10 +137,16 @@ def test_block_increments_match_stacked_streams(n_paths, m):
     assert np.array_equal(_block_increments(cfg, m, ids), np.moveaxis(expected, 0, -1))
 
 
-def test_layer_entry_points_stay_module_globals(monkeypatch):
-    # the benchmark's tracer wraps these names where their callers look them up
+@pytest.mark.parametrize("route", ["native", "numpy"])
+def test_layer_entry_points_stay_module_globals(monkeypatch, force_route, route):
+    # the benchmark's tracer wraps these names where their callers look them up;
+    # the native loop draws its own increments
     from hypolab.harness import cli
 
+    cfg = SimConfig(horizon=0.5, n_steps=8, x0=(1.0,), seed=1)
+    ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
+    force_route(route)
+    simulate.run_ensemble(ou, cfg, 5, RecordSpec(flows=False))  # the native loop's probe
     assert cli.run_ensemble is simulate.run_ensemble
     calls = []
     for name in ("_block_increments", "_simulate_block"):
@@ -151,10 +157,9 @@ def test_layer_entry_points_stay_module_globals(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(simulate, name, counted)
-    cfg = SimConfig(horizon=0.5, n_steps=8, x0=(1.0,), seed=1)
-    ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
     simulate.run_ensemble(ou, cfg, 5, RecordSpec(flows=False), block_size=3)
-    assert calls == ["_block_increments", "_simulate_block"] * 2
+    block = ["_simulate_block"] + ["_block_increments"] * (route == "numpy")
+    assert calls == block * 2
 
 
 def test_block_increments_scratch_is_one_chunk():
@@ -401,6 +406,25 @@ def test_flow_identity_row_is_the_stored_path_defect(route, force_route):
            for j, k_inv in zip(res.jacobians, res.inverses)]
     assert res.flow_identity_sup.tobytes() == np.array(sup).tobytes()
     assert res.flow_identity_sup.max() > 0.0
+    assert ran == {route}
+
+
+@pytest.mark.parametrize("route", ["native", "numpy"])
+def test_square_norm_row_is_the_stored_path_sup(route, force_route):
+    # the running max row of |X|^2, against the max over each stored path of
+    # its squared norms, which moment_probe took before: the same bits, the
+    # overflowing lost paths' frozen rows included
+    ran = force_route(route)
+    coeffs = CoefficientSet.from_text(3, 2, "-x1 - x1^3, x2 - x2^3, -x3",
+                                      ["1, 0, -0.5*x2", "0, 20, 0.5*x1"])
+    cfg = SimConfig(horizon=1.0, n_steps=64, x0=(1.0, 10.5, -0.3), scheme="euler", seed=6)
+    res = run_ensemble(coeffs, cfg, 12, RecordSpec(flows=False, store_paths=True,
+                                                   track_square_norm=True))
+    assert 0 < res.diverged_count < res.n_paths
+    x = np.moveaxis(res.states, -1, 0)  # (d, paths, n + 1)
+    with np.errstate(over="ignore"):
+        sup = np.add.reduce(x * x, axis=0).max(axis=1)
+    assert res.square_norm_sup.tobytes() == sup.tobytes()
     assert ran == {route}
 
 
@@ -655,6 +679,8 @@ _ORACLE_MODELS = {
         3, 1, "-x1 + 0.3*x3, 0.4*x1 - x2 - x2^3, 0.2*x2 - x3", ["1, 0.5, 0.2*x1"],
         (0.5, -0.2, 0.3), 0.5, 64, 16, 3,
     ),
+    "three-noises": (2, 3, "-x1 - x1^3, -x2 + 0.5*x1", ["1, 0.2*x2", "0.3*x1, 1", "0.5, -0.25*x1"],
+                     (0.4, -0.6), 0.5, 64, 16, 3),
     # the two models of test_path_loss_inside_a_block_does_not_change_bits
     "state-overflow": (1, 1, "x1 - x1^3", ["20"], (10.5,), 1.0, 64, 50, 7),
     "flow-overflow": (1, 1, "4000*x1", ["100*x1"], (0.0,), 1.0, 256, 50, 1),
@@ -969,8 +995,8 @@ def test_singular_newton_matrix_loses_only_its_own_path():
         horizon=1 / 32, n_steps=2, x0=(0.0,), scheme="split-step-backward-euler"
     )
     dw = np.array([[[1.0, 0.25]], [[0.0, 0.0]]])
-    both = _simulate_block(c, cfg, dw, RecordSpec(flows=False))
-    alone = _simulate_block(c, cfg, dw[:, :, 1:], RecordSpec(flows=False))
+    both = _simulate_block(c, cfg, RecordSpec(flows=False), np.arange(2), dw)
+    alone = _simulate_block(c, cfg, RecordSpec(flows=False), np.arange(1), dw[:, :, 1:])
     assert both["diverged_step"].tolist() == [1, -1]
     assert alone["diverged_step"].tolist() == [-1]
     assert both["final_states"][1].tobytes() == alone["final_states"][0].tobytes()
@@ -1098,11 +1124,32 @@ def _foreign_cache(cache, monkeypatch):
     cache.chmod(0o777)  # anyone may write into it
 
 
+def _no_random_headers(cache, monkeypatch):
+    monkeypatch.setattr(np, "get_include", lambda: str(cache.parent))
+
+
+def _no_random_library(cache, monkeypatch):
+    # numpy's random/lib/libnpyrandom.a is looked up beside numpy's __init__
+    monkeypatch.setattr(np, "__file__", str(cache.parent / "numpy" / "__init__.py"))
+
+
+def _perturbed_draws(cache, monkeypatch):
+    # the key's seed word rekeyed wrongly: only the probe's drawn blocks can tell
+    def perturbed(*kernel):
+        source = step_kernel_c.__wrapped__(*kernel)
+        assert "key[0] = seed;" in source
+        return source.replace("key[0] = seed;", "key[0] = seed ^ 1;", 1)
+
+    monkeypatch.setattr(simulate, "step_kernel_c", perturbed)
+
+
 @pytest.mark.parametrize(
     "fault,route",
     [(_no_compiler, "numpy"), (_perturbed_source, "numpy"), (_truncated_library, "native"),
-     (_foreign_cache, "numpy")],
-    ids=["missing-compiler", "perturbed-source", "truncated-library", "foreign-cache"],
+     (_foreign_cache, "numpy"), (_no_random_headers, "numpy"), (_no_random_library, "numpy"),
+     (_perturbed_draws, "numpy")],
+    ids=["missing-compiler", "perturbed-source", "truncated-library", "foreign-cache",
+         "missing-random-headers", "missing-random-library", "perturbed-draws"],
 )
 def test_native_faults_give_the_numpy_bytes_quietly(
     fault, route, fresh_loops, monkeypatch, force_route, capfd
@@ -1116,8 +1163,8 @@ def test_native_faults_give_the_numpy_bytes_quietly(
     assert capfd.readouterr() == ("", "")
     with pytest.raises(ChildProcessError):  # every compiler run was waited for
         os.waitpid(-1, os.WNOHANG)
-    if fault is _foreign_cache:
-        assert not any(fresh_loops.iterdir())
+    if fault in (_foreign_cache, _no_random_headers, _no_random_library):
+        assert not fresh_loops.exists() or not any(fresh_loops.iterdir())
     if fault is _truncated_library:
         (library,) = fresh_loops.glob("*.so")
         built_before = fresh_loops.parent / "elsewhere" / library.name
@@ -1136,6 +1183,89 @@ def test_warm_cache_starts_no_process(fresh_loops, monkeypatch, force_route):
     assert _heis_bytes() == cold
     assert ran == {"native"}
     assert stat.S_IMODE(fresh_loops.stat().st_mode) == 0o700
+
+
+def test_library_path_keys_on_the_numpy_version_and_flags(tmp_path, monkeypatch):
+    monkeypatch.setattr(native, "CACHE", str(tmp_path))
+    source = "void run(void) {}\n"
+    include, link = native._numpy_random_flags()
+    path = native._locate(source)[1]
+    assert native._locate(source)[1] == path
+    others = set()
+    for attr, owner, value in [
+        ("__version__", np, "0.0.0"),
+        ("_numpy_random_flags", native, lambda: (include, link + ("-lmvec",))),
+        ("_numpy_random_flags", native, lambda: (include + ("-I/usr/include",), link)),
+        ("FLAGS", native, native.FLAGS + ("-g",)),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, attr, value)
+            others.add(native._locate(source)[1])
+    assert len(others) == 4 and path not in others
+
+
+def _route_records(name, scheme, seed, n):
+    d, m, drift, sigma, x0, horizon, *_ = _ORACLE_MODELS[name]
+    coeffs = CoefficientSet.from_text(d, m, drift, sigma)
+    cfg = SimConfig(horizon=horizon, n_steps=n, x0=x0, scheme=scheme, seed=seed)
+    record = RecordSpec(store_paths=True, c_checkpoints=(0, n // 2, n),
+                        track_flow_identity=True, track_square_norm=True)
+    res = run_ensemble(coeffs, cfg, 2 * C_TILE + 5, record)  # two tiles and part of one
+    arrays = {field: getattr(res, field) for field in (
+        "final_states", "final_jacobians", "diverged_step", "flow_identity_sup",
+        "square_norm_sup", "states", "jacobians", "inverses", "covariances")}
+    for k in res.c_at:
+        arrays[f"C at {k}"], arrays[f"J at {k}"] = res.c_at[k], res.j_at[k]
+    return {field: a.tobytes() for field, a in arrays.items()}, res.alive
+
+
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", sorted(set(_ORACLE_MODELS) - {"dense-4x2"}))  # the rational ones
+def test_native_draws_give_the_numpy_route_bytes(name, scheme, seed, n, force_route):
+    force_route("numpy")
+    want, alive = _route_records(name, scheme, seed, n)
+    assert simulate.INCREMENT_ROUTES == {"numpy"}
+    ran = force_route("native")
+    got, _ = _route_records(name, scheme, seed, n)
+    assert (ran, simulate.INCREMENT_ROUTES) == ({"native"}, {"native"})
+    for key in want:
+        assert got[key] == want[key], key
+    if (name, scheme, n) == ("state-overflow", "euler", 64):
+        assert 0 < alive.sum() < len(alive)  # the masked step is covered: 2 of 21 lost
+
+
+def test_native_block_leaves_the_python_streams_alone(ou, force_route):
+    cfg = SimConfig(horizon=0.5, n_steps=32, x0=(1.0,), seed=2**64 - 1)
+
+    def draws():
+        return (sample_brownian(cfg, 2, stream_id=5).path.tobytes(),
+                standard_normal_stream(7, 2**64 - 1, 1, (4, 3)).tobytes())
+
+    before = draws()
+    ran = force_route("native")
+    run_ensemble(ou, cfg, 20, RecordSpec())
+    assert ran == {"native"}
+    assert draws() == before
+
+
+def test_native_block_holds_no_increment_block(ou, force_route):
+    # an ou-simulate block: 8192 paths of 1024 steps, whose (n, m, B) increment
+    # block alone is 64 MiB on the numpy route
+    n, n_paths = 1024, 8192
+    cfg = SimConfig(horizon=1.0, n_steps=n, x0=(1.0,), seed=42)
+    ran = force_route("native")
+    run_ensemble(ou, cfg, 8, RecordSpec(flows=True))  # the build, probe and first calls
+    tracemalloc.start()
+    try:
+        run_ensemble(ou, cfg, n_paths, RecordSpec(flows=True), block_size=n_paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ran == {"native"}
+    # the state, its snapshot at n, the tile's work buffer and the results
+    assert peak < n * n_paths * 8 // 16
 
 
 def test_c_loop_is_the_numpy_kernel_line_by_line():

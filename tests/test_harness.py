@@ -877,6 +877,7 @@ def test_manifest_environment_names_the_step_route(tmp_path, drift, route, force
             "numpy": np.__version__,
             "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
             "step_route": route if forced == "native" else "numpy",
+            "increments": route if forced == "native" else "numpy",
         }
         outputs[forced] = manifest["outputs"]
     assert outputs["native"] == outputs["numpy"]  # only the manifest tells the routes apart
@@ -903,6 +904,7 @@ def test_import_and_check_hormander_build_and_load_nothing_native(tmp_path):
     subprocess.run([sys.executable, "-c", script], cwd=root, env=_src_env(), check=True)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["environment"]["step_route"] is None
+    assert manifest["environment"]["increments"] is None
 
 
 def test_cli_non_finite_local_bound_prints_only_its_error(tmp_path):

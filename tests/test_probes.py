@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,21 @@ def test_moment_probe_double_well_band(ginzburg_landau):
     )
     assert np.all(probe.diverged == 0)
     assert probe.ratio_band[4.0] <= 3.0
+
+
+def test_moment_probe_memory_is_bounded_by_the_block(ginzburg_landau):
+    # sup |X| is a row of the step: no state path is kept, for any x0
+    n, n_paths = 256, 2000
+    cfg = SimConfig(horizon=1.0, n_steps=n, x0=(1.0,), seed=8)
+    x0_values = [(1.0,), (2.0,), (4.0,)]
+    moment_probe(ginzburg_landau, cfg, [4.0], x0_values, n_paths=8)  # first-call allocations
+    tracemalloc.start()
+    try:
+        moment_probe(ginzburg_landau, cfg, [4.0], x0_values, n_paths=n_paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one x0's stored state paths are 4.1 MB, and storing them peaked at 12.6
+    # MB; the numpy route holds one 4.1 MB increment block, the native loop a
+    # tile of it
+    assert peak < 2 * n_paths * (n + 1) * 8
