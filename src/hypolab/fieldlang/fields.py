@@ -246,19 +246,123 @@ C_TILE = 8
 # C's loop over a block of B paths, a tile of C_TILE paths at a time.  A tile
 # takes its increments from the caller's (n, m, B) block ``dw`` or, when that
 # is NULL, draws them: each path's Philox stream rekeyed as
-# ``brownian._struct_rekey`` rekeys it, n m standard normals from numpy's own
-# sampler, then ``brownian._brownian_paths``' scale and running sum and
+# ``brownian._struct_rekey`` rekeys it, n m standard normals with numpy's
+# sampler's bits, then ``brownian._brownian_paths``' scale and running sum and
 # ``simulate._block_increments``' differences, in their float operations.
 # The tile's rows are stepped through all n steps: a path's new rows go to
 # ``o`` and are stored only when its new state rows are finite (and its solve
 # converged); otherwise the path is marked lost at k and keeps all its rows,
 # as in the engine's masked step.  At each grid index in ``stops`` every row
 # of the tile is copied into the (S, rows, B) snapshot ``snap``.
+#
+# The normals are numpy's ziggurat (``random_standard_normal`` in
+# ``libnpyrandom.a``; Marsaglia and Tsang 2000).  Its fast path is inline: one
+# draw r, layer idx = r & 0xff, rabs = bits 9..60, and when rabs < k[idx] the
+# normal rabs w[idx] with bit 8 of r as its sign bit, set without a branch
+# (numpy's ``if (sign) x = -x`` mispredicts half the time).  Any other draw,
+# about 1.5% of them, goes to numpy's own sampler through a replay bitgen_t
+# that hands it r first and then forwards to the Philox, so the rejection
+# step and the idx-0 tail are numpy's by construction.  The tables w and k
+# are local symbols of ``libnpyrandom.a``, so ``setup`` reads them off numpy's
+# sampler through a scripted bitgen_t that counts its draws: k[idx] is the
+# first rabs that takes more than one draw (a bisection over [0, 2^52]),
+# w[idx] the output at rabs = 1, which no layer with k <= 1 accepts.  The
+# script's next_double returns 0.5: at 0.0 numpy's tail loop never ends.
+# ``setup`` then checks the sampler against numpy's normals of a fixed
+# stream, and the engine uses the loop only if they agree bit for bit.
 _C_RUN = """\
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 #include <numpy/random/distributions.h>
 {newton}
+static double zig_w[256];
+static uint64_t zig_k[256];
+
+typedef struct {{
+    bitgen_t *bitgen;
+    uint64_t first;
+    int pending;
+}} replay_t;
+
+static uint64_t replay_uint64(void *st)
+{{
+    replay_t *p = st;
+    if (p->pending) {{
+        p->pending = 0;
+        return p->first;
+    }}
+    return p->bitgen->next_uint64(p->bitgen->state);
+}}
+
+static uint32_t replay_uint32(void *st)
+{{
+    replay_t *p = st;
+    return p->bitgen->next_uint32(p->bitgen->state);
+}}
+
+static double replay_double(void *st)
+{{
+    replay_t *p = st;
+    return p->bitgen->next_double(p->bitgen->state);
+}}
+
+static uint64_t replay_raw(void *st)
+{{
+    replay_t *p = st;
+    return p->bitgen->next_raw(p->bitgen->state);
+}}
+
+static double normal_again(bitgen_t *bitgen, uint64_t r)
+{{
+    replay_t replay = {{bitgen, r, 1}};
+    bitgen_t again = {{&replay, replay_uint64, replay_uint32, replay_double, replay_raw}};
+    return random_standard_normal(&again);
+}}
+
+static inline double normal(bitgen_t *bitgen)
+{{
+    const uint64_t r = bitgen->next_uint64(bitgen->state);
+    const int idx = r & 0xff;
+    const uint64_t rabs = (r >> 9) & 0x000fffffffffffffULL;
+    if (rabs >= zig_k[idx])
+        return normal_again(bitgen, r);
+    union {{ double x; uint64_t u; }} v = {{(double)(int64_t)rabs * zig_w[idx]}};
+    v.u ^= (r & 0x100) << 55;
+    return v.x;
+}}
+
+typedef struct {{
+    uint64_t first;
+    int64_t draws;
+}} script_t;
+
+static uint64_t script_uint64(void *st)
+{{
+    script_t *p = st;  /* later draws: layer "draws" at rabs 0 */
+    return p->draws++ ? (uint64_t)p->draws & 0xff : p->first;
+}}
+
+static uint32_t script_uint32(void *st)
+{{
+    ((script_t *)st)->draws++;
+    return 0;
+}}
+
+static double script_double(void *st)
+{{
+    ((script_t *)st)->draws++;
+    return 0.5;
+}}
+
+static int one_draw(uint64_t r, double *x)
+{{
+    script_t script = {{r, 0}};
+    bitgen_t bitgen = {{&script, script_uint64, script_uint32, script_double, script_uint64}};
+    *x = random_standard_normal(&bitgen);
+    return script.draws == 1;
+}}
+
 static void rekey(uint64_t *words, uint64_t seed, uint64_t id)
 {{
     uint64_t *ctr = (uint64_t *)words[0], *key = (uint64_t *)words[1];
@@ -268,6 +372,31 @@ static void rekey(uint64_t *words, uint64_t seed, uint64_t id)
     words[2] = 4;  /* the output buffer exhausted */
     for (int i = 3; i < 8; ++i)
         words[i] = 0;
+}}
+
+int setup(bitgen_t *bitgen, uint64_t *philox, uint64_t seed, uint64_t id, int64_t count,
+          const double *want)
+{{
+    double x;
+    for (uint64_t idx = 0; idx < 256; ++idx) {{
+        uint64_t lo = 0, hi = 1ULL << 52;  /* rabs < lo is accepted, rabs >= hi is not */
+        while (lo < hi) {{
+            const uint64_t mid = lo + (hi - lo) / 2;
+            if (one_draw(mid << 9 | idx, &x))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }}
+        zig_k[idx] = lo;
+        zig_w[idx] = lo > 1 && one_draw(1 << 9 | idx, &x) ? x : 0.0;
+    }}
+    rekey(philox, seed, id);
+    for (int64_t i = 0; i < count; ++i) {{
+        x = normal(bitgen);
+        if (memcmp(&x, want + i, sizeof x))
+            return 0;
+    }}
+    return 1;
 }}
 
 void run(const double *s, double *snap, const int64_t *stops, int64_t S, const double *dw,
@@ -287,7 +416,8 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
                 continue;
             }}
             rekey(philox, seed, ids[b0 + g]);
-            random_standard_normal_fill(bitgen, n * {m}, nrm);
+            for (int64_t i = 0; i < n * {m}; ++i)
+                nrm[i] = normal(bitgen);
             for (int j = 0; j < {m}; ++j) {{
                 double w = 0.0;  /* W(t_k); the first is W_1 itself, as cumsum's */
                 for (int64_t k = 0; k < n; ++k) {{
@@ -608,7 +738,10 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
     the numpy Philox ``bitgen`` (its ``bitgen_t``) and its state struct
     ``philox``, keyed by (``seed``, ``ids[b]``) with counter block 0, and
     scaled by ``scale`` = sqrt h: the bits of
-    ``simulate._block_increments``.  ``diverged`` holds the (B,) int64
+    ``simulate._block_increments``.  The library's ``setup(bitgen,
+    philox, seed, id, count, want)`` must run first: it reads numpy's
+    ziggurat tables and returns 1 when the ``count`` normals of the stream
+    (``seed``, ``id``) are the bits of ``want``.  ``diverged`` holds the (B,) int64
     steps at which paths were lost, -1 for none, ``T`` the remainder's
     coefficients and ``work`` room for (``C_TILE`` + 1) n m doubles.
 

@@ -12,8 +12,8 @@ The stored object is the path W(t_k); increments are its differences.
 The engine's native loop (``fieldlang.step_kernel_c``) draws the base
 increments of its blocks itself, from this module's Philox: it writes the
 same state words as ``_struct_rekey``, only while that route is the active
-one, and fills with numpy's own C sampler behind ``_GEN.standard_normal``,
-holding the generator's lock.  Since every Python draw rekeys first, the
+one, and draws the normals of ``_GEN.standard_normal``, numpy's ziggurat
+with its fast path inline, holding the generator's lock.  Since every Python draw rekeys first, the
 draws here do not depend on what the loop drew before.
 """
 from __future__ import annotations

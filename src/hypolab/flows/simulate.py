@@ -18,9 +18,9 @@ one (rows, B) buffer.  For a model built from ``+ - * /``, powers and
 constants, the block runs natively, in one call: the same lines rendered
 as C (``fieldlang.step_kernel_c``), whose loop takes a tile of paths at a
 time, draws the tile's increments from each path's Philox stream with
-numpy's own C sampler, and steps it through the whole grid; it is used
-only if it gives the numpy route's bytes on probe blocks, drawn ones
-included.  Otherwise, and for models or remainder targets with sin, cos,
+the bits of numpy's ziggurat sampler, and steps it through the whole grid;
+it is used only if its sampler draws numpy's normals of a fixed stream and
+it gives the numpy route's bytes on probe blocks, drawn ones included.  Otherwise, and for models or remainder targets with sin, cos,
 exp or tanh, the block's increments are drawn by ``_block_increments``
 and each step is one call of ``fieldlang.compile_step_kernel`` on rows of
 B paths, which writes to a second buffer.  ``NATIVE = False`` forces that
@@ -397,6 +397,10 @@ def _numpy_block(step, s, dw, h, stops, diverged, coefficients) -> np.ndarray:
 _PROBE_B, _PROBE_N, _PROBE_H = C_TILE + 3, 8, 2.0**-4
 _PROBE_STOPS = (0, 3, _PROBE_N)
 _PROBE_IDS = (0, 2**64 - 1, 1, 2**63, 2**32 + 7, *range(9, 9 + _PROBE_B - 5))
+# The stream (seed, id) and the count of the normals that the native loop's
+# sampler must draw as numpy's does before the probe runs: about 64 draws
+# per ziggurat layer, of which about 250 go to numpy's slow path.
+_SAMPLER_CHECK = (2**64 - 1, 2**64 - 2, 2**14)
 
 
 @lru_cache(maxsize=256)
@@ -405,8 +409,10 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     """``step_kernel_c``'s loop, built and loaded, as ``loop(s, stops, h,
     diverged, coefficients, dw, seed, ids)``, which returns a block's
     snapshot as ``_numpy_block`` does and draws the streams ``ids`` when
-    ``dw`` is None; or None unless the loop leaves the numpy route's
-    bytes on fixed probe blocks.  The probe starts from random X and record
+    ``dw`` is None; or None unless the library's ``setup`` reads numpy's
+    ziggurat tables and then draws ``_SAMPLER_CHECK``'s normals as numpy
+    does, and the loop leaves the numpy route's bytes on fixed probe
+    blocks.  The probe starts from random X and record
     rows, with random remainder coefficients, and keeps the rows at 0, 3 and
     n.  On a block of given increments, its last path draws an infinite
     increment at step 2, so it is lost there on any model whose noise
@@ -418,12 +424,22 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     kernel = (coeffs, scheme, flows, covariance, identity, remainder, square_norm)
     # the C rekey writes the state struct that _struct_rekey checked
     source = brownian._rekey is not brownian._dict_rekey and step_kernel_c(*kernel)
-    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn = source and native.load(source, "run", (ptr, ptr, ptr, i64, ptr, ptr, ptr, ctypes.c_uint64,
-                                                ptr, f64, f64, i64, i64, ptr, ptr, ptr))
-    if not fn:
+    ptr, i64, f64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_uint64
+    fns = source and native.load(source, {
+        "setup": (ctypes.c_int, (ptr, ptr, u64, u64, i64, ptr)),
+        "run": (None, (ptr, ptr, ptr, i64, ptr, ptr, ptr, u64, ptr, f64, f64, i64, i64, ptr, ptr,
+                       ptr)),
+    })
+    if not fns:
         return None
+    setup, fn = fns
     m, philox = coeffs.m, brownian._BITGEN
+    seed, sid, count = _SAMPLER_CHECK
+    want = brownian.standard_normal_stream(seed, sid, 0, count)
+    with philox.lock:  # reads the sampler's tables, then draws the check's stream
+        if not setup(philox.ctypes.bit_generator, philox.ctypes.state_address, seed, sid, count,
+                     want.ctypes.data):
+            return None
 
     def loop(s, stops, h, diverged, coefficients, dw, seed, ids):
         n, B = int(stops[-1]), s.shape[1]

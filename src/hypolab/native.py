@@ -1,22 +1,33 @@
 """Generated C code built once per user and loaded with ctypes.
 
-``load(source, name, argtypes)`` returns the C function ``name`` of a shared
-library built from ``source``, or None when there is no compiler, numpy's
-C random API is missing, the build fails or no cache directory can be
-trusted.  Every library links numpy's ``libnpyrandom.a`` (numpy's
-"Extending" page), so generated code can drive numpy's own samplers
-through a ``bitgen_t``: it is compiled against numpy's
-``random/{bitgen,distributions}.h`` and Python's headers, which
-``distributions.h`` includes.  Libraries are cached by content: the file
-name is the sha256 of the source, the flags, numpy's include and link
-flags and version, and the compiler's resolved path and modification time,
-so a warm cache starts no process.
-The cache is ``~/.cache/hypolab/native``, or ``hypolab-native-<uid>`` in the
-temp directory when that cannot be made; a directory is used only if it is
-ours and writable by nobody else.  A library is compiled in a temporary
-directory in the cache and renamed into place, so a reader never sees half
-of one, and its sha256 is kept beside it: a library that no longer has that
-digest is built again.
+``load(source, functions)`` returns the C functions of a shared library
+built from ``source``, or None when there is no compiler, numpy's C random
+API is missing, the build fails or no cache directory can be trusted.
+Every library links numpy's ``libnpyrandom.a`` (numpy's "Extending" page),
+so generated code can drive numpy's own samplers through a ``bitgen_t``:
+it is compiled against numpy's ``random/{bitgen,distributions}.h`` and
+Python's headers, which ``distributions.h`` includes.  The engine's loop
+(``fieldlang.step_kernel_c``) draws its normals with numpy's ziggurat: the
+fast path inline, without numpy's branch on the sign, and every other draw
+by numpy's ``random_standard_normal`` through a ``bitgen_t`` that replays
+the draw already taken.  The ziggurat's tables are local symbols of
+``libnpyrandom.a``, so the library's ``setup`` reads them once per load off
+numpy's sampler, with scripted draws, and checks the sampler against
+numpy's normals of a fixed stream (see ``fieldlang.fields._C_RUN``).
+
+Libraries are cached by content: the file name is the sha256 of the
+source, the flags, numpy's include and link flags and version, and the
+compiler's resolved path and modification time, so a warm cache starts no
+process.  The cache is ``~/.cache/hypolab/native``, or
+``hypolab-native-<uid>`` in the temp directory when that cannot be made; a
+directory is used only if it is ours and writable by nobody else.  A
+library is compiled in a temporary directory in the cache and renamed into
+place, so a reader never sees half of one, and its sha256 is kept beside
+it: a library that no longer has that digest is built again.  Loading a
+library touches it; after a build, only the ``KEEP`` most recently loaded
+libraries stay.  A library is read and mapped under a shared ``flock``,
+and the eviction skips every library it cannot lock exclusively, so none
+is removed while a process loads it.
 
 Nothing here runs at import: the engine calls ``load`` on the first block
 that can use it.  Tests point ``COMPILER`` or ``CACHE`` elsewhere.
@@ -24,12 +35,14 @@ that can use it.  Tests point ``COMPILER`` or ``CACHE`` elsewhere.
 from __future__ import annotations
 
 import ctypes
+import fcntl
 import hashlib
 import os
 import shutil
 import stat
 import sysconfig
 import tempfile
+import time
 
 import numpy as np
 
@@ -39,19 +52,30 @@ CACHE: str | None = None  # None: the per-user default above
 # bits are numpy's; -ffp-contract=off keeps a * b + c from fusing.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
+# Libraries a build leaves in the cache: the most recently loaded ones, about
+# 65 KiB each.  (A full test run uses about 130.)
+KEEP = 256
 
 
-def load(source: str, name: str, argtypes: tuple):
-    """The C function ``name`` of ``source`` built as a shared library, or None."""
+def load(source: str, functions: dict) -> tuple | None:
+    """The C functions of ``source`` built as a shared library, one for each
+    ``name: (restype, argtypes)`` of ``functions`` in its order, or None."""
     compiler, path, flags = _locate(source)
-    if path is None or not (_intact(path) or _build(compiler, source, path, flags)):
+    if path is None:
+        return None
+    library = _map(path)
+    if library is None and _build(compiler, source, path, flags):
+        library = _map(path)
+        _evict(os.path.dirname(path))
+    if library is None:
         return None
     try:
-        fn = getattr(ctypes.CDLL(path), name)
-    except (OSError, AttributeError):
+        loaded = tuple(getattr(library, name) for name in functions)
+    except AttributeError:
         return None
-    fn.argtypes, fn.restype = argtypes, None
-    return fn
+    for fn, (restype, argtypes) in zip(loaded, functions.values()):
+        fn.restype, fn.argtypes = restype, argtypes
+    return loaded
 
 
 def _numpy_random_flags() -> tuple[tuple[str, ...], tuple[str, ...]] | None:
@@ -66,15 +90,43 @@ def _numpy_random_flags() -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     return (f"-I{include}", f"-I{python}"), (f"-L{lib}", "-lnpyrandom")
 
 
-def _intact(path: str) -> bool:
-    """Whether the library at ``path`` has the sha256 recorded when it was built.
-    The loader maps a file as its headers describe it, so a truncated library
-    would crash the process rather than fail to load."""
+def _map(path: str) -> ctypes.CDLL | None:
+    """The library at ``path``, loaded and touched, or None when it is missing
+    or lacks the sha256 recorded when it was built.  The loader maps a file
+    as its headers describe it, so a truncated library would crash the process
+    rather than fail to load.  A shared lock is held while the library is read
+    and mapped: ``_evict`` leaves a locked library alone."""
     try:
         with open(path, "rb") as lib, open(path + ".sha256", encoding="ascii") as digest:
-            return hashlib.sha256(lib.read()).hexdigest() == digest.read()
+            fcntl.flock(lib, fcntl.LOCK_SH)
+            if os.fstat(lib.fileno()).st_nlink == 0:  # evicted before the lock was taken
+                return None
+            if hashlib.sha256(lib.read()).hexdigest() != digest.read():
+                return None
+            now = time.time_ns()  # the file system's own clock may tick in milliseconds
+            os.utime(lib.fileno(), ns=(now, now))  # recently loaded: the last to be evicted
+            return ctypes.CDLL(path)
     except OSError:
-        return False
+        return None
+
+
+def _evict(directory: str) -> None:
+    """Remove the libraries of ``directory``, with their digests, but for the
+    ``KEEP`` most recently loaded ones and any that a process is loading."""
+    try:
+        with os.scandir(directory) as entries:
+            libraries = [(entry.stat(follow_symlinks=False).st_mtime_ns, entry.path)
+                         for entry in entries if entry.name.endswith(".so")]
+    except OSError:
+        return
+    for _, path in sorted(libraries, reverse=True)[KEEP:]:
+        try:
+            with open(path, "rb") as lib:
+                fcntl.flock(lib, fcntl.LOCK_EX | fcntl.LOCK_NB)  # OSError while it is loaded
+                os.unlink(path)  # the library first: a digest without it is never read
+            os.unlink(path + ".sha256")
+        except OSError:
+            continue
 
 
 def _locate(source: str) -> tuple[str | None, str | None, tuple | None]:

@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import linecache
 import os
@@ -1143,13 +1144,25 @@ def _perturbed_draws(cache, monkeypatch):
     monkeypatch.setattr(simulate, "step_kernel_c", perturbed)
 
 
+def _perturbed_sampler(cache, monkeypatch):
+    # the sign taken from bit 9 of the draw instead of bit 8: the sampler's
+    # own check at load draws the wrong normals
+    def perturbed(*kernel):
+        source = step_kernel_c.__wrapped__(*kernel)
+        assert "(r & 0x100) << 55" in source
+        return source.replace("(r & 0x100) << 55", "(r & 0x200) << 54", 1)
+
+    monkeypatch.setattr(simulate, "step_kernel_c", perturbed)
+
+
 @pytest.mark.parametrize(
     "fault,route",
     [(_no_compiler, "numpy"), (_perturbed_source, "numpy"), (_truncated_library, "native"),
      (_foreign_cache, "numpy"), (_no_random_headers, "numpy"), (_no_random_library, "numpy"),
-     (_perturbed_draws, "numpy")],
+     (_perturbed_draws, "numpy"), (_perturbed_sampler, "numpy")],
     ids=["missing-compiler", "perturbed-source", "truncated-library", "foreign-cache",
-         "missing-random-headers", "missing-random-library", "perturbed-draws"],
+         "missing-random-headers", "missing-random-library", "perturbed-draws",
+         "perturbed-sampler"],
 )
 def test_native_faults_give_the_numpy_bytes_quietly(
     fault, route, fresh_loops, monkeypatch, force_route, capfd
@@ -1202,6 +1215,83 @@ def test_library_path_keys_on_the_numpy_version_and_flags(tmp_path, monkeypatch)
             patch.setattr(owner, attr, value)
             others.add(native._locate(source)[1])
     assert len(others) == 4 and path not in others
+
+
+_RUN = {"run": (ctypes.c_int, ())}
+
+
+def _cached(cache):
+    return sorted(path.name for path in cache.iterdir())
+
+
+def test_a_build_keeps_the_most_recently_loaded_libraries(tmp_path, monkeypatch):
+    monkeypatch.setattr(native, "CACHE", str(tmp_path))
+    monkeypatch.setattr(native, "KEEP", 2)
+    sources = [f"int run(void) {{ return {i}; }}\n" for i in range(4)]
+    paths = [Path(native._locate(source)[1]).name for source in sources]
+
+    def run(i):
+        (fn,) = native.load(sources[i], _RUN)
+        return fn()
+
+    assert [run(0), run(1), run(0)] == [0, 1, 0]  # the last load touches library 0
+    assert run(2) == 2  # a build: library 1 is the least recently loaded
+    assert _cached(tmp_path) == sorted([paths[0], f"{paths[0]}.sha256", paths[2],
+                                        f"{paths[2]}.sha256"])
+    assert run(3) == 3 and run(0) == 0  # library 0 goes, and is built again
+    assert _cached(tmp_path) == sorted([paths[0], f"{paths[0]}.sha256", paths[3],
+                                        f"{paths[3]}.sha256"])
+
+
+def test_a_build_never_removes_a_library_being_loaded(tmp_path, monkeypatch):
+    monkeypatch.setattr(native, "CACHE", str(tmp_path))
+    monkeypatch.setattr(native, "KEEP", 1)
+    first, other, third = (f"int run(void) {{ return {i}; }}\n" for i in (1, 2, 3))
+    assert native.load(first, _RUN)[0]() == 1
+    mapped = []
+    cdll = ctypes.CDLL
+
+    def build_meanwhile(path):  # another library built while the first is mapped
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert native.load(other, _RUN)[0]() == 2
+        mapped.append(len(list(tmp_path.glob("*.so"))))
+        return cdll(path)
+
+    monkeypatch.setattr(ctypes, "CDLL", build_meanwhile)
+    assert native.load(first, _RUN)[0]() == 1
+    assert mapped == [2]  # KEEP = 1, but the first library was locked
+    assert native.load(third, _RUN)[0]() == 3
+    assert _cached(tmp_path) == sorted(Path(native._locate(third)[1] + ext).name
+                                       for ext in ("", ".sha256"))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_native_sampler_keeps_the_numpy_bytes_on_long_streams(seed, force_route):
+    # 256 streams of 4096 steps near id 2^64: 2^20 normals reach all 256
+    # ziggurat layers, about 15700 draws through numpy's slow path and about
+    # 270 through its idx-0 branch.  Under Euler, b = -x / h makes X_{k+1}
+    # the increment dW_k itself, so every increment's bits are compared.
+    n, B = 4096, 256
+    coeffs = CoefficientSet.from_text(1, 1, f"-{n}*x1", ["1"])
+    cfg = SimConfig(horizon=1.0, n_steps=n, x0=(1.0,), scheme="euler", seed=seed)
+    ids = np.arange(2**64 - B, 2**64, dtype=np.uint64)
+    paths = {}
+    for route in ("numpy", "native"):
+        ran = force_route(route)
+        paths[route] = _simulate_block(coeffs, cfg, RecordSpec(flows=False, store_paths=True),
+                                       ids)["states"]
+        assert ran == simulate.INCREMENT_ROUTES == {route}
+    assert paths["native"].tobytes() == paths["numpy"].tobytes()
+    assert paths["native"][:, 1:, 0].tobytes() == _block_increments(cfg, 1, ids)[:, 0].T.tobytes()
+    # the normals themselves, before the scale and the running sum
+    ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+    (setup,) = native.load(step_kernel_c(coeffs, "euler", False, False),
+                           {"setup": (ctypes.c_int, (ptr, ptr, u64, u64, i64, ptr))})
+    want = standard_normal_stream(seed, 2**64 - 1, 0, 2**20)
+    philox = brownian._BITGEN
+    with philox.lock:
+        assert setup(philox.ctypes.bit_generator, philox.ctypes.state_address, seed, 2**64 - 1,
+                     len(want), want.ctypes.data) == 1
 
 
 def _route_records(name, scheme, seed, n):
