@@ -629,7 +629,7 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         store(name, f"(isnan({name}) || {name} >= {value}) ? {name} : {value}" if c
               else f"np.maximum({name}, {value})")
 
-    if identity:  # the running max of |K J - I|, summed as _identity_defect sums
+    if identity:  # the running max of |K J - I|: squares summed row-major in (p, r), then sqrt
         for p, r in pairs:
             kj = " + ".join(f"{new(f'K{p}_{q}')} * {new(f'J{q}_{r}')}" for q in range(d))
             body.append(let(f"D{p}_{r}", f"{kj} - {one}" if p == r else kj))
@@ -700,8 +700,8 @@ def compile_step_kernel(
     at 0.0 or 1.0, can never become -0.0.
 
     Record rows follow the state and never decide whether a path is lost.
-    ``identity`` adds the running max of |K J - I|, summed as
-    ``simulate._identity_defect`` sums.  ``remainder = (target, prefixes,
+    ``identity`` adds the running max of |K J - I|, its squares summed
+    row-major in (p, r), then ``sqrt``.  ``remainder = (target, prefixes,
     indices)`` adds ``integrals.RemainderEnergy``'s rows cum, E and I_e per
     prefix: I_{e j} += (I_e + I_e')/2 dW^j (dW^0 = h) in ``prefixes`` order,
     R = K' target(X') - sum_a T[a] I_{indices[a]}', E' = |R|^2 and cum +=

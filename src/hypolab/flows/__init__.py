@@ -13,13 +13,11 @@ from .simulate import (
     SCHEMES,
     EnsembleResult,
     FlowTrajectory,
-    MalliavinPair,
     RecordSpec,
     SimConfig,
     Trajectory,
     malliavin_checkpoint_ensemble,
     malliavin_derivative,
-    malliavin_matrices,
     nearest_index,
     run_ensemble,
     simulate_flow,
@@ -34,14 +32,12 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "FlowTrajectory",
-    "MalliavinPair",
     "RecordSpec",
     "EnsembleResult",
     "simulate_x",
     "simulate_flow",
     "run_ensemble",
     "malliavin_derivative",
-    "malliavin_matrices",
     "malliavin_checkpoint_ensemble",
     "nearest_index",
     "iterated_integral",

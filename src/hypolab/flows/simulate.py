@@ -18,9 +18,10 @@ one (rows, B) buffer.  For a model built from ``+ - * /``, powers and
 constants, the block runs natively, in one call: the same lines rendered
 as C (``fieldlang.step_kernel_c``), whose loop takes a tile of paths at a
 time, draws the tile's increments from each path's Philox stream with
-the bits of numpy's ziggurat sampler, and steps it through the whole grid;
-it is used only if its sampler draws numpy's normals of a fixed stream and
-it gives the numpy route's bytes on probe blocks, drawn ones included.  Otherwise, and for models or remainder targets with sin, cos,
+the bits of numpy's ziggurat sampler, and steps it through the whole grid.
+It is used only if its sampler draws numpy's normals of a fixed stream
+and it gives the numpy route's bytes on probe blocks, drawn ones
+included.  Otherwise, and for models or remainder targets with sin, cos,
 exp or tanh, the block's increments are drawn by ``_block_increments``
 and each step is one call of ``fieldlang.compile_step_kernel`` on rows of
 B paths, which writes to a second buffer.  ``NATIVE = False`` forces that
@@ -38,9 +39,9 @@ never silently dropped, so scheme blow-up is observable data.
 Ensembles draw one Philox stream per path keyed by (seed, stream_id), as
 step-major (n, m, B) increment blocks on the numpy route and a tile at a
 time natively, and merge per-path records in stream order, so no output
-bit depends on the block size or the route.  The single-path helpers run
-the same engine on a batch of one given grid, whose increments the loop
-takes instead of drawing.
+bit depends on the block size or the route.  ``simulate_x`` and
+``simulate_flow`` run the same engine on a batch of one given grid, whose
+increments the loop takes instead of drawing, and store its X, J and K.
 
 A block records per path in two ways, both set by ``RecordSpec``.  Running
 records are rows of the generated step, after the state rows: sup_k
@@ -87,14 +88,12 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "FlowTrajectory",
-    "MalliavinPair",
     "RecordSpec",
     "EnsembleResult",
     "simulate_x",
     "simulate_flow",
     "run_ensemble",
     "malliavin_derivative",
-    "malliavin_matrices",
     "malliavin_checkpoint_ensemble",
     "nearest_index",
 ]
@@ -107,10 +106,6 @@ NATIVE = True
 # step loop, and where the increments were drawn.
 STEP_ROUTES: set[str] = set()
 INCREMENT_ROUTES: set[str] = set()
-
-# Matrices assembled from outer products may pick up this much asymmetric
-# rounding relative to their trace before we call it an internal error.
-_PSD_TRACE_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,30 +187,6 @@ class FlowTrajectory:
     times: np.ndarray
     jacobians: np.ndarray  # (n_steps + 1, d, d)
     inverses: np.ndarray  # (n_steps + 1, d, d)
-    covariances: np.ndarray  # (n_steps + 1, d, d), C by the engine's quadrature
-
-    def identity_defect(self) -> np.ndarray:
-        """Frobenius norm of K_k J_k - I along the path."""
-        return _identity_defect(*(np.moveaxis(a, 0, -1) for a in (self.jacobians, self.inverses)))
-
-
-@dataclass(slots=True)
-class MalliavinPair:
-    """Covariance matrices C(t) and Q(t) = J C J^T for one path."""
-
-    t: float
-    c_matrix: np.ndarray
-    q_matrix: np.ndarray
-
-    def validate(self) -> None:
-        for name, mat in (("C", self.c_matrix), ("Q", self.q_matrix)):
-            if not np.allclose(mat, mat.T, atol=1e-12, rtol=0.0):
-                raise InternalInvariantError(f"{name} matrix is not symmetric")
-            lam = np.linalg.eigvalsh(mat)[0]
-            if lam < -_PSD_TRACE_TOL * max(1.0, abs(np.trace(mat))):
-                raise InternalInvariantError(
-                    f"{name} matrix has eigenvalue {lam} below the PSD tolerance"
-                )
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,7 +195,8 @@ class RecordSpec:
 
     ``store_paths`` keeps every view the run has at every grid index: X,
     J and K when the run has flows, and C when it accumulates C;
-    ``c_checkpoints`` accumulates C and keeps C and J at the given indices;
+    ``c_checkpoints`` accumulates C and keeps C and J at the given indices,
+    each in [0, n_steps];
     ``track_flow_identity`` keeps sup_k |K_k J_k - I|; ``remainder``, an
     ``integrals.RemainderEnergy``, keeps the running remainder energy at its
     ``read`` indices in ``EnsembleResult.accumulated``;
@@ -286,12 +258,6 @@ class EnsembleResult:
         return self.alive
 
 
-def _identity_defect(j: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
-    """Per-path Frobenius norm of K J - I for (d, d, B) stacks of J and K."""
-    defect = (k_inv[:, :, None] * j[None]).sum(axis=1) - np.eye(len(j))[:, :, None]
-    return np.sqrt(np.add.reduce(defect * defect, axis=(0, 1)))
-
-
 class _Kept:
     """One part of a block's state kept at some grid indices.
 
@@ -327,7 +293,10 @@ def _recorders(record: RecordSpec, n: int, d: int) -> dict:
     recs = {}
     if record.store_paths:
         recs = {name: _Kept(read, range(n + 1)) for name, read in reads.items()}
-    at = sorted(k for k in set(record.c_checkpoints) if 0 <= k <= n)
+    at = sorted(set(record.c_checkpoints))
+    for i in at:
+        if not 0 <= i <= n:
+            raise ConfigError(f"checkpoint index {i} outside the grid")
     if at:
         recs["c_at"] = _Kept(reads["covariances"], at, by_index=True)
         recs["j_at"] = _Kept(reads["jacobians"], at, by_index=True)
@@ -494,6 +463,7 @@ def _simulate_block(coeffs: CoefficientSet, config: SimConfig, record: RecordSpe
                                    record.track_square_norm)
     remainder = spec and (spec.target, spec.prefixes, spec.indices)
     kernel = (coeffs, config.scheme, flows, covariance, identity, remainder, square_norm)
+    kept = _recorders(record, n, d)  # checks the kept indices before any build
     loop = _native_loop(*kernel) if NATIVE else None
     STEP_ROUTES.add("native" if loop else "numpy")
     INCREMENT_ROUTES.add("native" if loop and dw is None else "numpy")
@@ -503,7 +473,6 @@ def _simulate_block(coeffs: CoefficientSet, config: SimConfig, record: RecordSpe
     layout = (d, flows, covariance)
     x, _, k_inv, _, records = _views(s, *layout)
     coefficients = np.zeros((0, d))
-    kept = _recorders(record, n, d)
     stops = np.array(sorted({n}.union(*(acc.indices for acc in kept.values()))), dtype=np.int64)
     diverged = np.full(B, -1, dtype=np.int64)
     with np.errstate(all="ignore"):
@@ -644,15 +613,12 @@ def simulate_flow(
     grid: BrownianGrid,
     trajectory: Trajectory,
 ) -> FlowTrajectory:
-    """The J and K flows and the covariance C along ``trajectory``, which must
-    be the output of ``simulate_x`` on the same grid; raises ConfigError for
-    any other path."""
-    record = RecordSpec(store_paths=True, c_checkpoints=(config.n_steps,))
-    out = _single_path(coeffs, config, grid, record)
+    """The J and K flows along ``trajectory``, which must be the output of
+    ``simulate_x`` on the same grid; raises ConfigError for any other path."""
+    out = _single_path(coeffs, config, grid, RecordSpec(store_paths=True))
     if not np.array_equal(trajectory.states, out["states"][0]):
         raise ConfigError("trajectory is not simulate_x's state path on this grid")
-    paths = (out[name][0] for name in ("jacobians", "inverses", "covariances"))
-    return FlowTrajectory(config.times(), *paths)
+    return FlowTrajectory(config.times(), out["jacobians"][0], out["inverses"][0])
 
 
 def malliavin_derivative(
@@ -673,23 +639,6 @@ def malliavin_derivative(
     return flow.jacobians[t_index] @ flow.inverses[s_index] @ sig
 
 
-def _covariance_pair(c: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrised C and Q = J C J^T for (B, d, d) stacks of C and J."""
-    c = 0.5 * (c + np.swapaxes(c, 1, 2))
-    q = np.einsum("bij,bjk,blk->bil", j, c, j)
-    return c, 0.5 * (q + np.swapaxes(q, 1, 2))
-
-
-def malliavin_matrices(flow: FlowTrajectory, trajectory: Trajectory, t_index: int) -> MalliavinPair:
-    """C and Q = J C J^T at ``t_index``, C being the left-endpoint quadrature
-    that ``simulate_flow`` recorded: the engine's C, step by step, with the
-    bits of ``malliavin_checkpoint_ensemble``."""
-    if not 0 <= t_index <= trajectory.n_steps:
-        raise ConfigError("t_index out of range")
-    c, q = _covariance_pair(flow.covariances[t_index][None], flow.jacobians[t_index][None])
-    return MalliavinPair(float(trajectory.times[t_index]), c[0], q[0])
-
-
 def malliavin_checkpoint_ensemble(
     coeffs: CoefficientSet,
     config: SimConfig,
@@ -702,8 +651,11 @@ def malliavin_checkpoint_ensemble(
     matrices symmetrised after assembly.
     """
     idx = tuple(sorted(set(int(i) for i in indices)))
-    for i in idx:
-        if not 0 <= i <= config.n_steps:
-            raise ConfigError(f"checkpoint index {i} outside the grid")
     res = run_ensemble(coeffs, config, n_paths, RecordSpec(flows=True, c_checkpoints=idx))
-    return res, {i: _covariance_pair(res.c_at[i], res.j_at[i]) for i in idx}
+    mats = {}
+    for i in idx:
+        c, j = res.c_at[i], res.j_at[i]
+        c = 0.5 * (c + np.swapaxes(c, 1, 2))
+        q = np.einsum("bij,bjk,blk->bil", j, c, j)
+        mats[i] = c, 0.5 * (q + np.swapaxes(q, 1, 2))
+    return res, mats

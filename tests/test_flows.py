@@ -34,12 +34,10 @@ from hypolab.fieldlang import (
 )
 from hypolab.flows import (
     SCHEMES,
-    FlowTrajectory,
     RecordSpec,
     SimConfig,
     malliavin_checkpoint_ensemble,
     malliavin_derivative,
-    malliavin_matrices,
     nearest_index,
     run_ensemble,
     sample_brownian,
@@ -328,6 +326,18 @@ def test_single_path_divergence_raises(ginzburg_landau):
     assert np.isfinite(err.value.magnitude)
 
 
+def test_simulate_flow_does_not_accumulate_the_covariance():
+    # C = h sum (K sigma)^2 overflows at the first step, X, J and K never do:
+    # the checkpoint ensemble loses the path, simulate_flow keeps it
+    coeffs = CoefficientSet.from_text(1, 1, "-x1", ["1e155"])
+    cfg = SimConfig(horizon=1.0, n_steps=8, x0=(0.0,), seed=1)
+    res, _ = malliavin_checkpoint_ensemble(coeffs, cfg, 1, [8])
+    assert res.diverged_step.tolist() == [0]
+    g = sample_brownian(cfg, 1, stream_id=0)
+    flow = simulate_flow(coeffs, cfg, g, simulate_x(coeffs, cfg, g))
+    assert np.isfinite(flow.jacobians).all() and np.isfinite(flow.inverses).all()
+
+
 def test_split_step_matches_implicit_root(ou):
     # for b = -x the implicit step is z = x/(1+h), exactly solvable
     cfg = SimConfig(
@@ -377,10 +387,8 @@ def test_flow_identity_defect_shrinks_with_h(ou):
     defects = []
     for n in (256, 1024, 4096):
         cfg = SimConfig(horizon=1.0, n_steps=n, x0=(1.0,), seed=41)
-        g = sample_brownian(cfg, 1, stream_id=0)
-        traj = simulate_x(ou, cfg, g)
-        flow = simulate_flow(ou, cfg, g, traj)
-        defects.append(flow.identity_defect().max())
+        res = run_ensemble(ou, cfg, 1, RecordSpec(track_flow_identity=True))
+        defects.append(res.flow_identity_sup[0])
     assert defects[2] < defects[1] < defects[0]
     slope = np.polyfit(np.log([1 / 256, 1 / 1024, 1 / 4096]), np.log(defects), 1)[0]
     assert slope >= 0.4
@@ -394,16 +402,22 @@ def test_flow_identity_multiplicative_noise():
     assert res.flow_identity_sup.max() <= 0.05
 
 
+def _identity_defect(j: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
+    """Per-path Frobenius norm of K J - I for (d, d, B) stacks of J and K."""
+    defect = (k_inv[:, :, None] * j[None]).sum(axis=1) - np.eye(len(j))[:, :, None]
+    return np.sqrt(np.add.reduce(defect * defect, axis=(0, 1)))
+
+
 @pytest.mark.parametrize("route", ["native", "numpy"])
 def test_flow_identity_row_is_the_stored_path_defect(route, force_route):
-    # the running max row of the step, against FlowTrajectory.identity_defect
-    # on each stored path: the same bits
+    # the running max row of the step, against the defect of each stored
+    # path summed in numpy: the same bits
     ran = force_route(route)
     heis = CoefficientSet.from_text(3, 2, *_HEIS)
     cfg = SimConfig(horizon=0.5, n_steps=64, x0=(1.0, 0.5, -0.3), seed=6)
     res = run_ensemble(heis, cfg, 12, RecordSpec(store_paths=True, track_flow_identity=True))
     assert res.divergence_fraction == 0.0
-    sup = [FlowTrajectory(cfg.times(), j, k_inv, None).identity_defect().max()
+    sup = [_identity_defect(*(np.moveaxis(a, 0, -1) for a in (j, k_inv))).max()
            for j, k_inv in zip(res.jacobians, res.inverses)]
     assert res.flow_identity_sup.tobytes() == np.array(sup).tobytes()
     assert res.flow_identity_sup.max() > 0.0
@@ -900,17 +914,27 @@ def test_malliavin_derivative_rejects_indices_off_the_grid(ou):
 
 def test_additive_identity_covariance_is_time(elliptic2):
     cfg = SimConfig(horizon=1.0, n_steps=128, x0=(0.0, 0.0), seed=61)
-    g = sample_brownian(cfg, 2, stream_id=0)
-    traj = simulate_x(elliptic2, cfg, g)
-    flow = simulate_flow(elliptic2, cfg, g, traj)
+    res, mats = malliavin_checkpoint_ensemble(elliptic2, cfg, 1, (32, 128))
     for idx in (32, 128):
-        pair = malliavin_matrices(flow, traj, idx)
+        c, q = (mat[0] for mat in mats[idx])
         t = cfg.times()[idx]
-        assert np.linalg.norm(pair.q_matrix - t * np.eye(2)) <= cfg.h * 2
-        pair.validate()
+        assert np.linalg.norm(q - t * np.eye(2)) <= cfg.h * 2
+        for mat in (c, q):  # symmetric, and PSD up to rounding relative to the trace
+            assert np.allclose(mat, mat.T, atol=1e-12, rtol=0.0)
+            assert np.linalg.eigvalsh(mat)[0] >= -1e-9 * max(1.0, abs(np.trace(mat)))
         # construction identity
-        jt = flow.jacobians[idx]
-        assert np.allclose(pair.q_matrix, jt @ pair.c_matrix @ jt.T, rtol=1e-12, atol=1e-15)
+        jt = res.j_at[idx][0]
+        assert np.allclose(q, jt @ c @ jt.T, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("checkpoints", [(9,), (-1,), (4, 9)])
+def test_checkpoints_off_the_grid_are_refused(ou, checkpoints):
+    cfg = SimConfig(horizon=1.0, n_steps=8, x0=(1.0,), seed=5)
+    off = next(k for k in checkpoints if not 0 <= k <= 8)
+    with pytest.raises(ConfigError, match=rf"checkpoint index {off} outside the grid"):
+        run_ensemble(ou, cfg, 2, RecordSpec(c_checkpoints=checkpoints))
+    with pytest.raises(ConfigError, match=rf"checkpoint index {off} outside the grid"):
+        malliavin_checkpoint_ensemble(ou, cfg, 2, checkpoints)
 
 
 def test_ou_covariance_ensemble_close_to_closed_form(ou):
@@ -1030,14 +1054,16 @@ def test_ensemble_matches_single_path_states(ginzburg_landau, scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_single_path_helpers_are_rows_of_the_ensemble(scheme):
-    # each helper is a batch of one of the engine; h = 0.3/64 is no power of
-    # two, so a quadrature that only differs by where it multiplies by h
-    # would show here too
+    # each helper is a batch of one of the engine, and a path's C and Q are
+    # its row of the checkpoint ensemble, with the J of simulate_flow; h =
+    # 0.3/64 is no power of two, so a quadrature that only differs by where
+    # it multiplies by h would show here too
     heis = CoefficientSet.from_text(3, 2, *_HEIS)
     cfg = SimConfig(horizon=0.3, n_steps=64, x0=(1.0, 0.5, 0.0), scheme=scheme, seed=3)
     indices = (0, 1, 32, 64)
     res = run_ensemble(heis, cfg, 4, RecordSpec(store_paths=True))
-    _, mats = malliavin_checkpoint_ensemble(heis, cfg, 4, indices)
+    at, mats = malliavin_checkpoint_ensemble(heis, cfg, 4, indices)
+    _, first = malliavin_checkpoint_ensemble(heis, cfg, 1, indices)
     for sid in range(4):
         g = sample_brownian(cfg, 2, stream_id=sid)
         traj = simulate_x(heis, cfg, g)
@@ -1046,10 +1072,10 @@ def test_single_path_helpers_are_rows_of_the_ensemble(scheme):
         assert flow.jacobians.tobytes() == res.jacobians[sid].tobytes()
         assert flow.inverses.tobytes() == res.inverses[sid].tobytes()
         for k in indices:
-            pair = malliavin_matrices(flow, traj, k)
-            c, q = mats[k]
-            assert pair.c_matrix.tobytes() == c[sid].tobytes(), f"C at {k}"
-            assert pair.q_matrix.tobytes() == q[sid].tobytes(), f"Q at {k}"
+            assert flow.jacobians[k].tobytes() == at.j_at[k][sid].tobytes(), f"J at {k}"
+    for k in indices:
+        for name, one, four in zip("CQ", first[k], mats[k]):
+            assert one.tobytes() == four[:1].tobytes(), f"{name} at {k}"
 
 
 def test_flow_rejects_a_foreign_trajectory(ou):
