@@ -33,7 +33,7 @@ from .fieldlang import (
     node_count,
     simplify,
 )
-from .fieldlang.ast import Binary, Const
+from .fieldlang.ast import Binary, Const, _simp_binary
 from .qmc import ndtri, sobol
 
 __all__ = [
@@ -143,13 +143,17 @@ def lie_bracket(v: VectorField, u: VectorField) -> VectorField:
         raise ConfigError("bracket of fields with different dimensions")
     ju = jacobian(u)
     jv = jacobian(v)
+    vs, us = [simplify(c) for c in v.components], [simplify(c) for c in u.components]
     comps = []
     for j in range(v.dim):
+        # simplify(0 + Ju[j][0] v[0] - Jv[j][0] u[0] + ...), one operation at a time
+        # as simplify folds it: the same node, without the unsimplified sum.  The
+        # Jacobian entries are simplify's results already, which it leaves as they are.
         term: Expression = Const(0.0)
         for i in range(v.dim):
-            term = Binary("add", term, Binary("mul", ju[j][i], v.components[i]))
-            term = Binary("sub", term, Binary("mul", jv[j][i], u.components[i]))
-        comps.append(simplify(term))
+            term = _simp_binary("add", term, _simp_binary("mul", ju[j][i], vs[i]))
+            term = _simp_binary("sub", term, _simp_binary("mul", jv[j][i], us[i]))
+        comps.append(term)
     return VectorField(v.dim, tuple(comps))
 
 
@@ -182,8 +186,8 @@ class BracketTable:
     AST size is capped (bracket expressions can grow combinatorially).
 
     The Jacobians behind each bracket come from the memoised
-    ``fieldlang.jacobian``, and the expression nodes cache their hashes, so
-    a field shared by several brackets or bounds is differentiated once.
+    ``fieldlang.jacobian``, and the expression nodes are interned, so a
+    field shared by several brackets or bounds is differentiated once.
     """
 
     def __init__(self, coeffs: CoefficientSet, max_nodes: int = 100_000):

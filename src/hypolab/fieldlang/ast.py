@@ -3,17 +3,17 @@
 An expression is an immutable tree over the variables ``x1..xd`` built from
 real constants, the unary operations ``-``, ``sin``, ``cos``, ``exp``,
 ``tanh``, the binary operations ``+ - * /``, and integer powers ``e^n`` with
-``n >= 0``.  Trees are frozen dataclasses: they compare structurally,
-constants by value and sign (``0.0`` and ``-0.0`` differ), and each node
-computes its hash once, at construction, from its children's.
+``n >= 0``.  Nodes are interned: a constructor returns the one node with its
+fields, so equal trees are one object and compare by identity, constants by
+value and sign (``0.0`` and ``-0.0`` are two nodes).  Each node's structural
+hash is computed once, at construction, from its children's.
 :func:`differentiate` and :func:`simplify` are memoised on the nodes, so a
 subtree met again costs one lookup.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from ..errors import EvaluationError
@@ -39,97 +39,93 @@ BINARY_OPS = ("add", "sub", "mul", "div")
 
 
 class Expression:
-    """Base class for AST nodes."""
+    """Base class for AST nodes: interned, so equal trees are one object."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}: expression nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return to_text(self)
 
     def __reduce__(self):
-        # rebuilt through the constructor: a cached hash holds str hashes,
-        # which differ between processes
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+        # rebuilt through the constructor: the copy joins this process's table,
+        # and str hashes, which differ between processes, are taken afresh
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True, slots=True)
+# One table per class, for the life of the process: a node is never removed,
+# so the children's id()s in its key are never reused while it is there.
+_CONSTS, _VARS, _UNARIES, _BINARIES, _POWERS = {}, {}, {}, {}, {}
+
+
+def _intern(cls, table: dict, key, values: tuple, hashed: int) -> Expression:
+    """A new node for ``key``, or the one a racing thread put in ``table`` first."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_hash", hashed)
+    return table.setdefault(key, node)
+
+
 class Const(Expression):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-
-    # Sign-aware, so 0.0 and -0.0 are distinct keys of the compile cache.
-    def _key(self) -> tuple[float, float]:
-        return self.value, math.copysign(1.0, self.value)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, Const) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+    def __new__(cls, value):
+        value = float(value)  # a zero's key has its sign: 0.0 and -0.0 are two nodes
+        key = value if value else (value, math.copysign(1.0, value))
+        return _CONSTS.get(key) or _intern(cls, _CONSTS, key, (value,), hash(key))
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expression):
-    index: int  # 1-based
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("index",)  # 1-based
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
-        object.__setattr__(self, "_hash", hash((self.index,)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, index):
+        if index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
+        return _VARS.get(index) or _intern(cls, _VARS, index, (index,), hash((index,)))
 
 
-@dataclass(frozen=True, slots=True)
 class Unary(Expression):
-    op: str
-    arg: Expression
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("op", "arg")
 
-    def __post_init__(self):
-        if self.op not in UNARY_OPS:
-            raise ValueError(f"unknown unary op {self.op!r}")
-        object.__setattr__(self, "_hash", hash((self.op, self.arg)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, op, arg):
+        if op not in UNARY_OPS:
+            raise ValueError(f"unknown unary op {op!r}")
+        key = (op, id(arg))
+        return _UNARIES.get(key) or _intern(cls, _UNARIES, key, (op, arg), hash((op, arg._hash)))
 
 
-@dataclass(frozen=True, slots=True)
 class Binary(Expression):
-    op: str
-    lhs: Expression
-    rhs: Expression
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("op", "lhs", "rhs")
 
-    def __post_init__(self):
-        if self.op not in BINARY_OPS:
-            raise ValueError(f"unknown binary op {self.op!r}")
-        object.__setattr__(self, "_hash", hash((self.op, self.lhs, self.rhs)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, op, lhs, rhs):
+        if op not in BINARY_OPS:
+            raise ValueError(f"unknown binary op {op!r}")
+        key = (op, id(lhs), id(rhs))
+        return _BINARIES.get(key) or _intern(cls, _BINARIES, key, (op, lhs, rhs),
+                                              hash((op, lhs._hash, rhs._hash)))
 
 
-@dataclass(frozen=True, slots=True)
 class Power(Expression):
-    base: Expression
-    exponent: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
-            raise ValueError("power exponent must be a stored integer")
-        if self.exponent < 0:
-            raise ValueError("power exponent must be non-negative")
-        object.__setattr__(self, "_hash", hash((self.base, self.exponent)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, base, exponent):
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
+            raise ValueError(f"power exponent must be a non-negative int, got {exponent!r}")
+        key = (id(base), exponent)
+        return _POWERS.get(key) or _intern(cls, _POWERS, key, (base, exponent),
+                                           hash((base._hash, exponent)))
 
 
 _UNARY_FN = {
@@ -212,7 +208,7 @@ def _check_finite(value: float, expr: Expression) -> float:
 
 
 # Bounded memo tables of the symbolic layer: a heis-model bracket bound
-# fills about 1.3k simplify and 0.6k differentiate entries.
+# fills about 0.9k simplify, 0.6k differentiate and 0.1k node_count entries.
 _MEMO_SIZE = 1 << 14
 
 
@@ -309,8 +305,7 @@ def _simp_unary(op: str, a: Expression) -> Expression:
     return Unary(op, a)
 
 
-def _is_const(e: Expression, v: float) -> bool:
-    return isinstance(e, Const) and e.value == v
+_ZEROS, _ONE = (Const(0.0), Const(-0.0)), Const(1.0)  # interned: compared by identity
 
 
 def _simp_binary(op: str, a: Expression, b: Expression) -> Expression:
@@ -320,26 +315,26 @@ def _simp_binary(op: str, a: Expression, b: Expression) -> Expression:
             if math.isfinite(v):
                 return Const(v)
     if op == "add":
-        if _is_const(a, 0.0):
+        if a in _ZEROS:
             return b
-        if _is_const(b, 0.0):
+        if b in _ZEROS:
             return a
     elif op == "sub":
-        if _is_const(b, 0.0):
+        if b in _ZEROS:
             return a
-        if _is_const(a, 0.0):
+        if a in _ZEROS:
             return _simp_unary("neg", b)
     elif op == "mul":
-        if _is_const(a, 0.0) or _is_const(b, 0.0):
+        if a in _ZEROS or b in _ZEROS:
             return Const(0.0)
-        if _is_const(a, 1.0):
+        if a is _ONE:
             return b
-        if _is_const(b, 1.0):
+        if b is _ONE:
             return a
     elif op == "div":
-        if _is_const(a, 0.0):
+        if a in _ZEROS:
             return Const(0.0)
-        if _is_const(b, 1.0):
+        if b is _ONE:
             return a
     return Binary(op, a, b)
 
@@ -414,6 +409,7 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def node_count(expr: Expression) -> int:
     if isinstance(expr, (Const, Var)):
         return 1
@@ -456,14 +452,12 @@ def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str =
     hexadecimal literals; ``exprs`` may then hold no ``sin``, ``cos``, ``exp`` or
     ``tanh``, whose numpy and libm results may differ in the last bit."""
     declare, end = ("double ", ";") if c else ("", "")
-    products, refs, lines, texts = {}, {}, [], {}
+    refs, lines, texts = {}, [], {}
 
-    def product(a, b):  # one node per product, so equal chains compare by identity
-        return products.setdefault((a, b), Binary("mul", a, b))
-
-    def lower(e):
+    def lower(e):  # a chain's products are interned nodes, so equal chains are one node
         while isinstance(e, Power):  # x^1 is x, itself maybe a power
-            e = _power_chain(e.base, e.exponent, product) if e.exponent else Const(1.0)
+            n, mul = e.exponent, partial(Binary, "mul")
+            e = _power_chain(e.base, n, mul) if n else Const(1.0)
         return e
 
     def count(e):

@@ -270,11 +270,15 @@ C_TILE = 8
 # script's next_double returns 0.5: at 0.0 numpy's tail loop never ends.
 # ``setup`` then checks the sampler against numpy's normals of a fixed
 # stream, and the engine uses the loop only if they agree bit for bit.
+# Only ``bitgen.h`` is included, and the one sampler called is declared
+# here: numpy's ``distributions.h`` also includes ``Python.h``, which no
+# library needs and which made up most of a small library's compile time.
 _C_RUN = """\
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
-#include <numpy/random/distributions.h>
+#include <numpy/random/bitgen.h>
+double random_standard_normal(bitgen_t *);
 {newton}
 static double zig_w[256];
 static uint64_t zig_k[256];

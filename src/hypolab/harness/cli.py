@@ -439,15 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"hypolab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument(
-            "--workers", type=int, default=1, help="no effect: runs are single-threaded"
-        )
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--workers", type=int, default=1, help="no effect: runs are one thread")
     return parser
 
 

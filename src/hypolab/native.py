@@ -5,8 +5,8 @@ built from ``source``, or None when there is no compiler, numpy's C random
 API is missing, the build fails or no cache directory can be trusted.
 Every library links numpy's ``libnpyrandom.a`` (numpy's "Extending" page),
 so generated code can drive numpy's own samplers through a ``bitgen_t``:
-it is compiled against numpy's ``random/{bitgen,distributions}.h`` and
-Python's headers, which ``distributions.h`` includes.  The engine's loop
+it is compiled against numpy's ``random/bitgen.h`` alone, and declares the
+samplers it calls, so no build reads Python's headers.  The engine's loop
 (``fieldlang.step_kernel_c``) draws its normals with numpy's ziggurat: the
 fast path inline, without numpy's branch on the sign, and every other draw
 by numpy's ``random_standard_normal`` through a ``bitgen_t`` that replays
@@ -40,7 +40,6 @@ import hashlib
 import os
 import shutil
 import stat
-import sysconfig
 import tempfile
 import time
 
@@ -79,15 +78,15 @@ def load(source: str, functions: dict) -> tuple | None:
 
 
 def _numpy_random_flags() -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """The include and the link flags of numpy's C random API, or None when its
-    headers, Python's headers or ``libnpyrandom.a`` are missing."""
-    include, python = np.get_include(), sysconfig.get_paths()["include"]
+    """The include and the link flags of numpy's C random API, or None when
+    ``bitgen.h`` or ``libnpyrandom.a`` is missing."""
+    include = np.get_include()
     lib = os.path.join(os.path.dirname(np.__file__), "random", "lib")
-    needed = (os.path.join(include, "numpy", "random", "distributions.h"),
-              os.path.join(python, "Python.h"), os.path.join(lib, "libnpyrandom.a"))
+    needed = (os.path.join(include, "numpy", "random", "bitgen.h"),
+              os.path.join(lib, "libnpyrandom.a"))
     if not all(os.path.isfile(path) for path in needed):
         return None
-    return (f"-I{include}", f"-I{python}"), (f"-L{lib}", "-lnpyrandom")
+    return (f"-I{include}",), (f"-L{lib}", "-lnpyrandom")
 
 
 def _map(path: str) -> ctypes.CDLL | None:

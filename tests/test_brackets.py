@@ -1,6 +1,8 @@
 import ast
 import itertools
 import linecache
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -549,6 +551,30 @@ def test_heis3_local_bounds_keep_their_values():
     x0 = (1.0, 0.5, 0.0)
     assert bracket_local_bound(table, x0, L=2) == 11544.030703815068
     assert expansion_local_bound(table, table.direction(1), x0, L=3) == 4321.000793193986
+
+
+# Nodes in the interned tables after one heis L = 3 expansion bound in a fresh
+# process: 995 when this was written.
+_HEIS3_NODES_MAX = 1500
+
+
+def test_node_tables_stay_bounded_and_a_repeated_bound_adds_no_node():
+    code = (
+        "from hypolab.brackets import BracketTable, expansion_local_bound\n"
+        "from hypolab.fieldlang import CoefficientSet, ast\n"
+        "coeffs = CoefficientSet.from_text(3, 2, '-x1 - x1^3, -x2 - x2^3, -x3',\n"
+        "                                  ['1, 0, -0.5*x2', '0, 1, 0.5*x1'])\n"
+        "for _ in range(2):\n"
+        "    table = BracketTable(coeffs)\n"
+        "    expansion_local_bound(table, coeffs.diffusion[0], (1.0, 0.5, 0.0), 3)\n"
+        "    print(sum(map(len, (ast._CONSTS, ast._VARS, ast._UNARIES, ast._BINARIES,\n"
+        "                        ast._POWERS))))\n"
+    )
+    env = {"PYTHONPATH": ":".join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                         check=True, timeout=120)
+    first, second = map(int, out.stdout.split())
+    assert 0 < first == second < _HEIS3_NODES_MAX
 
 
 def test_heis3_bound_stack_computes_each_subexpression_once(monkeypatch):

@@ -3,12 +3,14 @@ import math
 import pickle
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypolab.brackets import lie_bracket
 from hypolab.errors import EvaluationError, ParseError
 from hypolab.fieldlang import (
     Binary,
@@ -482,6 +484,23 @@ def test_memoised_results_equal_the_uncached_ones(e, i):
         assert got == ref and repr(got) == repr(ref)
 
 
+@given(st.lists(_exprs(), min_size=4, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_lie_bracket_is_its_simplified_sum(comps):
+    # lie_bracket folds the sum as it goes; simplify of the whole sum is the
+    # same node, zero signs included
+    v, u = VectorField(2, tuple(comps[:2])), VectorField(2, tuple(comps[2:]))
+    ju, jv = jacobian(u), jacobian(v)
+    want = []
+    for j in range(2):
+        term = Const(0.0)
+        for i in range(2):
+            term = Binary("add", term, Binary("mul", ju[j][i], v.components[i]))
+            term = Binary("sub", term, Binary("mul", jv[j][i], u.components[i]))
+        want.append(simplify(term))
+    assert lie_bracket(v, u).components == tuple(want)
+
+
 @pytest.mark.parametrize("first", [0, 1])
 def test_memo_never_serves_a_zero_of_the_other_sign(first):
     exprs = (Const(1.0), parse_expression("-1", 1))
@@ -495,11 +514,63 @@ def test_memo_never_serves_a_zero_of_the_other_sign(first):
 
 
 def test_independently_built_trees_hash_equal():
+    # interned: two parses of one text give the one tree
     text = "sin(x1)*x2^3 - 0.5*exp(-x1)/(1 + x2)"
     a, b = parse_expression(text, 2), parse_expression(text, 2)
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert hash(Binary("add", Var(1), Const(2.0))) == hash(Binary("add", Var(1), Const(2.0)))
-    assert pickle.loads(pickle.dumps(a)) == a
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+def test_zeros_of_the_two_signs_are_two_nodes():
+    assert Const(0.0) is not Const(-0.0) and Const(0.0) != Const(-0.0)
+    assert Const(-0.0) is Const(-0.0) and Const(0) is Const(0.0)
+    assert repr(Binary("mul", Const(-0.0), Var(1))) == (
+        "Binary(op='mul', lhs=Const(value=-0.0), rhs=Var(index=1))")
+
+
+@pytest.mark.parametrize("node,name", [(Const(1.0), "value"), (Var(1), "index"),
+                                       (Unary("neg", Var(1)), "arg"),
+                                       (Binary("add", Var(1), Var(2)), "op"),
+                                       (Power(Var(1), 2), "exponent")])
+def test_assigning_to_a_field_raises(node, name):
+    before = repr(node)
+    with pytest.raises(AttributeError):
+        setattr(node, name, Var(3))
+    with pytest.raises(AttributeError):
+        delattr(node, name)
+    assert repr(node) == before
+
+
+def test_a_tree_built_in_several_threads_at_once_is_one_object():
+    # constants no other test builds, so both threads make new nodes and race
+    # to put them in the tables
+    def tree(k):
+        shifted = Binary("add", Var(1), Const(k + 0.125))
+        return Binary("sub", Binary("mul", Unary("sin", shifted), Power(shifted, 3)),
+                      Binary("div", Const(k + 0.375), Unary("exp", Unary("neg", shifted))))
+
+    built = [[] for _ in range(4)]  # more threads than cores
+    start = threading.Barrier(len(built), timeout=60)
+
+    def build(out):
+        start.wait()
+        out.extend(tree(k) for k in range(10_000, 14_000))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [len(out) for out in built] == [4000] * len(built)
+    assert all(len({id(t) for t in trees}) == 1 for trees in zip(*built))
+    assert all(a is tree(k) for k, a in enumerate(built[0], 10_000))
 
 
 def test_unpickled_tree_hashes_like_a_rebuilt_one():

@@ -5,6 +5,7 @@ import os
 import re
 import stat
 import subprocess
+import sysconfig
 import traceback
 from pathlib import Path
 import tracemalloc
@@ -1222,6 +1223,22 @@ def test_warm_cache_starts_no_process(fresh_loops, monkeypatch, force_route):
     assert _heis_bytes() == cold
     assert ran == {"native"}
     assert stat.S_IMODE(fresh_loops.stat().st_mode) == 0o700
+
+
+def test_a_build_reads_no_python_headers(fresh_loops, monkeypatch, force_route):
+    # numpy's bitgen.h and libnpyrandom.a are all a library needs
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a build asked for Python's include directory")
+
+    force_route("numpy")
+    want = _heis_bytes()
+    monkeypatch.setattr(sysconfig, "get_paths", no_paths)
+    ran = force_route("native")
+    assert _heis_bytes() == want
+    assert ran == {"native"} and len(list(fresh_loops.glob("*.so"))) == 1
+    source = step_kernel_c(CoefficientSet.from_text(3, 2, *_HEIS), "tamed-euler", True, True)
+    assert "#include <numpy/random/bitgen.h>" in source
+    assert "Python.h" not in source and "distributions.h" not in source
 
 
 def test_library_path_keys_on_the_numpy_version_and_flags(tmp_path, monkeypatch):

@@ -796,6 +796,33 @@ def test_negative_workers_flag_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["no-such-command", "--config", "x.cfg"],
+    ["tails"],
+    ["--config", "x.cfg"],
+    ["tails", "--config", "x.cfg", "--seed", "one"],
+    ["tails", "--config", "x.cfg", "--no-such-flag"],
+])
+def test_cli_bad_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: hypolab")
+
+
+def test_cli_takes_its_options_before_or_after_the_command(tmp_path):
+    cfg = _write(tmp_path, OU_MODEL + SIM)
+    for argv in (["simulate", "--config", cfg, "--workers", "8"],
+                 ["--config", cfg, "--workers", "8", "simulate"]):
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+
+    def digests(name):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        return {e["file"]: e["sha256"] for e in manifest["outputs"]}
+
+    assert digests("simulate") == digests("--config") != {}
+
+
 def test_cli_evaluation_error_exits_1(tmp_path, capsys):
     text = """
 [model]
