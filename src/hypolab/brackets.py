@@ -272,7 +272,11 @@ def _gram_stack(pts: np.ndarray, L: int, table: BracketTable) -> np.ndarray:
     finite = np.isfinite(pts).all(axis=1)
     bad = len(pts) if finite.all() else int(np.argmin(finite))
     grams = np.zeros((len(pts), table.d, table.d))
-    for fld in fields:
+    # a bracket that is constant 0 (of either sign) adds nothing: grams starts
+    # at +0.0, and adding zeros to +0.0 gives +0.0, so it is left out
+    nonzero = [fld for fld in fields
+               if not all(isinstance(c, Const) and c.value == 0.0 for c in fld.components)]
+    for fld in nonzero:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 w = compile_expression_stack(fld.components, (fld.dim,))(pts)

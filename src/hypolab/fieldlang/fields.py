@@ -201,14 +201,14 @@ for _ in range({max_iter}):
 
 # The same solve on one path in C: ``solve`` returns 1 when it converged.
 _NEWTON_C = """\
-static double residual(double h, {xs}, const double *z, double *f)
+static inline IN_EACH_CLONE double residual(double h, {xs}, const double *z, double *f)
 {{
     {z_rows}
     {residual}
     return sqrt({f_squares});
 }}
 
-static int solve(double h, {xs}, double *z)
+static inline IN_EACH_CLONE int solve(double h, {xs}, double *z)
 {{
     double f[{n}], g[{n}], c[{n}];
     {start}
@@ -240,7 +240,8 @@ static int solve(double h, {xs}, double *z)
 """
 
 # Paths per tile of C's loop: each tile draws its increments, then takes all
-# its steps, so a block never holds more than a tile of increments.
+# its steps, so a block never holds more than a tile of increments.  A
+# tile's paths are its vector lanes: eight doubles fill one AVX-512 register.
 C_TILE = 8
 
 # C's loop over a block of B paths, a tile of C_TILE paths at a time.  A tile
@@ -249,11 +250,25 @@ C_TILE = 8
 # ``brownian._struct_rekey`` rekeys it, n m standard normals with numpy's
 # sampler's bits, then ``brownian._brownian_paths``' scale and running sum and
 # ``simulate._block_increments``' differences, in their float operations.
-# The tile's rows are stepped through all n steps: a path's new rows go to
-# ``o`` and are stored only when its new state rows are finite (and its solve
-# converged); otherwise the path is marked lost at k and keeps all its rows,
-# as in the engine's masked step.  At each grid index in ``stops`` every row
-# of the tile is copied into the (S, rows, B) snapshot ``snap``.
+# The tile's (rows, C_TILE) rows ``st`` are stepped through all n steps, in
+# two passes per step.  The first computes every lane's new rows into ``o``
+# in one loop over the lanes with no branch, so the compiler vectorises it:
+# lost lanes are computed too, and idle lanes of a partial tile step zeros.
+# Only the split-step solve, a loop of its own, runs for live lanes alone
+# (z = x elsewhere).  The second commits: a live lane whose new state rows
+# are all finite (x - x is 0.0, summed over the rows, without a branch) and
+# whose solve converged is stored; any other is marked lost at k and keeps
+# all its rows, as in the engine's masked step.  While a full tile's lanes
+# are all live, ``o`` is stored whole.  At each grid index in ``stops`` the
+# tile's rows are copied into the (S, rows, B) snapshot ``snap``.
+#
+# On x86-64 with glibc, ``run`` is built three times (``target_clones``):
+# for AVX-512F, AVX2 and the baseline, and the loader picks the widest one
+# the CPU has, as ``isa`` reports, so a cache shared between machines stays
+# safe.  The split-step solve is inlined into each clone: called from a
+# vector clone, baseline SSE code stalls on the registers' dirty upper
+# halves.  Vector and scalar arithmetic round alike, and with no
+# contraction into fused multiply-adds every clone gives the same bits.
 #
 # The normals are numpy's ziggurat (``random_standard_normal`` in
 # ``libnpyrandom.a``; Marsaglia and Tsang 2000).  Its fast path is inline: one
@@ -279,6 +294,17 @@ _C_RUN = """\
 #include <string.h>
 #include <numpy/random/bitgen.h>
 double random_standard_normal(bitgen_t *);
+
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define LANES_CLONED 1
+#endif
+#endif
+#ifdef LANES_CLONED  /* the solve is built into each clone of run, in its instruction set */
+#define IN_EACH_CLONE __attribute__((always_inline))
+#else
+#define IN_EACH_CLONE
+#endif
 {newton}
 static double zig_w[256];
 static uint64_t zig_k[256];
@@ -403,6 +429,21 @@ int setup(bitgen_t *bitgen, uint64_t *philox, uint64_t seed, uint64_t id, int64_
     return 1;
 }}
 
+const char *isa(void)
+{{
+#ifdef LANES_CLONED
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512f";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}}
+
+#ifdef LANES_CLONED
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
 void run(const double *s, double *snap, const int64_t *stops, int64_t S, const double *dw,
          bitgen_t *bitgen, uint64_t *philox, uint64_t seed, const uint64_t *ids, double scale,
          double h, int64_t B, int64_t n, int64_t *diverged, const double *T, double *work)
@@ -410,8 +451,17 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
     double *nrm = work, *inc = work + n * {m};  /* n m normals, then (n, m, tile) */
     for (int64_t b0 = 0; b0 < B; b0 += {tile}) {{
         const int64_t width = B - b0 < {tile} ? B - b0 : {tile};
-        double st[{rows} * {tile}];
+        double st[{rows} * {tile}], o[{rows} * {tile}];
+        int solved[{tile}];  /* the split-step solve converged */
+        int64_t live = 0;
+        for (int64_t g = width; g < {tile}; ++g) {{  /* idle lanes step zeros */
+            for (int r = 0; r < {rows}; ++r)
+                st[r * {tile} + g] = 0.0;
+            for (int64_t i = 0; i < n * {m}; ++i)
+                inc[i * {tile} + g] = 0.0;
+        }}
         for (int64_t g = 0; g < width; ++g) {{
+            live += diverged[b0 + g] < 0;
             for (int r = 0; r < {rows}; ++r)
                 st[r * {tile} + g] = s[b0 + g + r * B];
             if (dw) {{
@@ -440,22 +490,28 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
             }}
             if (k == n)
                 break;
+            if (!live)
+                continue;
             const double *dwk = inc + k * {m} * {tile};
-            for (int64_t g = 0; g < width; ++g) {{
-                if (diverged[b0 + g] >= 0)
-                    continue;
-                double o[{rows}];
-                int ok = 1;
+            for (int64_t g = 0; g < {tile}; ++g) {{  /* every lane, without a branch */
                 {body}
-                for (int r = 0; r < {state}; ++r)
-                    ok = ok && isfinite(o[r]);
-                if (!ok) {{
-                    diverged[b0 + g] = k;
-                    continue;
-                }}
-                for (int r = 0; r < {rows}; ++r)
-                    st[r * {tile} + g] = o[r];
             }}
+            double nonfinite[{tile}] = {{0.0}};  /* x - x is 0.0 for a finite x, else NaN */
+            for (int r = 0; r < {state}; ++r)
+                for (int64_t g = 0; g < {tile}; ++g)
+                    nonfinite[g] += o[r * {tile} + g] - o[r * {tile} + g];
+            for (int64_t g = 0; g < width; ++g)
+                if (diverged[b0 + g] < 0 && !({solved} && nonfinite[g] == 0.0)) {{
+                    diverged[b0 + g] = k;
+                    --live;
+                }}
+            if (live == {tile})  /* a full tile, every lane live */
+                memcpy(st, o, sizeof st);
+            else
+                for (int64_t g = 0; g < width; ++g)
+                    if (diverged[b0 + g] < 0)
+                        for (int r = 0; r < {rows}; ++r)
+                            st[r * {tile} + g] = o[r * {tile} + g];
         }}
     }}
 }}
@@ -530,8 +586,9 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     """The source lines of ``compile_step_kernel``'s step, or with ``c`` of
     ``step_kernel_c``'s loop: one emission, in which only the statements'
     form depends on ``c``.  numpy's statements act on rows of B paths and
-    write the new rows to ``out``; C's act on one path's doubles and write
-    them to ``o``, which ``_C_RUN`` stores when the state rows are finite."""
+    write the new rows to ``out``; C's act on lane g of a tile's doubles and
+    write them to ``o[row * C_TILE + g]``, which ``_C_RUN`` stores when the
+    state rows are finite."""
     d, m = coeffs.d, coeffs.m
     implicit = scheme == "split-step-backward-euler"
     sigma = [[col.components[q] for col in coeffs.diffusion] for q in range(d)]
@@ -551,9 +608,10 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     if c:
         body = [let(name, f"st[g + {n} * {C_TILE}]") for n, name in enumerate(rows)]
         body += [let(f"dw{i}", f"dwk[g + {i} * {C_TILE}]") for i in range(m)]
-        if implicit:
-            body += [f"double z[{d}];",
-                     f"ok = solve(h, {', '.join(f'x{i}' for i in range(d))}, z);"]
+        if implicit:  # solved for live lanes only: a lost lane would run to max_iter
+            xs = ", ".join(f"x{i}" for i in range(d))
+            body += [f"double z[{d}] = {{{xs}}};",
+                     f"solved[g] = g < width && diverged[b0 + g] < 0 && solve(h, {xs}, z);"]
             body += [let(f"z{i}", f"z[{i}]") for i in range(d)]
     else:
         body = [f"{name} = s[{n}]" for n, name in enumerate(rows)]
@@ -584,8 +642,8 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         first, row = first or name, rows.index(name)
         if c:
             sign = "+" if op == "add" else "-"
-            body.append(f"o[{row}] = ({first}) {sign} ({terms});" if terms
-                        else f"o[{row}] = {first};")
+            body.append(f"o[{row} * {C_TILE} + g] = ({first}) {sign} ({terms});" if terms
+                        else f"o[{row} * {C_TILE} + g] = {first};")
         else:
             body.append(f"np.{op}({first}, {terms}, out=out[{row}])" if terms
                         else f"out[{row}] = {first}")
@@ -624,7 +682,8 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
             update(f"C{p}_{r}", "add", terms and f"h * ({terms})")
 
     def new(name):  # the row ``name`` at k + 1
-        return f"{'o' if c else 'out'}[{rows.index(name)}]"
+        row = rows.index(name)
+        return f"o[{row} * {C_TILE} + g]" if c else f"out[{row}]"
 
     def store(name, text):
         body.append(f"{new(name)} = {text}{';' * c}")
@@ -674,7 +733,8 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         return ["def step(s, out, dw, h, T=None):", *(f"    {line}" for line in body)]
     return _C_RUN.format(
         newton=_newton_source(coeffs.drift, c=True) if implicit else "", m=m,
-        rows=len(rows), state=state, tile=C_TILE, body="\n                ".join(body),
+        rows=len(rows), state=state, tile=C_TILE, solved="solved[g]" if implicit else "1",
+        body="\n                ".join(body),
     ).splitlines()
 
 
@@ -714,11 +774,11 @@ def compile_step_kernel(
     sign of a zero R, which E squares away.  ``square_norm`` adds, last, the
     running max of |X|^2, summed in index order as ``np.add.reduce`` sums.
 
-    ``step_kernel_c`` renders the same lines as C, one path at a time, and
-    the engine runs that loop, which also draws the increments, wherever it
-    can.  This step runs for models or remainder targets with sin, cos, exp
-    or tanh, where the C loop could not be built or failed its probe, and
-    as the native loop's oracle.
+    ``step_kernel_c`` renders the same lines as C, on each lane of a tile of
+    ``C_TILE`` paths, and the engine runs that loop, which also draws the
+    increments, wherever it can.  This step runs for models or remainder
+    targets with sin, cos, exp or tanh, where the C loop could not be built
+    or failed its probe, and as the native loop's oracle.
     """
     label = (f"hypolab step d={coeffs.d} m={coeffs.m} {scheme}" + " JK" * flows + " C" * covariance
              + " sup" * identity + " R" * bool(remainder) + " |X|^2" * square_norm)
@@ -747,17 +807,21 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
     ziggurat tables and returns 1 when the ``count`` normals of the stream
     (``seed``, ``id``) are the bits of ``want``.  ``diverged`` holds the (B,) int64
     steps at which paths were lost, -1 for none, ``T`` the remainder's
-    coefficients and ``work`` room for (``C_TILE`` + 1) n m doubles.
+    coefficients and ``work`` room for (``C_TILE`` + 1) n m doubles.  The
+    library's ``isa()`` names the clone of ``run`` the loader picked:
+    "avx512f", "avx2" or "default".
 
-    Each step is ``compile_step_kernel``'s, line by line, on one path's
-    doubles: the same operations in the same order, constants as exact
-    hexadecimal literals, and the split-step solve with the same schedule.
-    A path whose new X, J, K or C has a non-finite entry, or whose solve
-    fails, gets ``diverged = k`` and keeps all its rows, records too; a lost
-    path is not stepped again.  Compiled without contraction into fused
-    multiply-adds (``-ffp-contract=off``), every operation rounds as numpy's
-    does, so the bits agree; the engine checks that on a probe block before
-    it uses the loop.
+    Each step is ``compile_step_kernel``'s, line by line, on each lane of
+    the tile, ``o[row * C_TILE + g]`` for lane g's row: the same operations
+    in the same order, constants as exact hexadecimal literals, and the
+    split-step solve with the same schedule.  Every lane is computed in one
+    branch-free loop the compiler vectorises; a path whose new X, J, K or C
+    has a non-finite entry, or whose solve fails, gets ``diverged = k`` and
+    keeps all its rows, records too, and a lost path's rows are never
+    stored again.  Compiled without contraction into fused multiply-adds
+    (``-ffp-contract=off``), every operation rounds as numpy's does, in a
+    vector lane as in a scalar, so the bits agree; the engine checks that
+    on a probe block before it uses the loop.
     """
     fields = (coeffs.drift, *coeffs.diffusion, *(remainder[:1] if remainder else ()))
     if not all(_rational(e) for f in fields for e in f.components):

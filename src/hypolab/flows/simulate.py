@@ -103,9 +103,11 @@ SCHEMES = ("tamed-euler", "split-step-backward-euler", "euler")
 # False runs every block on the numpy route, the oracle of the native loop.
 NATIVE = True
 # The routes blocks ran on since they were cleared, "native" or "numpy": the
-# step loop, and where the increments were drawn.
+# step loop, and where the increments were drawn; and the vector extensions
+# the native loops ran with ("avx512f", "avx2" or "default").
 STEP_ROUTES: set[str] = set()
 INCREMENT_ROUTES: set[str] = set()
+NATIVE_ISAS: set[str] = set()
 
 
 @dataclass(frozen=True, slots=True)
@@ -378,15 +380,17 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     """``step_kernel_c``'s loop, built and loaded, as ``loop(s, stops, h,
     diverged, coefficients, dw, seed, ids)``, which returns a block's
     snapshot as ``_numpy_block`` does and draws the streams ``ids`` when
-    ``dw`` is None; or None unless the library's ``setup`` reads numpy's
+    ``dw`` is None, and adds the vector extensions its build runs with to
+    ``NATIVE_ISAS``; or None unless the library's ``setup`` reads numpy's
     ziggurat tables and then draws ``_SAMPLER_CHECK``'s normals as numpy
     does, and the loop leaves the numpy route's bytes on fixed probe
-    blocks.  The probe starts from random X and record
-    rows, with random remainder coefficients, and keeps the rows at 0, 3 and
-    n.  On a block of given increments, its last path draws an infinite
-    increment at step 2, so it is lost there on any model whose noise
-    reaches X, and would be finite again if it were stepped on.  On two
-    drawn blocks, at seeds 0 and 2^64 - 1, the loop must match
+    blocks.  The probe starts from random X and record rows, with random
+    remainder coefficients, and keeps the rows at 0, 3 and n.  On a block
+    of given increments, two paths draw an infinite increment: the fourth,
+    a lane of the first tile beside live ones, at step 1, and the last, in
+    the partial tile, at step 2.  So each is lost there on any model whose
+    noise reaches X, and would be finite again if it were stepped on.  On
+    two drawn blocks, at seeds 0 and 2^64 - 1, the loop must match
     ``_block_increments``."""
     from .. import native  # on the first block that can use it, never at import
 
@@ -398,10 +402,11 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         "setup": (ctypes.c_int, (ptr, ptr, u64, u64, i64, ptr)),
         "run": (None, (ptr, ptr, ptr, i64, ptr, ptr, ptr, u64, ptr, f64, f64, i64, i64, ptr, ptr,
                        ptr)),
+        "isa": (ctypes.c_char_p, ()),
     })
     if not fns:
         return None
-    setup, fn = fns
+    setup, fn, isa = fns
     m, philox = coeffs.m, brownian._BITGEN
     seed, sid, count = _SAMPLER_CHECK
     want = brownian.standard_normal_stream(seed, sid, 0, count)
@@ -410,7 +415,7 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
                      want.ctypes.data):
             return None
 
-    def loop(s, stops, h, diverged, coefficients, dw, seed, ids):
+    def block(s, stops, h, diverged, coefficients, dw, seed, ids):
         n, B = int(stops[-1]), s.shape[1]
         snap, work = np.empty((len(stops),) + s.shape), np.empty((C_TILE + 1) * n * m)
         ids = np.ascontiguousarray(ids, dtype=np.uint64)  # Philox key words
@@ -431,6 +436,7 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     coefficients = rng.uniform(-1.5, 1.5, (len(remainder[2]) if remainder else 0, d))
     dw = rng.standard_normal((n, m, B)) * math.sqrt(_PROBE_H)
     dw[2, :, -1] = np.inf
+    dw[1, :, 3] = np.inf
     ids = np.array(_PROBE_IDS, dtype=np.uint64)
     cases = ((dw, 0), (None, 0), (None, 2**64 - 1))
     blocks = [given if given is not None else
@@ -443,10 +449,16 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
                             np.concatenate(blocks, axis=2), _PROBE_H, stops, lost, coefficients)
         for i, (given, seed) in enumerate(cases):
             part, got_lost = slice(i * B, (i + 1) * B), np.full(B, -1, dtype=np.int64)
-            got = loop(start, stops, _PROBE_H, got_lost, coefficients, given, seed, ids)
+            got = block(start, stops, _PROBE_H, got_lost, coefficients, given, seed, ids)
             if (got.tobytes() != want[..., part].tobytes()
                     or got_lost.tobytes() != lost[part].tobytes()):
                 return None
+    level = isa().decode()
+
+    def loop(*args):  # a block run natively, by the clone the loader picked
+        NATIVE_ISAS.add(level)
+        return block(*args)
+
     return loop
 
 

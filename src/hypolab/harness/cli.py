@@ -448,9 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _environment() -> dict:
-    """Where the run ran: the interpreter, numpy, the platform, and the routes
-    of its blocks' steps and increments, each a list when both ran and null
-    when none did."""
+    """Where the run ran: the interpreter, numpy, the platform, the routes of
+    its blocks' steps and increments, each a list when both ran and null when
+    none did, and the vector extensions of its native loops ("avx512f",
+    "avx2" or "default"), null when no native loop ran."""
     def route(ran):
         ran = sorted(ran)
         return ran[0] if len(ran) == 1 else ran or None
@@ -461,6 +462,7 @@ def _environment() -> dict:
         "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
         "step_route": route(simulate.STEP_ROUTES),
         "increments": route(simulate.INCREMENT_ROUTES),
+        "native_isa": route(simulate.NATIVE_ISAS),
     }
 
 
@@ -491,6 +493,7 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         simulate.STEP_ROUTES.clear()
         simulate.INCREMENT_ROUTES.clear()
+        simulate.NATIVE_ISAS.clear()
         _HANDLERS[args.command](cfg, out)
         wall = time.perf_counter() - start
         out("config.resolved.txt", "resolved run configuration")  # last: its digest is config_hash

@@ -1337,6 +1337,63 @@ def test_native_sampler_keeps_the_numpy_bytes_on_long_streams(seed, force_route)
                      len(want), want.ctypes.data) == 1
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("drawn", [False, True], ids=["given", "drawn"])
+@pytest.mark.parametrize("B", [1, 7, 8, 9, 17])
+def test_native_lanes_give_the_numpy_bytes(B, drawn, scheme):
+    # every lane of a tile is stepped, lost or idle, and only the live ones
+    # are committed: lanes 0, 3 and 7 are lost beside live lanes, in a full
+    # tile, a partial one, or both
+    coeffs = CoefficientSet.from_text(3, 2, *_HEIS)
+    kernel = (coeffs, scheme, True, True, True, None, True)
+    loop = simulate._native_loop(*kernel)
+    assert loop is not None
+    n, h, seed = 16, 2.0**-4, 5
+    rng = np.random.default_rng(B)
+    start = simulate._initial_state(rng.uniform(-1.5, 1.5, (3, B)), *kernel[2:])
+    ids = np.arange(B, dtype=np.uint64)
+    lost = [lane for lane in (0, 3, 7) if lane < B]
+    if drawn:  # lost at the first step: a NaN in X, an infinite J, an X whose cube overflows
+        dw = None
+        for lane, (row, value) in zip(lost, [(0, np.nan), (3, np.inf), (1, 1e200)]):
+            start[row, lane] = value
+        increments = _block_increments(SimConfig(h * n, n, (0.0,), seed=seed), 2, ids)
+    else:  # lost at steps 1, 2 and 4 by an infinite increment
+        dw = increments = rng.standard_normal((n, 2, B)) * np.sqrt(h)
+        for lane, k in zip(lost, (1, 2, 4)):
+            dw[k, :, lane] = np.inf
+    stops = np.array([0, 3, 5, n], dtype=np.int64)
+    got_lost, want_lost = (np.full(B, -1, dtype=np.int64) for _ in range(2))
+    with np.errstate(all="ignore"):
+        got = loop(start.copy(), stops, h, got_lost, np.zeros((0, 3)), dw, seed, ids)
+        want = simulate._numpy_block(compile_step_kernel(*kernel), start.copy(), increments, h,
+                                     stops, want_lost, np.zeros((0, 3)))
+    assert sorted(np.flatnonzero(want_lost >= 0)) == lost
+    assert got_lost.tobytes() == want_lost.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_the_generic_build_gives_the_dispatched_bytes(fresh_loops, monkeypatch, force_route):
+    # the loop built without its vector clones, from the same source
+    ran = force_route("native")
+    simulate.NATIVE_ISAS.clear()
+    dispatched = _heis_bytes()
+    assert simulate.NATIVE_ISAS <= {"avx512f", "avx2", "default"}
+    assert len(simulate.NATIVE_ISAS) == 1
+
+    def generic(*kernel):
+        source = step_kernel_c.__wrapped__(*kernel)
+        assert source.count("#define LANES_CLONED 1") == 1
+        return source.replace("#define LANES_CLONED 1", "", 1)
+
+    monkeypatch.setattr(simulate, "step_kernel_c", generic)
+    simulate._native_loop.cache_clear()
+    simulate.NATIVE_ISAS.clear()
+    assert _heis_bytes() == dispatched
+    assert ran == {"native"} and simulate.NATIVE_ISAS == {"default"}
+    assert len(list(fresh_loops.glob("*.so"))) == 2
+
+
 def _route_records(name, scheme, seed, n):
     d, m, drift, sigma, x0, horizon, *_ = _ORACLE_MODELS[name]
     coeffs = CoefficientSet.from_text(d, m, drift, sigma)
@@ -1403,13 +1460,14 @@ def test_native_block_holds_no_increment_block(ou, force_route):
 
 def test_c_loop_is_the_numpy_kernel_line_by_line():
     # one emitter: each assignment of the C text is the numpy text's, with the
-    # literals in hexadecimal and np.add/np.subtract(a, b) as (a) + (b)
+    # literals in hexadecimal, np.add/np.subtract(a, b) as (a) + (b) and row r
+    # of out as lane g of the tile's row r
     def c_text(line):
         if line.startswith("np."):  # no argument holds a comma
             op, args = line[3:].split("(", 1)
             a, b, target = args[:-1].split(", ")
             line = f"{target[4:]} = ({a}) {'-' if op == 'subtract' else '+'} ({b})"
-        line = line.replace("out[", "o[").replace("np.sqrt", "sqrt")
+        line = re.sub(r"out\[(\d+)\]", rf"o[\1 * {C_TILE} + g]", line).replace("np.sqrt", "sqrt")
         return re.sub(r"\((-?\d+\.\d+)\)", lambda mt: f"({float(mt[1]).hex()})", line)
 
     heis = CoefficientSet.from_text(3, 2, *_HEIS)

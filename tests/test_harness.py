@@ -899,13 +899,19 @@ def test_manifest_environment_names_the_step_route(tmp_path, drift, route, force
         out = tmp_path / forced
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest.pop("environment") == {
+        environment = manifest.pop("environment")
+        isa = environment.pop("native_isa")
+        assert environment == {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
             "step_route": route if forced == "native" else "numpy",
             "increments": route if forced == "native" else "numpy",
         }
+        if route == "native" and forced == "native":
+            assert isa in ("avx512f", "avx2", "default")
+        else:
+            assert isa is None
         outputs[forced] = manifest["outputs"]
     assert outputs["native"] == outputs["numpy"]  # only the manifest tells the routes apart
 
@@ -932,6 +938,7 @@ def test_import_and_check_hormander_build_and_load_nothing_native(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["environment"]["step_route"] is None
     assert manifest["environment"]["increments"] is None
+    assert manifest["environment"]["native_isa"] is None
 
 
 def test_cli_non_finite_local_bound_prints_only_its_error(tmp_path):
