@@ -380,8 +380,8 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     """``step_kernel_c``'s loop, built and loaded, as ``loop(s, stops, h,
     diverged, coefficients, dw, seed, ids)``, which returns a block's
     snapshot as ``_numpy_block`` does and draws the streams ``ids`` when
-    ``dw`` is None, and adds the vector extensions its build runs with to
-    ``NATIVE_ISAS``; or None unless the library's ``setup`` reads numpy's
+    ``dw`` is None, with the vector extensions its build runs with as
+    ``loop.isa``; or None unless the library's ``setup`` reads numpy's
     ziggurat tables and then draws ``_SAMPLER_CHECK``'s normals as numpy
     does, and the loop leaves the numpy route's bytes on fixed probe
     blocks.  The probe starts from random X and record rows, with random
@@ -415,7 +415,7 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
                      want.ctypes.data):
             return None
 
-    def block(s, stops, h, diverged, coefficients, dw, seed, ids):
+    def loop(s, stops, h, diverged, coefficients, dw, seed, ids):
         n, B = int(stops[-1]), s.shape[1]
         snap, work = np.empty((len(stops),) + s.shape), np.empty((C_TILE + 1) * n * m)
         ids = np.ascontiguousarray(ids, dtype=np.uint64)  # Philox key words
@@ -449,16 +449,11 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
                             np.concatenate(blocks, axis=2), _PROBE_H, stops, lost, coefficients)
         for i, (given, seed) in enumerate(cases):
             part, got_lost = slice(i * B, (i + 1) * B), np.full(B, -1, dtype=np.int64)
-            got = block(start, stops, _PROBE_H, got_lost, coefficients, given, seed, ids)
+            got = loop(start, stops, _PROBE_H, got_lost, coefficients, given, seed, ids)
             if (got.tobytes() != want[..., part].tobytes()
                     or got_lost.tobytes() != lost[part].tobytes()):
                 return None
-    level = isa().decode()
-
-    def loop(*args):  # a block run natively, by the clone the loader picked
-        NATIVE_ISAS.add(level)
-        return block(*args)
-
+    loop.isa = isa().decode()  # the clone of run the loader picked
     return loop
 
 
@@ -479,6 +474,8 @@ def _simulate_block(coeffs: CoefficientSet, config: SimConfig, record: RecordSpe
     loop = _native_loop(*kernel) if NATIVE else None
     STEP_ROUTES.add("native" if loop else "numpy")
     INCREMENT_ROUTES.add("native" if loop and dw is None else "numpy")
+    if loop:
+        NATIVE_ISAS.add(loop.isa)
 
     # the kernel's rows: the native loop reads them, the numpy kernel steps them
     s = _initial_state(np.broadcast_to(np.asarray(config.x0)[:, None], (d, B)), *kernel[2:])

@@ -50,6 +50,7 @@ def force_route(monkeypatch):
         ran = set()
         monkeypatch.setattr(simulate, "STEP_ROUTES", ran)
         monkeypatch.setattr(simulate, "INCREMENT_ROUTES", set())
+        monkeypatch.setattr(simulate, "NATIVE_ISAS", set())
         return ran
 
     return force

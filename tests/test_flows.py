@@ -1374,24 +1374,30 @@ def test_native_lanes_give_the_numpy_bytes(B, drawn, scheme):
 
 
 def test_the_generic_build_gives_the_dispatched_bytes(fresh_loops, monkeypatch, force_route):
-    # the loop built without its vector clones, from the same source
+    # the loop built without its AVX-512F clone, then without any clone,
+    # from the same source: each runs the clone it names, with the same bytes
     ran = force_route("native")
-    simulate.NATIVE_ISAS.clear()
     dispatched = _heis_bytes()
-    assert simulate.NATIVE_ISAS <= {"avx512f", "avx2", "default"}
-    assert len(simulate.NATIVE_ISAS) == 1
+    (level,) = simulate.NATIVE_ISAS
+    assert level in {"avx512f", "avx2", "default"}
+    no_avx512f = [('target_clones("avx512f", "avx2", "default")', 'target_clones("avx2", "default")'),
+                  ('__builtin_cpu_supports("avx512f")', "0")]
+    builds = [(no_avx512f, "default" if level == "default" else "avx2"),
+              ([("#define LANES_CLONED 1", "")], "default")]
+    for edits, runs in builds:
+        def rebuilt(*kernel, edits=edits):
+            source = step_kernel_c.__wrapped__(*kernel)
+            for old, new in edits:
+                assert source.count(old) == 1
+                source = source.replace(old, new)
+            return source
 
-    def generic(*kernel):
-        source = step_kernel_c.__wrapped__(*kernel)
-        assert source.count("#define LANES_CLONED 1") == 1
-        return source.replace("#define LANES_CLONED 1", "", 1)
-
-    monkeypatch.setattr(simulate, "step_kernel_c", generic)
-    simulate._native_loop.cache_clear()
-    simulate.NATIVE_ISAS.clear()
-    assert _heis_bytes() == dispatched
-    assert ran == {"native"} and simulate.NATIVE_ISAS == {"default"}
-    assert len(list(fresh_loops.glob("*.so"))) == 2
+        monkeypatch.setattr(simulate, "step_kernel_c", rebuilt)
+        simulate._native_loop.cache_clear()
+        simulate.NATIVE_ISAS.clear()
+        assert _heis_bytes() == dispatched
+        assert ran == {"native"} and simulate.NATIVE_ISAS == {runs}
+    assert len(list(fresh_loops.glob("*.so"))) == 3
 
 
 def _route_records(name, scheme, seed, n):

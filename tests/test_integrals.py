@@ -491,6 +491,8 @@ def test_remainder_loops_are_shared_across_x0_and_stop_only_at_reads(
             calls.append(args[4:6])
             return run(*args)
 
+        if run:
+            counted_run.isa = run.isa
         return run and counted_run
 
     monkeypatch.setattr(native, "load", counted_load)
