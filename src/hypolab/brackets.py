@@ -9,6 +9,7 @@ the state space.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -34,7 +35,6 @@ from .fieldlang import (
     simplify,
 )
 from .fieldlang.ast import Binary, Const, _simp_binary
-from .qmc import ndtri, sobol
 
 __all__ = [
     "MultiIndex",
@@ -426,32 +426,29 @@ def check_hormander(
 
 # ---------------------------------------------------------------------------
 # Local sup-norm bounds over the closed ball B(x, radius), approximated on a
-# low-discrepancy sample.  The sample for a given (dim, count) is a prefix of
-# one fixed Sobol sequence, so enlarging the sample can only increase the
-# reported bound; the centre and the axis-aligned boundary points are always
-# included so interval suprema in low dimension are hit exactly.
+# fixed sample.  The centre and the axis-aligned boundary points come first,
+# so interval suprema in low dimension are hit exactly.  The interior points
+# are uniform in the ball: the first d coordinates of a normalised
+# (d + 2)-dimensional Gaussian vector (Voelker, Gosmann and Stewart 2017),
+# drawn from a fixed-seed generator made for each call, so a bound never moves
+# the engine's Philox.  A sample of a given (dim, count) is a prefix of every
+# larger one, so enlarging it can only increase the reported bound.
+
+_BALL_SEED = 0
 
 
 def ball_sample(center: Sequence[float], radius: float, n: int) -> np.ndarray:
+    if not 0.0 < radius < math.inf:
+        raise ConfigError(f"ball radius must be positive and finite, got {radius}")
+    if n < 0:
+        raise ConfigError(f"ball sample size must be >= 0, got {n}")
     center = np.asarray(center, dtype=float)
     d = center.size
-    u = np.clip(sobol(d + 1, max(n, 1)), 2.0**-20, 1.0 - 2.0**-20)
-    dirs = ndtri(u[:, :d])
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    # the midpoint of the cube maps to the zero vector; give it a fixed axis
-    degenerate = norms[:, 0] == 0.0
-    dirs[degenerate, 0] = 1.0
-    norms[degenerate, 0] = 1.0
-    dirs = dirs / norms
-    radii = radius * u[:, d:] ** (1.0 / d)
-    pts = center + dirs * radii
-    fixed = [center]
-    for axis in range(d):
-        offset = np.zeros(d)
-        offset[axis] = radius
-        fixed.append(center + offset)
-        fixed.append(center - offset)
-    return np.vstack([np.asarray(fixed), pts])
+    gauss = np.random.default_rng(_BALL_SEED).standard_normal((n, d + 2))
+    pts = center + radius * (gauss / np.linalg.norm(gauss, axis=1, keepdims=True))[:, :d]
+    offsets = radius * np.eye(d)
+    fixed = np.stack([center + offsets, center - offsets], axis=1).reshape(2 * d, d)
+    return np.vstack([center, fixed, pts])
 
 
 def derivative_stack(fld: VectorField, order: int) -> list[list[Expression]]:

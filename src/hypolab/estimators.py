@@ -114,13 +114,21 @@ class TailCurve:
         }
 
 
-def _tail_rows(event_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """events per K column, p_hat, and Wilson bounds; trials = rows."""
-    trials = event_matrix.shape[0]
-    events = event_matrix.sum(axis=0).astype(np.int64)
-    p_hat = events / trials
+def _k_values(L: int, k_grid) -> np.ndarray:
+    """The sorted K grid of a tail curve, after checking it and L."""
+    if L < 1:
+        raise ConfigError("L must be >= 1")
+    k_values = np.asarray(sorted(float(k) for k in k_grid))
+    if k_values.size == 0 or k_values[0] < 1.0:
+        raise ConfigError("K grid must be non-empty with K >= 1")
+    return k_values
+
+
+def _tail_curve(k_values: np.ndarray, events, trials: int, meta: dict) -> TailCurve:
+    """The tail curve of ``events`` per K out of ``trials``, with Wilson bounds."""
+    events = np.asarray(events, dtype=np.int64)
     bounds = np.array([wilson_interval(int(e), trials) for e in events])
-    return events, p_hat, bounds[:, 0], bounds[:, 1]
+    return TailCurve(k_values, events, trials, events / trials, bounds[:, 0], bounds[:, 1], meta)
 
 
 def _fit_tail_envelope(
@@ -169,15 +177,11 @@ def eigenvalue_tails(
     numbers across the K grid), and the event {lambda / t^L <= 1/K} is
     counted over paths.
     """
-    if L < 1:
-        raise ConfigError("L must be >= 1")
+    k_values = _k_values(L, k_grid)
     if not 0 < t <= 1:
         raise ConfigError("t must lie in (0, 1]")
     if matrix not in ("C", "Q"):
         raise ConfigError("matrix must be 'C' or 'Q'")
-    k_values = np.asarray(sorted(float(k) for k in k_grid))
-    if k_values.size == 0 or k_values[0] < 1.0:
-        raise ConfigError("K grid must be non-empty with K >= 1")
     config = replace(ensemble.config, horizon=t)
     horizons = t / k_values ** (1.0 / (L + 1))
     indices = [nearest_index(config, s) for s in horizons]
@@ -191,14 +195,11 @@ def eigenvalue_tails(
     alive = res.survivors()
     trials = int(alive.sum())
     which = 0 if matrix == "C" else 1
-    event_cols = []
+    events = []
     for k, idx in zip(k_values, indices):
-        mat = mats[idx][which][alive]
-        lam = np.linalg.eigvalsh(mat)[:, 0]
-        event_cols.append(lam / t**L <= 1.0 / k)
-    event_matrix = np.column_stack(event_cols)
-    events, p_hat, lo, hi = _tail_rows(event_matrix)
-    meta = {
+        lam = np.linalg.eigvalsh(mats[idx][which][alive])[:, 0]
+        events.append(np.count_nonzero(lam / t**L <= 1.0 / k))
+    curve = _tail_curve(k_values, events, trials, {
         "L": L,
         "t": t,
         "matrix": matrix,
@@ -208,15 +209,14 @@ def eigenvalue_tails(
         "diverged": res.diverged_count,
         "bound": "smallest-eigenvalue tail of the Malliavin covariance",
         "common_random_numbers": True,
-    }
-    fit = None
+    })
     if fit_envelope:
         table = BracketTable(ensemble.coeffs)
         x0 = np.asarray(ensemble.config.x0)
         v_l = spanning_value(x0, L, table)
         m_x = bracket_local_bound(table, x0, L)
-        fit = _fit_tail_envelope(k_values, p_hat, v_l, m_x, L)
-    return TailCurve(k_values, events, trials, p_hat, lo, hi, meta, fit)
+        curve.envelope_fit = _fit_tail_envelope(k_values, curve.p_hat, v_l, m_x, L)
+    return curve
 
 
 def remainder_tails(
@@ -240,13 +240,9 @@ def remainder_tails(
     read here; no state, flow or increment path is stored, so memory is
     bounded by one block's Brownian increments.
     """
-    if L < 1:
-        raise ConfigError("L must be >= 1")
+    k_values = _k_values(L, k_grid)
     if not 0 < epsilon <= 1:
         raise ConfigError("epsilon must lie in (0, 1]")
-    k_values = np.asarray(sorted(float(k) for k in k_grid))
-    if k_values.size == 0 or k_values[0] < 1.0:
-        raise ConfigError("K grid must be non-empty with K >= 1")
     t_values = sorted(float(t) for t in t_grid)
     if not t_values or t_values[0] <= 0 or t_values[-1] > 1:
         raise ConfigError("t grid must lie in (0, 1]")
@@ -260,41 +256,31 @@ def remainder_tails(
     alive = res.survivors()
     trials = int(alive.sum())
     cum = res.accumulated[alive]  # (trials, len(read))
-    events = np.zeros(k_values.size, dtype=np.int64)
-    p_hat = np.zeros(k_values.size)
-    argmax_t = np.zeros(k_values.size)
-    for col, k in enumerate(k_values):
+    events, argmax_t = [], []
+    for k in k_values:
         threshold = k ** -(L + 1 - epsilon)
-        best, best_t = -1.0, t_values[0]
-        best_events = 0
+        counts = []
         for t in t_values:
             at = energy.columns[nearest_index(config, t / k)]
-            flags = cum[:, at] / t**L >= threshold
-            frac = flags.mean()
-            if frac > best:
-                best, best_t, best_events = frac, t, int(flags.sum())
-        p_hat[col] = best
-        events[col] = best_events
-        argmax_t[col] = best_t
-    bounds = np.array([wilson_interval(int(e), trials) for e in events])
-    meta = {
+            counts.append(np.count_nonzero(cum[:, at] / t**L >= threshold))
+        best = int(np.argmax(counts))  # the first t with the most events
+        events.append(counts[best])
+        argmax_t.append(t_values[best])
+    curve = _tail_curve(k_values, events, trials, {
         "L": L,
         "epsilon": epsilon,
         "x0": list(ensemble.config.x0),
         "t_grid": t_values,
-        "argmax_t": [float(v) for v in argmax_t],
+        "argmax_t": argmax_t,
         "field": target.describe(),
         "diverged": res.diverged_count,
         "bound": "energy tail of the truncated flow-expansion remainder",
         "common_random_numbers": True,
-    }
-    fit = None
+    })
     if fit_envelope:
         m_x = expansion_local_bound(table, target, x0, L)
-        fit = _fit_tail_envelope(k_values, p_hat, 1.0, m_x, L)
-    return TailCurve(
-        k_values, events, trials, p_hat, bounds[:, 0], bounds[:, 1], meta, fit
-    )
+        curve.envelope_fit = _fit_tail_envelope(k_values, curve.p_hat, 1.0, m_x, L)
+    return curve
 
 
 @dataclass(slots=True)

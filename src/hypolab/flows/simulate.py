@@ -562,6 +562,8 @@ def run_ensemble(
         raise ConfigError("n_paths must be >= 1")
     if coeffs.d != config.d:
         raise ConfigError("config.x0 dimension does not match the coefficient set")
+    if block_size is not None and block_size < 1:
+        raise ConfigError("block_size must be >= 1")
     size = block_size or _default_block_size(config, coeffs, record)
     starts = list(range(0, n_paths, size))
     id_blocks = [

@@ -1013,6 +1013,13 @@ def test_block_size_does_not_change_bits(ou, scheme):
     assert np.array_equal(r_small.final_jacobians, r_big.final_jacobians)
 
 
+@pytest.mark.parametrize("block_size", [-1, 0])
+def test_block_size_below_one_is_a_config_error(ou, block_size):
+    cfg = SimConfig(horizon=1.0, n_steps=8, x0=(1.0,), seed=3)
+    with pytest.raises(ConfigError, match="block_size must be >= 1"):
+        run_ensemble(ou, cfg, 4, RecordSpec(), block_size=block_size)
+
+
 def test_singular_newton_matrix_loses_only_its_own_path():
     # b = 32 x^2 at h = 1/64: 1 - h b'(x) = 1 - x vanishes at x = 1.0, where
     # row 0 starts its second step; row 1 starts it at x = 0.25
