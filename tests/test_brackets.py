@@ -440,7 +440,7 @@ def test_ball_sample_bytes_are_pinned():
     assert digest == "d13278b8699649be7b2506a48915058728176dcb764bf3d22158443ef1e7df41"
 
 
-@pytest.mark.parametrize("d", [1, 3, 7, 40])
+@pytest.mark.parametrize("d", range(1, 41))
 def test_ball_sample_is_uniform_in_the_closed_ball(d):
     center, radius, n = np.linspace(-1.0, 2.0, d), 0.75, 4096
     pts = ball_sample(center, radius, n)
@@ -452,6 +452,10 @@ def test_ball_sample_is_uniform_in_the_closed_ball(d):
     # half the volume of the d-ball lies within radius * 2^(-1/d)
     inner = np.mean(r[2 * d + 1 :] <= radius * 2.0 ** (-1.0 / d))
     assert abs(inner - 0.5) <= 4 * np.sqrt(0.25 / n)
+    # no direction is preferred: each coordinate has variance radius^2/(d + 2)
+    # about the centre, so its sample mean lies within 5 standard errors
+    offset = pts[2 * d + 1 :].mean(axis=0) - center
+    assert np.all(np.abs(offset) <= 5 * radius / np.sqrt((d + 2) * n))
 
 
 def test_ball_sample_leaves_the_engine_generator_alone():
@@ -462,7 +466,7 @@ def test_ball_sample_leaves_the_engine_generator_alone():
     assert repr(brownian._BITGEN.state) == before
 
 
-@pytest.mark.parametrize("radius", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan"), float("inf"), float("-inf")])
 def test_ball_radius_must_be_positive_and_finite(radius):
     with pytest.raises(ConfigError, match="radius must be positive and finite"):
         ball_sample((0.0,), radius, 8)

@@ -185,6 +185,59 @@ def test_tail_rejects_bad_inputs():
         eigenvalue_tails(1, [1, 2], 0.5, "R", spec)
 
 
+def _eigenvalue_curve(L, k_grid, spec):
+    return eigenvalue_tails(L, k_grid, 0.5, "C", spec, fit_envelope=False)
+
+
+def _remainder_curve(L, k_grid, spec):
+    target = spec.coeffs.diffusion[0]
+    return remainder_tails(L, 0.5, k_grid, target, spec, fit_envelope=False)
+
+
+@pytest.mark.parametrize("curve", [_eigenvalue_curve, _remainder_curve])
+@pytest.mark.parametrize(
+    ("L", "k_grid", "message"),
+    [
+        (0, [1, 2], "L must be >= 1"),
+        (1, [], "K grid must be non-empty"),
+        (1, [2, 0.5], "K >= 1"),
+    ],
+    ids=["L0", "empty", "below1"],
+)
+def test_tail_curves_share_the_grid_check(curve, L, k_grid, message):
+    ell = CoefficientSet.from_text(1, 1, "0", ["1"])
+    with pytest.raises(ConfigError, match=message):
+        curve(L, k_grid, _spec(ell, (0.0,), 10, 6))
+
+
+@pytest.mark.parametrize(
+    ("epsilon", "t_grid", "message"),
+    [
+        (0.0, (0.5,), "epsilon must lie in"),
+        (1.5, (0.5,), "epsilon must lie in"),
+        (0.5, (), "t grid must lie in"),
+        (0.5, (0.0, 0.5), "t grid must lie in"),
+        (0.5, (0.5, 1.5), "t grid must lie in"),
+    ],
+    ids=["eps0", "eps1.5", "empty", "t0", "t1.5"],
+)
+def test_remainder_tail_rejects_bad_epsilon_and_t_grid(epsilon, t_grid, message):
+    ell = CoefficientSet.from_text(1, 1, "0", ["1"])
+    spec = _spec(ell, (0.0,), 10, 6)
+    with pytest.raises(ConfigError, match=message):
+        remainder_tails(2, epsilon, [1, 2], ell.diffusion[0], spec, t_grid, False)
+
+
+@pytest.mark.parametrize("curve", [_eigenvalue_curve, _remainder_curve])
+def test_tail_curve_counts_match_their_wilson_bounds(curve):
+    gl = CoefficientSet.from_text(1, 1, "x1 - x1^3", ["0.5"])
+    tail = curve(2, [1, 2, 4, 8], _spec(gl, (1.0,), 300, 12))
+    assert tail.events.dtype == np.int64
+    assert np.array_equal(tail.p_hat, tail.events / tail.trials)
+    for events, lo, hi in zip(tail.events, tail.ci_lo, tail.ci_hi):
+        assert (lo, hi) == wilson_interval(int(events), tail.trials)
+
+
 # ---------------------------------------------------------------------------
 # remainder tails
 
@@ -194,6 +247,8 @@ def test_remainder_tail_constant_coefficients_zero():
     spec = _spec(c, (0.0,), 60, 7)
     curve = remainder_tails(2, 0.5, [1, 2, 4], c.diffusion[0], spec, fit_envelope=False)
     assert np.array_equal(curve.p_hat, np.zeros(3))
+    # every t ties at no events, and the first t of the grid wins a tie
+    assert curve.meta["argmax_t"] == [min(curve.meta["t_grid"])] * 3
 
 
 def test_remainder_tail_ou_deterministic_events():
