@@ -246,10 +246,12 @@ C_TILE = 8
 
 # C's loop over a block of B paths, a tile of C_TILE paths at a time.  A tile
 # takes its increments from the caller's (n, m, B) block ``dw`` or, when that
-# is NULL, draws them: each path's Philox stream rekeyed as
-# ``brownian._struct_rekey`` rekeys it, n m standard normals with numpy's
-# sampler's bits, then ``brownian._brownian_paths``' scale and running sum and
-# ``simulate._block_increments``' differences, in their float operations.
+# is NULL, draws them: each path's n m standard normals with numpy's
+# sampler's bits (below), written straight into the path's lane of the
+# tile's increments, then, for all lanes at once, ``brownian._brownian_paths``'
+# scale and running sum and ``simulate._block_increments``' differences, in
+# their float operations (W_1 = s z_1, W_k = W_{k-1} + s z_k, dW_k = W_k -
+# W_{k-1}): one vectorised pass over k instead of a serial chain per lane.
 # The tile's (rows, C_TILE) rows ``st`` are stepped through all n steps, in
 # two passes per step.  The first computes every lane's new rows into ``o``
 # in one loop over the lanes with no branch, so the compiler vectorises it:
@@ -259,8 +261,9 @@ C_TILE = 8
 # are all finite (x - x is 0.0, summed over the rows, without a branch) and
 # whose solve converged is stored; any other is marked lost at k and keeps
 # all its rows, as in the engine's masked step.  While a full tile's lanes
-# are all live, ``o`` is stored whole.  At each grid index in ``stops`` the
-# tile's rows are copied into the (S, rows, B) snapshot ``snap``.
+# are all live and none is lost, ``o`` is stored whole, without a scan of
+# the lanes.  At each grid index in ``stops`` the tile's rows are copied
+# into the (S, rows, B) snapshot ``snap``.
 #
 # On x86-64 with glibc, ``run`` is built three times (``target_clones``):
 # for AVX-512F, AVX2 and the baseline, and the loader picks the widest one
@@ -274,26 +277,43 @@ C_TILE = 8
 # contraction into fused multiply-adds every clone gives the same bits.
 #
 # The normals are numpy's ziggurat (``random_standard_normal`` in
-# ``libnpyrandom.a``; Marsaglia and Tsang 2000).  Its fast path is inline: one
-# draw r, layer idx = r & 0xff, rabs = bits 9..60, and when rabs < k[idx] the
-# normal rabs w[idx] with bit 8 of r as its sign bit, set without a branch
-# (numpy's ``if (sign) x = -x`` mispredicts half the time).  Any other draw,
-# about 1.5% of them, goes to numpy's own sampler through a replay bitgen_t
-# that hands it r first and then forwards to the Philox, so the rejection
-# step and the idx-0 tail are numpy's by construction.  The tables w and k
+# ``libnpyrandom.a``; Marsaglia and Tsang 2000) on numpy's Philox4x64-10
+# (Salmon et al. 2011), drawn by ``stream``.  First the stream's words, in
+# bulk: ceil(n m / 4) counter blocks of 4 words, computed inline with
+# numpy's constants and its counter, which numpy increments before each
+# block, so block b has counter b + 1; no call per word goes through the
+# bitgen_t.  They fill 4 ceil(n m / 4) words of ``work`` apart
+# from the tile's increments: up to 3 more than the normals, which must not
+# reach a lane.  Then the ziggurat's fast path reads them: one word r, layer
+# idx = r & 0xff, rabs = bits 9..60, and when rabs < k[idx] the normal rabs
+# w[idx] with bit 8 of r as its sign bit, set without a branch (numpy's
+# ``if (sign) x = -x`` mispredicts half the time).  Any other draw, about
+# 1.5% of them, goes to numpy's own sampler through a replay bitgen_t that
+# hands it r first and then forwards to the module's Philox, so the
+# rejection step and the idx-0 tail are numpy's by construction.  That
+# Philox is first rekeyed as ``brownian._struct_rekey`` rekeys it and sought
+# to word w, the one after r: counter ceil(w / 4), and unless 4 divides w,
+# the buffer holding that block's words with w % 4 of them used.  The draw
+# leaves it at word (counter - 1) 4 + buffer_pos, where the fast path goes
+# on.  Normals past the bulk words are drawn from that Philox, sought to
+# their end if no slow draw left it past them.  The tables w and k
 # are local symbols of ``libnpyrandom.a``, so ``setup`` reads them off numpy's
 # sampler through a scripted bitgen_t that counts its draws: k[idx] is the
 # first rabs that takes more than one draw (a bisection over [0, 2^52]),
 # w[idx] the output at rabs = 1, which no layer with k <= 1 accepts.  The
 # script's next_double returns 0.5: at 0.0 numpy's tail loop never ends.
-# ``setup`` then checks the sampler against numpy's normals of a fixed
-# stream, and the engine uses the loop only if they agree bit for bit.
+# ``setup`` then draws a fixed stream with ``stream`` itself, the one
+# function the loop calls, and the engine uses the loop only if its normals
+# are numpy's bit for bit and the stream took both ways to the module's
+# Philox: a slow draw on the bulk words and a normal past them, so a check
+# too short to cover them is refused.
 # Only ``bitgen.h`` is included, and the one sampler called is declared
 # here: numpy's ``distributions.h`` also includes ``Python.h``, which no
 # library needs and which made up most of a small library's compile time.
 _C_RUN = """\
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <numpy/random/bitgen.h>
 double random_standard_normal(bitgen_t *);
@@ -407,6 +427,97 @@ static void rekey(uint64_t *words, uint64_t seed, uint64_t id)
         words[i] = 0;
 }}
 
+/* The Philox of the state struct ``words`` at word w of the stream (seed,
+   id): w words drawn, of which ``bulk`` holds the first 4 ceil(w / 4). */
+static void seek(uint64_t *words, uint64_t seed, uint64_t id, const uint64_t *bulk, int64_t w)
+{{
+    rekey(words, seed, id);
+    const int64_t block = (w + 3) / 4;  /* numpy counts a block before it draws it */
+    ((uint64_t *)words[0])[0] = (uint64_t)block;
+    if (w % 4) {{
+        memcpy(words + 3, bulk + 4 * (block - 1), 4 * sizeof *bulk);
+        words[2] = (uint64_t)(w % 4);
+    }}
+}}
+
+static int64_t told(const uint64_t *words)  /* the inverse of seek */
+{{
+    int buffer_pos;
+    memcpy(&buffer_pos, words + 2, sizeof buffer_pos);
+    return ((int64_t)((uint64_t *)words[0])[0] - 1) * 4 + buffer_pos;
+}}
+
+/* numpy's Philox4x64-10 (Random123's philox4x64_R, Salmon et al. 2011):
+   the 4 words of each of the stream's first ``blocks`` counter blocks. */
+static inline void philox_words(uint64_t seed, uint64_t id, int64_t blocks, uint64_t *out)
+{{
+    for (int64_t b = 0; b < blocks; ++b) {{
+        uint64_t c0 = (uint64_t)b + 1, c1 = 0, c2 = 0, c3 = 0;  /* the counter, incremented first */
+        uint64_t k0 = seed, k1 = id;
+#pragma GCC unroll 10
+        for (int i = 0; i < 10; ++i) {{
+            const unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93ULL * c0;
+            const unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157ULL * c2;
+            c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+            c1 = (uint64_t)p1;
+            c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+            c3 = (uint64_t)p0;
+            k0 += 0x9E3779B97F4A7C15ULL;  /* the key's bump before each later round */
+            k1 += 0xBB67AE8584CAA73BULL;
+        }}
+        out[4 * b] = c0;
+        out[4 * b + 1] = c1;
+        out[4 * b + 2] = c2;
+        out[4 * b + 3] = c3;
+    }}
+}}
+
+/* The first ``count`` normals of the stream (seed, id), as numpy's
+   standard_normal draws them, to out[i * stride]: the stream's words drawn
+   in bulk into ``bulk`` (room for 4 ceil(count / 4)), the ziggurat's fast
+   path read off them, and every other draw numpy's, with the module's
+   Philox sought to the word after r and read back after it.  Normals past
+   the bulk words are drawn from that Philox.  ``tally`` counts the draws
+   that left the fast path on bulk words, then the normals past them.
+   Called once per path, it is built once, not into each clone of run:
+   ``setup`` checks the very code the loop calls, and a cold build takes
+   about a quarter less compiler time than with a copy in each clone. */
+__attribute__((noinline)) static void stream(bitgen_t *bitgen, uint64_t *philox,
+                                               uint64_t seed, uint64_t id, int64_t count,
+                                               double *out, int64_t stride, uint64_t *bulk,
+                                               int64_t *tally)
+{{
+    const int64_t words = 4 * ((count + 3) / 4);
+    philox_words(seed, id, words / 4, bulk);
+    int64_t i = 0, w = 0;  /* normals drawn, words read */
+    while (i < count && w < words) {{
+        const uint64_t *first = bulk + (w - i);  /* normal i's word, up to a slow draw */
+        const int64_t end = count < i + words - w ? count : i + words - w;
+        for (; i < end; ++i) {{
+            const uint64_t r = first[i];
+            const int idx = r & 0xff;
+            const uint64_t rabs = (r >> 9) & 0x000fffffffffffffULL;
+            if (rabs >= zig_k[idx])
+                break;
+            union {{ double x; uint64_t u; }} v = {{(double)(int64_t)rabs * zig_w[idx]}};
+            v.u ^= (r & 0x100) << 55;
+            out[i * stride] = v.x;
+        }}
+        w = first - bulk + i;
+        if (i == end)
+            break;
+        seek(philox, seed, id, bulk, w + 1);  /* to the word after r */
+        out[i * stride] = normal_again(bitgen, first[i]);
+        w = told(philox);
+        ++i;
+        ++tally[0];
+    }}
+    if (i < count && w == words)  /* else the slow path left the Philox past them */
+        seek(philox, seed, id, bulk, w);
+    for (; i < count; ++i, ++tally[1])
+        out[i * stride] = normal(bitgen);
+}}
+
 int setup(bitgen_t *bitgen, uint64_t *philox, uint64_t seed, uint64_t id, int64_t count,
           const double *want)
 {{
@@ -423,13 +534,19 @@ int setup(bitgen_t *bitgen, uint64_t *philox, uint64_t seed, uint64_t id, int64_
         zig_k[idx] = lo;
         zig_w[idx] = lo > 1 && one_draw(1 << 9 | idx, &x) ? x : 0.0;
     }}
-    rekey(philox, seed, id);
-    for (int64_t i = 0; i < count; ++i) {{
-        x = normal(bitgen);
-        if (memcmp(&x, want + i, sizeof x))
-            return 0;
+    if (count < 1)
+        return 0;
+    uint64_t *bulk = malloc(4 * ((count + 3) / 4) * sizeof *bulk);
+    double *got = malloc(count * sizeof *got);
+    int64_t tally[2] = {{0, 0}};
+    int same = 0;
+    if (bulk && got) {{
+        stream(bitgen, philox, seed, id, count, got, 1, bulk, tally);
+        same = !memcmp(got, want, count * sizeof *got);
     }}
-    return 1;
+    free(bulk);
+    free(got);
+    return same && tally[0] > 0 && tally[1] > 0;  /* both ways to the module Philox taken */
 }}
 
 const char *isa(void)
@@ -451,7 +568,9 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
          bitgen_t *bitgen, uint64_t *philox, uint64_t seed, const uint64_t *ids, double scale,
          double h, int64_t B, int64_t n, int64_t *diverged, const double *T, double *work)
 {{
-    double *nrm = work, *inc = work + n * {m};  /* n m normals, then (n, m, tile) */
+    double *inc = work;  /* (n, m, tile), then a stream's bulk words, apart */
+    uint64_t *bulk = (uint64_t *)(work + n * {m} * {tile});
+    int64_t tally[2] = {{0, 0}};  /* setup's counts, unread here */
     for (int64_t b0 = 0; b0 < B; b0 += {tile}) {{
         const int64_t width = B - b0 < {tile} ? B - b0 : {tile};
         double st[{rows} * {tile}], o[{rows} * {tile}];
@@ -472,15 +591,18 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
                     inc[i * {tile} + g] = dw[i * B + b0 + g];
                 continue;
             }}
-            rekey(philox, seed, ids[b0 + g]);
-            for (int64_t i = 0; i < n * {m}; ++i)
-                nrm[i] = normal(bitgen);
-            for (int j = 0; j < {m}; ++j) {{
-                double w = 0.0;  /* W(t_k); the first is W_1 itself, as cumsum's */
-                for (int64_t k = 0; k < n; ++k) {{
-                    const double next = k ? w + scale * nrm[k * {m} + j] : scale * nrm[j];
-                    inc[(k * {m} + j) * {tile} + g] = next - w;
-                    w = next;
+            stream(bitgen, philox, seed, ids[b0 + g], n * {m}, inc + g, {tile}, bulk, tally);
+        }}
+        for (int j = 0; !dw && j < {m}; ++j) {{  /* all lanes' normals to increments at once */
+            double w[{tile}];  /* W(t_k); the first is W_1 itself, as cumsum's */
+            for (int64_t g = 0; g < {tile}; ++g)
+                w[g] = inc[j * {tile} + g] *= scale;
+            for (int64_t k = 1; k < n; ++k) {{
+                double *z = inc + (k * {m} + j) * {tile};
+                for (int64_t g = 0; g < {tile}; ++g) {{
+                    const double next = w[g] + scale * z[g];
+                    z[g] = next - w[g];
+                    w[g] = next;
                 }}
             }}
         }}
@@ -503,18 +625,27 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
             for (int r = 0; r < {state}; ++r)
                 for (int64_t g = 0; g < {tile}; ++g)
                     nonfinite[g] += o[r * {tile} + g] - o[r * {tile} + g];
+            if (live == {tile}) {{  /* a full tile, every lane live: kept whole if none is lost */
+                double any = 0.0;
+                int all = 1;
+                for (int64_t g = 0; g < {tile}; ++g) {{
+                    any += nonfinite[g];
+                    all &= {solved};
+                }}
+                if (all && any == 0.0) {{
+                    memcpy(st, o, sizeof st);
+                    continue;
+                }}
+            }}
             for (int64_t g = 0; g < width; ++g)
                 if (diverged[b0 + g] < 0 && !({solved} && nonfinite[g] == 0.0)) {{
                     diverged[b0 + g] = k;
                     --live;
                 }}
-            if (live == {tile})  /* a full tile, every lane live */
-                memcpy(st, o, sizeof st);
-            else
-                for (int64_t g = 0; g < width; ++g)
-                    if (diverged[b0 + g] < 0)
-                        for (int r = 0; r < {rows}; ++r)
-                            st[r * {tile} + g] = o[r * {tile} + g];
+            for (int64_t g = 0; g < width; ++g)
+                if (diverged[b0 + g] < 0)
+                    for (int r = 0; r < {rows}; ++r)
+                        st[r * {tile} + g] = o[r * {tile} + g];
         }}
     }}
 }}
@@ -808,9 +939,13 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
     ``simulate._block_increments``.  The library's ``setup(bitgen,
     philox, seed, id, count, want)`` must run first: it reads numpy's
     ziggurat tables and returns 1 when the ``count`` normals of the stream
-    (``seed``, ``id``) are the bits of ``want``.  ``diverged`` holds the (B,) int64
-    steps at which paths were lost, -1 for none, ``T`` the remainder's
-    coefficients and ``work`` room for (``C_TILE`` + 1) n m doubles.  The
+    (``seed``, ``id``), drawn as the loop draws them, are the bits of
+    ``want`` and took at least one slow draw on the bulk words and one
+    normal past them; 0 otherwise, or when its scratch cannot be allocated.
+    ``diverged`` holds the (B,) int64 steps at which paths were lost, -1 for
+    none, ``T`` the remainder's coefficients and ``work`` room for
+    ``C_TILE`` n m + 4 ceil(n m / 4) doubles: the tile's increments, then a
+    stream's words.  The
     library's ``isa()`` names the clone of ``run`` the loader picked:
     "avx512f", "avx2" or "default".
 

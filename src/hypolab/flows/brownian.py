@@ -10,11 +10,13 @@ a grid is bit-reproducible, whatever else was drawn before.
 The stored object is the path W(t_k); increments are its differences.
 
 The engine's native loop (``fieldlang.step_kernel_c``) draws the base
-increments of its blocks itself, from this module's Philox: it writes the
-same state words as ``_struct_rekey``, only while that route is the active
-one, and draws the normals of ``_GEN.standard_normal``, numpy's ziggurat
-with its fast path inline, holding the generator's lock.  Since every Python draw rekeys first, the
-draws here do not depend on what the loop drew before.
+increments of its blocks itself, the normals of ``_GEN.standard_normal``:
+numpy's ziggurat with its fast path inline, on the stream's Philox words,
+which it computes in bulk.  For its other draws it rekeys this module's
+Philox, writing the same state words as ``_struct_rekey``, only while that
+route is the active one, and seeks it to the word it needs, holding the
+generator's lock.  Since every Python draw rekeys first, the draws here do
+not depend on what the loop drew before.
 """
 from __future__ import annotations
 

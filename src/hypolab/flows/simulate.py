@@ -417,7 +417,8 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
 
     def loop(s, stops, h, diverged, coefficients, dw, seed, ids):
         n, B = int(stops[-1]), s.shape[1]
-        snap, work = np.empty((len(stops),) + s.shape), np.empty((C_TILE + 1) * n * m)
+        snap = np.empty((len(stops),) + s.shape)
+        work = np.empty(C_TILE * n * m + 4 * -(-n * m // 4))  # the tile's increments, then words
         ids = np.ascontiguousarray(ids, dtype=np.uint64)  # Philox key words
         if dw is not None:
             dw = np.ascontiguousarray(dw, dtype=np.float64)

@@ -1169,7 +1169,9 @@ def _no_random_library(cache, monkeypatch):
 
 
 def _perturbed_draws(cache, monkeypatch):
-    # the key's seed word rekeyed wrongly: only the probe's drawn blocks can tell
+    # the key's seed word rekeyed wrongly: the Philox is rekeyed only where a
+    # draw leaves the fast path or the bulk words, so the sampler's check at
+    # load, and the probe's drawn blocks, see wrong normals only there
     def perturbed(*kernel):
         source = step_kernel_c.__wrapped__(*kernel)
         assert "key[0] = seed;" in source
@@ -1189,14 +1191,25 @@ def _perturbed_sampler(cache, monkeypatch):
     monkeypatch.setattr(simulate, "step_kernel_c", perturbed)
 
 
+def _perturbed_bulk(cache, monkeypatch):
+    # one Philox multiplier of the bulk words changed: every normal on the
+    # fast path is wrong, and the sampler's check at load sees it
+    def perturbed(*kernel):
+        source = step_kernel_c.__wrapped__(*kernel)
+        assert source.count("0xCA5A826395121157ULL") == 1
+        return source.replace("0xCA5A826395121157ULL", "0xCA5A826395121155ULL")
+
+    monkeypatch.setattr(simulate, "step_kernel_c", perturbed)
+
+
 @pytest.mark.parametrize(
     "fault,route",
     [(_no_compiler, "numpy"), (_perturbed_source, "numpy"), (_truncated_library, "native"),
      (_foreign_cache, "numpy"), (_no_random_headers, "numpy"), (_no_random_library, "numpy"),
-     (_perturbed_draws, "numpy"), (_perturbed_sampler, "numpy")],
+     (_perturbed_draws, "numpy"), (_perturbed_sampler, "numpy"), (_perturbed_bulk, "numpy")],
     ids=["missing-compiler", "perturbed-source", "truncated-library", "foreign-cache",
          "missing-random-headers", "missing-random-library", "perturbed-draws",
-         "perturbed-sampler"],
+         "perturbed-sampler", "perturbed-bulk"],
 )
 def test_native_faults_give_the_numpy_bytes_quietly(
     fault, route, fresh_loops, monkeypatch, force_route, capfd
@@ -1344,6 +1357,27 @@ def test_native_sampler_keeps_the_numpy_bytes_on_long_streams(seed, force_route)
                      len(want), want.ctypes.data) == 1
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_native_sampler_check_must_reach_the_slow_path_and_the_tail(seed):
+    # the first 16 normals of these streams leave the fast path nowhere, so
+    # a check of them covers neither numpy's slow path nor the draws past
+    # the bulk words, and is refused though every normal agrees; 2^20 of
+    # them pass (test_native_sampler_keeps_the_numpy_bytes_on_long_streams)
+    ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+    coeffs = CoefficientSet.from_text(1, 1, "-x1", ["1"])
+    (setup,) = native.load(step_kernel_c(coeffs, "euler", False, False),
+                           {"setup": (ctypes.c_int, (ptr, ptr, u64, u64, i64, ptr))})
+    philox = brownian._BITGEN
+    standard_normal_stream(seed, 2**64 - 1, 0, 16)
+    state = philox.state  # 16 words drawn: counter block 4, used up
+    assert (state["state"]["counter"][0], state["buffer_pos"]) == (4, 4)
+    with philox.lock:
+        for count, passes in ((16, 0), (0, 0), (2**12, 1)):
+            want = standard_normal_stream(seed, 2**64 - 1, 0, count)
+            assert setup(philox.ctypes.bit_generator, philox.ctypes.state_address, seed,
+                         2**64 - 1, count, want.ctypes.data) == passes, count
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("drawn", [False, True], ids=["given", "drawn"])
 @pytest.mark.parametrize("B", [1, 7, 8, 9, 17])
@@ -1437,6 +1471,33 @@ def test_native_draws_give_the_numpy_route_bytes(name, scheme, seed, n, force_ro
         assert got[key] == want[key], key
     if (name, scheme, n) == ("state-overflow", "euler", 64):
         assert 0 < alive.sum() < len(alive)  # the masked step is covered: 2 of 21 lost
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("name,n", [("ou", 1025), ("heis", 513), ("three-noises", 341),
+                                    ("ou", 1), ("heis", 1), ("three-noises", 1)])
+def test_native_draws_keep_the_bytes_when_n_m_is_not_a_multiple_of_4(name, n, seed):
+    # a stream's bulk words fill whole Philox blocks of 4: 4 ceil(n m / 4)
+    # words, up to 3 more than its n m normals, which must not reach the
+    # tile's increments.  SimConfig takes only powers of two, so the loop
+    # is called as the engine calls it, on two tiles and part of a third.
+    d, m, drift, sigma, x0, horizon, *_ = _ORACLE_MODELS[name]
+    assert (n * m) % 4
+    kernel = (CoefficientSet.from_text(d, m, drift, sigma), "tamed-euler", True, True, False,
+              None, False)
+    loop = simulate._native_loop(*kernel)
+    assert loop is not None
+    B, h = 2 * C_TILE + 5, horizon / n
+    start = simulate._initial_state(np.tile(np.array(x0)[:, None], B), *kernel[2:])
+    ids = np.arange(2**64 - B, 2**64, dtype=np.uint64)
+    increments = _block_increments(SimpleNamespace(n_steps=n, h=h, seed=seed), m, ids)
+    stops = np.array(sorted({0, n // 2, n}), dtype=np.int64)
+    got_lost, want_lost = (np.full(B, -1, dtype=np.int64) for _ in range(2))
+    got = loop(start.copy(), stops, h, got_lost, np.zeros((0, d)), None, seed, ids)
+    want = simulate._numpy_block(compile_step_kernel(*kernel), start.copy(), increments, h,
+                                 stops, want_lost, np.zeros((0, d)))
+    assert got_lost.tobytes() == want_lost.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_native_block_leaves_the_python_streams_alone(ou, force_route):
