@@ -281,22 +281,20 @@ C_TILE = 8
 # (Salmon et al. 2011), drawn by ``stream``.  First the stream's words, in
 # bulk: ceil(n m / 4) counter blocks of 4 words, computed inline with
 # numpy's constants and its counter, which numpy increments before each
-# block, so block b has counter b + 1; no call per word goes through the
-# bitgen_t.  They fill 4 ceil(n m / 4) words of ``work`` apart
-# from the tile's increments: up to 3 more than the normals, which must not
-# reach a lane.  Then the ziggurat's fast path reads them: one word r, layer
-# idx = r & 0xff, rabs = bits 9..60, and when rabs < k[idx] the normal rabs
-# w[idx] with bit 8 of r as its sign bit, set without a branch (numpy's
-# ``if (sign) x = -x`` mispredicts half the time).  Any other draw, about
-# 1.5% of them, goes to numpy's own sampler through a replay bitgen_t that
-# hands it r first and then forwards to the module's Philox, so the
-# rejection step and the idx-0 tail are numpy's by construction.  That
-# Philox is first rekeyed as ``brownian._struct_rekey`` rekeys it and sought
-# to word w, the one after r: counter ceil(w / 4), and unless 4 divides w,
-# the buffer holding that block's words with w % 4 of them used.  The draw
-# leaves it at word (counter - 1) 4 + buffer_pos, where the fast path goes
-# on.  Normals past the bulk words are drawn from that Philox, sought to
-# their end if no slow draw left it past them.  The tables w and k
+# block, so block b has counter b + 1.  They fill 4 ceil(n m / 4) words of
+# ``work`` apart from the tile's increments: up to 3 more than the normals,
+# which must not reach a lane.  Then the ziggurat's fast path reads them:
+# one word r, layer idx = r & 0xff, rabs = bits 9..60, and when rabs <
+# k[idx] the normal rabs w[idx] with bit 8 of r as its sign bit, set
+# without a branch (numpy's ``if (sign) x = -x`` mispredicts half the
+# time).  Any other draw, about 1.5% of them, goes to numpy's own sampler
+# on a bitgen_t over the same words, set back to r, so the rejection step
+# and the idx-0 tail are numpy's by construction; the fast path goes on at
+# the word the sampler reached.  Past the bulk words that bitgen_t computes
+# the next counter block as it reaches it, and every normal there is
+# numpy's sampler's.  Its next_double is numpy's Philox conversion, the
+# word's top 53 bits times 2^-53.  No generator of numpy's is read or
+# written, so the loop needs no lock of one.  The tables w and k
 # are local symbols of ``libnpyrandom.a``, so ``setup`` reads them off numpy's
 # sampler through a scripted bitgen_t that counts its draws: k[idx] is the
 # first rabs that takes more than one draw (a bisection over [0, 2^52]),
@@ -304,9 +302,9 @@ C_TILE = 8
 # script's next_double returns 0.5: at 0.0 numpy's tail loop never ends.
 # ``setup`` then draws a fixed stream with ``stream`` itself, the one
 # function the loop calls, and the engine uses the loop only if its normals
-# are numpy's bit for bit and the stream took both ways to the module's
-# Philox: a slow draw on the bulk words and a normal past them, so a check
-# too short to cover them is refused.
+# are numpy's bit for bit and the stream took a slow draw on the bulk words
+# and drew a normal past them, so a check too short to cover both is
+# refused.
 # Only ``bitgen.h`` is included, and the one sampler called is declared
 # here: numpy's ``distributions.h`` also includes ``Python.h``, which no
 # library needs and which made up most of a small library's compile time.
@@ -331,59 +329,6 @@ double random_standard_normal(bitgen_t *);
 {newton}
 static double zig_w[256];
 static uint64_t zig_k[256];
-
-typedef struct {{
-    bitgen_t *bitgen;
-    uint64_t first;
-    int pending;
-}} replay_t;
-
-static uint64_t replay_uint64(void *st)
-{{
-    replay_t *p = st;
-    if (p->pending) {{
-        p->pending = 0;
-        return p->first;
-    }}
-    return p->bitgen->next_uint64(p->bitgen->state);
-}}
-
-static uint32_t replay_uint32(void *st)
-{{
-    replay_t *p = st;
-    return p->bitgen->next_uint32(p->bitgen->state);
-}}
-
-static double replay_double(void *st)
-{{
-    replay_t *p = st;
-    return p->bitgen->next_double(p->bitgen->state);
-}}
-
-static uint64_t replay_raw(void *st)
-{{
-    replay_t *p = st;
-    return p->bitgen->next_raw(p->bitgen->state);
-}}
-
-static double normal_again(bitgen_t *bitgen, uint64_t r)
-{{
-    replay_t replay = {{bitgen, r, 1}};
-    bitgen_t again = {{&replay, replay_uint64, replay_uint32, replay_double, replay_raw}};
-    return random_standard_normal(&again);
-}}
-
-static inline double normal(bitgen_t *bitgen)
-{{
-    const uint64_t r = bitgen->next_uint64(bitgen->state);
-    const int idx = r & 0xff;
-    const uint64_t rabs = (r >> 9) & 0x000fffffffffffffULL;
-    if (rabs >= zig_k[idx])
-        return normal_again(bitgen, r);
-    union {{ double x; uint64_t u; }} v = {{(double)(int64_t)rabs * zig_w[idx]}};
-    v.u ^= (r & 0x100) << 55;
-    return v.x;
-}}
 
 typedef struct {{
     uint64_t first;
@@ -416,43 +361,14 @@ static int one_draw(uint64_t r, double *x)
     return script.draws == 1;
 }}
 
-static void rekey(uint64_t *words, uint64_t seed, uint64_t id)
-{{
-    uint64_t *ctr = (uint64_t *)words[0], *key = (uint64_t *)words[1];
-    ctr[0] = ctr[1] = ctr[2] = ctr[3] = 0;  /* purpose 0: the base increments */
-    key[0] = seed;
-    key[1] = id;
-    words[2] = 4;  /* the output buffer exhausted */
-    for (int i = 3; i < 8; ++i)
-        words[i] = 0;
-}}
-
-/* The Philox of the state struct ``words`` at word w of the stream (seed,
-   id): w words drawn, of which ``bulk`` holds the first 4 ceil(w / 4). */
-static void seek(uint64_t *words, uint64_t seed, uint64_t id, const uint64_t *bulk, int64_t w)
-{{
-    rekey(words, seed, id);
-    const int64_t block = (w + 3) / 4;  /* numpy counts a block before it draws it */
-    ((uint64_t *)words[0])[0] = (uint64_t)block;
-    if (w % 4) {{
-        memcpy(words + 3, bulk + 4 * (block - 1), 4 * sizeof *bulk);
-        words[2] = (uint64_t)(w % 4);
-    }}
-}}
-
-static int64_t told(const uint64_t *words)  /* the inverse of seek */
-{{
-    int buffer_pos;
-    memcpy(&buffer_pos, words + 2, sizeof buffer_pos);
-    return ((int64_t)((uint64_t *)words[0])[0] - 1) * 4 + buffer_pos;
-}}
-
 /* numpy's Philox4x64-10 (Random123's philox4x64_R, Salmon et al. 2011):
-   the 4 words of each of the stream's first ``blocks`` counter blocks. */
-static inline void philox_words(uint64_t seed, uint64_t id, int64_t blocks, uint64_t *out)
+   the 4 words of each of the stream's counter blocks first .. first + blocks - 1. */
+static inline void philox_words(uint64_t seed, uint64_t id, int64_t first, int64_t blocks,
+                                uint64_t *out)
 {{
     for (int64_t b = 0; b < blocks; ++b) {{
-        uint64_t c0 = (uint64_t)b + 1, c1 = 0, c2 = 0, c3 = 0;  /* the counter, incremented first */
+        /* the counter, incremented before each block */
+        uint64_t c0 = (uint64_t)(first + b) + 1, c1 = 0, c2 = 0, c3 = 0;
         uint64_t k0 = seed, k1 = id;
 #pragma GCC unroll 10
         for (int i = 0; i < 10; ++i) {{
@@ -472,27 +388,57 @@ static inline void philox_words(uint64_t seed, uint64_t id, int64_t blocks, uint
     }}
 }}
 
+/* A stream's words from word w on: its first ``end`` (a multiple of 4) from
+   ``bulk``, then counter block after block, computed as it is reached. */
+typedef struct {{
+    uint64_t seed, id;
+    const uint64_t *bulk;
+    int64_t w, end;
+    uint64_t block[4];  /* past the bulk words: the block of word w - 1 */
+}} words_t;
+
+static uint64_t next_word(void *st)
+{{
+    words_t *p = st;
+    const int64_t w = p->w++;
+    if (w < p->end)
+        return p->bulk[w];
+    if (w % 4 == 0)  /* past the bulk words, w only moves on */
+        philox_words(p->seed, p->id, w / 4, 1, p->block);
+    return p->block[w % 4];
+}}
+
+static uint32_t next_half(void *st)  /* numpy's sampler draws no uint32 */
+{{
+    return (uint32_t)next_word(st);
+}}
+
+static double next_double(void *st)  /* numpy's Philox: the word's top 53 bits */
+{{
+    return (next_word(st) >> 11) * (1.0 / 9007199254740992.0);
+}}
+
 /* The first ``count`` normals of the stream (seed, id), as numpy's
    standard_normal draws them, to out[i * stride]: the stream's words drawn
    in bulk into ``bulk`` (room for 4 ceil(count / 4)), the ziggurat's fast
-   path read off them, and every other draw numpy's, with the module's
-   Philox sought to the word after r and read back after it.  Normals past
-   the bulk words are drawn from that Philox.  ``tally`` counts the draws
-   that left the fast path on bulk words, then the normals past them.
+   path read off them, and every other draw numpy's own sampler's, on a
+   bitgen_t over the same words set back to r.  Normals past the bulk words
+   are all numpy's, on that bitgen_t.  ``tally`` counts the draws that left
+   the fast path on bulk words, then the normals past them.
    Called once per path, it is built once, not into each clone of run:
    ``setup`` checks the very code the loop calls, and a cold build takes
    about a quarter less compiler time than with a copy in each clone. */
-__attribute__((noinline)) static void stream(bitgen_t *bitgen, uint64_t *philox,
-                                               uint64_t seed, uint64_t id, int64_t count,
+__attribute__((noinline)) static void stream(uint64_t seed, uint64_t id, int64_t count,
                                                double *out, int64_t stride, uint64_t *bulk,
                                                int64_t *tally)
 {{
-    const int64_t words = 4 * ((count + 3) / 4);
-    philox_words(seed, id, words / 4, bulk);
-    int64_t i = 0, w = 0;  /* normals drawn, words read */
-    while (i < count && w < words) {{
-        const uint64_t *first = bulk + (w - i);  /* normal i's word, up to a slow draw */
-        const int64_t end = count < i + words - w ? count : i + words - w;
+    words_t words = {{seed, id, bulk, 0, 4 * ((count + 3) / 4)}};
+    bitgen_t bitgen = {{&words, next_word, next_half, next_double, next_word}};
+    philox_words(seed, id, 0, words.end / 4, bulk);
+    int64_t i = 0;  /* normals drawn */
+    while (i < count && words.w < words.end) {{
+        const uint64_t *first = bulk + (words.w - i);  /* normal i's word, up to a slow draw */
+        const int64_t end = count < i + words.end - words.w ? count : i + words.end - words.w;
         for (; i < end; ++i) {{
             const uint64_t r = first[i];
             const int idx = r & 0xff;
@@ -503,23 +449,18 @@ __attribute__((noinline)) static void stream(bitgen_t *bitgen, uint64_t *philox,
             v.u ^= (r & 0x100) << 55;
             out[i * stride] = v.x;
         }}
-        w = first - bulk + i;
+        words.w = first - bulk + i;  /* r's word, if the fast path left off */
         if (i == end)
             break;
-        seek(philox, seed, id, bulk, w + 1);  /* to the word after r */
-        out[i * stride] = normal_again(bitgen, first[i]);
-        w = told(philox);
+        out[i * stride] = random_standard_normal(&bitgen);
         ++i;
         ++tally[0];
     }}
-    if (i < count && w == words)  /* else the slow path left the Philox past them */
-        seek(philox, seed, id, bulk, w);
     for (; i < count; ++i, ++tally[1])
-        out[i * stride] = normal(bitgen);
+        out[i * stride] = random_standard_normal(&bitgen);
 }}
 
-int setup(bitgen_t *bitgen, uint64_t *philox, uint64_t seed, uint64_t id, int64_t count,
-          const double *want)
+int setup(uint64_t seed, uint64_t id, int64_t count, const double *want)
 {{
     double x;
     for (uint64_t idx = 0; idx < 256; ++idx) {{
@@ -541,12 +482,12 @@ int setup(bitgen_t *bitgen, uint64_t *philox, uint64_t seed, uint64_t id, int64_
     int64_t tally[2] = {{0, 0}};
     int same = 0;
     if (bulk && got) {{
-        stream(bitgen, philox, seed, id, count, got, 1, bulk, tally);
+        stream(seed, id, count, got, 1, bulk, tally);
         same = !memcmp(got, want, count * sizeof *got);
     }}
     free(bulk);
     free(got);
-    return same && tally[0] > 0 && tally[1] > 0;  /* both ways to the module Philox taken */
+    return same && tally[0] > 0 && tally[1] > 0;  /* a slow draw on the bulk words, one past them */
 }}
 
 const char *isa(void)
@@ -565,8 +506,8 @@ const char *isa(void)
 __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
 void run(const double *s, double *snap, const int64_t *stops, int64_t S, const double *dw,
-         bitgen_t *bitgen, uint64_t *philox, uint64_t seed, const uint64_t *ids, double scale,
-         double h, int64_t B, int64_t n, int64_t *diverged, const double *T, double *work)
+         uint64_t seed, const uint64_t *ids, double scale, double h, int64_t B, int64_t n,
+         int64_t *diverged, const double *T, double *work)
 {{
     double *inc = work;  /* (n, m, tile), then a stream's bulk words, apart */
     uint64_t *bulk = (uint64_t *)(work + n * {m} * {tile});
@@ -591,7 +532,7 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
                     inc[i * {tile} + g] = dw[i * B + b0 + g];
                 continue;
             }}
-            stream(bitgen, philox, seed, ids[b0 + g], n * {m}, inc + g, {tile}, bulk, tally);
+            stream(seed, ids[b0 + g], n * {m}, inc + g, {tile}, bulk, tally);
         }}
         for (int j = 0; !dw && j < {m}; ++j) {{  /* all lanes' normals to increments at once */
             double w[{tile}];  /* W(t_k); the first is W_1 itself, as cumsum's */
@@ -927,22 +868,21 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
     """C source of the block loop ``run``, or None when a field or the
     remainder target uses sin, cos, exp or tanh.
 
-    ``run(s, snap, stops, S, dw, bitgen, philox, seed, ids, scale, h, B, n,
-    diverged, T, work)`` takes all n steps of a block of B paths, a tile of
-    ``C_TILE`` paths at a time.  ``s`` is the (rows, B) initial state of
+    ``run(s, snap, stops, S, dw, seed, ids, scale, h, B, n, diverged, T,
+    work)`` takes all n steps of a block of B paths, a tile of ``C_TILE``
+    paths at a time.  ``s`` is the (rows, B) initial state of
     ``compile_step_kernel``; the rows at the S ascending grid indices
     ``stops`` go to the (S, rows, B) ``snap``.  The increments are the
     caller's (n, m, B) ``dw``, or, when ``dw`` is NULL, drawn per path from
-    the numpy Philox ``bitgen`` (its ``bitgen_t``) and its state struct
-    ``philox``, keyed by (``seed``, ``ids[b]``) with counter block 0, and
-    scaled by ``scale`` = sqrt h: the bits of
-    ``simulate._block_increments``.  The library's ``setup(bitgen,
-    philox, seed, id, count, want)`` must run first: it reads numpy's
-    ziggurat tables and returns 1 when the ``count`` normals of the stream
-    (``seed``, ``id``), drawn as the loop draws them, are the bits of
-    ``want`` and took at least one slow draw on the bulk words and one
-    normal past them; 0 otherwise, or when its scratch cannot be allocated.
-    ``diverged`` holds the (B,) int64 steps at which paths were lost, -1 for
+    numpy's Philox keyed by (``seed``, ``ids[b]``) with counter block 0,
+    whose words the loop computes itself, and scaled by ``scale`` = sqrt h:
+    the bits of ``simulate._block_increments``.  The library's ``setup(seed,
+    id, count, want)`` must run first: it reads numpy's ziggurat tables and
+    returns 1 when the ``count`` normals of the stream (``seed``, ``id``),
+    drawn as the loop draws them, are the bits of ``want`` and took at
+    least one slow draw on the bulk words and one normal past them; 0
+    otherwise, or when its scratch cannot be allocated.  ``diverged`` holds
+    the (B,) int64 steps at which paths were lost, -1 for
     none, ``T`` the remainder's coefficients and ``work`` room for
     ``C_TILE`` n m + 4 ceil(n m / 4) doubles: the tile's increments, then a
     stream's words.  The

@@ -11,12 +11,9 @@ The stored object is the path W(t_k); increments are its differences.
 
 The engine's native loop (``fieldlang.step_kernel_c``) draws the base
 increments of its blocks itself, the normals of ``_GEN.standard_normal``:
-numpy's ziggurat with its fast path inline, on the stream's Philox words,
-which it computes in bulk.  For its other draws it rekeys this module's
-Philox, writing the same state words as ``_struct_rekey``, only while that
-route is the active one, and seeks it to the word it needs, holding the
-generator's lock.  Since every Python draw rekeys first, the draws here do
-not depend on what the loop drew before.
+numpy's ziggurat on the stream's Philox words, which it computes itself,
+with its fast path inline and its other draws by numpy's sampler on those
+same words.  It never reads or writes this module's generator.
 """
 from __future__ import annotations
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -363,15 +364,22 @@ def _numpy_block(step, s, dw, h, stops, diverged, coefficients) -> np.ndarray:
     return snap
 
 
-# The probe blocks of _native_loop: paths (a tile and part of another), steps,
-# step size, kept indices, and stream ids with extreme key words.
-_PROBE_B, _PROBE_N, _PROBE_H = C_TILE + 3, 8, 2.0**-4
-_PROBE_STOPS = (0, 3, _PROBE_N)
+# The probe blocks of _native_loop: paths (a tile and part of another), step
+# size, stream ids with extreme key words, and each block's steps and seed,
+# None for given increments.  A drawn stream's n m normals end in part of a
+# Philox block, with 1, 2 or 3 of its 4 words used (2 for an even m).
+_PROBE_B, _PROBE_H = C_TILE + 3, 2.0**-4
 _PROBE_IDS = (0, 2**64 - 1, 1, 2**63, 2**32 + 7, *range(9, 9 + _PROBE_B - 5))
+_PROBE_BLOCKS = ((7, None), (5, 0), (6, 2**64 - 1), (7, 0))
 # The stream (seed, id) and the count of the normals that the native loop's
 # sampler must draw as numpy's does before the probe runs: about 64 draws
 # per ziggurat layer, of which about 250 go to numpy's slow path.
 _SAMPLER_CHECK = (2**64 - 1, 2**64 - 2, 2**14)
+# Held around each library's ``setup``, which writes its static ziggurat
+# tables, and ``run``, which reads them: a library is mapped once per process,
+# and a loop built again (after ``_native_loop``'s cache let it go) sets up the
+# tables that another thread's loop may be reading.
+_TABLES_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=256)
@@ -390,29 +398,26 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     a lane of the first tile beside live ones, at step 1, and the last, in
     the partial tile, at step 2.  So each is lost there on any model whose
     noise reaches X, and would be finite again if it were stepped on.  On
-    two drawn blocks, at seeds 0 and 2^64 - 1, the loop must match
-    ``_block_increments``."""
+    three drawn blocks of 5, 6 and 7 steps, at seeds 0 and 2^64 - 1, the
+    loop must match ``_block_increments``."""
     from .. import native  # on the first block that can use it, never at import
 
     kernel = (coeffs, scheme, flows, covariance, identity, remainder, square_norm)
-    # the C rekey writes the state struct that _struct_rekey checked
-    source = brownian._rekey is not brownian._dict_rekey and step_kernel_c(*kernel)
+    source = step_kernel_c(*kernel)
     ptr, i64, f64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_uint64
     fns = source and native.load(source, {
-        "setup": (ctypes.c_int, (ptr, ptr, u64, u64, i64, ptr)),
-        "run": (None, (ptr, ptr, ptr, i64, ptr, ptr, ptr, u64, ptr, f64, f64, i64, i64, ptr, ptr,
-                       ptr)),
+        "setup": (ctypes.c_int, (u64, u64, i64, ptr)),
+        "run": (None, (ptr, ptr, ptr, i64, ptr, u64, ptr, f64, f64, i64, i64, ptr, ptr, ptr)),
         "isa": (ctypes.c_char_p, ()),
     })
     if not fns:
         return None
     setup, fn, isa = fns
-    m, philox = coeffs.m, brownian._BITGEN
+    m = coeffs.m
     seed, sid, count = _SAMPLER_CHECK
     want = brownian.standard_normal_stream(seed, sid, 0, count)
-    with philox.lock:  # reads the sampler's tables, then draws the check's stream
-        if not setup(philox.ctypes.bit_generator, philox.ctypes.state_address, seed, sid, count,
-                     want.ctypes.data):
+    with _TABLES_LOCK:  # reads the sampler's tables, then draws the check's stream
+        if not setup(seed, sid, count, want.ctypes.data):
             return None
 
     def loop(s, stops, h, diverged, coefficients, dw, seed, ids):
@@ -422,37 +427,33 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         ids = np.ascontiguousarray(ids, dtype=np.uint64)  # Philox key words
         if dw is not None:
             dw = np.ascontiguousarray(dw, dtype=np.float64)
-        with philox.lock:  # the generator's own lock: the loop rekeys and draws from it
+        with _TABLES_LOCK:
             fn(s.ctypes.data, snap.ctypes.data, stops.ctypes.data, len(stops),
-               None if dw is None else dw.ctypes.data, philox.ctypes.bit_generator,
-               philox.ctypes.state_address, seed, ids.ctypes.data, math.sqrt(h), h, B, n,
-               diverged.ctypes.data, coefficients.ctypes.data, work.ctypes.data)
+               None if dw is None else dw.ctypes.data, seed, ids.ctypes.data, math.sqrt(h), h,
+               B, n, diverged.ctypes.data, coefficients.ctypes.data, work.ctypes.data)
         return snap
 
     rng = np.random.default_rng(2024)
-    d, B, n = coeffs.d, _PROBE_B, _PROBE_N
+    d, B = coeffs.d, _PROBE_B
     start = _initial_state(rng.uniform(-1.5, 1.5, (d, B)), *kernel[2:])
     records = _views(start, d, flows, covariance)[-1]
     records[:] = rng.uniform(-1.5, 1.5, records.shape)
     coefficients = rng.uniform(-1.5, 1.5, (len(remainder[2]) if remainder else 0, d))
-    dw = rng.standard_normal((n, m, B)) * math.sqrt(_PROBE_H)
-    dw[2, :, -1] = np.inf
-    dw[1, :, 3] = np.inf
     ids = np.array(_PROBE_IDS, dtype=np.uint64)
-    cases = ((dw, 0), (None, 0), (None, 2**64 - 1))
-    blocks = [given if given is not None else
-              _block_increments(SimConfig(_PROBE_H * n, n, (0.0,), seed=seed), m, ids)
-              for given, seed in cases]
-    stops = np.array(_PROBE_STOPS, dtype=np.int64)
-    lost = np.full(len(cases) * B, -1, dtype=np.int64)
+    step = compile_step_kernel(*kernel)
     with np.errstate(all="ignore"):
-        want = _numpy_block(compile_step_kernel(*kernel), np.tile(start, len(cases)),
-                            np.concatenate(blocks, axis=2), _PROBE_H, stops, lost, coefficients)
-        for i, (given, seed) in enumerate(cases):
-            part, got_lost = slice(i * B, (i + 1) * B), np.full(B, -1, dtype=np.int64)
-            got = loop(start, stops, _PROBE_H, got_lost, coefficients, given, seed, ids)
-            if (got.tobytes() != want[..., part].tobytes()
-                    or got_lost.tobytes() != lost[part].tobytes()):
+        for n, seed in _PROBE_BLOCKS:
+            dw = None
+            if seed is None:  # given increments, two of them infinite
+                seed, dw = 0, rng.standard_normal((n, m, B)) * math.sqrt(_PROBE_H)
+                dw[2, :, -1] = dw[1, :, 3] = np.inf
+            increments = _block_increments(seed, n, _PROBE_H, m, ids) if dw is None else dw
+            stops = np.array((0, 3, n), dtype=np.int64)
+            want_lost, got_lost = (np.full(B, -1, dtype=np.int64) for _ in range(2))
+            want = _numpy_block(step, start.copy(), increments, _PROBE_H, stops, want_lost,
+                                coefficients)
+            got = loop(start, stops, _PROBE_H, got_lost, coefficients, dw, seed, ids)
+            if got.tobytes() != want.tobytes() or got_lost.tobytes() != want_lost.tobytes():
                 return None
     loop.isa = isa().decode()  # the clone of run the loader picked
     return loop
@@ -496,7 +497,7 @@ def _simulate_block(coeffs: CoefficientSet, config: SimConfig, record: RecordSpe
             snap = loop(s, stops, h, diverged, coefficients, dw, config.seed, stream_ids)
         else:
             if dw is None:
-                dw = _block_increments(config, m, stream_ids)
+                dw = _block_increments(config.seed, n, h, m, stream_ids)
             snap = _numpy_block(compile_step_kernel(*kernel), s, dw, h, stops, diverged,
                                 coefficients)
 
@@ -516,10 +517,11 @@ def _simulate_block(coeffs: CoefficientSet, config: SimConfig, record: RecordSpe
 _CHUNK = 64
 
 
-def _block_increments(config: SimConfig, m: int, stream_ids: np.ndarray) -> np.ndarray:
-    """The streams' step-major (n, m, B) increments: ``sample_brownian``'s paths a
-    chunk at a time, differenced a slab of steps at a time, copied transposed."""
-    n, scale, B = config.n_steps, math.sqrt(config.h), len(stream_ids)
+def _block_increments(seed: int, n: int, h: float, m: int, stream_ids: np.ndarray) -> np.ndarray:
+    """The streams' step-major (n, m, B) increments of n steps of size h:
+    ``sample_brownian``'s paths a chunk at a time, differenced a slab of
+    steps at a time, copied transposed."""
+    scale, B = math.sqrt(h), len(stream_ids)
     dw = np.empty((n, m, B))
     buf = np.zeros((min(B, _CHUNK), n + 1, m))  # row 0 stays W(0) = 0
     steps = max(1, 8192 // (_CHUNK * m))
@@ -527,7 +529,7 @@ def _block_increments(config: SimConfig, m: int, stream_ids: np.ndarray) -> np.n
     for start in range(0, B, _CHUNK):
         ids = stream_ids[start : start + _CHUNK]
         path = buf[: len(ids)]
-        _brownian_paths(config.seed, ids, scale, path)
+        _brownian_paths(seed, ids, scale, path)
         for k in range(0, n, steps):
             end = min(k + steps, n)
             diff = slab[: len(ids), : end - k]

@@ -8,16 +8,15 @@ so generated code can drive numpy's own samplers through a ``bitgen_t``:
 it is compiled against numpy's ``random/bitgen.h`` alone, and declares the
 samplers it calls, so no build reads Python's headers.  The engine's loop
 (``fieldlang.step_kernel_c``) draws its normals with numpy's ziggurat on
-the words of numpy's Philox4x64-10, which it computes in bulk for each
+the words of numpy's Philox4x64-10, which it computes itself for each
 path: the fast path inline, without numpy's branch on the sign, and every
 other draw by numpy's ``random_standard_normal`` through a ``bitgen_t``
-that replays the draw already taken, then reads the generator's Philox,
-sought to the word after it.  The ziggurat's tables are local symbols of
-``libnpyrandom.a``, so the library's ``setup`` reads them once per load off
-numpy's sampler, with scripted draws, then draws a fixed stream as the
-loop does and checks it against numpy's normals; it passes only if that
-stream also took the slow path on the bulk words and drew past them (see
-``fieldlang.fields._C_RUN``).  The
+over the same words, set back to the draw's first word.  The ziggurat's
+tables are local symbols of ``libnpyrandom.a``, so the library's ``setup``
+reads them once per load off numpy's sampler, with scripted draws, then
+draws a fixed stream as the loop does and checks it against numpy's
+normals; it passes only if that stream also took the slow path on the bulk
+words and drew past them (see ``fieldlang.fields._C_RUN``).  The
 loop steps a tile of paths as vector lanes; on x86-64 with glibc it is
 built for AVX-512F, AVX2 and the baseline at once, and the loader picks
 the widest one the CPU has, so one cached library serves every x86-64 CPU.

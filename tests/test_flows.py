@@ -134,7 +134,8 @@ def test_block_increments_match_stacked_streams(n_paths, m):
     cfg = SimConfig(horizon=0.5, n_steps=32, x0=(0.0,), seed=41)
     ids = np.arange(3, 3 + n_paths, dtype=np.int64)
     expected = np.stack([sample_brownian(cfg, m, int(s)).increments for s in ids])
-    assert np.array_equal(_block_increments(cfg, m, ids), np.moveaxis(expected, 0, -1))
+    increments = _block_increments(cfg.seed, 32, cfg.h, m, ids)
+    assert np.array_equal(increments, np.moveaxis(expected, 0, -1))
 
 
 @pytest.mark.parametrize("route", ["native", "numpy"])
@@ -166,10 +167,10 @@ def test_block_increments_scratch_is_one_chunk():
     n, m, n_paths = 1024, 2, 197
     cfg = SimConfig(horizon=1.0, n_steps=n, x0=(0.0,), seed=43)
     ids = np.arange(n_paths, dtype=np.int64)
-    _block_increments(cfg, m, ids[:2])  # first-call allocations
+    _block_increments(cfg.seed, n, cfg.h, m, ids[:2])  # first-call allocations
     tracemalloc.start()
     try:
-        dw = _block_increments(cfg, m, ids)
+        dw = _block_increments(cfg.seed, n, cfg.h, m, ids)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -215,8 +216,8 @@ def _draws():
     return [
         standard_normal_stream(2**64 - 1, 9, 2, (5, 3)),
         grid.path,
-        _block_increments(cfg, 2, ids),
-        _block_increments(replace(cfg, seed=5), 1, ids[::7]),
+        _block_increments(cfg.seed, 32, cfg.h, 2, ids),
+        _block_increments(5, 32, cfg.h, 1, ids[::7]),
     ]
 
 
@@ -1169,13 +1170,24 @@ def _no_random_library(cache, monkeypatch):
 
 
 def _perturbed_draws(cache, monkeypatch):
-    # the key's seed word rekeyed wrongly: the Philox is rekeyed only where a
-    # draw leaves the fast path or the bulk words, so the sampler's check at
-    # load, and the probe's drawn blocks, see wrong normals only there
+    # the words past the bulk words taken from the next counter block: only
+    # the normals past them, and slow draws that run past them, are wrong,
+    # and the sampler's check at load covers both
     def perturbed(*kernel):
         source = step_kernel_c.__wrapped__(*kernel)
-        assert "key[0] = seed;" in source
-        return source.replace("key[0] = seed;", "key[0] = seed ^ 1;", 1)
+        assert source.count("w / 4, 1, p->block") == 1
+        return source.replace("w / 4, 1, p->block", "w / 4 + 1, 1, p->block")
+
+    monkeypatch.setattr(simulate, "step_kernel_c", perturbed)
+
+
+def _perturbed_double(cache, monkeypatch):
+    # numpy's sampler handed uniforms from the top 52 bits, half their size:
+    # only its slow path reads them, and the sampler's check at load sees it
+    def perturbed(*kernel):
+        source = step_kernel_c.__wrapped__(*kernel)
+        assert source.count("(next_word(st) >> 11)") == 1
+        return source.replace("(next_word(st) >> 11)", "(next_word(st) >> 12)")
 
     monkeypatch.setattr(simulate, "step_kernel_c", perturbed)
 
@@ -1206,10 +1218,11 @@ def _perturbed_bulk(cache, monkeypatch):
     "fault,route",
     [(_no_compiler, "numpy"), (_perturbed_source, "numpy"), (_truncated_library, "native"),
      (_foreign_cache, "numpy"), (_no_random_headers, "numpy"), (_no_random_library, "numpy"),
-     (_perturbed_draws, "numpy"), (_perturbed_sampler, "numpy"), (_perturbed_bulk, "numpy")],
+     (_perturbed_draws, "numpy"), (_perturbed_double, "numpy"), (_perturbed_sampler, "numpy"),
+     (_perturbed_bulk, "numpy")],
     ids=["missing-compiler", "perturbed-source", "truncated-library", "foreign-cache",
          "missing-random-headers", "missing-random-library", "perturbed-draws",
-         "perturbed-sampler", "perturbed-bulk"],
+         "perturbed-double", "perturbed-sampler", "perturbed-bulk"],
 )
 def test_native_faults_give_the_numpy_bytes_quietly(
     fault, route, fresh_loops, monkeypatch, force_route, capfd
@@ -1229,6 +1242,18 @@ def test_native_faults_give_the_numpy_bytes_quietly(
         (library,) = fresh_loops.glob("*.so")
         built_before = fresh_loops.parent / "elsewhere" / library.name
         assert library.read_bytes() == built_before.read_bytes()
+
+
+def test_native_draws_need_no_struct_rekey(monkeypatch, force_route):
+    # the loop computes its streams' words itself: the numpy route's own
+    # rekey may take the dict route, and the loop still runs
+    force_route("numpy")
+    want = _heis_bytes()
+    monkeypatch.setattr(brownian, "_rekey", brownian._dict_rekey)
+    simulate._native_loop.cache_clear()
+    ran = force_route("native")
+    assert _heis_bytes() == want
+    assert ran == {"native"}
 
 
 def test_warm_cache_starts_no_process(fresh_loops, monkeypatch, force_route):
@@ -1328,6 +1353,14 @@ def test_a_build_never_removes_a_library_being_loaded(tmp_path, monkeypatch):
                                        for ext in ("", ".sha256"))
 
 
+def _sampler_setup(coeffs):
+    """The ``setup(seed, id, count, want)`` of the Euler loop's library of ``coeffs``."""
+    u64 = ctypes.c_uint64
+    (setup,) = native.load(step_kernel_c(coeffs, "euler", False, False),
+                           {"setup": (ctypes.c_int, (u64, u64, ctypes.c_int64, ctypes.c_void_p))})
+    return setup
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_native_sampler_keeps_the_numpy_bytes_on_long_streams(seed, force_route):
     # 256 streams of 4096 steps near id 2^64: 2^20 normals reach all 256
@@ -1345,16 +1378,11 @@ def test_native_sampler_keeps_the_numpy_bytes_on_long_streams(seed, force_route)
                                        ids)["states"]
         assert ran == simulate.INCREMENT_ROUTES == {route}
     assert paths["native"].tobytes() == paths["numpy"].tobytes()
-    assert paths["native"][:, 1:, 0].tobytes() == _block_increments(cfg, 1, ids)[:, 0].T.tobytes()
+    increments = _block_increments(seed, n, cfg.h, 1, ids)
+    assert paths["native"][:, 1:, 0].tobytes() == increments[:, 0].T.tobytes()
     # the normals themselves, before the scale and the running sum
-    ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
-    (setup,) = native.load(step_kernel_c(coeffs, "euler", False, False),
-                           {"setup": (ctypes.c_int, (ptr, ptr, u64, u64, i64, ptr))})
     want = standard_normal_stream(seed, 2**64 - 1, 0, 2**20)
-    philox = brownian._BITGEN
-    with philox.lock:
-        assert setup(philox.ctypes.bit_generator, philox.ctypes.state_address, seed, 2**64 - 1,
-                     len(want), want.ctypes.data) == 1
+    assert _sampler_setup(coeffs)(seed, 2**64 - 1, len(want), want.ctypes.data) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -1363,19 +1391,13 @@ def test_native_sampler_check_must_reach_the_slow_path_and_the_tail(seed):
     # a check of them covers neither numpy's slow path nor the draws past
     # the bulk words, and is refused though every normal agrees; 2^20 of
     # them pass (test_native_sampler_keeps_the_numpy_bytes_on_long_streams)
-    ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
-    coeffs = CoefficientSet.from_text(1, 1, "-x1", ["1"])
-    (setup,) = native.load(step_kernel_c(coeffs, "euler", False, False),
-                           {"setup": (ctypes.c_int, (ptr, ptr, u64, u64, i64, ptr))})
-    philox = brownian._BITGEN
+    setup = _sampler_setup(CoefficientSet.from_text(1, 1, "-x1", ["1"]))
     standard_normal_stream(seed, 2**64 - 1, 0, 16)
-    state = philox.state  # 16 words drawn: counter block 4, used up
+    state = brownian._BITGEN.state  # 16 words drawn: counter block 4, used up
     assert (state["state"]["counter"][0], state["buffer_pos"]) == (4, 4)
-    with philox.lock:
-        for count, passes in ((16, 0), (0, 0), (2**12, 1)):
-            want = standard_normal_stream(seed, 2**64 - 1, 0, count)
-            assert setup(philox.ctypes.bit_generator, philox.ctypes.state_address, seed,
-                         2**64 - 1, count, want.ctypes.data) == passes, count
+    for count, passes in ((16, 0), (0, 0), (2**12, 1)):
+        want = standard_normal_stream(seed, 2**64 - 1, 0, count)
+        assert setup(seed, 2**64 - 1, count, want.ctypes.data) == passes, count
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -1398,7 +1420,7 @@ def test_native_lanes_give_the_numpy_bytes(B, drawn, scheme):
         dw = None
         for lane, (row, value) in zip(lost, [(0, np.nan), (3, np.inf), (1, 1e200)]):
             start[row, lane] = value
-        increments = _block_increments(SimConfig(h * n, n, (0.0,), seed=seed), 2, ids)
+        increments = _block_increments(seed, n, h, 2, ids)
     else:  # lost at steps 1, 2 and 4 by an infinite increment
         dw = increments = rng.standard_normal((n, 2, B)) * np.sqrt(h)
         for lane, k in zip(lost, (1, 2, 4)):
@@ -1490,7 +1512,7 @@ def test_native_draws_keep_the_bytes_when_n_m_is_not_a_multiple_of_4(name, n, se
     B, h = 2 * C_TILE + 5, horizon / n
     start = simulate._initial_state(np.tile(np.array(x0)[:, None], B), *kernel[2:])
     ids = np.arange(2**64 - B, 2**64, dtype=np.uint64)
-    increments = _block_increments(SimpleNamespace(n_steps=n, h=h, seed=seed), m, ids)
+    increments = _block_increments(seed, n, h, m, ids)
     stops = np.array(sorted({0, n // 2, n}), dtype=np.int64)
     got_lost, want_lost = (np.full(B, -1, dtype=np.int64) for _ in range(2))
     got = loop(start.copy(), stops, h, got_lost, np.zeros((0, d)), None, seed, ids)
