@@ -424,10 +424,10 @@ def node_count(expr: Expression) -> int:
 
 # ---------------------------------------------------------------------------
 # numpy source text.  ``_np_lines(exprs)`` reads an array ``X`` of shape
-# (..., d), or (d, ...) with ``var="X[{}]"``; ``fields`` assembles its lines
-# and texts into generated functions.  With ``c=True`` the same text is C on
-# doubles: C parses ``+ - * /`` and parentheses as Python does, so each
-# operation, and its order, is the numpy text's.
+# (..., d), or (d, ...) with ``var="X[{}]"``; ``fields`` assembles its
+# assignments and texts into generated functions.  With ``c=True`` the same
+# text is C on doubles: C parses ``+ - * /`` and parentheses as Python does,
+# so each operation, and its order, is the numpy text's.
 
 _NP_UNARY = {"neg": "(-{a})", "sin": "np.sin({a})", "cos": "np.cos({a})",
              "exp": "np.exp({a})", "tanh": "np.tanh({a})"}
@@ -444,14 +444,14 @@ def _literal(v: float, c: bool = False) -> str:
 def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str = "t",
               c: bool = False):
     """numpy source of ``exprs``: ``(lines, texts)``, ``texts[i]`` computing ``exprs[i]``
-    after ``lines``.  A power is its ``_power_chain`` (x^0 is 1.0); a product whose left
-    factor is a product is written flat, left-associative.  Each non-leaf node
-    referenced twice or more over all ``exprs`` (a chain's squares, a non-leaf base)
-    is computed once, as a local ``{local}N``, in post-order: the same bits.  With
-    ``c``, C statements and texts: locals are ``double`` and constants are exact
-    hexadecimal literals; ``exprs`` may then hold no ``sin``, ``cos``, ``exp`` or
-    ``tanh``, whose numpy and libm results may differ in the last bit."""
-    declare, end = ("double ", ";") if c else ("", "")
+    after the assignments ``lines``, each a pair ``(name, text)``.  A power is its
+    ``_power_chain`` (x^0 is 1.0); a product whose left factor is a product is
+    written flat, left-associative.  Each non-leaf node referenced twice or more
+    over all ``exprs`` (a chain's squares, a non-leaf base) is computed once, as a
+    local ``{local}N``, in post-order: the same bits.  With ``c``, C texts:
+    constants are exact hexadecimal literals; ``exprs`` may then hold no ``sin``,
+    ``cos``, ``exp`` or ``tanh``, whose numpy and libm results may differ in the
+    last bit."""
     refs, lines, texts = {}, [], {}
 
     def lower(e):  # a chain's products are interned nodes, so equal chains are one node
@@ -476,7 +476,7 @@ def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str =
              else _NP_UNARY[e.op].format(a=text(e.arg)) if isinstance(e, Unary)
              else _NP_BINARY[e.op].format(a=flat(e), b=text(e.rhs)))
         if refs[e] > 1 and not isinstance(e, (Const, Var)):
-            lines.append(f"{declare}{local}{len(lines)} = {t}{end}")
+            lines.append((f"{local}{len(lines)}", t))
             t = f"{local}{len(lines) - 1}"
         texts[e] = t
         return t

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import linecache
+import re
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -160,7 +161,8 @@ def compile_expression_stack(exprs: tuple[Expression, ...], shape: tuple[int, ..
     k = len(exprs)
 
     def emit():
-        lines, texts = _np_lines(exprs, "X[..., {}]")
+        temps, texts = _np_lines(exprs, "X[..., {}]")
+        lines = [f"{name} = {t}" for name, t in temps]
         lines += [f"out[..., {i}] = {t}" for i, t in enumerate(texts)]
         body = ["X = np.asarray(X, np.float64)", f"out = np.empty(X.shape[:-1] + ({k},))",
                 *lines, f"return out.reshape(X.shape[:-1] + {shape!r})"]
@@ -170,74 +172,6 @@ def compile_expression_stack(exprs: tuple[Expression, ...], shape: tuple[int, ..
 
 
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 50
-
-# Damped Newton for z = x + h b(z) on (d, B) stacks, each row on its own: a
-# pending row takes the first of the steps 1, 1/2, ..., 2^-19 that lowers its
-# residual enough, or fails.
-_NEWTON = """\
-def residual({z}):
-    {residual}
-    return f, np.sqrt(np.add.reduce(f * f))
-z = np.array([{x}])
-f, fnorm = residual(*z)
-converged, failed = {converged}, ~np.isfinite(fnorm)
-for _ in range({max_iter}):
-    if not (active := ~(converged | failed)).any():
-        break
-    {z} = z
-    {solve}
-    step, pending = np.array([{d}]), active
-    for r in range(20):
-        c = z + 0.5 ** r * step
-        g, cnorm = residual(*c)
-        accept = pending & np.isfinite(cnorm) & (cnorm <= (1.0 - 1e-4 * 0.5 ** r) * fnorm)
-        z, f = np.where(accept, c, z), np.where(accept, g, f)
-        fnorm, pending = np.where(accept, cnorm, fnorm), pending & ~accept
-        if not pending.any():
-            break
-    failed |= pending
-    converged |= ~failed & ({converged})
-{z} = z"""
-
-# The same solve on one path in C: ``solve`` returns 1 when it converged.
-_NEWTON_C = """\
-static inline IN_EACH_CLONE double residual(double h, {xs}, const double *z, double *f)
-{{
-    {z_rows}
-    {residual}
-    return sqrt({f_squares});
-}}
-
-static inline IN_EACH_CLONE int solve(double h, {xs}, double *z)
-{{
-    double f[{n}], g[{n}], c[{n}];
-    {start}
-    double fnorm = residual(h, {x}, z, f);
-    int converged = {converged}, failed = !isfinite(fnorm);
-    for (int iter = 0; iter < {max_iter} && !(converged || failed); ++iter) {{
-        {z_rows}
-        {solve}
-        const double step[{n}] = {{{d}}};
-        double scale = 1.0;
-        failed = 1;
-        for (int r = 0; r < 20 && failed; ++r, scale *= 0.5) {{
-            for (int i = 0; i < {n}; ++i)
-                c[i] = z[i] + scale * step[i];
-            double cnorm = residual(h, {x}, c, g);
-            if (isfinite(cnorm) && cnorm <= (1.0 - {damping} * scale) * fnorm) {{
-                for (int i = 0; i < {n}; ++i) {{
-                    z[i] = c[i];
-                    f[i] = g[i];
-                }}
-                fnorm = cnorm;
-                failed = 0;
-            }}
-        }}
-        converged = !failed && {converged};
-    }}
-    return converged && !failed;
-}}
-"""
 
 # Paths per tile of C's loop: each tile draws its increments, then takes all
 # its steps, so a block never holds more than a tile of increments.  A
@@ -253,28 +187,27 @@ C_TILE = 8
 # their float operations (W_1 = s z_1, W_k = W_{k-1} + s z_k, dW_k = W_k -
 # W_{k-1}): one vectorised pass over k instead of a serial chain per lane.
 # The tile's (rows, C_TILE) rows ``st`` are stepped through all n steps, in
-# two passes per step.  The first computes every lane's new rows into ``o``
-# in one loop over the lanes with no branch, so the compiler vectorises it:
-# lost lanes are computed too, and idle lanes of a partial tile step zeros.
-# Only the split-step solve, a loop of its own, runs for live lanes alone
-# (z = x elsewhere).  The second commits: a live lane whose new state rows
-# are all finite (x - x is 0.0, summed over the rows, without a branch) and
-# whose solve converged is stored; any other is marked lost at k and keeps
-# all its rows, as in the engine's masked step.  While a full tile's lanes
-# are all live and none is lost, ``o`` is stored whole, without a scan of
-# the lanes.  At each grid index in ``stops`` the tile's rows are copied
-# into the (S, rows, B) snapshot ``snap``.
+# two passes per step.  The first computes every lane's new rows into ``o`` in
+# one loop over the lanes with no branch, so the compiler vectorises it: lost
+# lanes are computed too, and idle lanes of a partial tile step zeros.  Under
+# split-step ``_newton``'s solve runs first, in such loops over all lanes; the
+# idle and lost ones, ``frozen``, start as failed.  The second commits: a live
+# lane whose new state rows are all finite (x - x is 0.0, summed over the
+# rows, without a branch) and whose solve converged is stored; any other is
+# marked lost at k and keeps all its rows, as in the engine's masked step.
+# While a full tile's lanes are all live and none is lost, ``o`` is stored
+# whole, without a scan of the lanes.  At each grid index in ``stops`` the
+# tile's rows are copied into the (S, rows, B) snapshot ``snap``.
 #
 # On x86-64 with glibc, ``run`` is built three times (``target_clones``):
 # for AVX-512F, AVX2 and the baseline, and the loader picks the widest one
 # the CPU has, as ``isa`` reports, so a cache shared between machines stays
 # safe.  Each clone earns its build time: on an AVX-512 Xeon, a heis block
-# of the tamed or plain Euler scheme takes 7-19% less time in the AVX-512F
-# clone than in the AVX2 one, and 15-26% less in the AVX2 clone than in the
-# baseline.  The split-step solve is inlined into each clone: called from a
-# vector clone, baseline SSE code stalls on the registers' dirty upper
-# halves.  Vector and scalar arithmetic round alike, and with no
-# contraction into fused multiply-adds every clone gives the same bits.
+# takes 7-19% less time in the AVX-512F clone than in the AVX2 one, and
+# 15-26% less in the AVX2 clone than in the baseline, under tamed or plain
+# Euler; under split-step, whose solve is part of ``run``, 4-22% and 17-34%.
+# Vector and scalar arithmetic round alike, and with no contraction into
+# fused multiply-adds every clone gives the same bits.
 #
 # The normals are numpy's ziggurat (``random_standard_normal`` in
 # ``libnpyrandom.a``; Marsaglia and Tsang 2000) on numpy's Philox4x64-10
@@ -321,12 +254,7 @@ double random_standard_normal(bitgen_t *);
 #define LANES_CLONED 1
 #endif
 #endif
-#ifdef LANES_CLONED  /* the solve is built into each clone of run, in its instruction set */
-#define IN_EACH_CLONE __attribute__((always_inline))
-#else
-#define IN_EACH_CLONE
-#endif
-{newton}
+
 static double zig_w[256];
 static uint64_t zig_k[256];
 
@@ -515,16 +443,18 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
     for (int64_t b0 = 0; b0 < B; b0 += {tile}) {{
         const int64_t width = B - b0 < {tile} ? B - b0 : {tile};
         double st[{rows} * {tile}], o[{rows} * {tile}];
-        int solved[{tile}];  /* the split-step solve converged */
+        int64_t frozen[{tile}];  /* idle and lost lanes, whose rows are never stored */
         int64_t live = 0;
         for (int64_t g = width; g < {tile}; ++g) {{  /* idle lanes step zeros */
+            frozen[g] = 1;
             for (int r = 0; r < {rows}; ++r)
                 st[r * {tile} + g] = 0.0;
             for (int64_t i = 0; i < n * {m}; ++i)
                 inc[i * {tile} + g] = 0.0;
         }}
         for (int64_t g = 0; g < width; ++g) {{
-            live += diverged[b0 + g] < 0;
+            frozen[g] = diverged[b0 + g] >= 0;
+            live += !frozen[g];
             for (int r = 0; r < {rows}; ++r)
                 st[r * {tile} + g] = s[b0 + g + r * B];
             if (dw) {{
@@ -559,6 +489,7 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
             if (!live)
                 continue;
             const double *dwk = inc + k * {m} * {tile};
+            {solve}
             for (int64_t g = 0; g < {tile}; ++g) {{  /* every lane, without a branch */
                 {body}
             }}
@@ -579,12 +510,13 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
                 }}
             }}
             for (int64_t g = 0; g < width; ++g)
-                if (diverged[b0 + g] < 0 && !({solved} && nonfinite[g] == 0.0)) {{
+                if (!frozen[g] && !({solved} && nonfinite[g] == 0.0)) {{
                     diverged[b0 + g] = k;
+                    frozen[g] = 1;
                     --live;
                 }}
             for (int64_t g = 0; g < width; ++g)
-                if (diverged[b0 + g] < 0)
+                if (!frozen[g])
                     for (int r = 0; r < {rows}; ++r)
                         st[r * {tile} + g] = o[r * {tile} + g];
         }}
@@ -608,51 +540,116 @@ class _Let:
         return f"{'double ' * new}{name} = {text};"
 
 
-def _newton_source(drift: VectorField, c: bool = False):
-    """``_NEWTON`` for ``drift`` as numpy lines, or with ``c`` ``_NEWTON_C`` as
-    text; its elimination skips the constant 0s."""
-    d, grad, let = drift.dim, jacobian(drift), _Let(c)
+# The spellings of ``_newton`` that differ by route, numpy's then C's: a
+# select, a mask's negation, isfinite, sqrt and the headers of its loops,
+# Newton's iterations and the line search's steps 2^-r.  C's masks are
+# int64_t 0s and 1s, as wide as a double, which & and | combine as bools.
+_SPELLINGS = (
+    ("np.where({}, {}, {})", "~", "np.isfinite({})", "np.sqrt({})",
+     {"newton": f"for _ in range({_NEWTON_MAX_ITER}):",
+      "search": "for scale in (0.5 ** r for r in range(20)):"}),
+    ("({} ? {} : {})", "!", "(isfinite({}) != 0)", "sqrt({})",
+     {"newton": f"for (int iter = 0; iter < {_NEWTON_MAX_ITER}; ++iter) {{",
+      "search": "for (double scale = 1.0; scale > 0x1p-20; scale *= 0.5) {"}),
+)
+_C_MASKS = {"converged", "failed", "pending", "accept"}
+_WORD = re.compile(r"\b[A-Za-z_]\w*")
+
+
+def _newton(drift: VectorField, c: bool = False) -> list[str]:
+    """Damped Newton for z = x + h b(z), each path on its own, written once:
+    numpy lines on rows of B paths, or with ``c`` C loops over a tile's lanes.
+    An active path takes the first of the steps 1, 1/2, ..., 2^-19 that
+    lowers its residual enough, or fails; the elimination skips the constant
+    0s.  In C, X comes from ``st``, idle and lost lanes start as failed, and
+    z, ``converged`` and ``failed`` are left in ``lane.z0``, ..., ``lane.failed``."""
+    d, grad = drift.dim, jacobian(drift)
+    where, neg, finite, sqrt, _ = _SPELLINGS[c]
+    one = _literal(1.0, c)
     a = {(p, q) for p in range(d) for q in range(d)
          if p == q or not (isinstance(grad[p][q], Const) and grad[p][q].value == 0.0)}
     solve, texts = _np_lines([grad[p][q] for p, q in sorted(a)], "z{}", "ta", c)
-    solve += [let(f"a{p}_{q}", f"{float(p == q)!r} - h * {t}")
-              for (p, q), t in zip(sorted(a), texts)]
-    residual, texts = _np_lines(drift.components, "z{}", "tr", c)
-    solve += [let(f"r{i}", f"-f[{i}]") for i in range(d)]
+    solve += [(f"a{p}_{q}", f"{float(p == q)!r} - h * {t}") for (p, q), t in zip(sorted(a), texts)]
+    solve += [(f"r{i}", f"-f{i}") for i in range(d)]
     for k in range(d):  # forward elimination, the right-hand side alongside
         for i in (i for i in range(k + 1, d) if (i, k) in a):
             # np.divide, as a constant pivot is a float: 1.0 / 0.0 gives inf, not an error
-            ratio = f"a{i}_{k} / a{k}_{k}" if c else f"np.divide(a{i}_{k}, a{k}_{k})"
-            solve.append(let("l", ratio))
+            solve.append(("l", f"a{i}_{k} / a{k}_{k}" if c else f"np.divide(a{i}_{k}, a{k}_{k})"))
             for j in (j for j in range(k + 1, d) if (k, j) in a):
                 entry = f"a{i}_{j}" if (i, j) in a else "0.0"
-                solve.append(let(f"a{i}_{j}", f"{entry} - l * a{k}_{j}"))
+                solve.append((f"a{i}_{j}", f"{entry} - l * a{k}_{j}"))
                 a.add((i, j))
-            solve.append(let(f"r{i}", f"r{i} - l * r{k}"))
+            solve.append((f"r{i}", f"r{i} - l * r{k}"))
     for i in reversed(range(d)):  # back substitution, later columns first
         terms = "".join(f" - a{i}_{j} * d{j}" for j in reversed(range(i + 1, d)) if (i, j) in a)
-        solve.append(let(f"d{i}", f"(r{i}{terms}) / a{i}_{i}"))
-    names = {v: ", ".join(f"{v}{i}" for i in range(d)) for v in "xzd"}
-    f = [f"z{i} - x{i} - h * {t}" for i, t in enumerate(texts)]
-    if c:
-        def squares(v):  # in index order, as numpy's add.reduce over the rows
-            return " + ".join(f"{v}[{i}] * {v}[{i}]" for i in range(d))
+        solve.append((f"d{i}", f"(r{i}{terms}) / a{i}_{i}"))
 
-        return _NEWTON_C.format(
-            **names, n=d, xs=", ".join(f"double x{i}" for i in range(d)),
-            z_rows=" ".join(f"double z{i} = z[{i}];" for i in range(d)),
-            residual="\n    ".join(residual + [f"f[{i}] = {t};" for i, t in enumerate(f)]),
-            f_squares=squares("f"), start=" ".join(f"z[{i}] = x{i};" for i in range(d)),
-            converged=f"fnorm <= {_literal(_NEWTON_TOL, c)} * (1.0 + sqrt({squares('z')}))",
-            damping=_literal(1e-4, c), max_iter=_NEWTON_MAX_ITER, solve="\n        ".join(solve),
-        )
-    return _NEWTON.format(
-        **{v: text + "," for v, text in names.items()},
-        residual="".join(f"{line}\n    " for line in residual)
-        + "f = np.array([" + ", ".join(f) + "])",
-        converged=f"fnorm <= {_NEWTON_TOL!r} * (1.0 + np.sqrt(np.add.reduce(z * z)))",
-        max_iter=_NEWTON_MAX_ITER, solve="\n    ".join(solve),
-    ).splitlines()
+    def names(v):
+        return ", ".join(f"{v}{i}" for i in range(d))
+
+    def residual(at, out):  # out = at - x - h b(at)
+        temps, texts = _np_lines(drift.components, at + "{}", "tr", c)
+        return temps + [(f"{out}{i}", f"{at}{i} - x{i} - h * {t}") for i, t in enumerate(texts)]
+
+    def evaluate(at, out):  # C inlines the residual, numpy calls it: its text appears once
+        return residual(at, out) if c else [(f"{names(out)},", f"residual({names(at)})")]
+
+    def norm(v):  # squares summed in index order, as numpy's add.reduce over the rows
+        return sqrt.format(" + ".join(f"{v}{i} * {v}{i}" for i in range(d)))
+
+    small = f"(fnorm <= {_literal(_NEWTON_TOL, c)} * ({one} + {norm('z')}))"
+    sufficient = f"(cnorm <= ({one} - {_literal(1e-4, c)} * scale) * fnorm)"
+    search = [*((f"c{i}", f"z{i} + scale * d{i}") for i in range(d)), *evaluate("c", "g"),
+              ("cnorm", norm("g")), ("accept", f"pending & {finite.format('cnorm')} & {sufficient}"),
+              *((f"{v}{i}", where.format("accept", f"{w}{i}", f"{v}{i}"))
+                for v, w in (("z", "c"), ("f", "g")) for i in range(d)),
+              ("fnorm", where.format("accept", "cnorm", "fnorm")),
+              ("pending", f"pending & {neg}accept"), (None, "pending")]
+    items = [*((f"z{i}", f"x{i}") for i in range(d)), *evaluate("z", "f"), ("fnorm", norm("f")),
+             ("failed", neg + finite.format("fnorm") + " | lost" * c), ("converged", small),
+             ("newton", [("pending", f"{neg}(converged | failed)"), (None, "pending"), *solve,
+                         ("search", search), ("failed", "failed | pending"),
+                         ("converged", f"converged | {neg}failed & {small}")])]
+    if not c:
+        return [f"def residual({names('z')}):", *(f"    {n} = {t}" for n, t in residual("z", "f")),
+                f"    return {names('f')},", *_render(items, c, {})]
+    lane = {f"x{i}": f"st[g + {i} * {C_TILE}]" for i in range(d)} | {"lost": "frozen[g]"}
+    lines = _render(items, c, lane)
+    arrays = (", ".join(f"{n}[{C_TILE}]" for n, v in lane.items()
+                        if v == f"lane.{n}[g]" and (n in _C_MASKS) == mask) for mask in (0, 1))
+    return ["struct {{double {}; int64_t {};}} lane;".format(*arrays), *lines]
+
+
+def _render(items, c: bool, lane: dict) -> list[str]:
+    """The lines of ``_newton``'s description ``items``: assignments ``(name,
+    text)``, stops ``(None, mask)`` that leave the loop when no path has
+    ``mask``, and loops ``(kind, items)``.  numpy's statements act on rows.
+    In C each straight run of assignments is one loop over the lanes, which
+    the compiler can vectorise, on lane g of the arrays ``lane.<name>``;
+    ``lane`` maps each name read to its C text, and gains each name assigned."""
+    lines, run = [], []
+
+    def flush(stop):
+        if not c:
+            return [f"{n} = {t}" for n, t in run] + [f"if not {stop}.any():", "    break"] * bool(stop)
+        body = []
+        for name, text in run:
+            body.append(f"    lane.{name}[g] = {_WORD.sub(lambda w: lane.get(w[0], w[0]), text)};")
+            lane[name] = f"lane.{name}[g]"
+        tail = [f"    more |= lane.{stop}[g];", "}", "if (!more)", "    break;"] if stop else ["}"]
+        return ["int64_t more = 0;"] * bool(stop) + [
+            f"for (int64_t g = 0; g < {C_TILE}; ++g) {{", *body, *tail]
+
+    for name, what in [*items, (None, None)]:  # (None, None): the end, which ends a run too
+        if name is not None and isinstance(what, str):
+            run.append((name, what))
+            continue
+        lines += flush(what if name is None else None) if run else []  # a stop ends a run
+        run = []
+        if isinstance(what, list):
+            lines += [_SPELLINGS[c][4][name], *(f"    {ln}" for ln in _render(what, c, lane)),
+                      *["}"] * c]
+    return lines
 
 
 def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
@@ -683,15 +680,11 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     if c:
         body = [let(name, f"st[g + {n} * {C_TILE}]") for n, name in enumerate(rows)]
         body += [let(f"dw{i}", f"dwk[g + {i} * {C_TILE}]") for i in range(m)]
-        if implicit:  # solved for live lanes only: a lost lane would run to max_iter
-            xs = ", ".join(f"x{i}" for i in range(d))
-            body += [f"double z[{d}] = {{{xs}}};",
-                     f"solved[g] = g < width && diverged[b0 + g] < 0 && solve(h, {xs}, z);"]
-            body += [let(f"z{i}", f"z[{i}]") for i in range(d)]
+        body += [let(f"z{i}", f"lane.z{i}[g]") for i in range(d) if implicit]
     else:
         body = [f"{name} = s[{n}]" for n, name in enumerate(rows)]
         body += [f"dw{i} = dw[{i}]" for i in range(m)]
-        body += _newton_source(coeffs.drift) if implicit else []
+        body += _newton(coeffs.drift) if implicit else []
     start, names = len(body), {}
 
     def entry(e, at="x"):  # a literal, or a local that the entry lines define
@@ -802,13 +795,14 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         body.append(f"return {finite} & converged & ~failed" if implicit else f"return {finite}")
     for at, where in (("y", ystart), ("z", start), ("x", start)):  # x's entries come first
         group = {e: n for (e, place), n in names.items() if place == at}
-        lines, texts = _np_lines(tuple(group), at + "{}", "t" + at, c)
-        body[where:where] = lines + [let(n, t) for n, t in zip(group.values(), texts)]
+        temps, texts = _np_lines(tuple(group), at + "{}", "t" + at, c)
+        body[where:where] = [let(n, t) for n, t in [*temps, *zip(group.values(), texts)]]
     if not c:
         return ["def step(s, out, dw, h, T=None):", *(f"    {line}" for line in body)]
     return _C_RUN.format(
-        newton=_newton_source(coeffs.drift, c=True) if implicit else "", m=m,
-        rows=len(rows), state=state, tile=C_TILE, solved="solved[g]" if implicit else "1",
+        m=m, rows=len(rows), state=state, tile=C_TILE,
+        solve="\n            ".join(_newton(coeffs.drift, c=True) if implicit else []),
+        solved="(lane.converged[g] & !lane.failed[g])" if implicit else "1",
         body="\n                ".join(body),
     ).splitlines()
 
@@ -830,13 +824,14 @@ def compile_step_kernel(
     not pivot: ``SimConfig`` refuses h L >= 1 for a monotone bound L, so the
     symmetric part of I - h grad b is at least (1 - h L) I, and the LU
     factorisation exists without pivoting (Golub and Van Loan); a zero or
-    non-finite pivot fails its own row only.  Each subexpression of b,
-    sigma, grad b and grad sigma_i is evaluated once; each product with a
-    constant-0 factor (of either sign) is left out, as is a factor 1.0; sums
-    add the rest in ascending index order.  numpy's axis sums start from
-    0.0, which can only turn a sum of zeros into +0.0: the noise keeps it as
-    ``+ 0.0``, so X keeps its bits, and entries of J, K and C, which start
-    at 0.0 or 1.0, can never become -0.0.
+    non-finite pivot fails its own row only.  The solve is ``_newton``'s
+    damped Newton on all B rows at once, each row masked on its own.  Each
+    subexpression of b, sigma, grad b and grad sigma_i is evaluated once;
+    each product with a constant-0 factor (of either sign) is left out, as
+    is a factor 1.0; sums add the rest in ascending index order.  numpy's
+    axis sums start from 0.0, which can only turn a sum of zeros into +0.0:
+    the noise keeps it as ``+ 0.0``, so X keeps its bits, and entries of J,
+    K and C, which start at 0.0 or 1.0, can never become -0.0.
 
     Record rows follow the state and never decide whether a path is lost.
     ``identity`` adds the running max of |K J - I|, its squares summed
@@ -891,12 +886,14 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
 
     Each step is ``compile_step_kernel``'s, line by line, on each lane of
     the tile, ``o[row * C_TILE + g]`` for lane g's row: the same operations
-    in the same order, constants as exact hexadecimal literals, and the
-    split-step solve with the same schedule.  Every lane is computed in one
-    branch-free loop the compiler vectorises; a path whose new X, J, K or C
-    has a non-finite entry, or whose solve fails, gets ``diverged = k`` and
-    keeps all its rows, records too, and a lost path's rows are never
-    stored again.  Compiled without contraction into fused multiply-adds
+    in the same order, constants as exact hexadecimal literals.  The
+    split-step solve is the numpy step's, rendered from the same
+    description by ``_newton``: its statements run over all the tile's
+    lanes, a loop over the lanes per straight run, with lane-wide masks.
+    Every lane is computed in one branch-free loop the compiler vectorises;
+    a path whose new X, J, K or C has a non-finite entry, or whose solve
+    fails, gets ``diverged = k`` and keeps all its rows, records too, and a
+    lost path's rows are never stored again.  Compiled without contraction into fused multiply-adds
     (``-ffp-contract=off``), every operation rounds as numpy's does, in a
     vector lane as in a scalar, so the bits agree; the engine checks that
     on a probe block before it uses the loop.

@@ -16,7 +16,8 @@ negates the whole multiplicative term (``-x1*x1*x1 + x1`` reads
 integers: fractional or negative exponents are rejected so every parsed
 field is smooth.  Identifiers are restricted to ``x1..xd`` and the function
 names ``sin``, ``cos``, ``exp``, ``tanh``.  A number literal must be finite:
-``1e400`` is rejected rather than read as infinity.
+``1e400`` is rejected rather than read as infinity, and so is a division by
+a divisor that simplifies to the constant 0 (``3/0``, ``x1/(2 - 2)``).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from ..errors import ParseError
-from .ast import Binary, Const, Expression, Power, Unary, Var
+from .ast import Binary, Const, Expression, Power, Unary, Var, simplify
 
 __all__ = ["parse_expression", "FUNCTIONS"]
 
@@ -108,6 +109,9 @@ class _Parser:
         node = self.factor()
         while (tok := self.accept_op("*", "/")) is not None:
             rhs = self.factor()
+            divisor = simplify(rhs) if tok.text == "/" else None  # alone: 0/0 folds to 0
+            if isinstance(divisor, Const) and divisor.value == 0.0:
+                raise ParseError("division by a constant zero", tok.pos)
             node = Binary("mul" if tok.text == "*" else "div", node, rhs)
         return node
 

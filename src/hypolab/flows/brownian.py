@@ -1,8 +1,7 @@
 """Brownian paths on uniform grids with counter-based, per-stream keying.
 
 Randomness comes from one Philox (counter-based) generator, rekeyed per stream
-to ``(seed, stream_id)`` by writing its state struct through numpy views
-(checked at import against assigning its ``state`` dict), with the counter
+to ``(seed, stream_id)`` by assigning its ``state`` dict, with the counter
 block selecting the purpose: block 0 holds the base increments.  Every draw
 is therefore a pure function of ``(seed, stream_id, purpose)``: regenerating
 a grid is bit-reproducible, whatever else was drawn before.
@@ -17,7 +16,6 @@ same words.  It never reads or writes this module's generator.
 """
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -36,48 +34,11 @@ _GEN = np.random.Generator(_BITGEN)
 _STATE = _BITGEN.state
 
 
-def _dict_rekey(seed: int, stream_id: int, purpose: int) -> None:
+def _rekey(seed: int, stream_id: int, purpose: int) -> None:
     _STATE["state"]["counter"][:] = (0, 0, purpose, 0)
     _STATE["state"]["key"][:] = (seed, stream_id)
     _STATE.update(buffer_pos=4, has_uint32=0, uinteger=0)  # output buffer exhausted
     _BITGEN.state = _STATE
-
-
-def _struct_rekey():
-    """``_dict_rekey`` through views of the state struct; ValueError unless its
-    pointers lead inside the Philox and it leaves the same state and draws."""
-    def view(address, count):  # count uint64 words inside the Philox object
-        if not 0 <= address - id(_BITGEN) <= type(_BITGEN).__basicsize__ - 8 * count:
-            raise ValueError("the Philox state struct has another layout")
-        return np.ctypeslib.as_array((ctypes.c_uint64 * count).from_address(address))
-
-    # philox_state, little-endian words: ctr*, key*, buffer_pos, buffer[4], has_uint32,uinteger
-    words = view(_BITGEN.ctypes.state_address, 8)
-    ctr, key, tail = view(int(words[0]), 4), view(int(words[1]), 2), words[2:]
-    reset = np.array([4, 0, 0, 0, 0, 0], dtype=np.uint64)  # buffer exhausted and zero
-
-    def rekey(seed: int, stream_id: int, purpose: int) -> None:
-        ctr[:] = 0
-        ctr[2] = purpose
-        key[0] = seed
-        key[1] = stream_id
-        tail[:] = reset
-
-    def after(route, args):  # the state and draws a rekey leaves in a used generator
-        _GEN.random(3, dtype=np.float32)  # moves the counter, buffer and cached uint32
-        route(*args)
-        return repr(_BITGEN.state), _GEN.standard_normal(5).tobytes()
-
-    for args in ((2**64 - 1, 5, 3), (7, 2**64 - 1, 0)):
-        if after(_dict_rekey, args) != after(rekey, args):
-            raise ValueError("the struct rekey does not match the dict rekey")
-    return rekey
-
-
-try:
-    _rekey = _struct_rekey()
-except (AttributeError, ValueError):  # another numpy: the dict route, the same bits
-    _rekey = _dict_rekey
 
 
 def standard_normal_stream(seed: int, stream_id: int, purpose: int, shape=None, out=None):

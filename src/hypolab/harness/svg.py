@@ -57,10 +57,11 @@ def line_chart(
     yt = [ty(v) for label, ys in data for v in ys if math.isfinite(ty(v))] or [0.0]
     x_lo, x_hi = min(xt), max(xt)
     y_lo, y_hi = min(yt), max(yt)
+    # a degenerate axis is widened by 1.0, or by |lo| where 1.0 would round away
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, abs(x_lo))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, abs(y_lo))
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

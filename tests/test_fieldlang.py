@@ -112,6 +112,20 @@ def test_overflowing_literal_is_rejected(text):
     assert text[err.value.position].isdigit()
 
 
+@pytest.mark.parametrize("text", ["1 + 3/0*x1", "0/0", "x1/(2 - 2)", "x1/(0*x2)", "1/sin(0)",
+                                  "x1/-0^3"])
+def test_division_by_a_constant_zero_is_rejected(text):
+    with pytest.raises(ParseError, match="division by a constant zero") as err:
+        parse_expression(text, 2)
+    assert text[err.value.position] == "/"
+
+
+def test_division_by_a_divisor_that_may_vanish_parses():
+    assert parse_expression("1/(x1 - x1) + 0/x2", 2) == Binary(
+        "add", Binary("div", Const(1.0), Binary("sub", Var(1), Var(1))),
+        Binary("div", Const(0.0), Var(2)))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

@@ -10,7 +10,6 @@ import traceback
 from pathlib import Path
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,65 +184,6 @@ def test_normal_stream_into_out_matches_fresh_array():
     out = np.empty((17, 2))
     standard_normal_stream(7, 4, 0, out=out)
     assert np.array_equal(out, standard_normal_stream(7, 4, 0, (17, 2)))
-
-
-# (seed, stream, purpose): extreme key words and purposes other than 0
-_REKEYS = [(0, 0, 0), (41, 7, 0), (2**64 - 1, 5, 3), (3, 2**64 - 1, 1), (2**64 - 1, 2**64 - 1, 7)]
-
-
-def test_struct_rekey_is_active_on_this_numpy():
-    # a silent fallback to the dict route would hide a slower or broken struct route
-    assert brownian._rekey is not brownian._dict_rekey
-    assert brownian._rekey.__qualname__ == "_struct_rekey.<locals>.rekey"
-
-
-@pytest.mark.parametrize("seed,stream,purpose", _REKEYS)
-def test_struct_rekey_writes_the_state_of_the_dict_route(seed, stream, purpose):
-    brownian._GEN.random(3, dtype=np.float32)  # a used counter, buffer and cached uint32
-    brownian._dict_rekey(seed, stream, purpose)
-    written = repr(brownian._STATE)
-    expected = (repr(brownian._BITGEN.state), brownian._GEN.standard_normal(9).tobytes())
-    brownian._GEN.random(3, dtype=np.float32)
-    brownian._rekey(seed, stream, purpose)
-    assert repr(brownian._BITGEN.state) == written
-    assert (repr(brownian._BITGEN.state), brownian._GEN.standard_normal(9).tobytes()) == expected
-
-
-def _draws():
-    cfg = SimConfig(horizon=0.5, n_steps=32, x0=(0.0,), seed=2**64 - 1)
-    grid = sample_brownian(cfg, 2, stream_id=2**64 - 1)
-    ids = np.arange(70, dtype=np.int64)
-    return [
-        standard_normal_stream(2**64 - 1, 9, 2, (5, 3)),
-        grid.path,
-        _block_increments(cfg.seed, 32, cfg.h, 2, ids),
-        _block_increments(5, 32, cfg.h, 1, ids[::7]),
-    ]
-
-
-def test_dict_rekey_fallback_gives_the_same_bits(monkeypatch):
-    struct = _draws()
-    monkeypatch.setattr(brownian, "_rekey", brownian._dict_rekey)  # the views forced off
-    for a, b in zip(struct, _draws(), strict=True):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_struct_rekey_refuses_what_it_cannot_check(monkeypatch):
-    # each failure sends the import to the dict rekey
-    with monkeypatch.context() as patch:
-        patch.setattr(brownian, "_BITGEN", object())
-        with pytest.raises(AttributeError):
-            brownian._struct_rekey()
-    with monkeypatch.context() as patch:
-        elsewhere = np.zeros(8, dtype=np.uint64)
-        patch.setattr(brownian, "_BITGEN", SimpleNamespace(
-            ctypes=SimpleNamespace(state_address=elsewhere.ctypes.data)))
-        with pytest.raises(ValueError, match="another layout"):
-            brownian._struct_rekey()
-    dict_rekey = brownian._dict_rekey  # one that ignores the purpose
-    monkeypatch.setattr(brownian, "_dict_rekey", lambda seed, sid, _: dict_rekey(seed, sid, 0))
-    with pytest.raises(ValueError, match="does not match"):
-        brownian._struct_rekey()
 
 
 def test_brownian_mean_clt_bound():
@@ -1021,19 +961,29 @@ def test_block_size_below_one_is_a_config_error(ou, block_size):
         run_ensemble(ou, cfg, 4, RecordSpec(), block_size=block_size)
 
 
-def test_singular_newton_matrix_loses_only_its_own_path():
+def test_singular_newton_matrix_loses_only_its_own_path(force_route):
     # b = 32 x^2 at h = 1/64: 1 - h b'(x) = 1 - x vanishes at x = 1.0, where
-    # row 0 starts its second step; row 1 starts it at x = 0.25
+    # lane 3 of the full tile starts its second step, so its line search runs
+    # out; every other path starts it at x <= 0.45 and keeps iterating beside
+    # it.  The ninth path is the one lane of a second tile.
     c = CoefficientSet.from_text(1, 1, "32*x1^2", ["1"])
     cfg = SimConfig(
         horizon=1 / 32, n_steps=2, x0=(0.0,), scheme="split-step-backward-euler"
     )
-    dw = np.array([[[1.0, 0.25]], [[0.0, 0.0]]])
-    both = _simulate_block(c, cfg, RecordSpec(flows=False), np.arange(2), dw)
-    alone = _simulate_block(c, cfg, RecordSpec(flows=False), np.arange(1), dw[:, :, 1:])
-    assert both["diverged_step"].tolist() == [1, -1]
-    assert alone["diverged_step"].tolist() == [-1]
-    assert both["final_states"][1].tobytes() == alone["final_states"][0].tobytes()
+    dw = np.zeros((2, 1, 9))
+    dw[0, 0] = [0.25, -0.4, 0.1, 1.0, 0.45, -0.2, 0.3, 0.05, 0.4]
+    runs = {}
+    for route in ("native", "numpy"):
+        ran = force_route(route)
+        runs[route] = _simulate_block(c, cfg, RecordSpec(flows=False), np.arange(9), dw)
+        assert ran == {route}
+    both = runs["numpy"]
+    for key in ("final_states", "diverged_step"):
+        assert runs["native"][key].tobytes() == both[key].tobytes(), key
+    alone = _simulate_block(c, cfg, RecordSpec(flows=False), np.arange(8), np.delete(dw, 3, 2))
+    assert both["diverged_step"].tolist() == [-1, -1, -1, 1] + [-1] * 5
+    assert alone["diverged_step"].tolist() == [-1] * 8
+    assert np.delete(both["final_states"], 3, 0).tobytes() == alone["final_states"].tobytes()
 
 
 def test_constant_zero_pivot_loses_the_paths_without_raising():
@@ -1242,18 +1192,6 @@ def test_native_faults_give_the_numpy_bytes_quietly(
         (library,) = fresh_loops.glob("*.so")
         built_before = fresh_loops.parent / "elsewhere" / library.name
         assert library.read_bytes() == built_before.read_bytes()
-
-
-def test_native_draws_need_no_struct_rekey(monkeypatch, force_route):
-    # the loop computes its streams' words itself: the numpy route's own
-    # rekey may take the dict route, and the loop still runs
-    force_route("numpy")
-    want = _heis_bytes()
-    monkeypatch.setattr(brownian, "_rekey", brownian._dict_rekey)
-    simulate._native_loop.cache_clear()
-    ran = force_route("native")
-    assert _heis_bytes() == want
-    assert ran == {"native"}
 
 
 def test_warm_cache_starts_no_process(fresh_loops, monkeypatch, force_route):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import hypolab
 from hypolab.brackets import BracketTable, HormanderReport, check_hormander
 from hypolab.errors import ConfigError
-from hypolab.harness import cli
+from hypolab.harness import cli, svg
 from hypolab.harness.cli import main
 from hypolab.harness.config import load_config, parse_config_text, resolved_text
 
@@ -177,21 +177,19 @@ def test_cli_out_of_range_seed_exits_2(tmp_path, capsys):
     assert "got 18446744073709551616" in capsys.readouterr().err
 
 
-def test_cli_largest_seed_runs_with_the_same_bits_on_both_rekeys(tmp_path, monkeypatch):
-    from hypolab.flows import brownian
-
+def test_cli_largest_seed_runs_with_the_same_bits_on_both_routes(tmp_path, force_route):
     cfg = _write(tmp_path, OU_MODEL + SIM)
     largest = str(2**64 - 1)
 
-    def digests(out):
+    def digests(route):
+        ran, out = force_route(route), tmp_path / route
         assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", largest]) == 0
+        assert ran == {route}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 2**64 - 1
         return {e["file"]: e["sha256"] for e in manifest["outputs"]}
 
-    struct = digests(tmp_path / "struct")
-    monkeypatch.setattr(brownian, "_rekey", brownian._dict_rekey)
-    assert digests(tmp_path / "dict") == struct
+    assert digests("native") == digests("numpy")
 
 
 def test_cli_invalid_key_exits_2(tmp_path, capsys):
@@ -449,6 +447,18 @@ def test_cli_overflowing_literal_exits_2(tmp_path, capsys):
     assert "'1e400' is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,section", [
+    ("simulate", SIM),
+    ("check-hormander", "[analysis]\nL = 1\ngrid_min = -1\ngrid_max = 1\ngrid_points = 3\n"),
+], ids=["simulate", "check-hormander"])
+def test_cli_division_by_a_constant_zero_exits_2(tmp_path, capsys, command, section):
+    cfg = _write(tmp_path, OU_MODEL.replace("sigma1 = 1", "sigma1 = 1 + 3/0*x1") + section)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "division by a constant zero" in err[0]
+
+
 def test_cli_check_hormander_heisenberg(tmp_path):
     code = main(
         [
@@ -467,6 +477,23 @@ def test_cli_check_hormander_heisenberg(tmp_path):
     csv_lines = (tmp_path / "h" / "hormander.csv").read_text().splitlines()
     assert csv_lines[0] == "x_1,x_2,V_L,in_U_L"
     assert len(csv_lines) == 1 + 441
+
+
+@pytest.mark.parametrize("x,y", [([1e300], [0.5]), ([0.0, 1.0], [-1e300, -1e300])],
+                         ids=["x-axis", "y-axis"])
+def test_line_chart_widens_a_one_point_axis_where_adding_one_rounds_away(tmp_path, x, y):
+    path = tmp_path / "c.svg"
+    svg.line_chart(str(path), x, [("v", y)])
+    text = path.read_text(encoding="utf-8")
+    assert "<polyline" in text and "nan" not in text and "inf" not in text
+
+
+def test_cli_check_hormander_charts_a_one_point_axis_at_1e300(tmp_path):
+    cfg = _write(tmp_path, "[model]\nd = 2\nm = 1\nx0 = 0, 0\ndrift = 0, x1\nsigma1 = 1, 0\n"
+                 "[analysis]\nL = 2\ngrid_min = 1e300, -1\ngrid_max = 1e300, 1\n"
+                 "grid_points = 1, 5\n")
+    assert main(["check-hormander", "--config", cfg, "--out", str(tmp_path / "h")]) == 0
+    assert (tmp_path / "h" / "hormander_axis1.svg").exists()
 
 
 # ---------------------------------------------------------------------------
