@@ -175,8 +175,15 @@ _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 50
 
 # Paths per tile of C's loop: each tile draws its increments, then takes all
 # its steps, so a block never holds more than a tile of increments.  A
-# tile's paths are its vector lanes: eight doubles fill one AVX-512 register.
-C_TILE = 8
+# tile's paths are its vector lanes, four AVX-512 registers of eight doubles
+# (see _C_RUN for why a tile is wider than one register).
+C_TILE = 32
+# The most stack, in bytes, that ``run``'s tile may take: its (rows, C_TILE)
+# ``st`` and ``o``, and under split-step C_TILE doubles per name of the
+# solve.  A kernel past it, such as d = 15 with J, K and C, takes the numpy
+# route: the budget is a small share of the 8 MiB that Linux gives a main
+# thread's stack and glibc a new thread's by default.
+_C_STACK = 256 * 1024
 
 # C's loop over a block of B paths, a tile of C_TILE paths at a time.  A tile
 # takes its increments from the caller's (n, m, B) block ``dw`` or, when that
@@ -191,21 +198,34 @@ C_TILE = 8
 # one loop over the lanes with no branch, so the compiler vectorises it: lost
 # lanes are computed too, and idle lanes of a partial tile step zeros.  Under
 # split-step ``_newton``'s solve runs first, in such loops over all lanes; the
-# idle and lost ones, ``frozen``, start as failed.  The second commits: a live
-# lane whose new state rows are all finite (x - x is 0.0, summed over the
-# rows, without a branch) and whose solve converged is stored; any other is
-# marked lost at k and keeps all its rows, as in the engine's masked step.
-# While a full tile's lanes are all live and none is lost, ``o`` is stored
-# whole, without a scan of the lanes.  At each grid index in ``stops`` the
-# tile's rows are copied into the (S, rows, B) snapshot ``snap``.
+# idle and lost ones, ``frozen``, start as failed.  The second commits, in
+# such loops too: ``keep`` marks each live lane whose new state rows are all
+# finite (x - x is 0.0, summed over the rows) and whose solve converged, and
+# every row takes ``o`` where ``keep`` is set and keeps ``st`` elsewhere, a
+# select rather than a branch per lane.  Any other live lane is marked lost
+# at k, by a scan that runs only when one is lost, and keeps all its rows, as
+# in the engine's masked step.  At each grid index in ``stops`` the tile's
+# rows are copied into the (S, rows, B) snapshot ``snap``.
+#
+# A tile is wider than a vector register.  Each step is one chain of
+# dependent operations per register (load, sqrt and divide under tamed
+# Euler, the finite check, the commit), and the divide and sqrt have long
+# latencies; a tile of several registers gives the core independent chains
+# to overlap.  Each lane's float operations are the same at any width, so
+# the width changes no bit.  On a 2-vCPU AVX-512 Xeon, 32 lanes rather than 8
+# took an 8192 x 1024 OU block from 0.089 to 0.070 s, and a heis tamed JK C
+# block of 4000 x 512 from 0.068 to 0.054 s (medians of 6 alternating
+# pairs); 16 lanes gained less on OU.  The stack that ``st`` and ``o`` take
+# grows with the width (``_C_STACK``).
 #
 # On x86-64 with glibc, ``run`` is built three times (``target_clones``):
 # for AVX-512F, AVX2 and the baseline, and the loader picks the widest one
 # the CPU has, as ``isa`` reports, so a cache shared between machines stays
-# safe.  Each clone earns its build time: on an AVX-512 Xeon, a heis block
-# takes 7-19% less time in the AVX-512F clone than in the AVX2 one, and
-# 15-26% less in the AVX2 clone than in the baseline, under tamed or plain
-# Euler; under split-step, whose solve is part of ``run``, 4-22% and 17-34%.
+# safe.  Each clone earns its build time: on an AVX-512 Xeon, with tiles of
+# 8, a heis block took 7-19% less time in the AVX-512F clone than in the AVX2
+# one, and 15-26% less in the AVX2 clone than in the baseline, under tamed
+# or plain Euler; under split-step, whose solve is part of ``run``, 4-22%
+# and 17-34%.
 # Vector and scalar arithmetic round alike, and with no contraction into
 # fused multiply-adds every clone gives the same bits.
 #
@@ -497,28 +517,24 @@ void run(const double *s, double *snap, const int64_t *stops, int64_t S, const d
             for (int r = 0; r < {state}; ++r)
                 for (int64_t g = 0; g < {tile}; ++g)
                     nonfinite[g] += o[r * {tile} + g] - o[r * {tile} + g];
-            if (live == {tile}) {{  /* a full tile, every lane live: kept whole if none is lost */
-                double any = 0.0;
-                int all = 1;
-                for (int64_t g = 0; g < {tile}; ++g) {{
-                    any += nonfinite[g];
-                    all &= {solved};
-                }}
-                if (all && any == 0.0) {{
-                    memcpy(st, o, sizeof st);
-                    continue;
-                }}
+            int64_t keep[{tile}], lost = 0;  /* a live lane whose new rows stand */
+            for (int64_t g = 0; g < {tile}; ++g) {{
+                keep[g] = !frozen[g] & {solved} & (nonfinite[g] == 0.0);
+                lost += !frozen[g] & !keep[g];
             }}
-            for (int64_t g = 0; g < width; ++g)
-                if (!frozen[g] && !({solved} && nonfinite[g] == 0.0)) {{
-                    diverged[b0 + g] = k;
-                    frozen[g] = 1;
-                    --live;
+            if (lost) {{
+                for (int64_t g = 0; g < width; ++g)
+                    if (!frozen[g] && !keep[g])
+                        diverged[b0 + g] = k;
+                live -= lost;
+            }}
+            for (int64_t g = 0; g < {tile}; ++g)
+                frozen[g] = !keep[g];
+            for (int r = 0; r < {rows}; ++r)
+                for (int64_t g = 0; g < {tile}; ++g) {{  /* both loaded: a select, not a branch */
+                    const double next = o[r * {tile} + g], now = st[r * {tile} + g];
+                    st[r * {tile} + g] = keep[g] ? next : now;
                 }}
-            for (int64_t g = 0; g < width; ++g)
-                if (!frozen[g])
-                    for (int r = 0; r < {rows}; ++r)
-                        st[r * {tile} + g] = o[r * {tile} + g];
         }}
     }}
 }}
@@ -561,8 +577,9 @@ def _newton(drift: VectorField, c: bool = False) -> list[str]:
     numpy lines on rows of B paths, or with ``c`` C loops over a tile's lanes.
     An active path takes the first of the steps 1, 1/2, ..., 2^-19 that
     lowers its residual enough, or fails; the elimination skips the constant
-    0s.  In C, X comes from ``st``, idle and lost lanes start as failed, and
-    z, ``converged`` and ``failed`` are left in ``lane.z0``, ..., ``lane.failed``."""
+    0s.  The paths of the mask ``lost`` start as failed: in C, X comes from
+    ``st``, ``lost`` is ``frozen`` (the idle and lost lanes), and z,
+    ``converged`` and ``failed`` are left in ``lane.z0``, ..., ``lane.failed``."""
     d, grad = drift.dim, jacobian(drift)
     where, neg, finite, sqrt, _ = _SPELLINGS[c]
     one = _literal(1.0, c)
@@ -606,7 +623,7 @@ def _newton(drift: VectorField, c: bool = False) -> list[str]:
               ("fnorm", where.format("accept", "cnorm", "fnorm")),
               ("pending", f"pending & {neg}accept"), (None, "pending")]
     items = [*((f"z{i}", f"x{i}") for i in range(d)), *evaluate("z", "f"), ("fnorm", norm("f")),
-             ("failed", neg + finite.format("fnorm") + " | lost" * c), ("converged", small),
+             ("failed", f"{neg}{finite.format('fnorm')} | lost"), ("converged", small),
              ("newton", [("pending", f"{neg}(converged | failed)"), (None, "pending"), *solve,
                          ("search", search), ("failed", "failed | pending"),
                          ("converged", f"converged | {neg}failed & {small}")])]
@@ -654,7 +671,7 @@ def _render(items, c: bool, lane: dict) -> list[str]:
 
 def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
                  identity: bool = False, remainder: tuple | None = None,
-                 square_norm: bool = False, c: bool = False) -> list[str]:
+                 square_norm: bool = False, c: bool = False) -> list[str] | None:
     """The source lines of ``compile_step_kernel``'s step, or with ``c`` of
     ``step_kernel_c``'s loop: one emission, in which only the statements'
     form depends on ``c``.  numpy's statements act on rows of B paths and
@@ -798,10 +815,15 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         temps, texts = _np_lines(tuple(group), at + "{}", "t" + at, c)
         body[where:where] = [let(n, t) for n, t in [*temps, *zip(group.values(), texts)]]
     if not c:
-        return ["def step(s, out, dw, h, T=None):", *(f"    {line}" for line in body)]
+        return ["def step(s, out, dw, h, T=None, lost=False):", *(f"    {line}" for line in body)]
+    solve = _newton(coeffs.drift, c=True) if implicit else []
+    # run's stack: st and o, then the solve's lane arrays, which its first line declares
+    lanes = solve[0].count(f"[{C_TILE}]") if solve else 0
+    if 8 * C_TILE * (2 * len(rows) + lanes) > _C_STACK:
+        return None
     return _C_RUN.format(
         m=m, rows=len(rows), state=state, tile=C_TILE,
-        solve="\n            ".join(_newton(coeffs.drift, c=True) if implicit else []),
+        solve="\n            ".join(solve),
         solved="(lane.converged[g] & !lane.failed[g])" if implicit else "1",
         body="\n                ".join(body),
     ).splitlines()
@@ -812,7 +834,7 @@ def compile_step_kernel(
     coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
     identity: bool = False, remainder: tuple | None = None, square_norm: bool = False,
 ) -> Callable:
-    """One generated step ``step(s, out, dw, h, T=None)`` of the ensemble engine.
+    """One generated step ``step(s, out, dw, h, T=None, lost=False)`` of the ensemble engine.
 
     ``s`` holds a block's state as rows of B paths: X (d rows), then with
     ``flows`` J and K (d*d rows each), then with ``covariance`` too C's upper
@@ -825,7 +847,9 @@ def compile_step_kernel(
     symmetric part of I - h grad b is at least (1 - h L) I, and the LU
     factorisation exists without pivoting (Golub and Van Loan); a zero or
     non-finite pivot fails its own row only.  The solve is ``_newton``'s
-    damped Newton on all B rows at once, each row masked on its own.  Each
+    damped Newton on all B rows at once, each row masked on its own; the
+    rows of the mask ``lost``, paths lost before, start it as failed, so a
+    frozen state without a root never keeps it iterating.  Each
     subexpression of b, sigma, grad b and grad sigma_i is evaluated once;
     each product with a constant-0 factor (of either sign) is left out, as
     is a factor 1.0; sums add the rest in ascending index order.  numpy's
@@ -861,7 +885,8 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
                   identity: bool = False, remainder: tuple | None = None,
                   square_norm: bool = False):
     """C source of the block loop ``run``, or None when a field or the
-    remainder target uses sin, cos, exp or tanh.
+    remainder target uses sin, cos, exp or tanh, or when the loop's tile
+    would take more than ``_C_STACK`` bytes of stack.
 
     ``run(s, snap, stops, S, dw, seed, ids, scale, h, B, n, diverged, T,
     work)`` takes all n steps of a block of B paths, a tile of ``C_TILE``
@@ -890,10 +915,20 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
     split-step solve is the numpy step's, rendered from the same
     description by ``_newton``: its statements run over all the tile's
     lanes, a loop over the lanes per straight run, with lane-wide masks.
-    Every lane is computed in one branch-free loop the compiler vectorises;
-    a path whose new X, J, K or C has a non-finite entry, or whose solve
-    fails, gets ``diverged = k`` and keeps all its rows, records too, and a
-    lost path's rows are never stored again.  Compiled without contraction into fused multiply-adds
+    Every lane is computed in one branch-free loop the compiler vectorises,
+    and committed by per-lane selects; a path whose new X, J, K or C has a
+    non-finite entry, or whose solve fails, gets ``diverged = k`` and keeps
+    all its rows, records too, and a lost path's rows are never stored
+    again.
+
+    ``run`` keeps the tile on its stack: ``st`` and ``o`` take 2 rows
+    ``C_TILE`` doubles, and the split-step solve's ``lane`` struct
+    ``C_TILE`` doubles per name, besides a few arrays of ``C_TILE``.  That
+    is 13.5 KiB for heis with J, K and C (21 KiB under split-step), but
+    would pass 2 MiB at d = 40, so past ``_C_STACK`` the loop is refused and
+    the block takes the numpy route.
+
+    Compiled without contraction into fused multiply-adds
     (``-ffp-contract=off``), every operation rounds as numpy's does, in a
     vector lane as in a scalar, so the bits agree; the engine checks that
     on a probe block before it uses the loop.
@@ -903,7 +938,7 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
         return None
     source = _step_source(coeffs, scheme, flows, covariance, identity, remainder, square_norm,
                           c=True)
-    return "\n".join(source) + "\n"
+    return None if source is None else "\n".join(source) + "\n"
 
 
 def _rational(expr: Expression) -> bool:

@@ -342,12 +342,13 @@ def _numpy_steps(step, s, out, dw, h, k0, k1, diverged, coefficients):
     """Steps k0..k1 of the numpy kernel ``step`` from the state ``s`` through the
     spare buffer ``out``; returns both, the state first.  A path whose new X,
     J, K or C is non-finite, or whose solve failed, gets the step in
-    ``diverged`` and keeps all its rows."""
+    ``diverged`` and keeps all its rows.  Lost paths start the split-step
+    solve as failed, so they never keep it iterating."""
     for k in range(k0, k1):
-        ok = step(s, out, dw[k], h, coefficients)
-        alive = diverged < 0
-        if not (ok.all() and alive.all()):
-            diverged[alive & ~ok] = k
+        lost = diverged >= 0
+        ok = step(s, out, dw[k], h, coefficients, lost)
+        if not ok.all() or lost.any():
+            diverged[~lost & ~ok] = k
             np.copyto(out, s, where=diverged >= 0)
         s, out = out, s
     return s, out
@@ -422,7 +423,9 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
 
     def loop(s, stops, h, diverged, coefficients, dw, seed, ids):
         n, B = int(stops[-1]), s.shape[1]
-        snap = np.empty((len(stops),) + s.shape)
+        # a tile reads its paths' rows of s before it writes their snapshot, so
+        # s itself takes the snapshot when n is the only stop
+        snap = s[None] if len(stops) == 1 else np.empty((len(stops),) + s.shape)
         work = np.empty(C_TILE * n * m + 4 * -(-n * m // 4))  # the tile's increments, then words
         ids = np.ascontiguousarray(ids, dtype=np.uint64)  # Philox key words
         if dw is not None:

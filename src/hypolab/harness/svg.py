@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -13,6 +14,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
     span = hi - lo
+    if math.isinf(span):  # ends of both signs near the largest double
+        return [lo, hi]
     step = 10 ** math.floor(math.log10(span / max(n, 1)))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= n:
@@ -21,10 +24,19 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     first = math.ceil(lo / step) * step
     out = []
     v = first
-    while v <= hi + 1e-12 * span:
+    while v <= min(hi + 1e-12 * span, sys.float_info.max):
         out.append(round(v, 12))
         v += step
     return out or [lo]
+
+
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """A one-point axis [lo, lo] widened by 1.0, or by |lo| where 1.0 would
+    round away, downwards where upwards would pass the largest double."""
+    if hi != lo:
+        return lo, hi
+    step = max(1.0, abs(lo))
+    return (lo, lo + step) if lo + step <= sys.float_info.max else (lo - step, lo)
 
 
 def _fmt(v: float) -> str:
@@ -55,22 +67,17 @@ def line_chart(
 
     xt = [tx(v) for v in xs]
     yt = [ty(v) for label, ys in data for v in ys if math.isfinite(ty(v))] or [0.0]
-    x_lo, x_hi = min(xt), max(xt)
-    y_lo, y_hi = min(yt), max(yt)
-    # a degenerate axis is widened by 1.0, or by |lo| where 1.0 would round away
-    if x_hi == x_lo:
-        x_hi = x_lo + max(1.0, abs(x_lo))
-    if y_hi == y_lo:
-        y_hi = y_lo + max(1.0, abs(y_lo))
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    x_lo, x_hi = _widen(min(xt), max(xt))
+    y_lo, y_hi = _widen(min(yt), max(yt))
+    pad = 0.1 * (y_hi / 2 - y_lo / 2)  # 5% of the span, which may pass the largest double
+    y_lo, y_hi = max(y_lo - pad, -sys.float_info.max), min(y_hi + pad, sys.float_info.max)
 
+    # halves, whose differences cannot overflow: a power of two rounds alike
     def px(v):
-        return _ML + (v - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+        return _ML + (v / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * (_W - _ML - _MR)
 
     def py(v):
-        return _H - _MB - (v - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+        return _H - _MB - (v / 2 - y_lo / 2) / (y_hi / 2 - y_lo / 2) * (_H - _MT - _MB)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

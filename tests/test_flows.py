@@ -1,5 +1,6 @@
 import ctypes
 import gc
+import itertools
 import linecache
 import os
 import re
@@ -45,6 +46,7 @@ from hypolab.flows import (
     simulate_x,
 )
 from hypolab import native
+from hypolab.fieldlang import fields
 from hypolab.fieldlang.fields import _NEWTON_MAX_ITER, _NEWTON_TOL, C_TILE
 from hypolab.flows import brownian, simulate
 from hypolab.flows.brownian import standard_normal_stream
@@ -750,7 +752,8 @@ def test_generated_code_is_readable_in_tracebacks():
     heis = CoefficientSet.from_text(3, 2, *_HEIS)
     kernel = compile_step_kernel(heis, "tamed-euler", True, True)
     assert kernel.__code__.co_filename.startswith("<hypolab step d=3 m=2 tamed-euler JK C #")
-    assert linecache.getline(kernel.__code__.co_filename, 1) == "def step(s, out, dw, h, T=None):\n"
+    assert (linecache.getline(kernel.__code__.co_filename, 1)
+            == "def step(s, out, dw, h, T=None, lost=False):\n")
     # only the split-step kernel runs Newton, and its converged rows join the
     # finite ones in the mask each kernel returns
     for scheme in SCHEMES:
@@ -964,26 +967,65 @@ def test_block_size_below_one_is_a_config_error(ou, block_size):
 def test_singular_newton_matrix_loses_only_its_own_path(force_route):
     # b = 32 x^2 at h = 1/64: 1 - h b'(x) = 1 - x vanishes at x = 1.0, where
     # lane 3 of the full tile starts its second step, so its line search runs
-    # out; every other path starts it at x <= 0.45 and keeps iterating beside
-    # it.  The ninth path is the one lane of a second tile.
+    # out; every other path starts it at x in [-0.4, 0.45] and keeps
+    # iterating beside it.  The last path is the one lane of a second tile.
     c = CoefficientSet.from_text(1, 1, "32*x1^2", ["1"])
     cfg = SimConfig(
         horizon=1 / 32, n_steps=2, x0=(0.0,), scheme="split-step-backward-euler"
     )
-    dw = np.zeros((2, 1, 9))
-    dw[0, 0] = [0.25, -0.4, 0.1, 1.0, 0.45, -0.2, 0.3, 0.05, 0.4]
+    B = C_TILE + 1
+    dw = np.zeros((2, 1, B))
+    dw[0, 0] = np.linspace(-0.4, 0.45, B)
+    dw[0, 0, 3] = 1.0
     runs = {}
     for route in ("native", "numpy"):
         ran = force_route(route)
-        runs[route] = _simulate_block(c, cfg, RecordSpec(flows=False), np.arange(9), dw)
+        runs[route] = _simulate_block(c, cfg, RecordSpec(flows=False), np.arange(B), dw)
         assert ran == {route}
     both = runs["numpy"]
     for key in ("final_states", "diverged_step"):
         assert runs["native"][key].tobytes() == both[key].tobytes(), key
-    alone = _simulate_block(c, cfg, RecordSpec(flows=False), np.arange(8), np.delete(dw, 3, 2))
-    assert both["diverged_step"].tolist() == [-1, -1, -1, 1] + [-1] * 5
-    assert alone["diverged_step"].tolist() == [-1] * 8
+    alone = _simulate_block(c, cfg, RecordSpec(flows=False), np.arange(B - 1),
+                            np.delete(dw, 3, 2))
+    assert both["diverged_step"].tolist() == [-1, -1, -1, 1] + [-1] * (B - 4)
+    assert alone["diverged_step"].tolist() == [-1] * (B - 1)
     assert np.delete(both["final_states"], 3, 0).tobytes() == alone["final_states"].tobytes()
+
+
+def test_numpy_solve_skips_the_rows_of_lost_paths(monkeypatch):
+    # b = 32 x^2 at h = 1/64: z = x + h b(z) has a root only for x <= 1/2.
+    # Path 0 reaches x = 0.732 at step 3, is lost there and stays frozen
+    # without a root; the others sit at the root 0, which takes no Newton
+    # iteration.  So every later step takes the norms of a block without
+    # a lost path: the solve must not run on for the lost row.
+    c = CoefficientSet.from_text(1, 1, "32*x1^2", ["1"])
+    step = compile_step_kernel(c, "split-step-backward-euler", False, False)
+    norms = []
+
+    class Counting:  # numpy, counting the solve's norms
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sqrt(self, x):
+            norms.append(1)
+            return np.sqrt(x)
+
+    monkeypatch.setitem(step.__globals__, "np", Counting())
+    n, B = 8, 4
+    dw = np.zeros((n, 1, B))
+    dw[2, 0, 0] = 0.732
+    s, out = np.zeros((1, B)), np.empty((1, B))
+    diverged = np.full(B, -1, dtype=np.int64)
+    per_step = []
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            s, out = simulate._numpy_steps(step, s, out, dw, 1 / 64, k, k + 1, diverged,
+                                           np.zeros((0, 1)))
+            per_step.append(len(norms))
+            norms.clear()
+    assert diverged.tolist() == [3, -1, -1, -1]
+    assert per_step[3] > per_step[0] > 0  # the failed solve iterates, at step 3 only
+    assert per_step[:3] + per_step[4:] == [per_step[0]] * (n - 1)
 
 
 def test_constant_zero_pivot_loses_the_paths_without_raising():
@@ -1340,11 +1382,12 @@ def test_native_sampler_check_must_reach_the_slow_path_and_the_tail(seed):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("drawn", [False, True], ids=["given", "drawn"])
-@pytest.mark.parametrize("B", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("B", [1, 7, C_TILE, C_TILE + 1, 2 * C_TILE + 9])
 def test_native_lanes_give_the_numpy_bytes(B, drawn, scheme):
     # every lane of a tile is stepped, lost or idle, and only the live ones
     # are committed: lanes 0, 3 and 7 are lost beside live lanes, in a full
-    # tile, a partial one, or both
+    # tile, a partial one, or both, and with 2 C_TILE + 9 paths lane 5 of
+    # every later tile too, so each tile commits around a lost lane
     coeffs = CoefficientSet.from_text(3, 2, *_HEIS)
     kernel = (coeffs, scheme, True, True, True, None, True)
     loop = simulate._native_loop(*kernel)
@@ -1353,15 +1396,16 @@ def test_native_lanes_give_the_numpy_bytes(B, drawn, scheme):
     rng = np.random.default_rng(B)
     start = simulate._initial_state(rng.uniform(-1.5, 1.5, (3, B)), *kernel[2:])
     ids = np.arange(B, dtype=np.uint64)
-    lost = [lane for lane in (0, 3, 7) if lane < B]
+    lost = [lane for lane in (0, 3, 7, C_TILE + 5, 2 * C_TILE + 5) if lane < B]
     if drawn:  # lost at the first step: a NaN in X, an infinite J, an X whose cube overflows
         dw = None
-        for lane, (row, value) in zip(lost, [(0, np.nan), (3, np.inf), (1, 1e200)]):
+        for lane, (row, value) in zip(lost, itertools.cycle([(0, np.nan), (3, np.inf),
+                                                             (1, 1e200)])):
             start[row, lane] = value
         increments = _block_increments(seed, n, h, 2, ids)
-    else:  # lost at steps 1, 2 and 4 by an infinite increment
+    else:  # lost at steps 1, 2, 4, ... by an infinite increment
         dw = increments = rng.standard_normal((n, 2, B)) * np.sqrt(h)
-        for lane, k in zip(lost, (1, 2, 4)):
+        for lane, k in zip(lost, (1, 2, 4, 6, 9)):
             dw[k, :, lane] = np.inf
     stops = np.array([0, 3, 5, n], dtype=np.int64)
     got_lost, want_lost = (np.full(B, -1, dtype=np.int64) for _ in range(2))
@@ -1458,6 +1502,52 @@ def test_native_draws_keep_the_bytes_when_n_m_is_not_a_multiple_of_4(name, n, se
                                  stops, want_lost, np.zeros((0, d)))
     assert got_lost.tobytes() == want_lost.tobytes()
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,scheme", [("state-overflow", "euler"),
+                                         ("heis", "split-step-backward-euler")])
+def test_the_tile_width_changes_no_byte(name, scheme, monkeypatch, force_route):
+    # each lane's float operations are the same at any width: loops rendered
+    # with tiles of 8 and of C_TILE both give the numpy route's bytes, on
+    # two tiles and part of a third, with lost paths or with the solve
+    force_route("numpy")
+    want, _ = _route_records(name, scheme, 1, 64)
+    ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
+    try:
+        for width in (8, C_TILE):
+            monkeypatch.setattr(fields, "C_TILE", width)
+            step_kernel_c.cache_clear()
+            simulate._native_loop.cache_clear()
+            assert f"int64_t frozen[{width}];" in step_kernel_c(ou, "euler", False, False)
+            ran = force_route("native")
+            got, _ = _route_records(name, scheme, 1, 64)
+            assert ran == {"native"}
+            assert got == want, width
+    finally:  # no source or loop of the patched width outlives the test
+        step_kernel_c.cache_clear()
+        simulate._native_loop.cache_clear()
+
+
+def test_a_tile_past_the_stack_budget_takes_the_numpy_route(force_route):
+    # under Euler with J, K and C a tile's st and o hold 2 C_TILE doubles per
+    # row, and a block has d + 2 d^2 + d (d + 1) / 2 rows: at C_TILE = 32 the
+    # budget admits d = 14 (511 rows) and refuses d = 15 (585 rows), before
+    # any build; the split-step solve's lane arrays take d = 14 past it
+    def rows(d):
+        return d + 2 * d * d + d * (d + 1) // 2
+
+    def model(d):
+        return CoefficientSet.from_text(d, 1, ", ".join(f"-x{i}" for i in range(1, d + 1)),
+                                        [", ".join(["1"] + ["0"] * (d - 1))])
+
+    largest = max(d for d in range(1, 64) if 16 * C_TILE * rows(d) <= fields._C_STACK)
+    assert step_kernel_c(model(largest), "euler", True, True) is not None
+    assert step_kernel_c(model(largest + 1), "euler", True, True) is None
+    assert step_kernel_c(model(largest), "split-step-backward-euler", True, True) is None
+    ran = force_route("native")
+    cfg = SimConfig(horizon=0.5, n_steps=2, x0=(0.5,) * (largest + 1), scheme="euler")
+    res = run_ensemble(model(largest + 1), cfg, 3, RecordSpec(c_checkpoints=(2,)))
+    assert ran == {"numpy"} and res.alive.all()
 
 
 def test_native_block_leaves_the_python_streams_alone(ou, force_route):

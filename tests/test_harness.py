@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -486,6 +487,24 @@ def test_line_chart_widens_a_one_point_axis_where_adding_one_rounds_away(tmp_pat
     svg.line_chart(str(path), x, [("v", y)])
     text = path.read_text(encoding="utf-8")
     assert "<polyline" in text and "nan" not in text and "inf" not in text
+
+
+@pytest.mark.parametrize("x,y", [([1.7e308], [0.5]), ([0.0, 1.0], [1.7e308, 1.7e308]),
+                                 ([-1.7e308, 1.7e308], [0.5, 0.5]),
+                                 ([0.0, 1.0], [-1.7e308, 1.7e308])],
+                         ids=["x-axis-one-point", "y-axis-one-point", "x-axis-both-signs",
+                              "y-axis-both-signs"])
+def test_line_chart_keeps_spans_past_the_largest_double_finite(tmp_path, x, y):
+    # a one-point axis widened by |v|, or a span of both signs, or its 5% pad,
+    # would pass the largest double: every coordinate stays a number
+    path = tmp_path / "c.svg"
+    svg.line_chart(str(path), x, [("v", y)])
+    text = path.read_text(encoding="utf-8")
+    points = re.search(r'points="([^"]*)"', text)[1].split()
+    assert len(points) == len(x) and "nan" not in text and "inf" not in text
+    for point in points:
+        px, py = map(float, point.split(","))
+        assert 70 <= px <= 620 and 40 <= py <= 350
 
 
 def test_cli_check_hormander_charts_a_one_point_axis_at_1e300(tmp_path):
