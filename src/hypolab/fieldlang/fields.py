@@ -450,6 +450,8 @@ const char *isa(void)
     return "default";
 }}
 
+int64_t tile(void) {{ return {tile}; }}
+
 #ifdef LANES_CLONED
 __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
@@ -907,7 +909,8 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
     ``C_TILE`` n m + 4 ceil(n m / 4) doubles: the tile's increments, then a
     stream's words.  The
     library's ``isa()`` names the clone of ``run`` the loader picked:
-    "avx512f", "avx2" or "default".
+    "avx512f", "avx2" or "default".  ``tile()`` returns the width ``C_TILE`` had
+    when the source was rendered, which sizes ``work``.
 
     Each step is ``compile_step_kernel``'s, line by line, on each lane of
     the tile, ``o[row * C_TILE + g]`` for lane g's row: the same operations

@@ -13,14 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..brackets import derivative_stack
+from ..brackets import derivative_stack, sampled_norms
 from ..errors import ConfigError
-from ..fieldlang import (
-    CoefficientSet,
-    compile_expression_stack,
-    compile_field,
-    compile_jacobian,
-)
+from ..fieldlang import CoefficientSet, compile_field, compile_jacobian
 from .simulate import RecordSpec, SimConfig, run_ensemble
 
 __all__ = ["AssumptionProbe", "assumption_probe", "MomentProbe", "moment_probe"]
@@ -49,32 +44,26 @@ class AssumptionProbe:
             "box": {"lows": list(self.box_lows), "highs": list(self.box_highs)},
             "pairs": self.n_pairs,
             "monotonicity": {
-                "fitted_L": self.monotone_constant,
-                "by_scale": {str(k): v for k, v in self.monotone_by_scale.items()},
+                "fitted_L": _finite(self.monotone_constant),
+                "by_scale": {str(k): _finite(v) for k, v in self.monotone_by_scale.items()},
                 "non_uniform": self.non_uniform_monotonicity,
             },
             "polynomial_growth": {
-                "log_log_slope": self.growth_slope,
-                "fitted_N": self.growth_exponent,
-                "fitted_L1": self.growth_constant,
+                "log_log_slope": _finite(self.growth_slope),
+                "fitted_N": _finite(self.growth_exponent),
+                "fitted_L1": _finite(self.growth_constant),
             },
-            "jacobian_lower_form": {"min_quadratic_form": self.jacobian_form_min},
+            "jacobian_lower_form": {"min_quadratic_form": _finite(self.jacobian_form_min)},
             "smoothness": {
-                "drift_second_derivative_max": self.drift_second_max,
-                "diffusion_first_derivative_max": self.diffusion_first_max,
-                "diffusion_second_derivative_max": self.diffusion_second_max,
+                "drift_second_derivative_max": _finite(self.drift_second_max),
+                "diffusion_first_derivative_max": _finite(self.diffusion_first_max),
+                "diffusion_second_derivative_max": _finite(self.diffusion_second_max),
             },
         }
         if self.declared is not None:
             out["declared"] = self.declared
             out["passes"] = self.passes
         return out
-
-
-def _tensor_norms(exprs, points):
-    fn = compile_expression_stack(tuple(exprs), (len(exprs),))
-    vals = fn(points)
-    return np.sqrt(np.sum(vals * vals, axis=-1))
 
 
 def assumption_probe(
@@ -90,7 +79,9 @@ def assumption_probe(
 
     The monotonicity constant is refit on rescaled copies of the box; growth
     of the fitted constant by more than 1.0 across scales flags non-uniform
-    monotonicity (the sampled sup keeps growing with the domain).
+    monotonicity (the sampled sup keeps growing with the domain).  Floating
+    point errors are ignored: a constant that overflows, or that no sampled
+    pair defines, is NaN or infinite, and ``to_json_dict`` writes it as null.
     """
     lows = np.asarray(box_lows, dtype=float)
     highs = np.asarray(box_highs, dtype=float)
@@ -101,63 +92,53 @@ def assumption_probe(
     if n_pairs < 8:
         raise ConfigError("need at least 8 sample pairs")
     rng = np.random.default_rng(seed)
-    center = 0.5 * (lows + highs)
-    half = 0.5 * (highs - lows)
-
+    with np.errstate(all="ignore"):
+        center, half = 0.5 * (lows + highs), 0.5 * (highs - lows)
     bfn = compile_field(coeffs.drift)
 
-    def monotone_fit(scale):
-        a = center + rng.uniform(-1, 1, size=(n_pairs, coeffs.d)) * half * scale
-        b = center + rng.uniform(-1, 1, size=(n_pairs, coeffs.d)) * half * scale
-        dx = a - b
-        db = bfn(a) - bfn(b)
-        nx2 = np.sum(dx * dx, axis=1)
+    def pairs(scale):  # x, y, b(x) - b(y), |x - y|^2 in the scaled box, |x - y| > 1e-8
+        x, y = (center + rng.uniform(-1, 1, size=(n_pairs, coeffs.d)) * half * scale
+                for _ in range(2))
+        nx2 = np.sum(np.square(x - y), axis=1)
         keep = nx2 > 1e-16
-        return float(np.max(np.sum(dx * db, axis=1)[keep] / nx2[keep]))
+        return x[keep], y[keep], (bfn(x) - bfn(y))[keep], nx2[keep]
 
-    monotone_by_scale = {float(s): monotone_fit(s) for s in sorted(scales)}
-    scale_vals = list(monotone_by_scale.values())
-    monotone_constant = monotone_by_scale.get(1.0, scale_vals[-1])
-    increasing = all(b >= a - 1e-12 for a, b in zip(scale_vals, scale_vals[1:]))
-    non_uniform = increasing and (scale_vals[-1] - scale_vals[0]) > 1.0
+    with np.errstate(all="ignore"):
+        monotone_by_scale = {}
+        for s in sorted(scales):
+            x, y, db, nx2 = pairs(s)
+            monotone_by_scale[float(s)] = _largest(np.sum((x - y) * db, axis=1) / nx2)
+        scale_vals = list(monotone_by_scale.values())
+        monotone_constant = monotone_by_scale.get(1.0, scale_vals[-1])
+        increasing = all(b >= a - 1e-12 for a, b in zip(scale_vals, scale_vals[1:]))
+        non_uniform = increasing and (scale_vals[-1] - scale_vals[0]) > 1.0
 
-    # polynomial growth: |b(x)-b(y)|^2 <= L1 (1 + |x|^{2N-2} + |y|^{2N-2}) |x-y|^2
-    x1 = center + rng.uniform(-1, 1, size=(n_pairs, coeffs.d)) * half
-    x2 = center + rng.uniform(-1, 1, size=(n_pairs, coeffs.d)) * half
-    dx = x1 - x2
-    db = bfn(x1) - bfn(x2)
-    nx2 = np.sum(dx * dx, axis=1)
-    keep = nx2 > 1e-16
-    ratio = np.sum(db * db, axis=1)[keep] / nx2[keep]
-    u = np.maximum(np.linalg.norm(x1, axis=1), np.linalg.norm(x2, axis=1))[keep]
-    big = (u >= np.median(u)) & (ratio > 1e-300) & (u > 1e-12)
-    if big.sum() >= 4 and u[big].max() / u[big].min() > 1.05:
-        slope = float(np.polyfit(np.log(u[big]), np.log(ratio[big]), 1)[0])
-    else:
-        slope = 0.0
-    slope = max(slope, 0.0)
-    fitted_n = 1.0 + slope / 2.0
-    n_round = max(1, int(round(fitted_n)))
-    weight = 1.0 + u ** (2 * n_round - 2) + np.minimum(
-        np.linalg.norm(x1, axis=1), np.linalg.norm(x2, axis=1)
-    )[keep] ** (2 * n_round - 2)
-    growth_constant = float(np.max(ratio / weight))
+        # polynomial growth: |b(x)-b(y)|^2 <= L1 (1 + |x|^{2N-2} + |y|^{2N-2}) |x-y|^2
+        x, y, db, nx2 = pairs(1.0)
+        ratio = np.sum(db * db, axis=1) / nx2
+        nx, ny = np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1)
+        u = np.maximum(nx, ny)
+        big = (u >= (np.median(u) if u.size else 0.0)) & (ratio > 1e-300) & (u > 1e-12)
+        slope = fitted_n = growth_constant = math.nan  # unless the fitted pairs are finite
+        if np.isfinite(ratio[big]).all() and np.isfinite(u[big]).all():
+            slope = 0.0
+            if big.sum() >= 4 and u[big].max() / u[big].min() > 1.05:
+                slope = max(float(np.polyfit(np.log(u[big]), np.log(ratio[big]), 1)[0]), 0.0)
+            fitted_n = 1.0 + slope / 2.0
+            n_round = max(1, int(round(fitted_n)))
+            weight = 1.0 + u ** (2 * n_round - 2) + np.minimum(nx, ny) ** (2 * n_round - 2)
+            growth_constant = _largest(ratio / weight)
 
-    # worst quadratic form of the drift Jacobian over sampled states
-    xs = center + rng.uniform(-1, 1, size=(n_pairs, coeffs.d)) * half
-    gb = compile_jacobian(coeffs.drift)(xs)
-    sym = 0.5 * (gb + np.swapaxes(gb, 1, 2))
-    jac_min = float(np.linalg.eigvalsh(sym)[:, 0].min())
+        # worst quadratic form of the drift Jacobian over sampled states
+        xs = center + rng.uniform(-1, 1, size=(n_pairs, coeffs.d)) * half
+        gb = compile_jacobian(coeffs.drift)(xs)
+        sym = 0.5 * (gb + np.swapaxes(gb, 1, 2))
+        jac_min = (float(np.linalg.eigvalsh(sym)[:, 0].min()) if np.isfinite(sym).all()
+                   else math.nan)
 
-    drift_second = float(np.max(_tensor_norms(derivative_stack(coeffs.drift, 2)[2], xs)))
-    first = []
-    second = []
-    for col in coeffs.diffusion:
-        _, jac, hess = derivative_stack(col, 2)
-        first.extend(jac)
-        second.extend(hess)
-    diffusion_first = float(np.max(_tensor_norms(first, xs)))
-    diffusion_second = float(np.max(_tensor_norms(second, xs)))
+    drift, *cols = (derivative_stack(f, 2) for f in (coeffs.drift, *coeffs.diffusion))
+    groups = [drift[2], [e for c in cols for e in c[1]], [e for c in cols for e in c[2]]]
+    drift_second, diffusion_first, diffusion_second = map(_largest, sampled_norms(groups, xs))
 
     passes = None
     if declared is not None:
@@ -221,6 +202,11 @@ class MomentProbe:
                 for p in self.p_values
             },
         }
+
+
+def _largest(values: np.ndarray) -> float:
+    """The largest of the sampled values, NaN for none or for a NaN among them."""
+    return float(values.max()) if values.size else math.nan
 
 
 def _finite(value) -> float | None:

@@ -77,7 +77,6 @@ from ..errors import (
     SimulationDiverged,
 )
 from ..fieldlang import CoefficientSet, compile_step_kernel, step_kernel_c
-from ..fieldlang.fields import C_TILE
 from . import brownian
 from .brownian import BrownianGrid, _brownian_paths
 
@@ -365,12 +364,12 @@ def _numpy_block(step, s, dw, h, stops, diverged, coefficients) -> np.ndarray:
     return snap
 
 
-# The probe blocks of _native_loop: paths (a tile and part of another), step
-# size, stream ids with extreme key words, and each block's steps and seed,
-# None for given increments.  A drawn stream's n m normals end in part of a
-# Philox block, with 1, 2 or 3 of its 4 words used (2 for an even m).
-_PROBE_B, _PROBE_H = C_TILE + 3, 2.0**-4
-_PROBE_IDS = (0, 2**64 - 1, 1, 2**63, 2**32 + 7, *range(9, 9 + _PROBE_B - 5))
+# The probe blocks of _native_loop: step size, the first stream ids, with
+# extreme key words (a tile and part of another take the ids 9, 10, ... after
+# them), and each block's steps and seed, None for given increments.  A drawn
+# stream's n m normals end in part of a Philox block, with 1, 2 or 3 of its 4
+# words used (2 for an even m).
+_PROBE_H, _PROBE_IDS = 2.0**-4, (0, 2**64 - 1, 1, 2**63, 2**32 + 7)
 _PROBE_BLOCKS = ((7, None), (5, 0), (6, 2**64 - 1), (7, 0))
 # The stream (seed, id) and the count of the normals that the native loop's
 # sampler must draw as numpy's does before the probe runs: about 64 draws
@@ -410,11 +409,12 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         "setup": (ctypes.c_int, (u64, u64, i64, ptr)),
         "run": (None, (ptr, ptr, ptr, i64, ptr, u64, ptr, f64, f64, i64, i64, ptr, ptr, ptr)),
         "isa": (ctypes.c_char_p, ()),
+        "tile": (i64, ()),
     })
     if not fns:
         return None
-    setup, fn, isa = fns
-    m = coeffs.m
+    setup, fn, isa, tile = fns
+    m, width = coeffs.m, tile()  # the width the library was rendered with
     seed, sid, count = _SAMPLER_CHECK
     want = brownian.standard_normal_stream(seed, sid, 0, count)
     with _TABLES_LOCK:  # reads the sampler's tables, then draws the check's stream
@@ -426,7 +426,7 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         # a tile reads its paths' rows of s before it writes their snapshot, so
         # s itself takes the snapshot when n is the only stop
         snap = s[None] if len(stops) == 1 else np.empty((len(stops),) + s.shape)
-        work = np.empty(C_TILE * n * m + 4 * -(-n * m // 4))  # the tile's increments, then words
+        work = np.empty(width * n * m + 4 * -(-n * m // 4))  # the tile's increments, then words
         ids = np.ascontiguousarray(ids, dtype=np.uint64)  # Philox key words
         if dw is not None:
             dw = np.ascontiguousarray(dw, dtype=np.float64)
@@ -437,12 +437,12 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         return snap
 
     rng = np.random.default_rng(2024)
-    d, B = coeffs.d, _PROBE_B
+    d, B = coeffs.d, width + 3
     start = _initial_state(rng.uniform(-1.5, 1.5, (d, B)), *kernel[2:])
     records = _views(start, d, flows, covariance)[-1]
     records[:] = rng.uniform(-1.5, 1.5, records.shape)
     coefficients = rng.uniform(-1.5, 1.5, (len(remainder[2]) if remainder else 0, d))
-    ids = np.array(_PROBE_IDS, dtype=np.uint64)
+    ids = np.array((*_PROBE_IDS, *range(9, B + 4)), dtype=np.uint64)
     step = compile_step_kernel(*kernel)
     with np.errstate(all="ignore"):
         for n, seed in _PROBE_BLOCKS:

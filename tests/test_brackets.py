@@ -25,14 +25,18 @@ from hypolab.brackets import (
     gram_matrix,
     lie_bracket,
     local_field_bound,
+    sampled_norms,
     spanning_value,
     stratonovich_drift,
 )
 from hypolab.errors import BracketSizeError, ConfigError, EvaluationError
 from hypolab.fieldlang import (
     CoefficientSet,
+    Const,
     VectorField,
+    compile_diffusion,
     compile_expression_stack,
+    compile_field,
     differentiate,
     jacobian,
     simplify,
@@ -517,13 +521,17 @@ def test_bracket_local_bound_includes_derivatives(ou):
 
 
 def _per_group_bound(fields, x, order):
-    """local_field_bound as one compiled stack per field and derivative group."""
+    """local_field_bound as one compiled stack per field and derivative group,
+    each group's squares added left to right."""
     pts = ball_sample(x, 1.0, 512)
     best = 0.0
     for fld in fields:
         for group in derivative_stack(fld, order):
             vals = compile_expression_stack(tuple(group), (len(group),))(pts)
-            best = max(best, float(np.sqrt(np.sum(vals * vals, axis=-1)).max()))
+            total = vals[:, 0] * vals[:, 0]
+            for j in range(1, len(group)):
+                total = total + vals[:, j] * vals[:, j]
+            best = max(best, float(np.sqrt(total).max()))
     return best
 
 
@@ -623,3 +631,62 @@ def test_local_bound_names_the_first_non_finite_field():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError, match="field '1/x1' is non-finite"):
             local_field_bound(fields, (0.0,), order=1)
+
+
+def test_derivative_stack_builds_the_row_major_jacobian_and_its_derivatives():
+    fld = _heis3().diffusion[0]
+    value, first, second = derivative_stack(fld, 2)
+    assert first == [e for row in jacobian(fld) for e in row]
+    assert second == [simplify(differentiate(e, i)) for e in first for i in (1, 2, 3)]
+    assert derivative_stack(fld, 0) == [value] == [list(fld.components)]
+
+
+def test_sampled_norms_add_each_groups_squares_in_its_order():
+    # 1, then 15 values whose squares are half an ulp of 1: added left to
+    # right each rounds away, numpy's pairwise sum of a contiguous row keeps
+    # some of them
+    group = [Const(1.0)] + [Const(2.0**-27)] * 15
+    (norms,) = sampled_norms([group], np.zeros((3, 1)))
+    row = np.array([1.0] + [2.0**-27] * 15)
+    assert norms.tolist() == [1.0] * 3
+    assert np.sqrt(np.sum(row * row)) > 1.0
+    # a group's norm is the same beside other groups
+    assert sampled_norms([group[1:], group], np.zeros((1, 1)))[1].tolist() == [1.0]
+
+
+_TANH23 = ("-x1^3 + x2, -x2^3 - x1", ["tanh(x1), 1", "x2^2, tanh(x1*x2)", "0.5, exp(-x1^2)"])
+
+
+def _frobenius_bound(coeffs, x):
+    """coefficient_local_bound from the drift's and the diffusion's own stacks."""
+    pts = ball_sample(x, 1.0, 512)
+    b = compile_field(coeffs.drift)(pts)
+    s = compile_diffusion(coeffs)(pts).reshape(len(pts), -1)  # row-major in (i, j)
+    return float(np.maximum(np.sqrt(np.sum(b * b, axis=-1)), np.sqrt(np.sum(s * s, axis=-1))).max())
+
+
+@pytest.mark.parametrize("model", ["heis", "tanh d=2 m=3"])
+def test_coefficient_bound_is_the_frobenius_reference(model):
+    coeffs = _heis3() if model == "heis" else CoefficientSet.from_text(2, 3, *_TANH23)
+    for x in ((1.0, 0.5, 0.0)[:coeffs.d], (0.3,) * coeffs.d):
+        assert coefficient_local_bound(coeffs, x) == _frobenius_bound(coeffs, x)
+
+
+def test_coefficient_bound_names_the_one_non_finite_column():
+    c = CoefficientSet.from_text(1, 3, "-x1", ["x1", "1/x1", "2"])
+    with pytest.raises(EvaluationError, match=r"^field '1/x1' is non-finite inside the ball"):
+        coefficient_local_bound(c, (0.0,))
+
+
+def test_a_local_bound_whose_norm_overflows_raises():
+    # finite values whose squares overflow: an error naming the field, and
+    # no warning (the suite turns warnings into errors)
+    with pytest.raises(EvaluationError, match=r"^field '1e\+200\*x1' is non-finite"):
+        local_field_bound([VectorField.from_text("1e200*x1", 1)], (0.0,))
+    c = CoefficientSet.from_text(1, 2, "-x1", ["1", "1e200*x1"])
+    with pytest.raises(EvaluationError, match=r"^field '1e\+200\*x1' is non-finite"):
+        coefficient_local_bound(c, (0.0,))
+    # each column's norm is finite, sigma's Frobenius norm is not
+    c = CoefficientSet.from_text(1, 2, "-x1", ["1e154*x1", "1e154*x1"])
+    with pytest.raises(EvaluationError, match="Frobenius norm of sigma overflows"):
+        coefficient_local_bound(c, (0.0,))

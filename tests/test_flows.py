@@ -6,6 +6,7 @@ import os
 import re
 import stat
 import subprocess
+import sys
 import sysconfig
 import traceback
 from pathlib import Path
@@ -1526,6 +1527,38 @@ def test_the_tile_width_changes_no_byte(name, scheme, monkeypatch, force_route):
     finally:  # no source or loop of the patched width outlives the test
         step_kernel_c.cache_clear()
         simulate._native_loop.cache_clear()
+
+
+_WIDER_TILE = """
+from hypolab.fieldlang import CoefficientSet, fields
+from hypolab.flows import simulate
+from hypolab.flows.simulate import RecordSpec, SimConfig, run_ensemble
+
+fields.C_TILE = 64  # wider than the width the engine saw at import
+ou = CoefficientSet.from_text(1, 1, "-x1", ["1"])
+cfg = SimConfig(horizon=0.5, n_steps=64, x0=(1.0,), seed=3)
+runs = []
+for native in (True, False):
+    simulate.NATIVE = native
+    simulate.STEP_ROUTES.clear()
+    res = run_ensemble(ou, cfg, 200, RecordSpec(store_paths=True))
+    runs.append((res.states.tobytes(), res.diverged_step.tobytes(), set(simulate.STEP_ROUTES)))
+(got, got_lost, native), (want, want_lost, numpy) = runs
+print(native, numpy, got == want and got_lost == want_lost)
+"""
+
+
+def test_the_loop_sizes_its_scratch_from_its_own_tile_width():
+    # a loop rendered after C_TILE was raised to 64 reads its width from the
+    # library: a 200-path OU block once overran its increments buffer and
+    # aborted ("double free or corruption"); now it gives the numpy bytes
+    src = str(Path(simulate.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _WIDER_TILE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["{'native'}", "{'numpy'}", "True"]
 
 
 def test_a_tile_past_the_stack_budget_takes_the_numpy_route(force_route):

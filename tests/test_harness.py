@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -17,8 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypolab
+from hypolab import errors
 from hypolab.brackets import BracketTable, HormanderReport, check_hormander
 from hypolab.errors import ConfigError
+from hypolab.fieldlang import Binary, Const, Power, Unary, Var, to_text
 from hypolab.harness import cli, svg
 from hypolab.harness.cli import main
 from hypolab.harness.config import load_config, parse_config_text, resolved_text
@@ -779,6 +784,130 @@ def test_cli_probe_writes_null_for_a_non_finite_ratio_band(tmp_path):
     )
     assert moments["estimates"][0] == 0.0
     assert moments["ratio_band"] is None
+
+
+def _assumptions_json(tmp_path, drift, sigma, box):
+    """Run probe-assumptions without moments and parse its assumptions as
+    strict JSON."""
+    text = f"""
+[model]
+d = 1
+m = 1
+x0 = 0.5
+drift = {drift}
+sigma1 = {sigma}
+
+[simulation]
+T = 1.0
+n_steps = 16
+paths = 2
+seed = 3
+
+[analysis]
+box_min = {-box}
+box_max = {box}
+"""
+    cfg = _write(tmp_path, text)
+    assert main(["probe-assumptions", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    raw = (tmp_path / "o" / "probe.json").read_text()
+    return json.loads(raw, parse_constant=_reject_constant)["assumptions"]
+
+
+def test_cli_probe_writes_null_for_overflowing_smoothness_norms(tmp_path):
+    # sigma's derivatives 2e200 x1 and 2e200 square past the largest double
+    probe = _assumptions_json(tmp_path, "-x1^3", "1e200*x1^2", 2.0)
+    smooth = probe["smoothness"]
+    assert smooth["diffusion_first_derivative_max"] is None
+    assert smooth["diffusion_second_derivative_max"] is None
+    assert smooth["drift_second_derivative_max"] == pytest.approx(12.0, rel=0.01)
+    assert probe["polynomial_growth"]["fitted_N"] == pytest.approx(3.0, abs=0.4)
+
+
+def test_cli_probe_writes_null_for_a_growth_fit_that_overflows(tmp_path):
+    # on |x| <= 1e60 the cubic's |b(x) - b(y)|^2 is infinite for the largest
+    # pairs, which the log-log fit needs: slope, N and L1 are undefined
+    probe = _assumptions_json(tmp_path, "-x1^3", "1", 1e60)
+    assert probe["polynomial_growth"] == {
+        "log_log_slope": None, "fitted_N": None, "fitted_L1": None,
+    }
+    assert probe["monotonicity"]["fitted_L"] < 0
+
+
+# exit codes of cli.main: 0, each HypolabError's, and out of memory
+_EXIT_CODES = {0, cli._EXIT_OUT_OF_MEMORY} | {
+    cls.exit_code for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.HypolabError)
+}
+_MAGNITUDES = st.floats(1e-300, 1e300).map(lambda v: 10.0 ** round(math.log10(v), 1))
+
+
+def _exprs_over(d):
+    """Expressions over x1..xd with constants from 1e-300 to 1e300."""
+    leaves = st.one_of(
+        st.integers(-3, 3).map(lambda v: Const(float(v))),
+        st.tuples(st.sampled_from([1.0, -1.0]), _MAGNITUDES).map(lambda p: Const(p[0] * p[1])),
+        st.sampled_from([Var(i) for i in range(1, d + 1)]),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(["neg", "sin", "cos", "exp", "tanh"]), children),
+            st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]), children, children),
+            st.builds(Power, children, st.integers(0, 3)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def _probe_config(d, drift, sigma, bounds, seed, pairs):
+    lows, highs = zip(*(sorted(b) for b in bounds))
+    return f"""
+[model]
+d = {d}
+m = 1
+x0 = {", ".join(["0.5"] * d)}
+drift = {", ".join(map(to_text, drift))}
+sigma1 = {", ".join(map(to_text, sigma))}
+
+[simulation]
+T = 1.0
+n_steps = 4
+paths = 2
+seed = {seed}
+
+[analysis]
+box_min = {", ".join(map(repr, lows))}
+box_max = {", ".join(map(repr, highs))}
+pairs = {pairs}
+"""
+
+
+def _probe_configs(d):
+    fields = st.lists(_exprs_over(d), min_size=d, max_size=d)
+    bounds = st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 2), min_size=d, max_size=d)
+    return st.builds(_probe_config, st.just(d), fields, fields, bounds,
+                     st.integers(0, 2**64 - 1), st.integers(8, 32))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=_probe_configs(1) | _probe_configs(2))
+def test_cli_probe_assumptions_fuzz_ends_in_an_exit_code_and_strict_json(text):
+    # every config ends in a documented exit code, with stderr empty or one
+    # error line, no warning, and a probe.json without NaN or Infinity
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out, err = os.path.join(tmp, "exp.cfg"), os.path.join(tmp, "o"), io.StringIO()
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["probe-assumptions", "--config", cfg, "--out", out])
+        assert not caught, [str(w.message) for w in caught]
+        assert code in _EXIT_CODES
+        lines = err.getvalue().splitlines()
+        assert lines == [] if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
+        if code == 0:
+            with open(os.path.join(out, "probe.json"), encoding="utf-8") as fh:
+                json.loads(fh.read(), parse_constant=_reject_constant)
 
 
 def test_cli_probe_needs_two_paths_per_start(tmp_path, capsys):

@@ -1,10 +1,17 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hypolab.brackets import derivative_stack
 from hypolab.errors import ConfigError
-from hypolab.fieldlang import CoefficientSet
+from hypolab.fieldlang import (
+    CoefficientSet,
+    compile_expression_stack,
+    compile_jacobian,
+    fields,
+)
 from hypolab.flows import SimConfig, assumption_probe, moment_probe
 
 
@@ -66,6 +73,75 @@ def test_probe_validates_box():
     c = CoefficientSet.from_text(1, 1, "-x1", ["1"])
     with pytest.raises(ConfigError):
         assumption_probe(c, [1.0], [-1.0])
+
+
+_TANH23 = ("-x1^3 + x2, -x2^3 - x1", ["tanh(x1), 1", "x2^2, tanh(x1*x2)", "0.5, exp(-x1^2)"])
+
+
+def _largest_norm(group, xs):
+    """Largest norm of one group from a stack of its own, its squares added in
+    the group's order."""
+    vals = compile_expression_stack(tuple(group), (len(group),))(xs)
+    total = vals[:, 0] * vals[:, 0]
+    for j in range(1, len(group)):
+        total = total + vals[:, j] * vals[:, j]
+    return float(np.sqrt(total).max())
+
+
+@pytest.mark.parametrize("model,seed,box", [("heis", 0, 2.0), ("tanh", 0, 2.0),
+                                            ("tanh", 5, 0.7)])
+def test_probe_norms_equal_per_group_references(model, seed, box):
+    coeffs = (CoefficientSet.from_text(3, 2, "-x1 - x1^3, -x2 - x2^3, -x3",
+                                       ["1, 0, -0.5*x2", "0, 1, 0.5*x1"])
+              if model == "heis" else CoefficientSet.from_text(2, 3, *_TANH23))
+    d, n = coeffs.d, 300
+    probe = assumption_probe(coeffs, [-box] * d, [box] * d, n_pairs=n, seed=seed)
+    # the states follow two pairs for each of the three scales and the growth pairs
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        rng.uniform(-1, 1, size=(n, d))
+    xs = rng.uniform(-1, 1, size=(n, d)) * box
+    cols = [derivative_stack(col, 2) for col in coeffs.diffusion]
+    assert probe.drift_second_max == _largest_norm(derivative_stack(coeffs.drift, 2)[2], xs)
+    assert probe.diffusion_first_max == _largest_norm([e for c in cols for e in c[1]], xs)
+    assert probe.diffusion_second_max == _largest_norm([e for c in cols for e in c[2]], xs)
+    gb = compile_jacobian(coeffs.drift)(xs)
+    sym = 0.5 * (gb + np.swapaxes(gb, 1, 2))
+    assert probe.jacobian_form_min == float(np.linalg.eigvalsh(sym)[:, 0].min())
+
+
+def test_assumption_probe_compiles_at_most_three_stacks(monkeypatch):
+    # the drift, its Jacobian, and one stack for every smoothness norm
+    compile_expression_stack.cache_clear()
+    labels = []
+    define = fields._define
+
+    def counting(name, label, emit):
+        labels.append(label)
+        return define(name, label, emit)
+
+    monkeypatch.setattr(fields, "_define", counting)
+    assumption_probe(CoefficientSet.from_text(2, 3, *_TANH23), [-1.0, -1.0], [1.0, 1.0])
+    assert 0 < len(labels) <= 3
+
+
+def test_probe_without_a_pair_far_enough_apart_reports_nan():
+    # every sampled pair of the box of width 2e-9 is closer than 1e-8
+    c = CoefficientSet.from_text(1, 1, "-x1^3", ["1"])
+    probe = assumption_probe(c, [-1e-9], [1e-9], n_pairs=16)
+    assert np.isnan(probe.monotone_constant) and np.isnan(probe.growth_constant)
+    assert probe.to_json_dict()["monotonicity"]["fitted_L"] is None
+
+
+@pytest.mark.parametrize("low,high", [(0.0, 1e155), (-1.7e308, 1.7e308)])
+def test_probe_of_a_box_whose_widths_overflow_warns_nothing(low, high):
+    # |x - y|^2 overflows for the wider pairs of [0, 1e155], and the width
+    # itself for [-1.7e308, 1.7e308]; the suite turns a warning into an
+    # error, and a NaN constant is written as null
+    c = CoefficientSet.from_text(1, 1, "-x1", ["1"])
+    probe = assumption_probe(c, [low], [high], n_pairs=16)
+    assert np.isnan(probe.monotone_constant)
+    json.dumps(probe.to_json_dict(), allow_nan=False)
 
 
 def test_moment_probe_deterministic_system():
