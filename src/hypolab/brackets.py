@@ -27,12 +27,12 @@ from .fieldlang import (
     Expression,
     VectorField,
     compile_expression_stack,
-    differentiate,
+    derivative,
     jacobian,
     node_count,
     simplify,
 )
-from .fieldlang.ast import Binary, Const, _simp_binary
+from .fieldlang.ast import _ZEROS, Binary, Const, _simp_binary
 
 __all__ = [
     "MultiIndex",
@@ -136,10 +136,20 @@ def enumerate_indices(max_weight: int, m: int, by_length: bool = False) -> list[
     return out
 
 
+def _is_zero(fld: VectorField) -> bool:
+    """Whether every component is a constant 0, of either sign."""
+    return all(c in _ZEROS for c in fld.components)
+
+
 def lie_bracket(v: VectorField, u: VectorField) -> VectorField:
     """Commutator field [v, u] = (Jacobian of u) v - (Jacobian of v) u."""
     if v.dim != u.dim:
         raise ConfigError("bracket of fields with different dimensions")
+    zero, negative_zero = _ZEROS
+    if _is_zero(v) or _is_zero(u):
+        # every product below has a constant-0 factor, and the running sum
+        # stays +0.0 (+0.0 + -0.0 and +0.0 - -0.0 are +0.0)
+        return VectorField(v.dim, (zero,) * v.dim)
     ju = jacobian(u)
     jv = jacobian(v)
     vs, us = [simplify(c) for c in v.components], [simplify(c) for c in u.components]
@@ -148,10 +158,14 @@ def lie_bracket(v: VectorField, u: VectorField) -> VectorField:
         # simplify(0 + Ju[j][0] v[0] - Jv[j][0] u[0] + ...), one operation at a time
         # as simplify folds it: the same node, without the unsimplified sum.  The
         # Jacobian entries are simplify's results already, which it leaves as they are.
-        term: Expression = Const(0.0)
+        # A product with a constant-0 factor is a constant 0, which leaves the
+        # sum as it is unless the sum is -0.0, which adding +0.0 turns to +0.0.
+        term: Expression = zero
         for i in range(v.dim):
-            term = _simp_binary("add", term, _simp_binary("mul", ju[j][i], vs[i]))
-            term = _simp_binary("sub", term, _simp_binary("mul", jv[j][i], us[i]))
+            for op, jac, w in (("add", ju[j][i], vs[i]), ("sub", jv[j][i], us[i])):
+                if (jac in _ZEROS or w in _ZEROS) and term is not negative_zero:
+                    continue
+                term = _simp_binary(op, term, _simp_binary("mul", jac, w))
         comps.append(term)
     return VectorField(v.dim, tuple(comps))
 
@@ -269,8 +283,7 @@ def _gram_stack(pts: np.ndarray, L: int, table: BracketTable) -> np.ndarray:
     grams = np.zeros((len(pts), table.d, table.d))
     # a bracket that is constant 0 (of either sign) adds nothing: grams starts
     # at +0.0, and adding zeros to +0.0 gives +0.0, so it is left out
-    nonzero = [fld for fld in fields
-               if not all(isinstance(c, Const) and c.value == 0.0 for c in fld.components)]
+    nonzero = [fld for fld in fields if not _is_zero(fld)]
     for fld in nonzero:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -450,8 +463,7 @@ def derivative_stack(fld: VectorField, order: int) -> list[list[Expression]]:
     """The field's components, then each derivative tensor up to ``order``, row-major."""
     groups = [list(fld.components)]
     for _ in range(order):
-        groups.append([simplify(differentiate(e, i))
-                       for e in groups[-1] for i in range(1, fld.dim + 1)])
+        groups.append([derivative(e, i) for e in groups[-1] for i in range(1, fld.dim + 1)])
     return groups
 
 
@@ -461,15 +473,25 @@ def sampled_norms(groups: Sequence[Sequence[Expression]], pts: np.ndarray) -> li
 
     The distinct expressions of all groups, in first-seen order, are compiled
     into one stack and evaluated once, floating point errors ignored.  Each
-    group adds its squares left to right in its own order (numpy's sum would
-    add 8 or more pairwise).  A non-finite value or an overflowing sum gives
-    a non-finite norm, which the caller judges.
+    group adds its squares left to right in its own order, with one
+    ``np.add.reduce`` over the rows of its squares: numpy adds an outer axis
+    row by row, but a contiguous one (as the single row of one point is) 8 or
+    more pairwise, so one point's squares are added a row at a time.  A
+    constant 0 is left out: its square is +0.0, and a sum of squares, never
+    -0.0, plus +0.0 is the same sum.  A non-finite value or an overflowing
+    sum gives a non-finite norm, which the caller judges.
     """
-    column = {e: i for i, e in enumerate(dict.fromkeys(e for g in groups for e in g))}
+    rows = [[e for e in g if e not in _ZEROS] for g in groups]
+    distinct = {id(e): e for row in rows for e in row}  # nodes are interned: ids are keys
+    column = dict(zip(distinct, range(len(distinct))))
     with np.errstate(all="ignore"):
-        stack = compile_expression_stack(tuple(column), (len(column),))(pts)
+        stack = compile_expression_stack(tuple(distinct.values()), (len(distinct),))(pts)
         squares = np.ascontiguousarray(np.square(stack).T)  # a row per expression
-        return [np.sqrt(sum(squares[column[e]] for e in g)) for g in groups]
+        if len(pts) == 1:
+            return [np.sqrt(sum((squares[column[id(e)]] for e in row), np.zeros(1)))
+                    for row in rows]
+        return [np.sqrt(np.add.reduce(squares[[column[id(e)] for e in row]], axis=0))
+                for row in rows]
 
 
 def local_field_bound(

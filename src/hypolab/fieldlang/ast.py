@@ -7,8 +7,15 @@ real constants, the unary operations ``-``, ``sin``, ``cos``, ``exp``,
 fields, so equal trees are one object and compare by identity, constants by
 value and sign (``0.0`` and ``-0.0`` are two nodes).  Each node's structural
 hash is computed once, at construction, from its children's.
-:func:`differentiate` and :func:`simplify` are memoised on the nodes, so a
-subtree met again costs one lookup.
+:func:`differentiate`, :func:`simplify` and :func:`derivative` (which is
+``simplify(differentiate(e, i))``, built without the unsimplified tree) are
+memoised on the nodes, so a subtree met again costs one lookup.
+
+For evaluation an expression is lowered, each power to its chain of
+products, to a DAG (``_dag``) whose shared nodes are computed once.
+``_np_lines`` writes that DAG as numpy or C text, which the engine's step
+kernels compile; ``fields.compile_expression_stack`` runs the same numpy
+operations in the same order without generating text.
 """
 from __future__ import annotations
 
@@ -29,6 +36,7 @@ __all__ = [
     "BINARY_OPS",
     "evaluate",
     "differentiate",
+    "derivative",
     "simplify",
     "to_text",
     "node_count",
@@ -208,19 +216,16 @@ def _check_finite(value: float, expr: Expression) -> float:
 
 
 # Bounded memo tables of the symbolic layer: a heis-model bracket bound
-# fills about 0.9k simplify, 0.6k differentiate and 0.1k node_count entries.
+# fills about 0.2k simplify, 0.6k derivative and 0.1k node_count entries.
 _MEMO_SIZE = 1 << 14
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def differentiate(expr: Expression, index: int) -> Expression:
-    """Symbolic partial derivative with respect to ``x{index}``.
-
-    Exact chain/product/quotient rules; tanh'(u) = 1 - tanh(u)^2.  The result
-    is not simplified; compose with :func:`simplify` for tidy output.
-    Memoised, as :func:`simplify` is: the trees are immutable, so a cached
-    result is shared by every caller.
-    """
+def _derive(expr: Expression, index: int, d, operand, unary, binary, power) -> Expression:
+    """The derivative of ``expr`` in ``x{index}`` by the chain, product and
+    quotient rules, written once over the node constructors ``unary``,
+    ``binary`` and ``power``: ``d(child, index)`` is a child's derivative and
+    ``operand(child)`` the child as the rules' result holds it.  tanh'(u) =
+    1 - tanh(u)^2."""
     if index < 1:
         raise ValueError("derivative index must be >= 1")
     if isinstance(expr, Const):
@@ -228,45 +233,59 @@ def differentiate(expr: Expression, index: int) -> Expression:
     if isinstance(expr, Var):
         return Const(1.0 if expr.index == index else 0.0)
     if isinstance(expr, Unary):
-        d = differentiate(expr.arg, index)
-        a = expr.arg
+        da, a = d(expr.arg, index), operand(expr.arg)
         if expr.op == "neg":
-            return Unary("neg", d)
+            return unary("neg", da)
         if expr.op == "sin":
-            return Binary("mul", Unary("cos", a), d)
+            return binary("mul", unary("cos", a), da)
         if expr.op == "cos":
-            return Unary("neg", Binary("mul", Unary("sin", a), d))
+            return unary("neg", binary("mul", unary("sin", a), da))
         if expr.op == "exp":
-            return Binary("mul", Unary("exp", a), d)
-        # tanh
-        return Binary(
-            "mul",
-            Binary("sub", Const(1.0), Power(Unary("tanh", a), 2)),
-            d,
-        )
+            return binary("mul", unary("exp", a), da)
+        return binary("mul", binary("sub", Const(1.0), power(unary("tanh", a), 2)), da)
     if isinstance(expr, Binary):
-        da = differentiate(expr.lhs, index)
-        db = differentiate(expr.rhs, index)
-        a, b = expr.lhs, expr.rhs
-        if expr.op == "add":
-            return Binary("add", da, db)
-        if expr.op == "sub":
-            return Binary("sub", da, db)
+        da, db = d(expr.lhs, index), d(expr.rhs, index)
+        a, b = operand(expr.lhs), operand(expr.rhs)
+        if expr.op in ("add", "sub"):
+            return binary(expr.op, da, db)
         if expr.op == "mul":
-            return Binary("add", Binary("mul", da, b), Binary("mul", a, db))
-        # quotient rule
-        num = Binary("sub", Binary("mul", da, b), Binary("mul", a, db))
-        return Binary("div", num, Power(b, 2))
+            return binary("add", binary("mul", da, b), binary("mul", a, db))
+        num = binary("sub", binary("mul", da, b), binary("mul", a, db))
+        return binary("div", num, power(b, 2))
     if isinstance(expr, Power):
         if expr.exponent == 0:
             return Const(0.0)
-        db = differentiate(expr.base, index)
-        return Binary(
-            "mul",
-            Binary("mul", Const(float(expr.exponent)), Power(expr.base, expr.exponent - 1)),
-            db,
-        )
+        db, b = d(expr.base, index), operand(expr.base)
+        return binary("mul", binary("mul", Const(float(expr.exponent)),
+                                    power(b, expr.exponent - 1)), db)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def differentiate(expr: Expression, index: int) -> Expression:
+    """Symbolic partial derivative with respect to ``x{index}``.
+
+    Exact chain/product/quotient rules; tanh'(u) = 1 - tanh(u)^2.  The result
+    is not simplified: :func:`derivative` is the simplified one.  Memoised,
+    as :func:`simplify` is: the trees are immutable, so a cached result is
+    shared by every caller.
+    """
+    return _derive(expr, index, differentiate, _itself, Unary, Binary, Power)
+
+
+def _itself(expr: Expression) -> Expression:
+    return expr
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def derivative(expr: Expression, index: int) -> Expression:
+    """``simplify(differentiate(expr, index))``, the same node, built simplified.
+
+    :func:`differentiate`'s rules, each node they make folded at once by the
+    step :func:`simplify` would apply to it, and each operand taken
+    simplified, so no unsimplified tree is built.  Memoised.
+    """
+    return _derive(expr, index, derivative, simplify, _simp_unary, _simp_binary, _simp_power)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -441,6 +460,42 @@ def _literal(v: float, c: bool = False) -> str:
     return f"({float.hex(v)})" if c else f"({v!r})"
 
 
+def _lower(e: Expression) -> Expression:
+    """``e``, or for a power its ``_power_chain`` of interned products (x^0 is 1.0),
+    so equal chains are one node; x^1 is x, itself maybe a power."""
+    while isinstance(e, Power):
+        n = e.exponent
+        e = _power_chain(e.base, n, partial(Binary, "mul")) if n else Const(1.0)
+    return e
+
+
+def _dag(exprs: Sequence[Expression]):
+    """The lowered DAG of ``exprs``, in one walk: ``(roots, kids, refs, order)``.
+
+    ``roots[i]`` is ``exprs[i]`` lowered; ``kids`` and ``refs`` are keyed by
+    ``id(node)`` (nodes are interned for the life of the process, and a dict
+    keyed by ids never calls a node's ``__hash__``): ``kids`` holds a non-leaf
+    node's lowered operands, ``refs`` the references to a node over all
+    ``exprs``, a node's operands counted at its first reference only.
+    ``order`` lists the non-leaf nodes in post-order of first reference, left
+    operand first: the order in which ``_np_lines`` writes them.
+    """
+    kids, refs, order = {}, {}, []
+
+    def count(e):
+        if type(e) is Power:
+            e = _lower(e)
+        key = id(e)
+        seen = refs.get(key, 0)
+        refs[key] = seen + 1
+        if not seen and type(e) in (Unary, Binary):
+            kids[key] = (count(e.arg),) if type(e) is Unary else (count(e.lhs), count(e.rhs))
+            order.append(e)
+        return e
+
+    return [count(e) for e in exprs], kids, refs, order
+
+
 def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str = "t",
               c: bool = False):
     """numpy source of ``exprs``: ``(lines, texts)``, ``texts[i]`` computing ``exprs[i]``
@@ -452,39 +507,25 @@ def _np_lines(exprs: Sequence[Expression], var: str = "X[..., {}]", local: str =
     constants are exact hexadecimal literals; ``exprs`` may then hold no ``sin``,
     ``cos``, ``exp`` or ``tanh``, whose numpy and libm results may differ in the
     last bit."""
-    refs, lines, texts = {}, [], {}
-
-    def lower(e):  # a chain's products are interned nodes, so equal chains are one node
-        while isinstance(e, Power):  # x^1 is x, itself maybe a power
-            n, mul = e.exponent, partial(Binary, "mul")
-            e = _power_chain(e.base, n, mul) if n else Const(1.0)
-        return e
-
-    def count(e):
-        e = lower(e)
-        refs[e] = refs.get(e, 0) + 1
-        if refs[e] == 1 and not isinstance(e, (Const, Var)):
-            for child in (e.arg,) if isinstance(e, Unary) else (e.lhs, e.rhs):
-                count(child)
+    roots, kids, refs, order = _dag(exprs)
+    lines, texts = [], {}
 
     def text(e):
-        e = lower(e)
-        if e in texts:
-            return texts[e]
-        t = (_literal(e.value, c) if isinstance(e, Const)
-             else var.format(e.index - 1) if isinstance(e, Var)
-             else _NP_UNARY[e.op].format(a=text(e.arg)) if isinstance(e, Unary)
-             else _NP_BINARY[e.op].format(a=flat(e), b=text(e.rhs)))
-        if refs[e] > 1 and not isinstance(e, (Const, Var)):
+        t = texts.get(id(e))
+        return t if t is not None else (_literal(e.value, c) if isinstance(e, Const)
+                                        else var.format(e.index - 1))
+
+    for e in order:
+        if isinstance(e, Unary):
+            t = _NP_UNARY[e.op].format(a=text(kids[id(e)][0]))
+        else:
+            lhs, rhs = kids[id(e)]
+            a = text(lhs)  # (a * b) * c as a * b * c, the same order: a chain nests no parentheses
+            if e.op == "mul" == getattr(lhs, "op", "") and a[0] == "(":
+                a = a[1:-1]
+            t = _NP_BINARY[e.op].format(a=a, b=text(rhs))
+        if refs[id(e)] > 1:
             lines.append((f"{local}{len(lines)}", t))
-            t = f"{local}{len(lines) - 1}"
-        texts[e] = t
-        return t
-
-    def flat(e):  # (a * b) * c as a * b * c, the same order: a chain nests no parentheses
-        a = text(e.lhs)
-        return a[1:-1] if e.op == "mul" == getattr(lower(e.lhs), "op", "") and a[0] == "(" else a
-
-    for e in exprs:
-        count(e)
-    return lines, [text(e) for e in exprs]
+            t = lines[-1][0]
+        texts[id(e)] = t
+    return lines, [text(e) for e in roots]

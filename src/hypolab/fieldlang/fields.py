@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import itertools
 import linecache
+import operator
 import re
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,11 +19,12 @@ from .ast import (
     Expression,
     Power,
     Unary,
+    Var,
+    _dag,
     _literal,
     _np_lines,
-    differentiate,
+    derivative,
     evaluate,
-    simplify,
     to_text,
 )
 from .parser import parse_expression
@@ -110,11 +112,12 @@ def jacobian(field: VectorField) -> tuple[tuple[Expression, ...], ...]:
 
     With this orientation ``jacobian(u) @ v`` is the directional derivative of
     ``u`` along ``v``, so the bracket [v, u] = Ju*v - Jv*u reads off directly.
-    Memoised per field, like the ``differentiate`` and ``simplify`` calls
+    Each entry is ``derivative(comp, i)``, which is ``simplify(differentiate(comp,
+    i))`` built simplified.  Memoised per field, like the ``derivative`` calls
     it is made of.
     """
     return tuple(
-        tuple(simplify(differentiate(comp, i)) for i in range(1, field.dim + 1))
+        tuple(derivative(comp, i) for i in range(1, field.dim + 1))
         for comp in field.components
     )
 
@@ -149,26 +152,186 @@ def _define(name: str, label: str, emit: Callable[[], list[str]]) -> Callable:
     return namespace[name]
 
 
+# The operations of ``_np_lines``'s numpy text: ``(-a)``, ``np.sin(a)``,
+# ``(a + b)``, ...  On Python floats, such as two constants, they are
+# Python's float arithmetic, as the text's are.
+_STACK_OPS = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+              "tanh": np.tanh, "add": operator.add, "sub": operator.sub,
+              "mul": operator.mul, "div": operator.truediv}
+# Python's tokenizer refuses a statement nested deeper in brackets.
+_MAX_NESTING = 200
+_TOO_DEEP = "expression nested too deeply to compile ({})"
+
+
+def _nested(e: Expression, lhs: Expression, left: int, right: int | None) -> int:
+    """The bracket nesting of ``e``'s text in ``_np_lines``, from its
+    operands': ``left`` of the (left) operand ``lhs``, and ``right``, None
+    when ``e`` is unary.  A leaf's text nests 1 bracket, a shared node's
+    name none, and a product whose left factor is a product is written flat."""
+    if right is None:
+        return left + 1
+    flat = e.op == "mul" == getattr(lhs, "op", "") and left > 0
+    return max(left - flat, right) + 1
+
+
+def _nesting(kids: dict, refs: dict, order: list) -> int:
+    """The deepest bracket nesting of ``_np_lines``'s text of a DAG."""
+    nest = {}
+
+    def read(e):
+        return 0 if refs[id(e)] > 1 and id(e) in kids else nest.get(id(e), 1)
+
+    for e in order:
+        ops = kids[id(e)]
+        nest[id(e)] = _nested(e, ops[0], read(ops[0]), read(ops[1]) if len(ops) == 2 else None)
+    return max(nest.values(), default=1)
+
+
+def _store(key, out, value):
+    out[key] = value
+
+
+# The text's operators, as numpy runs them on a temporary array that dies
+# with the operation (its "temporary elision", which it does only for arrays
+# of 256 KiB or more): into that array, with the same bits.
+_ELIDED = {operator.neg: np.negative, operator.add: np.add, operator.sub: np.subtract,
+           operator.mul: np.multiply, operator.truediv: np.true_divide}
+
+
+def _into(op, right: bool):
+    """``op``, computed into its dying right (or left) operand when that is an
+    array; on scalars, such as Python floats, ``op`` itself."""
+    ufunc = _ELIDED[op]
+    if op is operator.neg:
+        return lambda a: ufunc(a, out=a) if type(a) is np.ndarray else op(a)
+    if right:
+        return lambda a, b: ufunc(a, b, out=b) if type(b) is np.ndarray else op(a, b)
+    return lambda a, b: ufunc(a, b, out=a) if type(a) is np.ndarray else op(a, b)
+
+
+class _Stack:
+    """``compile_expression_stack``'s function: its expressions' lowered DAG
+    (``ast._dag``), evaluated as the numpy text of ``_np_lines`` would be, but
+    without generating or compiling that text.
+
+    ``program`` holds one instruction ``(fn, a, b, dst, drop)`` per operation
+    of the text, in the order in which its statements would run them: each
+    shared node's assignment in turn, then ``out[..., i] = ...`` for each i,
+    each statement's operands first, left to right, and each node computed
+    once.  A column ``X[..., j]`` is taken where the text first reads it, a
+    constant is a Python float.  An instruction sets ``vals[dst] =
+    fn(vals[a], vals[b])``, or ``fn(vals[a])`` when ``b`` is None, then
+    clears the slots in ``drop``: an intermediate is dropped after its last
+    use; ``+ - * /`` and negation write into an operand that dies with them,
+    as numpy's temporary elision does.  ``nodes[k]`` is the node that
+    instruction k computes or reads, or the i of ``out[..., i]`` that it
+    stores; an exception there gets a note naming that node and the
+    expression it is part of.
+    """
+
+    __slots__ = ("exprs", "shape", "program", "nodes", "_init", "__weakref__")
+
+    def __init__(self, exprs: tuple[Expression, ...], shape: tuple[int, ...]):
+        self.exprs, self.shape = exprs, shape
+        init = [None, None, None]  # slots: X, out, the stores' None, then the nodes'
+        program, nodes, slots, last, computed = [], [], {}, {}, []
+
+        def emit(fn, a, b, dst, node):
+            last[a] = last[b] = len(program)
+            program.append((fn, a, b, dst, ()))
+            nodes.append(node)
+
+        def operand(e):  # e's slot, and the bracket nesting of its text where read
+            key = id(e)
+            slot = slots.get(key)
+            if slot is not None:  # a leaf read before, or a shared node, written as its name
+                return slot, 0 if key in kids else 1
+            if key in kids:
+                return compute(e, key)
+            slot = slots[key] = len(init)
+            init.append(e.value if type(e) is Const else None)
+            if type(e) is Var:
+                emit(operator.itemgetter((Ellipsis, e.index - 1)), 0, None, slot, e)
+            return slot, 1
+
+        def compute(e, key):  # e's operands, then e
+            ops = kids[key]
+            a, left = operand(ops[0])
+            b, right = operand(ops[1]) if len(ops) == 2 else (None, None)
+            nest = _nested(e, ops[0], left, right)
+            if nest > _MAX_NESTING:
+                raise ConfigError(_TOO_DEEP.format("too many nested parentheses"))
+            slot = slots[key] = len(init)
+            init.append(None)
+            computed.append(slot)
+            emit(_STACK_OPS[e.op], a, b, slot, e)
+            return slot, nest
+
+        kids = refs = order = None
+        try:
+            roots, kids, refs, order = _dag(exprs)
+            for e in order:
+                if refs[id(e)] > 1:
+                    compute(e, id(e))
+            for i, e in enumerate(roots):
+                emit(partial(_store, (Ellipsis, i)), 1, operand(e)[0], 2, i)
+        except RecursionError as exc:  # the text's nesting decides, if it gets that far
+            deep = order is not None and _nesting(kids, refs, order) > _MAX_NESTING
+            raise ConfigError(_TOO_DEEP.format("too many nested parentheses" if deep else exc)
+                              ) from None
+        for n in computed:  # cleared after its last use, which may compute into it
+            fn, a, b, dst, drop = program[last[n]]
+            program[last[n]] = (fn, a, b, dst, drop + (n,))
+        for k, (fn, a, b, dst, drop) in enumerate(program):
+            if fn in _ELIDED and (a in drop or b in drop):
+                program[k] = (_into(fn, a not in drop), a, b, dst, drop)
+        self.program, self.nodes, self._init = tuple(program), tuple(nodes), init
+
+    def __call__(self, X) -> np.ndarray:
+        X = np.asarray(X, np.float64)
+        out = np.empty(X.shape[:-1] + (len(self.exprs),))
+        vals = self._init.copy()
+        vals[0], vals[1] = X, out
+        k = 0
+        try:
+            for k, (fn, a, b, dst, drop) in enumerate(self.program):
+                vals[dst] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+                for n in drop:
+                    vals[n] = None
+        except Exception as exc:
+            if hasattr(exc, "add_note"):
+                exc.add_note(self._describe(k))
+            raise
+        return out.reshape(X.shape[:-1] + self.shape)
+
+    def _describe(self, k: int) -> str:
+        """Where instruction ``k`` is: its node and the first expression holding it."""
+        node = self.nodes[k]
+        if isinstance(node, int):
+            i, what = node, "storing"
+        else:
+            i = next(i for i, e in enumerate(self.exprs) if id(node) in _dag((e,))[2])
+            what = f"{'reading' if type(node) is Var else 'computing'} '{to_text(node)}' of"
+        return f"in {self!r}: {what} out[..., {i}] = {to_text(self.exprs[i])}"
+
+    def __repr__(self) -> str:
+        return f"<fieldlang stack {self.shape!r} of {len(self.exprs)} expressions>"
+
+
 @lru_cache(maxsize=1024)
 def compile_expression_stack(exprs: tuple[Expression, ...], shape: tuple[int, ...]) -> Callable:
-    """Compile a flat tuple of k expressions into one generated function
-    X (..., d) -> (..., *shape).
+    """A function X (..., d) -> (..., *shape) evaluating a flat tuple of k
+    expressions.
 
     The function reads X once as float64, assigns expression i to
     ``out[..., i]`` of one (..., k) array (a constant broadcasts), and
-    reshapes to ``shape``.
+    reshapes to ``shape``.  It runs the numpy operations that ``_np_lines``'s
+    text would, in the same order and with the same bits, each subexpression
+    once (``_Stack``), but no source is generated: a stack often runs once.
+    An expression whose text would nest too deeply for Python to compile
+    raises ConfigError, as the step kernels, which are compiled, would.
     """
-    k = len(exprs)
-
-    def emit():
-        temps, texts = _np_lines(exprs, "X[..., {}]")
-        lines = [f"{name} = {t}" for name, t in temps]
-        lines += [f"out[..., {i}] = {t}" for i, t in enumerate(texts)]
-        body = ["X = np.asarray(X, np.float64)", f"out = np.empty(X.shape[:-1] + ({k},))",
-                *lines, f"return out.reshape(X.shape[:-1] + {shape!r})"]
-        return ["def stack(X):", *(f"    {line}" for line in body)]
-
-    return _define("stack", f"fieldlang stack {shape}", emit)
+    return _Stack(exprs, shape)
 
 
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 50

@@ -79,9 +79,13 @@ def assumption_probe(
 
     The monotonicity constant is refit on rescaled copies of the box; growth
     of the fitted constant by more than 1.0 across scales flags non-uniform
-    monotonicity (the sampled sup keeps growing with the domain).  Floating
-    point errors are ignored: a constant that overflows, or that no sampled
-    pair defines, is NaN or infinite, and ``to_json_dict`` writes it as null.
+    monotonicity (the sampled sup keeps growing with the domain).  The growth
+    exponent N is fitted on the log-log slope of the pairs in the upper half
+    of |x|; with fewer than 4 of them, or too little spread in |x|, no fit is
+    made: the slope and N are NaN, no declared N passes, and L1 is fitted at
+    N = 1.  Floating point errors are ignored: a constant that overflows, or
+    that no sampled pair defines, is NaN or infinite, and ``to_json_dict``
+    writes it as null.
     """
     lows = np.asarray(box_lows, dtype=float)
     highs = np.asarray(box_highs, dtype=float)
@@ -121,11 +125,11 @@ def assumption_probe(
         big = (u >= (np.median(u) if u.size else 0.0)) & (ratio > 1e-300) & (u > 1e-12)
         slope = fitted_n = growth_constant = math.nan  # unless the fitted pairs are finite
         if np.isfinite(ratio[big]).all() and np.isfinite(u[big]).all():
-            slope = 0.0
+            n_round = 1  # no fit, and N is left NaN, with under 4 pairs or too little spread
             if big.sum() >= 4 and u[big].max() / u[big].min() > 1.05:
                 slope = max(float(np.polyfit(np.log(u[big]), np.log(ratio[big]), 1)[0]), 0.0)
-            fitted_n = 1.0 + slope / 2.0
-            n_round = max(1, int(round(fitted_n)))
+                fitted_n = 1.0 + slope / 2.0
+                n_round = max(1, int(round(fitted_n)))
             weight = 1.0 + u ** (2 * n_round - 2) + np.minimum(nx, ny) ** (2 * n_round - 2)
             growth_constant = _largest(ratio / weight)
 

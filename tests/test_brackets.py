@@ -1,10 +1,9 @@
-import ast
 import hashlib
 import itertools
-import linecache
 import subprocess
 import sys
-from collections import Counter
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,8 +30,12 @@ from hypolab.brackets import (
 )
 from hypolab.errors import BracketSizeError, ConfigError, EvaluationError
 from hypolab.fieldlang import (
+    Binary,
     CoefficientSet,
     Const,
+    Power,
+    Unary,
+    Var,
     VectorField,
     compile_diffusion,
     compile_expression_stack,
@@ -41,6 +44,7 @@ from hypolab.fieldlang import (
     jacobian,
     simplify,
 )
+from hypolab.fieldlang.ast import _power_chain
 
 # ---------------------------------------------------------------------------
 # multi-indices
@@ -602,6 +606,21 @@ def test_node_tables_stay_bounded_and_a_repeated_bound_adds_no_node():
     assert 0 < first == second < _HEIS3_NODES_MAX
 
 
+def _lowered_nodes(exprs):
+    """The distinct non-leaf nodes of ``exprs``, each power written as its
+    chain of products (x^3 = x * (x * x), x^0 = 1)."""
+    seen, todo = {}, list(exprs)
+    while todo:
+        e = todo.pop()
+        while isinstance(e, Power):
+            n = e.exponent
+            e = _power_chain(e.base, n, partial(Binary, "mul")) if n else Const(1.0)
+        if isinstance(e, (Unary, Binary)) and id(e) not in seen:
+            seen[id(e)] = e
+            todo += [e.arg] if isinstance(e, Unary) else [e.lhs, e.rhs]
+    return seen
+
+
 def test_heis3_bound_stack_computes_each_subexpression_once(monkeypatch):
     stacks = []
 
@@ -612,18 +631,73 @@ def test_heis3_bound_stack_computes_each_subexpression_once(monkeypatch):
     monkeypatch.setattr(brackets, "compile_expression_stack", recording)
     bracket_local_bound(BracketTable(_heis3()), (1.0, 0.5, 0.0), 2)
     (stack,) = stacks
-    source = "".join(linecache.getlines(stack.__code__.co_filename))
-    assert len(source) < 8192
-    # every operation on the right of an assignment; -1.0 is a literal, not one
-    assigned = [n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assign)]
-    texts = Counter(
-        ast.unparse(node)
-        for value in assigned
-        for node in ast.walk(value)
-        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
-        and not (isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant))
-    )
-    assert texts and max(texts.values()) == 1, texts.most_common(3)
+    # one numpy operation per distinct lowered node, none twice and none left
+    # out; besides them the stack only reads the columns of X and stores
+    operations = [n for n in stack.nodes if isinstance(n, (Unary, Binary))]
+    lowered = _lowered_nodes(stack.exprs)
+    assert operations and len(operations) == len(lowered)
+    assert {id(n) for n in operations} == set(lowered)
+    reads = [n for n in stack.nodes if isinstance(n, Var)]
+    assert len({n.index for n in reads}) == len(reads) <= 3
+    assert sorted(n for n in stack.nodes if isinstance(n, int)) == list(range(len(stack.exprs)))
+    assert len(stack.program) == len(operations) + len(reads) + len(stack.exprs)
+
+
+def test_gram_stack_trap_hands_off_to_the_tree_walk(monkeypatch):
+    # exp(800) overflows inside tanh(exp(x1)), whose value stays 1.0: the
+    # stack's trapped FloatingPointError sends the bracket to the tree walk,
+    # which names the subexpression
+    walked, stack_errors = [], []
+    walk = brackets._tree_walk
+
+    def spy(fld, pts, bad):
+        walked.append(fld.describe())
+        return walk(fld, pts, bad)
+
+    def compiling(exprs, shape):
+        stack = compile_expression_stack(exprs, shape)
+
+        def run(X):
+            try:
+                return stack(X)
+            except FloatingPointError as exc:
+                stack_errors.append(exc)
+                raise
+
+        return run
+
+    monkeypatch.setattr(brackets, "_tree_walk", spy)
+    monkeypatch.setattr(brackets, "compile_expression_stack", compiling)
+    table = BracketTable(CoefficientSet.from_text(1, 1, "0", ["tanh(exp(x1))"]))
+    with pytest.raises(EvaluationError, match=r"^non-finite value from 'exp\(x1\)'$"):
+        check_hormander([(0.0,), (800.0,)], 1, table)
+    assert walked == ["tanh(exp(x1))"] and len(stack_errors) == 1
+    assert "computing 'exp(x1)' of out[..., 0] = tanh(exp(x1))" in str(stack_errors[0].__notes__)
+
+
+# The largest tracemalloc peak of one heis bracket stack of _gram_stack (L =
+# 3) on the 21^3 grid, when each stack was generated numpy source: 445424
+# bytes (out, 222 kB, and three 74 kB temporaries).
+_GRID_STACK_PEAK = 445_424
+
+
+def test_heis3_grid_stacks_hold_no_more_than_the_generated_ones():
+    table = BracketTable(_heis3())
+    pts = GridSpec((-2.0,) * 3, (2.0,) * 3, (21,) * 3).points()
+    fields = [table.diffusion_bracket(k, a) for k in (1, 2) for a in enumerate_indices(2, 2)]
+    stacks = [compile_expression_stack(f.components, (3,)) for f in fields]
+    for stack in stacks:  # first-call allocations
+        stack(pts)
+    peaks = []
+    for stack in stacks:
+        tracemalloc.start()
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                stack(pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= _GRID_STACK_PEAK
 
 
 def test_local_bound_names_the_first_non_finite_field():
@@ -652,6 +726,24 @@ def test_sampled_norms_add_each_groups_squares_in_its_order():
     assert np.sqrt(np.sum(row * row)) > 1.0
     # a group's norm is the same beside other groups
     assert sampled_norms([group[1:], group], np.zeros((1, 1)))[1].tolist() == [1.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 519])
+def test_sampled_norms_are_the_row_by_row_sums(n):
+    # squares of x1 and of ulp-sized terms, with constant zeros of both signs
+    # among them: each group's norm is sqrt(0 + s0 + s1 + ...), one row at a time
+    x = Var(1)
+    tiny = [Const(2.0**-27), Binary("mul", Const(2.0**-27), x)]
+    groups = [[x] + tiny * 8, [Const(0.0), x, Const(-0.0)] + tiny * 4 + [Const(0.0)],
+              [Const(-0.0), Const(0.0)], [Const(3.0)], tiny[::-1] * 9 + [x]]
+    pts = np.random.default_rng(3).uniform(0.5, 1.5, size=(n, 1))
+    pts[0] = 1.0
+    got = sampled_norms(groups, pts)
+    for group, norm in zip(groups, got):
+        cols = compile_expression_stack(tuple(group), (len(group),))(pts)
+        want = np.sqrt(sum(cols[:, j] * cols[:, j] for j in range(len(group))))
+        assert norm.shape == (n,) and norm.tobytes() == want.tobytes()
+    assert got[0][0] == 1.0 and got[2].tolist() == [0.0] * n
 
 
 _TANH23 = ("-x1^3 + x2, -x2^3 - x1", ["tanh(x1), 1", "x2^2, tanh(x1*x2)", "0.5, exp(-x1^2)"])

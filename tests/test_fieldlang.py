@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypolab.brackets import lie_bracket
-from hypolab.errors import EvaluationError, ParseError
+from hypolab.errors import ConfigError, EvaluationError, ParseError
 from hypolab.fieldlang import (
     Binary,
     CoefficientSet,
@@ -25,6 +25,7 @@ from hypolab.fieldlang import (
     compile_field,
     compile_jacobian,
     compile_step_kernel,
+    derivative,
     differentiate,
     evaluate,
     jacobian,
@@ -32,6 +33,7 @@ from hypolab.fieldlang import (
     simplify,
     to_text,
 )
+from hypolab.fieldlang.ast import _np_lines, _simp_binary
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -240,6 +242,24 @@ def _exprs(max_depth=4):
     return st.recursive(leaves, extend, max_leaves=12)
 
 
+def _wide_exprs():
+    """Expressions over x1, x2 with every operation, constant zeros of both
+    signs and constants of 1e-300 and 1e300."""
+    leaves = st.one_of(
+        st.sampled_from([Const(v) for v in (0.0, -0.0, 1.0, -2.0, 0.5, 1e300, -1e-300)]),
+        st.sampled_from([Var(1), Var(2)]),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(["neg", "sin", "cos", "exp", "tanh"]), children),
+            st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]), children, children),
+            st.builds(Power, children, st.sampled_from([0, 1, 2, 3, 7, 2**40 + 1])),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
 @given(_exprs())
 @settings(max_examples=150, deadline=None)
 def test_print_parse_print_fixed_point(e):
@@ -430,12 +450,13 @@ def test_integer_powers_give_the_same_bits_on_every_route():
 def test_huge_exponents_compile_to_short_sources():
     field = VectorField.from_text("x1^100000000000000000000", 1)
     coeffs = CoefficientSet(1, 1, field, (VectorField.from_text("1", 1),))
-    compiled = [compile_field(field), compile_jacobian(field)] + [
-        compile_step_kernel(coeffs, scheme, True, True)
-        for scheme in ("euler", "tamed-euler", "split-step-backward-euler")
-    ]
-    for fn in compiled:  # the split-step kernel, the largest, has three chains of 66 squares
+    kernels = [compile_step_kernel(coeffs, scheme, True, True)
+               for scheme in ("euler", "tamed-euler", "split-step-backward-euler")]
+    for fn in kernels:  # the split-step kernel, the largest, has three chains of 66 squares
         assert len("".join(linecache.getlines(fn.__code__.co_filename))) < 8192
+    # a stack is a program of a few operations per bit of the exponent
+    for stack in (compile_field(field), compile_jacobian(field)):
+        assert len(stack.program) < 3 * (10**20).bit_length()
     pts = np.array([[0.5], [-1.0], [1.0]])
     assert compile_field(field)(pts).tolist() == [[0.0], [1.0], [1.0]]
     assert [evaluate(field.components[0], p) for p in pts] == [0.0, 1.0, 1.0]
@@ -462,6 +483,106 @@ def test_power_with_many_one_bits_compiles_on_every_route():
         out = np.empty((2, len(pts)))
         compile_step_kernel(coeffs, scheme, False, False)(pts.T.copy(), out, np.zeros((1, 2)), 1.0)
         assert out[1].tolist() == row, scheme
+
+
+def _generated_stack(exprs, shape):
+    """A stack as numpy source: ``_np_lines``'s text compiled into one
+    function, kept as the reference for the stacks' values."""
+    temps, texts = _np_lines(exprs, "X[..., {}]")
+    body = ["X = np.asarray(X, np.float64)", f"out = np.empty(X.shape[:-1] + ({len(exprs)},))",
+            *(f"{name} = {t}" for name, t in temps),
+            *(f"out[..., {i}] = {t}" for i, t in enumerate(texts)),
+            f"return out.reshape(X.shape[:-1] + {shape!r})"]
+    source = "\n".join(["def stack(X):", *(f"    {line}" for line in body)])
+    namespace = {"np": np}
+    exec(compile(source, "<generated stack>", "exec"), namespace)
+    return namespace["stack"]
+
+
+def _outcome(fn, X, errors):
+    """The bytes ``fn(X)`` returns, or the type of the error it raises."""
+    with np.errstate(all=errors):
+        try:
+            return fn(X).tobytes()
+        except (FloatingPointError, ZeroDivisionError) as exc:
+            return type(exc)
+
+
+_SPECIAL_POINTS = np.array([[0.5, -0.25], [0.0, -0.0], [1e-300, -1e300], [np.inf, np.nan],
+                            [-3.0, 700.0], [2.0, 1.0], [-1.0, 1.0 + 2**-52], [1e150, 1e-150]])
+
+
+def _assert_stack_is_the_generated_text(exprs, shape=None):
+    shape = (len(exprs),) if shape is None else shape
+    stack, reference = compile_expression_stack(exprs, shape), _generated_stack(exprs, shape)
+    pts = np.vstack([_SPECIAL_POINTS, np.random.default_rng(41).uniform(-3, 3, size=(40, 2))])
+    for X in (pts, pts[0], pts[3], pts[:6].reshape(2, 3, 2)):
+        for errors in ("ignore", "raise"):
+            assert _outcome(stack, X, errors) == _outcome(reference, X, errors), (X, errors)
+
+
+_STACK_TEXTS = ("sin(x1)*cos(x2) - exp(-x1^2)/tanh(x2)", f"x1^{2**40 + 1} - x2^{2**40 + 1}",
+                "1e300*x1*x2 - 1e-300/x2 + x1^3*x1^3", "x1/(x2 - x2) + tanh(1e300*x1)",
+                "exp(1000*x1) - exp(-1000*x2) + (x1 + x2)^7/(1 + x1^2)", "-x1 - (x2 - 0*x1)")
+_STACK_NODES = (Const(0.0), Const(-0.0), Unary("neg", Const(0.0)), Var(2),
+                Binary("mul", Const(1e300), Const(1e300)), Binary("add", Const(-0.0), Const(-0.0)),
+                Binary("mul", Const(-0.0), Var(1)), Binary("div", Var(1), Const(0.0)),
+                Binary("div", Const(1e-300), Const(1e300)), Unary("exp", Const(1e300)),
+                Binary("sub", Unary("sin", Const(0.5)), Var(1)))
+
+
+@pytest.mark.parametrize("case", range(len(_STACK_TEXTS) + len(_STACK_NODES) + 2))
+def test_stack_values_are_the_generated_texts_bytes(case):
+    texts = [parse_expression(t, 2) for t in _STACK_TEXTS]
+    exprs = [*texts, *_STACK_NODES]
+    if case < len(exprs):
+        _assert_stack_is_the_generated_text((exprs[case],))
+    elif case == len(exprs):  # one stack of 16: shared subexpressions, in a (2, 8) shape
+        _assert_stack_is_the_generated_text(tuple(exprs[:16]), (2, 8))
+    else:  # a quotient of two constants raises at that division, in both
+        _assert_stack_is_the_generated_text((Var(1), Binary("div", Const(1.0), Const(-0.0))))
+
+
+@given(st.lists(_wide_exprs(), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_random_stacks_are_the_generated_texts_bytes(exprs):
+    _assert_stack_is_the_generated_text(tuple(exprs))
+
+
+def _nested(kind, n):
+    x = Var(1)
+    if kind == "left sum":  # -x1 + 0.001*x1 + ..., as the parser builds a long sum
+        return parse_expression(" + ".join(["-x1"] + ["0.001*x1"] * (n - 1)), 1)
+    e = x
+    for k in range(n):
+        e = {"right sum": lambda e: Binary("add", Var(1), e),
+             "negations": lambda e: Unary("neg", e),
+             "sines": lambda e: Unary("sin", e),
+             "products": lambda e: Binary("mul", e, Binary("add", x, Const(k))),
+             "quotients": lambda e: Binary("div", Binary("sub", x, e), x)}[kind](e)
+    return e
+
+
+@pytest.mark.parametrize("kind", ["left sum", "right sum", "negations", "sines", "products",
+                                  "quotients"])
+def test_stack_refuses_what_python_could_not_compile(kind):
+    # Python nests at most 200 brackets: a stack refuses an expression whose
+    # numpy text nests deeper, with the message compiling that text gave
+    for n in (99, 100, 101, 198, 199, 200, 201, 250):
+        e = _nested(kind, n)
+        try:
+            _generated_stack((e,), ())
+            reason = None
+        except SyntaxError as exc:
+            reason = exc.msg
+        try:
+            compile_expression_stack.__wrapped__((e,), ())
+            refused = None
+        except ConfigError as exc:
+            refused = str(exc)
+        assert refused == (reason and f"expression nested too deeply to compile ({reason})"), n
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        compile_expression_stack.__wrapped__((_nested("negations", 5000),), ())
 
 
 def test_constants_compare_with_their_sign_of_zero():
@@ -498,12 +619,41 @@ def test_memoised_results_equal_the_uncached_ones(e, i):
         assert got == ref and repr(got) == repr(ref)
 
 
-@given(st.lists(_exprs(), min_size=4, max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_lie_bracket_is_its_simplified_sum(comps):
-    # lie_bracket folds the sum as it goes; simplify of the whole sum is the
-    # same node, zero signs included
-    v, u = VectorField(2, tuple(comps[:2])), VectorField(2, tuple(comps[2:]))
+def _dense_bracket(v, u):
+    """[v, u] as simplify folds 0 + Ju[j][0] v[0] - Jv[j][0] u[0] + ..., one
+    operation at a time, every product included."""
+    ju, jv = jacobian(u), jacobian(v)
+    vs, us = [simplify(c) for c in v.components], [simplify(c) for c in u.components]
+    comps = []
+    for j in range(v.dim):
+        term = Const(0.0)
+        for i in range(v.dim):
+            term = _simp_binary("add", term, _simp_binary("mul", ju[j][i], vs[i]))
+            term = _simp_binary("sub", term, _simp_binary("mul", jv[j][i], us[i]))
+        comps.append(term)
+    return comps
+
+
+_ZERO_LIKE = [Const(0.0), Const(-0.0), Binary("mul", Const(0.0), Var(1)),
+              Binary("mul", Var(2), Const(-0.0)), Unary("neg", Const(0.0))]
+
+
+def _fields_with_zeros():
+    component = st.one_of(_exprs(), _wide_exprs(), st.sampled_from(_ZERO_LIKE))
+    zero = st.lists(st.sampled_from([Const(0.0), Const(-0.0)]), min_size=2, max_size=2)
+    return st.one_of(st.lists(component, min_size=2, max_size=2), zero).map(
+        lambda comps: VectorField(2, tuple(comps)))
+
+
+@given(_fields_with_zeros(), _fields_with_zeros())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_lie_bracket_is_its_simplified_sum(v, u):
+    # lie_bracket folds the sum as it goes, skipping the products with a
+    # constant-0 factor and the brackets with a zero field: the dense sum,
+    # folded one operation at a time, and simplify of the whole sum are the
+    # same nodes, zero signs included
+    got = lie_bracket(v, u).components
+    assert all(a is b for a, b in zip(got, _dense_bracket(v, u), strict=True))
     ju, jv = jacobian(u), jacobian(v)
     want = []
     for j in range(2):
@@ -512,7 +662,16 @@ def test_lie_bracket_is_its_simplified_sum(comps):
             term = Binary("add", term, Binary("mul", ju[j][i], v.components[i]))
             term = Binary("sub", term, Binary("mul", jv[j][i], u.components[i]))
         want.append(simplify(term))
-    assert lie_bracket(v, u).components == tuple(want)
+    assert got == tuple(want)
+
+
+@given(st.one_of(_exprs(), _wide_exprs()), st.sampled_from([1, 2]), st.sampled_from([1, 2]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_derivative_is_the_simplified_differentiate(e, i, j):
+    first = derivative(e, i)
+    assert first is simplify(differentiate(e, i))
+    assert derivative(first, j) is simplify(differentiate(first, j))
+    assert derivative(differentiate(e, i), j) is simplify(differentiate(differentiate(e, i), j))
 
 
 @pytest.mark.parametrize("first", [0, 1])

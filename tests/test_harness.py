@@ -23,7 +23,17 @@ import hypolab
 from hypolab import errors
 from hypolab.brackets import BracketTable, HormanderReport, check_hormander
 from hypolab.errors import ConfigError
-from hypolab.fieldlang import Binary, Const, Power, Unary, Var, to_text
+from hypolab.fieldlang import (
+    Binary,
+    Const,
+    Power,
+    Unary,
+    Var,
+    compile_expression_stack,
+    compile_step_kernel,
+    fields,
+    to_text,
+)
 from hypolab.harness import cli, svg
 from hypolab.harness.cli import main
 from hypolab.harness.config import load_config, parse_config_text, resolved_text
@@ -786,9 +796,9 @@ def test_cli_probe_writes_null_for_a_non_finite_ratio_band(tmp_path):
     assert moments["ratio_band"] is None
 
 
-def _assumptions_json(tmp_path, drift, sigma, box):
-    """Run probe-assumptions without moments and parse its assumptions as
-    strict JSON."""
+def _assumptions_json(tmp_path, drift, sigma, box, analysis=""):
+    """Run probe-assumptions without moments, with the [analysis] lines
+    ``analysis`` added, and parse its assumptions as strict JSON."""
     text = f"""
 [model]
 d = 1
@@ -806,6 +816,7 @@ seed = 3
 [analysis]
 box_min = {-box}
 box_max = {box}
+{analysis}
 """
     cfg = _write(tmp_path, text)
     assert main(["probe-assumptions", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -831,6 +842,37 @@ def test_cli_probe_writes_null_for_a_growth_fit_that_overflows(tmp_path):
         "log_log_slope": None, "fitted_N": None, "fitted_L1": None,
     }
     assert probe["monotonicity"]["fitted_L"] < 0
+
+
+def test_cli_probe_writes_null_for_a_growth_fit_it_never_made(tmp_path):
+    # on |x| <= 1e-9 every sampled pair is closer than 1e-8: no pair enters
+    # the log-log fit, so slope, N and L1 are undefined, and a declared N fails
+    probe = _assumptions_json(tmp_path, "-x1^3", "1", 1e-9, "declared_N = 3")
+    assert probe["polynomial_growth"] == {
+        "log_log_slope": None, "fitted_N": None, "fitted_L1": None,
+    }
+    assert probe["declared"] == {"N": 3.0} and probe["passes"] == {"N": False}
+
+
+def test_only_the_step_kernels_generate_source(tmp_path, monkeypatch):
+    # tails and remainder-tails on the heis configs evaluate their coefficient
+    # and bracket stacks without generating source: only the engine's steps
+    # are compiled
+    root = Path(__file__).resolve().parents[1]
+    compile_expression_stack.cache_clear()
+    compile_step_kernel.cache_clear()
+    labels = []
+    define = fields._define
+
+    def counting(name, label, emit):
+        labels.append(label)
+        return define(name, label, emit)
+
+    monkeypatch.setattr(fields, "_define", counting)
+    for command, name in (("tails", "heis_tails"), ("remainder-tails", "heis_remainder")):
+        cfg = str(root / "configs" / f"{name}.cfg")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    assert labels and all(label.startswith("hypolab step ") for label in labels), labels
 
 
 # exit codes of cli.main: 0, each HypolabError's, and out of memory

@@ -111,26 +111,48 @@ def test_probe_norms_equal_per_group_references(model, seed, box):
 
 
 def test_assumption_probe_compiles_at_most_three_stacks(monkeypatch):
-    # the drift, its Jacobian, and one stack for every smoothness norm
+    # the drift, its Jacobian, and one stack for every smoothness norm; none
+    # of them is generated source
     compile_expression_stack.cache_clear()
-    labels = []
-    define = fields._define
+    evaluated, labels = set(), []
+    call, define = fields._Stack.__call__, fields._define
 
-    def counting(name, label, emit):
+    def counting(stack, X):
+        evaluated.add(id(stack))
+        return call(stack, X)
+
+    def defining(name, label, emit):
         labels.append(label)
         return define(name, label, emit)
 
-    monkeypatch.setattr(fields, "_define", counting)
+    monkeypatch.setattr(fields._Stack, "__call__", counting)
+    monkeypatch.setattr(fields, "_define", defining)
     assumption_probe(CoefficientSet.from_text(2, 3, *_TANH23), [-1.0, -1.0], [1.0, 1.0])
-    assert 0 < len(labels) <= 3
+    assert 0 < len(evaluated) <= 3 and labels == []
 
 
 def test_probe_without_a_pair_far_enough_apart_reports_nan():
     # every sampled pair of the box of width 2e-9 is closer than 1e-8
     c = CoefficientSet.from_text(1, 1, "-x1^3", ["1"])
-    probe = assumption_probe(c, [-1e-9], [1e-9], n_pairs=16)
+    probe = assumption_probe(c, [-1e-9], [1e-9], n_pairs=16, declared={"N": 3.0, "L1": 1.0})
     assert np.isnan(probe.monotone_constant) and np.isnan(probe.growth_constant)
-    assert probe.to_json_dict()["monotonicity"]["fitted_L"] is None
+    # no pair enters the growth fit: it is not made, and no declared N passes
+    assert np.isnan(probe.growth_slope) and np.isnan(probe.growth_exponent)
+    payload = probe.to_json_dict()
+    assert payload["monotonicity"]["fitted_L"] is None
+    assert payload["polynomial_growth"] == {
+        "log_log_slope": None, "fitted_N": None, "fitted_L1": None,
+    }
+    assert payload["passes"] == {"N": False, "L1": False}
+
+
+def test_probe_of_a_constant_drift_makes_no_growth_fit():
+    # b(x) - b(y) = 0 for every pair: none enters the log-log fit, and L1 is
+    # fitted at N = 1, where it is 0
+    c = CoefficientSet.from_text(1, 1, "2", ["1"])
+    probe = assumption_probe(c, [-2.0], [2.0], n_pairs=64, declared={"N": 1.0})
+    assert np.isnan(probe.growth_slope) and np.isnan(probe.growth_exponent)
+    assert probe.growth_constant == 0.0 and probe.passes == {"N": False}
 
 
 @pytest.mark.parametrize("low,high", [(0.0, 1e155), (-1.7e308, 1.7e308)])
