@@ -136,12 +136,16 @@ def _define(name: str, label: str, emit: Callable[[], list[str]]) -> Callable:
     """Compile the function ``name`` defined by the lines ``emit()`` returns.
 
     Its source is registered with ``linecache`` as ``<label #n>``, for
-    tracebacks and profiles, for as long as the function lives.
+    tracebacks and profiles, for as long as the function lives.  The code
+    object is read from the native cache when another process compiled the
+    same source (``native.compiled``).
     """
+    from .. import native  # loaded by then wherever the engine steps paths
+
     try:
         source = "\n".join(emit()) + "\n"
         filename = f"<{label} #{next(_SERIAL)}>"
-        code = compile(source, filename, "exec")
+        code = native.compiled(source, filename)
     except (SyntaxError, RecursionError) as exc:
         reason = exc.msg if isinstance(exc, SyntaxError) else str(exc)
         raise ConfigError(f"expression nested too deeply to compile ({reason})") from None

@@ -21,12 +21,14 @@ time, draws the tile's increments from each path's Philox stream with
 the bits of numpy's ziggurat sampler, and steps it through the whole grid.
 It is used only if its sampler draws numpy's normals of a fixed stream
 and it gives the numpy route's bytes on probe blocks, drawn ones
-included.  Otherwise, and for models or remainder targets with sin, cos,
-exp or tanh, the block's increments are drawn by ``_block_increments``
-and each step is one call of ``fieldlang.compile_step_kernel`` on rows of
-B paths, which writes to a second buffer.  ``NATIVE = False`` forces that
-route, the native loop's oracle; ``STEP_ROUTES`` and ``INCREMENT_ROUTES``
-collect the routes that ran.
+included, which one numpy pass over all of them checks.  Otherwise, and
+for models or remainder targets with sin, cos, exp or tanh, the block's
+increments are drawn by ``_block_increments`` and each step is one call
+of ``fieldlang.compile_step_kernel`` on rows of B paths, which writes to
+a second buffer; that kernel's code object is cached beside the native
+libraries (``native.compiled``), so a new process does not compile it.
+``NATIVE = False`` forces that route, the native loop's oracle;
+``STEP_ROUTES`` and ``INCREMENT_ROUTES`` collect the routes that ran.
 
 State schemes: ``tamed-euler`` divides the drift increment by 1 + h|b| so
 superlinear monotone drifts cannot blow the explicit step up;
@@ -73,6 +75,7 @@ from ..errors import (
     ConfigError,
     DegenerateSamplesError,
     DivergenceError,
+    EvaluationError,
     InternalInvariantError,
     SimulationDiverged,
 )
@@ -382,6 +385,59 @@ _SAMPLER_CHECK = (2**64 - 1, 2**64 - 2, 2**14)
 _TABLES_LOCK = threading.Lock()
 
 
+def _probe_blocks(kernel: tuple, B: int) -> tuple:
+    """The native loop's probe of ``kernel`` on B paths: the start rows,
+    random but for J, K and C, the remainder coefficients, the stream ids,
+    and ``_PROBE_BLOCKS`` as (n, seed, given increments or None, the
+    block's (n, m, B) increments).  Each seed's streams are drawn once, at
+    its longest block: a stream's first n steps are its n-step draw."""
+    coeffs, _, flows, covariance, _, remainder, _ = kernel
+    d, m = coeffs.d, coeffs.m
+    rng = np.random.default_rng(2024)
+    start = _initial_state(rng.uniform(-1.5, 1.5, (d, B)), *kernel[2:])
+    records = _views(start, d, flows, covariance)[-1]
+    records[:] = rng.uniform(-1.5, 1.5, records.shape)
+    coefficients = rng.uniform(-1.5, 1.5, (len(remainder[2]) if remainder else 0, d))
+    ids = np.array((*_PROBE_IDS, *range(9, B + 4)), dtype=np.uint64)
+    longest = {}
+    for n, seed in _PROBE_BLOCKS:
+        if seed is not None:
+            longest[seed] = max(n, longest.get(seed, 0))
+    drawn = {seed: _block_increments(seed, n, _PROBE_H, m, ids) for seed, n in longest.items()}
+    blocks = []
+    for n, seed in _PROBE_BLOCKS:
+        if seed is None:  # given increments, two of them infinite
+            dw = rng.standard_normal((n, m, B)) * math.sqrt(_PROBE_H)
+            dw[2, :, -1] = dw[1, :, 3] = np.inf
+            blocks.append((n, 0, dw, dw))
+        else:
+            blocks.append((n, seed, None, drawn[seed][:n]))
+    return start, coefficients, ids, blocks
+
+
+def _probe_oracle(step, start: np.ndarray, blocks: list, coefficients: np.ndarray) -> list:
+    """Each of ``_probe_blocks``' ``blocks``' snapshot at 0, 3 and n and lost
+    steps under the numpy kernel ``step``, from the (rows, B) ``start``, as
+    ``_numpy_block`` gives them block by block.  They come from one numpy
+    pass over the blocks side by side, each with zero increments past its
+    own n: the kernel steps each column on its own, and a column's lost
+    step counts only if it is less than n."""
+    B = start.shape[1]
+    stops = np.array(sorted({0, 3}.union(n for n, *_ in blocks)), dtype=np.int64)
+    increments = np.zeros((stops[-1], blocks[0][3].shape[1], len(blocks) * B))
+    for i, (n, *_, block) in enumerate(blocks):
+        increments[:n, :, i * B : (i + 1) * B] = block
+    lost = np.full(len(blocks) * B, -1, dtype=np.int64)
+    snap = _numpy_block(step, np.tile(start, len(blocks)), increments, _PROBE_H, stops, lost,
+                        coefficients)
+    oracle = []
+    for i, (n, *_) in enumerate(blocks):
+        cols = slice(i * B, (i + 1) * B)
+        oracle.append((snap[np.searchsorted(stops, (0, 3, n)), :, cols],
+                       np.where(lost[cols] < n, lost[cols], -1)))
+    return oracle
+
+
 @lru_cache(maxsize=256)
 def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
                  identity: bool, remainder: tuple | None, square_norm: bool):
@@ -399,7 +455,8 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     the partial tile, at step 2.  So each is lost there on any model whose
     noise reaches X, and would be finite again if it were stepped on.  On
     three drawn blocks of 5, 6 and 7 steps, at seeds 0 and 2^64 - 1, the
-    loop must match ``_block_increments``."""
+    loop must match ``_block_increments``.  The loop runs each block on its
+    own; the numpy route checks all four in one pass (``_probe_oracle``)."""
     from .. import native  # on the first block that can use it, never at import
 
     kernel = (coeffs, scheme, flows, covariance, identity, remainder, square_norm)
@@ -436,26 +493,13 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
                B, n, diverged.ctypes.data, coefficients.ctypes.data, work.ctypes.data)
         return snap
 
-    rng = np.random.default_rng(2024)
-    d, B = coeffs.d, width + 3
-    start = _initial_state(rng.uniform(-1.5, 1.5, (d, B)), *kernel[2:])
-    records = _views(start, d, flows, covariance)[-1]
-    records[:] = rng.uniform(-1.5, 1.5, records.shape)
-    coefficients = rng.uniform(-1.5, 1.5, (len(remainder[2]) if remainder else 0, d))
-    ids = np.array((*_PROBE_IDS, *range(9, B + 4)), dtype=np.uint64)
-    step = compile_step_kernel(*kernel)
+    start, coefficients, ids, blocks = _probe_blocks(kernel, width + 3)
     with np.errstate(all="ignore"):
-        for n, seed in _PROBE_BLOCKS:
-            dw = None
-            if seed is None:  # given increments, two of them infinite
-                seed, dw = 0, rng.standard_normal((n, m, B)) * math.sqrt(_PROBE_H)
-                dw[2, :, -1] = dw[1, :, 3] = np.inf
-            increments = _block_increments(seed, n, _PROBE_H, m, ids) if dw is None else dw
-            stops = np.array((0, 3, n), dtype=np.int64)
-            want_lost, got_lost = (np.full(B, -1, dtype=np.int64) for _ in range(2))
-            want = _numpy_block(step, start.copy(), increments, _PROBE_H, stops, want_lost,
-                                coefficients)
-            got = loop(start, stops, _PROBE_H, got_lost, coefficients, dw, seed, ids)
+        oracle = _probe_oracle(compile_step_kernel(*kernel), start, blocks, coefficients)
+        for (n, seed, dw, _), (want, want_lost) in zip(blocks, oracle):
+            got_lost = np.full(len(ids), -1, dtype=np.int64)
+            got = loop(start, np.array((0, 3, n), dtype=np.int64), _PROBE_H, got_lost,
+                       coefficients, dw, seed, ids)
             if got.tobytes() != want.tobytes() or got_lost.tobytes() != want_lost.tobytes():
                 return None
     loop.isa = isa().decode()  # the clone of run the loader picked
@@ -665,14 +709,20 @@ def malliavin_checkpoint_ensemble(
     """Per-path C and Q matrices at the requested grid indices.
 
     Returns the raw ensemble result plus ``{index: (C, Q)}`` with per-path
-    matrices symmetrised after assembly.
+    matrices symmetrised after assembly.  Raises ``EvaluationError`` when a
+    surviving path's C or Q is not finite, its assembly included.
     """
     idx = tuple(sorted(set(int(i) for i in indices)))
     res = run_ensemble(coeffs, config, n_paths, RecordSpec(flows=True, c_checkpoints=idx))
     mats = {}
     for i in idx:
         c, j = res.c_at[i], res.j_at[i]
-        c = 0.5 * (c + np.swapaxes(c, 1, 2))
-        q = np.einsum("bij,bjk,blk->bil", j, c, j)
-        mats[i] = c, 0.5 * (q + np.swapaxes(q, 1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            c = 0.5 * (c + np.swapaxes(c, 1, 2))
+            q = np.einsum("bij,bjk,blk->bil", j, c, j)
+            q = 0.5 * (q + np.swapaxes(q, 1, 2))
+        if not (np.isfinite(c[res.alive]).all() and np.isfinite(q[res.alive]).all()):
+            raise EvaluationError(f"the Malliavin covariance C or Q at t = {i * config.h:g} "
+                                  "overflows on a surviving path")
+        mats[i] = c, q
     return res, mats

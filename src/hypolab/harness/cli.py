@@ -52,7 +52,7 @@ from ..flows import (
     run_ensemble,
 )
 from ..flows import simulate
-from ..flows.probes import assumption_probe, moment_probe
+from ..flows.probes import _finite, assumption_probe, moment_probe
 from .config import ExperimentConfig, load_config, resolved_text
 from .svg import line_chart
 
@@ -156,7 +156,8 @@ def _divergence(res) -> dict:
 
 
 def _stats(values: np.ndarray) -> dict:
-    return {"mean": float(values.mean()), "min": float(values.min()), "max": float(values.max())}
+    return {"mean": _finite(values.mean()), "min": _finite(values.min()),
+            "max": _finite(values.max())}
 
 
 def _cmd_check_hormander(cfg: ExperimentConfig, out) -> None:
@@ -244,19 +245,20 @@ def _cmd_malliavin(cfg: ExperimentConfig, out) -> None:
     alive = res.survivors()
     lam_c = np.linalg.eigvalsh(c_mats[alive])[:, 0]
     lam_q = np.linalg.eigvalsh(q_mats[alive])[:, 0]
-    det_q = np.linalg.det(q_mats[alive])
     claim = "Malliavin covariance matrices from the inverse-flow quadrature"
 
-    summary = {
-        "t": float(idx * config.h),
-        **_divergence(res),
-        "quadrature": "left-endpoint",
-        "mean_C": [[float(v) for v in row] for row in c_mats[alive].mean(axis=0)],
-        "mean_Q": [[float(v) for v in row] for row in q_mats[alive].mean(axis=0)],
-        "lambda_min_C": _stats(lam_c),
-        "lambda_min_Q": _stats(lam_q),
-        "det_Q": {"mean": float(det_q.mean()), "min": float(det_q.min())},
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is written as null
+        det_q = np.linalg.det(q_mats[alive])
+        summary = {
+            "t": float(idx * config.h),
+            **_divergence(res),
+            "quadrature": "left-endpoint",
+            "mean_C": [[_finite(v) for v in row] for row in c_mats[alive].mean(axis=0)],
+            "mean_Q": [[_finite(v) for v in row] for row in q_mats[alive].mean(axis=0)],
+            "lambda_min_C": _stats(lam_c),
+            "lambda_min_Q": _stats(lam_q),
+            "det_Q": {"mean": _finite(det_q.mean()), "min": _finite(det_q.min())},
+        }
     _json_dump(out("malliavin.json", claim), summary)
     _write_csv(
         out("malliavin.csv", claim),

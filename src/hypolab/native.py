@@ -1,4 +1,5 @@
-"""Generated C code built once per user and loaded with ctypes.
+"""Generated C code built once per user and loaded with ctypes, and
+generated Python compiled once per user.
 
 ``load(source, functions)`` returns the C functions of a shared library
 built from ``source``, or None when there is no compiler, numpy's C random
@@ -35,19 +36,37 @@ libraries stay.  A library is read and mapped under a shared ``flock``,
 and the eviction skips every library it cannot lock exclusively, so none
 is removed while a process loads it.
 
+``compiled(source, filename)`` is ``compile(source, filename, "exec")`` for
+the engine's generated numpy kernels (``fieldlang.fields._define``), kept
+in the same cache: the file name is the sha256 of the interpreter's
+version, bytecode tag and optimisation level and of the source, and the
+file holds the code object's sha256, then the code object as ``marshal``
+writes it.  A file is written by a rename, and one that no longer has its
+digest is compiled and written again; the code read is given this
+process's ``filename``, nested code objects included, so ``linecache``
+and tracebacks still show the source.  A source that fails to compile
+raises as ``compile`` does and is never cached.  A read touches the file,
+and after a write only the ``KEEP`` most recently loaded kernels stay,
+counted apart from the libraries.  The cache holds build artefacts only:
+whether a library's loop passes its probe is checked in every process.
+
 Nothing here runs at import: the engine calls ``load`` on the first block
-that can use it.  Tests point ``COMPILER`` or ``CACHE`` elsewhere.
+that can use it, and ``compiled`` on the first that needs a numpy kernel.
+Tests point ``COMPILER`` or ``CACHE`` elsewhere.
 """
 from __future__ import annotations
 
 import ctypes
 import fcntl
 import hashlib
+import marshal
 import os
 import shutil
 import stat
+import sys
 import tempfile
 import time
+import types
 
 import numpy as np
 
@@ -61,7 +80,11 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
 # Libraries a build leaves in the cache: the most recently loaded ones, about
 # 80 KiB each with the loop's three clones.  (A full test run uses about 130.)
+# As many compiled kernels stay beside them.
 KEEP = 256
+# The suffix of a compiled kernel's file: its code object's sha256, then the
+# code object as ``marshal`` writes it.
+_CODE = ".code"
 
 
 def load(source: str, functions: dict) -> tuple | None:
@@ -83,6 +106,63 @@ def load(source: str, functions: dict) -> tuple | None:
     for fn, (restype, argtypes) in zip(loaded, functions.values()):
         fn.restype, fn.argtypes = restype, argtypes
     return loaded
+
+
+def compiled(source: str, filename: str) -> types.CodeType:
+    """``compile(source, filename, "exec")``, read from the cache when a process
+    has compiled ``source`` on this interpreter before, with ``filename`` given
+    to it and to the code objects it holds.  A source that fails to compile
+    raises as ``compile`` does, and is never cached."""
+    key = hashlib.sha256()
+    for part in (sys.version, sys.implementation.cache_tag, str(sys.flags.optimize), source):
+        key.update(part.encode() + b"\0")
+    directory = _cache_dir()
+    path = directory and os.path.join(directory, key.hexdigest() + _CODE)
+    code = path and _read_code(path)
+    if code:
+        return _renamed(code, filename)
+    # with this module's __future__ imports, which are fields.py's
+    code = compile(source, filename, "exec")
+    if path and _write_code(path, code):
+        _evict(directory)
+    return code
+
+
+def _read_code(path: str) -> types.CodeType | None:
+    """The code object at ``path``, touched, or None when it is missing or
+    lacks the sha256 it was written with."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+            if hashlib.sha256(blob[32:]).digest() != blob[:32]:
+                return None
+            now = time.time_ns()
+            os.utime(fh.fileno(), ns=(now, now))  # recently loaded: the last to be evicted
+        code = marshal.loads(blob[32:])
+    except (OSError, EOFError, ValueError):
+        return None
+    return code if isinstance(code, types.CodeType) else None
+
+
+def _write_code(path: str, code: types.CodeType) -> bool:
+    """Write ``code`` to ``path`` by a rename, so a reader never sees half of
+    it; False when it could not be written."""
+    data = marshal.dumps(code)
+    try:
+        with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as work:
+            with open(os.path.join(work, "kernel.code"), "wb") as fh:
+                fh.write(hashlib.sha256(data).digest() + data)
+            os.replace(fh.name, path)
+        return True
+    except OSError:
+        return False
+
+
+def _renamed(code: types.CodeType, filename: str) -> types.CodeType:
+    """``code`` with ``filename`` as its file name and its nested code objects'."""
+    consts = tuple(_renamed(c, filename) if isinstance(c, types.CodeType) else c
+                   for c in code.co_consts)
+    return code.replace(co_filename=filename, co_consts=consts)
 
 
 def _numpy_random_flags() -> tuple[tuple[str, ...], tuple[str, ...]] | None:
@@ -119,14 +199,23 @@ def _map(path: str) -> ctypes.CDLL | None:
 
 def _evict(directory: str) -> None:
     """Remove the libraries of ``directory``, with their digests, but for the
-    ``KEEP`` most recently loaded ones and any that a process is loading."""
+    ``KEEP`` most recently loaded ones and any that a process is loading; and
+    its compiled kernels but for the ``KEEP`` most recently loaded ones."""
+    kinds = {".so": [], _CODE: []}
     try:
         with os.scandir(directory) as entries:
-            libraries = [(entry.stat(follow_symlinks=False).st_mtime_ns, entry.path)
-                         for entry in entries if entry.name.endswith(".so")]
+            for entry in entries:
+                kind = kinds.get(os.path.splitext(entry.name)[1])
+                if kind is not None:
+                    kind.append((entry.stat(follow_symlinks=False).st_mtime_ns, entry.path))
     except OSError:
         return
-    for _, path in sorted(libraries, reverse=True)[KEEP:]:
+    for _, path in sorted(kinds[_CODE], reverse=True)[KEEP:]:
+        try:
+            os.unlink(path)  # a process reading it reads it whole all the same
+        except OSError:
+            continue
+    for _, path in sorted(kinds[".so"], reverse=True)[KEEP:]:
         try:
             with open(path, "rb") as lib:
                 fcntl.flock(lib, fcntl.LOCK_EX | fcntl.LOCK_NB)  # OSError while it is loaded

@@ -1,7 +1,9 @@
 import ctypes
 import gc
+import hashlib
 import itertools
 import linecache
+import marshal
 import os
 import re
 import stat
@@ -16,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypolab.brackets import BracketTable
 from hypolab.errors import (
     ConfigError,
     DegenerateSamplesError,
@@ -51,6 +54,7 @@ from hypolab.fieldlang import fields
 from hypolab.fieldlang.fields import _NEWTON_MAX_ITER, _NEWTON_TOL, C_TILE
 from hypolab.flows import brownian, simulate
 from hypolab.flows.brownian import standard_normal_stream
+from hypolab.flows.integrals import RemainderEnergy
 from hypolab.flows.simulate import _block_increments, _simulate_block
 
 # ---------------------------------------------------------------------------
@@ -1104,11 +1108,14 @@ def test_nearest_index_clips(ou):
 
 @pytest.fixture
 def fresh_loops(tmp_path, monkeypatch):
-    """Native loops built into an empty cache and probed anew, then forgotten."""
+    """Native loops and numpy kernels built into an empty cache, the loops
+    probed anew, then both forgotten."""
     monkeypatch.setattr(native, "CACHE", str(tmp_path / "cache"))
     simulate._native_loop.cache_clear()
+    compile_step_kernel.cache_clear()
     yield tmp_path / "cache"
     simulate._native_loop.cache_clear()
+    compile_step_kernel.cache_clear()
 
 
 def _heis_bytes():
@@ -1143,7 +1150,7 @@ def _truncated_library(cache, monkeypatch):
     monkeypatch.setattr(simulate, "NATIVE", True)
     _heis_bytes()
     (library,) = elsewhere.glob("*.so")
-    cache.mkdir(mode=0o700)
+    cache.mkdir(mode=0o700, exist_ok=True)  # made by the numpy run's kernel
     (cache / library.name).write_bytes(library.read_bytes()[:1000])
     (cache / f"{library.name}.sha256").write_bytes(Path(f"{library}.sha256").read_bytes())
     monkeypatch.setattr(native, "CACHE", str(cache))
@@ -1151,7 +1158,7 @@ def _truncated_library(cache, monkeypatch):
 
 
 def _foreign_cache(cache, monkeypatch):
-    cache.mkdir(parents=True)
+    cache.mkdir(parents=True, exist_ok=True)  # made by the numpy run's kernel
     cache.chmod(0o777)  # anyone may write into it
 
 
@@ -1209,30 +1216,60 @@ def _perturbed_bulk(cache, monkeypatch):
     monkeypatch.setattr(simulate, "step_kernel_c", perturbed)
 
 
+def _reread_increments(cache, monkeypatch):
+    # from step 5 on the loop steps with step 0's increments again: only the
+    # final rows of the 6- and 7-step probe blocks show it
+    def perturbed(*kernel):
+        source = step_kernel_c.__wrapped__(*kernel)
+        assert source.count("const double *dwk = inc + k * ") == 1
+        return source.replace("const double *dwk = inc + k * ",
+                              "const double *dwk = inc + (k < 5 ? k : 0) * ")
+
+    monkeypatch.setattr(simulate, "step_kernel_c", perturbed)
+
+
+def _counted_compiles(monkeypatch) -> list:
+    """The file names of the sources ``native.compiled`` compiles from now on."""
+    compiles = []
+
+    def counted(source, filename, mode):
+        compiles.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(native, "compile", counted, raising=False)
+    return compiles
+
+
 @pytest.mark.parametrize(
     "fault,route",
     [(_no_compiler, "numpy"), (_perturbed_source, "numpy"), (_truncated_library, "native"),
      (_foreign_cache, "numpy"), (_no_random_headers, "numpy"), (_no_random_library, "numpy"),
      (_perturbed_draws, "numpy"), (_perturbed_double, "numpy"), (_perturbed_sampler, "numpy"),
-     (_perturbed_bulk, "numpy")],
+     (_perturbed_bulk, "numpy"), (_reread_increments, "numpy")],
     ids=["missing-compiler", "perturbed-source", "truncated-library", "foreign-cache",
          "missing-random-headers", "missing-random-library", "perturbed-draws",
-         "perturbed-double", "perturbed-sampler", "perturbed-bulk"],
+         "perturbed-double", "perturbed-sampler", "perturbed-bulk", "reread-increments"],
 )
 def test_native_faults_give_the_numpy_bytes_quietly(
     fault, route, fresh_loops, monkeypatch, force_route, capfd
 ):
     force_route("numpy")
-    want = _heis_bytes()
+    want = _heis_bytes()  # its numpy kernel is cached
     fault(fresh_loops, monkeypatch)
+    listing = sorted(fresh_loops.iterdir())
+    compile_step_kernel.cache_clear()  # the probe's kernel comes from the warm cache
+    compiles = _counted_compiles(monkeypatch)
     ran = force_route("native")
     assert _heis_bytes() == want
     assert ran == {route}  # a truncated library is built again
+    assert len(compiles) == (fault is _foreign_cache)  # a foreign cache is never read
     assert capfd.readouterr() == ("", "")
     with pytest.raises(ChildProcessError):  # every compiler run was waited for
         os.waitpid(-1, os.WNOHANG)
-    if fault in (_foreign_cache, _no_random_headers, _no_random_library):
-        assert not fresh_loops.exists() or not any(fresh_loops.iterdir())
+    if fault in (_no_random_headers, _no_random_library):  # no library is built
+        assert all(path.suffix == ".code" for path in fresh_loops.iterdir())
+    if fault is _foreign_cache:  # nor anything written
+        assert sorted(fresh_loops.iterdir()) == listing
     if fault is _truncated_library:
         (library,) = fresh_loops.glob("*.so")
         built_before = fresh_loops.parent / "elsewhere" / library.name
@@ -1251,6 +1288,186 @@ def test_warm_cache_starts_no_process(fresh_loops, monkeypatch, force_route):
     assert _heis_bytes() == cold
     assert ran == {"native"}
     assert stat.S_IMODE(fresh_loops.stat().st_mode) == 0o700
+
+
+def _probe_kernels():
+    """The kernels the one-pass probe oracle is checked on."""
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    spec = RemainderEnergy(3, heis.diffusion[0], BracketTable(heis), np.array((1.0, 0.5, 0.0)),
+                           (0, 7))
+    well = CoefficientSet.from_text(1, 1, "x1 - x1^3", ["0.5"])
+    return {
+        "heis-tamed": (heis, "tamed-euler", True, True, False, None, False),
+        "heis-split-step": (heis, "split-step-backward-euler", True, True, True, None, True),
+        "heis-remainder": (heis, "tamed-euler", True, False, False,
+                           (spec.target, spec.prefixes, spec.indices), False),
+        "d1-split-step": (well, "split-step-backward-euler", False, False, False, None, False),
+        "d1-euler": (well, "euler", False, False, False, None, False),
+    }
+
+
+@pytest.mark.parametrize("name", list(_probe_kernels()))
+def test_one_numpy_pass_gives_each_probe_block_its_own_bytes(name):
+    # the blocks side by side, stepped past their own n on zero increments,
+    # give what _numpy_block gives each of them alone
+    kernel = _probe_kernels()[name]
+    step, h = compile_step_kernel(*kernel), simulate._PROBE_H
+    start, coefficients, ids, blocks = simulate._probe_blocks(kernel, C_TILE + 3)
+    with np.errstate(all="ignore"):
+        oracle = simulate._probe_oracle(step, start, blocks, coefficients)
+        assert len(oracle) == len(blocks) == 4
+        for (n, seed, dw, increments), (snap, lost) in zip(blocks, oracle):
+            if dw is None:  # a stream's first n steps are its n-step draw
+                drawn = _block_increments(seed, n, h, kernel[0].m, ids)
+                assert increments.tobytes() == drawn.tobytes()
+            want_lost = np.full(len(ids), -1, dtype=np.int64)
+            want = simulate._numpy_block(step, start.copy(), increments, h,
+                                         np.array((0, 3, n), dtype=np.int64), want_lost,
+                                         coefficients)
+            assert snap.tobytes() == want.tobytes(), n
+            assert lost.tobytes() == want_lost.tobytes(), n
+            if dw is not None:  # the fourth and the last path draw an infinite increment
+                assert {int(i): int(want_lost[i]) for i in np.flatnonzero(want_lost >= 0)} == {
+                    3: 1, len(ids) - 1: 2}
+
+
+def test_a_loop_build_steps_the_numpy_kernel_seven_times_and_draws_twice(
+    monkeypatch, request
+):
+    simulate._native_loop.cache_clear()
+    request.addfinalizer(simulate._native_loop.cache_clear)
+    steps, draws = [], []
+    kernel_of, draw = simulate.compile_step_kernel, simulate._block_increments
+
+    def counted_kernel(*kernel):
+        step = kernel_of(*kernel)
+
+        def counted(*args):
+            steps.append(args[2].shape)
+            return step(*args)
+
+        return counted
+
+    def counted_draw(seed, n, *args):
+        draws.append((seed, n))
+        return draw(seed, n, *args)
+
+    monkeypatch.setattr(simulate, "compile_step_kernel", counted_kernel)
+    monkeypatch.setattr(simulate, "_block_increments", counted_draw)
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    assert simulate._native_loop(heis, "tamed-euler", True, True, False, None, False)
+    assert steps == [(2, 4 * (C_TILE + 3))] * 7  # one pass over the four blocks
+    assert draws == [(0, 7), (2**64 - 1, 6)]
+
+
+_COMPILED_RUN = """
+import hashlib, sys
+from hypolab import native
+from hypolab.fieldlang import CoefficientSet
+from hypolab.flows import RecordSpec, SimConfig, run_ensemble, simulate
+
+native.CACHE, simulate.NATIVE = sys.argv[1], False
+compiles = []
+native.compile = lambda *args: compiles.append(args[1]) or compile(*args)
+coeffs = CoefficientSet.from_text(3, 2, *{heis!r})
+cfg = SimConfig(horizon=0.5, n_steps=32, x0=(1.0, 0.5, 0.0), seed=4)
+res = run_ensemble(coeffs, cfg, 20, RecordSpec(c_checkpoints=(16, 32)))
+arrays = (res.final_states, res.final_jacobians, res.diverged_step, res.c_at[16], res.c_at[32])
+print(len(compiles), hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+
+
+def test_a_warm_code_cache_gives_a_new_process_its_kernel_uncompiled(tmp_path, force_route):
+    # _heis_bytes on the numpy route, in two fresh processes sharing a cache
+    src = str(Path(native.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = _COMPILED_RUN.format(heis=_HEIS)
+    runs = [subprocess.run([sys.executable, "-c", script, str(tmp_path / "cache")], env=env,
+                           capture_output=True, text=True, check=True) for _ in range(2)]
+    force_route("numpy")
+    digest = hashlib.sha256(b"".join(_heis_bytes())).hexdigest()
+    assert [run.stdout.split() for run in runs] == [["1", digest], ["0", digest]]
+    assert [run.stderr for run in runs] == ["", ""]
+    assert len(list((tmp_path / "cache").glob("*.code"))) == 1
+
+
+_SOURCE = "def step(x):\n    return x + 1\n"
+
+
+def _defined(code):
+    namespace = {}
+    exec(code, namespace)
+    return namespace["step"]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "digest"])
+def test_a_damaged_code_file_is_compiled_again_quietly(damage, tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(native, "CACHE", str(tmp_path))
+    native.compiled(_SOURCE, "<step #1>")
+    (path,) = tmp_path.glob("*.code")
+    blob = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(blob[: len(blob) // 2])
+    else:  # a bit of the code flipped under its digest
+        path.write_bytes(blob[:40] + bytes([blob[40] ^ 1]) + blob[41:])
+    compiles = _counted_compiles(monkeypatch)
+    assert _defined(native.compiled(_SOURCE, "<step #2>"))(1) == 2
+    assert compiles == ["<step #2>"]
+    step = _defined(native.compiled(_SOURCE, "<step #3>"))  # replaced: read as it was written
+    assert compiles == ["<step #2>"] and step(1) == 2
+    assert step.__code__.co_filename == "<step #3>"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_foreign_code_cache_is_never_read(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(native, "CACHE", str(cache))
+    native.compiled(_SOURCE, "<step #1>")
+    (path,) = cache.glob("*.code")
+    # another function under the source's name, with its digest: an own cache serves it
+    other = marshal.dumps(compile("def step(x):\n    return 'foreign'\n", "<other>", "exec"))
+    path.write_bytes(hashlib.sha256(other).digest() + other)
+    assert _defined(native.compiled(_SOURCE, "<step #2>"))(1) == "foreign"
+    cache.chmod(0o777)  # anyone may write into it
+    listing = [(p.name, p.read_bytes()) for p in cache.iterdir()]
+    compiles = _counted_compiles(monkeypatch)
+    assert _defined(native.compiled(_SOURCE, "<step #3>"))(1) == 2
+    assert compiles == ["<step #3>"]
+    assert [(p.name, p.read_bytes()) for p in cache.iterdir()] == listing
+
+
+def test_loaded_code_takes_this_process_file_name_throughout(tmp_path, monkeypatch):
+    monkeypatch.setattr(native, "CACHE", str(tmp_path))
+    source = "def outer():\n    def inner():\n        return 1 / 0\n    return inner\n"
+    native.compiled(source, "<first #1>")
+    compiles = _counted_compiles(monkeypatch)
+    code = native.compiled(source, "<second #2>")
+    assert not compiles
+    outer = code.co_consts[0]
+    assert outer.co_filename == outer.co_consts[1].co_filename == "<second #2>"
+
+
+def test_fresh_loops_redirect_the_code_cache(fresh_loops, force_route):
+    force_route("numpy")
+    _heis_bytes()
+    assert len(list(fresh_loops.glob("*.code"))) == 1
+
+
+def test_a_compile_keeps_the_most_recently_loaded_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(native, "CACHE", str(tmp_path))
+    monkeypatch.setattr(native, "KEEP", 2)
+    for name in ("a.so", "a.so.sha256", "b.so", "b.so.sha256"):  # loaded before any code
+        (tmp_path / name).write_bytes(b"")
+        os.utime(tmp_path / name, ns=(0, 0))
+    libraries = sorted(tmp_path.glob("*.so*"))
+    compiles = _counted_compiles(monkeypatch)
+    for i in (0, 1, 0, 2, 0, 1):  # code 1 goes at the write of code 2
+        native.compiled(f"x = {i}\n", f"<x{i}>")
+    assert compiles == ["<x0>", "<x1>", "<x2>", "<x1>"]
+    assert len(list(tmp_path.glob("*.code"))) == 2
+    assert sorted(tmp_path.glob("*.so*")) == libraries  # KEEP of each kind
 
 
 def test_a_build_reads_no_python_headers(fresh_loops, monkeypatch, force_route):

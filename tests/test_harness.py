@@ -312,6 +312,66 @@ def test_cli_simulate_skips_diverged_dump_paths(tmp_path):
     assert not any(e["file"].startswith("trajectory_") for e in manifest["outputs"])
 
 
+def test_cli_malliavin_writes_null_for_an_overflowing_determinant(tmp_path, capfd):
+    # C = Q = 5e239 I on every path, finite, but det Q = 2.5e479 overflows
+    text = """
+[model]
+d = 2
+m = 2
+x0 = 0.0, 0.0
+drift = 0, 0
+sigma1 = 1e120, 0
+sigma2 = 0, 1e120
+
+[simulation]
+T = 1.0
+n_steps = 64
+scheme = tamed-euler
+paths = 16
+seed = 1
+
+[analysis]
+t = 0.5
+"""
+    code = main(["malliavin", "--config", _write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert capfd.readouterr() == ("", "")
+    raw = (tmp_path / "o" / "malliavin.json").read_text()
+    payload = json.loads(raw, parse_constant=_reject_constant)
+    assert payload["det_Q"] == {"mean": None, "min": None}
+    assert payload["lambda_min_Q"]["min"] == pytest.approx(5e239, rel=1e-12)
+
+
+def test_cli_tails_refuses_a_covariance_that_overflows_its_symmetrisation(tmp_path, capfd):
+    # C is finite at every checkpoint, but C + C^T overflows from t = 0.703125 on
+    text = """
+[model]
+d = 1
+m = 1
+x0 = 0.0
+drift = 0
+sigma1 = 1.3e154
+
+[simulation]
+T = 1.0
+n_steps = 64
+scheme = tamed-euler
+paths = 16
+seed = 1
+
+[analysis]
+L = 1
+K_grid = 1, 2, 4
+t = 1.0
+matrix = Q
+fit_envelope = false
+"""
+    code = main(["tails", "--config", _write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capfd.readouterr() == ("", "error: the Malliavin covariance C or Q at t = 0.703125 "
+                                      "overflows on a surviving path\n")
+
+
 HUGE_POWER = """
 [model]
 d = 1
