@@ -237,8 +237,9 @@ def remainder_tails(
 
     The energy integral is accumulated inside the engine's generated step, a
     ``RemainderEnergy`` record whose value is kept only at the (t/K) indices
-    read here; no state, flow or increment path is stored, so memory is
-    bounded by one block's Brownian increments.
+    read here; no state, flow or increment path is stored.  Memory still
+    grows with the path count, by those kept values: on the heis config the
+    tracemalloc peak is 35 MiB at 16384 paths and 97 MiB at 262144.
     """
     k_values = _k_values(L, k_grid)
     if not 0 < epsilon <= 1:
@@ -317,7 +318,10 @@ def _inverse_det_samples(p: float, t: float, ensemble: EnsembleSpec) -> np.ndarr
 
 def _inverse_det_powers(q: np.ndarray, p: float) -> np.ndarray:
     """(det Q)^-p for a (B, d, d) stack; det Q <= 0 or an overflow aborts."""
-    dets = np.linalg.det(q)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked here
+        dets = np.linalg.det(q)
+    if nonfinite := int((~np.isfinite(dets)).sum()):
+        raise EvaluationError(f"det Q is not finite on {nonfinite} of {dets.size} surviving paths")
     bad = int((dets <= 0).sum())
     if bad:
         raise DegenerateSamplesError(bad, dets.size)

@@ -6,7 +6,7 @@ import linecache
 import operator
 import re
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
@@ -32,6 +32,7 @@ from .parser import parse_expression
 __all__ = [
     "VectorField",
     "CoefficientSet",
+    "Kernel",
     "jacobian",
     "compile_field",
     "compile_expression_stack",
@@ -838,31 +839,81 @@ def _render(items, c: bool, lane: dict) -> list[str]:
     return lines
 
 
-def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
-                 identity: bool = False, remainder: tuple | None = None,
-                 square_norm: bool = False, c: bool = False) -> list[str] | None:
+@dataclass(frozen=True, slots=True)
+class Kernel:
+    """One step of the ensemble engine: the model, the scheme and the rows it
+    steps.  It keys ``compile_step_kernel``, ``step_kernel_c`` and the
+    engine's native loops, and ``rows`` is the one definition of a block's
+    (rows, B) layout.
+
+    The rows are named, in this order: X (``x0``, ...); with ``flows``, J
+    then K, row-major (``J0_0``, ``J0_1``, ...); with ``covariance``, C's
+    upper triangle, row-major (``C0_0``, ``C0_1``, ...).  These first
+    ``state`` rows decide whether a path is lost.  The record rows follow: a
+    lost path's freeze with its state, and no caller reads them.
+    ``identity`` adds ``sup``, the running max of |K J - I|, its squares
+    summed row-major in (p, r), then ``sqrt``.  ``remainder = (target,
+    prefixes, indices)`` adds ``integrals.RemainderEnergy``'s rows: ``cum``,
+    the running trapezoid integral of ``E`` = |R|^2, and the midpoint
+    integral I_e of each prefix, in ``prefixes`` order (``I1_2`` for e = (1,
+    2)): the stored-path oracle's float operations, but for the sign of a
+    zero R, which E squares away.  ``square_norm`` adds, last, ``xsup``, the
+    running max of |X|^2, summed in index order as ``np.add.reduce`` sums.
+    """
+
+    coeffs: CoefficientSet
+    scheme: str
+    flows: bool = False
+    covariance: bool = False
+    identity: bool = False
+    remainder: tuple | None = None
+    square_norm: bool = False
+    rows: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    state: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = range(self.coeffs.d)
+        rows = [f"x{i}" for i in d]
+        rows += [f"{M}{p}_{r}" for M in "JK" for p in d for r in d if self.flows]
+        rows += [f"C{p}_{r}" for p in d for r in d if p <= r and self.covariance]
+        object.__setattr__(self, "state", len(rows))
+        rows += ["sup"] * self.identity
+        rows += ["cum", "E", *self.integrals.values()] if self.remainder else []
+        rows += ["xsup"] * self.square_norm
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @property
+    def integrals(self) -> dict:
+        """The row of each of the remainder's prefix integrals, by prefix."""
+        return {e: "I" + "_".join(map(str, e)) for e in self.remainder[1]} if self.remainder else {}
+
+    def part(self, name: str) -> tuple[list[int], tuple[int, ...]]:
+        """The rows of ``name`` and its shape per path: "x" (d,), "J", "K" or
+        "C" (d, d), row-major, C whole from its triangle's rows, or one row ()."""
+        d, at = self.coeffs.d, self.rows.index
+        if name == "x":
+            return [at(f"x{i}") for i in range(d)], (d,)
+        if name not in ("J", "K", "C"):
+            return [at(name)], ()
+        pairs = [(min(p, r), max(p, r)) if name == "C" else (p, r)
+                 for p in range(d) for r in range(d)]
+        return [at(f"{name}{p}_{r}") for p, r in pairs], (d, d)
+
+
+def _step_source(kernel: Kernel, c: bool = False) -> list[str] | None:
     """The source lines of ``compile_step_kernel``'s step, or with ``c`` of
     ``step_kernel_c``'s loop: one emission, in which only the statements'
     form depends on ``c``.  numpy's statements act on rows of B paths and
     write the new rows to ``out``; C's act on lane g of a tile's doubles and
     write them to ``o[row * C_TILE + g]``, which ``_C_RUN`` stores when the
     state rows are finite."""
+    coeffs, scheme, rows = kernel.coeffs, kernel.scheme, kernel.rows
     d, m = coeffs.d, coeffs.m
     implicit = scheme == "split-step-backward-euler"
     sigma = [[col.components[q] for col in coeffs.diffusion] for q in range(d)]
     pairs = [(p, r) for p in range(d) for r in range(d)]
     upper = [(p, r) for p, r in pairs if p <= r]
     let, one, sqrt = _Let(c), _literal(1.0, c), "sqrt" if c else "np.sqrt"
-    rows = [f"x{i}" for i in range(d)]
-    rows += [f"{M}{p}_{r}" for M in "JK" for p, r in pairs if flows]
-    rows += [f"C{p}_{r}" for p, r in upper if covariance]
-    state = len(rows)
-    rows += ["sup"] * identity
-    if remainder:
-        target, prefixes, indices = remainder
-        integral = {e: "I" + "_".join(map(str, e)) for e in prefixes}
-        rows += ["cum", "E", *integral.values()]
-    rows += ["xsup"] * square_norm
     if c:
         body = [let(name, f"st[g + {n} * {C_TILE}]") for n, name in enumerate(rows)]
         body += [let(f"dw{i}", f"dwk[g + {i} * {C_TILE}]") for i in range(m)]
@@ -892,15 +943,21 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         body.append(let(local, text))
         return local
 
+    def new(name):  # the row ``name`` at k + 1
+        row = rows.index(name)
+        return f"o[{row} * {C_TILE} + g]" if c else f"out[{row}]"
+
+    def store(name, text):
+        body.append(f"{new(name)} = {text}{';' * c}")
+
     def update(name, op, terms, first=None):  # out's row ``name`` = first op terms
-        first, row = first or name, rows.index(name)
-        if c:
-            sign = "+" if op == "add" else "-"
-            body.append(f"o[{row} * {C_TILE} + g] = ({first}) {sign} ({terms});" if terms
-                        else f"o[{row} * {C_TILE} + g] = {first};")
+        first = first or name
+        if not terms:
+            store(name, first)
+        elif c:
+            store(name, f"({first}) {'+' if op == 'add' else '-'} ({terms})")
         else:
-            body.append(f"np.{op}({first}, {terms}, out=out[{row}])" if terms
-                        else f"out[{row}] = {first}")
+            body.append(f"np.{op}({first}, {terms}, out={new(name)})")
 
     b = [entry(e) for e in coeffs.drift.components if not implicit]
     inc = [f"(z{i} - x{i})" for i in range(d)] if implicit else [f"h * {v}" for v in b]
@@ -912,7 +969,7 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     for i in range(d):
         noise = total(mul(factor(sigma[i][j], at), f"dw{j}") for j in range(m))
         update(f"x{i}", "add", f"({noise}) + 0.0" if noise else "0.0", f"x{i} + {inc[i]}")
-    if flows:
+    if kernel.flows:
         gb, gs = jacobian(coeffs.drift), [jacobian(col) for col in coeffs.diffusion]
         A = [[None] * d for _ in range(d)]
         for p, q in pairs:
@@ -928,36 +985,30 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
             update(f"J{p}_{r}", "add", total(mul(A[p][q], f"J{q}_{r}") for q in range(d)))
         for p, r in pairs:
             update(f"K{p}_{r}", "subtract", total(mul(f"K{p}_{q}", G[q][r]) for q in range(d)))
-    if covariance:
+    if kernel.covariance:
         S = [[total((mul(f"K{p}_{q}", factor(sigma[q][i])) for q in range(d)), f"S{p}_{i}")
               for i in range(m)] for p in range(d)]
         for p, r in upper:
             terms = total(mul(S[p][i], S[r][i]) for i in range(m))
             update(f"C{p}_{r}", "add", terms and f"h * ({terms})")
 
-    def new(name):  # the row ``name`` at k + 1
-        row = rows.index(name)
-        return f"o[{row} * {C_TILE} + g]" if c else f"out[{row}]"
-
-    def store(name, text):
-        body.append(f"{new(name)} = {text}{';' * c}")
-
     def running_max(name, value):  # numpy's maximum: a NaN on either side wins
         store(name, f"(isnan({name}) || {name} >= {value}) ? {name} : {value}" if c
               else f"np.maximum({name}, {value})")
 
-    if identity:  # the running max of |K J - I|: squares summed row-major in (p, r), then sqrt
+    if kernel.identity:
         for p, r in pairs:
             kj = " + ".join(f"{new(f'K{p}_{q}')} * {new(f'J{q}_{r}')}" for q in range(d))
             body.append(let(f"D{p}_{r}", f"{kj} - {one}" if p == r else kj))
         squares = " + ".join(f"D{p}_{r} * D{p}_{r}" for p, r in pairs)
         body.append(let("defect", f"{sqrt}({squares})"))
         running_max("sup", "defect")
-    if square_norm:  # the running max of |X|^2, summed in index order as np.add.reduce
+    if kernel.square_norm:
         body.append(let("xsq", " + ".join(f"{new(f'x{i}')} * {new(f'x{i}')}" for i in range(d))))
         running_max("xsup", "xsq")
     ystart = len(body)
-    if remainder:
+    if kernel.remainder:
+        (target, _, indices), integral = kernel.remainder, kernel.integrals
         for e, name in integral.items():  # (1 + 1) / 2 * dW is dW, exactly
             w = "h" if e[-1] == 0 else f"dw{e[-1] - 1}"
             prefix = integral.get(e[:-1])
@@ -977,7 +1028,7 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
         update("cum", "add", f"{_literal(0.5, c)} * (E + En) * h")
         store("E", "En")
     if not c:
-        finite = f"np.isfinite(out[:{state}]).all(axis=0)"
+        finite = f"np.isfinite(out[:{kernel.state}]).all(axis=0)"
         body.append(f"return {finite} & converged & ~failed" if implicit else f"return {finite}")
     for at, where in (("y", ystart), ("z", start), ("x", start)):  # x's entries come first
         group = {e: n for (e, place), n in names.items() if place == at}
@@ -991,7 +1042,7 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     if 8 * C_TILE * (2 * len(rows) + lanes) > _C_STACK:
         return None
     return _C_RUN.format(
-        m=m, rows=len(rows), state=state, tile=C_TILE,
+        m=m, rows=len(rows), state=kernel.state, tile=C_TILE,
         solve="\n            ".join(solve),
         solved="(lane.converged[g] & !lane.failed[g])" if implicit else "1",
         body="\n                ".join(body),
@@ -999,60 +1050,41 @@ def _step_source(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
 
 
 @lru_cache(maxsize=256)
-def compile_step_kernel(
-    coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
-    identity: bool = False, remainder: tuple | None = None, square_norm: bool = False,
-) -> Callable:
+def compile_step_kernel(kernel: Kernel) -> Callable:
     """One generated step ``step(s, out, dw, h, T=None, lost=False)`` of the ensemble engine.
 
-    ``s`` holds a block's state as rows of B paths: X (d rows), then with
-    ``flows`` J and K (d*d rows each), then with ``covariance`` too C's upper
-    triangle, all row-major.  The step writes to ``out`` X + drift + noise
-    under ``scheme`` (noise sigma(z) dW at the split-step scheme's solved
-    point ``z``), J + A J, K - K G and C + h S S^T with S = K sigma(X), for
-    the (m, B) increments ``dw``, and returns the mask of paths whose new
-    state is finite and whose split-step solve converged.  That solve does
-    not pivot: ``SimConfig`` refuses h L >= 1 for a monotone bound L, so the
-    symmetric part of I - h grad b is at least (1 - h L) I, and the LU
-    factorisation exists without pivoting (Golub and Van Loan); a zero or
-    non-finite pivot fails its own row only.  The solve is ``_newton``'s
-    damped Newton on all B rows at once, each row masked on its own; the
-    rows of the mask ``lost``, paths lost before, start it as failed, so a
-    frozen state without a root never keeps it iterating.  Each
-    subexpression of b, sigma, grad b and grad sigma_i is evaluated once;
-    each product with a constant-0 factor (of either sign) is left out, as
-    is a factor 1.0; sums add the rest in ascending index order.  numpy's
-    axis sums start from 0.0, which can only turn a sum of zeros into +0.0:
-    the noise keeps it as ``+ 0.0``, so X keeps its bits, and entries of J,
-    K and C, which start at 0.0 or 1.0, can never become -0.0.
+    ``s`` holds a block's rows of B paths, ``kernel.rows``.  The step writes
+    to ``out`` X + drift + noise under ``kernel.scheme`` (noise sigma(z) dW
+    at the split-step scheme's solved point ``z``), J + A J, K - K G and C +
+    h S S^T with S = K sigma(X), for the (m, B) increments ``dw``, and
+    returns the mask of paths whose new state is finite and whose split-step
+    solve converged.  That solve does not pivot: ``SimConfig`` refuses h L
+    >= 1 for a monotone bound L, so the symmetric part of I - h grad b is at
+    least (1 - h L) I, and the LU factorisation exists without pivoting
+    (Golub and Van Loan); a zero or non-finite pivot fails its own row only.
+    The solve is ``_newton``'s damped Newton on all B rows at once, each row
+    masked on its own; the rows of the mask ``lost``, paths lost before,
+    start it as failed, so a frozen state without a root never keeps it
+    iterating.  Each subexpression of b, sigma, grad b and grad sigma_i is
+    evaluated once; each product with a constant-0 factor (of either sign)
+    is left out, as is a factor 1.0; sums add the rest in ascending index
+    order.  numpy's axis sums start from 0.0, which can only turn a sum of
+    zeros into +0.0: the noise keeps it as ``+ 0.0``, so X keeps its bits,
+    and entries of J, K and C, which start at 0.0 or 1.0, can never become
+    -0.0.  The record rows are stepped as ``Kernel`` describes, with ``T``
+    the remainder's coefficients.
 
-    Record rows follow the state and never decide whether a path is lost.
-    ``identity`` adds the running max of |K J - I|, its squares summed
-    row-major in (p, r), then ``sqrt``.  ``remainder = (target, prefixes,
-    indices)`` adds ``integrals.RemainderEnergy``'s rows cum, E and I_e per
-    prefix: I_{e j} += (I_e + I_e')/2 dW^j (dW^0 = h) in ``prefixes`` order,
-    R = K' target(X') - sum_a T[a] I_{indices[a]}', E' = |R|^2 and cum +=
-    (E + E') h / 2, ' marking new rows and ``T`` being the (len(indices), d)
-    coefficients: the stored-path oracle's float operations, but for the
-    sign of a zero R, which E squares away.  ``square_norm`` adds, last, the
-    running max of |X|^2, summed in index order as ``np.add.reduce`` sums.
-
-    ``step_kernel_c`` renders the same lines as C, on each lane of a tile of
-    ``C_TILE`` paths, and the engine runs that loop, which also draws the
-    increments, wherever it can.  This step runs for models or remainder
-    targets with sin, cos, exp or tanh, where the C loop could not be built
-    or failed its probe, and as the native loop's oracle.
+    ``step_kernel_c`` renders the same lines as C; ``flows.simulate`` says
+    which of the two a block runs.
     """
-    label = (f"hypolab step d={coeffs.d} m={coeffs.m} {scheme}" + " JK" * flows + " C" * covariance
-             + " sup" * identity + " R" * bool(remainder) + " |X|^2" * square_norm)
-    return _define("step", label, lambda: _step_source(coeffs, scheme, flows, covariance,
-                                                       identity, remainder, square_norm))
+    label = (f"hypolab step d={kernel.coeffs.d} m={kernel.coeffs.m} {kernel.scheme}"
+             + " JK" * kernel.flows + " C" * kernel.covariance + " sup" * kernel.identity
+             + " R" * bool(kernel.remainder) + " |X|^2" * kernel.square_norm)
+    return _define("step", label, lambda: _step_source(kernel))
 
 
 @lru_cache(maxsize=256)
-def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
-                  identity: bool = False, remainder: tuple | None = None,
-                  square_norm: bool = False):
+def step_kernel_c(kernel: Kernel):
     """C source of the block loop ``run``, or None when a field or the
     remainder target uses sin, cos, exp or tanh, or when the loop's tile
     would take more than ``_C_STACK`` bytes of stack.
@@ -1068,16 +1100,15 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
     the bits of ``simulate._block_increments``.  The library's ``setup(seed,
     id, count, want)`` must run first: it reads numpy's ziggurat tables and
     returns 1 when the ``count`` normals of the stream (``seed``, ``id``),
-    drawn as the loop draws them, are the bits of ``want`` and took at
-    least one slow draw on the bulk words and one normal past them; 0
-    otherwise, or when its scratch cannot be allocated.  ``diverged`` holds
-    the (B,) int64 steps at which paths were lost, -1 for
-    none, ``T`` the remainder's coefficients and ``work`` room for
-    ``C_TILE`` n m + 4 ceil(n m / 4) doubles: the tile's increments, then a
-    stream's words.  The
-    library's ``isa()`` names the clone of ``run`` the loader picked:
-    "avx512f", "avx2" or "default".  ``tile()`` returns the width ``C_TILE`` had
-    when the source was rendered, which sizes ``work``.
+    drawn as the loop draws them, are the bits of ``want`` and took at least
+    one slow draw on the bulk words and one normal past them; 0 otherwise,
+    or when its scratch cannot be allocated.  ``diverged`` holds the (B,)
+    int64 steps at which paths were lost, -1 for none, ``T`` the remainder's
+    coefficients and ``work`` room for ``C_TILE`` n m + 4 ceil(n m / 4)
+    doubles: the tile's increments, then a stream's words.  The library's
+    ``isa()`` names the clone of ``run`` the loader picked: "avx512f",
+    "avx2" or "default".  ``tile()`` returns the width ``C_TILE`` had when
+    the source was rendered, which sizes ``work``.
 
     Each step is ``compile_step_kernel``'s, line by line, on each lane of
     the tile, ``o[row * C_TILE + g]`` for lane g's row: the same operations
@@ -1091,23 +1122,19 @@ def step_kernel_c(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: 
     all its rows, records too, and a lost path's rows are never stored
     again.
 
-    ``run`` keeps the tile on its stack: ``st`` and ``o`` take 2 rows
-    ``C_TILE`` doubles, and the split-step solve's ``lane`` struct
-    ``C_TILE`` doubles per name, besides a few arrays of ``C_TILE``.  That
-    is 13.5 KiB for heis with J, K and C (21 KiB under split-step), but
-    would pass 2 MiB at d = 40, so past ``_C_STACK`` the loop is refused and
-    the block takes the numpy route.
+    ``run`` keeps the tile on its stack (``_C_STACK``): 13.5 KiB for heis
+    with J, K and C, 21 KiB under split-step.
 
     Compiled without contraction into fused multiply-adds
     (``-ffp-contract=off``), every operation rounds as numpy's does, in a
     vector lane as in a scalar, so the bits agree; the engine checks that
     on a probe block before it uses the loop.
     """
+    coeffs, remainder = kernel.coeffs, kernel.remainder
     fields = (coeffs.drift, *coeffs.diffusion, *(remainder[:1] if remainder else ()))
     if not all(_rational(e) for f in fields for e in f.components):
         return None
-    source = _step_source(coeffs, scheme, flows, covariance, identity, remainder, square_norm,
-                          c=True)
+    source = _step_source(kernel, c=True)
     return None if source is None else "\n".join(source) + "\n"
 
 

@@ -46,19 +46,15 @@ bit depends on the block size or the route.  ``simulate_x`` and
 increments the loop takes instead of drawing, and store its X, J and K.
 
 A block records per path in two ways, both set by ``RecordSpec``.  Running
-records are rows of the generated step, after the state rows: sup_k
-|K_k J_k - I| (``track_flow_identity``), the remainder energy of an
-``integrals.RemainderEnergy`` with the unit-process integrals it needs
-(``remainder``), and sup_k |X_k|^2 (``track_square_norm``).  Only the X,
-J, K and C rows decide whether a path is lost; a lost path's record rows
-freeze with its state, and no caller reads them.  Kept views read parts of
-the state at some grid indices: stored paths, C and J at checkpoints, and
+records are rows of the generated step, after the state rows, as
+``fieldlang.Kernel`` lays them out.  Kept parts read rows of the state,
+by name, at some grid indices: stored paths, C and J at checkpoints, and
 the remainder energy at its read indices.  Both routes copy every row
-into one (S, rows, B) snapshot at the S indices some view keeps and at n;
-each view reads its part, paths last, and moves it to the per-path layout
-once, at the end of the block.  Those per-path arrays, or dicts of them by
-grid index, are merged in stream order into the fields of
-``EnsembleResult``.
+into one (S, rows, B) snapshot at the S indices some part keeps and at n;
+at the end of the block each part copies its rows out to the per-path
+layout, so the snapshot goes with the block.  Those per-path arrays, or
+dicts of them by grid index, are merged in stream order into the fields
+of ``EnsembleResult``.
 """
 from __future__ import annotations
 
@@ -66,7 +62,7 @@ import ctypes
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -79,7 +75,7 @@ from ..errors import (
     InternalInvariantError,
     SimulationDiverged,
 )
-from ..fieldlang import CoefficientSet, compile_step_kernel, step_kernel_c
+from ..fieldlang import CoefficientSet, Kernel, compile_step_kernel, step_kernel_c
 from . import brownian
 from .brownian import BrownianGrid, _brownian_paths
 
@@ -215,10 +211,13 @@ class RecordSpec:
     track_flow_identity: bool = False
     track_square_norm: bool = False
 
-    @property
-    def needs_flows(self) -> bool:
-        return (self.flows or bool(self.c_checkpoints) or self.track_flow_identity
-                or self.remainder is not None)
+    def kernel(self, coeffs: CoefficientSet, scheme: str) -> Kernel:
+        """The step that keeps these records, with J and K if any record reads them."""
+        spec = self.remainder
+        flows = self.flows or bool(self.c_checkpoints) or self.track_flow_identity or bool(spec)
+        return Kernel(coeffs, scheme, flows=flows, covariance=bool(self.c_checkpoints),
+                      identity=self.track_flow_identity, square_norm=self.track_square_norm,
+                      remainder=spec and (spec.target, spec.prefixes, spec.indices))
 
 
 @dataclass(slots=True)
@@ -263,80 +262,63 @@ class EnsembleResult:
         return self.alive
 
 
-class _Kept:
-    """One part of a block's state kept at some grid indices.
-
-    ``result`` reads the block's snapshot at those indices: ``read`` takes
-    the parts ``_views`` gives of it, each with the (indices, B) axes last,
-    and the part it returns is moved to the (B, len(indices), ...) layout,
-    or, ``by_index``, to {k: (B, ...)}.
-    """
-
-    def __init__(self, read, indices, by_index=False):
-        self.read, self.indices, self.by_index = read, list(indices), by_index
-
-    def result(self, snap, stops, layout):
-        """The kept part of ``snap``, a block's (len(stops), rows, B) rows at the
-        ascending grid indices ``stops``; ``layout`` is ``_views``' d, flows
-        and covariance."""
-        at = np.searchsorted(stops, self.indices)
-        part = snap if np.array_equal(at, np.arange(len(stops))) else snap[at]
-        kept = np.moveaxis(self.read(*_views(part, *layout)), (-1, -2), (0, 1))
-        return {k: kept[:, r] for r, k in enumerate(self.indices)} if self.by_index else kept
+def _take(kernel: Kernel, snap: np.ndarray, stops: np.ndarray, part: str, at,
+          by_index: bool = False):
+    """``kernel.part(part)`` at the grid index or indices ``at`` of ``snap``,
+    a block's (len(stops), rows, B) rows at the ascending grid indices
+    ``stops``: a (B, ...) or (B, len(at), ...) array, or, ``by_index``, {k:
+    (B, ...)}.  Each is a view of a buffer of its own, paths last as in
+    ``snap``, so that no result keeps ``snap``."""
+    if by_index:
+        return {k: _take(kernel, snap, stops, part, k) for k in at}
+    rows, shape = kernel.part(part)
+    i = np.searchsorted(stops, at)
+    if np.array_equal(i, np.arange(len(stops))):
+        i = slice(None)  # every stop: each row is read as a view
+    buf = np.empty(np.shape(at) + (len(rows),) + snap.shape[-1:])
+    for j, row in enumerate(rows):
+        buf[..., j, :] = snap[i, row]
+    return np.moveaxis(buf.reshape(np.shape(at) + shape + snap.shape[-1:]), -1, 0)
 
 
-def _recorders(record: RecordSpec, n: int, d: int) -> dict:
-    """A block's kept views, keyed by the ``EnsembleResult`` field each fills."""
-    reads = {"states": lambda x, *_: x}  # each view the run has, (..., indices, B)
-    if record.needs_flows:
-        reads["jacobians"] = lambda x, j, *_: j
-        reads["inverses"] = lambda x, j, k_inv, *_: k_inv
-    if record.c_checkpoints:
-        tri = np.zeros((d, d), dtype=np.intp)  # C[p, r] is C's triangle row tri[p, r]
-        tri[np.triu_indices(d)] = tri.T[np.triu_indices(d)] = np.arange(d * (d + 1) // 2)
-        reads["covariances"] = lambda x, j, k_inv, c, rec: c[tri]
-    recs = {}
-    if record.store_paths:
-        recs = {name: _Kept(read, range(n + 1)) for name, read in reads.items()}
+def _recorders(kernel: Kernel, record: RecordSpec, n: int) -> dict:
+    """A block's kept parts, keyed by the ``EnsembleResult`` field each
+    fills, as ``_take``'s (part, grid indices, by_index)."""
+    parts = {"states": "x"} | ({"jacobians": "J", "inverses": "K"} if kernel.flows else {})
+    parts |= {"covariances": "C"} if kernel.covariance else {}  # each part the run has
+    recs = ({name: (part, range(n + 1), False) for name, part in parts.items()}
+            if record.store_paths else {})
     at = sorted(set(record.c_checkpoints))
     for i in at:
         if not 0 <= i <= n:
             raise ConfigError(f"checkpoint index {i} outside the grid")
     if at:
-        recs["c_at"] = _Kept(reads["covariances"], at, by_index=True)
-        recs["j_at"] = _Kept(reads["jacobians"], at, by_index=True)
+        recs["c_at"], recs["j_at"] = ("C", at, True), ("J", at, True)
     if record.remainder is not None:
         if not all(0 <= k <= n for k in record.remainder.read):
             raise ConfigError(f"remainder read indices must lie in [0, {n}]")
-        cum = int(record.track_flow_identity)  # the row after the sup, if any
-        recs["accumulated"] = _Kept(lambda *views: views[-1][cum], record.remainder.read)
+        recs["accumulated"] = ("cum", record.remainder.read, False)
     return recs
 
 
-def _views(buf: np.ndarray, d: int, flows: bool, covariance: bool) -> tuple:
-    """X (d, ..., B), J and K (d, d, ..., B) or None, C's triangle rows and the
-    record rows of a block's (rows, B) state ``buf``, or of its (S, rows, B)
-    snapshot, whose S axis each view keeps before B."""
-    rows = np.moveaxis(buf, -2, 0)
-    f = 2 * d * d if flows else 0
-    e = d + f + (d * (d + 1) // 2 if covariance else 0)
-    flow = rows[d : d + f].reshape((2, d, d) + rows.shape[1:]) if flows else (None, None)
-    return rows[:d], flow[0], flow[1], rows[d + f : e], rows[e:]
-
-
-def _initial_state(x: np.ndarray, flows: bool, covariance: bool, identity: bool,
-                   remainder: tuple | None, square_norm: bool) -> np.ndarray:
-    """A block's rows with X = ``x`` (d, B), J = K = I, C = 0, and 0 in the
-    record rows: the flow-identity sup, the remainder's cum, E and one
-    integral per prefix, then the sup of |X|^2."""
+def _initial_state(kernel: Kernel, x: np.ndarray, spec: RemainderEnergy | None = None):
+    """A block's rows, ``kernel.rows``, with X = ``x`` (d, B), J = K = I, C =
+    0 and the records at step 0: ``xsup`` = |X|^2, summed as the kernel sums,
+    ``E`` = |R|^2 of the remainder ``spec`` at integrals 0 and the unit
+    process 1 (or 0 without ``spec``), and 0 elsewhere."""
     d, B = x.shape
-    records = identity + (len(remainder[1]) + 2 if remainder else 0) + square_norm
-    s = np.zeros((d + (2 * d * d if flows else 0) + (d * (d + 1) // 2 if covariance else 0)
-                  + records, B))
-    views = _views(s, d, flows, covariance)
-    views[0][:] = x
-    if flows:
-        views[1][:] = views[2][:] = np.eye(d)[:, :, None]
+    s = np.zeros((len(kernel.rows), B))
+    s[kernel.part("x")[0]] = x
+    for name in "JK" if kernel.flows else "":
+        s[kernel.part(name)[0]] = np.eye(d).reshape(-1, 1)
+    x = s[kernel.part("x")[0]]
+    with np.errstate(all="ignore"):
+        if spec:
+            k_inv = s[kernel.part("K")[0]].reshape(d, d, B)
+            rem = spec.remainder(x, k_inv, dict.fromkeys(spec.prefixes, 0.0) | {(): 1.0})
+            s[kernel.rows.index("E")] = np.sum(rem * rem, axis=0)
+        if kernel.square_norm:
+            s[kernel.rows.index("xsup")] = np.add.reduce(x * x, axis=0)
     return s
 
 
@@ -385,17 +367,22 @@ _SAMPLER_CHECK = (2**64 - 1, 2**64 - 2, 2**14)
 _TABLES_LOCK = threading.Lock()
 
 
-def _probe_blocks(kernel: tuple, B: int) -> tuple:
+def _probe_blocks(kernel: Kernel, B: int) -> tuple:
     """The native loop's probe of ``kernel`` on B paths: the start rows,
-    random but for J, K and C, the remainder coefficients, the stream ids,
-    and ``_PROBE_BLOCKS`` as (n, seed, given increments or None, the
-    block's (n, m, B) increments).  Each seed's streams are drawn once, at
-    its longest block: a stream's first n steps are its n-step draw."""
-    coeffs, _, flows, covariance, _, remainder, _ = kernel
-    d, m = coeffs.d, coeffs.m
+    random but for J, K and C, random remainder coefficients, the stream
+    ids, and ``_PROBE_BLOCKS`` as (n, seed, given increments or None, the
+    block's (n, m, B) increments).  On the block of given increments, two
+    paths draw an infinite increment: the fourth, a lane of the first tile
+    beside live ones, at step 1, and the last, in the partial tile, at step
+    2.  So each is lost there on any model whose noise reaches X, and would
+    be finite again if it were stepped on.  The drawn blocks check the
+    loop's draws against ``_block_increments``; each seed's streams are
+    drawn once, at its longest block: a stream's first n steps are its
+    n-step draw."""
+    d, m, remainder = kernel.coeffs.d, kernel.coeffs.m, kernel.remainder
     rng = np.random.default_rng(2024)
-    start = _initial_state(rng.uniform(-1.5, 1.5, (d, B)), *kernel[2:])
-    records = _views(start, d, flows, covariance)[-1]
+    start = _initial_state(kernel, rng.uniform(-1.5, 1.5, (d, B)))
+    records = start[kernel.state :]
     records[:] = rng.uniform(-1.5, 1.5, records.shape)
     coefficients = rng.uniform(-1.5, 1.5, (len(remainder[2]) if remainder else 0, d))
     ids = np.array((*_PROBE_IDS, *range(9, B + 4)), dtype=np.uint64)
@@ -439,28 +426,19 @@ def _probe_oracle(step, start: np.ndarray, blocks: list, coefficients: np.ndarra
 
 
 @lru_cache(maxsize=256)
-def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: bool,
-                 identity: bool, remainder: tuple | None, square_norm: bool):
+def _native_loop(kernel: Kernel):
     """``step_kernel_c``'s loop, built and loaded, as ``loop(s, stops, h,
     diverged, coefficients, dw, seed, ids)``, which returns a block's
     snapshot as ``_numpy_block`` does and draws the streams ``ids`` when
     ``dw`` is None, with the vector extensions its build runs with as
     ``loop.isa``; or None unless the library's ``setup`` reads numpy's
     ziggurat tables and then draws ``_SAMPLER_CHECK``'s normals as numpy
-    does, and the loop leaves the numpy route's bytes on fixed probe
-    blocks.  The probe starts from random X and record rows, with random
-    remainder coefficients, and keeps the rows at 0, 3 and n.  On a block
-    of given increments, two paths draw an infinite increment: the fourth,
-    a lane of the first tile beside live ones, at step 1, and the last, in
-    the partial tile, at step 2.  So each is lost there on any model whose
-    noise reaches X, and would be finite again if it were stepped on.  On
-    three drawn blocks of 5, 6 and 7 steps, at seeds 0 and 2^64 - 1, the
-    loop must match ``_block_increments``.  The loop runs each block on its
-    own; the numpy route checks all four in one pass (``_probe_oracle``)."""
+    does, and the loop leaves the numpy route's rows at 0, 3 and n on the
+    blocks of ``_probe_blocks``.  The loop runs each block on its own; the
+    numpy route checks all four in one pass (``_probe_oracle``)."""
     from .. import native  # on the first block that can use it, never at import
 
-    kernel = (coeffs, scheme, flows, covariance, identity, remainder, square_norm)
-    source = step_kernel_c(*kernel)
+    source = step_kernel_c(kernel)
     ptr, i64, f64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_uint64
     fns = source and native.load(source, {
         "setup": (ctypes.c_int, (u64, u64, i64, ptr)),
@@ -471,7 +449,7 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
     if not fns:
         return None
     setup, fn, isa, tile = fns
-    m, width = coeffs.m, tile()  # the width the library was rendered with
+    m, width = kernel.coeffs.m, tile()  # the width the library was rendered with
     seed, sid, count = _SAMPLER_CHECK
     want = brownian.standard_normal_stream(seed, sid, 0, count)
     with _TABLES_LOCK:  # reads the sampler's tables, then draws the check's stream
@@ -495,7 +473,7 @@ def _native_loop(coeffs: CoefficientSet, scheme: str, flows: bool, covariance: b
 
     start, coefficients, ids, blocks = _probe_blocks(kernel, width + 3)
     with np.errstate(all="ignore"):
-        oracle = _probe_oracle(compile_step_kernel(*kernel), start, blocks, coefficients)
+        oracle = _probe_oracle(compile_step_kernel(kernel), start, blocks, coefficients)
         for (n, seed, dw, _), (want, want_lost) in zip(blocks, oracle):
             got_lost = np.full(len(ids), -1, dtype=np.int64)
             got = loop(start, np.array((0, 3, n), dtype=np.int64), _PROBE_H, got_lost,
@@ -514,48 +492,37 @@ def _simulate_block(coeffs: CoefficientSet, config: SimConfig, record: RecordSpe
     n, h, B = config.n_steps, config.h, len(stream_ids)
     if dw is not None and dw.shape != (n, m, B):
         raise InternalInvariantError(f"increment block has shape {dw.shape}")
-    flows, covariance = record.needs_flows, bool(record.c_checkpoints)
-    identity, spec, square_norm = (record.track_flow_identity, record.remainder,
-                                   record.track_square_norm)
-    remainder = spec and (spec.target, spec.prefixes, spec.indices)
-    kernel = (coeffs, config.scheme, flows, covariance, identity, remainder, square_norm)
-    kept = _recorders(record, n, d)  # checks the kept indices before any build
-    loop = _native_loop(*kernel) if NATIVE else None
+    kernel, spec = record.kernel(coeffs, config.scheme), record.remainder
+    kept = _recorders(kernel, record, n)  # checks the kept indices before any build
+    loop = _native_loop(kernel) if NATIVE else None
     STEP_ROUTES.add("native" if loop else "numpy")
     INCREMENT_ROUTES.add("native" if loop and dw is None else "numpy")
     if loop:
         NATIVE_ISAS.add(loop.isa)
 
     # the kernel's rows: the native loop reads them, the numpy kernel steps them
-    s = _initial_state(np.broadcast_to(np.asarray(config.x0)[:, None], (d, B)), *kernel[2:])
-    layout = (d, flows, covariance)
-    x, _, k_inv, _, records = _views(s, *layout)
-    coefficients = np.zeros((0, d))
-    stops = np.array(sorted({n}.union(*(acc.indices for acc in kept.values()))), dtype=np.int64)
+    s = _initial_state(kernel, np.broadcast_to(np.asarray(config.x0)[:, None], (d, B)), spec)
+    coefficients = spec.coefficients if spec else np.zeros((0, d))
+    stops = np.array(sorted({n}.union(*(at for _, at, _ in kept.values()))), dtype=np.int64)
     diverged = np.full(B, -1, dtype=np.int64)
     with np.errstate(all="ignore"):
-        if spec:  # E_0 = |R_0|^2, at integrals 0 and the unit process 1
-            rem = spec.remainder(x, k_inv, dict.fromkeys(spec.prefixes, 0.0) | {(): 1.0})
-            records[identity + 1] = np.sum(rem * rem, axis=0)
-            coefficients = spec.coefficients
-        if square_norm:  # |X_0|^2, summed as the kernel sums
-            records[-1] = np.add.reduce(x * x, axis=0)
         if loop:
             snap = loop(s, stops, h, diverged, coefficients, dw, config.seed, stream_ids)
         else:
             if dw is None:
                 dw = _block_increments(config.seed, n, h, m, stream_ids)
-            snap = _numpy_block(compile_step_kernel(*kernel), s, dw, h, stops, diverged,
+            snap = _numpy_block(compile_step_kernel(kernel), s, dw, h, stops, diverged,
                                 coefficients)
+    del s, dw  # the results read the snapshot alone: let the rest go before they are copied
 
-    x, j, _, _, records = _views(snap[-1], *layout)
-    return {
-        "final_states": x.T.copy(),
+    take = partial(_take, kernel, snap, stops)
+    return {  # the final values in C order, paths first
+        "final_states": take("x", n).copy(),
         "diverged_step": diverged,
-        "final_jacobians": None if j is None else np.moveaxis(j, -1, 0).copy(),
-        "flow_identity_sup": records[0].copy() if identity else None,
-        "square_norm_sup": records[-1].copy() if square_norm else None,
-        **{name: acc.result(snap, stops, layout) for name, acc in kept.items()},
+        "final_jacobians": take("J", n).copy() if kernel.flows else None,
+        "flow_identity_sup": take("sup", n).copy() if kernel.identity else None,
+        "square_norm_sup": take("xsup", n).copy() if kernel.square_norm else None,
+        **{name: take(*args) for name, args in kept.items()},
     }
 
 
@@ -586,11 +553,10 @@ def _block_increments(seed: int, n: int, h: float, m: int, stream_ids: np.ndarra
 
 
 def _default_block_size(config: SimConfig, coeffs: CoefficientSet, record: RecordSpec) -> int:
-    n, d, m = config.n_steps, coeffs.d, coeffs.m
-    per_path = n * m  # increments, on the numpy route
-    if record.store_paths:
-        flows = 2 * d * d if record.needs_flows else 0
-        per_path += (n + 1) * (d + flows + (d * d if record.c_checkpoints else 0))
+    n = config.n_steps
+    per_path = n * coeffs.m  # increments, on the numpy route
+    if record.store_paths:  # the snapshot's rows at every grid index
+        per_path += (n + 1) * len(record.kernel(coeffs, config.scheme).rows)
     budget = 64 * 1024 * 1024 // 8  # floats per block
     return max(32, min(budget // per_path, 16384))
 
@@ -625,7 +591,7 @@ def run_ensemble(
     def cat(parts):
         if isinstance(parts[0], dict):  # records by grid index
             return {k: cat([p[k] for p in parts]) for k in parts[0]}
-        return None if parts[0] is None else np.concatenate(parts)
+        return parts[0] if parts[0] is None or len(parts) == 1 else np.concatenate(parts)
 
     per_path = {key: cat([r[key] for r in results]) for key in results[0]}
     res = EnsembleResult(config, np.concatenate(id_blocks), **per_path)

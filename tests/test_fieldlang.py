@@ -16,6 +16,7 @@ from hypolab.fieldlang import (
     Binary,
     CoefficientSet,
     Const,
+    Kernel,
     Power,
     Unary,
     Var,
@@ -432,7 +433,7 @@ def test_integer_powers_give_the_same_bits_on_every_route():
     pts[:, :2] = np.random.default_rng(29).uniform(-2.0, 1.0, size=(500, 2))
     walk = np.array([coeffs.drift.evaluate(p) for p in pts])[:, 2:]
     out = np.empty((d, len(pts)))
-    step = compile_step_kernel(coeffs, "euler", False, False)
+    step = compile_step_kernel(Kernel(coeffs, "euler"))
     step(pts.T.copy(), out, np.zeros((1, len(pts))), 1.0)
     routes = {
         "row-major": compile_field(coeffs.drift)(pts),
@@ -450,7 +451,7 @@ def test_integer_powers_give_the_same_bits_on_every_route():
 def test_huge_exponents_compile_to_short_sources():
     field = VectorField.from_text("x1^100000000000000000000", 1)
     coeffs = CoefficientSet(1, 1, field, (VectorField.from_text("1", 1),))
-    kernels = [compile_step_kernel(coeffs, scheme, True, True)
+    kernels = [compile_step_kernel(Kernel(coeffs, scheme, flows=True, covariance=True))
                for scheme in ("euler", "tamed-euler", "split-step-backward-euler")]
     for fn in kernels:  # the split-step kernel, the largest, has three chains of 66 squares
         assert len("".join(linecache.getlines(fn.__code__.co_filename))) < 8192
@@ -479,9 +480,9 @@ def test_power_with_many_one_bits_compiles_on_every_route():
     expected = {"euler": [-1.0, 0.0], "tamed-euler": [-0.5, 0.0],
                 "split-step-backward-euler": [-1.0, 0.0]}
     for scheme, row in expected.items():
-        compile_step_kernel(coeffs, scheme, True, True)
+        compile_step_kernel(Kernel(coeffs, scheme, flows=True, covariance=True))
         out = np.empty((2, len(pts)))
-        compile_step_kernel(coeffs, scheme, False, False)(pts.T.copy(), out, np.zeros((1, 2)), 1.0)
+        compile_step_kernel(Kernel(coeffs, scheme))(pts.T.copy(), out, np.zeros((1, 2)), 1.0)
         assert out[1].tolist() == row, scheme
 
 

@@ -28,6 +28,7 @@ from hypolab.errors import (
 from hypolab.fieldlang import (
     CoefficientSet,
     Const,
+    Kernel,
     VectorField,
     compile_diffusion,
     compile_expression_stack,
@@ -685,7 +686,7 @@ def test_engine_matches_the_dense_recurrence_bytes(name, scheme, route, force_ro
 
 
 def _kernel_source(coeffs, scheme="tamed-euler", flows=True, covariance=True):
-    kernel = compile_step_kernel(coeffs, scheme, flows, covariance)
+    kernel = compile_step_kernel(Kernel(coeffs, scheme, flows=flows, covariance=covariance))
     return [line.strip() for line in linecache.getlines(kernel.__code__.co_filename)]
 
 
@@ -727,22 +728,51 @@ def test_step_kernel_cache_key_separates_zero_signs_and_records():
 
     plus, minus = model(0.0), model(-0.0)
     for scheme in SCHEMES:
-        assert compile_step_kernel(plus, scheme, True, True) is not compile_step_kernel(
-            minus, scheme, True, True
-        )
+        assert compile_step_kernel(
+            Kernel(plus, scheme, flows=True, covariance=True)
+        ) is not compile_step_kernel(Kernel(minus, scheme, flows=True, covariance=True))
     assert "np.add(x0 + h * (-0.0), (dw0) + 0.0, out=out[0])" in _kernel_source(minus, "euler")
     assert "np.add(x0 + h * (0.0), (dw0) + 0.0, out=out[0])" in _kernel_source(plus, "euler")
 
     # rows written: X, J and K without C; and C's one row with it
     heis = CoefficientSet.from_text(3, 2, *_HEIS)
-    assert compile_step_kernel(heis, "euler", True, False) is not compile_step_kernel(
-        heis, "euler", True, True
+    assert compile_step_kernel(Kernel(heis, "euler", flows=True)) is not compile_step_kernel(
+        Kernel(heis, "euler", flows=True, covariance=True)
     )
     written = [
         sum("out=out[" in ln or ln.startswith("out[") for ln in _kernel_source(heis, "euler", *r))
         for r in ((False, False), (True, False), (True, True))
     ]
     assert written == [3, 21, 27]
+    # every record the engine can ask for: the step writes each row of its
+    # kernel's layout once, and only those; equal kernels share one step,
+    # and a kernel that differs in one record row has its own
+    spec = RemainderEnergy(3, heis.diffusion[0], BracketTable(heis), np.array((1.0, 0.5, 0.0)),
+                           (0, 7))
+    options = {"flows": (False, True), "c_checkpoints": ((), (16,)),
+               "track_flow_identity": (False, True), "remainder": (None, spec),
+               "track_square_norm": (False, True)}
+    kernels = set()
+    for values in itertools.product(*options.values()):
+        record = RecordSpec(**dict(zip(options, values)))
+        kernel = record.kernel(heis, "euler")
+        step = compile_step_kernel(kernel)
+        assert compile_step_kernel(record.kernel(heis, "euler")) is step
+        lines = [ln.strip() for ln in linecache.getlines(step.__code__.co_filename)]
+        found = [re.search(r"out=out\[(\d+)\]\)$|^out\[(\d+)\] =", ln) for ln in lines]
+        rows = [int(mt[1] or mt[2]) for mt in found if mt]
+        assert sorted(rows) == list(range(len(kernel.rows))), kernel
+        kernels.add(kernel)
+    # flows=False keeps J and K when another record needs them
+    assert len(kernels) == 2 * 2 * 2 * 2 + 2
+    for kernel in kernels:
+        for flag in ("flows", "covariance", "identity", "square_norm"):
+            other = replace(kernel, **{flag: not getattr(kernel, flag)})
+            if other in kernels:
+                assert compile_step_kernel(other) is not compile_step_kernel(kernel), flag
+        if kernel.remainder:
+            other = replace(kernel, remainder=None)
+            assert compile_step_kernel(other) is not compile_step_kernel(kernel)
     # either order through the engine: C only where asked, and the same bits
     cfg = SimConfig(horizon=0.5, n_steps=16, x0=(1.0, 0.5, 0.0), scheme="euler", seed=2)
     with_c, without_c = RecordSpec(c_checkpoints=(16,)), RecordSpec()
@@ -755,7 +785,7 @@ def test_step_kernel_cache_key_separates_zero_signs_and_records():
 
 def test_generated_code_is_readable_in_tracebacks():
     heis = CoefficientSet.from_text(3, 2, *_HEIS)
-    kernel = compile_step_kernel(heis, "tamed-euler", True, True)
+    kernel = compile_step_kernel(Kernel(heis, "tamed-euler", flows=True, covariance=True))
     assert kernel.__code__.co_filename.startswith("<hypolab step d=3 m=2 tamed-euler JK C #")
     assert (linecache.getline(kernel.__code__.co_filename, 1)
             == "def step(s, out, dw, h, T=None, lost=False):\n")
@@ -776,7 +806,7 @@ def test_generated_code_is_readable_in_tracebacks():
     assert ("in <fieldlang stack (3,) of 3 expressions>: reading 'x2' of "
             "out[..., 1] = -x2 - x2^3") in text
     # the source is kept only as long as its function
-    orphan = compile_step_kernel.__wrapped__(heis, "euler", False, False)
+    orphan = compile_step_kernel.__wrapped__(Kernel(heis, "euler"))
     filename = orphan.__code__.co_filename
     assert filename in linecache.cache
     del orphan
@@ -802,6 +832,27 @@ def test_block_memory_is_the_increments_and_the_state():
     # J, K, C, the step's temporaries and the checkpoints measured 28 states;
     # a copy of the increments in another layout would add 114
     assert peak <= increments + 40 * state
+
+
+@pytest.mark.parametrize("route", ["numpy", "native"])
+def test_kept_records_own_their_data(route, force_route):
+    # every record a block returns is copied out of its (stops, rows, B)
+    # snapshot, so no record keeps the snapshot alive until the merge: the
+    # memory under each array, a buffer it may view paths last, is its own
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    spec = RemainderEnergy(3, heis.diffusion[0], BracketTable(heis), np.array((1.0, 0.5, 0.0)),
+                           (0, 5, 16))
+    cfg = SimConfig(horizon=0.5, n_steps=16, x0=(1.0, 0.5, 0.0), seed=3)
+    record = RecordSpec(store_paths=True, c_checkpoints=(4, 16), remainder=spec,
+                        track_flow_identity=True, track_square_norm=True)
+    ran = force_route(route)
+    out = _simulate_block(heis, cfg, record, np.arange(5))
+    assert ran == {route}
+    for name in ("accumulated", "c_at", "j_at", "states", "jacobians", "inverses", "covariances",
+                 "final_states", "final_jacobians", "flow_identity_sup", "square_norm_sup"):
+        for array in out[name].values() if isinstance(out[name], dict) else [out[name]]:
+            owner = array if array.base is None else array.base
+            assert owner.flags.owndata and owner.nbytes == array.nbytes, name
 
 
 def test_scalar_noise_term_keeps_the_einsum_sign_of_zero():
@@ -1006,7 +1057,7 @@ def test_numpy_solve_skips_the_rows_of_lost_paths(monkeypatch):
     # iteration.  So every later step takes the norms of a block without
     # a lost path: the solve must not run on for the lost row.
     c = CoefficientSet.from_text(1, 1, "32*x1^2", ["1"])
-    step = compile_step_kernel(c, "split-step-backward-euler", False, False)
+    step = compile_step_kernel(Kernel(c, "split-step-backward-euler"))
     norms = []
 
     class Counting:  # numpy, counting the solve's norms
@@ -1297,12 +1348,13 @@ def _probe_kernels():
                            (0, 7))
     well = CoefficientSet.from_text(1, 1, "x1 - x1^3", ["0.5"])
     return {
-        "heis-tamed": (heis, "tamed-euler", True, True, False, None, False),
-        "heis-split-step": (heis, "split-step-backward-euler", True, True, True, None, True),
-        "heis-remainder": (heis, "tamed-euler", True, False, False,
-                           (spec.target, spec.prefixes, spec.indices), False),
-        "d1-split-step": (well, "split-step-backward-euler", False, False, False, None, False),
-        "d1-euler": (well, "euler", False, False, False, None, False),
+        "heis-tamed": Kernel(heis, "tamed-euler", flows=True, covariance=True),
+        "heis-split-step": Kernel(heis, "split-step-backward-euler", flows=True, covariance=True,
+                                  identity=True, square_norm=True),
+        "heis-remainder": Kernel(heis, "tamed-euler", flows=True,
+                                 remainder=(spec.target, spec.prefixes, spec.indices)),
+        "d1-split-step": Kernel(well, "split-step-backward-euler"),
+        "d1-euler": Kernel(well, "euler"),
     }
 
 
@@ -1311,14 +1363,14 @@ def test_one_numpy_pass_gives_each_probe_block_its_own_bytes(name):
     # the blocks side by side, stepped past their own n on zero increments,
     # give what _numpy_block gives each of them alone
     kernel = _probe_kernels()[name]
-    step, h = compile_step_kernel(*kernel), simulate._PROBE_H
+    step, h = compile_step_kernel(kernel), simulate._PROBE_H
     start, coefficients, ids, blocks = simulate._probe_blocks(kernel, C_TILE + 3)
     with np.errstate(all="ignore"):
         oracle = simulate._probe_oracle(step, start, blocks, coefficients)
         assert len(oracle) == len(blocks) == 4
         for (n, seed, dw, increments), (snap, lost) in zip(blocks, oracle):
             if dw is None:  # a stream's first n steps are its n-step draw
-                drawn = _block_increments(seed, n, h, kernel[0].m, ids)
+                drawn = _block_increments(seed, n, h, kernel.coeffs.m, ids)
                 assert increments.tobytes() == drawn.tobytes()
             want_lost = np.full(len(ids), -1, dtype=np.int64)
             want = simulate._numpy_block(step, start.copy(), increments, h,
@@ -1355,7 +1407,7 @@ def test_a_loop_build_steps_the_numpy_kernel_seven_times_and_draws_twice(
     monkeypatch.setattr(simulate, "compile_step_kernel", counted_kernel)
     monkeypatch.setattr(simulate, "_block_increments", counted_draw)
     heis = CoefficientSet.from_text(3, 2, *_HEIS)
-    assert simulate._native_loop(heis, "tamed-euler", True, True, False, None, False)
+    assert simulate._native_loop(Kernel(heis, "tamed-euler", flows=True, covariance=True))
     assert steps == [(2, 4 * (C_TILE + 3))] * 7  # one pass over the four blocks
     assert draws == [(0, 7), (2**64 - 1, 6)]
 
@@ -1481,7 +1533,8 @@ def test_a_build_reads_no_python_headers(fresh_loops, monkeypatch, force_route):
     ran = force_route("native")
     assert _heis_bytes() == want
     assert ran == {"native"} and len(list(fresh_loops.glob("*.so"))) == 1
-    source = step_kernel_c(CoefficientSet.from_text(3, 2, *_HEIS), "tamed-euler", True, True)
+    heis = CoefficientSet.from_text(3, 2, *_HEIS)
+    source = step_kernel_c(Kernel(heis, "tamed-euler", flows=True, covariance=True))
     assert "#include <numpy/random/bitgen.h>" in source
     assert "Python.h" not in source and "distributions.h" not in source
 
@@ -1556,7 +1609,7 @@ def test_a_build_never_removes_a_library_being_loaded(tmp_path, monkeypatch):
 def _sampler_setup(coeffs):
     """The ``setup(seed, id, count, want)`` of the Euler loop's library of ``coeffs``."""
     u64 = ctypes.c_uint64
-    (setup,) = native.load(step_kernel_c(coeffs, "euler", False, False),
+    (setup,) = native.load(step_kernel_c(Kernel(coeffs, "euler")),
                            {"setup": (ctypes.c_int, (u64, u64, ctypes.c_int64, ctypes.c_void_p))})
     return setup
 
@@ -1609,12 +1662,12 @@ def test_native_lanes_give_the_numpy_bytes(B, drawn, scheme):
     # tile, a partial one, or both, and with 2 C_TILE + 9 paths lane 5 of
     # every later tile too, so each tile commits around a lost lane
     coeffs = CoefficientSet.from_text(3, 2, *_HEIS)
-    kernel = (coeffs, scheme, True, True, True, None, True)
-    loop = simulate._native_loop(*kernel)
+    kernel = Kernel(coeffs, scheme, flows=True, covariance=True, identity=True, square_norm=True)
+    loop = simulate._native_loop(kernel)
     assert loop is not None
     n, h, seed = 16, 2.0**-4, 5
     rng = np.random.default_rng(B)
-    start = simulate._initial_state(rng.uniform(-1.5, 1.5, (3, B)), *kernel[2:])
+    start = simulate._initial_state(kernel, rng.uniform(-1.5, 1.5, (3, B)))
     ids = np.arange(B, dtype=np.uint64)
     lost = [lane for lane in (0, 3, 7, C_TILE + 5, 2 * C_TILE + 5) if lane < B]
     if drawn:  # lost at the first step: a NaN in X, an infinite J, an X whose cube overflows
@@ -1631,7 +1684,7 @@ def test_native_lanes_give_the_numpy_bytes(B, drawn, scheme):
     got_lost, want_lost = (np.full(B, -1, dtype=np.int64) for _ in range(2))
     with np.errstate(all="ignore"):
         got = loop(start.copy(), stops, h, got_lost, np.zeros((0, 3)), dw, seed, ids)
-        want = simulate._numpy_block(compile_step_kernel(*kernel), start.copy(), increments, h,
+        want = simulate._numpy_block(compile_step_kernel(kernel), start.copy(), increments, h,
                                      stops, want_lost, np.zeros((0, 3)))
     assert sorted(np.flatnonzero(want_lost >= 0)) == lost
     assert got_lost.tobytes() == want_lost.tobytes()
@@ -1707,18 +1760,18 @@ def test_native_draws_keep_the_bytes_when_n_m_is_not_a_multiple_of_4(name, n, se
     # is called as the engine calls it, on two tiles and part of a third.
     d, m, drift, sigma, x0, horizon, *_ = _ORACLE_MODELS[name]
     assert (n * m) % 4
-    kernel = (CoefficientSet.from_text(d, m, drift, sigma), "tamed-euler", True, True, False,
-              None, False)
-    loop = simulate._native_loop(*kernel)
+    kernel = Kernel(CoefficientSet.from_text(d, m, drift, sigma), "tamed-euler", flows=True,
+                    covariance=True)
+    loop = simulate._native_loop(kernel)
     assert loop is not None
     B, h = 2 * C_TILE + 5, horizon / n
-    start = simulate._initial_state(np.tile(np.array(x0)[:, None], B), *kernel[2:])
+    start = simulate._initial_state(kernel, np.tile(np.array(x0)[:, None], B))
     ids = np.arange(2**64 - B, 2**64, dtype=np.uint64)
     increments = _block_increments(seed, n, h, m, ids)
     stops = np.array(sorted({0, n // 2, n}), dtype=np.int64)
     got_lost, want_lost = (np.full(B, -1, dtype=np.int64) for _ in range(2))
     got = loop(start.copy(), stops, h, got_lost, np.zeros((0, d)), None, seed, ids)
-    want = simulate._numpy_block(compile_step_kernel(*kernel), start.copy(), increments, h,
+    want = simulate._numpy_block(compile_step_kernel(kernel), start.copy(), increments, h,
                                  stops, want_lost, np.zeros((0, d)))
     assert got_lost.tobytes() == want_lost.tobytes()
     assert got.tobytes() == want.tobytes()
@@ -1738,7 +1791,7 @@ def test_the_tile_width_changes_no_byte(name, scheme, monkeypatch, force_route):
             monkeypatch.setattr(fields, "C_TILE", width)
             step_kernel_c.cache_clear()
             simulate._native_loop.cache_clear()
-            assert f"int64_t frozen[{width}];" in step_kernel_c(ou, "euler", False, False)
+            assert f"int64_t frozen[{width}];" in step_kernel_c(Kernel(ou, "euler"))
             ran = force_route("native")
             got, _ = _route_records(name, scheme, 1, 64)
             assert ran == {"native"}
@@ -1793,9 +1846,9 @@ def test_a_tile_past_the_stack_budget_takes_the_numpy_route(force_route):
                                         [", ".join(["1"] + ["0"] * (d - 1))])
 
     largest = max(d for d in range(1, 64) if 16 * C_TILE * rows(d) <= fields._C_STACK)
-    assert step_kernel_c(model(largest), "euler", True, True) is not None
-    assert step_kernel_c(model(largest + 1), "euler", True, True) is None
-    assert step_kernel_c(model(largest), "split-step-backward-euler", True, True) is None
+    assert step_kernel_c(Kernel(model(largest), "euler", flows=True, covariance=True)) is not None
+    assert step_kernel_c(Kernel(model(largest + 1), "euler", flows=True, covariance=True)) is None
+    assert step_kernel_c(Kernel(model(largest), "split-step-backward-euler", flows=True, covariance=True)) is None
     ran = force_route("native")
     cfg = SimConfig(horizon=0.5, n_steps=2, x0=(0.5,) * (largest + 1), scheme="euler")
     res = run_ensemble(model(largest + 1), cfg, 3, RecordSpec(c_checkpoints=(2,)))
@@ -1848,7 +1901,7 @@ def test_c_loop_is_the_numpy_kernel_line_by_line():
 
     heis = CoefficientSet.from_text(3, 2, *_HEIS)
     for scheme in SCHEMES:
-        c_lines = [ln.strip() for ln in step_kernel_c(heis, scheme, True, True).splitlines()]
+        c_lines = [ln.strip() for ln in step_kernel_c(Kernel(heis, scheme, flows=True, covariance=True)).splitlines()]
         numpy_lines = [c_text(ln) for ln in _kernel_source(heis, scheme)
                        if re.match(r"(np\.|out\[|taming|(e|t[xz]|A|G|S)\d)", ln)]
         assert sum(ln.startswith("o[") for ln in numpy_lines) == 27
@@ -1858,8 +1911,8 @@ def test_c_loop_is_the_numpy_kernel_line_by_line():
 
 def test_transcendental_models_have_no_c_loop():
     dense = CoefficientSet.from_text(4, 2, *_DENSE)
-    assert step_kernel_c(dense, "tamed-euler", True, True) is None
+    assert step_kernel_c(Kernel(dense, "tamed-euler", flows=True, covariance=True)) is None
     tanh = CoefficientSet.from_text(1, 1, "-x1", ["1 + 0.1*tanh(x1)"])
-    assert step_kernel_c(tanh, "euler", False, False) is None
-    assert step_kernel_c(CoefficientSet.from_text(1, 1, "-x1^3 / (1 + x1^2)", ["-x1"]),
-                         "euler", False, False) is not None
+    assert step_kernel_c(Kernel(tanh, "euler")) is None
+    rational = CoefficientSet.from_text(1, 1, "-x1^3 / (1 + x1^2)", ["-x1"])
+    assert step_kernel_c(Kernel(rational, "euler")) is not None

@@ -517,6 +517,35 @@ def test_cli_det_moments_overflowing_power_is_evaluation_error(tmp_path, capsys)
         assert "Infinity" not in path.read_text() and "NaN" not in path.read_text()
 
 
+def test_cli_det_moments_overflowing_determinant_is_evaluation_error(tmp_path, capfd):
+    # Q = 5e239 I on every path, finite, but det Q = 2.5e479 overflows: the
+    # moment is not (det Q)^-1 = 0
+    text = """
+[model]
+d = 2
+m = 2
+x0 = 0.0, 0.0
+drift = 0, 0
+sigma1 = 1e120, 0
+sigma2 = 0, 1e120
+
+[simulation]
+T = 1.0
+n_steps = 64
+scheme = tamed-euler
+paths = 16
+seed = 1
+
+[analysis]
+p = 1.0
+t = 0.5
+"""
+    out = tmp_path / "o"
+    assert main(["det-moments", "--config", _write(tmp_path, text), "--out", str(out)]) == 1
+    assert capfd.readouterr() == ("", "error: det Q is not finite on 16 of 16 surviving paths\n")
+    assert not (out / "det_moments.json").exists()
+
+
 def test_cli_overflowing_literal_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, SIGMA_OVERFLOW.replace("1e200", "1e400") + "t = 0.5\n")
     assert main(["malliavin", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
